@@ -3,7 +3,8 @@
 Same contract as the compiled module: one call evaluates one octant row
 n_x = const, n_y = 0..n_x, with the dihedral-orbit weights folded in
 (8 interior / 4 axis / 4 diagonal / 1 origin), and returns the row total.
-Rows are summed with NumPy pairwise summation; the caller performs the
+Rows are summed with an uncompensated NumPy dot product (w @ t), not
+with the compiled kernel's Neumaier compensation; the caller performs the
 exact cross-row reduction.
 """
 from __future__ import annotations

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cplattice import cli, fitting
+from cplattice import cli, euler_maclaurin, fitting
 
 
 def run_cli(args, env_extra=None):
@@ -227,3 +227,23 @@ def test_in_process_sweep_writer():
     buf = io.StringIO()
     assert cli.cmd_sweep(cfg, buf) == 0
     assert buf.getvalue().startswith("z_tilde,")
+
+
+def test_sweep_all_defaults_exits_zero(tmp_path, monkeypatch):
+    # in process, one worker: z from 0.01 to 100 at 64 points per decade
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    out = tmp_path / "defaults.csv"
+    assert cli.main(["sweep", "--output", str(out)]) == cli.EXIT_OK
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 257
+    assert float(rows[-1]["z_tilde"]) == pytest.approx(100.0, rel=1e-12)
+    assert all(float(r["or_edge"]) > 0.0 for r in rows)
+
+
+def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    monkeypatch.setattr(euler_maclaurin, "_EDGE_RTOL", 1e-30)
+    rc = cli.main(SWEEP_ARGS + ["--threads", "1", "-o", str(tmp_path / "f.csv")])
+    assert rc == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "edge off_resonant at z=0.2" in err and "mu=0.5" in err

@@ -104,7 +104,7 @@ def test_offres_bulk_reference_values():
 
 def test_generic_offres_bulk_path_agrees():
     b = mk(mu=0.7, a=0.02, z=0.6)
-    assert _bulk_offres_generic(b, 1e-10) == pytest.approx(
+    assert _bulk_offres_generic(b) == pytest.approx(
         bulk_term(b, "off_resonant"), rel=1e-6)
 
 
@@ -162,7 +162,7 @@ def test_edge_axis_symmetry_zz_and_zx():
     assert _edge_axis_resonant(b, "x") == pytest.approx(_edge_axis_resonant(b, "y"), rel=1e-12)
     bx = mk(z=0.4, array=(1, 0, 0))
     assert _edge_axis_resonant(bx, "y") == 0.0
-    assert _edge_axis_offres(bx, "y", 1e-10) == 0.0
+    assert _edge_axis_offres(bx, "y") == 0.0
 
 
 def test_vertex_is_exactly_the_origin_pair_term():
