@@ -66,3 +66,33 @@ def pair_coupling(test_dipole, array_dipole, displacement, freq=1.0) -> complex:
     en = np.asarray(array_dipole, dtype=float)
     t1, t2 = scalar_coefficients(r, freq)
     return complex(t1 * (e0 @ en) + t2 * (e0 @ n) * (n @ en))
+
+
+def resonant_sites(r, dot, pp):
+    """Re[(e0 . g(r, 1) . en)^2] for each site, vectorized.
+
+    r is the site distance, dot = e0.en and pp = (e0.n)(n.en) the dipole
+    projections (broadcast against r). No prefactor is applied. With
+    alpha = dot - pp and beta = dot - 3 pp,
+
+        e0.g(r, 1).en = e^(ir)/r^3 (B_re + i B_im),  B_re = alpha r^2 - beta,  B_im = beta r.
+    """
+    r2 = r * r
+    beta = dot - 3.0 * pp
+    bre = (dot - pp) * r2
+    bre -= beta
+    bim = beta * r
+    phase = 2.0 * r
+    # [cos 2r (B_re^2 - B_im^2) - sin 2r 2 B_re B_im] / r^6, updated in place:
+    # octant rows run to 1e5 sites, where every fresh temporary spills cache
+    cross = bre * bim
+    cross *= np.sin(phase)
+    bre *= bre
+    bim *= bim
+    bre -= bim
+    bre *= np.cos(phase)
+    bre -= cross
+    bre -= cross
+    r2 *= r2 * r2
+    bre /= r2
+    return bre

@@ -10,19 +10,21 @@ and the off-resonant shift per site is the imaginary-frequency integral
                              / ((xi^2+1)(xi^2+mu^2)),
     pref_OR = 9 rho mu / (8 pi),
 
-both in units of gamma0. For the two principal orientations (probe z with
-array z or array x) the projections collapse to radial brackets and the sum
-runs over one octant with dihedral orbit weights (8 interior / 4 axis /
-4 diagonal / origin); resonant rows are accumulated in fixed order
-n_x = 0..M and reduced exactly (math.fsum), so results are bit-identical for
-any worker count. General orientations lack the reflection parity needed for
-folding and run over the full grid.
+both in units of gamma0. For any dipole pair both depend on the orientation
+only through the projections dot = e0.en and pp = (e0.n)(n.en), so each has
+one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
+:func:`offresonant_sites`. For the two principal orientations (probe z with
+array z or array x) the projections are radial, and the sum runs over one
+octant with dihedral orbit weights (8 interior / 4 axis / 4 diagonal /
+origin); resonant rows are accumulated in fixed order n_x = 0..M and reduced
+exactly (math.fsum), so results are bit-identical for any worker count.
+General orientations lack the reflection parity needed for folding and run
+the same kernels over the full grid.
 
-The off-resonant site integral is evaluated by one vectorized kernel,
-:func:`offresonant_sites`, for every orientation. With u = xi r,
+The off-resonant site integral is evaluated in closed form. With u = xi r,
 
     xi^2 gpair(i xi) = e^{-u}/r^3 h(u),   h(u) = alpha u^2 + beta (u + 1),
-    alpha = e0.en - p,  beta = e0.en - 3p,  p = (e0.n)(n.en),
+    alpha = dot - pp,  beta = dot - 3 pp,
 
 so each site reduces to five moments
 M_k(r, mu) = int_0^inf e^{-2 xi r} (xi r)^k / ((xi^2+1)(xi^2+mu^2)) dxi,
@@ -49,7 +51,9 @@ from scipy.integrate import quad
 from scipy.special import roots_laguerre, sici
 
 from . import kernels
-from .greens import pair_coupling, scalar_coefficients
+from .greens import resonant_sites
+# Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
+from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import ValidatedBundle, validate
 
 
@@ -82,39 +86,13 @@ def offresonant_prefactor(bundle: ValidatedBundle) -> float:
 # ---------------------------------------------------------------------------
 # single-site terms
 
-def _site_displacement(nx: int, ny: int, bundle: ValidatedBundle):
-    a = bundle.a_tilde
-    return np.array([nx * a, ny * a, -bundle.z_tilde])
-
-
 def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     """Contribution of site (nx, ny) to the resonant shift, in gamma0 units."""
     bundle = validate(bundle)
-    label = bundle.orientation_label()
-    pref = resonant_prefactor(bundle)
-    z2 = bundle.z_tilde ** 2
-    a2 = bundle.a_tilde ** 2
-    d2 = (nx * nx + ny * ny) * a2
-    if label == "zz":
-        r2 = d2 + z2
-        r = math.sqrt(r2)
-        c = z2 / r2
-        bre = (r2 - 1.0) + (3.0 - r2) * c
-        bim = r * (1.0 - 3.0 * c)
-        h = math.cos(2.0 * r) * (bre * bre - bim * bim) - math.sin(2.0 * r) * (2.0 * bre * bim)
-        return pref * h / (r2 * r2 * r2)
-    if label == "zx":
-        x2 = nx * nx * a2
-        if x2 == 0.0:
-            return 0.0
-        r2 = d2 + z2
-        r = math.sqrt(r2)
-        q = 3.0 - r2
-        h = math.cos(2.0 * r) * (q * q - 9.0 * r2) + math.sin(2.0 * r) * (6.0 * r * q)
-        return pref * h * z2 * x2 / r2 ** 5
-    pc = pair_coupling(bundle.params.test_dipole, bundle.params.array_dipole,
-                       _site_displacement(nx, ny, bundle), 1.0)
-    return pref * (pc * pc).real
+    a = bundle.a_tilde
+    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
+                                  nx * a, ny * a, bundle.z_tilde)
+    return resonant_prefactor(bundle) * float(resonant_sites(r, dot, pp))
 
 
 def _quad_checked(f, lo, hi, epsrel, epsabs=1e-300):
@@ -205,13 +183,8 @@ def site_projections(e0, en, x, y, z):
     return r, float(np.dot(e0, en)), p0 * pn
 
 
-def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle, *,
-                          epsrel: float = 1e-10) -> float:
-    """Contribution of site (nx, ny) to the off-resonant shift (gamma0 units).
-
-    epsrel is accepted for compatibility; the site kernel is accurate to
-    ~1e-13 relative everywhere.
-    """
+def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
+    """Contribution of site (nx, ny) to the off-resonant shift (gamma0 units)."""
     bundle = validate(bundle)
     a = bundle.a_tilde
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
@@ -240,21 +213,13 @@ def _resonant_octant(bundle: ValidatedBundle, threads) -> float:
 def _resonant_custom(bundle: ValidatedBundle, threads) -> float:
     M = bundle.half_extent
     a = bundle.a_tilde
-    z = bundle.z_tilde
-    e0 = np.asarray(bundle.params.test_dipole)
-    en = np.asarray(bundle.params.array_dipole)
-    e0n = float(e0 @ en)
-    ny = np.arange(-M, M + 1, dtype=np.float64)
-    y = ny * a
+    e0 = bundle.params.test_dipole
+    en = bundle.params.array_dipole
+    y = np.arange(-M, M + 1, dtype=np.float64) * a
 
     def row(nx):
-        x = nx * a
-        r = np.sqrt(x * x + y * y + z * z)
-        t1, t2 = scalar_coefficients(r, 1.0)
-        p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
-        pn = (en[0] * x + en[1] * y - en[2] * z) / r
-        pc = t1 * e0n + t2 * p0 * pn
-        return float(np.sum((pc * pc).real))
+        r, dot, pp = site_projections(e0, en, nx * a, y, bundle.z_tilde)
+        return float(np.sum(resonant_sites(r, dot, pp)))
 
     vals = _map_rows(row, range(-M, M + 1), threads)
     return resonant_prefactor(bundle) * math.fsum(vals)
@@ -290,14 +255,14 @@ def _offres_custom(bundle: ValidatedBundle) -> float:
 
 
 def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = None,
-                site_budget: int | None = None, epsrel: float = 1e-10) -> ShiftResult:
+                site_budget: int | None = None) -> ShiftResult:
     """Sum the pair terms over all (2M+1)^2 sites.
 
     kind is 'resonant' or 'off_resonant'. Results are deterministic for any
     thread count: row values are independent and the cross-row reduction is
     exact (math.fsum) in fixed row order. Off-resonant sums evaluate every
-    site in one vectorized kernel call and reduce exactly, so threads and
-    epsrel (kept for compatibility) do not affect them.
+    site in one vectorized kernel call and reduce exactly, so threads do not
+    affect them.
     """
     bundle = validate(bundle)
     count = bundle.lattice.atom_count

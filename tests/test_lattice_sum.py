@@ -186,7 +186,7 @@ def test_offresonant_shell_tail_decays_faster_than_m4():
         for nx in range(-m, m + 1):
             for ny in range(-m, m + 1):
                 if max(abs(nx), abs(ny)) == m:
-                    total += offresonant_pair_term(nx, ny, b, epsrel=1e-8)
+                    total += offresonant_pair_term(nx, ny, b)
         shells.append((m, total))
     x = np.log([m for m, _ in shells])
     y = np.log([v for _, v in shells])

@@ -61,12 +61,21 @@ def test_small_x_logarithmic_behaviour():
         assert specfun.chi_minus_shi(x) == pytest.approx(gamma + math.log(x), abs=2 * x)
 
 
-def test_branch_switch_continuity():
-    # both branches evaluated at the switch points agree far below 1e-12
-    assert abs(specfun._ci_power_series(20.0) - specfun._ci_auxiliary(20.0)) <= 1e-12
-    e1_series = specfun.exp_integral_e1(1.0)
-    e1_cf = float(specfun._e1_continued_fraction(1.0))
-    assert abs(e1_series - e1_cf) <= 1e-12
+def test_matches_mpmath_on_dense_grid():
+    # 40-digit oracle on a log grid over [1e-6, 1e3], plus points straddling
+    # x = 20 and x = 1, where hand-written Ci and E1 used to switch branches.
+    # E1 is measured against E1 + the smallest normal double, as it leaves
+    # the normal range above x ~ 700.
+    mpmath = pytest.importorskip("mpmath")
+    tiny = np.finfo(float).tiny
+    straddle = [c * (1.0 + d) for c in (1.0, 20.0) for d in (-1e-9, -1e-13, 0.0, 1e-13, 1e-9)]
+    with mpmath.workdps(40):
+        for x in map(float, np.concatenate((np.geomspace(1e-6, 1e3, 2001), straddle))):
+            ci = mpmath.ci(x)
+            e1 = mpmath.e1(x)
+            assert abs(specfun.cosine_integral(x) - ci) <= 1e-13, x
+            assert abs(specfun.exp_integral_e1(x) - e1) <= 1e-13 * (e1 + tiny), x
+            assert abs(specfun.chi_minus_shi(x) + e1) <= 1e-13 * (e1 + tiny), x
 
 
 def test_ci_defining_quadrature_consistency():
