@@ -95,7 +95,10 @@ def load_config(path: str | None, overrides: dict) -> Config:
             cfg = replace(cfg, threads=int(env_threads))
         except ValueError:
             raise _UsageError(f"{THREADS_ENV}={env_threads!r} is not an integer")
-    return cfg
+    if cfg.threads < 1:
+        raise _UsageError(f"threads must be >= 1, got {cfg.threads}")
+    # results are identical for any worker count, so clamping is value-safe
+    return replace(cfg, threads=min(cfg.threads, os.cpu_count() or 1))
 
 
 def _apply(cfg: Config, key: str, value, where: str) -> Config:
@@ -350,6 +353,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_replacing(path: str, write) -> int:
+    """Run ``write(fh)`` on a temporary file beside ``path`` and move it onto
+    ``path`` only when it returns, so a failure leaves ``path`` untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
+    try:
+        with fh:
+            rc = write(fh)
+        os.replace(tmp, path)
+        return rc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -357,8 +378,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             cfg = load_config(args.config, _config_overrides(args))
             if args.output:
-                with open(args.output, "w", newline="") as fh:
-                    return cmd_sweep(cfg, fh, require_direct=args.require_direct)
+                return _write_replacing(args.output, lambda fh: cmd_sweep(
+                    cfg, fh, require_direct=args.require_direct))
             return cmd_sweep(cfg, sys.stdout, require_direct=args.require_direct)
         if args.command == "decompose":
             cfg = load_config(args.config, _config_overrides(args))

@@ -1,25 +1,86 @@
-"""Hot-loop row kernels: compiled extension when available, NumPy otherwise.
+"""Hot-loop row kernels: compiled C through ctypes when a C compiler is present,
+NumPy otherwise.
 
-Set CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the extension (used by the
-benchmark and by tests that exercise the fallback).
+On first import ``_rows.c`` is compiled with the system ``cc`` into
+``_rows-<key>.so`` next to it, where the key hashes the source, the compiler
+command line, the machine type and the CPU model (the build uses
+``-march=native``). Later imports load the cached library without starting a
+process. Any failure to build or load it (no compiler, a compile error, a
+read-only directory) selects the NumPy fallback. Set
+CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library.
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import platform
+import subprocess
+import tempfile
+from pathlib import Path
 
 from . import _numpy_backend
 
-if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS"):
-    _impl = _numpy_backend
-else:
+_HERE = Path(__file__).resolve().parent
+_SOURCE = _HERE / "_rows.c"
+# -std=c99 turns off FMA contraction; no -ffast-math (see _rows.c)
+_CFLAGS = ("-O3", "-std=c99", "-fno-math-errno", "-march=native", "-shared", "-fPIC")
+
+
+def _cpu_model() -> str:
     try:
-        from . import _fast as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _numpy_backend
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return ""
+
+
+def load_library(cc: str = "cc", directory: Path = _HERE):
+    """The compiled row library, built into ``directory`` on first use.
+
+    Returns a ``ctypes.CDLL`` with ``res_row_zz``, ``res_row_zx`` and
+    ``sincos_probe`` declared, or None when the library cannot be built or
+    loaded. The build writes a temporary file and moves it into place, so
+    concurrent first imports are safe.
+    """
+    try:
+        key = hashlib.sha256(b"\0".join([
+            _SOURCE.read_bytes(), " ".join((cc,) + _CFLAGS).encode(),
+            platform.machine().encode(), _cpu_model().encode()])).hexdigest()[:16]
+        path = Path(directory) / f"_rows-{key}.so"
+        if not path.exists():
+            fd, tmp = tempfile.mkstemp(prefix="._rows-", suffix=".so", dir=directory)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                               check=True, capture_output=True, timeout=120)
+                os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    for name in ("res_row_zz", "res_row_zx"):
+        fn = getattr(lib, name)
+        fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_long)
+        fn.restype = ctypes.c_double
+    lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
+                                 ctypes.POINTER(ctypes.c_double))
+    lib.sincos_probe.restype = None
+    return lib
+
+
+_lib = None if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else load_library()
+_impl = _numpy_backend if _lib is None else _lib
 
 res_row_zz = _impl.res_row_zz
 res_row_zx = _impl.res_row_zx
 
 
 def backend_name() -> str:
-    return "cython" if _impl is not _numpy_backend else "numpy"
+    return "numpy" if _lib is None else "c"

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,6 @@ from cplattice import cli, euler_maclaurin, fitting
 
 
 def run_cli(args, env_extra=None):
-    import os
     env = dict(os.environ)
     env.pop(cli.THREADS_ENV, None)
     if env_extra:
@@ -247,3 +247,60 @@ def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys
     assert rc == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "edge off_resonant at z=0.2" in err and "mu=0.5" in err
+
+
+def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, capsys):
+    # the edge quadrature starts failing at the second height, after the
+    # header and the first row have been written
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    decompose = euler_maclaurin.decompose
+    calls = []
+
+    def failing_from_second_row(b, kind):
+        calls.append(kind)
+        if len(calls) == 3:
+            monkeypatch.setattr(euler_maclaurin, "_EDGE_RTOL", 1e-30)
+        return decompose(b, kind)
+
+    monkeypatch.setattr(euler_maclaurin, "decompose", failing_from_second_row)
+    out = tmp_path / "f.csv"
+    out.write_bytes(b"z_tilde,previous\n0.1,1\n")
+    rc = cli.main(SWEEP_ARGS + ["--threads", "1", "-o", str(out)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert len(calls) == 4
+    assert "edge off_resonant at z=" in capsys.readouterr().err
+    assert out.read_bytes() == b"z_tilde,previous\n0.1,1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+
+def test_unwritable_output_exits_usage(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    out = tmp_path / "missing" / "f.csv"
+    assert cli.main(SWEEP_ARGS + ["-o", str(out)]) == cli.EXIT_USAGE
+    assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_validated_before_any_work(tmp_path, monkeypatch, capsys):
+    # validation path only: no sweep runs and no thread is started
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    for bad in ("0", "-3"):
+        with pytest.raises(cli._UsageError, match="threads must be >= 1"):
+            cli.load_config(None, {"threads": bad})
+    conf = tmp_path / "c.conf"
+    conf.write_text("threads = 0\n")
+    with pytest.raises(cli._UsageError, match="threads must be >= 1"):
+        cli.load_config(str(conf), {})
+    out = tmp_path / "never.csv"
+    assert cli.main(["sweep", "--threads", "0", "-o", str(out)]) == cli.EXIT_USAGE
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv(cli.THREADS_ENV, "-1")
+    with pytest.raises(cli._UsageError, match="threads must be >= 1"):
+        cli.load_config(None, {"threads": 1})
+    # more workers than cores are clamped: results do not depend on the count
+    monkeypatch.setenv(cli.THREADS_ENV, "50001")
+    assert cli.load_config(None, {}).threads == os.cpu_count()
+    monkeypatch.delenv(cli.THREADS_ENV)
+    assert cli.load_config(None, {"threads": 16}).threads == min(16, os.cpu_count())
+    assert cli.load_config(None, {}).threads == 1

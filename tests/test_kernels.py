@@ -1,70 +1,144 @@
-"""Backend contract: the compiled kernels and the NumPy fallback are
-interchangeable, and the compiled fast-math substitutions (polished
-reciprocal sqrt, reduced sincos) match the C library."""
+"""Backend contract: the compiled row library and the NumPy fallback are
+interchangeable, the library's reduced sincos matches the C library, and
+the loader falls back to NumPy whenever the library cannot be built."""
+import ctypes
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cplattice import kernels
+from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
 
 
-@pytest.fixture
-def _fast():
-    """The compiled module; tests that need it skip when it is not built."""
-    return pytest.importorskip("cplattice.kernels._fast")
+@pytest.fixture(scope="module")
+def lib():
+    """The compiled row library; tests that need it skip only without ``cc``."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    lib = kernels.load_library()
+    assert lib is not None, "cc is on PATH but the row library did not build"
+    return lib
+
+
+def _sincos(lib, x):
+    s, c = ctypes.c_double(), ctypes.c_double()
+    lib.sincos_probe(x, ctypes.byref(s), ctypes.byref(c))
+    return s.value, c.value
 
 
 def test_backend_selected():
-    assert backend_name() in ("cython", "numpy")
+    assert backend_name() in ("c", "numpy")
 
 
-def test_fast_sqrt_bit_exact(_fast):
-    rng = np.random.default_rng(3)
-    xs = np.exp(rng.uniform(-30, 30, 20000))
-    for x in xs:
-        assert _fast.sqrt_probe(float(x)) == math.sqrt(x)
+def test_backend_is_compiled_when_cc_exists():
+    if shutil.which("cc") is None or os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS"):
+        pytest.skip("no cc on PATH, or the NumPy fallback is forced")
+    assert backend_name() == "c"
 
 
-def test_fast_sincos_one_ulp(_fast):
+def test_forced_numpy_backend_in_subprocess():
+    env = dict(os.environ, CPLATTICE_FORCE_NUMPY_KERNELS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from cplattice import kernels; print(kernels.backend_name())"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy"
+
+
+def test_failed_builds_fall_back_without_raising(tmp_path):
+    # no such compiler, a compiler that fails, a directory that does not exist
+    assert kernels.load_library(cc=str(tmp_path / "no-such-cc"), directory=tmp_path) is None
+    if shutil.which("false"):
+        assert kernels.load_library(cc="false", directory=tmp_path) is None
+    assert kernels.load_library(directory=tmp_path / "missing") is None
+    assert list(tmp_path.iterdir()) == []  # no temporary file is left behind
+
+
+def test_cached_library_loads_without_a_process(lib, tmp_path, monkeypatch):
+    assert kernels.load_library(directory=tmp_path) is not None
+    built = sorted(p.name for p in tmp_path.iterdir())
+    assert len(built) == 1 and built[0].startswith("_rows-") and built[0].endswith(".so")
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a cache hit started a process")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    cached = kernels.load_library(directory=tmp_path)
+    assert cached.res_row_zz(1e-4, 0.04, 100) == lib.res_row_zz(1e-4, 0.04, 100)
+    assert sorted(p.name for p in tmp_path.iterdir()) == built
+
+
+def test_fast_sincos_one_ulp(lib):
     rng = np.random.default_rng(4)
     for x in rng.uniform(0.0, 5000.0, 20000):
-        s, c = _fast.sincos_probe(float(x))
+        s, c = _sincos(lib, float(x))
         assert abs(s - math.sin(x)) <= 2.3e-16
         assert abs(c - math.cos(x)) <= 2.3e-16
 
 
 @pytest.mark.parametrize("nx", [0, 1, 2, 3, 17, 173, 2048, 20001])
 @pytest.mark.parametrize("a2,z2", [(1e-4, 0.04), (0.25, 1.0), (4.0, 1e-4), (1e-2, 9.0)])
-def test_rows_match_numpy_backend(_fast, nx, a2, z2):
-    a = _fast.res_row_zz(a2, z2, nx)
+def test_rows_match_numpy_backend(lib, nx, a2, z2):
+    a = lib.res_row_zz(a2, z2, nx)
     b = _numpy_backend.res_row_zz(a2, z2, nx)
     assert a == pytest.approx(b, rel=5e-12, abs=1e-300)
-    c = _fast.res_row_zx(a2, z2, nx)
+    c = lib.res_row_zx(a2, z2, nx)
     d = _numpy_backend.res_row_zx(a2, z2, nx)
     assert c == pytest.approx(d, rel=5e-12, abs=1e-300)
 
 
-def test_large_phase_fallback_row(_fast):
+def _weighted_magnitude(a2, z2, nx):
+    """Sum of |weighted site term| over the zz and zx rows: the scale rows cancel from."""
+    j = np.arange(nx + 1, dtype=np.float64)
+    s = nx * nx + j * j
+    r2 = s * a2 + z2
+    tzz = np.abs(resonant_sites(np.sqrt(r2), 1.0, z2 / r2))
+    tzx = np.abs(resonant_sites(np.sqrt(r2), 0.0, math.sqrt(z2) / r2)) * (4.0 * a2) * s
+    return 8.0 * float(np.sum(tzz)), float(np.sum(tzx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_a2=st.floats(math.log(1e-6), math.log(10.0)),
+       log_z2=st.floats(math.log(1e-4), math.log(100.0)),
+       nx=st.integers(0, 5000))
+def test_compiled_rows_match_numpy_rows(lib, log_a2, log_z2, nx):
+    # rows of oscillating terms cancel: a floor of 1e-13 of the magnitude sum
+    a2, z2 = math.exp(log_a2), math.exp(log_z2)
+    mzz, mzx = _weighted_magnitude(a2, z2, nx)
+    assert lib.res_row_zz(a2, z2, nx) == pytest.approx(
+        _numpy_backend.res_row_zz(a2, z2, nx), rel=5e-12, abs=1e-13 * mzz)
+    assert lib.res_row_zx(a2, z2, nx) == pytest.approx(
+        _numpy_backend.res_row_zx(a2, z2, nx), rel=5e-12, abs=1e-13 * mzx)
+
+
+def test_large_phase_fallback_row(lib):
     # rows whose phase exceeds the Cody-Waite range route through libm
     a2, z2 = 9e4, 1.0  # r up to ~sqrt(2)*3e5, phase ~ 8.5e5 < 1e6 stays fast
-    v1 = _fast.res_row_zz(a2, z2, 2000)
+    v1 = lib.res_row_zz(a2, z2, 2000)
     w1 = _numpy_backend.res_row_zz(a2, z2, 2000)
     assert v1 == pytest.approx(w1, rel=1e-11)
     a2 = 4e6  # phase ~ 5.6e6 > 1e6 forces the libm fill
-    v2 = _fast.res_row_zz(a2, z2, 2000)
+    v2 = lib.res_row_zz(a2, z2, 2000)
     w2 = _numpy_backend.res_row_zz(a2, z2, 2000)
     assert v2 == pytest.approx(w2, rel=1e-11)
 
 
-def test_row_throughput_contract(_fast):
+def test_row_throughput_contract(lib):
     # >= 1e8 site terms / second / core through the compiled fast path
     import time
     nx = 30000
-    _fast.res_row_zz(1e-4, 0.04, nx)  # warm up
+    lib.res_row_zz(1e-4, 0.04, nx)  # warm up
     t0 = time.perf_counter()
     reps = 10
     for _ in range(reps):
-        _fast.res_row_zz(1e-4, 0.04, nx)
+        lib.res_row_zz(1e-4, 0.04, nx)
     rate = reps * (nx + 1) / (time.perf_counter() - t0)
     assert rate > 1e8, f"{rate:.3g} site terms/s"
