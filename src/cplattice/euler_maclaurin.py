@@ -6,9 +6,8 @@ The lattice sum over an unbounded array is split into
     edge   = (2/a) [ int_0^inf dx f(x, 0) + int_0^inf dy f(0, y) ]
     vertex = f(0, 0)                                         (single site)
 
-with f the per-site shift term. The bulk term reduces to a radial integral;
-for the two principal orientations the resonant radial integral has closed
-antiderivatives in terms of the cosine integral,
+with f the per-site shift term. For the two principal orientations the
+resonant bulk has closed antiderivatives in terms of the cosine integral,
 
     bulk_zz = (9 pi/32) K Bzz(z)/(a^2 z^4),
     Bzz = -8 Ci(2z) z^4 + cos(2z)(3 - 2z^2) + 2z (3 + 2z^2) sin(2z),
@@ -16,25 +15,32 @@ antiderivatives in terms of the cosine integral,
     Bzx = (3 - 4z^2) cos(2z) + 6z sin(2z),      K = rho mu/((1-mu)(1+mu)).
 
 Both prefactors are pinned by high-precision quadrature of the radial
-integral (the module's tests re-derive them; see also the generic
-numerical-orientation path, which must agree to 1e-8).
+integral (the module's tests re-derive them; the numerical path below must
+agree with them).
 
-Off-resonant bulk terms integrate the imaginary-frequency quadrature
-radially: the radial integral of the squared coupling against e^{-2 xi r}
-is a finite combination of exponential integrals E_n, leaving a single
-smooth xi quadrature.
+Every other bulk and edge integral is one fixed rule, :func:`_integrate`:
+composite 25-point Gauss-Legendre panels, with an error estimate from the
+interpolatory rule on every other node, checked against one tolerance. The
+integrands are the two vectorized site kernels, which take the dipole
+orientation as data (the projections e0.en and (e0.n)(n.en)). The bulk is
+(2 pi/a^2) int R <f>_phi dR over the in-plane radius R; the site terms are
+trigonometric polynomials of degree 4 in the azimuth, so the mean <f>_phi
+over 5 uniform azimuths is exact (zz needs one). There are two node layouts:
 
-Every other term is built from the two vectorized site kernels,
-``greens.resonant_sites`` and ``lattice_sum.offresonant_sites``, which take
-the dipole orientation as data (the projections e0.en and (e0.n)(n.en)): the
-vertex is one site; the generic-orientation bulk evaluates a kernel over a
-uniform azimuth grid at every radial node; the resonant edge integrates its
-kernel along each axis in half-period panels of the e^{2ir} phase with tail
-averaging, and the off-resonant edge with a fixed composite Gauss-Legendre
-panel rule whose error estimate comes from a nested lower-order rule
-(:func:`_edge_axis_offres`). The orientation label only selects symmetries:
-octant folding, the closed-form zz/zx bulk, and which axis integrals are
-equal or vanish.
+* real path (off-resonant edge and bulk): fixed panels in s = R/z, with the
+  s = 16/t tail;
+* rotated path (resonant edge and generic-orientation bulk): the e^{2ir}
+  phase would oscillate along the real axis, so the path turns into the
+  upper half-plane, x = t e^{i pi/4} for the edge and r = z + t e^{i pi/4}
+  for the bulk, where it decays (numerical steepest descent: Huybrechs and
+  Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026). The integrand is the
+  analytic continuation ``greens.resonant_sites_complex``; no branch point
+  is crossed, since r depends on x only through x^2 and <f>_phi on R only
+  through R^2. Geometric panels are sized by z (the r^-6 near field),
+  sqrt(z) (the width of e^{i x^2/z} at large z) and 1/sin(pi/4).
+
+The orientation label only selects symmetries: the closed-form zz/zx bulk,
+the single zz azimuth, and which axis integrals are equal or vanish.
 """
 from __future__ import annotations
 
@@ -42,15 +48,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import expn
+from numpy.polynomial.legendre import leggauss, legvander
 
 from . import specfun
-from .greens import resonant_sites
+from .greens import resonant_sites_complex
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .lattice_sum import (QuadratureFailure, _quad_checked, _semi_infinite_quad,
-                          offresonant_pair_term, offresonant_prefactor,
+from .lattice_sum import (QuadratureFailure, offresonant_pair_term, offresonant_prefactor,
                           offresonant_sites, resonant_pair_term, resonant_prefactor,
                           site_projections)
 from .model import ValidatedBundle, validate
@@ -77,167 +81,106 @@ def bracket_zx(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# off-resonant radial kernels: int_1^inf e^{-2ut} P(ut, 1/t^2) t^-k dt as
-# E_n combinations, u = z*xi.
+# the panel rule
 
-_EN_ORDERS = np.arange(1, 10)
-
-
-def _radial_kernel_zz(u: float) -> float:
-    if u < 1e-12:
-        return 0.375
-    e = expn(_EN_ORDERS, 2.0 * u)
-    u2 = u * u
-    u3 = u2 * u
-    u4 = u2 * u2
-    return (u4 * e[0] + 2.0 * u3 * e[1] + (3.0 * u2 - 2.0 * u4) * e[2]
-            + (2.0 * u - 8.0 * u3) * e[3] + (1.0 - 14.0 * u2 + u4) * e[4]
-            + (-12.0 * u + 6.0 * u3) * e[5] + (-6.0 + 15.0 * u2) * e[6]
-            + 18.0 * u * e[7] + 9.0 * e[8])
+# The error estimate of a panel is its difference from the interpolatory rule
+# on every other node (13 nodes, exact to degree 12); their sum must stay
+# below _RTOL of the sum of the panel magnitudes. Estimates stay below ~1e-11
+# of the value for z in [1e-3, 1e4], while the full rule agrees with
+# independent quadrature to ~1e-13.
+_RTOL = 1e-9
+_X, _W = leggauss(25)
+_W_LOW = np.zeros(25)
+_W_LOW[::2] = np.linalg.solve(legvander(_X[::2], 12).T, np.eye(13)[0] * 2.0)
 
 
-def _radial_kernel_zx(u: float) -> float:
-    if u < 1e-12:
-        return 0.375
-    e = expn(_EN_ORDERS, 2.0 * u)
-    u2 = u * u
-    u3 = u2 * u
-    u4 = u2 * u2
-    return (u4 * e[2] + 6.0 * u3 * e[3] + (15.0 * u2 - u4) * e[4]
-            + (18.0 * u - 6.0 * u3) * e[5] + (9.0 - 15.0 * u2) * e[6]
-            - 18.0 * u * e[7] - 9.0 * e[8])
+def _gl_rule(edges):
+    """Nodes, full and lower-order weights of the panels between consecutive
+    edges, one row per panel."""
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return lo + half * (1.0 + _X), half * _W, half * _W_LOW
 
 
-# ---------------------------------------------------------------------------
-# oscillatory axis/radial integrals: half-period panels + tail averaging
-
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-
-
-def _panels(f, edges) -> list[float]:
-    """GL-16 values of the panels between consecutive edges, from one call of f."""
-    edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    vals = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(half.size, -1)
-    return (half * np.sum(_GL_WEIGHTS * vals, axis=1)).tolist()
-
-
-def _panel_adaptive(f, lo, hi, whole, abs_floor, depth=0) -> float:
-    """Bisect a panel until GL-16 self-agreement; the near zone of the first
-    half-period needs depth (the integrand decays like a power of r there).
-    whole is the panel's own GL-16 value; each bisection evaluates both
-    halves in one call of f and hands them down as the children's wholes."""
-    mid = 0.5 * (lo + hi)
-    left, right = _panels(f, (lo, mid, hi))
-    parts = left + right
-    if abs(whole - parts) <= 1e-13 * abs(parts) + abs_floor or depth >= 24:
-        return parts
-    return (_panel_adaptive(f, lo, mid, left, 0.5 * abs_floor, depth + 1)
-            + _panel_adaptive(f, mid, hi, right, 0.5 * abs_floor, depth + 1))
+def _integrate(f, w, w_low, bundle: ValidatedBundle, stage: str, axis: str | None = None) -> float:
+    """Re sum(f w): the rule applied to the integrand values f, one row per
+    panel. Raises QuadratureFailure when the nested estimate misses _RTOL."""
+    full = np.sum(f * w, axis=1)
+    value = float(full.sum().real)
+    err = float(np.abs(full - np.sum(f * w_low, axis=1)).sum())
+    scale = float(np.abs(full).sum())
+    if not err <= _RTOL * scale:
+        where = bundle.orientation_label() + (f", {axis} axis" if axis else "")
+        raise QuadratureFailure(
+            f"{stage} at z={bundle.z_tilde!r}, mu={bundle.mu!r} ({where}): error estimate "
+            f"{err:.3g} exceeds {_RTOL:g} of {scale:.17g}")
+    return value
 
 
-def _repeated_average(tail):
-    a = list(tail)
-    while len(a) > 1:
-        a = [0.5 * (a[i] + a[i + 1]) for i in range(len(a) - 1)]
-    return a[0]
+def _real_rule():
+    """Panels [0, 1/2], [1/2, 1], [1, 2], ..., [8, 16] in s, then [16, inf)
+    mapped by s = 16/t, where the off-resonant integrands have decayed like
+    s^-5 or faster and are smooth in t."""
+    s, w, w_low = _gl_rule(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]))
+    t, wt, wt_low = _gl_rule(np.array([0.0, 1.0]))
+    jac = 16.0 / (t * t)
+    return np.vstack((s, 16.0 / t)), np.vstack((w, jac * wt)), np.vstack((w_low, jac * wt_low))
 
 
-def _oscillatory_integral(f, z: float, to_x, *, rel_tol=1e-11, max_panels=6000) -> float:
-    """Integrate f over [start, inf) in half-period panels of the e^{2ir}
-    phase, r_k = z + k pi/2; to_x maps r to the integration variable.
+_S, _S_W, _S_W_LOW = _real_rule()
+_TURN = np.exp(0.25j * math.pi)
 
-    Tail handled by repeated averaging of the partial sums (the discrete
-    analogue of half-period envelope extrapolation). The first four panels
-    are bisected adaptively; the others are evaluated in batches, one call
-    of f each, that end where the next convergence check can return.
-    """
-    def edges(k0, k1):
-        return [to_x(z + k * math.pi / 2.0) for k in range(k0, k1 + 1)]
 
-    partials = []
-    total = 0.0
-    est_prev = None
-    floor = 0.0
-    abs_floor = 0.0
-    near = edges(0, min(4, max_panels))
-    wholes = _panels(f, near)
-    batch = []
-    for k in range(max_panels):
-        if k < 4:
-            seg = _panel_adaptive(f, near[k], near[k + 1], wholes[k], abs_floor)
-            abs_floor = max(abs_floor, 1e-14 * abs(seg))
-        else:
-            if not batch:
-                # up to panel 19, the first that can end the loop, then in pairs
-                last = min(max(19, k + 1), max_panels - 1)
-                batch = _panels(f, edges(k, last + 1))[::-1]
-            seg = batch.pop()
-        total += seg
-        partials.append(total)
-        floor = max(floor, abs(total))
-        if k >= 16 and (k & 1):
-            est = _repeated_average(partials[-16:])
-            if est_prev is not None and abs(est - est_prev) <= rel_tol * max(abs(est), 1e-14 * floor, 1e-300):
-                return est
-            est_prev = est
-    raise QuadratureFailure("oscillatory tail averaging did not converge")
+def _rotated_rule(z: float):
+    """Nodes t e^{i pi/4} and weights of the rotated path: [0, h], then
+    panels in ratio 1.4 out to where e^{2ir} has decayed below ~e^-40."""
+    h = 0.1 * min(z, 1.0)
+    t_max = max(30.0, 7.0 * math.sqrt(z))
+    n = math.ceil(math.log(t_max / h) / math.log(1.4))
+    t, w, w_low = _gl_rule(np.concatenate(([0.0], h * 1.4 ** np.arange(n + 1))))
+    return _TURN * t, _TURN * w, _TURN * w_low
 
 
 # ---------------------------------------------------------------------------
 # bulk
 
-_PHI_NODES = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-_COS_PHI = np.cos(_PHI_NODES)
-_SIN_PHI = np.sin(_PHI_NODES)
+_AZIMUTHS = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
+
+
+def _rings(bundle: ValidatedBundle, big_r):
+    """Site projections on the rings of in-plane radius big_r, azimuths on
+    the last axis."""
+    phi = _AZIMUTHS[:1] if bundle.orientation_label() == "zz" else _AZIMUTHS
+    big_r = big_r[..., None]
+    return site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
+                            big_r * np.cos(phi), big_r * np.sin(phi), bundle.z_tilde)
 
 
 def _bulk_resonant_generic(bundle: ValidatedBundle) -> float:
-    """Radial half-period panels x uniform azimuthal grid (exact for the
-    low-degree trigonometric polynomials the tensor projection produces)."""
+    """(2 pi/a^2) Re int r <F>_phi dr along r = z + t e^{i pi/4}."""
     z = bundle.z_tilde
-    z2 = z * z
-    e0 = bundle.params.test_dipole
-    en = bundle.params.array_dipole
-
-    def radial(rs: np.ndarray) -> np.ndarray:
-        big_r = np.sqrt(np.maximum(rs * rs - z2, 0.0))[:, None]
-        r, dot, pp = site_projections(e0, en, big_r * _COS_PHI, big_r * _SIN_PHI, z)
-        return rs * resonant_sites(r, dot, pp).mean(axis=1)
-
-    integral = _oscillatory_integral(radial, z, to_x=lambda r: r)
+    t, w, w_low = _rotated_rule(z)
+    r = z + t
+    f = r * resonant_sites_complex(*_rings(bundle, np.sqrt(r * r - z * z))).mean(axis=-1)
+    integral = _integrate(f, w, w_low, bundle, "bulk resonant")
     return resonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
 
 
-def _bulk_offres_generic(bundle: ValidatedBundle) -> float:
+def _bulk_offres(bundle: ValidatedBundle) -> float:
+    """(2 pi/a^2) z^2 int s <f>_phi ds, s = R/z."""
     z = bundle.z_tilde
-    z2 = z * z
-    a2 = bundle.a_tilde ** 2
-    e0 = bundle.params.test_dipole
-    en = bundle.params.array_dipole
-    mu = bundle.mu
-
-    phi = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-
-    def radial(r: float) -> float:
-        big_r = math.sqrt(max(r * r - z2, 0.0))
-        _, dot, pp = site_projections(e0, en, big_r * cphi, big_r * sphi, z)
-        return r * float(np.mean(offresonant_sites(r, dot, pp, mu)))
-
-    integral = _quad_checked(lambda r: radial(float(r)), z, z + 40.0, 1e-8) \
-        + _quad_checked(lambda t: radial(z + 40.0 + (1.0 - t) / t) / (t * t), 1e-12, 1.0, 1e-8)
-    return offresonant_prefactor(bundle) * (2.0 * math.pi / a2) * integral
+    r, dot, pp = _rings(bundle, z * _S)
+    f = z * z * _S * offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape).mean(axis=-1)
+    integral = _integrate(f, _S_W, _S_W_LOW, bundle, "bulk off_resonant")
+    return offresonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
 
 
-def bulk_term(bundle: ValidatedBundle, kind: str, *, epsrel: float = 1e-11) -> float:
+def bulk_term(bundle: ValidatedBundle, kind: str) -> float:
     """The (4/a^2) double-integral term for the unbounded lattice."""
     bundle = validate(bundle)
     label = bundle.orientation_label()
     z = bundle.z_tilde
     a2 = bundle.a_tilde ** 2
-    mu = bundle.mu
     if kind == "resonant":
         k_pref = resonant_prefactor(bundle)
         if label == "zz":
@@ -246,19 +189,7 @@ def bulk_term(bundle: ValidatedBundle, kind: str, *, epsrel: float = 1e-11) -> f
             return k_pref * math.pi * bracket_zx(z) / (8.0 * a2 * z ** 4)
         return _bulk_resonant_generic(bundle)
     if kind == "off_resonant":
-        if label == "zz":
-            kern, geom = _radial_kernel_zz, 2.0
-        elif label == "zx":
-            kern, geom = _radial_kernel_zx, 1.0
-        else:
-            return _bulk_offres_generic(bundle)
-        mu2 = mu * mu
-
-        def f(xi):
-            return kern(z * xi) / ((xi * xi + 1.0) * (xi * xi + mu2))
-
-        integral = _semi_infinite_quad(f, epsrel)
-        return offresonant_prefactor(bundle) * geom * math.pi / (a2 * z ** 4) * integral
+        return _bulk_offres(bundle)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -271,64 +202,22 @@ def _axis_points(axis: str, s):
 
 
 def _edge_axis_resonant(bundle: ValidatedBundle, axis: str) -> float:
-    """int_0^inf f(t, 0) dt along one positive axis (unit prefactor folded in)."""
+    """Re int F(x) dx along x = t e^{i pi/4} on one positive axis (unit
+    prefactor folded in)."""
     z = bundle.z_tilde
-    z2 = z * z
-    e0 = bundle.params.test_dipole
-    en = bundle.params.array_dipole
-
-    def f(xs):
-        return resonant_sites(*site_projections(e0, en, *_axis_points(axis, xs), z))
-
-    return _oscillatory_integral(f, z, to_x=lambda r: math.sqrt(max(r * r - z2, 0.0)))
-
-
-# Outer rule of the off-resonant edge term, in s = x/z: 25-point
-# Gauss-Legendre panels [0, 1/2], [1/2, 1], [1, 2], ..., [8, 16], then
-# [16, inf) mapped by s = 16/t, where the integrand has decayed like s^-6 or
-# faster and is smooth in t. The lower-order rule is the interpolatory rule
-# on every other node of each panel; its difference from the full rule bounds
-# the error from above (for z in [1e-3, 300] and mu in [0.05, 5] it stays
-# below 2e-11 of the value, while the full rule agrees with adaptive
-# quadrature to ~5e-13). _EDGE_RTOL is the tolerance the estimate must meet,
-# as the outer quadrature's epsrel was before.
-_EDGE_RTOL = 1e-9
-
-
-def _edge_rule():
-    """Nodes s, Jacobian-scaled weights of the full rule and of the lower-order
-    rule, one row per panel."""
-    x, w = leggauss(25)
-    w_low = np.zeros(25)
-    w_low[::2] = np.linalg.solve(np.polynomial.legendre.legvander(x[::2], 12).T,
-                                 np.eye(13)[0] * 2.0)
-    hi = 0.5 * 2.0 ** np.arange(6)[:, None]
-    lo = np.where(hi > 0.5, 0.5 * hi, 0.0)
-    half = 0.5 * (hi - lo)
-    t = 0.5 + 0.5 * x  # tail: s = S/t, ds = S/t^2 dt, t in (0, 1)
-    s = np.vstack((lo + half * (1.0 + x), 16.0 / t))
-    jac = np.vstack((np.broadcast_to(half, (hi.size, 25)), 8.0 / (t * t)))
-    return s, jac * w, jac * w_low
-
-
-_EDGE_S, _EDGE_W, _EDGE_W_LOW = _edge_rule()
+    x, w, w_low = _rotated_rule(z)
+    f = resonant_sites_complex(*site_projections(
+        bundle.params.test_dipole, bundle.params.array_dipole, *_axis_points(axis, x), z))
+    return _integrate(f, w, w_low, bundle, "edge resonant", axis)
 
 
 def _edge_axis_offres(bundle: ValidatedBundle, axis: str) -> float:
     """int_0^inf of the off-resonant site integral along one positive axis."""
     z = bundle.z_tilde
-    mu = bundle.mu
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  *_axis_points(axis, z * _EDGE_S.ravel()), z)
-    f = z * offresonant_sites(r, dot, pp, mu).reshape(_EDGE_S.shape)
-    full = np.sum(f * _EDGE_W, axis=1)
-    value = float(full.sum())
-    err = float(np.abs(full - np.sum(f * _EDGE_W_LOW, axis=1)).sum())
-    if not err <= _EDGE_RTOL * abs(value):
-        raise QuadratureFailure(
-            f"edge off_resonant at z={z!r}, mu={mu!r} ({bundle.orientation_label()}, "
-            f"{axis} axis): error estimate {err:.3g} exceeds {_EDGE_RTOL:g} of {value:.17g}")
-    return value
+                                  *_axis_points(axis, z * _S.ravel()), z)
+    f = z * offresonant_sites(r, dot, pp, bundle.mu).reshape(_S.shape)
+    return _integrate(f, _S_W, _S_W_LOW, bundle, "edge off_resonant", axis)
 
 
 def edge_term(bundle: ValidatedBundle, kind: str) -> float:
@@ -367,13 +256,14 @@ def vertex_term(bundle: ValidatedBundle, kind: str) -> float:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def decompose(bundle: ValidatedBundle, kind: str, *, epsrel: float = 1e-10) -> ShiftBreakdown:
+def decompose(bundle: ValidatedBundle, kind: str) -> ShiftBreakdown:
     """Assemble the three terms for the unbounded-lattice limit.
 
-    epsrel is the tolerance of the zz/zx off-resonant bulk quadrature.
+    Raises QuadratureFailure, naming the stage, kind, height and mu, when a
+    bulk or edge integral misses the rule's tolerance.
     """
     bundle = validate(bundle)
-    b = bulk_term(bundle, kind, epsrel=epsrel)
+    b = bulk_term(bundle, kind)
     e = edge_term(bundle, kind)
     v = vertex_term(bundle, kind)
     return ShiftBreakdown(bulk=b, edge=e, vertex=v, total=b + e + v)

@@ -96,3 +96,15 @@ def resonant_sites(r, dot, pp):
     r2 *= r2 * r2
     bre /= r2
     return bre
+
+
+def resonant_sites_complex(r, dot, pp):
+    """(e0 . g(r, 1) . en)^2 = e^(2ir) (B_re + i B_im)^2 / r^6, for complex r.
+
+    The analytic continuation of :func:`resonant_sites`, which is its real
+    part on the real axis; the decomposition integrates it along paths
+    turned into the upper half-plane, where e^(2ir) decays.
+    """
+    beta = dot - 3.0 * pp
+    b = (dot - pp) * r * r - beta + 1j * beta * r
+    return np.exp(2j * r) * b * b / r ** 6

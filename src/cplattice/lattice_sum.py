@@ -39,6 +39,11 @@ Gauss-Laguerre quadrature in tau = 2yt (DLMF 3.5(v)) above, where the closed
 form starts to cancel. Both branches agree with 30-digit quadrature to
 ~1e-14 relative; the partial fractions cost at most a factor ~2/|1-mu| of
 that near resonance.
+
+Nothing here is adaptive. :class:`QuadratureFailure` is defined here and
+raised by the decomposition's fixed panel rule
+(:mod:`cplattice.euler_maclaurin`) when its error estimate misses its
+tolerance.
 """
 from __future__ import annotations
 
@@ -47,18 +52,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_laguerre, sici
 
 from . import kernels
 from .greens import resonant_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
+from scipy.integrate import quad  # noqa: F401
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import ValidatedBundle, validate
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature rule's error estimate exceeded its tolerance."""
 
 
 class SiteBudgetExceeded(RuntimeError):
@@ -93,21 +98,6 @@ def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
                                   nx * a, ny * a, bundle.z_tilde)
     return resonant_prefactor(bundle) * float(resonant_sites(r, dot, pp))
-
-
-def _quad_checked(f, lo, hi, epsrel, epsabs=1e-300):
-    out = quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, full_output=True, limit=200)
-    value, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > 10.0 * (epsabs + epsrel * abs(value)):
-        raise QuadratureFailure(out[3])
-    return value
-
-
-def _semi_infinite_quad(f, epsrel):
-    """int_0^inf f, split [0,1] + [1,inf) with xi = 1/t on the tail."""
-    head = _quad_checked(f, 0.0, 1.0, epsrel)
-    tail = _quad_checked(lambda t: f(1.0 / t) / (t * t), 0.0, 1.0, epsrel)
-    return head + tail
 
 
 # ---------------------------------------------------------------------------

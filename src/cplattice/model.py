@@ -114,16 +114,20 @@ class Geometry:
 
 @dataclass(frozen=True)
 class ValidatedBundle:
-    """Parameter bundle that has passed :func:`validate`.
+    """Parameter bundle whose invariants hold.
 
-    Immutable value object; safe to share across workers. Downstream
-    operations accept only this type, so every quantity they see is
-    dimensionless by construction.
+    Immutable value object; safe to share across workers. Every bundle is
+    checked once, at construction (by :func:`validate`, directly or through
+    ``dataclasses.replace``). Downstream operations accept only this type, so
+    every quantity they see is dimensionless by construction.
     """
 
     params: ModelParams
     lattice: LatticeSpec
     geom: Geometry
+
+    def __post_init__(self):
+        _check(self.params, self.lattice, self.geom)
 
     @property
     def mu(self) -> float:
@@ -176,14 +180,13 @@ def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
 def validate(params, lattice: LatticeSpec | None = None, geom: Geometry | None = None) -> ValidatedBundle:
     """Check all invariants and return an immutable bundle.
 
-    Idempotent: passing an already-validated bundle returns the same object.
+    Idempotent: a bundle was checked when it was built, so passing one
+    returns the same object.
     """
     if isinstance(params, ValidatedBundle):
         if lattice is not None or geom is not None:
             raise TypeError("pass either a bundle or (params, lattice, geom)")
-        _check(params.params, params.lattice, params.geom)
         return params
     if lattice is None or geom is None:
         raise TypeError("validate requires (params, lattice, geom)")
-    _check(params, lattice, geom)
     return ValidatedBundle(params=params, lattice=lattice, geom=geom)

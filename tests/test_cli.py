@@ -1,8 +1,10 @@
 import csv
 import io
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,17 +243,18 @@ def test_sweep_all_defaults_exits_zero(tmp_path, monkeypatch):
 
 
 def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys):
+    # the zz resonant bulk is a closed form, so the resonant edge fails first
     monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-    monkeypatch.setattr(euler_maclaurin, "_EDGE_RTOL", 1e-30)
+    monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
     rc = cli.main(SWEEP_ARGS + ["--threads", "1", "-o", str(tmp_path / "f.csv")])
     assert rc == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "edge off_resonant at z=0.2" in err and "mu=0.5" in err
+    assert "edge resonant at z=0.2" in err and "mu=0.5" in err
 
 
 def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, capsys):
-    # the edge quadrature starts failing at the second height, after the
-    # header and the first row have been written
+    # the edge rule starts failing at the second height, after the header
+    # and the first row have been written
     monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     decompose = euler_maclaurin.decompose
     calls = []
@@ -259,7 +262,7 @@ def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, c
     def failing_from_second_row(b, kind):
         calls.append(kind)
         if len(calls) == 3:
-            monkeypatch.setattr(euler_maclaurin, "_EDGE_RTOL", 1e-30)
+            monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
         return decompose(b, kind)
 
     monkeypatch.setattr(euler_maclaurin, "decompose", failing_from_second_row)
@@ -267,8 +270,8 @@ def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, c
     out.write_bytes(b"z_tilde,previous\n0.1,1\n")
     rc = cli.main(SWEEP_ARGS + ["--threads", "1", "-o", str(out)])
     assert rc == cli.EXIT_NUMERICAL
-    assert len(calls) == 4
-    assert "edge off_resonant at z=" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert "edge resonant at z=" in capsys.readouterr().err
     assert out.read_bytes() == b"z_tilde,previous\n0.1,1\n"
     assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
@@ -304,3 +307,21 @@ def test_threads_validated_before_any_work(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.THREADS_ENV)
     assert cli.load_config(None, {"threads": 16}).threads == min(16, os.cpu_count())
     assert cli.load_config(None, {}).threads == 1
+
+
+def _readme_commands():
+    """Arguments of every ``cplattice`` line in the README, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cplattice ")]
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    # in process, in the README's order: the fit lines read the sweep's CSV
+    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [args[0] for args in commands] == ["sweep", "decompose", "asymptotic",
+                                              "verify-diagrams", "fit", "fit"]
+    for args in commands:
+        assert cli.main(args) == cli.EXIT_OK, args

@@ -1,10 +1,12 @@
 """Bulk/edge/vertex decomposition tests.
 
-The independent bulk oracle used throughout is contour rotation: the
-radial integrand of the resonant bulk term is analytic above the real axis
-and e^{2ir} decays there, so int_z^inf F(r) dr = Re[ i int_0^inf
+The independent resonant bulk oracle used throughout is contour rotation:
+the radial integrand of the resonant bulk term is analytic above the real
+axis and e^{2ir} decays there, so int_z^inf F(r) dr = Re[ i int_0^inf
 F(z+is) ds ], which scipy handles as a smooth exponentially damped
-integral. This never touches the package's panel machinery or its closed
+integral. The off-resonant bulk oracle reduces the radial integral of each
+imaginary-frequency integrand to exponential integrals E_n and integrates
+over xi with scipy. Neither touches the package's panel rule or its closed
 forms.
 """
 import cmath
@@ -13,13 +15,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expn
 
-from cplattice.euler_maclaurin import (ShiftBreakdown, _bulk_offres_generic,
-                                       _bulk_resonant_generic, _radial_kernel_zx,
-                                       _radial_kernel_zz, bulk_term, decompose,
-                                       edge_term, vertex_term)
-from cplattice.lattice_sum import (offresonant_prefactor, resonant_pair_term,
-                                   resonant_prefactor)
+from cplattice import euler_maclaurin, lattice_sum
+from cplattice.euler_maclaurin import (ShiftBreakdown, _bulk_resonant_generic, bulk_term,
+                                       decompose, edge_term, vertex_term)
+from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, offresonant_sites,
+                                   resonant_pair_term, resonant_prefactor, site_projections)
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
@@ -46,6 +48,54 @@ def contour_bulk_resonant(bundle):
     val, _ = quad(g, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
     geom = 2.0 * math.pi if zz else math.pi
     return resonant_prefactor(bundle) * geom * val / bundle.a_tilde ** 2
+
+
+# off-resonant radial kernels: int_1^inf e^{-2ut} P(ut, 1/t^2) t^-k dt as
+# E_n combinations, u = z*xi
+
+_EN_ORDERS = np.arange(1, 10)
+
+
+def _radial_kernel_zz(u: float) -> float:
+    if u < 1e-12:
+        return 0.375
+    e = expn(_EN_ORDERS, 2.0 * u)
+    u2 = u * u
+    u3 = u2 * u
+    u4 = u2 * u2
+    return (u4 * e[0] + 2.0 * u3 * e[1] + (3.0 * u2 - 2.0 * u4) * e[2]
+            + (2.0 * u - 8.0 * u3) * e[3] + (1.0 - 14.0 * u2 + u4) * e[4]
+            + (-12.0 * u + 6.0 * u3) * e[5] + (-6.0 + 15.0 * u2) * e[6]
+            + 18.0 * u * e[7] + 9.0 * e[8])
+
+
+def _radial_kernel_zx(u: float) -> float:
+    if u < 1e-12:
+        return 0.375
+    e = expn(_EN_ORDERS, 2.0 * u)
+    u2 = u * u
+    u3 = u2 * u
+    u4 = u2 * u2
+    return (u4 * e[2] + 6.0 * u3 * e[3] + (15.0 * u2 - u4) * e[4]
+            + (18.0 * u - 6.0 * u3) * e[5] + (9.0 - 15.0 * u2) * e[6]
+            - 18.0 * u * e[7] - 9.0 * e[8])
+
+
+def offres_bulk_oracle(bundle):
+    """Oracle: zz/zx off-resonant bulk, E_n radial kernels, quad over xi in [0, 1] + [1, inf)."""
+    z = bundle.z_tilde
+    mu2 = bundle.mu ** 2
+    kern, geom = ((_radial_kernel_zz, 2.0) if bundle.orientation_label() == "zz"
+                  else (_radial_kernel_zx, 1.0))
+
+    def f(xi):
+        return kern(z * xi) / ((xi * xi + 1.0) * (xi * xi + mu2))
+
+    head, _ = quad(f, 0.0, 1.0, epsabs=1e-300, epsrel=1e-13, limit=200)
+    tail, _ = quad(lambda t: f(1.0 / t) / (t * t), 0.0, 1.0, epsabs=1e-300, epsrel=1e-13,
+                   limit=200)
+    return offresonant_prefactor(bundle) * geom * math.pi / (bundle.a_tilde ** 2 * z ** 4) \
+        * (head + tail)
 
 
 ZGRID = [0.05, 0.11, 0.3, 0.7, 1.7, 4.0, 11.0, 23.0, 50.0]
@@ -102,10 +152,48 @@ def test_offres_bulk_reference_values():
     assert bulk_term(b3x, "off_resonant") == pytest.approx(6.2277732567900031e-6, rel=1e-10)
 
 
+@pytest.mark.parametrize("mu", [0.05, 0.5, 0.998, 1.002, 2.0, 5.0, 50.0])
+def test_offres_bulk_matches_exponential_integral_oracle(mu):
+    for z in np.geomspace(1e-3, 1e4, 15):
+        for array in ((0, 0, 1), (1, 0, 0)):
+            b = mk(mu=mu, a=0.02, z=z, array=array)
+            assert bulk_term(b, "off_resonant") == pytest.approx(offres_bulk_oracle(b),
+                                                                 rel=1e-12)
+
+
 def test_generic_offres_bulk_path_agrees():
-    b = mk(mu=0.7, a=0.02, z=0.6)
-    assert _bulk_offres_generic(b) == pytest.approx(
-        bulk_term(b, "off_resonant"), rel=1e-6)
+    # the bulk is invariant under rotation about z: probe z over any in-plane
+    # array dipole (a custom pair, 5 azimuths) must land on the zx oracle
+    for psi in (math.pi / 2.0, math.pi / 6.0, 2.3):
+        array = (math.cos(psi), math.sin(psi), 0.0)
+        for z in np.geomspace(1e-3, 1e4, 15):
+            b = mk(mu=0.7, a=0.02, z=z, array=array)
+            assert b.orientation_label() == "custom"
+            bx = mk(mu=0.7, a=0.02, z=z, array=(1, 0, 0))
+            assert bulk_term(b, "off_resonant") == pytest.approx(offres_bulk_oracle(bx),
+                                                                 rel=1e-12)
+
+
+def test_generic_offres_bulk_general_pair_vs_adaptive_quadrature():
+    # a pair whose site term has azimuthal degree 4: adaptive quadrature over
+    # R of the mean over 64 azimuths
+    e0, en = (np.array(v) / math.sqrt(6.0) for v in ((1.0, 1.0, 2.0), (2.0, -1.0, 1.0)))
+    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    for z in (0.01, 0.3, 3.0):
+        b = validate(ModelParams(mu=0.7, rho=1e-6, test_dipole=tuple(e0), array_dipole=tuple(en)),
+                     LatticeSpec(a_tilde=0.02, half_extent=0), Geometry(z_tilde=z))
+
+        def ring(big_r):
+            r, dot, pp = site_projections(e0, en, big_r * np.cos(phi), big_r * np.sin(phi), z)
+            return big_r * float(np.mean(offresonant_sites(r, dot, pp, b.mu)))
+
+        cuts = [0.0, z, 16.0 * z]
+        head = sum(quad(ring, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                   for lo, hi in zip(cuts, cuts[1:]))
+        tail, _ = quad(lambda t: ring(16.0 * z / t) * 16.0 * z / (t * t), 0.0, 1.0,
+                       epsabs=0.0, epsrel=1e-12, limit=200)
+        want = offresonant_prefactor(b) * (2.0 * math.pi / b.a_tilde ** 2) * (head + tail)
+        assert bulk_term(b, "off_resonant") == pytest.approx(want, rel=1e-10)
 
 
 def test_offres_edge_against_reordered_quadrature():
@@ -131,16 +219,34 @@ def test_offres_edge_against_reordered_quadrature():
 
 
 def test_custom_orientation_decompose_matches_principal_pair():
-    # probe z / array y must reproduce probe z / array x term by term
-    by = mk(mu=0.6, a=0.4, z=0.7, array=(0, 1, 0))
-    bx = mk(mu=0.6, a=0.4, z=0.7, array=(1, 0, 0))
-    assert by.orientation_label() == "custom"
-    for kind, tol in (("resonant", 1e-8), ("off_resonant", 1e-5)):
-        dy = decompose(by, kind)
-        dx = decompose(bx, kind)
-        assert dy.bulk == pytest.approx(dx.bulk, rel=tol)
-        assert dy.edge == pytest.approx(dx.edge, rel=tol)
-        assert dy.vertex == pytest.approx(dx.vertex, rel=tol, abs=1e-300)
+    # probe z / array y must reproduce probe z / array x term by term,
+    # down to heights where the former adaptive bulk quadrature failed
+    for z in (0.7, 1e-3, 2e-3):
+        by = mk(mu=0.6, a=0.4, z=z, array=(0, 1, 0))
+        bx = mk(mu=0.6, a=0.4, z=z, array=(1, 0, 0))
+        assert by.orientation_label() == "custom"
+        for kind, tol in (("resonant", 1e-8), ("off_resonant", 1e-5)):
+            dy = decompose(by, kind)
+            dx = decompose(bx, kind)
+            assert dy.bulk == pytest.approx(dx.bulk, rel=tol)
+            assert dy.edge == pytest.approx(dx.edge, rel=tol)
+            assert dy.vertex == pytest.approx(dx.vertex, rel=tol, abs=1e-300)
+
+
+def test_decompose_makes_no_adaptive_quadrature(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("lattice_sum.quad called")
+
+    monkeypatch.setattr(lattice_sum, "quad", no_quad)
+    s = 1.0 / math.sqrt(3.0)
+    for array, test in (((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (0, 0, 1)),
+                        ((0.6, 0.0, 0.8), (s, s, s))):
+        for z in (1e-3, 0.3, 30.0):
+            b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
+                         LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=z))
+            for kind in ("resonant", "off_resonant"):
+                d = decompose(b, kind)
+                assert math.isfinite(d.total)
 
 
 def test_resonant_edge_reference_values():
@@ -251,22 +357,21 @@ def test_decompose_returns_breakdown():
     assert isinstance(d, ShiftBreakdown)
 
 
-def test_oscillatory_integrator_failure_is_flagged():
-    from cplattice.euler_maclaurin import _oscillatory_integral
-    from cplattice.lattice_sum import QuadratureFailure
-
-    def f(xs):
-        return np.cos(2.0 * xs)  # non-decaying: averaging cannot converge... slowly
-
-    with pytest.raises(QuadratureFailure):
-        _oscillatory_integral(f, 1.0, to_x=lambda r: r, max_panels=8)
+_CUSTOM = dict(test=(0.0, 0.6, 0.8), array=(0.48, 0.6, 0.64))
 
 
-def test_checked_quadrature_failure_is_flagged():
-    from cplattice.lattice_sum import QuadratureFailure, _quad_checked
-
-    def nasty(x):
-        return math.sin(1.0 / (x + 1e-12)) / (x + 1e-12)
-
-    with pytest.raises(QuadratureFailure):
-        _quad_checked(nasty, 0.0, 1.0, 1e-13)
+@pytest.mark.parametrize("term,kind,pair", [
+    ("bulk", "resonant", "custom"), ("bulk", "off_resonant", "zz"),
+    ("bulk", "off_resonant", "custom"), ("edge", "resonant", "zz"),
+    ("edge", "resonant", "custom"), ("edge", "off_resonant", "zz"),
+    ("edge", "off_resonant", "custom")])
+def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair):
+    # the zz resonant bulk is a closed form and cannot fail
+    monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
+    dipoles = _CUSTOM if pair == "custom" else dict(test=(0, 0, 1), array=(0, 0, 1))
+    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=dipoles["test"],
+                             array_dipole=dipoles["array"]),
+                 LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
+    assert b.orientation_label() == pair
+    with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z=0.3, mu=0.6 \\({pair}"):
+        getattr(euler_maclaurin, f"{term}_term")(b, kind)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 
 from cplattice.model import (DetuningTooSmall, Geometry, LatticeSpec, LinewidthTooLarge,
-                             ModelParams, NonPositiveLength, NonUnitDipole, validate)
+                             ModelParams, NonPositiveLength, NonUnitDipole, ValidatedBundle,
+                             validate)
 
 
 def bundle(mu=0.5, rho=1e-6, a=0.01, M=50, z=0.1, test=(0, 0, 1), array=(0, 0, 1)):
@@ -58,6 +60,25 @@ def test_rho_guard():
 def test_validate_is_idempotent():
     b = bundle()
     assert validate(b) is b
+
+
+def test_bundle_checked_at_construction():
+    # built directly or by dataclasses.replace, an invalid bundle raises the
+    # same error as validate
+    lattice, geom = LatticeSpec(a_tilde=1.0, half_extent=0), Geometry(z_tilde=1.0)
+    cases = ((ModelParams(mu=1.0, rho=1e-6), lattice, geom, DetuningTooSmall),
+             (ModelParams(mu=0.5, rho=0.2), lattice, geom, LinewidthTooLarge),
+             (ModelParams(mu=0.5, rho=1e-6, test_dipole=(0, 0, 2)), lattice, geom, NonUnitDipole),
+             (ModelParams(mu=0.5, rho=1e-6), LatticeSpec(a_tilde=0.0, half_extent=0), geom,
+              NonPositiveLength),
+             (ModelParams(mu=0.5, rho=1e-6), lattice, Geometry(z_tilde=-1.0), NonPositiveLength))
+    for params, lat, g, error in cases:
+        with pytest.raises(error):
+            validate(params, lat, g)
+        with pytest.raises(error):
+            ValidatedBundle(params=params, lattice=lat, geom=g)
+    with pytest.raises(NonPositiveLength):
+        dataclasses.replace(bundle(), geom=Geometry(z_tilde=0.0))
 
 
 def test_validate_argument_shapes():

@@ -8,8 +8,12 @@ Its oracles share no arithmetic with it:
   before the kernel existed (``_bracket_zz``/``_bracket_zx`` below), as
   references for the NumPy rows and for ``resonant_pair_term``;
 * the per-node loops the generic-orientation bulk and custom edge terms
-  used before they became array calls, fed to the same integrator, so that
-  only the integrand is under test.
+  used before they became array calls, fed the same nodes of the rotated
+  path, so that only the integrand is under test;
+* for the decomposition integrals themselves, the real-axis integrator the
+  package used before the rotated path (half-period panels of the e^{2ir}
+  phase with tail averaging, ``_oscillatory_integral`` below) for the
+  edge, and adaptive quadrature along r = z + is for the bulk.
 """
 import math
 
@@ -17,11 +21,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from cplattice import kernels
 from cplattice.euler_maclaurin import (_bulk_resonant_generic, _edge_axis_resonant,
-                                       _oscillatory_integral)
-from cplattice.greens import pair_coupling, resonant_sites, scalar_coefficients
+                                       _rotated_rule)
+from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
+                              scalar_coefficients)
+from cplattice.lattice_sum import QuadratureFailure
 from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import resonant_pair_term, resonant_prefactor
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
@@ -59,6 +67,18 @@ def test_kernel_matches_squared_pair_coupling(log_r, e0, en, n):
     floor = 1e-12 * (abs(t1 * dot) + abs(t2 * pp)) ** 2 + 1e-300
     assert float(resonant_sites(r, dot, pp)) == pytest.approx((pc * pc).real, rel=1e-12,
                                                                abs=floor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_r=st.floats(math.log(1e-3), math.log(1e3)), dot=st.floats(-1.0, 1.0),
+       pp=st.floats(-1.0, 1.0))
+def test_complex_kernel_real_part_on_real_axis(log_r, dot, pp):
+    r = math.exp(log_r)
+    beta = dot - 3.0 * pp
+    # floor: 1e-13 of |B_re|^2 + |B_im|^2 over r^6, the squared magnitude
+    floor = 1e-13 * (((dot - pp) * r * r - beta) ** 2 + (beta * r) ** 2) / r ** 6 + 1e-300
+    assert float(resonant_sites_complex(r, dot, pp).real) == pytest.approx(
+        float(resonant_sites(r, dot, pp)), rel=1e-13, abs=floor)
 
 
 def test_kernel_broadcasts_and_vanishes_without_projections():
@@ -145,40 +165,40 @@ _PAIRS = [(_unit((1, 1, 2)), _unit((2, -1, 1))),
 
 
 def _bulk_loop(bundle):
+    """Per-node loop over r = z + t e^{i pi/4}, on the package's own nodes."""
     z = bundle.z_tilde
     e0 = np.asarray(bundle.params.test_dipole)
     en = np.asarray(bundle.params.array_dipole)
-
-    def radial(rs):
-        out = np.empty_like(rs)
-        for i, r in enumerate(rs):
-            rr = float(r)
-            big_r = math.sqrt(max(rr * rr - z * z, 0.0))
-            x, y = big_r * np.cos(_PHI), big_r * np.sin(_PHI)
-            t1, t2 = scalar_coefficients(rr, 1.0)
-            p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / rr
-            pn = (en[0] * x + en[1] * y - en[2] * z) / rr
-            pc = t1 * float(e0 @ en) + t2 * p0 * pn
-            out[i] = rr * float(np.mean((pc * pc).real))
-        return out
-
-    integral = _oscillatory_integral(radial, z, to_x=lambda r: r)
+    t, w, _ = _rotated_rule(z)
+    rs = z + t
+    out = np.empty_like(rs)
+    for idx, r in np.ndenumerate(rs):
+        big_r = np.sqrt(r * r - z * z)
+        x, y = big_r * np.cos(_PHI), big_r * np.sin(_PHI)
+        t1, t2 = scalar_coefficients(r, 1.0)
+        p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
+        pn = (en[0] * x + en[1] * y - en[2] * z) / r
+        pc = t1 * float(e0 @ en) + t2 * p0 * pn
+        out[idx] = r * np.mean(pc * pc)
+    integral = float(np.sum(out * w).real)
     return resonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
 
 
 def _edge_axis_loop(bundle, axis):
+    """Per-node loop over x = t e^{i pi/4}, on the package's own nodes."""
     z = bundle.z_tilde
-    e0, en = bundle.params.test_dipole, bundle.params.array_dipole
-
-    def f(xs):
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            v = (x, 0.0, -z) if axis == "x" else (0.0, x, -z)
-            pc = pair_coupling(e0, en, np.array(v), 1.0)
-            out[i] = (pc * pc).real
-        return out
-
-    return _oscillatory_integral(f, z, to_x=lambda r: math.sqrt(max(r * r - z * z, 0.0)))
+    e0 = np.asarray(bundle.params.test_dipole)
+    en = np.asarray(bundle.params.array_dipole)
+    xs, w, _ = _rotated_rule(z)
+    out = np.empty_like(xs)
+    for idx, x in np.ndenumerate(xs):
+        v = np.array((x, 0.0, -z) if axis == "x" else (0.0, x, -z))
+        r = np.sqrt(x * x + z * z)
+        n = v / r
+        t1, t2 = scalar_coefficients(r, 1.0)
+        pc = t1 * float(e0 @ en) + t2 * (e0 @ n) * (n @ en)
+        out[idx] = pc * pc
+    return float(np.sum(out * w).real)
 
 
 @pytest.mark.parametrize("z", [0.6, 2.5])
@@ -189,3 +209,126 @@ def test_generic_paths_match_former_loops(pair, z):
     assert _bulk_resonant_generic(b) == pytest.approx(_bulk_loop(b), rel=1e-12)
     for axis in ("x", "y"):
         assert _edge_axis_resonant(b, axis) == pytest.approx(_edge_axis_loop(b, axis), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the rotated path against real-axis and vertical-contour integration
+
+_GL_NODES, _GL_WEIGHTS = leggauss(16)
+
+
+def _gl_panels(f, edges) -> list[float]:
+    """GL-16 values of the panels between consecutive edges, from one call of f."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(half.size, -1)
+    return (half * np.sum(_GL_WEIGHTS * vals, axis=1)).tolist()
+
+
+def _bisected(f, lo, hi, whole, abs_floor, depth=0) -> float:
+    """Bisect a panel until GL-16 self-agreement."""
+    mid = 0.5 * (lo + hi)
+    left, right = _gl_panels(f, (lo, mid, hi))
+    parts = left + right
+    if abs(whole - parts) <= 1e-13 * abs(parts) + abs_floor or depth >= 24:
+        return parts
+    return (_bisected(f, lo, mid, left, 0.5 * abs_floor, depth + 1)
+            + _bisected(f, mid, hi, right, 0.5 * abs_floor, depth + 1))
+
+
+def _repeated_average(tail):
+    a = list(tail)
+    while len(a) > 1:
+        a = [0.5 * (a[i] + a[i + 1]) for i in range(len(a) - 1)]
+    return a[0]
+
+
+def _oscillatory_integral(f, z, to_x, rel_tol=1e-11, max_panels=6000):
+    """Integrate f over [to_x(z), inf) on the real axis in half-period panels
+    of the e^{2ir} phase, r_k = z + k pi/2; to_x maps r to the integration
+    variable. The first four panels are bisected adaptively; the tail is
+    summed by repeated averaging of the partial sums."""
+    def edges(k0, k1):
+        return [to_x(z + k * math.pi / 2.0) for k in range(k0, k1 + 1)]
+
+    partials = []
+    total = 0.0
+    est_prev = None
+    floor = 0.0
+    abs_floor = 0.0
+    near = edges(0, 4)
+    wholes = _gl_panels(f, near)
+    for k in range(max_panels):
+        if k < 4:
+            seg = _bisected(f, near[k], near[k + 1], wholes[k], abs_floor)
+            abs_floor = max(abs_floor, 1e-14 * abs(seg))
+        else:
+            seg = _gl_panels(f, edges(k, k + 1))[0]
+        total += seg
+        partials.append(total)
+        floor = max(floor, abs(total))
+        if k >= 16 and (k & 1):
+            est = _repeated_average(partials[-16:])
+            if est_prev is not None and abs(est - est_prev) <= rel_tol * max(abs(est), 1e-14 * floor):
+                return est
+            est_prev = est
+    raise QuadratureFailure("oscillatory tail averaging did not converge")
+
+
+def _edge_axis_real(bundle, axis):
+    z = bundle.z_tilde
+    e0, en = bundle.params.test_dipole, bundle.params.array_dipole
+
+    def f(xs):
+        r = np.sqrt(xs * xs + z * z)
+        p0 = ((e0[0] * xs if axis == "x" else e0[1] * xs) - e0[2] * z) / r
+        pn = ((en[0] * xs if axis == "x" else en[1] * xs) - en[2] * z) / r
+        t1, t2 = scalar_coefficients(r, 1.0)
+        pc = t1 * float(np.dot(e0, en)) + t2 * p0 * pn
+        return (pc * pc).real
+
+    return _oscillatory_integral(f, z, to_x=lambda r: math.sqrt(max(r * r - z * z, 0.0)))
+
+
+def _bulk_vertical(bundle):
+    """Re[i int_0^inf G(z + is) ds], G(r) = r <(e0.g.en)^2>_phi, by quad."""
+    z = bundle.z_tilde
+    e0 = np.asarray(bundle.params.test_dipole)
+    en = np.asarray(bundle.params.array_dipole)
+
+    def g(s):
+        r = z + 1j * s
+        big_r = np.sqrt(r * r - z * z)
+        x, y = big_r * np.cos(_PHI), big_r * np.sin(_PHI)
+        t1, t2 = scalar_coefficients(r, 1.0)
+        p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
+        pn = (en[0] * x + en[1] * y - en[2] * z) / r
+        pc = t1 * float(e0 @ en) + t2 * p0 * pn
+        return (1j * r * np.mean(pc * pc)).real
+
+    val, _ = quad(g, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+    return resonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * val
+
+
+_ORACLE_Z = [1e-3, 1e-2, 0.1, 0.6, 3.0, 30.0, 1e3]
+_ORACLE_PAIRS = [((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)), _PAIRS[0],
+                 (_unit((1, 1, 1)), (0.6, 0.0, 0.8))]
+
+
+@pytest.mark.parametrize("pair", range(len(_ORACLE_PAIRS)))
+def test_rotated_edge_matches_real_axis_integral(pair):
+    e0, en = _ORACLE_PAIRS[pair]
+    for z in _ORACLE_Z:
+        b = mk(z=z, test=tuple(e0), array=tuple(en))
+        for axis in ("x", "y"):
+            want = _edge_axis_real(b, axis)
+            assert _edge_axis_resonant(b, axis) == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("pair", range(len(_ORACLE_PAIRS)))
+def test_rotated_bulk_matches_vertical_contour(pair):
+    e0, en = _ORACLE_PAIRS[pair]
+    for z in _ORACLE_Z:
+        b = mk(z=z, test=tuple(e0), array=tuple(en))
+        assert _bulk_resonant_generic(b) == pytest.approx(_bulk_vertical(b), rel=1e-10)
