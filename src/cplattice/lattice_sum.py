@@ -57,9 +57,21 @@ from scipy.special import roots_laguerre, sici
 from . import kernels
 from .greens import resonant_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
-from scipy.integrate import quad  # noqa: F401
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import ValidatedBundle, validate
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    Nothing in the package calls it. The name stays only because
+    perfbench/tracer.py wraps it with a plain ``getattr``; it goes with that
+    tracer fix (ROADMAP item 1). Importing ``scipy.integrate`` at module
+    level would load ``scipy.optimize``, ``scipy.sparse.linalg`` and more,
+    about 0.3 s of every import.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(*args, **kwargs)
 
 
 class QuadratureFailure(RuntimeError):
@@ -185,10 +197,18 @@ def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
 # ---------------------------------------------------------------------------
 # whole-lattice sums
 
-def _map_rows(fn, rows, threads):
+def _map_rows(fn, rows, threads, work=None):
+    """[fn(nx) for nx in rows]. With more than one thread, each worker takes
+    one contiguous range of rows holding an about equal share of ``work``
+    (the cost of each row; equal by default), and the values come back in
+    row order."""
     if threads is not None and threads > 1:
+        cum = np.cumsum(np.ones(len(rows)) if work is None else work)
+        cuts = np.searchsorted(cum, cum[-1] * np.arange(1, threads) / threads)
+        bounds = [0, *cuts.tolist(), len(rows)]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, rows))
+            parts = ex.map(lambda lo, hi: [fn(nx) for nx in rows[lo:hi]], bounds[:-1], bounds[1:])
+            return [v for part in parts for v in part]
     return [fn(nx) for nx in rows]
 
 
@@ -196,7 +216,9 @@ def _resonant_octant(bundle: ValidatedBundle, threads) -> float:
     a2 = bundle.a_tilde ** 2
     z2 = bundle.z_tilde ** 2
     row = kernels.res_row_zz if bundle.orientation_label() == "zz" else kernels.res_row_zx
-    vals = _map_rows(lambda nx: row(a2, z2, nx), range(bundle.half_extent + 1), threads)
+    M = bundle.half_extent
+    # octant row nx holds the nx + 1 sites j = 0..nx
+    vals = _map_rows(lambda nx: row(a2, z2, nx), range(M + 1), threads, np.arange(1, M + 2))
     return resonant_prefactor(bundle) * math.fsum(vals)
 
 

@@ -123,6 +123,23 @@ def test_generic_resonant_bulk_path_agrees_with_closed_forms():
         assert _bulk_resonant_generic(bx) == pytest.approx(bulk_term(bx, "resonant"), rel=1e-9)
 
 
+@pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
+def test_zz_bulk_above_switch_height_takes_rotated_path(z):
+    # bracket_zz cancels at these heights (1.4e-8 relative at z = 1e4)
+    b = mk(z=z)
+    assert bulk_term(b, "resonant") == _bulk_resonant_generic(b)
+    assert bulk_term(b, "resonant") == pytest.approx(contour_bulk_resonant(b), rel=1e-12)
+
+
+def test_zz_bulk_keeps_closed_form_up_to_switch_height():
+    for z in (0.01, 1.0, 10.0, euler_maclaurin._ZZ_CLOSED_FORM_MAX_Z):
+        b = mk(z=z)
+        want = resonant_prefactor(b) * 2.0 * math.pi * euler_maclaurin.bracket_zz(z) \
+            / (8.0 * b.a_tilde ** 2 * z ** 4)
+        assert bulk_term(b, "resonant") == want
+        assert _bulk_resonant_generic(b) == pytest.approx(want, rel=1e-13)
+
+
 def test_offres_radial_kernels_vs_brute_quadrature():
     # E_n combinations vs direct integration of the defining t-integral
     for u in (1e-3, 0.07, 0.9, 3.0, 11.0):

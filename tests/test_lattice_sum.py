@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cplattice.euler_maclaurin import decompose
 from cplattice.greens import green_dyadic
-from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded,
+from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_rows,
                                    offresonant_pair_term, resonant_pair_term,
                                    sum_lattice)
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
@@ -160,6 +163,38 @@ def test_linear_in_rho():
         2.0 * sum_lattice(b1, "off_resonant").off_resonant, rel=1e-12)
 
 
+@st.composite
+def _dipole_pairs(draw):
+    pair = draw(st.sampled_from(["zz", "zx", "custom"]))
+    if pair != "custom":
+        return (0, 0, 1), (0, 0, 1) if pair == "zz" else (1, 0, 0)
+    vecs = []
+    for _ in range(2):
+        v = np.array([draw(st.floats(-1, 1)) for _ in range(3)])
+        n = np.linalg.norm(v)
+        vecs.append(tuple(v / n) if n > 1e-3 else (0.0, 1.0, 0.0))
+    return tuple(vecs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.floats(1e-9, 0.0499), mu=st.floats(0.05, 5.0).filter(lambda m: abs(1 - m) > 1e-2),
+       log_a=st.floats(math.log(0.01), math.log(3.0)), M=st.integers(0, 5),
+       log_z=st.floats(math.log(0.01), math.log(50.0)), dipoles=_dipole_pairs())
+def test_exactly_linear_in_rho(rho, mu, log_a, M, log_z, dipoles):
+    # rho enters only through the prefactors, and doubling is exact in
+    # floating point: every sum and every decomposition field doubles bitwise
+    test, array = dipoles
+    b1, b2 = (mk(rho=r, mu=mu, a=math.exp(log_a), M=M, z=math.exp(log_z),
+                 test=test, array=array) for r in (rho, 2.0 * rho))
+    assert sum_lattice(b2, "resonant").resonant == 2.0 * sum_lattice(b1, "resonant").resonant
+    assert sum_lattice(b2, "off_resonant").off_resonant \
+        == 2.0 * sum_lattice(b1, "off_resonant").off_resonant
+    for kind in ("resonant", "off_resonant"):
+        d1, d2 = decompose(b1, kind), decompose(b2, kind)
+        assert (d2.bulk, d2.edge, d2.vertex, d2.total) \
+            == (2.0 * d1.bulk, 2.0 * d1.edge, 2.0 * d1.vertex, 2.0 * d1.total)
+
+
 def test_offresonant_partial_sums_monotone_in_m():
     vals = [sum_lattice(mk(a=0.4, M=m, z=0.3), "off_resonant").off_resonant
             for m in range(6)]
@@ -202,11 +237,18 @@ def test_site_budget_guard():
 
 
 def test_thread_count_does_not_change_bits():
-    b = mk(a=0.05, M=60, z=0.3)
-    vals = {sum_lattice(b, "resonant", threads=t).resonant for t in (None, 1, 4, 16)}
-    assert len(vals) == 1
-    valo = {sum_lattice(b, "off_resonant", threads=t).off_resonant for t in (1, 4)}
-    assert len(valo) == 1
+    # each worker takes one contiguous row range: 61 octant rows and 121
+    # full-grid rows do not split evenly over 2, 3 or 4 workers
+    for test, array in [((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)),
+                        ((0.6, 0, 0.8), (0, 0.6, 0.8))]:
+        b = mk(a=0.05, M=60, z=0.3, test=test, array=array)
+        vals = {sum_lattice(b, "resonant", threads=t).resonant for t in (None, 1, 2, 3, 4, 16)}
+        assert len(vals) == 1
+        valo = {sum_lattice(b, "off_resonant", threads=t).off_resonant for t in (1, 4)}
+        assert len(valo) == 1
+    for t in (2, 3, 20):
+        assert _map_rows(lambda nx: nx, range(-7, 8), t) == list(range(-7, 8))
+        assert _map_rows(lambda nx: nx, range(8), t, np.arange(1, 9)) == list(range(8))
 
 
 def test_bad_kind_rejected():
