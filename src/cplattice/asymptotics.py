@@ -1,25 +1,18 @@
 """Closed-form asymptotic shifts and tabulated scaling exponents.
 
 All values are Delta omega / gamma0 in the fixed dimensionless convention.
-Abbreviations: K = rho mu/((1-mu)(1+mu)), L = rho/(1+mu), Q = rho/mu.
+Every regime law is one row of ``_LAWS``, the single source of its
+coefficient, prefactor P, oscillation and z power n:
 
-  orientation zz (probe z, array z):
-    resonant      non-retarded  sparse  (9/2)  K / z^6
-                                dense   (27pi/32) K / (a^2 z^4)
-                  retarded      sparse  -(9/2) K cos(2z) / z^4
-                                dense   (9pi/4) K sin(2z) / (a^2 z^3)
-    off-resonant  non-retarded  sparse  (9/4)  L / z^6
-                                dense   (27pi/64) L / (a^2 z^4)
-                  retarded      sparse  (45/8pi) Q / z^7
-                                dense   (9/10) Q / (a^2 z^5)
-  orientation zx (probe z, array x): every sparse form vanishes identically;
-    resonant      non-retarded  dense   (27pi/64) K / (a^2 z^4)
-                  retarded      dense   -(9pi/16) K cos(2z) / (a^2 z^2)
-    off-resonant  non-retarded  dense   (27pi/128) L / (a^2 z^4)
-                  retarded      dense   (9/16) Q / (a^2 z^5)
+    shift = coefficient * P * trig(2z) / (area * z^n),
+
+with P one of K = rho mu/((1-mu)(1+mu)), L = rho/(1+mu), Q = rho/mu,
+trig cos, sin or absent, and area = a^2 for a dense array (1 for a sparse
+one). The tabulated exponent is -n. For orientation zx (probe z, array x)
+every sparse form vanishes identically; its rows hold None.
 
 The dense resonant prefactors are the small-z / large-z limits of the exact
-bulk closed forms (bracket_zz, bracket_zx); they are pinned against direct
+resonant bulk (:func:`full_closed_form`); they are pinned against direct
 quadrature of the radial bulk integral by the test suite. No automatic
 regime selection happens here: each call evaluates exactly the requested
 formula, and sweeps emit every applicable asymptote side by side.
@@ -30,13 +23,40 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .euler_maclaurin import bracket_zx, bracket_zz
+from .euler_maclaurin import bulk_term
 from .model import ValidatedBundle, validate
 
 Kind = Literal["resonant", "off_resonant"]
 Orientation = Literal["zz", "zx"]
 Retardation = Literal["non_retarded", "retarded"]
 Density = Literal["sparse", "dense"]
+
+_PREFACTORS = {
+    "K": lambda mu, rho: rho * mu / ((1.0 - mu) * (1.0 + mu)),
+    "L": lambda mu, rho: rho / (1.0 + mu),
+    "Q": lambda mu, rho: rho / mu,
+}
+
+# (kind, orientation, retardation, density) -> (coefficient, P, trig, n),
+# in the order sweeps list them
+_LAWS = {
+    ("resonant", "zz", "non_retarded", "sparse"): (4.5, "K", None, 6),
+    ("resonant", "zz", "non_retarded", "dense"): (27.0 * math.pi / 32.0, "K", None, 4),
+    ("resonant", "zz", "retarded", "sparse"): (-4.5, "K", math.cos, 4),
+    ("resonant", "zz", "retarded", "dense"): (9.0 * math.pi / 4.0, "K", math.sin, 3),
+    ("off_resonant", "zz", "non_retarded", "sparse"): (2.25, "L", None, 6),
+    ("off_resonant", "zz", "non_retarded", "dense"): (27.0 * math.pi / 64.0, "L", None, 4),
+    ("off_resonant", "zz", "retarded", "sparse"): (45.0 / (8.0 * math.pi), "Q", None, 7),
+    ("off_resonant", "zz", "retarded", "dense"): (0.9, "Q", None, 5),
+    ("resonant", "zx", "non_retarded", "sparse"): None,
+    ("resonant", "zx", "non_retarded", "dense"): (27.0 * math.pi / 64.0, "K", None, 4),
+    ("resonant", "zx", "retarded", "sparse"): None,
+    ("resonant", "zx", "retarded", "dense"): (-(9.0 * math.pi / 16.0), "K", math.cos, 2),
+    ("off_resonant", "zx", "non_retarded", "sparse"): None,
+    ("off_resonant", "zx", "non_retarded", "dense"): (27.0 * math.pi / 128.0, "L", None, 4),
+    ("off_resonant", "zx", "retarded", "sparse"): None,
+    ("off_resonant", "zx", "retarded", "dense"): (9.0 / 16.0, "Q", None, 5),
+}
 
 
 @dataclass(frozen=True)
@@ -47,102 +67,43 @@ class Regime:
     density: Density
 
     def __post_init__(self):
-        if self.kind not in ("resonant", "off_resonant"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.orientation not in ("zz", "zx"):
-            raise ValueError(f"bad orientation {self.orientation!r}")
-        if self.retardation not in ("non_retarded", "retarded"):
-            raise ValueError(f"bad retardation {self.retardation!r}")
-        if self.density not in ("sparse", "dense"):
-            raise ValueError(f"bad density {self.density!r}")
+        if _key(self) not in _LAWS:
+            raise ValueError(f"no asymptotic law for {_key(self)!r}")
 
 
-def _coeffs(bundle: ValidatedBundle):
-    mu = bundle.mu
-    rho = bundle.rho
-    k = rho * mu / ((1.0 - mu) * (1.0 + mu))
-    return k, rho / (1.0 + mu), rho / mu
+def _key(regime: Regime):
+    return (regime.kind, regime.orientation, regime.retardation, regime.density)
 
 
 def asymptotic_shift(regime: Regime, bundle: ValidatedBundle) -> float:
     """Evaluate the requested closed-form asymptote (no regime detection)."""
     bundle = validate(bundle)
-    k, ell, q = _coeffs(bundle)
-    z = bundle.z_tilde
-    a2 = bundle.a_tilde ** 2
-    r = regime
-    if r.orientation == "zx" and r.density == "sparse":
+    law = _LAWS[_key(regime)]
+    if law is None:
         return 0.0
-    if r.kind == "resonant":
-        if r.orientation == "zz":
-            if r.density == "sparse":
-                if r.retardation == "non_retarded":
-                    return 4.5 * k / z ** 6
-                return -4.5 * k * math.cos(2.0 * z) / z ** 4
-            if r.retardation == "non_retarded":
-                return (27.0 * math.pi / 32.0) * k / (a2 * z ** 4)
-            return (9.0 * math.pi / 4.0) * k * math.sin(2.0 * z) / (a2 * z ** 3)
-        # zx dense
-        if r.retardation == "non_retarded":
-            return (27.0 * math.pi / 64.0) * k / (a2 * z ** 4)
-        return -(9.0 * math.pi / 16.0) * k * math.cos(2.0 * z) / (a2 * z ** 2)
-    # off-resonant
-    if r.orientation == "zz":
-        if r.density == "sparse":
-            if r.retardation == "non_retarded":
-                return 2.25 * ell / z ** 6
-            return (45.0 / (8.0 * math.pi)) * q / z ** 7
-        if r.retardation == "non_retarded":
-            return (27.0 * math.pi / 64.0) * ell / (a2 * z ** 4)
-        return 0.9 * q / (a2 * z ** 5)
-    # zx dense
-    if r.retardation == "non_retarded":
-        return (27.0 * math.pi / 128.0) * ell / (a2 * z ** 4)
-    return (9.0 / 16.0) * q / (a2 * z ** 5)
+    coef, pref, trig, n = law
+    z = bundle.z_tilde
+    area = bundle.a_tilde ** 2 if regime.density == "dense" else 1.0
+    return (coef * _PREFACTORS[pref](bundle.mu, bundle.rho) * (trig(2.0 * z) if trig else 1.0)
+            / (area * z ** n))
 
 
 def full_closed_form(orientation: Orientation, bundle: ValidatedBundle) -> float:
-    """Exact resonant bulk closed form, valid across both retardation regimes."""
+    """Exact resonant bulk of a zz or zx bundle, valid across both
+    retardation regimes: ``bulk_term(bundle, "resonant")``."""
     bundle = validate(bundle)
-    k, _, _ = _coeffs(bundle)
-    z = bundle.z_tilde
-    a2 = bundle.a_tilde ** 2
-    if orientation == "zz":
-        return (9.0 * math.pi / 32.0) * k * bracket_zz(z) / (a2 * z ** 4)
-    if orientation == "zx":
-        return (9.0 * math.pi / 64.0) * k * bracket_zx(z) / (a2 * z ** 4)
-    raise ValueError(f"bad orientation {orientation!r}")
-
-
-_EXPONENTS = {
-    ("resonant", "zz", "non_retarded", "sparse"): -6,
-    ("resonant", "zz", "non_retarded", "dense"): -4,
-    ("resonant", "zz", "retarded", "sparse"): -4,
-    ("resonant", "zz", "retarded", "dense"): -3,
-    ("off_resonant", "zz", "non_retarded", "sparse"): -6,
-    ("off_resonant", "zz", "non_retarded", "dense"): -4,
-    ("off_resonant", "zz", "retarded", "sparse"): -7,
-    ("off_resonant", "zz", "retarded", "dense"): -5,
-    ("resonant", "zx", "non_retarded", "dense"): -4,
-    ("resonant", "zx", "retarded", "dense"): -2,
-    ("off_resonant", "zx", "non_retarded", "dense"): -4,
-    ("off_resonant", "zx", "retarded", "dense"): -5,
-}
+    if orientation not in ("zz", "zx") or orientation != bundle.orientation_label():
+        raise ValueError(f"orientation {orientation!r} does not match the bundle's "
+                         f"{bundle.orientation_label()!r}")
+    return bulk_term(bundle, "resonant")
 
 
 def expected_exponent(regime: Regime) -> Optional[int]:
     """Tabulated z-exponent of the regime; None when the shift vanishes."""
-    if regime.orientation == "zx" and regime.density == "sparse":
-        return None
-    return _EXPONENTS[(regime.kind, regime.orientation, regime.retardation, regime.density)]
+    law = _LAWS[_key(regime)]
+    return None if law is None else -law[3]
 
 
-def all_regimes(orientation: Orientation):
-    """Every Regime applicable to an orientation, in stable order."""
-    out = []
-    for kind in ("resonant", "off_resonant"):
-        for ret in ("non_retarded", "retarded"):
-            for dens in ("sparse", "dense"):
-                out.append(Regime(kind=kind, orientation=orientation,
-                                  retardation=ret, density=dens))
-    return out
+def all_regimes(orientation: str):
+    """Every Regime of an orientation, in stable order (none for custom)."""
+    return [Regime(*key) for key in _LAWS if key[1] == orientation]

@@ -14,13 +14,14 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
 from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice
-from .model import (Geometry, LatticeSpec, ModelParams, ValidationError, validate)
+from .model import (X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, ValidationError,
+                     validate)
 
 THREADS_ENV = "CPLATTICE_THREADS"
 
@@ -41,26 +42,25 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class Config:
+    """Every configuration key and its default. A key's type is its default's:
+    float, int, str, or a 3-vector written "x,y,z" or "x y z"."""
+
     mu: float = 0.5
     rho: float = 1e-6
     a_tilde: float = 0.01
     half_extent: int = 0
     orientation: str = "zz"
-    test_dipole: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    array_dipole: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    test_dipole: tuple[float, float, float] = Z_HAT
+    array_dipole: tuple[float, float, float] = Z_HAT
     z_min: float = 0.01
     z_max: float = 100.0
     points_per_decade: int = 64
     site_budget: float = 1e10
     offres_site_budget: float = 1e4
-    seed: int = 42
     threads: int = 1
 
 
-_CONFIG_FLOAT = {"mu", "rho", "a_tilde", "z_min", "z_max", "site_budget", "offres_site_budget"}
-_CONFIG_INT = {"half_extent", "points_per_decade", "seed", "threads"}
-_CONFIG_STR = {"orientation"}
-_CONFIG_VEC = {"test_dipole", "array_dipole"}
+_KEYS = tuple(f.name for f in fields(Config))
 
 
 def _parse_vec(text: str) -> tuple[float, float, float]:
@@ -102,32 +102,26 @@ def load_config(path: str | None, overrides: dict) -> Config:
 
 
 def _apply(cfg: Config, key: str, value, where: str) -> Config:
+    if key not in _KEYS:
+        raise _UsageError(f"{where}: unknown configuration key {key!r}")
+    default = getattr(Config(), key)
     try:
-        if key in _CONFIG_FLOAT:
-            return replace(cfg, **{key: float(value)})
-        if key in _CONFIG_INT:
-            return replace(cfg, **{key: int(value)})
-        if key in _CONFIG_STR:
-            v = str(value)
-            if key == "orientation" and v not in ("zz", "zx", "custom"):
-                raise _UsageError(f"{where}: orientation must be zz|zx|custom, got {v!r}")
-            return replace(cfg, **{key: v})
-        if key in _CONFIG_VEC:
-            vec = value if isinstance(value, tuple) else _parse_vec(str(value))
-            return replace(cfg, **{key: vec})
+        if not isinstance(default, tuple):
+            v = type(default)(value)
+        else:
+            v = value if isinstance(value, tuple) else _parse_vec(str(value))
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"{where}: bad value for {key}: {exc}")
-    raise _UsageError(f"{where}: unknown configuration key {key!r}")
+    if key == "orientation" and v not in ("zz", "zx", "custom"):
+        raise _UsageError(f"{where}: orientation must be zz|zx|custom, got {v!r}")
+    return replace(cfg, **{key: v})
 
 
 def bundle_from_config(cfg: Config, z_tilde: float):
-    if cfg.orientation == "zz":
-        dipoles = {"test_dipole": (0.0, 0.0, 1.0), "array_dipole": (0.0, 0.0, 1.0)}
-    elif cfg.orientation == "zx":
-        dipoles = {"test_dipole": (0.0, 0.0, 1.0), "array_dipole": (1.0, 0.0, 0.0)}
-    else:
-        dipoles = {"test_dipole": cfg.test_dipole, "array_dipole": cfg.array_dipole}
-    params = ModelParams(mu=cfg.mu, rho=cfg.rho, **dipoles)
+    test_dipole, array_dipole = {"zz": (Z_HAT, Z_HAT), "zx": (Z_HAT, X_HAT)}.get(
+        cfg.orientation, (cfg.test_dipole, cfg.array_dipole))
+    params = ModelParams(mu=cfg.mu, rho=cfg.rho, test_dipole=test_dipole,
+                         array_dipole=array_dipole)
     return validate(params, LatticeSpec(a_tilde=cfg.a_tilde, half_extent=cfg.half_extent),
                     Geometry(z_tilde=z_tilde))
 
@@ -139,16 +133,11 @@ def _fmt(x: float | None) -> str:
 # ---------------------------------------------------------------------------
 # sweep
 
-_ASYM_COLUMNS = (
-    ("asym_res_nonret_sparse", "resonant", "non_retarded", "sparse"),
-    ("asym_res_nonret_dense", "resonant", "non_retarded", "dense"),
-    ("asym_res_ret_sparse", "resonant", "retarded", "sparse"),
-    ("asym_res_ret_dense", "resonant", "retarded", "dense"),
-    ("asym_or_nonret_sparse", "off_resonant", "non_retarded", "sparse"),
-    ("asym_or_nonret_dense", "off_resonant", "non_retarded", "dense"),
-    ("asym_or_ret_sparse", "off_resonant", "retarded", "sparse"),
-    ("asym_or_ret_dense", "off_resonant", "retarded", "dense"),
-)
+_SHORT = {"resonant": "res", "off_resonant": "or", "non_retarded": "nonret", "retarded": "ret"}
+
+
+def _asym_column(regime: asymptotics.Regime) -> str:
+    return f"asym_{_SHORT[regime.kind]}_{_SHORT[regime.retardation]}_{regime.density}"
 
 
 def z_grid(z_min: float, z_max: float, points_per_decade: int) -> np.ndarray:
@@ -178,8 +167,8 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
     header = ["z_tilde", "resonant_direct", "offresonant_direct",
               "res_bulk", "res_edge", "res_vertex", "res_em_total",
               "or_bulk", "or_edge", "or_vertex", "or_em_total"]
-    asym_cols = _ASYM_COLUMNS if cfg.orientation in ("zz", "zx") else ()
-    header += [c[0] for c in asym_cols]
+    regimes = asymptotics.all_regimes(cfg.orientation)  # none for custom
+    header += [_asym_column(r) for r in regimes]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for z in grid:
@@ -191,10 +180,7 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
         row = [_fmt(float(z)), _fmt(res), _fmt(orv),
                _fmt(dr.bulk), _fmt(dr.edge), _fmt(dr.vertex), _fmt(dr.total),
                _fmt(do.bulk), _fmt(do.edge), _fmt(do.vertex), _fmt(do.total)]
-        for _, kind, ret, dens in asym_cols:
-            reg = asymptotics.Regime(kind=kind, orientation=cfg.orientation,
-                                     retardation=ret, density=dens)
-            row.append(_fmt(asymptotics.asymptotic_shift(reg, b)))
+        row += [_fmt(asymptotics.asymptotic_shift(r, b)) for r in regimes]
         writer.writerow(row)
     return EXIT_OK
 
@@ -226,19 +212,15 @@ def cmd_decompose(cfg: Config, z_tilde: float, kinds, out, csv_path: str | None)
 # asymptotic
 
 def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out) -> int:
-    if cfg.orientation not in ("zz", "zx"):
+    regimes = asymptotics.all_regimes(cfg.orientation)
+    if not regimes:
         raise _UsageError("closed-form asymptotes exist for orientations zz and zx only")
     b = bundle_from_config(cfg, z_tilde)
-    kinds = [kind] if kind else ["resonant", "off_resonant"]
-    rets = [retardation] if retardation else ["non_retarded", "retarded"]
-    dens = [density] if density else ["sparse", "dense"]
-    for k in kinds:
-        for rt in rets:
-            for dn in dens:
-                reg = asymptotics.Regime(kind=k, orientation=cfg.orientation,
-                                         retardation=rt, density=dn)
-                v = asymptotics.asymptotic_shift(reg, b)
-                print(f"{k} {cfg.orientation} {rt} {dn} {_fmt(v)}", file=out)
+    for r in regimes:
+        if (kind in (None, r.kind) and retardation in (None, r.retardation)
+                and density in (None, r.density)):
+            v = asymptotics.asymptotic_shift(r, b)
+            print(f"{r.kind} {r.orientation} {r.retardation} {r.density} {_fmt(v)}", file=out)
     if not kind or kind == "resonant":
         v = asymptotics.full_closed_form(cfg.orientation, b)
         print(f"resonant {cfg.orientation} bulk_closed_form - {_fmt(v)}", file=out)
@@ -248,9 +230,8 @@ def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out)
 # ---------------------------------------------------------------------------
 # verify-diagrams
 
-def cmd_verify_diagrams(samples: int, seed: int, mus, corrupt_process, out) -> int:
-    report = diagrams.verify_identity(samples, seed, mus=tuple(mus),
-                                      corrupt_process=corrupt_process)
+def cmd_verify_diagrams(samples: int, seed: int, mus, out) -> int:
+    report = diagrams.verify_identity(samples, seed, mus=tuple(mus))
     status = "OK" if report.max_rel_error <= 1e-10 else "FAIL"
     print(f"diagram identity: samples={report.samples} per mu, mus={list(report.mus)}, "
           f"max_rel_error={report.max_rel_error:.3e} [{status}]", file=out)
@@ -287,31 +268,8 @@ def cmd_fit(csv_path: str, column: str, z_min: float, z_max: float, mode: str, o
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--mu", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--a-tilde", dest="a_tilde", type=float)
-    p.add_argument("--half-extent", dest="half_extent", type=int)
-    p.add_argument("--orientation", choices=("zz", "zx", "custom"))
-    p.add_argument("--test-dipole", dest="test_dipole")
-    p.add_argument("--array-dipole", dest="array_dipole")
-    p.add_argument("--z-min", dest="z_min", type=float)
-    p.add_argument("--z-max", dest="z_max", type=float)
-    p.add_argument("--points-per-decade", dest="points_per_decade", type=int)
-    p.add_argument("--site-budget", dest="site_budget", type=float)
-    p.add_argument("--offres-site-budget", dest="offres_site_budget", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
-
-
-def _config_overrides(args) -> dict:
-    keys = (_CONFIG_FLOAT | _CONFIG_INT | _CONFIG_STR | _CONFIG_VEC)
-    out = {}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None and key in _CONFIG_VEC:
-            val = _parse_vec(val)
-        out[key] = val
-    return out
+    for key in _KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def build_parser() -> _Parser:
@@ -342,7 +300,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mu", type=float, action="append", dest="mus")
-    p.add_argument("--corrupt-process", dest="corrupt_process", help=argparse.SUPPRESS)
 
     p = sub.add_parser("fit", help="power-law fit of a sweep CSV column")
     p.add_argument("csv_path")
@@ -375,24 +332,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "config"):  # the commands with configuration flags
+            cfg = load_config(args.config, {key: getattr(args, key) for key in _KEYS})
         if args.command == "sweep":
-            cfg = load_config(args.config, _config_overrides(args))
             if args.output:
                 return _write_replacing(args.output, lambda fh: cmd_sweep(
                     cfg, fh, require_direct=args.require_direct))
             return cmd_sweep(cfg, sys.stdout, require_direct=args.require_direct)
         if args.command == "decompose":
-            cfg = load_config(args.config, _config_overrides(args))
             kinds = ("resonant", "off_resonant") if args.kind == "both" else (args.kind,)
             return cmd_decompose(cfg, args.z_tilde, kinds, sys.stdout, args.csv_path)
         if args.command == "asymptotic":
-            cfg = load_config(args.config, _config_overrides(args))
             return cmd_asymptotic(cfg, args.z_tilde, args.kind, args.retardation,
                                   args.density, sys.stdout)
         if args.command == "verify-diagrams":
             mus = args.mus if args.mus else [0.25, 0.5, 0.9]
-            return cmd_verify_diagrams(args.samples, args.seed, mus,
-                                       args.corrupt_process, sys.stdout)
+            return cmd_verify_diagrams(args.samples, args.seed, mus, sys.stdout)
         if args.command == "fit":
             return cmd_fit(args.csv_path, args.column, args.z_min, args.z_max,
                            args.mode, sys.stdout)

@@ -62,26 +62,23 @@ def denominator(process: str, w, wp, params: ModelParams):
     raise ValueError(f"unknown process id {process!r}")
 
 
-def _inverse_sum(w, wp, params: ModelParams, processes=PROCESS_IDS, corrupt_process=None):
+def _inverse_sum(w, wp, params: ModelParams, processes=PROCESS_IDS):
     total = 0.0
     for p in processes:
         d = denominator(p, w, wp, params)
-        if corrupt_process is not None and p == corrupt_process:
-            d = d * (1.0 + 1e-6)
         if np.any(d == 0.0):
             raise PoleHit(f"D_{p} vanished")
         total = total + 1.0 / d
     return total
 
 
-def symmetrized_inverse_sum(w, wp, params: ModelParams, *, processes=PROCESS_IDS,
-                            corrupt_process=None):
+def symmetrized_inverse_sum(w, wp, params: ModelParams, *, processes=PROCESS_IDS):
     """(1/2) [ sum_p 1/D_p(w,w') + sum_p 1/D_p(w',w) ].
 
     Symmetric under w <-> w' by construction; vectorized.
     """
-    return 0.5 * (_inverse_sum(w, wp, params, processes, corrupt_process)
-                  + _inverse_sum(wp, w, params, processes, corrupt_process))
+    return 0.5 * (_inverse_sum(w, wp, params, processes)
+                  + _inverse_sum(wp, w, params, processes))
 
 
 def _combined_half(w, wp, mu):
@@ -145,14 +142,12 @@ def _admissible(w: np.ndarray, wp: np.ndarray, mu: float) -> np.ndarray:
     return ok
 
 
-def verify_identity(samples: int, seed: int, mus=(0.25, 0.5, 0.9),
-                    corrupt_process: str | None = None) -> DiagramReport:
+def verify_identity(samples: int, seed: int, mus=(0.25, 0.5, 0.9)) -> DiagramReport:
     """Fuzz the collapse identity over random (w, w') in (0,2)^2.
 
     Rejection-samples an exclusion radius of 1e-6 around every linear-factor
     zero set, evaluates both sides vectorized, and reports the worst
-    relative deviation. corrupt_process perturbs one D_p by 1e-6 (mutation
-    hook used to prove the check can fail).
+    relative deviation.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -172,7 +167,7 @@ def verify_identity(samples: int, seed: int, mus=(0.25, 0.5, 0.9),
             take = min(w.size, samples - kept)
             w, wp = w[:take], wp[:take]
             kept += take
-            lhs = symmetrized_inverse_sum(w, wp, params, corrupt_process=corrupt_process)
+            lhs = symmetrized_inverse_sum(w, wp, params)
             rhs = combined_denominator_form(w, wp, params)
             rel = np.max(np.abs(lhs - rhs) / np.abs(rhs))
             worst = max(worst, float(rel))

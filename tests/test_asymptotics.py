@@ -8,6 +8,7 @@ from cplattice.asymptotics import (Regime, all_regimes, asymptotic_shift,
 from cplattice.euler_maclaurin import bulk_term
 from cplattice.lattice_sum import resonant_pair_term, sum_lattice
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
+from test_euler_maclaurin import contour_bulk_resonant
 
 
 def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.01, array=(0, 0, 1)):
@@ -142,3 +143,28 @@ def test_regime_validation():
         Regime(kind="bogus", orientation="zz", retardation="retarded", density="dense")
     with pytest.raises(ValueError):
         full_closed_form("xy", mk())
+
+
+def test_full_closed_form_rejects_a_mismatched_orientation():
+    with pytest.raises(ValueError):
+        full_closed_form("zx", mk())
+    with pytest.raises(ValueError):
+        full_closed_form("zz", mk(array=(1, 0, 0)))
+    with pytest.raises(ValueError):
+        full_closed_form("zz", mk(array=(0, 1, 0)))
+
+
+@pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
+def test_full_closed_form_is_the_bulk_term_at_large_z(z):
+    # the Ci closed form cancels at these heights (1.4e-8 relative at 1e4)
+    b = mk(z=z)
+    assert full_closed_form("zz", b) == bulk_term(b, "resonant")
+    assert full_closed_form("zz", b) == pytest.approx(contour_bulk_resonant(b), rel=1e-12)
+
+
+def test_vanishing_forms_are_positive_zero():
+    # K < 0 above resonance: a vanishing form must still print as 0, not -0
+    b = mk(mu=2.0, array=(1, 0, 0))
+    for r in all_regimes("zx"):
+        if r.density == "sparse":
+            assert math.copysign(1.0, asymptotic_shift(r, b)) == 1.0

@@ -1,24 +1,43 @@
 import csv
+import dataclasses
 import io
 import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from cplattice import cli, euler_maclaurin, fitting
+from cplattice import cli, diagrams, euler_maclaurin, fitting
 
 
 def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop(cli.THREADS_ENV, None)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run([sys.executable, "-m", "cplattice.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc
+    """``cli.main(args)`` in this process, with its output captured and the
+    environment restored afterwards; returns what a subprocess run would."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop(cli.THREADS_ENV, None)
+        os.environ.update(env_extra or {})
+        rc = cli.main(list(args))
+    return subprocess.CompletedProcess(args, rc, out.getvalue(), err.getvalue())
+
+
+def test_module_entry_point_in_subprocess():
+    # the only test that starts an interpreter: `python -m cplattice.cli`
+    # prints what cli.main prints and exits with its code
+    args = ["asymptotic", "--z-tilde", "0.3"]
+    env = {k: v for k, v in os.environ.items() if k != cli.THREADS_ENV}
+    ok = subprocess.run([sys.executable, "-m", "cplattice.cli", *args],
+                        capture_output=True, text=True, env=env)
+    assert ok.returncode == cli.EXIT_OK
+    assert ok.stdout == run_cli(args).stdout
+    bad = subprocess.run([sys.executable, "-m", "cplattice.cli", "sweep", "--mu", "1.0"],
+                         capture_output=True, text=True, env=env)
+    assert bad.returncode == cli.EXIT_USAGE
+    assert bad.stdout == "" and "invalid parameters" in bad.stderr
 
 
 SWEEP_ARGS = ["sweep", "--mu", "0.5", "--rho", "1e-6", "--a-tilde", "0.05",
@@ -120,12 +139,18 @@ def test_decompose_report_additivity(tmp_path):
         assert float(r["total"]) == float(r["bulk"]) + float(r["edge"]) + float(r["vertex"])
 
 
-def test_verify_diagrams_ok_and_corrupted():
+def test_verify_diagrams_ok_and_corrupted(monkeypatch):
     proc = run_cli(["verify-diagrams", "--samples", "3000", "--seed", "42"])
     assert proc.returncode == 0
     assert "max_rel_error" in proc.stdout
-    bad = run_cli(["verify-diagrams", "--samples", "500", "--seed", "42",
-                   "--corrupt-process", "II"])
+    exact = diagrams.denominator
+
+    def corrupted(process, w, wp, params):  # D_II off by 1e-6
+        d = exact(process, w, wp, params)
+        return d * (1.0 + 1e-6) if process == "II" else d
+
+    monkeypatch.setattr(diagrams, "denominator", corrupted)
+    bad = run_cli(["verify-diagrams", "--samples", "500", "--seed", "42"])
     assert bad.returncode == cli.EXIT_VERIFY
 
 
@@ -157,6 +182,64 @@ def test_config_errors_exit_usage(tmp_path):
     bad.write_text("mu = zebra\n")
     assert run_cli(["sweep", "--config", str(bad)]).returncode == cli.EXIT_USAGE
     assert run_cli(["sweep", "--config", "/does/not/exist"]).returncode == cli.EXIT_USAGE
+
+
+# one value per key, each different from its default
+_CONFIG_VALUES = {
+    "mu": ("0.7", 0.7), "rho": ("2e-6", 2e-6), "a_tilde": ("0.03", 0.03),
+    "half_extent": ("3", 3), "orientation": ("custom", "custom"),
+    "test_dipole": ("0,0.6,0.8", (0.0, 0.6, 0.8)),
+    "array_dipole": ("0.6 0 0.8", (0.6, 0.0, 0.8)),
+    "z_min": ("0.2", 0.2), "z_max": ("0.9", 0.9), "points_per_decade": ("5", 5),
+    "site_budget": ("1e6", 1e6), "offres_site_budget": ("50", 50.0),
+    "threads": ("2", min(2, os.cpu_count() or 1)),
+}
+
+
+def test_every_config_key_same_from_file_and_flag(tmp_path, monkeypatch):
+    assert list(_CONFIG_VALUES) == [f.name for f in dataclasses.fields(cli.Config)]
+    seen = []
+
+    def record(cfg, out, require_direct):
+        seen.append(cfg)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_sweep", record)
+    for key, (text, value) in _CONFIG_VALUES.items():
+        conf = tmp_path / f"{key}.cfg"
+        conf.write_text(f"{key} = {text}\n")
+        assert run_cli(["sweep", "--config", str(conf)]).returncode == cli.EXIT_OK
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(["sweep", flag, text]).returncode == cli.EXIT_OK
+        want = dataclasses.replace(cli.Config(), **{key: value})
+        assert seen[-2:] == [want, want], key
+
+
+def test_seed_is_not_a_config_key(tmp_path):
+    conf = tmp_path / "seed.cfg"
+    conf.write_text("seed = 1\n")
+    proc = run_cli(["sweep", "--config", str(conf)])
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "unknown configuration key 'seed'" in proc.stderr
+    assert run_cli(["sweep", "--seed", "1"]).returncode == cli.EXIT_USAGE
+
+
+def test_sweep_header_lists_every_column():
+    direct_and_parts = ["z_tilde", "resonant_direct", "offresonant_direct",
+                        "res_bulk", "res_edge", "res_vertex", "res_em_total",
+                        "or_bulk", "or_edge", "or_vertex", "or_em_total"]
+    asymptotes = ["asym_res_nonret_sparse", "asym_res_nonret_dense",
+                  "asym_res_ret_sparse", "asym_res_ret_dense",
+                  "asym_or_nonret_sparse", "asym_or_nonret_dense",
+                  "asym_or_ret_sparse", "asym_or_ret_dense"]
+    base = ["sweep", "--z-min", "0.2", "--z-max", "0.3", "--points-per-decade", "1"]
+    for extra, want in (([], direct_and_parts + asymptotes),
+                        (["--orientation", "zx"], direct_and_parts + asymptotes),
+                        (["--orientation", "custom", "--array-dipole", "0,1,0"],
+                         direct_and_parts)):
+        proc = run_cli(base + extra)
+        assert proc.returncode == cli.EXIT_OK
+        assert proc.stdout.splitlines()[0].split(",") == want
 
 
 def test_invalid_physics_exit_usage():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cplattice import diagrams
 from cplattice.diagrams import (DELTA_BLOCK_PROCESSES, PROCESS_IDS, PoleHit,
                                 combined_delta_part, combined_denominator_form,
                                 delta_block_symmetrized, denominator,
@@ -126,8 +127,13 @@ def test_fuzzed_identity_10k():
     assert rep.samples == 10000
 
 
-def test_corrupted_denominator_detected():
-    rep = verify_identity(2000, seed=42, corrupt_process="II")
+def test_corrupted_denominator_detected(monkeypatch):
+    def corrupted(process, w, wp, params):  # D_II off by 1e-6
+        d = denominator(process, w, wp, params)
+        return d * (1.0 + 1e-6) if process == "II" else d
+
+    monkeypatch.setattr(diagrams, "denominator", corrupted)
+    rep = verify_identity(2000, seed=42)
     assert rep.max_rel_error > 1e-10
 
 
