@@ -117,9 +117,18 @@ def _apply(cfg: Config, key: str, value, where: str) -> Config:
     return replace(cfg, **{key: v})
 
 
+_ORIENTATION_DIPOLES = {"zz": (Z_HAT, Z_HAT), "zx": (Z_HAT, X_HAT)}
+
+
 def bundle_from_config(cfg: Config, z_tilde: float):
-    test_dipole, array_dipole = {"zz": (Z_HAT, Z_HAT), "zx": (Z_HAT, X_HAT)}.get(
-        cfg.orientation, (cfg.test_dipole, cfg.array_dipole))
+    """The bundle at one height. zz and zx fix the dipole pair, so any other
+    pair than the default (z, z) or the orientation's own is rejected."""
+    given = (cfg.test_dipole, cfg.array_dipole)
+    fixed = _ORIENTATION_DIPOLES.get(cfg.orientation)
+    if fixed is not None and given not in ((Z_HAT, Z_HAT), fixed):
+        raise _UsageError(f"orientation {cfg.orientation} fixes the dipoles; set "
+                          "orientation = custom to use test_dipole and array_dipole")
+    test_dipole, array_dipole = fixed or given
     params = ModelParams(mu=cfg.mu, rho=cfg.rho, test_dipole=test_dipole,
                          array_dipole=array_dipole)
     return validate(params, LatticeSpec(a_tilde=cfg.a_tilde, half_extent=cfg.half_extent),
@@ -156,14 +165,14 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
         raise SiteBudgetExceeded(
             f"{count} sites exceed budget (resonant {cfg.site_budget:g}, "
             f"off-resonant {cfg.offres_site_budget:g})")
+    grid = z_grid(cfg.z_min, cfg.z_max, cfg.points_per_decade)
+    bundle_from_config(cfg, float(grid[0]))  # fail on bad physics before any output
     if not do_res:
         print(f"note: {count} sites exceed site_budget; resonant_direct left empty",
               file=sys.stderr)
     if not do_or:
         print(f"note: {count} sites exceed offres_site_budget; offresonant_direct left empty",
               file=sys.stderr)
-    grid = z_grid(cfg.z_min, cfg.z_max, cfg.points_per_decade)
-    bundle_from_config(cfg, float(grid[0]))  # fail on bad physics before any output
     header = ["z_tilde", "resonant_direct", "offresonant_direct",
               "res_bulk", "res_edge", "res_vertex", "res_em_total",
               "or_bulk", "or_edge", "or_vertex", "or_em_total"]
@@ -189,22 +198,25 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
 # decompose
 
 def cmd_decompose(cfg: Config, z_tilde: float, kinds, out, csv_path: str | None) -> int:
+    """Print the report, after writing the CSV when asked: a failure at any
+    stage leaves no output."""
     b = bundle_from_config(cfg, z_tilde)
+    reports = {kind: euler_maclaurin.decompose(b, kind) for kind in kinds}
+
+    def write_csv(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["kind", "z_tilde", "bulk", "edge", "vertex", "total"])
+        for kind, d in reports.items():
+            writer.writerow([kind, _fmt(z_tilde), _fmt(d.bulk), _fmt(d.edge),
+                             _fmt(d.vertex), _fmt(d.total)])
+
+    if csv_path:
+        _write_replacing(csv_path, write_csv)
     print(f"half_extent M = {cfg.half_extent}, atoms (2M+1)^2 = {b.lattice.atom_count}, "
           f"z_tilde = {_fmt(z_tilde)}", file=out)
-    reports = {}
-    for kind in kinds:
-        d = euler_maclaurin.decompose(b, kind)
-        reports[kind] = d
+    for kind, d in reports.items():
         print(f"{kind}: bulk={_fmt(d.bulk)} edge={_fmt(d.edge)} "
               f"vertex={_fmt(d.vertex)} total={_fmt(d.total)}", file=out)
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["kind", "z_tilde", "bulk", "edge", "vertex", "total"])
-            for kind, d in reports.items():
-                writer.writerow([kind, _fmt(z_tilde), _fmt(d.bulk), _fmt(d.edge),
-                                 _fmt(d.vertex), _fmt(d.total)])
     return EXIT_OK
 
 
@@ -231,6 +243,8 @@ def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out)
 # verify-diagrams
 
 def cmd_verify_diagrams(samples: int, seed: int, mus, out) -> int:
+    if samples < 1:
+        raise _UsageError(f"samples must be >= 1, got {samples}")
     report = diagrams.verify_identity(samples, seed, mus=tuple(mus))
     status = "OK" if report.max_rel_error <= 1e-10 else "FAIL"
     print(f"diagram identity: samples={report.samples} per mu, mus={list(report.mus)}, "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _check_mu
 
 PROCESS_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
 
@@ -147,10 +147,14 @@ def verify_identity(samples: int, seed: int, mus=(0.25, 0.5, 0.9)) -> DiagramRep
 
     Rejection-samples an exclusion radius of 1e-6 around every linear-factor
     zero set, evaluates both sides vectorized, and reports the worst
-    relative deviation.
+    relative deviation. Every mu must pass the model's detuning rules
+    (:class:`cplattice.model.DetuningTooSmall` otherwise), checked before
+    any sample is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    for mu in mus:
+        _check_mu(mu)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for mu in mus:

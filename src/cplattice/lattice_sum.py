@@ -15,9 +15,10 @@ only through the projections dot = e0.en and pp = (e0.n)(n.en), so each has
 one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
 :func:`offresonant_sites`. For the two principal orientations (probe z with
 array z or array x) the projections are radial, and the sum runs over one
-octant with dihedral orbit weights (8 interior / 4 axis / 4 diagonal /
-origin); resonant rows are accumulated in fixed order n_x = 0..M and reduced
-exactly (math.fsum), so results are bit-identical for any worker count.
+octant with the dihedral orbit weights of
+:func:`cplattice.kernels._numpy_backend.octant_sites`; resonant rows are
+accumulated in fixed order n_x = 0..M and reduced exactly (math.fsum), so
+results are bit-identical for any worker count.
 General orientations lack the reflection parity needed for folding and run
 the same kernels over the full grid.
 
@@ -56,6 +57,7 @@ from scipy.special import roots_laguerre, sici
 
 from . import kernels
 from .greens import resonant_sites
+from .kernels._numpy_backend import octant_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import ValidatedBundle, validate
@@ -238,22 +240,12 @@ def _resonant_custom(bundle: ValidatedBundle, threads) -> float:
 
 
 def _offres_octant(bundle: ValidatedBundle) -> float:
-    M = bundle.half_extent
-    a2 = bundle.a_tilde ** 2
-    z2 = bundle.z_tilde ** 2
-    nx, j = np.tril_indices(M + 1)
-    s = nx * nx + j * j
-    s_unique, site = np.unique(s, return_inverse=True)
-    r2 = s_unique * a2 + z2
-    r = np.sqrt(r2)
-    if bundle.orientation_label() == "zx":
-        # x^2 summed over the dihedral orbit of (nx, j), times the kernel at
-        # unit x: the zx site term is x^2 z^2 times a function of r
-        w = np.where(j == 0, 2.0 * nx * nx, np.where(j == nx, 4.0 * nx * nx, 4.0 * s)) * a2
-        radial = offresonant_sites(r, 0.0, bundle.z_tilde / r2, bundle.mu)
-    else:
-        w = np.where(nx == 0, 1.0, np.where((j == 0) | (j == nx), 4.0, 8.0))
-        radial = offresonant_sites(r, 1.0, z2 / r2, bundle.mu)
+    nx, j = np.tril_indices(bundle.half_extent + 1)
+    r, dot, pp, w = octant_sites(nx, j, bundle.a_tilde ** 2, bundle.z_tilde ** 2,
+                                 bundle.orientation_label() == "zx")
+    # the site term is a function of nx^2 + j^2: evaluate it once per distance
+    _, first, site = np.unique(nx * nx + j * j, return_index=True, return_inverse=True)
+    radial = offresonant_sites(r[first], dot, pp[first], bundle.mu)
     return offresonant_prefactor(bundle) * math.fsum(w * radial[site])
 
 

@@ -153,14 +153,18 @@ class ValidatedBundle:
         return self.params.orientation_label()
 
 
-def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
-    if not params.mu > 0.0:
-        raise DetuningTooSmall(f"mu must be positive, got {params.mu}")
-    if abs(1.0 - params.mu) < _DETUNING_TOL:
+def _check_mu(mu: float) -> None:
+    if not mu > 0.0:
+        raise DetuningTooSmall(f"mu must be positive, got {mu}")
+    if abs(1.0 - mu) < _DETUNING_TOL:
         raise DetuningTooSmall(
-            f"|1 - mu| = {abs(1.0 - params.mu):.3g} < {_DETUNING_TOL}: "
+            f"|1 - mu| = {abs(1.0 - mu):.3g} < {_DETUNING_TOL}: "
             "the perturbative shift diverges at zero detuning"
         )
+
+
+def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
+    _check_mu(params.mu)
     if not 0.0 < params.rho < _RHO_MAX:
         raise LinewidthTooLarge(
             f"rho = {params.rho!r} outside (0, {_RHO_MAX}): weak coupling required"

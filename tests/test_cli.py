@@ -159,6 +159,64 @@ def test_verify_diagrams_single_sample():
     assert proc.returncode == 0
 
 
+def test_verify_diagrams_inputs_checked_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(diagrams, "symmetrized_inverse_sum", no_work)
+    for args, message in ((["--samples", "0"], "samples must be >= 1"),
+                          (["--samples", "-5"], "samples must be >= 1"),
+                          (["--mu", "1.0"], "|1 - mu| = 0 < 0.001"),
+                          (["--mu", "-0.5"], "mu must be positive"),
+                          (["--mu", "0.5", "--mu", "0.9995"], "|1 - mu| = 0.0005")):
+        proc = run_cli(["verify-diagrams", *args])
+        assert proc.returncode == cli.EXIT_USAGE, args
+        assert proc.stdout == "" and message in proc.stderr, args
+
+
+def test_principal_orientations_reject_other_dipoles(tmp_path):
+    # zz and zx fix the dipole pair: any other pair used to be ignored silently
+    for args in (["decompose", "--array-dipole", "1,0,0"],
+                 ["decompose", "--orientation", "zx", "--test-dipole", "1,0,0"],
+                 ["decompose", "--orientation", "zx", "--array-dipole", "0,1,0"],
+                 ["asymptotic", "--test-dipole", "0,0.6,0.8"]):
+        proc = run_cli(args + ["--z-tilde", "0.3"])
+        assert proc.returncode == cli.EXIT_USAGE, args
+        assert proc.stdout == "" and "orientation = custom" in proc.stderr, args
+    conf = tmp_path / "zz.cfg"
+    conf.write_text("orientation = zz\ntest_dipole = 0,1,0\n")
+    out = tmp_path / "never.csv"
+    proc = run_cli(["sweep", "--config", str(conf), "-o", str(out)])
+    assert proc.returncode == cli.EXIT_USAGE and "orientation = custom" in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["zz.cfg"]
+    # the default pair and the orientation's own pair are accepted
+    for pair in ([], ["--test-dipole", "0,0,1", "--array-dipole", "1,0,0"]):
+        proc = run_cli(["decompose", "--orientation", "zx", *pair, "--z-tilde", "0.3",
+                        "--kind", "resonant"])
+        assert proc.returncode == cli.EXIT_OK, pair
+
+
+def test_custom_orientation_accepts_dipoles(tmp_path):
+    conf = tmp_path / "custom.cfg"
+    conf.write_text("orientation = custom\narray_dipole = 1,0,0\n")
+    args = ["decompose", "--z-tilde", "0.3", "--kind", "resonant"]
+    from_file = run_cli(args + ["--config", str(conf)])
+    from_flag = run_cli(args + ["--orientation", "custom", "--array-dipole", "1 0 0"])
+    principal = run_cli(args + ["--orientation", "zx"])
+    assert from_file.returncode == from_flag.returncode == cli.EXIT_OK
+    # a custom pair equal to (z, x) takes the zx paths
+    assert from_file.stdout == from_flag.stdout == principal.stdout
+
+
+def test_decompose_unwritable_csv_exits_usage_without_output(tmp_path):
+    out = tmp_path / "missing" / "d.csv"
+    proc = run_cli(["decompose", "--half-extent", "2", "--z-tilde", "0.4", "--csv", str(out)])
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == ""
+    assert f"cannot write {str(out)!r}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mu = 0.5\nrho = 1e-6\na_tilde = 0.05\nhalf_extent = 3\n"

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from cplattice import kernels
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
+from cplattice.lattice_sum import sum_lattice
+from cplattice.model import X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, validate
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +119,53 @@ def test_compiled_rows_match_numpy_rows(lib, log_a2, log_z2, nx):
         _numpy_backend.res_row_zz(a2, z2, nx), rel=5e-12, abs=1e-13 * mzz)
     assert lib.res_row_zx(a2, z2, nx) == pytest.approx(
         _numpy_backend.res_row_zx(a2, z2, nx), rel=5e-12, abs=1e-13 * mzx)
+
+
+# (a2, z2, nx, res_row_zz, res_row_zx), the rows as float.hex. The row pass is
+# strict IEEE arithmetic (no FMA contraction, correctly rounded sqrt, the
+# reduced sin/cos: every largest phase here is below 1e6), so any change to a
+# site formula or to the summation order shows; only the two endpoint terms
+# call libm. nx = 511..513 straddle the 512-site chunk.
+PINNED_ROWS = [
+    (0.0001, 0.04, 1, '0x1.f0ae98e0c2cc2p+18', '0x1.05c18bb3a7e91p+11'),
+    (0.0001, 0.04, 2, '0x1.d46a8f73e34ccp+19', '0x1.c77d9fb2e1bcbp+13'),
+    (0.0001, 0.04, 511, '0x1.e50ed15984575p+4', '0x1.89f8b83602199p-5'),
+    (0.0001, 0.04, 512, '0x1.f2c6d394de64fp+4', '0x1.8a854caf34dfap-5'),
+    (0.0001, 0.04, 513, '0x1.00169484cef58p+5', '0x1.8ae93f59ec3d1p-5'),
+    (0.25, 1.0, 17, '0x1.5aa8d79ed11b3p-2', '0x1.d6f202fc9c3aap-9'),
+    (4.0, 0.0001, 173, '-0x1.551ef1a518751p-15', '-0x1.51da68978918ep-46'),
+    (0.01, 9.0, 2048, '-0x1.4aa1be591c5cap-7', '-0x1.366259ffe3b9ep-20'),
+    (90000.0, 1.0, 1000, '0x1.114ee1b8f3e38p-33', '0x1.c145b25254022p-69'),
+    (0.0025, 0.09, 1024, '-0x1.5d95b63008ab0p-2', '-0x1.999faf015c951p-18'),
+]
+
+
+@pytest.mark.parametrize("a2,z2,nx,zz,zx", PINNED_ROWS)
+def test_compiled_rows_bit_exact(lib, a2, z2, nx, zz, zx):
+    assert lib.res_row_zz(a2, z2, nx).hex() == zz
+    assert lib.res_row_zx(a2, z2, nx).hex() == zx
+
+
+@pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])
+@pytest.mark.parametrize("a,M,z", [(0.05, 200, 0.3), (0.5, 60, 2.0), (0.01, 300, 0.05)])
+def test_sum_lattice_same_on_numpy_rows(lib, monkeypatch, array_dipole, a, M, z):
+    b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
+                 LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+    values = []
+    for impl in (lib, _numpy_backend):
+        monkeypatch.setattr(kernels, "res_row_zz", impl.res_row_zz)
+        monkeypatch.setattr(kernels, "res_row_zx", impl.res_row_zx)
+        values.append(sum_lattice(b, "resonant").resonant)
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_row_source_compiles_without_warnings(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    proc = subprocess.run(["cc", *kernels._CFLAGS, "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+                           "-o", str(tmp_path / "rows.so"), str(kernels._SOURCE), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_large_phase_fallback_row(lib):
