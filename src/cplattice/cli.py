@@ -150,8 +150,8 @@ def _asym_column(regime: asymptotics.Regime) -> str:
 
 
 def z_grid(z_min: float, z_max: float, points_per_decade: int) -> np.ndarray:
-    if not (z_min > 0.0 and z_max > z_min):
-        raise _UsageError("need 0 < z_min < z_max")
+    if not 0.0 < z_min < z_max < math.inf:
+        raise _UsageError("need 0 < z_min < z_max < inf")
     decades = math.log10(z_max / z_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(z_min, z_max, n)

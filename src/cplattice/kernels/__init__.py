@@ -8,6 +8,16 @@ command line, the machine type and the CPU model (the build uses
 process. Any failure to build or load it (no compiler, a compile error, a
 read-only directory) selects the NumPy fallback. Set
 CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library.
+
+Both backends export the same four functions:
+
+* ``res_row_zz(a2, z2, nx)`` and ``res_row_zx``: one octant row's total;
+* ``res_rows_zz(a2, z2, lo, hi)`` and ``res_rows_zx``: the rows
+  lo <= nx < hi (0 <= lo <= hi) as a new float64 array, element nx - lo
+  bitwise equal to ``res_row_*(a2, z2, nx)``. One call fills a whole range,
+  and the compiled call runs without the interpreter lock. Both are built
+  by :func:`range_entry`, which checks the range, allocates the output and
+  passes it to the backend's ``res_rows_*(a2, z2, lo, hi, out)``.
 """
 from __future__ import annotations
 
@@ -18,6 +28,8 @@ import platform
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import _numpy_backend
 
@@ -41,10 +53,10 @@ def _cpu_model() -> str:
 def load_library(cc: str = "cc", directory: Path = _HERE):
     """The compiled row library, built into ``directory`` on first use.
 
-    Returns a ``ctypes.CDLL`` with ``res_row_zz``, ``res_row_zx`` and
-    ``sincos_probe`` declared, or None when the library cannot be built or
-    loaded. The build writes a temporary file and moves it into place, so
-    concurrent first imports are safe.
+    Returns a ``ctypes.CDLL`` with ``res_row_zz``, ``res_row_zx``,
+    ``res_rows_zz``, ``res_rows_zx`` and ``sincos_probe`` declared, or None
+    when the library cannot be built or loaded. The build writes a temporary
+    file and moves it into place, so concurrent first imports are safe.
     """
     try:
         key = hashlib.sha256(b"\0".join([
@@ -69,10 +81,31 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
         fn = getattr(lib, name)
         fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_long)
         fn.restype = ctypes.c_double
+    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    for name in ("res_rows_zz", "res_rows_zx"):
+        fn = getattr(lib, name)
+        fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long, out)
+        fn.restype = None
     lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
                                  ctypes.POINTER(ctypes.c_double))
     lib.sincos_probe.restype = None
     return lib
+
+
+def range_entry(fill):
+    """The range entry point over a backend's ``res_rows_*``.
+
+    ``fill(a2, z2, lo, hi, out)`` writes the rows lo <= nx < hi into
+    ``out``; the entry point checks 0 <= lo <= hi (``ValueError``
+    otherwise), allocates ``out`` and returns it.
+    """
+    def rows(a2: float, z2: float, lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi:
+            raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
+        out = np.empty(hi - lo)
+        fill(a2, z2, lo, hi, out)
+        return out
+    return rows
 
 
 _lib = None if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else load_library()
@@ -80,6 +113,8 @@ _impl = _numpy_backend if _lib is None else _lib
 
 res_row_zz = _impl.res_row_zz
 res_row_zx = _impl.res_row_zx
+res_rows_zz = range_entry(_impl.res_rows_zz)
+res_rows_zx = range_entry(_impl.res_rows_zx)
 
 
 def backend_name() -> str:

@@ -1,9 +1,12 @@
 """NumPy fallback for the hot lattice-sum row kernels, and the octant fold.
 
-Same contract as the compiled library: one call evaluates one octant row
-n_x = const, n_y = 0..n_x, with the dihedral-orbit weights folded in, and
-returns the row total. :func:`octant_sites` is the one statement of those
-weights; the direct off-resonant sum folds its octant with it too.
+Same contract as the compiled library: ``res_row_*`` evaluates one octant
+row n_x = const, n_y = 0..n_x, with the dihedral-orbit weights folded in, and
+returns the row total, and ``res_rows_*(a2, z2, lo, hi, out)`` writes the
+rows lo <= n_x < hi into ``out`` (``kernels.range_entry`` checks the range
+and allocates ``out``). :func:`octant_sites` is the one
+statement of those weights; the direct off-resonant sum folds its octant
+with it too.
 The site terms come from :func:`cplattice.greens.resonant_sites`,
 evaluated in blocks of ``BLOCK`` sites: whole-row temporaries of long rows
 (50,000 sites) can be mapped from and returned to the OS by the allocator on
@@ -66,3 +69,15 @@ def res_row_zz(a2: float, z2: float, nx: int) -> float:
 def res_row_zx(a2: float, z2: float, nx: int) -> float:
     """Octant row for z-probe / x-array dipoles (x^2-folded weights)."""
     return _row(a2, z2, nx, True)
+
+
+def res_rows_zz(a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[nx - lo] = res_row_zz(a2, z2, nx) for lo <= nx < hi."""
+    for nx in range(lo, hi):
+        out[nx - lo] = _row(a2, z2, nx, False)
+
+
+def res_rows_zx(a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[nx - lo] = res_row_zx(a2, z2, nx) for lo <= nx < hi."""
+    for nx in range(lo, hi):
+        out[nx - lo] = _row(a2, z2, nx, True)

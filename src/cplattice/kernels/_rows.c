@@ -1,7 +1,9 @@
 /* Compiled lattice-sum row kernels, plain C99 loaded through ctypes.
 
-   Contract matches the NumPy fallback (_numpy_backend.py): one call = one
-   octant row n_x = nx, n_y = 0..nx with the orbit weights folded in. Each
+   Contract matches the NumPy fallback (_numpy_backend.py): res_row_* returns
+   one octant row n_x = nx, n_y = 0..nx with the orbit weights folded in, and
+   res_rows_*(a2, z2, lo, hi, out) writes out[nx - lo] = res_row_*(a2, z2, nx)
+   for lo <= nx < hi, so a whole octant costs one call. Each
    orientation's site term is written once (term_zz, term_zx) and serves the
    row pass, its endpoint corrections and the origin. The row pass fills
    chunks the compiler vectorizes and sums them with Neumaier compensation
@@ -138,4 +140,18 @@ double res_row_zx(double a2, double z2, long nx)
         return 0.0;
     return row_sum(1, nx2, a2, z2, nx) - 0.5 * term_zx(nx2, a2, z2, 0)
            - 0.5 * term_zx(2.0 * nx2, a2, z2, 0);
+}
+
+/* out[nx - lo] = res_row_zz(a2, z2, nx) for lo <= nx < hi. */
+void res_rows_zz(double a2, double z2, long lo, long hi, double *out)
+{
+    for (long nx = lo; nx < hi; nx++)
+        out[nx - lo] = res_row_zz(a2, z2, nx);
+}
+
+/* out[nx - lo] = res_row_zx(a2, z2, nx) for lo <= nx < hi. */
+void res_rows_zx(double a2, double z2, long lo, long hi, double *out)
+{
+    for (long nx = lo; nx < hi; nx++)
+        out[nx - lo] = res_row_zx(a2, z2, nx);
 }

@@ -16,11 +16,13 @@ one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
 :func:`offresonant_sites`. For the two principal orientations (probe z with
 array z or array x) the projections are radial, and the sum runs over one
 octant with the dihedral orbit weights of
-:func:`cplattice.kernels._numpy_backend.octant_sites`; resonant rows are
-accumulated in fixed order n_x = 0..M and reduced exactly (math.fsum), so
-results are bit-identical for any worker count.
+:func:`cplattice.kernels._numpy_backend.octant_sites`. The resonant octant
+is one call of ``kernels.res_rows_*`` over the rows n_x = 0..M, or one call
+per contiguous row range when split over threads; the row values come back
+in fixed order and are reduced exactly (math.fsum), so results are
+bit-identical for any worker count.
 General orientations lack the reflection parity needed for folding and run
-the same kernels over the full grid.
+the same kernels over the full grid, split over threads the same way.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -199,29 +201,38 @@ def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
 # ---------------------------------------------------------------------------
 # whole-lattice sums
 
-def _map_rows(fn, rows, threads, work=None):
-    """[fn(nx) for nx in rows]. With more than one thread, each worker takes
-    one contiguous range of rows holding an about equal share of ``work``
-    (the cost of each row; equal by default), and the values come back in
-    row order."""
-    if threads is not None and threads > 1:
-        cum = np.cumsum(np.ones(len(rows)) if work is None else work)
-        cuts = np.searchsorted(cum, cum[-1] * np.arange(1, threads) / threads)
-        bounds = [0, *cuts.tolist(), len(rows)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = ex.map(lambda lo, hi: [fn(nx) for nx in rows[lo:hi]], bounds[:-1], bounds[1:])
-            return [v for part in parts for v in part]
-    return [fn(nx) for nx in rows]
+def _split_rows(work, threads) -> list[tuple[int, int]]:
+    """Contiguous, non-empty index ranges (lo, hi) covering ``work`` in order,
+    at most one per thread, each holding about an equal share of the total
+    (``work`` is the cost of each row)."""
+    if threads is None or threads <= 1:
+        return [(0, len(work))]
+    cum = np.cumsum(work)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, threads) / threads)
+    bounds = [0, *cuts.tolist(), len(work)]
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def _map_ranges(fn, ranges) -> list:
+    """[fn(lo, hi) for (lo, hi) in ranges]: every range but the last on a
+    worker thread, the last on the calling thread."""
+    if len(ranges) == 1:
+        return [fn(*ranges[0])]
+    with ThreadPoolExecutor(max_workers=len(ranges) - 1) as ex:
+        futures = [ex.submit(fn, lo, hi) for lo, hi in ranges[:-1]]
+        last = fn(*ranges[-1])
+        return [f.result() for f in futures] + [last]
 
 
 def _resonant_octant(bundle: ValidatedBundle, threads) -> float:
     a2 = bundle.a_tilde ** 2
     z2 = bundle.z_tilde ** 2
-    row = kernels.res_row_zz if bundle.orientation_label() == "zz" else kernels.res_row_zx
+    rows = kernels.res_rows_zz if bundle.orientation_label() == "zz" else kernels.res_rows_zx
     M = bundle.half_extent
     # octant row nx holds the nx + 1 sites j = 0..nx
-    vals = _map_rows(lambda nx: row(a2, z2, nx), range(M + 1), threads, np.arange(1, M + 2))
-    return resonant_prefactor(bundle) * math.fsum(vals)
+    ranges = _split_rows(np.arange(1, M + 2), threads)
+    parts = _map_ranges(lambda lo, hi: rows(a2, z2, lo, hi), ranges)
+    return resonant_prefactor(bundle) * math.fsum(np.concatenate(parts).tolist())
 
 
 def _resonant_custom(bundle: ValidatedBundle, threads) -> float:
@@ -235,8 +246,10 @@ def _resonant_custom(bundle: ValidatedBundle, threads) -> float:
         r, dot, pp = site_projections(e0, en, nx * a, y, bundle.z_tilde)
         return float(np.sum(resonant_sites(r, dot, pp)))
 
-    vals = _map_rows(row, range(-M, M + 1), threads)
-    return resonant_prefactor(bundle) * math.fsum(vals)
+    # index i of the split is row nx = i - M
+    parts = _map_ranges(lambda lo, hi: [row(i - M) for i in range(lo, hi)],
+                        _split_rows(np.ones(2 * M + 1), threads))
+    return resonant_prefactor(bundle) * math.fsum(v for part in parts for v in part)
 
 
 def _offres_octant(bundle: ValidatedBundle) -> float:

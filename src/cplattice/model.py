@@ -15,6 +15,7 @@ dipole magnitudes appear in any formula, and the only remaining knobs are
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class DetuningTooSmall(ValidationError):
 
 
 class NonPositiveLength(ValidationError):
-    """A dimensionless length (z_tilde or a_tilde) is not strictly positive."""
+    """A dimensionless length (z_tilde or a_tilde) is not strictly positive and finite."""
 
 
 class NonUnitDipole(ValidationError):
@@ -154,8 +155,8 @@ class ValidatedBundle:
 
 
 def _check_mu(mu: float) -> None:
-    if not mu > 0.0:
-        raise DetuningTooSmall(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise DetuningTooSmall(f"mu must be positive and finite, got {mu}")
     if abs(1.0 - mu) < _DETUNING_TOL:
         raise DetuningTooSmall(
             f"|1 - mu| = {abs(1.0 - mu):.3g} < {_DETUNING_TOL}: "
@@ -173,12 +174,12 @@ def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise NonUnitDipole(f"{name} norm deviates from 1 by {abs(norm - 1.0):.3g}")
-    if not lattice.a_tilde > 0.0:
-        raise NonPositiveLength(f"a_tilde must be > 0, got {lattice.a_tilde}")
+    if not 0.0 < lattice.a_tilde < math.inf:
+        raise NonPositiveLength(f"a_tilde must be > 0 and finite, got {lattice.a_tilde}")
     if lattice.half_extent < 0 or int(lattice.half_extent) != lattice.half_extent:
         raise NonPositiveLength(f"half_extent must be a non-negative integer, got {lattice.half_extent}")
-    if not geom.z_tilde > 0.0:
-        raise NonPositiveLength(f"z_tilde must be > 0, got {geom.z_tilde}")
+    if not 0.0 < geom.z_tilde < math.inf:
+        raise NonPositiveLength(f"z_tilde must be > 0 and finite, got {geom.z_tilde}")
 
 
 def validate(params, lattice: LatticeSpec | None = None, geom: Geometry | None = None) -> ValidatedBundle:

@@ -174,6 +174,26 @@ def test_verify_diagrams_inputs_checked_before_any_work(monkeypatch):
         assert proc.stdout == "" and message in proc.stderr, args
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--z-tilde", "inf", "--kind", "resonant"], "z_tilde must be > 0 and finite"),
+    (["--z-tilde", "0.3", "--a-tilde", "inf"], "a_tilde must be > 0 and finite"),
+    (["--z-tilde", "0.3", "--mu", "inf"], "mu must be positive and finite")])
+def test_decompose_rejects_non_finite_inputs(flags, message):
+    # these ended in an OverflowError traceback, or printed nan and exited 0
+    proc = run_cli(["decompose", *flags])
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == "" and message in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [["--z-max", "inf"], ["--z-min", "nan"]])
+def test_sweep_rejects_non_finite_heights(tmp_path, flags):
+    proc = run_cli(["sweep", *flags])
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == "" and "need 0 < z_min < z_max < inf" in proc.stderr
+    proc = run_cli(["sweep", *flags, "-o", str(tmp_path / "never.csv")])
+    assert proc.returncode == cli.EXIT_USAGE and list(tmp_path.iterdir()) == []
+
+
 def test_principal_orientations_reject_other_dipoles(tmp_path):
     # zz and zx fix the dipole pair: any other pair used to be ignored silently
     for args in (["decompose", "--array-dipole", "1,0,0"],

@@ -4,13 +4,14 @@ the loader falls back to NumPy whenever the library cannot be built."""
 import ctypes
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cplattice import kernels
@@ -146,16 +147,78 @@ def test_compiled_rows_bit_exact(lib, a2, z2, nx, zz, zx):
     assert lib.res_row_zx(a2, z2, nx).hex() == zx
 
 
+def _range_backends(lib):
+    """(range entry point, single-row kernel) for each backend and orientation."""
+    return [(kernels.range_entry(lib.res_rows_zz), lib.res_row_zz),
+            (kernels.range_entry(lib.res_rows_zx), lib.res_row_zx),
+            (kernels.range_entry(_numpy_backend.res_rows_zz), _numpy_backend.res_row_zz),
+            (kernels.range_entry(_numpy_backend.res_rows_zx), _numpy_backend.res_row_zx)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_a2=st.floats(math.log(1e-6), math.log(1e7)),
+       log_z2=st.floats(math.log(1e-4), math.log(100.0)),
+       lo=st.integers(0, 300), length=st.integers(0, 40))
+@example(log_a2=0.0, log_z2=0.0, lo=7, length=0)
+def test_row_ranges_equal_single_rows_bitwise(lib, log_a2, log_z2, lo, length):
+    a2, z2, hi = math.exp(log_a2), math.exp(log_z2), lo + length
+    for rows, row in _range_backends(lib):
+        out = rows(a2, z2, lo, hi)
+        assert out.dtype == np.float64 and out.shape == (length,)
+        assert [v.hex() for v in out.tolist()] == [row(a2, z2, nx).hex()
+                                                   for nx in range(lo, hi)]
+
+
+def test_row_range_across_the_libm_switch(lib):
+    # the fast sin/cos serves rows whose largest phase 2 r is below 1e6: at
+    # a2 = 1e7, z2 = 1 that is rows up to 111, and libm serves the rest
+    a2, z2, lo, hi = 1e7, 1.0, 100, 130
+    fast = [2.0 * math.sqrt(2.0 * nx * nx * a2 + z2) < 1e6 for nx in range(lo, hi)]
+    assert any(fast) and not all(fast)
+    for rows, row in _range_backends(lib):
+        assert [v.hex() for v in rows(a2, z2, lo, hi).tolist()] == [
+            row(a2, z2, nx).hex() for nx in range(lo, hi)]
+
+
+def test_row_ranges_reject_bad_bounds(lib):
+    for rows, _ in _range_backends(lib):
+        for lo, hi in ((-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match="0 <= lo <= hi"):
+                rows(1e-4, 0.04, lo, hi)
+
+
+def test_loader_declares_every_exported_symbol(lib, tmp_path):
+    # an undeclared ctypes function takes ints and returns an int: doubles
+    # would pass wrongly without an error
+    loaded = kernels.load_library(directory=tmp_path)
+    c_type = {"double": ctypes.c_double, "void": None}
+    exported = re.findall(r"^(double|void) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
+    assert {name for _, name, _ in exported} >= {
+        "res_row_zz", "res_row_zx", "res_rows_zz", "res_rows_zx", "sincos_probe"}
+    for ret, name, params in exported:
+        fn = getattr(loaded, name)
+        assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
+        assert fn.restype is c_type[ret], name
+
+
 @pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])
 @pytest.mark.parametrize("a,M,z", [(0.05, 200, 0.3), (0.5, 60, 2.0), (0.01, 300, 0.05)])
 def test_sum_lattice_same_on_numpy_rows(lib, monkeypatch, array_dipole, a, M, z):
     b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
                  LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+    compiled, numpy_backend = ({"res_row_zz": impl.res_row_zz, "res_row_zx": impl.res_row_zx,
+                                "res_rows_zz": kernels.range_entry(impl.res_rows_zz),
+                                "res_rows_zx": kernels.range_entry(impl.res_rows_zx)}
+                               for impl in (lib, _numpy_backend))
+    numpy_rows, numpy_row = [], _numpy_backend._row
+    monkeypatch.setattr(_numpy_backend, "_row",
+                        lambda *args: numpy_rows.append(args[2]) or numpy_row(*args))
     values = []
-    for impl in (lib, _numpy_backend):
-        monkeypatch.setattr(kernels, "res_row_zz", impl.res_row_zz)
-        monkeypatch.setattr(kernels, "res_row_zx", impl.res_row_zx)
+    for impl in (compiled, numpy_backend):
+        for name in ("res_row_zz", "res_row_zx", "res_rows_zz", "res_rows_zx"):
+            monkeypatch.setattr(kernels, name, impl[name])
         values.append(sum_lattice(b, "resonant").resonant)
+    assert sorted(numpy_rows) == list(range(M + 1))  # the second sum ran the NumPy rows
     assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cplattice.euler_maclaurin import decompose
 from cplattice.greens import green_dyadic
-from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_rows,
+from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_ranges, _split_rows,
                                    offresonant_pair_term, resonant_pair_term,
                                    sum_lattice)
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
@@ -246,9 +246,19 @@ def test_thread_count_does_not_change_bits():
         assert len(vals) == 1
         valo = {sum_lattice(b, "off_resonant", threads=t).off_resonant for t in (1, 4)}
         assert len(valo) == 1
-    for t in (2, 3, 20):
-        assert _map_rows(lambda nx: nx, range(-7, 8), t) == list(range(-7, 8))
-        assert _map_rows(lambda nx: nx, range(8), t, np.arange(1, 9)) == list(range(8))
+    # the splitter: contiguous non-empty ranges in row order, at most one per
+    # thread, each within one row of an equal share of the work
+    for work in (np.ones(15), np.arange(1, 9), np.arange(1, 62), np.arange(1, 502)):
+        for t in (None, 1, 2, 3, 4, 16, 600):
+            ranges = _split_rows(work, t)
+            assert ranges[0][0] == 0 and ranges[-1][1] == len(work)
+            assert all(lo < hi for lo, hi in ranges)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert len(ranges) <= max(t or 1, 1)
+            share = work.sum() / (t or 1)
+            assert all(work[lo:hi].sum() <= share + work.max() for lo, hi in ranges)
+            assert _map_ranges(lambda lo, hi: list(range(lo, hi)), ranges) == [
+                list(range(lo, hi)) for lo, hi in ranges]
 
 
 def test_bad_kind_rejected():

@@ -28,6 +28,16 @@ def test_degenerate_detuning_rejected():
         bundle(mu=-0.5)
 
 
+def test_non_finite_inputs_rejected():
+    for value in (math.inf, math.nan):
+        with pytest.raises(DetuningTooSmall):
+            bundle(mu=value)
+        with pytest.raises(NonPositiveLength):
+            bundle(a=value)
+        with pytest.raises(NonPositiveLength):
+            bundle(z=value)
+
+
 def test_nonpositive_lengths_rejected():
     with pytest.raises(NonPositiveLength):
         bundle(z=0.0)
