@@ -23,8 +23,6 @@ from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice
 from .model import (X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, ValidationError,
                      validate)
 
-THREADS_ENV = "CPLATTICE_THREADS"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -89,12 +87,6 @@ def load_config(path: str | None, overrides: dict) -> Config:
     for key, value in overrides.items():
         if value is not None:
             cfg = _apply(cfg, key, value, where="command line")
-    env_threads = os.environ.get(THREADS_ENV)
-    if env_threads:
-        try:
-            cfg = replace(cfg, threads=int(env_threads))
-        except ValueError:
-            raise _UsageError(f"{THREADS_ENV}={env_threads!r} is not an integer")
     if cfg.threads < 1:
         raise _UsageError(f"threads must be >= 1, got {cfg.threads}")
     # results are identical for any worker count, so clamping is value-safe

@@ -19,14 +19,18 @@ integral (the module's tests re-derive them; the numerical path below must
 agree with them). Bzz cancels as z grows, so above z = 20 the zz bulk is
 integrated numerically like any other orientation.
 
-Every other bulk and edge integral is one fixed rule, :func:`_integrate`:
-composite 25-point Gauss-Legendre panels, with an error estimate from the
-interpolatory rule on every other node, checked against one tolerance. The
-integrands are the two vectorized site kernels, which take the dipole
-orientation as data (the projections e0.en and (e0.n)(n.en)). The bulk is
+Every other bulk and edge integral is one ray integral,
+:func:`_ray_integral`: the site term integrated along in-plane rays from
+the probe's foot and averaged over a table of unit directions. The bulk is
 (2 pi/a^2) int R <f>_phi dR over the in-plane radius R; the site terms are
 trigonometric polynomials of degree 4 in the azimuth, so the mean <f>_phi
-over 5 uniform azimuths is exact (zz needs one). There are two node layouts:
+over the 5 uniform azimuths of ``_RING`` is exact (zz needs the first). The
+edge takes one direction of ``_AXES`` per axis integral. The integrands are
+the two vectorized site kernels, which take the dipole orientation as data
+(the projections e0.en and (e0.n)(n.en)), and each integral is one fixed
+rule, :func:`_integrate`: composite 25-point Gauss-Legendre panels, with an
+error estimate from the interpolatory rule on every other node, checked
+against one tolerance. The kind selects one of two node layouts:
 
 * real path (off-resonant edge and bulk): fixed panels in s = R/z, with the
   s = 16/t tail;
@@ -56,9 +60,8 @@ from . import specfun
 from .greens import resonant_sites_complex
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .lattice_sum import (QuadratureFailure, offresonant_pair_term, offresonant_prefactor,
-                          offresonant_sites, resonant_pair_term, resonant_prefactor,
-                          site_projections)
+from .lattice_sum import (QuadratureFailure, offresonant_pair_term, offresonant_sites,
+                          prefactor, resonant_pair_term, site_projections)
 from .model import ValidatedBundle, validate
 
 
@@ -144,37 +147,45 @@ def _rotated_rule(z: float):
 
 
 # ---------------------------------------------------------------------------
-# bulk
+# ray integrals
 
-_AZIMUTHS = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
+# In-plane unit directions (cos, sin): the 5 azimuths of the bulk's mean (zz
+# needs only the first) and the two positive half-axes of the edge.
+_RING = np.stack([trig(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
+                  for trig in (np.cos, np.sin)], axis=-1)
+_AXES = {"x": np.array([[1.0, 0.0]]), "y": np.array([[0.0, 1.0]])}
 
 
-def _rings(bundle: ValidatedBundle, big_r):
-    """Site projections on the rings of in-plane radius big_r, azimuths on
-    the last axis."""
-    phi = _AZIMUTHS[:1] if bundle.orientation_label() == "zz" else _AZIMUTHS
+def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions,
+                  axis: str | None = None) -> float:
+    """Re int J <f(R d)>_d along the in-plane radius R, averaged over the
+    unit directions d, with the kind's site term f and no prefactor.
+
+    The kind picks the path: resonant takes the rotated rule, with r = z + t
+    e^{i pi/4}, R = sqrt(r^2 - z^2) and J = r for the bulk, and R = t e^{i pi/4}
+    and J = 1 for the edge; off-resonant takes the real rule, R = z s, with
+    J = z^2 s for the bulk and J = z for the edge.
+    """
+    z = bundle.z_tilde
+    if kind == "resonant":
+        t, w, w_low = _rotated_rule(z)
+        if stage == "bulk":
+            jac = z + t
+            big_r = np.sqrt(jac * jac - z * z)
+        else:
+            jac, big_r = 1.0, t
+    else:
+        w, w_low = _S_W, _S_W_LOW
+        big_r = z * _S
+        jac = z * z * _S if stage == "bulk" else z
     big_r = big_r[..., None]
-    return site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                            big_r * np.cos(phi), big_r * np.sin(phi), bundle.z_tilde)
-
-
-def _bulk_resonant_generic(bundle: ValidatedBundle) -> float:
-    """(2 pi/a^2) Re int r <F>_phi dr along r = z + t e^{i pi/4}."""
-    z = bundle.z_tilde
-    t, w, w_low = _rotated_rule(z)
-    r = z + t
-    f = r * resonant_sites_complex(*_rings(bundle, np.sqrt(r * r - z * z))).mean(axis=-1)
-    integral = _integrate(f, w, w_low, bundle, "bulk resonant")
-    return resonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
-
-
-def _bulk_offres(bundle: ValidatedBundle) -> float:
-    """(2 pi/a^2) z^2 int s <f>_phi ds, s = R/z."""
-    z = bundle.z_tilde
-    r, dot, pp = _rings(bundle, z * _S)
-    f = z * z * _S * offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape).mean(axis=-1)
-    integral = _integrate(f, _S_W, _S_W_LOW, bundle, "bulk off_resonant")
-    return offresonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
+    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
+                                  big_r * directions[:, 0], big_r * directions[:, 1], z)
+    if kind == "resonant":
+        f = resonant_sites_complex(r, dot, pp)
+    else:
+        f = offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape)
+    return _integrate(jac * f.mean(axis=-1), w, w_low, bundle, f"{stage} {kind}", axis)
 
 
 # Above this height the zz bulk takes the rotated path: bracket_zz loses digits
@@ -187,46 +198,16 @@ _ZZ_CLOSED_FORM_MAX_Z = 20.0
 def bulk_term(bundle: ValidatedBundle, kind: str) -> float:
     """The (4/a^2) double-integral term for the unbounded lattice."""
     bundle = validate(bundle)
+    pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
     z = bundle.z_tilde
     a2 = bundle.a_tilde ** 2
-    if kind == "resonant":
-        k_pref = resonant_prefactor(bundle)
-        if label == "zz" and z <= _ZZ_CLOSED_FORM_MAX_Z:
-            return k_pref * 2.0 * math.pi * bracket_zz(z) / (8.0 * a2 * z ** 4)
-        if label == "zx":
-            return k_pref * math.pi * bracket_zx(z) / (8.0 * a2 * z ** 4)
-        return _bulk_resonant_generic(bundle)
-    if kind == "off_resonant":
-        return _bulk_offres(bundle)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# edge
-
-def _axis_points(axis: str, s):
-    """(x, y) of the points at distance s along one positive axis."""
-    return (s, 0.0) if axis == "x" else (0.0, s)
-
-
-def _edge_axis_resonant(bundle: ValidatedBundle, axis: str) -> float:
-    """Re int F(x) dx along x = t e^{i pi/4} on one positive axis (unit
-    prefactor folded in)."""
-    z = bundle.z_tilde
-    x, w, w_low = _rotated_rule(z)
-    f = resonant_sites_complex(*site_projections(
-        bundle.params.test_dipole, bundle.params.array_dipole, *_axis_points(axis, x), z))
-    return _integrate(f, w, w_low, bundle, "edge resonant", axis)
-
-
-def _edge_axis_offres(bundle: ValidatedBundle, axis: str) -> float:
-    """int_0^inf of the off-resonant site integral along one positive axis."""
-    z = bundle.z_tilde
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  *_axis_points(axis, z * _S.ravel()), z)
-    f = z * offresonant_sites(r, dot, pp, bundle.mu).reshape(_S.shape)
-    return _integrate(f, _S_W, _S_W_LOW, bundle, "edge off_resonant", axis)
+    if kind == "resonant" and label == "zz" and z <= _ZZ_CLOSED_FORM_MAX_Z:
+        return pref * 2.0 * math.pi * bracket_zz(z) / (8.0 * a2 * z ** 4)
+    if kind == "resonant" and label == "zx":
+        return pref * math.pi * bracket_zx(z) / (8.0 * a2 * z ** 4)
+    ring = _RING[:1] if label == "zz" else _RING
+    return pref * (2.0 * math.pi / a2) * _ray_integral(bundle, kind, "bulk", ring)
 
 
 def edge_term(bundle: ValidatedBundle, kind: str) -> float:
@@ -242,27 +223,20 @@ def edge_term(bundle: ValidatedBundle, kind: str) -> float:
     has to ship together with newly recorded references.
     """
     bundle = validate(bundle)
+    pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
-    if kind == "resonant":
-        axis_integral, pref = _edge_axis_resonant, resonant_prefactor(bundle)
-    elif kind == "off_resonant":
-        axis_integral, pref = _edge_axis_offres, offresonant_prefactor(bundle)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    ax = axis_integral(bundle, "x")
+    ax = _ray_integral(bundle, kind, "edge", _AXES["x"], "x")
     ay = (ax if label == "zz" else 0.0 if label == "zx"
-          else axis_integral(bundle, "y"))
+          else _ray_integral(bundle, kind, "edge", _AXES["y"], "y"))
     return pref * (2.0 / bundle.a_tilde) * (ax + ay)
 
 
 def vertex_term(bundle: ValidatedBundle, kind: str) -> float:
     """The single-atom term: exactly the (0, 0) pair contribution."""
     bundle = validate(bundle)
-    if kind == "resonant":
-        return resonant_pair_term(0, 0, bundle)
-    if kind == "off_resonant":
-        return offresonant_pair_term(0, 0, bundle)
-    raise ValueError(f"unknown kind {kind!r}")
+    prefactor(bundle, kind)  # rejects an unknown kind
+    pair_term = resonant_pair_term if kind == "resonant" else offresonant_pair_term
+    return pair_term(0, 0, bundle)
 
 
 def decompose(bundle: ValidatedBundle, kind: str) -> ShiftBreakdown:

@@ -104,6 +104,15 @@ def offresonant_prefactor(bundle: ValidatedBundle) -> float:
     return 9.0 * bundle.rho * bundle.mu / (8.0 * math.pi)
 
 
+def prefactor(bundle: ValidatedBundle, kind: str) -> float:
+    """The prefactor of ``kind``: the one place an unknown kind is rejected."""
+    if kind == "resonant":
+        return resonant_prefactor(bundle)
+    if kind == "off_resonant":
+        return offresonant_prefactor(bundle)
+    raise ValueError(f"kind must be 'resonant' or 'off_resonant', got {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # single-site terms
 
@@ -232,7 +241,7 @@ def _resonant_octant(bundle: ValidatedBundle, threads) -> float:
     # octant row nx holds the nx + 1 sites j = 0..nx
     ranges = _split_rows(np.arange(1, M + 2), threads)
     parts = _map_ranges(lambda lo, hi: rows(a2, z2, lo, hi), ranges)
-    return resonant_prefactor(bundle) * math.fsum(np.concatenate(parts).tolist())
+    return math.fsum(np.concatenate(parts).tolist())
 
 
 def _resonant_custom(bundle: ValidatedBundle, threads) -> float:
@@ -249,7 +258,7 @@ def _resonant_custom(bundle: ValidatedBundle, threads) -> float:
     # index i of the split is row nx = i - M
     parts = _map_ranges(lambda lo, hi: [row(i - M) for i in range(lo, hi)],
                         _split_rows(np.ones(2 * M + 1), threads))
-    return resonant_prefactor(bundle) * math.fsum(v for part in parts for v in part)
+    return math.fsum(v for part in parts for v in part)
 
 
 def _offres_octant(bundle: ValidatedBundle) -> float:
@@ -259,7 +268,7 @@ def _offres_octant(bundle: ValidatedBundle) -> float:
     # the site term is a function of nx^2 + j^2: evaluate it once per distance
     _, first, site = np.unique(nx * nx + j * j, return_index=True, return_inverse=True)
     radial = offresonant_sites(r[first], dot, pp[first], bundle.mu)
-    return offresonant_prefactor(bundle) * math.fsum(w * radial[site])
+    return math.fsum(w * radial[site])
 
 
 def _offres_custom(bundle: ValidatedBundle) -> float:
@@ -268,7 +277,7 @@ def _offres_custom(bundle: ValidatedBundle) -> float:
     x, y = np.meshgrid(n, n, indexing="ij")
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
                                   x.ravel(), y.ravel(), bundle.z_tilde)
-    return offresonant_prefactor(bundle) * math.fsum(offresonant_sites(r, dot, pp, bundle.mu))
+    return math.fsum(offresonant_sites(r, dot, pp, bundle.mu))
 
 
 def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = None,
@@ -285,13 +294,10 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
     count = bundle.lattice.atom_count
     if site_budget is not None and count > site_budget:
         raise SiteBudgetExceeded(f"{count} sites exceed budget {site_budget}")
-    label = bundle.orientation_label()
+    pref = prefactor(bundle, kind)
+    octant = bundle.orientation_label() in ("zz", "zx")
     if kind == "resonant":
-        value = (_resonant_octant(bundle, threads) if label in ("zz", "zx")
-                 else _resonant_custom(bundle, threads))
-        return ShiftResult(resonant=value, off_resonant=None, terms_summed=count)
-    if kind == "off_resonant":
-        value = (_offres_octant(bundle) if label in ("zz", "zx")
-                 else _offres_custom(bundle))
-        return ShiftResult(resonant=None, off_resonant=value, terms_summed=count)
-    raise ValueError(f"kind must be 'resonant' or 'off_resonant', got {kind!r}")
+        value = _resonant_octant(bundle, threads) if octant else _resonant_custom(bundle, threads)
+        return ShiftResult(resonant=pref * value, off_resonant=None, terms_summed=count)
+    value = _offres_octant(bundle) if octant else _offres_custom(bundle)
+    return ShiftResult(resonant=None, off_resonant=pref * value, terms_summed=count)

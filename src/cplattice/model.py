@@ -75,11 +75,6 @@ class ModelParams:
         object.__setattr__(self, "test_dipole", _as_unit_tuple(self.test_dipole))
         object.__setattr__(self, "array_dipole", _as_unit_tuple(self.array_dipole))
 
-    @property
-    def detuning(self) -> float:
-        """delta/omega0 = 1 - mu."""
-        return 1.0 - self.mu
-
     def orientation_label(self) -> str:
         """'zz' or 'zx' when the dipoles match the two studied principal
         configurations exactly, else 'custom'."""

@@ -7,20 +7,17 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 from cplattice import cli, diagrams, euler_maclaurin, fitting
 
 
-def run_cli(args, env_extra=None):
-    """``cli.main(args)`` in this process, with its output captured and the
-    environment restored afterwards; returns what a subprocess run would."""
+def run_cli(args):
+    """``cli.main(args)`` in this process, with its output captured; returns
+    what a subprocess run would."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
-        os.environ.pop(cli.THREADS_ENV, None)
-        os.environ.update(env_extra or {})
+    with redirect_stdout(out), redirect_stderr(err):
         rc = cli.main(list(args))
     return subprocess.CompletedProcess(args, rc, out.getvalue(), err.getvalue())
 
@@ -29,13 +26,12 @@ def test_module_entry_point_in_subprocess():
     # the only test that starts an interpreter: `python -m cplattice.cli`
     # prints what cli.main prints and exits with its code
     args = ["asymptotic", "--z-tilde", "0.3"]
-    env = {k: v for k, v in os.environ.items() if k != cli.THREADS_ENV}
     ok = subprocess.run([sys.executable, "-m", "cplattice.cli", *args],
-                        capture_output=True, text=True, env=env)
+                        capture_output=True, text=True)
     assert ok.returncode == cli.EXIT_OK
     assert ok.stdout == run_cli(args).stdout
     bad = subprocess.run([sys.executable, "-m", "cplattice.cli", "sweep", "--mu", "1.0"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True)
     assert bad.returncode == cli.EXIT_USAGE
     assert bad.stdout == "" and "invalid parameters" in bad.stderr
 
@@ -67,15 +63,6 @@ def test_sweep_deterministic_across_threads(tmp_path):
         assert proc.returncode == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_env_var_overrides_threads(tmp_path):
-    out1 = tmp_path / "e1.csv"
-    out2 = tmp_path / "e2.csv"
-    assert run_cli(SWEEP_ARGS + ["-o", str(out1)]).returncode == 0
-    assert run_cli(SWEEP_ARGS + ["--threads", "1", "-o", str(out2)],
-                   env_extra={cli.THREADS_ENV: "8"}).returncode == 0
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_sweep_budget_skips_direct_columns(tmp_path):
@@ -392,9 +379,8 @@ def test_in_process_sweep_writer():
     assert buf.getvalue().startswith("z_tilde,")
 
 
-def test_sweep_all_defaults_exits_zero(tmp_path, monkeypatch):
+def test_sweep_all_defaults_exits_zero(tmp_path):
     # in process, one worker: z from 0.01 to 100 at 64 points per decade
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     out = tmp_path / "defaults.csv"
     assert cli.main(["sweep", "--output", str(out)]) == cli.EXIT_OK
     rows = list(csv.DictReader(out.open()))
@@ -405,7 +391,6 @@ def test_sweep_all_defaults_exits_zero(tmp_path, monkeypatch):
 
 def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys):
     # the zz resonant bulk is a closed form, so the resonant edge fails first
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
     rc = cli.main(SWEEP_ARGS + ["--threads", "1", "-o", str(tmp_path / "f.csv")])
     assert rc == cli.EXIT_NUMERICAL
@@ -416,7 +401,6 @@ def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys
 def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, capsys):
     # the edge rule starts failing at the second height, after the header
     # and the first row have been written
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     decompose = euler_maclaurin.decompose
     calls = []
 
@@ -437,17 +421,15 @@ def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, c
     assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
 
 
-def test_unwritable_output_exits_usage(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+def test_unwritable_output_exits_usage(tmp_path, capsys):
     out = tmp_path / "missing" / "f.csv"
     assert cli.main(SWEEP_ARGS + ["-o", str(out)]) == cli.EXIT_USAGE
     assert f"cannot write {str(out)!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_threads_validated_before_any_work(tmp_path, monkeypatch, capsys):
+def test_threads_validated_before_any_work(tmp_path, capsys):
     # validation path only: no sweep runs and no thread is started
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     for bad in ("0", "-3"):
         with pytest.raises(cli._UsageError, match="threads must be >= 1"):
             cli.load_config(None, {"threads": bad})
@@ -459,13 +441,12 @@ def test_threads_validated_before_any_work(tmp_path, monkeypatch, capsys):
     assert cli.main(["sweep", "--threads", "0", "-o", str(out)]) == cli.EXIT_USAGE
     assert "threads must be >= 1" in capsys.readouterr().err
     assert not out.exists()
-    monkeypatch.setenv(cli.THREADS_ENV, "-1")
+    conf.write_text("threads = -1\n")
     with pytest.raises(cli._UsageError, match="threads must be >= 1"):
-        cli.load_config(None, {"threads": 1})
+        cli.load_config(str(conf), {})
     # more workers than cores are clamped: results do not depend on the count
-    monkeypatch.setenv(cli.THREADS_ENV, "50001")
-    assert cli.load_config(None, {}).threads == os.cpu_count()
-    monkeypatch.delenv(cli.THREADS_ENV)
+    conf.write_text("threads = 50001\n")
+    assert cli.load_config(str(conf), {}).threads == os.cpu_count()
     assert cli.load_config(None, {"threads": 16}).threads == min(16, os.cpu_count())
     assert cli.load_config(None, {}).threads == 1
 
@@ -479,7 +460,6 @@ def _readme_commands():
 
 def test_readme_commands_exit_zero(tmp_path, monkeypatch):
     # in process, in the README's order: the fit lines read the sweep's CSV
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert [args[0] for args in commands] == ["sweep", "decompose", "asymptotic",

@@ -18,16 +18,30 @@ from scipy.integrate import quad
 from scipy.special import expn
 
 from cplattice import euler_maclaurin, lattice_sum
-from cplattice.euler_maclaurin import (ShiftBreakdown, _bulk_resonant_generic, bulk_term,
+from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral, bulk_term,
                                        decompose, edge_term, vertex_term)
 from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, offresonant_sites,
-                                   resonant_pair_term, resonant_prefactor, site_projections)
+                                   prefactor, resonant_pair_term, resonant_prefactor,
+                                   site_projections)
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
 def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, array=(0, 0, 1)):
     return validate(ModelParams(mu=mu, rho=rho, array_dipole=array),
                     LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+
+
+def _bulk_integral(bundle, kind="resonant"):
+    """bulk_term's ray-integral route, taken also where bulk_term has a
+    closed form: one azimuth for zz, five otherwise."""
+    ring = _RING[:1] if bundle.orientation_label() == "zz" else _RING
+    return prefactor(bundle, kind) * (2.0 * math.pi / bundle.a_tilde ** 2) \
+        * _ray_integral(bundle, kind, "bulk", ring)
+
+
+def _axis_integral(bundle, kind, axis):
+    """One positive half-axis integral of edge_term, without its prefactor."""
+    return _ray_integral(bundle, kind, "edge", _AXES[axis], axis)
 
 
 def contour_bulk_resonant(bundle):
@@ -118,16 +132,16 @@ def test_generic_resonant_bulk_path_agrees_with_closed_forms():
     # pairs directly, must land on the closed forms
     for z in (0.2, 1.3, 6.0):
         b = mk(z=z)
-        assert _bulk_resonant_generic(b) == pytest.approx(bulk_term(b, "resonant"), rel=1e-9)
+        assert _bulk_integral(b) == pytest.approx(bulk_term(b, "resonant"), rel=1e-9)
         bx = mk(z=z, array=(1, 0, 0))
-        assert _bulk_resonant_generic(bx) == pytest.approx(bulk_term(bx, "resonant"), rel=1e-9)
+        assert _bulk_integral(bx) == pytest.approx(bulk_term(bx, "resonant"), rel=1e-9)
 
 
 @pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
 def test_zz_bulk_above_switch_height_takes_rotated_path(z):
     # bracket_zz cancels at these heights (1.4e-8 relative at z = 1e4)
     b = mk(z=z)
-    assert bulk_term(b, "resonant") == _bulk_resonant_generic(b)
+    assert bulk_term(b, "resonant") == _bulk_integral(b)
     assert bulk_term(b, "resonant") == pytest.approx(contour_bulk_resonant(b), rel=1e-12)
 
 
@@ -137,7 +151,7 @@ def test_zz_bulk_keeps_closed_form_up_to_switch_height():
         want = resonant_prefactor(b) * 2.0 * math.pi * euler_maclaurin.bracket_zz(z) \
             / (8.0 * b.a_tilde ** 2 * z ** 4)
         assert bulk_term(b, "resonant") == want
-        assert _bulk_resonant_generic(b) == pytest.approx(want, rel=1e-13)
+        assert _bulk_integral(b) == pytest.approx(want, rel=1e-13)
 
 
 def test_offres_radial_kernels_vs_brute_quadrature():
@@ -280,12 +294,12 @@ def test_resonant_edge_reference_values():
 
 
 def test_edge_axis_symmetry_zz_and_zx():
-    from cplattice.euler_maclaurin import _edge_axis_offres, _edge_axis_resonant
     b = mk(z=0.4)
-    assert _edge_axis_resonant(b, "x") == pytest.approx(_edge_axis_resonant(b, "y"), rel=1e-12)
+    assert _axis_integral(b, "resonant", "x") == pytest.approx(
+        _axis_integral(b, "resonant", "y"), rel=1e-12)
     bx = mk(z=0.4, array=(1, 0, 0))
-    assert _edge_axis_resonant(bx, "y") == 0.0
-    assert _edge_axis_offres(bx, "y") == 0.0
+    assert _axis_integral(bx, "resonant", "y") == 0.0
+    assert _axis_integral(bx, "off_resonant", "y") == 0.0
 
 
 def test_vertex_is_exactly_the_origin_pair_term():
@@ -392,3 +406,48 @@ def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair)
     assert b.orientation_label() == pair
     with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z=0.3, mu=0.6 \\({pair}"):
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
+
+
+# (orientation, kind, z, bulk, edge, vertex) as float.hex at mu = 0.5,
+# rho = 1e-6, a = 0.01, recorded before the bulk and edge integrands became
+# one ray integral; z = 25 is the zz bulk on the rotated path. The values
+# rest on NumPy's and SciPy's sin, cos, exp and sici, so another build of
+# those may move the last bits.
+PINNED_TERMS = [
+    ('zz', 'resonant', 0.01, '0x1.af7d5adf96789p+20', '0x1.146b9b98d8003p+22', '0x1.6e3f5fffffa68p+21'),
+    ('zz', 'resonant', 0.3, '0x1.3d10e855b2f40p+1', '0x1.a86980d3c68b4p-3', '0x1.25ecd6fed0e77p-8'),
+    ('zz', 'resonant', 5.0, '-0x1.ab2dac5223be1p-13', '0x1.3d08748b5f3dcp-30', '0x1.83d78562e81edp-29'),
+    ('zz', 'resonant', 25.0, '-0x1.a823cb0c980e3p-21', '-0x1.103e9cb02c627p-27', '-0x1.0a00fda34b18dp-37'),
+    ('zz', 'resonant', 1000.0, '0x1.8181bc088b2b9p-35', '0x1.7e4dbede1a3cep-46', '0x1.4702ec5074e3fp-60'),
+    ('zz', 'off_resonant', 0.01, '0x1.af676e44e960fp+19', '0x1.145ea7f4bb90bp+21', '0x1.6e317989b8cf7p+20'),
+    ('zz', 'off_resonant', 0.3, '0x1.0d4647ef2920bp+0', '0x1.717891e48f466p-4', '0x1.066843eec33c1p-9'),
+    ('zz', 'off_resonant', 5.0, '0x1.4d84524fefc20p-18', '0x1.cfa9ea6161646p-26', '0x1.5012c8940df1ep-35'),
+    ('zz', 'off_resonant', 25.0, '0x1.f670b468e66b8p-30', '0x1.1b8c109704b4cp-39', '0x1.4e9041e505521p-51'),
+    ('zz', 'off_resonant', 1000.0, '0x1.4c0a242e2bf72p-56', '0x1.2c26ffcc3f5b8p-71', '0x1.1bb68558bfbd5p-88'),
+    ('zx', 'resonant', 0.01, '0x1.af75fb06c10e1p+19', '0x1.947d39d35ae5fp+19', '0x0.0p+0'),
+    ('zx', 'resonant', 0.3, '0x1.296d3a95af797p+0', '0x1.25745c916e6a1p-5', '0x0.0p+0'),
+    ('zx', 'resonant', 5.0, '0x1.4186de0e76cb4p-12', '0x1.3f5e826963a47p-20', '0x0.0p+0'),
+    ('zx', 'resonant', 25.0, '-0x1.35c6ad063a1dcp-16', '-0x1.a7bbef2a1a1e9p-27', '0x0.0p+0'),
+    ('zx', 'resonant', 1000.0, '0x1.2a9e3057fe456p-28', '-0x1.d40dd727b84e9p-41', '-0x0.0p+0'),
+    ('zx', 'off_resonant', 0.01, '0x1.af6afb3ed1026p+18', '0x1.9474f8b724105p+18', '0x0.0p+0'),
+    ('zx', 'off_resonant', 0.3, '0x1.113c2836983d7p-1', '0x1.123bc0590110fp-6', '0x0.0p+0'),
+    ('zx', 'off_resonant', 5.0, '0x1.8e5204dbd968dp-19', '0x1.96e103497cec2p-28', '0x0.0p+0'),
+    ('zx', 'off_resonant', 25.0, '0x1.39006c3558049p-30', '0x1.04c1935c9c1cdp-41', '0x0.0p+0'),
+    ('zx', 'off_resonant', 1000.0, '0x1.9f0c72f0b36c5p-57', '0x1.151021b063301p-73', '0x0.0p+0'),
+]
+
+
+@pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
+def test_terms_bit_exact(label, kind, z, bulk, edge, vertex):
+    b = mk(z=z, array=(0, 0, 1) if label == "zz" else (1, 0, 0))
+    assert b.orientation_label() == label
+    assert (bulk_term(b, kind).hex(), edge_term(b, kind).hex(),
+            vertex_term(b, kind).hex()) == (bulk, edge, vertex)
+
+
+@pytest.mark.parametrize("fn", [lattice_sum.sum_lattice, bulk_term, edge_term, vertex_term,
+                                decompose])
+def test_unknown_kind_rejected_with_one_message(fn):
+    with pytest.raises(ValueError) as exc:
+        fn(mk(), "both")
+    assert str(exc.value) == "kind must be 'resonant' or 'off_resonant', got 'both'"

@@ -39,7 +39,6 @@ SCRIPT = textwrap.dedent("""
 
 def test_running_the_package_loads_no_scipy_integrate_or_optimize():
     env = dict(os.environ)
-    env.pop("CPLATTICE_THREADS", None)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,

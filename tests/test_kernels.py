@@ -6,8 +6,10 @@ import math
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -243,14 +245,40 @@ def test_large_phase_fallback_row(lib):
     assert v2 == pytest.approx(w2, rel=1e-11)
 
 
-def test_row_throughput_contract(lib):
-    # >= 1e8 site terms / second / core through the compiled fast path
-    import time
-    nx = 30000
-    lib.res_row_zz(1e-4, 0.04, nx)  # warm up
+# The median time of _reference_piece on the 2-vCPU Xeon host where the bar
+# was set; perfbench/calibration.py holds the same piece and constant.
+REFERENCE_PIECE_S = 0.0009
+
+
+def _reference_piece() -> float:
+    """A copy of perfbench/calibration.py's piece: a short loop of interpreted
+    float arithmetic whose time tracks the host's speed. Returns its seconds."""
     t0 = time.perf_counter()
-    reps = 10
-    for _ in range(reps):
-        lib.res_row_zz(1e-4, 0.04, nx)
-    rate = reps * (nx + 1) / (time.perf_counter() - t0)
-    assert rate > 1e8, f"{rate:.3g} site terms/s"
+    s = 0.0
+    for i in range(4000):
+        x = i * 1e-3
+        s += math.exp(-x) * (x * x + 1.0) / (1.0 + x)
+    return time.perf_counter() - t0
+
+
+def test_row_throughput_contract(lib):
+    # >= 1e8 site terms per reference second per core through the compiled
+    # fast path. Other tenants slow the whole host by up to 2x in phases, so
+    # each batch of rows is timed next to one reference piece, its rate is
+    # rescaled by how much slower than REFERENCE_PIECE_S the piece ran, and
+    # the median over the rounds is gated. A piece faster than the reference
+    # earns no penalty: on the 2-vCPU Xeon host the piece's median swung
+    # between 0.62 and 1.08 ms within seconds while the row held 1.24-1.45e8
+    # terms/s, so a full rescale failed 4 of 22 runs of unchanged code.
+    nx, reps = 30000, 10
+    lib.res_row_zz(1e-4, 0.04, nx)  # warm up
+    rates = []
+    for _ in range(21):
+        piece_s = _reference_piece()
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            lib.res_row_zz(1e-4, 0.04, nx)
+        rate = reps * (nx + 1) / (time.perf_counter() - t0)
+        rates.append(rate * max(piece_s / REFERENCE_PIECE_S, 1.0))
+    rate = statistics.median(rates)
+    assert rate > 1e8, f"{rate:.3g} site terms per reference second"

@@ -25,14 +25,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from cplattice import kernels
-from cplattice.euler_maclaurin import (_bulk_resonant_generic, _edge_axis_resonant,
-                                       _rotated_rule)
+from cplattice.euler_maclaurin import _rotated_rule
 from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
                               scalar_coefficients)
 from cplattice.lattice_sum import QuadratureFailure
 from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import resonant_pair_term, resonant_prefactor
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
+from test_euler_maclaurin import _axis_integral, _bulk_integral
 
 
 def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, test=(0, 0, 1), array=(0, 0, 1)):
@@ -206,9 +206,10 @@ def _edge_axis_loop(bundle, axis):
 def test_generic_paths_match_former_loops(pair, z):
     e0, en = _PAIRS[pair]
     b = mk(mu=0.6, a=0.6, M=8, z=z, test=tuple(e0), array=tuple(en))
-    assert _bulk_resonant_generic(b) == pytest.approx(_bulk_loop(b), rel=1e-12)
+    assert _bulk_integral(b) == pytest.approx(_bulk_loop(b), rel=1e-12)
     for axis in ("x", "y"):
-        assert _edge_axis_resonant(b, axis) == pytest.approx(_edge_axis_loop(b, axis), rel=1e-12)
+        assert _axis_integral(b, "resonant", axis) == pytest.approx(
+            _edge_axis_loop(b, axis), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def test_rotated_edge_matches_real_axis_integral(pair):
         b = mk(z=z, test=tuple(e0), array=tuple(en))
         for axis in ("x", "y"):
             want = _edge_axis_real(b, axis)
-            assert _edge_axis_resonant(b, axis) == pytest.approx(want, rel=1e-10, abs=1e-300)
+            assert _axis_integral(b, "resonant", axis) == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
 @pytest.mark.parametrize("pair", range(len(_ORACLE_PAIRS)))
@@ -331,4 +332,4 @@ def test_rotated_bulk_matches_vertical_contour(pair):
     e0, en = _ORACLE_PAIRS[pair]
     for z in _ORACLE_Z:
         b = mk(z=z, test=tuple(e0), array=tuple(en))
-        assert _bulk_resonant_generic(b) == pytest.approx(_bulk_vertical(b), rel=1e-10)
+        assert _bulk_integral(b) == pytest.approx(_bulk_vertical(b), rel=1e-10)
