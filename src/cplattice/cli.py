@@ -14,6 +14,7 @@ import contextlib
 import csv
 import math
 import os
+import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
-from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice
+from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice, usable_cpus
 from .model import (X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, ValidationError,
                      validate)
 
@@ -92,7 +93,7 @@ def load_config(path: str | None, overrides: dict) -> Config:
     if cfg.threads < 1:
         raise _UsageError(f"threads must be >= 1, got {cfg.threads}")
     # results are identical for any worker count, so clamping is value-safe
-    return replace(cfg, threads=min(cfg.threads, os.cpu_count() or 1))
+    return replace(cfg, threads=min(cfg.threads, usable_cpus()))
 
 
 def _apply(cfg: Config, key: str, value, where: str) -> Config:
@@ -333,7 +334,22 @@ def build_parser() -> _Parser:
 
 def _write_replacing(path: str, write) -> int:
     """Run ``write(fh)`` on a temporary file beside ``path`` and move it onto
-    ``path`` only when it returns, so a failure leaves ``path`` untouched."""
+    ``path`` only when it returns, so a failure leaves ``path`` untouched.
+
+    A path that exists and is not a regular file (a FIFO, a character device
+    such as /dev/null) is written directly and gets no atomic replace: a
+    failure can leave part of the output in it."""
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no such file yet, or none that can be examined
+        special = False
+    if special:
+        try:
+            fh = open(path, "w", newline="")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
+        with fh:
+            return write(fh)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         fh = open(tmp, "x", newline="")

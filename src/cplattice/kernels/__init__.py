@@ -9,15 +9,30 @@ process. Any failure to build or load it (no compiler, a compile error, a
 read-only directory) selects the NumPy fallback. Set
 CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library.
 
-Both backends export the same five functions:
+Both backends export the same six functions:
 
 * ``res_row_zz(a2, z2, nx)`` and ``res_row_zx``: one octant row's total;
 * ``res_rows_zz(a2, z2, lo, hi)`` and ``res_rows_zx``: the rows
   lo <= nx < hi (0 <= lo <= hi) as a new float64 array, element nx - lo
   bitwise equal to ``res_row_*(a2, z2, nx)``. One call fills a whole range,
-  and the compiled call runs without the interpreter lock. Both are built
-  by :func:`range_entry`, which checks the range, allocates the output and
-  passes it to the backend's ``res_rows_*(a2, z2, lo, hi, out)``;
+  and the compiled call runs without the interpreter lock. On the NumPy
+  backend, and on the compiled one for ranges of more than
+  ``TABLE_SITE_CAP`` sites, they stream: :func:`range_entry` checks the
+  range, allocates the output and passes it to the backend's
+  ``res_rows_*(a2, z2, lo, hi, out)``, which evaluates every site. Below the
+  cap the compiled entry (:func:`table_entry`) reads the range's
+  :func:`distance_table` and calls ``table_rows_*``, which evaluates the
+  site term once per distinct distance and gathers each row from those
+  values in the streaming row's order, eight rows side by side, so the rows
+  are the same bits. Rows whose largest phase reaches the fast sin/cos
+  bound stream inside that call;
+* ``distance_table(lo, hi)``: the distinct nx^2 + j^2 of the octant sites
+  of those rows and each site's index into them, shared by the resonant
+  rows above and the direct off-resonant octant sum. The compiled builder
+  marks the distances in a bitmap and ranks them by word counts; the NumPy
+  one calls ``np.unique``. Tables of up to ``TABLE_SITE_CAP`` sites in all
+  are kept for the process (4 bytes a site and 8 a distance: 1.1 MB at
+  M = 500);
 * ``phi_laguerre(y, t, w, pw)``: the off-resonant kernel's Gauss-Laguerre
   branch, Phi_0..4(y) as the columns of a new (y.size, 5) array, for the
   nodes t, weights w and powers pw = (t/2)^k that ``lattice_sum`` defines.
@@ -33,6 +48,7 @@ import os
 import platform
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +76,8 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     """The compiled row library, built into ``directory`` on first use.
 
     Returns a ``ctypes.CDLL`` with ``res_row_zz``, ``res_row_zx``,
-    ``res_rows_zz``, ``res_rows_zx``, ``phi_laguerre`` and ``sincos_probe``
-    declared, or None
+    ``res_rows_zz``, ``res_rows_zx``, ``distance_table``, ``table_rows_zz``,
+    ``table_rows_zx``, ``phi_laguerre`` and ``sincos_probe`` declared, or None
     when the library cannot be built or loaded. The build writes a temporary
     file and moves it into place, so concurrent first imports are safe.
     """
@@ -94,6 +110,15 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
         fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long, out)
         fn.restype = None
     vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    index = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    index_out = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lib.distance_table.argtypes = (ctypes.c_long, ctypes.c_long, out, index_out)
+    lib.distance_table.restype = ctypes.c_long
+    for name in ("table_rows_zz", "table_rows_zx"):
+        fn = getattr(lib, name)
+        fn.argtypes = (ctypes.c_double, ctypes.c_double, vec, ctypes.c_long, index,
+                       ctypes.c_long, ctypes.c_long, out, out)
+        fn.restype = None
     table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     out2 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.phi_laguerre.argtypes = (vec, ctypes.c_long, vec, vec, table, ctypes.c_long, out2)
@@ -139,6 +164,79 @@ def laguerre_entry(fill):
     return phi_laguerre
 
 
+# The most octant sites whose distance tables a process keeps, all tables
+# together; a range of rows holding more sites streams (res_rows_*).
+TABLE_SITE_CAP = 1 << 21
+
+
+def range_sites(lo: int, hi: int) -> int:
+    """The octant sites of the rows lo <= nx < hi: row nx holds nx + 1."""
+    return (hi * (hi + 1) - lo * (lo + 1)) // 2
+
+
+def build_table(fill, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distance table of the rows lo <= nx < hi through a backend's
+    ``distance_table(lo, hi, d2, idx)``, which fills d2 with the distinct
+    nx^2 + j^2 of the rows' sites in ascending order, idx with each site's
+    index into d2, and returns the count. Returns (d2, idx) as read-only
+    float64 and int32 arrays; raises ``ValueError`` for a bad range or more
+    sites than an int32 index holds, and ``MemoryError`` when the builder
+    fails."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    sites = range_sites(lo, hi)
+    if sites > np.iinfo(np.int32).max:
+        raise ValueError(f"{sites} octant sites exceed an int32 table index")
+    d2, idx = np.empty(sites), np.empty(sites, dtype=np.int32)
+    count = fill(lo, hi, d2, idx)
+    if count < 0:
+        raise MemoryError(f"no memory for the distance table of rows {lo}..{hi - 1}")
+    d2.resize(count, refcheck=False)  # shrinks in place: no copy to page in
+    d2.flags.writeable = idx.flags.writeable = False  # cached tables are shared
+    return d2, idx
+
+
+_tables: dict = {}  # (lo, hi) -> (d2, idx), least recently used first
+_tables_lock = threading.Lock()
+
+
+def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d2, idx): the distinct d2 = nx^2 + j^2 over the octant sites
+    0 <= j <= nx of the rows lo <= nx < hi in ascending order (float64), and
+    for each of those sites in ``np.tril_indices`` order the index (int32) of
+    its d2, so that ``d2[idx]`` is every site's nx^2 + j^2. Tables of up to
+    ``TABLE_SITE_CAP`` sites are kept, least recently used dropped first,
+    while all kept tables hold at most that many sites together; larger
+    ones are built on every call."""
+    if range_sites(lo, hi) > TABLE_SITE_CAP:
+        return build_table(_impl.distance_table, lo, hi)
+    with _tables_lock:
+        table = _tables.pop((lo, hi), None) or build_table(_impl.distance_table, lo, hi)
+        _tables[(lo, hi)] = table
+        while sum(idx.size for _, idx in _tables.values()) > TABLE_SITE_CAP:
+            del _tables[next(iter(_tables))]
+    return table
+
+
+def table_entry(fill, stream):
+    """The compiled range entry point: rows from the distance table.
+
+    ``fill(a2, z2, d2, n, idx, lo, hi, values, out)`` is ``table_rows_*``,
+    which writes the rows lo <= nx < hi, bitwise equal to the streaming
+    ``res_rows_*``, from the n distances d2 and indices idx of the rows'
+    table, using ``values`` (n) as scratch. Ranges of more than
+    ``TABLE_SITE_CAP`` sites go to ``stream``, the streaming range entry.
+    """
+    def rows(a2: float, z2: float, lo: int, hi: int) -> np.ndarray:
+        if not 0 <= lo <= hi or range_sites(lo, hi) > TABLE_SITE_CAP:
+            return stream(a2, z2, lo, hi)
+        d2, idx = distance_table(lo, hi)
+        out = np.empty(hi - lo)
+        fill(a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+        return out
+    return rows
+
+
 _lib = None if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else load_library()
 _impl = _numpy_backend if _lib is None else _lib
 
@@ -146,6 +244,9 @@ res_row_zz = _impl.res_row_zz
 res_row_zx = _impl.res_row_zx
 res_rows_zz = range_entry(_impl.res_rows_zz)
 res_rows_zx = range_entry(_impl.res_rows_zx)
+if _lib is not None:
+    res_rows_zz = table_entry(_lib.table_rows_zz, res_rows_zz)
+    res_rows_zx = table_entry(_lib.table_rows_zx, res_rows_zx)
 phi_laguerre = laguerre_entry(_impl.phi_laguerre)
 
 

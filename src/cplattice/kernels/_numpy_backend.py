@@ -43,14 +43,25 @@ def octant_sites(nx, j, a2: float, z2: float, zx: bool):
       radial kernel (the term at unit x: dot = 0, pp = z/r^2) with weights
       4 s a^2 interior, 2 nx^2 a^2 on the axis and 4 nx^2 a^2 on the diagonal.
     """
-    s = nx * nx + j * j
+    return (*radial_sites(nx * nx + j * j, a2, z2, zx), octant_weights(nx, j, a2, zx))
+
+
+def radial_sites(s, a2: float, z2: float, zx: bool):
+    """(r, dot, pp) of :func:`octant_sites` at s = nx^2 + j^2, on which they
+    alone depend."""
     r2 = s * a2 + z2
+    if zx:
+        return np.sqrt(r2), 0.0, math.sqrt(z2) / r2
+    return np.sqrt(r2), 1.0, z2 / r2
+
+
+def octant_weights(nx, j, a2: float, zx: bool):
+    """The orbit weights w of :func:`octant_sites`."""
     axis, diagonal = j == 0, j == nx
     if zx:
-        w = np.where(axis, 2.0 * nx * nx, np.where(diagonal, 4.0 * nx * nx, 4.0 * s)) * a2
-        return np.sqrt(r2), 0.0, math.sqrt(z2) / r2, w
-    w = np.where(nx == 0, 1.0, np.where(axis | diagonal, 4.0, 8.0))
-    return np.sqrt(r2), 1.0, z2 / r2, w
+        s = nx * nx + j * j
+        return np.where(axis, 2.0 * nx * nx, np.where(diagonal, 4.0 * nx * nx, 4.0 * s)) * a2
+    return np.where(nx == 0, 1.0, np.where(axis | diagonal, 4.0, 8.0))
 
 
 def _row(a2: float, z2: float, nx: int, zx: bool) -> float:
@@ -82,6 +93,18 @@ def res_rows_zx(a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None
     """out[nx - lo] = res_row_zx(a2, z2, nx) for lo <= nx < hi."""
     for nx in range(lo, hi):
         out[nx - lo] = _row(a2, z2, nx, True)
+
+
+def distance_table(lo: int, hi: int, d2: np.ndarray, idx: np.ndarray) -> int:
+    """Write the distinct nx^2 + j^2 over the octant sites of the rows
+    lo <= nx < hi in ascending order into d2, and each site's index into d2
+    into idx (``np.tril_indices`` order); return the count.
+    ``kernels.build_table`` checks the range and allocates d2 and idx."""
+    nx, j = np.tril_indices(hi)
+    start = lo * (lo + 1) // 2
+    distinct, idx[:] = np.unique(nx[start:] ** 2 + j[start:] ** 2, return_inverse=True)
+    d2[:distinct.size] = distinct
+    return distinct.size
 
 
 def phi_laguerre(y, n: int, t, w, pw, m: int, out: np.ndarray) -> None:

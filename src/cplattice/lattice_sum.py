@@ -20,7 +20,11 @@ octant with the dihedral orbit weights of
 is one call of ``kernels.res_rows_*`` over the rows n_x = 0..M, or one call
 per contiguous row range when split over threads; the row values come back
 in fixed order and are reduced exactly (math.fsum), so results are
-bit-identical for any worker count.
+bit-identical for any worker count. The octant site terms depend on the
+site only through s = n_x^2 + n_y^2, so both octant sums evaluate them once
+per distinct s, from one table of those distances and each site's index
+into them (``kernels.distance_table``): the compiled resonant rows gather
+from it, and the off-resonant sum evaluates its site kernel on it.
 General orientations lack the reflection parity needed for folding and run
 the same kernels over the full grid, split over threads the same way.
 
@@ -55,6 +59,7 @@ tolerance.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +69,7 @@ from scipy.special import roots_laguerre, sici
 from . import kernels
 from .greens import resonant_sites
 from .kernels import _numpy_backend
-from .kernels._numpy_backend import octant_sites
+from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import ValidatedBundle, validate
@@ -212,6 +217,20 @@ def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
 # ---------------------------------------------------------------------------
 # whole-lattice sums
 
+# threads=None sums a resonant octant or grid of at least this many sites on
+# one worker per usable CPU, and a smaller one on the calling thread alone,
+# where starting workers would cost more than it saves
+AUTO_THREADS_SITES = 1_000_000
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _split_rows(work, threads) -> list[tuple[int, int]]:
     """Contiguous, non-empty index ranges (lo, hi) covering ``work`` in order,
     at most one per thread, each holding about an equal share of the total
@@ -267,13 +286,13 @@ def _resonant_custom(bundle: ValidatedBundle, threads, executor) -> float:
 
 
 def _offres_octant(bundle: ValidatedBundle) -> float:
-    nx, j = np.tril_indices(bundle.half_extent + 1)
-    r, dot, pp, w = octant_sites(nx, j, bundle.a_tilde ** 2, bundle.z_tilde ** 2,
-                                 bundle.orientation_label() == "zx")
+    M = bundle.half_extent
+    a2, z2, zx = bundle.a_tilde ** 2, bundle.z_tilde ** 2, bundle.orientation_label() == "zx"
     # the site term is a function of nx^2 + j^2: evaluate it once per distance
-    _, first, site = np.unique(nx * nx + j * j, return_index=True, return_inverse=True)
-    radial = offresonant_sites(r[first], dot, pp[first], bundle.mu)
-    return math.fsum(w * radial[site])
+    d2, site = kernels.distance_table(0, M + 1)
+    radial = offresonant_sites(*radial_sites(d2, a2, z2, zx), bundle.mu)
+    nx, j = np.tril_indices(M + 1)
+    return math.fsum(octant_weights(nx, j, a2, zx) * radial[site])
 
 
 def _offres_custom(bundle: ValidatedBundle) -> float:
@@ -293,9 +312,11 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
     thread count: row values are independent and the cross-row reduction is
     exact (math.fsum) in fixed row order. Off-resonant sums evaluate every
     site in one vectorized kernel call and reduce exactly, so threads do not
-    affect them. A threaded resonant sum runs its ranges on ``executor``, a
-    ``concurrent.futures`` pool a caller keeps across sums, or on a pool of
-    its own when None.
+    affect them. ``threads=None`` runs a resonant sum whose octant (zz, zx)
+    or grid (other pairs) holds at least ``AUTO_THREADS_SITES`` sites on
+    :func:`usable_cpus` workers, and a smaller one on one. A threaded
+    resonant sum runs its ranges on ``executor``, a ``concurrent.futures``
+    pool a caller keeps across sums, or on a pool of its own when None.
     """
     bundle = validate(bundle)
     count = bundle.lattice.atom_count
@@ -304,6 +325,9 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
     pref = prefactor(bundle, kind)
     octant = bundle.orientation_label() in ("zz", "zx")
     if kind == "resonant":
+        if threads is None:
+            summed = kernels.range_sites(0, bundle.half_extent + 1) if octant else count
+            threads = usable_cpus() if summed >= AUTO_THREADS_SITES else 1
         sites = _resonant_octant if octant else _resonant_custom
         value = sites(bundle, threads, executor)
         return ShiftResult(resonant=pref * value, off_resonant=None, terms_summed=count)

@@ -3,14 +3,17 @@ import dataclasses
 import io
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from cplattice import cli, diagrams, euler_maclaurin, fitting
+from cplattice.lattice_sum import usable_cpus
 
 
 def run_cli(args):
@@ -257,7 +260,7 @@ _CONFIG_VALUES = {
     "array_dipole": ("0.6 0 0.8", (0.6, 0.0, 0.8)),
     "z_min": ("0.2", 0.2), "z_max": ("0.9", 0.9), "points_per_decade": ("5", 5),
     "site_budget": ("1e6", 1e6), "offres_site_budget": ("50", 50.0),
-    "threads": ("2", min(2, os.cpu_count() or 1)),
+    "threads": ("2", min(2, usable_cpus())),
 }
 
 
@@ -449,6 +452,28 @@ def test_unwritable_output_exits_usage(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_output_to_a_fifo_is_written_in_place(tmp_path):
+    # an existing path that is not a regular file gets the CSV directly: no
+    # temporary file beside it, and it is not replaced by a regular file
+    want = tmp_path / "regular.csv"
+    assert cli.main(SWEEP_ARGS + ["-o", str(want)]) == cli.EXIT_OK
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert cli.main(SWEEP_ARGS + ["-o", str(fifo)]) == cli.EXIT_OK
+    finally:
+        reader.join(timeout=60)
+        if reader.is_alive():  # never opened for writing: let the reader go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert not reader.is_alive()
+    assert got == [want.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.csv", "regular.csv"]
+
+
 def test_threads_validated_before_any_work(tmp_path, capsys):
     # validation path only: no sweep runs and no thread is started
     for bad in ("0", "-3"):
@@ -465,11 +490,17 @@ def test_threads_validated_before_any_work(tmp_path, capsys):
     conf.write_text("threads = -1\n")
     with pytest.raises(cli._UsageError, match="threads must be >= 1"):
         cli.load_config(str(conf), {})
-    # more workers than cores are clamped: results do not depend on the count
+    # more workers than usable CPUs are clamped: results do not depend on the count
     conf.write_text("threads = 50001\n")
-    assert cli.load_config(str(conf), {}).threads == os.cpu_count()
-    assert cli.load_config(None, {"threads": 16}).threads == min(16, os.cpu_count())
+    assert cli.load_config(str(conf), {}).threads == usable_cpus()
+    assert cli.load_config(None, {"threads": 16}).threads == min(16, usable_cpus())
     assert cli.load_config(None, {}).threads == 1
+
+
+def test_threads_clamped_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert cli.load_config(None, {"threads": 16}).threads == 3
+    assert cli.load_config(None, {"threads": 2}).threads == 2
 
 
 def _readme_commands():

@@ -10,6 +10,7 @@ import statistics
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -193,14 +194,161 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     # an undeclared ctypes function takes ints and returns an int: doubles
     # would pass wrongly without an error
     loaded = kernels.load_library(directory=tmp_path)
-    c_type = {"double": ctypes.c_double, "void": None}
-    exported = re.findall(r"^(double|void) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
-    assert {name for _, name, _ in exported} >= {
-        "res_row_zz", "res_row_zx", "res_rows_zz", "res_rows_zx", "sincos_probe"}
+    c_type = {"double": ctypes.c_double, "long": ctypes.c_long, "void": None}
+    exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
+    assert {name for _, name, _ in exported} == {
+        "res_row_zz", "res_row_zx", "res_rows_zz", "res_rows_zx", "distance_table",
+        "table_rows_zz", "table_rows_zx", "phi_laguerre", "sincos_probe"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
         assert fn.restype is c_type[ret], name
+
+
+def _unique_table(lo, hi):
+    """The distance table of rows lo..hi-1 by np.unique, the reference."""
+    nx, j = np.tril_indices(hi)
+    start = lo * (lo + 1) // 2
+    return np.unique(nx[start:] ** 2 + j[start:] ** 2, return_inverse=True)
+
+
+@pytest.mark.parametrize("builder", ["c", "numpy"])
+def test_distance_table_equals_np_unique(lib, builder):
+    fill = lib.distance_table if builder == "c" else _numpy_backend.distance_table
+    ranges = [(0, M + 1) for M in [*range(41), 500]] + [(3, 4), (7, 7), (17, 40), (250, 501)]
+    for lo, hi in ranges:
+        d2, idx = kernels.build_table(fill, lo, hi)
+        want_d2, want_idx = _unique_table(lo, hi)
+        assert d2.dtype == np.float64 and idx.dtype == np.int32
+        assert np.array_equal(d2, want_d2) and np.array_equal(idx, want_idx), (lo, hi)
+
+
+def test_distance_table_rejects_bad_ranges(lib):
+    for fill in (lib.distance_table, _numpy_backend.distance_table):
+        for lo, hi in ((-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match="0 <= lo <= hi"):
+                kernels.build_table(fill, lo, hi)
+        with pytest.raises(ValueError, match="int32"):
+            kernels.build_table(fill, 0, 70000)  # 2.45e9 sites: rejected before allocating
+
+
+def _table_rows(lib, zx, a2, z2, lo, hi):
+    """lib.table_rows_* on the rows' table, without the entry point's cap."""
+    d2, idx = kernels.build_table(lib.distance_table, lo, hi)
+    out = np.empty(hi - lo)
+    fill = lib.table_rows_zx if zx else lib.table_rows_zz
+    fill(a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+    return out
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 7, 8, 9, 63, 64, 65, 500])
+def test_table_rows_equal_streaming_rows_bitwise(lib, M):
+    # every row from the table equals the streaming row: the same site terms,
+    # summed in the same order with the same compensation and endpoints
+    ranges = {(0, M + 1), (M // 3, M + 1), (0, (M + 1) // 2), (M // 4, 3 * M // 4 + 1),
+              (M, M + 1), (M // 2, M // 2)}
+    for a in (0.01, 0.05, 0.5, 3.0):
+        for z in np.geomspace(1e-3, 1e3, 7):
+            a2, z2 = a * a, float(z) ** 2
+            for lo, hi in sorted(ranges):
+                for zx, stream in ((False, lib.res_rows_zz), (True, lib.res_rows_zx)):
+                    want = kernels.range_entry(stream)(a2, z2, lo, hi)
+                    got = _table_rows(lib, zx, a2, z2, lo, hi)
+                    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], (
+                        M, a, float(z), lo, hi, zx)
+
+
+@pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_sums_from_tables_equal_streaming_sums(monkeypatch, array_dipole, threads):
+    # each worker's row range takes its own table; capping the tables at
+    # zero sites streams every range instead
+    if kernels.backend_name() != "c":
+        pytest.skip("the NumPy fallback has no table path")
+    monkeypatch.setattr(kernels, "_tables", {})
+    for M, a, z in ((9, 0.5, 0.3), (65, 0.05, 2.0), (500, 0.01, 0.3)):
+        b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
+                     LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+        table = sum_lattice(b, "resonant", threads=threads).resonant
+        ranges = lattice_sum._split_rows(np.arange(1, M + 2), threads)
+        assert set(ranges) <= set(kernels._tables)  # the tables served the sum
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "TABLE_SITE_CAP", 0)
+            stream = sum_lattice(b, "resonant", threads=threads).resonant
+        assert table.hex() == stream.hex()
+
+
+def test_table_rows_past_the_phase_limit_stream(lib):
+    # a = 1e5, M = 5: rows 0..3 have their largest phase below 1e6 and rows
+    # 4 and 5 reach it, so those take libm, where one distance can carry a
+    # different value than the table's fast one
+    a2, z2, M = 1e10, 0.09, 5
+    fast = [2.0 * math.sqrt(2.0 * nx * nx * a2 + z2) < 1e6 for nx in range(M + 1)]
+    assert fast == [True] * 4 + [False] * 2
+    for zx, stream in ((False, lib.res_rows_zz), (True, lib.res_rows_zx)):
+        for lo, hi in ((0, M + 1), (3, M + 1), (0, 4), (5, 6)):
+            want = kernels.range_entry(stream)(a2, z2, lo, hi)
+            got = _table_rows(lib, zx, a2, z2, lo, hi)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert re.search(r"PHASE_LIMIT = 1\.0e6;", kernels._SOURCE.read_text())
+
+
+def test_rows_above_the_table_cap_stream(lib, monkeypatch):
+    # a range of more sites than TABLE_SITE_CAP builds no table and streams;
+    # a smaller one is kept, and the kept tables never exceed the cap together
+    if kernels.backend_name() != "c":
+        pytest.skip("the NumPy fallback has no table path")
+    monkeypatch.setattr(kernels, "_tables", {})
+    monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 100)
+    a2, z2 = 2.5e-3, 0.09
+    for lo, hi in ((0, 501), (0, 14), (0, 13), (10, 14), (5, 13)):
+        for rows, stream in ((kernels.res_rows_zz, lib.res_rows_zz),
+                             (kernels.res_rows_zx, lib.res_rows_zx)):
+            want = kernels.range_entry(stream)(a2, z2, lo, hi)
+            assert rows(a2, z2, lo, hi).tobytes() == want.tobytes()
+        kept = {key: idx.size for key, (_, idx) in kernels._tables.items()}
+        assert ((lo, hi) in kept) == (kernels.range_sites(lo, hi) <= 100)
+        assert sum(kept.values()) <= 100
+    assert list(kernels._tables) == [(5, 13)]  # the older tables made room for it
+
+
+def test_table_cache_under_concurrent_callers(monkeypatch):
+    # more threads than CPUs and a short switch interval: every caller gets
+    # its range's table, and the kept tables stay within the cap together
+    monkeypatch.setattr(kernels, "_tables", {})
+    monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 400)
+    ranges = [(lo, lo + width) for lo in range(0, 40, 3) for width in (1, 5, 9)] * 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            futures = [ex.submit(kernels.distance_table, lo, hi) for lo, hi in ranges]
+            tables = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (lo, hi), (d2, idx) in zip(ranges, tables):
+        want_d2, want_idx = _unique_table(lo, hi)
+        assert np.array_equal(d2, want_d2) and np.array_equal(idx, want_idx)
+        assert not (d2.flags.writeable or idx.flags.writeable)
+    assert sum(idx.size for _, idx in kernels._tables.values()) <= 400
+
+
+def test_offres_octant_equals_np_unique_reference():
+    # the direct off-resonant octant sum takes its distinct distances from
+    # the shared table; the reference finds them with np.unique, as before
+    for array_dipole in (Z_HAT, X_HAT):
+        for M, a, z, mu in ((0, 0.5, 0.3, 0.6), (9, 0.5, 0.3, 0.6), (64, 0.05, 2.0, 1.7),
+                            (200, 0.01, 0.05, 0.6)):
+            b = validate(ModelParams(mu=mu, rho=1e-6, array_dipole=array_dipole),
+                         LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+            nx, j = np.tril_indices(M + 1)
+            r, dot, pp, w = _numpy_backend.octant_sites(nx, j, a * a, z * z,
+                                                        array_dipole == X_HAT)
+            _, first, site = np.unique(nx * nx + j * j, return_index=True,
+                                       return_inverse=True)
+            radial = lattice_sum.offresonant_sites(r[first], dot, pp[first], mu)
+            want = math.fsum(w * radial[site])
+            assert lattice_sum._offres_octant(b).hex() == want.hex()
 
 
 _LAGUERRE = (lattice_sum._LAGUERRE_T, lattice_sum._LAGUERRE_W, lattice_sum._LAGUERRE_POW)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cplattice import lattice_sum
 from cplattice.euler_maclaurin import decompose
 from cplattice.greens import green_dyadic
 from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_ranges, _split_rows,
@@ -234,6 +235,23 @@ def test_site_budget_guard():
     with pytest.raises(SiteBudgetExceeded):
         sum_lattice(b, "resonant", site_budget=100)
     assert isinstance(sum_lattice(b, "resonant", site_budget=441), ShiftResult)
+
+
+def test_default_threads_follow_the_site_count(monkeypatch):
+    # threads=None: one worker per usable CPU from AUTO_THREADS_SITES summed
+    # sites (the octant for zz and zx, the grid otherwise), else one
+    seen = []
+    for name in ("_resonant_octant", "_resonant_custom"):
+        monkeypatch.setattr(lattice_sum, name,
+                            lambda bundle, threads, executor: seen.append(threads) or 0.0)
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(lattice_sum, "AUTO_THREADS_SITES", 66)  # the octant at M = 10
+    for M, array, want in ((9, (0, 0, 1), 1), (10, (0, 0, 1), 3), (10, (1, 0, 0), 3),
+                           (3, (0.6, 0, 0.8), 1), (4, (0.6, 0, 0.8), 3)):
+        seen.clear()
+        sum_lattice(mk(M=M, array=array), "resonant")
+        sum_lattice(mk(M=M, array=array), "resonant", threads=2)
+        assert seen == [want, 2], (M, array)
 
 
 def test_thread_count_does_not_change_bits():
