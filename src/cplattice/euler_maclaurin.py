@@ -25,7 +25,9 @@ the probe's foot and averaged over a table of unit directions. The bulk is
 (2 pi/a^2) int R <f>_phi dR over the in-plane radius R; the site terms are
 trigonometric polynomials of degree 4 in the azimuth, so the mean <f>_phi
 over the 5 uniform azimuths of ``_RING`` is exact (zz needs the first). The
-edge takes one direction of ``_AXES`` per axis integral. The integrands are
+edge integrates each direction of ``_AXES``, the positive x and y half-axes,
+on its own; a pair that needs both takes them from one site-kernel call. The
+integrands are
 the two vectorized site kernels, which take the dipole orientation as data
 (the projections e0.en and (e0.n)(n.en)), and each integral is one fixed
 rule, :func:`_integrate`: composite 25-point Gauss-Legendre panels, with an
@@ -57,12 +59,23 @@ depends on z, so the panels of all heights are concatenated, ragged, into
 one array and split again by offsets: padding with zero-weight panels
 would change NumPy's pairwise summation and so the bits. :func:`_integrate`
 sums and checks each height on its own panels, and raises for the first
-height in the block that misses the tolerance. ``cplattice sweep``
-decomposes its grid in blocks of heights.
+height in the block that misses the tolerance. The mean over the directions
+is one NumPy reduction over the last axis, whose order does not depend on
+the block, and the Jacobian multiplies it through an explicit ufunc call
+(see :func:`_ray_integral`), so that equality holds for blocks of any size.
+``cplattice sweep`` decomposes its grid in blocks of heights.
+
+Off-resonant, the bulk and the edge evaluate the same site term at the same
+real-path nodes z s; only their Jacobians differ. Within one
+:func:`decompose` call the site values are therefore evaluated once for each
+direction (``_SHARED_SITES``, scoped to that call): the edge takes its x axis
+from the bulk's first azimuth, and evaluates only the y axis where it needs
+one. Term calls outside :func:`decompose` evaluate their own.
 """
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,23 +182,61 @@ def _rotated_rule(z: float):
 # ray integrals
 
 # In-plane unit directions (cos, sin): the 5 azimuths of the bulk's mean (zz
-# needs only the first) and the two positive half-axes of the edge.
+# needs only the first, which is the x axis) and the positive half-axes x and
+# y of the edge.
 _RING = np.stack([trig(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
                   for trig in (np.cos, np.sin)], axis=-1)
-_AXES = {"x": np.array([[1.0, 0.0]]), "y": np.array([[0.0, 1.0]])}
+_AXES = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+# Real-path site values shared within one decompose(..., "off_resonant")
+# call, keyed by direction; None outside it. The bulk and the edge of that
+# call evaluate the same site term at the same heights and nodes z s, so the
+# edge's x axis is the bulk's first azimuth.
+_SHARED_SITES: ContextVar[dict | None] = ContextVar("_SHARED_SITES", default=None)
+
+
+def _sites(bundle: ValidatedBundle, kind: str, big_r, z, directions) -> np.ndarray:
+    """The kind's site term at R d for each direction d (the last axis)."""
+    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
+                                  big_r * directions[:, 0], big_r * directions[:, 1], z)
+    if kind == "resonant":
+        return resonant_sites_complex(r, dot, pp)
+    return offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape)
+
+
+def _shared_sites(bundle: ValidatedBundle, big_r, z, directions) -> np.ndarray:
+    """:func:`_sites` on the real path, evaluating within one decompose call
+    only the directions not evaluated before."""
+    shared = _SHARED_SITES.get()
+    if shared is None:
+        return _sites(bundle, "off_resonant", big_r, z, directions)
+    keys = list(map(tuple, directions.tolist()))
+    missing = [d for d in keys if d not in shared]
+    if missing:
+        f = _sites(bundle, "off_resonant", big_r, z, np.array(missing))
+        shared.update(zip(missing, np.moveaxis(f, -1, 0)))
+    return np.stack([shared[d] for d in keys], axis=-1)
 
 
 def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, heights,
-                  axis: str | None = None) -> np.ndarray:
+                  axes: str | None = None):
     """Re int J <f(R d)>_d along the in-plane radius R, averaged over the
     unit directions d, with the kind's site term f and no prefactor, at each
     of the heights (a float64 array): one site-kernel call for all of them.
+    With ``axes``, a name for each direction, each direction is integrated
+    on its own instead, and a list of one array per direction is returned.
 
     The kind picks the path: resonant takes the rotated rule, with r = z + t
     e^{i pi/4}, R = sqrt(r^2 - z^2) and J = r for the bulk, and R = t e^{i pi/4}
     and J = 1 for the edge; off-resonant takes the real rule, R = z s, with
     J = z^2 s for the bulk and J = z for the edge. The panels of all heights
     are stacked as rows, each row with its own height z.
+
+    The integrand is np.multiply(J, mean), never ``J * mean``: NumPy computes
+    an operator on a temporary of more than 256 KiB in the temporary's
+    buffer, swapping the operands of a product, and its complex product is
+    not bitwise commutative, so large blocks of heights would round
+    differently from one-height calls.
     """
     if kind == "resonant":
         # the panel count depends on z: the rows are ragged, never padded
@@ -205,17 +256,17 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
         z = np.repeat(heights, len(_S))[:, None]
         big_r = z * s
         jac = z * z * s if stage == "bulk" else z
-    big_r = big_r[..., None]
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  big_r * directions[:, 0], big_r * directions[:, 1],
-                                  z[..., None])
     if kind == "resonant":
-        f = resonant_sites_complex(r, dot, pp)
+        f = _sites(bundle, kind, big_r[..., None], z[..., None], directions)
     else:
-        f = offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape)
+        f = _shared_sites(bundle, big_r[..., None], z[..., None], directions)
     panels = np.concatenate(([0], np.cumsum(counts)))
-    return _integrate(jac * f.mean(axis=-1), w, w_low, panels, heights, bundle,
-                      f"{stage} {kind}", axis)
+    if axes is None:
+        return _integrate(np.multiply(jac, f.mean(axis=-1)), w, w_low, panels, heights,
+                          bundle, f"{stage} {kind}")
+    return [_integrate(np.multiply(jac, f[..., k:k + 1].mean(axis=-1)), w, w_low, panels,
+                       heights, bundle, f"{stage} {kind}", axis)
+            for k, axis in enumerate(axes)]
 
 
 # Above this height the zz bulk takes the rotated path: bracket_zz loses digits
@@ -277,20 +328,24 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
 
     Each axis integral runs over the positive half-axis and is doubled,
     which is exact only for site terms even in x and y: zz, zx, and pairs
-    such as a z probe over y array dipoles. For other custom pairs the two
-    half-axes differ (for e0 = (1,1,1)/sqrt(3), en = (0.6, 0, 0.8), z = 0.5
-    the resonant +x and -x integrals are 3.33 and 40.69), so their edge
-    term is wrong. It is kept as it is because the benchmark references
-    (perfbench/references) pin the custom edge values at rtol 1e-8; the fix
-    has to ship together with newly recorded references.
+    such as a z probe over y array dipoles. zz takes the x axis for both,
+    zx only the x axis (its y-axis term vanishes); other pairs take both
+    axes from one site-kernel call. For those the two half-axes of an axis
+    differ (for e0 = (1,1,1)/sqrt(3), en = (0.6, 0, 0.8), z = 0.5 the
+    resonant +x and -x integrals are 3.33 and 40.69), so their edge term is
+    wrong. It is kept as it is because the benchmark references
+    (perfbench/references) pin the custom edge values at rtol 1e-8; the fix,
+    the negative half-axes (-1, 0) and (0, -1) as two more directions of the
+    same call, has to ship together with newly recorded references.
     """
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
     z = _heights(bundle, heights)
-    ax = _ray_integral(bundle, kind, "edge", _AXES["x"], z, "x")
-    ay = (ax if label == "zz" else 0.0 if label == "zx"
-          else _ray_integral(bundle, kind, "edge", _AXES["y"], z, "y"))
+    axes = "x" if label in ("zz", "zx") else "xy"
+    integrals = _ray_integral(bundle, kind, "edge", _AXES[:len(axes)], z, axes)
+    ax = integrals[0]
+    ay = ax if label == "zz" else 0.0 if label == "zx" else integrals[1]
     return _per_height(heights, pref * (2.0 / bundle.a_tilde) * (ax + ay))
 
 
@@ -310,13 +365,21 @@ def decompose(bundle: ValidatedBundle, kind: str, heights=None):
     """Assemble the three terms for the unbounded-lattice limit: a
     ShiftBreakdown, or with ``heights`` a list of one per height.
 
+    The off-resonant bulk and edge evaluate their site term once for both
+    (the edge takes its x axis from the bulk's first azimuth); each term
+    still equals its own call bit for bit.
+
     Raises QuadratureFailure, naming the stage, kind, height and mu, when a
     bulk or edge integral misses the rule's tolerance.
     """
     bundle = validate(bundle)
     z = _heights(bundle, heights)
-    bulk, edge, vertex = (term(bundle, kind, z).tolist()
-                          for term in (bulk_term, edge_term, vertex_term))
+    token = _SHARED_SITES.set({} if kind == "off_resonant" else None)
+    try:
+        bulk, edge, vertex = (term(bundle, kind, z).tolist()
+                              for term in (bulk_term, edge_term, vertex_term))
+    finally:
+        _SHARED_SITES.reset(token)
     rows = [ShiftBreakdown(bulk=b, edge=e, vertex=v, total=b + e + v)
             for b, e, v in zip(bulk, edge, vertex)]
     return rows[0] if heights is None else rows

@@ -36,8 +36,8 @@ Both backends export the same six functions:
 * ``phi_laguerre(y, t, w, pw)``: the off-resonant kernel's Gauss-Laguerre
   branch, Phi_0..4(y) as the columns of a new (y.size, 5) array, for the
   nodes t, weights w and powers pw = (t/2)^k that ``lattice_sum`` defines.
-  The compiled branch follows the NumPy one's order of operations, so the
-  two are bitwise equal. Built by :func:`laguerre_entry` over the backend's
+  The compiled branch evaluates eight radii side by side, each in the NumPy
+  one's order of operations, so the two are bitwise equal. Built by :func:`laguerre_entry` over the backend's
   ``phi_laguerre(y, n, t, w, pw, m, out)``.
 """
 from __future__ import annotations

@@ -315,22 +315,27 @@ void table_rows_zx(double a2, double z2, const double *d2, long n, const int32_t
    lattice_sum. The order of operations is that of the NumPy branch
    (lattice_sum._phi_laguerre), so the values are bitwise equal: per node
    q = w_j/((t_j/2y)^2 + 1), per moment acc_k += q pw_jk from j = 0 up, and
-   acc_k/2y last. */
+   acc_k/2y last. LANES radii are evaluated side by side, one per lane, each
+   lane in that order; the lanes past the last radius hold y = 1 and are not
+   written. */
 void phi_laguerre(const double *y, long n, const double *t, const double *w,
                   const double *pw, long m, double *out)
 {
-    for (long i = 0; i < n; i++) {
-        double y2 = 2.0 * y[i];
-        double acc[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
+    for (long i = 0; i < n; i += LANES) {
+        int used = n - i < LANES ? (int)(n - i) : LANES;
+        lanes y2, acc[5] = {{0.0}, {0.0}, {0.0}, {0.0}, {0.0}};
+        for (int l = 0; l < LANES; l++)
+            y2[l] = 2.0 * (l < used ? y[i + l] : 1.0);
         for (long j = 0; j < m; j++) {
-            double q = t[j] / y2;
+            lanes q = t[j] / y2;
             q = q * q;
             q = q + 1.0;
             q = w[j] / q;
             for (int k = 0; k < 5; k++)
                 acc[k] = acc[k] + q * pw[5 * j + k];
         }
-        for (int k = 0; k < 5; k++)
-            out[5 * i + k] = acc[k] / y2;
+        for (int l = 0; l < used; l++)
+            for (int k = 0; k < 5; k++)
+                out[5 * (i + l) + k] = acc[k][l] / y2[l];
     }
 }

@@ -26,7 +26,11 @@ per distinct s, from one table of those distances and each site's index
 into them (``kernels.distance_table``): the compiled resonant rows gather
 from it, and the off-resonant sum evaluates its site kernel on it.
 General orientations lack the reflection parity needed for folding and run
-the same kernels over the full grid, split over threads the same way.
+the same kernels over the full grid of rows n_x = -M..M, split over threads
+the same way. Each worker evaluates its row range in one site-kernel call per
+block of at most ``CUSTOM_BLOCK_SITES`` sites (whole rows, or one longer
+row), sums each row on its own with NumPy and returns the row values, which
+are reduced exactly in row order as above: the values of one call per row.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -47,7 +51,8 @@ form starts to cancel. The Gauss-Laguerre branch is ``kernels.phi_laguerre``,
 compiled when the C library is loaded, at the nodes defined here; it follows
 the NumPy branch's order of operations and equals it bit for bit. The closed
 form (which needs ``sici``) and the final contraction with the h(u)^2
-coefficients stay in NumPy. Both branches agree with 30-digit quadrature to
+coefficients stay in NumPy. A branch that no radius of a call falls in is
+not called. Both branches agree with 30-digit quadrature to
 ~1e-14 relative; the partial fractions cost at most a factor ~2/|1-mu| of
 that near resonance.
 
@@ -171,8 +176,11 @@ def _moments(r: np.ndarray, mu: float) -> np.ndarray:
     y = np.concatenate((r * mu, r))
     phi = np.empty((y.size, 5))
     small = y < _PHI_SWITCH
-    phi[small] = _phi_closed(y[small])
-    phi[~small] = kernels.phi_laguerre(y[~small], _LAGUERRE_T, _LAGUERRE_W, _LAGUERRE_POW)
+    # a branch with no radii is skipped: it would cost tens of microseconds
+    if small.any():
+        phi[small] = _phi_closed(y[small])
+    if not small.all():
+        phi[~small] = kernels.phi_laguerre(y[~small], _LAGUERRE_T, _LAGUERRE_W, _LAGUERRE_POW)
     return (phi[:r.size] / mu - phi[r.size:]) / (1.0 - mu * mu)
 
 
@@ -268,20 +276,30 @@ def _resonant_octant(bundle: ValidatedBundle, threads, executor) -> float:
     return math.fsum(np.concatenate(parts).tolist())
 
 
+# A generic direct sum evaluates at most this many sites per site-kernel call:
+# as many whole rows of a worker's range as fit, or one longer row
+CUSTOM_BLOCK_SITES = 1 << 14
+
+
 def _resonant_custom(bundle: ValidatedBundle, threads, executor) -> float:
     M = bundle.half_extent
     a = bundle.a_tilde
     e0 = bundle.params.test_dipole
     en = bundle.params.array_dipole
-    y = np.arange(-M, M + 1, dtype=np.float64) * a
+    n = np.arange(-M, M + 1, dtype=np.float64)
+    y = n * a
+    step = max(1, CUSTOM_BLOCK_SITES // n.size)
 
-    def row(nx):
-        r, dot, pp = site_projections(e0, en, nx * a, y, bundle.z_tilde)
-        return float(np.sum(resonant_sites(r, dot, pp)))
+    def rows(lo, hi):
+        # index i is row nx = i - M; each row's sites are summed on their own
+        totals = []
+        for start in range(lo, hi, step):
+            x = n[start:min(start + step, hi), None] * a
+            r, dot, pp = site_projections(e0, en, x, y, bundle.z_tilde)
+            totals += np.sum(resonant_sites(r, dot, pp), axis=1).tolist()
+        return totals
 
-    # index i of the split is row nx = i - M
-    parts = _map_ranges(lambda lo, hi: [row(i - M) for i in range(lo, hi)],
-                        _split_rows(np.ones(2 * M + 1), threads), executor)
+    parts = _map_ranges(rows, _split_rows(np.ones(n.size), threads), executor)
     return math.fsum(v for part in parts for v in part)
 
 

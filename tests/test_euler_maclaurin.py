@@ -41,7 +41,9 @@ def _bulk_integral(bundle, kind="resonant"):
 
 def _axis_integral(bundle, kind, axis):
     """One positive half-axis integral of edge_term, without its prefactor."""
-    return _ray_integral(bundle, kind, "edge", _AXES[axis], _heights(bundle, None), axis)[0]
+    k = "xy".index(axis)
+    return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], _heights(bundle, None),
+                         axis)[0][0]
 
 
 def contour_bulk_resonant(bundle):
@@ -408,11 +410,18 @@ def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair)
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
 
 
-# (orientation, kind, z, bulk, edge, vertex) as float.hex at mu = 0.5,
-# rho = 1e-6, a = 0.01, recorded before the bulk and edge integrands became
-# one ray integral; z = 25 is the zz bulk on the rotated path. The values
-# rest on NumPy's and SciPy's sin, cos, exp and sici, so another build of
-# those may move the last bits.
+_S3 = 1.0 / math.sqrt(3.0)
+BLOCK_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)),
+               "custom_a": ((0.6, 0.0, 0.8), (_S3, _S3, _S3)),
+               "custom_b": ((_S3, _S3, _S3), (0.0, 0.8, 0.6))}
+
+
+# (pair of BLOCK_PAIRS, kind, z, bulk, edge, vertex) as float.hex at
+# mu = 0.5, rho = 1e-6, a = 0.01: zz and zx recorded before the bulk and edge
+# integrands became one ray integral, custom_a and custom_b before the custom
+# edge took both axes from one site-kernel call; z = 25 is the zz bulk on the
+# rotated path. The values rest on NumPy's and SciPy's sin, cos, exp and
+# sici, so another build of those may move the last bits.
 PINNED_TERMS = [
     ('zz', 'resonant', 0.01, '0x1.af7d5adf96789p+20', '0x1.146b9b98d8003p+22', '0x1.6e3f5fffffa68p+21'),
     ('zz', 'resonant', 0.3, '0x1.3d10e855b2f40p+1', '0x1.a86980d3c68b4p-3', '0x1.25ecd6fed0e77p-8'),
@@ -434,29 +443,47 @@ PINNED_TERMS = [
     ('zx', 'off_resonant', 5.0, '0x1.8e5204dbd968dp-19', '0x1.96e103497cec2p-28', '0x0.0p+0'),
     ('zx', 'off_resonant', 25.0, '0x1.39006c3558049p-30', '0x1.04c1935c9c1cdp-41', '0x0.0p+0'),
     ('zx', 'off_resonant', 1000.0, '0x1.9f0c72f0b36c5p-57', '0x1.151021b063301p-73', '0x0.0p+0'),
+    ('custom_a', 'resonant', 0.01, '0x1.d7bfa474d9473p+19', '0x1.695ed7a3b1da3p+18', '0x1.e863801d7a181p+17'),
+    ('custom_a', 'resonant', 0.3, '0x1.5186acf83cd44p+0', '0x1.d463a8a427030p-7', '0x1.af65a5398aeb5p-12'),
+    ('custom_a', 'resonant', 5.0, '0x1.60a863b647e08p-12', '0x1.6fe4e0b92100bp-21', '-0x1.34d1913e41068p-28'),
+    ('custom_a', 'resonant', 25.0, '0x1.814428d176a92p-16', '0x1.0c97bd8ab92d5p-22', '0x1.26bb622c1597bp-33'),
+    ('custom_a', 'resonant', 1000.0, '-0x1.60bcdf821c05cp-19', '-0x1.0f316b5673ec3p-30', '-0x1.275e0bf3bddeep-45'),
+    ('custom_a', 'off_resonant', 0.01, '0x1.d7acc862d6528p+18', '0x1.696d2a4625545p+17', '0x1.e83ad79f08a86p+16'),
+    ('custom_a', 'off_resonant', 0.3, '0x1.28894ae986a76p-1', '0x1.f9ebf70d62785p-8', '0x1.54c58ca20e5b9p-13'),
+    ('custom_a', 'off_resonant', 5.0, '0x1.9dcbb71e8aa35p-19', '0x1.1a2ce53f60f8bp-28', '0x1.2f25579cdb059p-39'),
+    ('custom_a', 'off_resonant', 25.0, '0x1.4562a1a578365p-30', '0x1.99e21bfb23f96p-42', '0x1.141da65822716p-55'),
+    ('custom_a', 'off_resonant', 1000.0, '0x1.afa683784b3e4p-57', '0x1.b8381cf3ffdd4p-74', '0x1.d20c162b70fcdp-93'),
+    ('custom_b', 'resonant', 0.01, '0x1.873380c6ecf36p+19', '0x1.76e780f955c16p+18', '0x1.38a800d1a87a0p+15'),
+    ('custom_b', 'resonant', 0.3, '0x1.148850cb3410fp+0', '0x1.b61c543dc12e4p-7', '0x1.53624c06144fdp-14'),
+    ('custom_b', 'resonant', 5.0, '0x1.371abf2f5a2d8p-11', '0x1.426aeb71d6048p-20', '-0x1.ad0e3f5711947p-28'),
+    ('custom_b', 'resonant', 25.0, '0x1.82c3a06f72d0ap-15', '0x1.c523eb31b3b34p-22', '0x1.0cfbc3fccbbebp-32'),
+    ('custom_b', 'resonant', 1000.0, '-0x1.399fdc571a24fp-18', '-0x1.d8be3284a7e55p-30', '-0x1.081ccfb421e0dp-44'),
+    ('custom_b', 'off_resonant', 0.01, '0x1.8725c3e9b351bp+18', '0x1.7704ddfd1431bp+17', '0x1.386cfdf82ed3bp+14'),
+    ('custom_b', 'off_resonant', 0.3, '0x1.edb861dac441ep-2', '0x1.0ca9d8b9b4b10p-7', '0x1.9cd8a2f63c0d7p-16'),
+    ('custom_b', 'off_resonant', 5.0, '0x1.744b6b77e3ffbp-19', '0x1.734dbb2090198p-28', '0x1.dfd23795bef9bp-42'),
+    ('custom_b', 'off_resonant', 25.0, '0x1.2d47aef04b049p-30', '0x1.185f33228fc92p-41', '0x1.7d122f73d8749p-57'),
+    ('custom_b', 'off_resonant', 1000.0, '0x1.90a8d4e4d16bbp-57', '0x1.2dfef6593707bp-73', '0x1.52ee76090ccafp-94'),
 ]
 
 
 @pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
 def test_terms_bit_exact(label, kind, z, bulk, edge, vertex):
-    b = mk(z=z, array=(0, 0, 1) if label == "zz" else (1, 0, 0))
-    assert b.orientation_label() == label
+    test, array = BLOCK_PAIRS[label]
+    b = validate(ModelParams(mu=0.5, rho=1e-6, test_dipole=test, array_dipole=array),
+                 LatticeSpec(a_tilde=0.01, half_extent=0), Geometry(z_tilde=z))
+    assert b.orientation_label() == label.partition("_")[0]
     assert (bulk_term(b, kind).hex(), edge_term(b, kind).hex(),
             vertex_term(b, kind).hex()) == (bulk, edge, vertex)
 
 
-_S3 = 1.0 / math.sqrt(3.0)
-BLOCK_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)),
-               "custom_a": ((0.6, 0.0, 0.8), (_S3, _S3, _S3)),
-               "custom_b": ((_S3, _S3, _S3), (0.0, 0.8, 0.6))}
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
 def test_height_blocks_equal_one_height_calls_bitwise(pair, kind, n):
     # heights up to 60: the zz resonant bulk leaves its closed form above 20
-    # for the rotated path, which takes a different panel count per height
+    # for the rotated path, which takes a different panel count per height.
+    # At 65 heights the generic resonant bulk's integrand passes 256 KiB,
+    # where NumPy would evaluate J * <f> with swapped operands
     heights = np.geomspace(3e-3, 60.0, n) if n > 1 else np.array([25.0])
     test, array = BLOCK_PAIRS[pair]
     p = ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array)
@@ -467,6 +494,56 @@ def test_height_blocks_equal_one_height_calls_bitwise(pair, kind, n):
         assert block.shape == (n,)
         assert [v.hex() for v in block.tolist()] == [term(b, kind).hex() for b in one]
     assert decompose(one[0], kind, heights) == [decompose(b, kind) for b in one]
+
+
+def _counting_sites(monkeypatch):
+    """Record the kind and directions of every site-kernel call of the ray
+    integrals."""
+    calls, sites = [], euler_maclaurin._sites
+    monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, kind, big_r, z, directions: (
+        calls.append((kind, directions.tolist())) or sites(bundle, kind, big_r, z, directions)))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
+@pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
+def test_decompose_equals_separate_term_calls_bitwise(monkeypatch, pair, kind):
+    # off-resonant, decompose evaluates the bulk's sites once and the edge
+    # takes its x axis from them; each term must still equal its own call
+    test, array = BLOCK_PAIRS[pair]
+    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
+                 LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
+    calls = _counting_sites(monkeypatch)
+    for heights in (None, np.geomspace(3e-3, 60.0, 9)):
+        calls.clear()
+        alone = [term(b, kind, heights) for term in (bulk_term, edge_term, vertex_term)]
+        separate = len(calls)
+        calls.clear()
+        got = decompose(b, kind, heights)
+        rows = [got] if heights is None else got
+        assert [[d.bulk.hex(), d.edge.hex(), d.vertex.hex()] for d in rows] == [
+            [v.hex() for v in values] for values in zip(*np.atleast_1d(*alone))]
+        if kind == "resonant":
+            assert len(calls) == separate
+        else:  # zz and zx need no edge evaluation, the others only the y axis
+            edge = [] if pair in ("zz", "zx") else [("off_resonant", _AXES[1:].tolist())]
+            assert calls[1:] == edge
+        assert euler_maclaurin._SHARED_SITES.get() is None
+
+
+@pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
+@pytest.mark.parametrize("pair", ["custom_a", "custom_b"])
+def test_custom_edge_is_both_axes_of_one_site_call(monkeypatch, pair, kind):
+    test, array = BLOCK_PAIRS[pair]
+    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
+                 LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
+    heights = np.geomspace(3e-3, 60.0, 9)
+    ax, ay = (_ray_integral(b, kind, "edge", _AXES[k:k + 1], heights, axis)[0]
+              for k, axis in enumerate("xy"))
+    want = prefactor(b, kind) * (2.0 / b.a_tilde) * (ax + ay)
+    calls = _counting_sites(monkeypatch)
+    assert edge_term(b, kind, heights).tobytes() == want.tobytes()
+    assert calls == [(kind, _AXES.tolist())]
 
 
 def test_block_failure_names_its_first_failing_height(monkeypatch):

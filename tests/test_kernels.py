@@ -371,6 +371,12 @@ def test_phi_laguerre_backends_equal_numpy_branch_bitwise(lib, size, seed):
     assert kernels.phi_laguerre(y, *_LAGUERRE).tobytes() == want.tobytes()
 
 
+# the compiled branch fills 8 radii side by side: every tail length, twice
+for _size in range(1, 18):
+    test_phi_laguerre_backends_equal_numpy_branch_bitwise = example(size=_size, seed=_size)(
+        test_phi_laguerre_backends_equal_numpy_branch_bitwise)
+
+
 def test_phi_laguerre_rejects_mismatched_tables(lib):
     t, w, pw = _LAGUERRE
     for fill in (lib.phi_laguerre, _numpy_backend.phi_laguerre):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cplattice import lattice_sum
 from cplattice.euler_maclaurin import decompose
-from cplattice.greens import green_dyadic
+from cplattice.greens import green_dyadic, resonant_sites
 from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_ranges, _split_rows,
                                    offresonant_pair_term, resonant_pair_term,
                                    sum_lattice)
@@ -277,6 +277,65 @@ def test_thread_count_does_not_change_bits():
             assert all(work[lo:hi].sum() <= share + work.max() for lo, hi in ranges)
             assert _map_ranges(lambda lo, hi: list(range(lo, hi)), ranges) == [
                 list(range(lo, hi)) for lo, hi in ranges]
+
+
+_S3 = 1.0 / math.sqrt(3.0)
+_CUSTOM_PAIRS = {"custom_a": ((0.6, 0.0, 0.8), (_S3, _S3, _S3)),
+                 "custom_b": ((_S3, _S3, _S3), (0.0, 0.8, 0.6))}
+
+
+# (pair, M, a, z, resonant sum) as float.hex at mu = 0.6, recorded while the
+# generic direct sum still called the site kernel once per row
+PINNED_CUSTOM_SUMS = [
+    ("custom_a", 8, 0.6, 1.3, "0x1.4d43eb6a23e3cp-20"),
+    ("custom_a", 200, 0.01, 0.05, "0x1.106b486b81301p+11"),
+    ("custom_b", 8, 0.6, 1.3, "0x1.9969fa7211d44p-21"),
+    ("custom_b", 200, 0.01, 0.05, "0x1.c3ac7fcc667aep+10"),
+]
+
+
+@pytest.mark.parametrize("pair,M,a,z,want", PINNED_CUSTOM_SUMS)
+def test_custom_sums_bit_exact(pair, M, a, z, want):
+    test, array = _CUSTOM_PAIRS[pair]
+    b = mk(mu=0.6, a=a, M=M, z=z, test=test, array=array)
+    for threads in (1, 3):
+        assert sum_lattice(b, "resonant", threads=threads).resonant.hex() == want
+
+
+def _per_row_custom(bundle):
+    """The generic resonant sum with one site-kernel call per row, each row
+    summed by NumPy and the rows reduced exactly: the oracle of the row-range
+    evaluation."""
+    M, a = bundle.half_extent, bundle.a_tilde
+    y = np.arange(-M, M + 1, dtype=np.float64) * a
+    rows = []
+    for nx in range(-M, M + 1):
+        r, dot, pp = lattice_sum.site_projections(bundle.params.test_dipole,
+                                                  bundle.params.array_dipole, nx * a, y,
+                                                  bundle.z_tilde)
+        rows.append(float(np.sum(resonant_sites(r, dot, pp))))
+    return math.fsum(rows)
+
+
+@pytest.mark.parametrize("cap", [1, 50, 1 << 14])
+def test_custom_row_ranges_equal_per_row_oracle_bitwise(monkeypatch, cap):
+    # a cap below a row's 2M+1 sites gives one row per call; 50 sites split
+    # every worker's range into blocks of 2 rows (M = 12) or 1 row (M = 40)
+    monkeypatch.setattr(lattice_sum, "CUSTOM_BLOCK_SITES", cap)
+    calls, kernel = [], lattice_sum.resonant_sites
+    monkeypatch.setattr(lattice_sum, "resonant_sites",
+                        lambda r, dot, pp: calls.append(r.shape) or kernel(r, dot, pp))
+    for pair, (test, array) in _CUSTOM_PAIRS.items():
+        for M, a, z in ((0, 0.5, 0.3), (12, 0.3, 0.7), (40, 0.05, 0.2)):
+            b = mk(mu=0.6, a=a, M=M, z=z, test=test, array=array)
+            want = _per_row_custom(b)
+            for threads in (1, 3):
+                calls.clear()
+                got = lattice_sum._resonant_custom(b, threads, None)
+                assert got.hex() == want.hex(), (pair, M, threads)
+                step = max(1, cap // (2 * M + 1))
+                assert all(rows <= step and sites == 2 * M + 1 for rows, sites in calls)
+                assert sum(rows for rows, _ in calls) == 2 * M + 1
 
 
 def test_bad_kind_rejected():

@@ -20,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cplattice import kernels, lattice_sum
 from cplattice.euler_maclaurin import edge_term, vertex_term
-from cplattice.lattice_sum import (_PHI_SWITCH, _phi_closed, _phi_laguerre,
+from cplattice.lattice_sum import (_PHI_SWITCH, _moments, _phi_closed, _phi_laguerre,
                                    offresonant_pair_term, offresonant_prefactor,
                                    offresonant_sites)
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
@@ -114,6 +115,44 @@ def test_branch_switch_is_continuous():
     r = _PHI_SWITCH * np.array([1.0 - 1e-12, 1.0 + 1e-12])
     below, above = offresonant_sites(r, 1.0, 0.3, 0.5)
     assert above == pytest.approx(below, rel=1e-11)
+
+
+# M_0..4 at mu = 0.6 of radii whose y = r mu and y = r all fall below the
+# switch (small) or above it (large), row by row, as float.hex; recorded while
+# _moments still called both branches on every input
+PINNED_MOMENTS = {
+    "small": ([0.1, 1.2], [
+        "0x1.7e21343aba379p+0", "0x1.09d455919ba59p-4", "0x1.88e07b398014bp-8",
+        "0x1.15edd4cb29abep-10", "0x1.7e735f53f6e14p-12",
+        "0x1.83918fc0ce14fp-1", "0x1.aeeb01c626db2p-3", "0x1.bf01296bf7c35p-4",
+        "0x1.5499ae3d9ee1ap-4", "0x1.5cfba84afd87dp-4"]),
+    "large": ([4.0, 30.0], [
+        "0x1.45d9190807ad6p-2", "0x1.18c7309e820f9p-3", "0x1.cf3b069718c2fp-4",
+        "0x1.15fb8e457d475p-3", "0x1.b3bdb2844cdaap-3",
+        "0x1.7a789ea461e59p-5", "0x1.78e910e3dc4b2p-6", "0x1.769974c1d7745p-6",
+        "0x1.16ace196b8be6p-5", "0x1.13e2cb612ab06p-4"]),
+    "empty": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MOMENTS))
+def test_moments_call_only_branches_with_radii(monkeypatch, case):
+    calls = []
+
+    def only_some(name, branch):
+        def call(y, *args):
+            assert y.size > 0, f"{name} called on no radii"
+            calls.append(name)
+            return branch(y, *args)
+        return call
+
+    monkeypatch.setattr(lattice_sum, "_phi_closed", only_some("closed", _phi_closed))
+    monkeypatch.setattr(kernels, "phi_laguerre", only_some("laguerre", kernels.phi_laguerre))
+    r, want = PINNED_MOMENTS[case]
+    got = _moments(np.array(r, dtype=float), 0.6)
+    assert got.shape == (len(r), 5)
+    assert [v.hex() for v in got.ravel().tolist()] == want
+    assert calls == {"small": ["closed"], "large": ["laguerre"], "empty": []}[case]
 
 
 def test_zz_site_terms_strictly_positive_at_large_r():
