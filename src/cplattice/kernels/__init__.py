@@ -9,23 +9,23 @@ process. Any failure to build or load it (no compiler, a compile error, a
 read-only directory) selects the NumPy fallback. Set
 CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library.
 
-Both backends export the same six functions:
+The module exports three functions over the selected backend, and the
+distance table that the compiled rows gather from:
 
-* ``res_row_zz(a2, z2, nx)`` and ``res_row_zx``: one octant row's total;
-* ``res_rows_zz(a2, z2, lo, hi)`` and ``res_rows_zx``: the rows
-  lo <= nx < hi (0 <= lo <= hi) as a new float64 array, element nx - lo
-  bitwise equal to ``res_row_*(a2, z2, nx)``. One call fills a whole range,
-  and the compiled call runs without the interpreter lock. On the NumPy
-  backend, and on the compiled one for ranges of more than
-  ``TABLE_SITE_CAP`` sites, they stream: :func:`range_entry` checks the
-  range, allocates the output and passes it to the backend's
-  ``res_rows_*(a2, z2, lo, hi, out)``, which evaluates every site. Below the
-  cap the compiled entry (:func:`table_entry`) reads the range's
-  :func:`distance_table` and calls ``table_rows_*``, which evaluates the
-  site term once per distinct distance and gathers each row from those
-  values in the streaming row's order, eight rows side by side, so the rows
-  are the same bits. Rows whose largest phase reaches the fast sin/cos
-  bound stream inside that call;
+* ``res_rows(zx, a2, z2, lo, hi)``: the octant rows lo <= nx < hi
+  (0 <= lo <= hi) of the z-probe resonant sum, for z-oriented (zx false)
+  or x-oriented (zx true) array dipoles, as a new float64 array whose
+  element nx - lo is bitwise equal to the backend's single row
+  ``res_row(zx, a2, z2, nx)``. One call fills a whole range, and the
+  compiled call runs without the interpreter lock. On the NumPy backend,
+  and on the compiled one for ranges of more than ``TABLE_SITE_CAP``
+  sites, the backend's ``res_rows(zx, a2, z2, lo, hi, out)`` streams,
+  evaluating every site. Otherwise the compiled ``table_rows`` reads the
+  range's :func:`distance_table`, evaluates the site term once per
+  distinct distance and gathers each row from those values in the
+  streaming row's order, eight rows side by side, so the rows are the same
+  bits. Rows whose largest phase reaches the fast sin/cos bound stream
+  inside that call;
 * ``distance_table(lo, hi)``: the distinct nx^2 + j^2 of the octant sites
   of those rows and each site's index into them, shared by the resonant
   rows above and the direct off-resonant octant sum. The compiled builder
@@ -37,11 +37,11 @@ Both backends export the same six functions:
   branch, Phi_0..4(y) as the columns of a new (y.size, 5) array, for the
   nodes t, weights w and powers pw = (t/2)^k that ``lattice_sum`` defines.
   The compiled branch evaluates eight radii side by side, each in the NumPy
-  one's order of operations, so the two are bitwise equal. Built by :func:`laguerre_entry` over the backend's
-  ``phi_laguerre(y, n, t, w, pw, m, out)``.
+  one's order of operations, so the two are bitwise equal.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -75,11 +75,12 @@ def _cpu_model() -> str:
 def load_library(cc: str = "cc", directory: Path = _HERE):
     """The compiled row library, built into ``directory`` on first use.
 
-    Returns a ``ctypes.CDLL`` with ``res_row_zz``, ``res_row_zx``,
-    ``res_rows_zz``, ``res_rows_zx``, ``distance_table``, ``table_rows_zz``,
-    ``table_rows_zx``, ``phi_laguerre`` and ``sincos_probe`` declared, or None
-    when the library cannot be built or loaded. The build writes a temporary
-    file and moves it into place, so concurrent first imports are safe.
+    Returns a ``ctypes.CDLL`` with ``res_row``, ``res_rows``,
+    ``distance_table``, ``table_rows``, ``phi_laguerre`` and ``sincos_probe``
+    declared, or None when the library cannot be built or loaded. The build
+    writes a temporary file and moves it into place, so concurrent first
+    imports are safe; a successful build then removes the libraries of
+    other keys (``_rows-*.so``) from ``directory``.
     """
     try:
         key = hashlib.sha256(b"\0".join([
@@ -97,28 +98,29 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            # each edit of _rows.c would otherwise leave its library behind;
+            # a concurrent build's ._rows-* temporary does not match
+            for stale in path.parent.glob("_rows-*.so"):
+                if stale != path:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
-    for name in ("res_row_zz", "res_row_zx"):
-        fn = getattr(lib, name)
-        fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_long)
-        fn.restype = ctypes.c_double
+    lib.res_row.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_long)
+    lib.res_row.restype = ctypes.c_double
     out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    for name in ("res_rows_zz", "res_rows_zx"):
-        fn = getattr(lib, name)
-        fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_long, ctypes.c_long, out)
-        fn.restype = None
+    lib.res_rows.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_long,
+                             ctypes.c_long, out)
+    lib.res_rows.restype = None
     vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     index = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
     index_out = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.distance_table.argtypes = (ctypes.c_long, ctypes.c_long, out, index_out)
     lib.distance_table.restype = ctypes.c_long
-    for name in ("table_rows_zz", "table_rows_zx"):
-        fn = getattr(lib, name)
-        fn.argtypes = (ctypes.c_double, ctypes.c_double, vec, ctypes.c_long, index,
-                       ctypes.c_long, ctypes.c_long, out, out)
-        fn.restype = None
+    lib.table_rows.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, vec,
+                               ctypes.c_long, index, ctypes.c_long, ctypes.c_long, out, out)
+    lib.table_rows.restype = None
     table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     out2 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.phi_laguerre.argtypes = (vec, ctypes.c_long, vec, vec, table, ctypes.c_long, out2)
@@ -129,43 +131,8 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     return lib
 
 
-def range_entry(fill):
-    """The range entry point over a backend's ``res_rows_*``.
-
-    ``fill(a2, z2, lo, hi, out)`` writes the rows lo <= nx < hi into
-    ``out``; the entry point checks 0 <= lo <= hi (``ValueError``
-    otherwise), allocates ``out`` and returns it.
-    """
-    def rows(a2: float, z2: float, lo: int, hi: int) -> np.ndarray:
-        if not 0 <= lo <= hi:
-            raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
-        out = np.empty(hi - lo)
-        fill(a2, z2, lo, hi, out)
-        return out
-    return rows
-
-
-def laguerre_entry(fill):
-    """The Gauss-Laguerre entry point over a backend's ``phi_laguerre``.
-
-    ``fill(y, n, t, w, pw, m, out)`` writes Phi_0..4 of the n values y into
-    ``out`` (n, 5) with the m nodes t, weights w and powers pw (m, 5); the
-    entry point checks those shapes (``ValueError`` otherwise), allocates
-    ``out`` and returns it.
-    """
-    def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
-        if t.ndim != 1 or w.shape != t.shape or pw.shape != (t.size, 5):
-            raise ValueError(f"need nodes (m,), weights (m,) and powers (m, 5), got "
-                             f"{t.shape}, {w.shape} and {pw.shape}")
-        y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
-        out = np.empty((y.size, 5))
-        fill(y, y.size, t, w, pw, t.size, out)
-        return out
-    return phi_laguerre
-
-
 # The most octant sites whose distance tables a process keeps, all tables
-# together; a range of rows holding more sites streams (res_rows_*).
+# together; a range of rows holding more sites streams (res_rows).
 TABLE_SITE_CAP = 1 << 21
 
 
@@ -218,36 +185,45 @@ def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def table_entry(fill, stream):
-    """The compiled range entry point: rows from the distance table.
-
-    ``fill(a2, z2, d2, n, idx, lo, hi, values, out)`` is ``table_rows_*``,
-    which writes the rows lo <= nx < hi, bitwise equal to the streaming
-    ``res_rows_*``, from the n distances d2 and indices idx of the rows'
-    table, using ``values`` (n) as scratch. Ranges of more than
-    ``TABLE_SITE_CAP`` sites go to ``stream``, the streaming range entry.
-    """
-    def rows(a2: float, z2: float, lo: int, hi: int) -> np.ndarray:
-        if not 0 <= lo <= hi or range_sites(lo, hi) > TABLE_SITE_CAP:
-            return stream(a2, z2, lo, hi)
-        d2, idx = distance_table(lo, hi)
-        out = np.empty(hi - lo)
-        fill(a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
-        return out
-    return rows
-
-
 _lib = None if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else load_library()
 _impl = _numpy_backend if _lib is None else _lib
 
-res_row_zz = _impl.res_row_zz
-res_row_zx = _impl.res_row_zx
-res_rows_zz = range_entry(_impl.res_rows_zz)
-res_rows_zx = range_entry(_impl.res_rows_zx)
-if _lib is not None:
-    res_rows_zz = table_entry(_lib.table_rows_zz, res_rows_zz)
-    res_rows_zx = table_entry(_lib.table_rows_zx, res_rows_zx)
-phi_laguerre = laguerre_entry(_impl.phi_laguerre)
+
+def res_rows(zx: bool, a2: float, z2: float, lo: int, hi: int) -> np.ndarray:
+    """The octant rows lo <= nx < hi of the zz (zx false) or zx (zx true)
+    resonant sum; raises ``ValueError`` unless 0 <= lo <= hi."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    out = np.empty(hi - lo)
+    if _lib is not None and range_sites(lo, hi) <= TABLE_SITE_CAP:
+        d2, idx = distance_table(lo, hi)
+        _lib.table_rows(zx, a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+    else:
+        _impl.res_rows(zx, a2, z2, lo, hi, out)
+    return out
+
+
+def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """Phi_0..4(y) as the columns of a new (y.size, 5) array for the m nodes
+    t, weights w and powers pw (m, 5); raises ``ValueError`` for other
+    shapes."""
+    if t.ndim != 1 or w.shape != t.shape or pw.shape != (t.size, 5):
+        raise ValueError(f"need nodes (m,), weights (m,) and powers (m, 5), got "
+                         f"{t.shape}, {w.shape} and {pw.shape}")
+    y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
+    out = np.empty((y.size, 5))
+    _impl.phi_laguerre(y, y.size, t, w, pw, t.size, out)
+    return out
+
+
+# Single rows under their former names, only because perfbench/tracer.py
+# wraps these with a plain getattr; ROADMAP item 1 deletes them.
+def res_row_zz(a2: float, z2: float, nx: int) -> float:
+    return _impl.res_row(False, a2, z2, nx)
+
+
+def res_row_zx(a2: float, z2: float, nx: int) -> float:
+    return _impl.res_row(True, a2, z2, nx)
 
 
 def backend_name() -> str:

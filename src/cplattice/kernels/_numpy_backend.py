@@ -1,10 +1,11 @@
 """NumPy fallback for the hot lattice-sum row kernels, and the octant fold.
 
-Same contract as the compiled library: ``res_row_*`` evaluates one octant
-row n_x = const, n_y = 0..n_x, with the dihedral-orbit weights folded in, and
-returns the row total, and ``res_rows_*(a2, z2, lo, hi, out)`` writes the
-rows lo <= n_x < hi into ``out`` (``kernels.range_entry`` checks the range
-and allocates ``out``); :func:`phi_laguerre` is the Gauss-Laguerre branch of
+Same contract as the compiled library: ``res_row(zx, a2, z2, nx)``
+evaluates one octant row n_x = const, n_y = 0..n_x, of the zz (zx false) or
+zx (zx true) orientation with the dihedral-orbit weights folded in, and
+returns the row total, and ``res_rows(zx, a2, z2, lo, hi, out)`` writes the
+rows lo <= n_x < hi into ``out`` (``kernels.res_rows`` checks the range and
+allocates ``out``); :func:`phi_laguerre` is the Gauss-Laguerre branch of
 the off-resonant site kernel. :func:`octant_sites` is the one
 statement of those weights; the direct off-resonant sum folds its octant
 with it too.
@@ -64,7 +65,10 @@ def octant_weights(nx, j, a2: float, zx: bool):
     return np.where(nx == 0, 1.0, np.where(axis | diagonal, 4.0, 8.0))
 
 
-def _row(a2: float, z2: float, nx: int, zx: bool) -> float:
+def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
+    """Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole
+    pairs (zx false), or for z-probe / x-array dipoles with x^2-folded
+    weights (zx true)."""
     total = 0.0
     for j0 in range(0, nx + 1, BLOCK):
         j = np.arange(j0, min(j0 + BLOCK, nx + 1), dtype=np.float64)
@@ -73,26 +77,10 @@ def _row(a2: float, z2: float, nx: int, zx: bool) -> float:
     return total
 
 
-def res_row_zz(a2: float, z2: float, nx: int) -> float:
-    """Octant row of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole pairs."""
-    return _row(a2, z2, nx, False)
-
-
-def res_row_zx(a2: float, z2: float, nx: int) -> float:
-    """Octant row for z-probe / x-array dipoles (x^2-folded weights)."""
-    return _row(a2, z2, nx, True)
-
-
-def res_rows_zz(a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None:
-    """out[nx - lo] = res_row_zz(a2, z2, nx) for lo <= nx < hi."""
+def res_rows(zx: bool, a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi."""
     for nx in range(lo, hi):
-        out[nx - lo] = _row(a2, z2, nx, False)
-
-
-def res_rows_zx(a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None:
-    """out[nx - lo] = res_row_zx(a2, z2, nx) for lo <= nx < hi."""
-    for nx in range(lo, hi):
-        out[nx - lo] = _row(a2, z2, nx, True)
+        out[nx - lo] = res_row(zx, a2, z2, nx)
 
 
 def distance_table(lo: int, hi: int, d2: np.ndarray, idx: np.ndarray) -> int:

@@ -1,25 +1,28 @@
 /* Compiled lattice-sum row kernels, C99 with two GCC/Clang extensions (bit
    builtins and a vector type), loaded through ctypes.
 
-   Contract matches the NumPy fallback (_numpy_backend.py): res_row_* returns
-   one octant row n_x = nx, n_y = 0..nx with the orbit weights folded in, and
-   res_rows_*(a2, z2, lo, hi, out) writes out[nx - lo] = res_row_*(a2, z2, nx)
-   for lo <= nx < hi, so a whole octant costs one call; phi_laguerre is the
-   Gauss-Laguerre branch of the off-resonant site kernel. Each
-   orientation's site term is written once (term_zz, term_zx) and serves the
-   row pass, its endpoint corrections and the origin. The row pass fills
-   chunks the compiler vectorizes and sums them with Neumaier compensation
-   in strict index order, so a row value is a pure function of (a2, z2, nx)
-   and the caller's exact cross-row reduction is bit-reproducible for any
-   worker count.
+   Contract matches the NumPy fallback (_numpy_backend.py): res_row(zx, a2,
+   z2, nx) returns one octant row n_x = nx, n_y = 0..nx with the orbit
+   weights folded in, for z-oriented array dipoles (zx = 0) or x-oriented
+   ones (zx = 1), and res_rows(zx, a2, z2, lo, hi, out) writes out[nx - lo] =
+   res_row(zx, a2, z2, nx) for lo <= nx < hi, so a whole octant costs one
+   call; phi_laguerre is the Gauss-Laguerre branch of the off-resonant site
+   kernel. Each orientation's site term is written once (term_zz, term_zx)
+   and serves the row pass, its endpoint corrections and the origin. The
+   exports test zx outside their site loops, so each loop instance has its
+   term fixed: choosing the term per site made the zx table pass ~30%
+   slower. The row pass fills chunks the compiler vectorizes and sums them
+   with Neumaier compensation in strict index order, so a row value is a
+   pure function of (a2, z2, nx) and the caller's exact cross-row reduction
+   is bit-reproducible for any worker count.
 
    The site term depends on (nx, j) only through d2 = nx^2 + j^2, and many
    d2 occur more than once (0.63 of the octant sites at M = 500 are
    distinct). distance_table lists the distinct d2 of a row range and each
-   site's index into them; table_rows_* evaluate the term once per distinct
-   d2 and gather every row from those values in the same order, with the
-   same compensation and endpoint terms, so they write the same bits as
-   res_rows_*.
+   site's index into them; table_rows evaluates the term once per distinct
+   d2 and gathers every row from those values in the same order, with the
+   same compensation and endpoint terms, so it writes the same bits as
+   res_rows.
 
    sin/cos use a Cody-Waite reduced fdlibm-style kernel (1 ulp), valid for
    phases below ~1e6. Rows whose largest phase reaches that bound, and the
@@ -162,36 +165,28 @@ static inline double row_total(int zx, double pass, double a2, double z2, long n
 }
 
 /* Octant row n_x = nx, streamed: every site term is evaluated. */
-static inline double res_row(int zx, double a2, double z2, long nx)
+static inline double stream_row(int zx, double a2, double z2, long nx)
 {
     double nx2 = (double)nx * (double)nx;
     return row_total(zx, nx == 0 ? 0.0 : row_sum(zx, nx2, a2, z2, nx), a2, z2, nx);
 }
 
-/* Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole pairs. */
-double res_row_zz(double a2, double z2, long nx)
+/* Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole pairs
+   (zx = 0), or for z-probe / x-array dipoles with x^2-folded weights (zx = 1). */
+double res_row(int zx, double a2, double z2, long nx)
 {
-    return res_row(0, a2, z2, nx);
+    return zx ? stream_row(1, a2, z2, nx) : stream_row(0, a2, z2, nx);
 }
 
-/* Octant row n_x = nx for z-probe / x-array dipoles (x^2-folded weights). */
-double res_row_zx(double a2, double z2, long nx)
+/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi. */
+void res_rows(int zx, double a2, double z2, long lo, long hi, double *out)
 {
-    return res_row(1, a2, z2, nx);
-}
-
-/* out[nx - lo] = res_row_zz(a2, z2, nx) for lo <= nx < hi. */
-void res_rows_zz(double a2, double z2, long lo, long hi, double *out)
-{
-    for (long nx = lo; nx < hi; nx++)
-        out[nx - lo] = res_row_zz(a2, z2, nx);
-}
-
-/* out[nx - lo] = res_row_zx(a2, z2, nx) for lo <= nx < hi. */
-void res_rows_zx(double a2, double z2, long lo, long hi, double *out)
-{
-    for (long nx = lo; nx < hi; nx++)
-        out[nx - lo] = res_row_zx(a2, z2, nx);
+    if (zx)
+        for (long nx = lo; nx < hi; nx++)
+            out[nx - lo] = stream_row(1, a2, z2, nx);
+    else
+        for (long nx = lo; nx < hi; nx++)
+            out[nx - lo] = stream_row(0, a2, z2, nx);
 }
 
 /* The distance table of the rows lo <= nx < hi: the distinct d2 = nx^2 + j^2
@@ -243,8 +238,8 @@ typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
    of the rows' table, and idx, the rows' table indices. LANES consecutive
    rows are summed side by side, one row per lane, each lane in its row's j
    order, so every row is the Neumaier sum of row_sum. */
-static void table_rows(int zx, double a2, double z2, const double *values,
-                       const int32_t *idx, long lo, long hi, double *out)
+static void gather_rows(int zx, double a2, double z2, const double *values,
+                        const int32_t *idx, long lo, long hi, double *out)
 {
     long nx = lo;
     for (; nx + LANES <= hi; nx += LANES) {
@@ -278,36 +273,27 @@ static void table_rows(int zx, double a2, double z2, const double *values,
     }
 }
 
-/* out[nx - lo] = res_row_zz(a2, z2, nx) for lo <= nx < hi, bitwise, from
+/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, bitwise, from
    the rows' distance table (the n distances d2 and the indices idx of
    distance_table(lo, hi, ...)): the site term is evaluated once per
    distance into values (room for n) and each row gathers its terms. When
    the last row's largest phase reaches PHASE_LIMIT the rows stream as in
-   res_rows_zz, since rows past the limit take libm and one distance could
+   res_rows, since rows past the limit take libm and one distance could
    then carry two values. */
-void table_rows_zz(double a2, double z2, const double *d2, long n, const int32_t *idx,
-                   long lo, long hi, double *values, double *out)
+void table_rows(int zx, double a2, double z2, const double *d2, long n, const int32_t *idx,
+                long lo, long hi, double *values, double *out)
 {
     if (hi > lo && !fast_row(a2, z2, hi - 1)) {
-        res_rows_zz(a2, z2, lo, hi, out);
+        res_rows(zx, a2, z2, lo, hi, out);
         return;
     }
-    for (long k = 0; k < n; k++)
-        values[k] = term_zz(d2[k], a2, z2, 1);
-    table_rows(0, a2, z2, values, idx, lo, hi, out);
-}
-
-/* The same for res_row_zx. */
-void table_rows_zx(double a2, double z2, const double *d2, long n, const int32_t *idx,
-                   long lo, long hi, double *values, double *out)
-{
-    if (hi > lo && !fast_row(a2, z2, hi - 1)) {
-        res_rows_zx(a2, z2, lo, hi, out);
-        return;
-    }
-    for (long k = 0; k < n; k++)
-        values[k] = term_zx(d2[k], a2, z2, 1);
-    table_rows(1, a2, z2, values, idx, lo, hi, out);
+    if (zx)
+        for (long k = 0; k < n; k++)
+            values[k] = term_zx(d2[k], a2, z2, 1);
+    else
+        for (long k = 0; k < n; k++)
+            values[k] = term_zz(d2[k], a2, z2, 1);
+    gather_rows(zx, a2, z2, values, idx, lo, hi, out);
 }
 
 /* Phi_0..4(y[i]) by m-node Gauss-Laguerre quadrature in tau = 2yt, into

@@ -17,7 +17,7 @@ one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
 array z or array x) the projections are radial, and the sum runs over one
 octant with the dihedral orbit weights of
 :func:`cplattice.kernels._numpy_backend.octant_sites`. The resonant octant
-is one call of ``kernels.res_rows_*`` over the rows n_x = 0..M, or one call
+is one call of ``kernels.res_rows`` over the rows n_x = 0..M, or one call
 per contiguous row range when split over threads; the row values come back
 in fixed order and are reduced exactly (math.fsum), so results are
 bit-identical for any worker count. The octant site terms depend on the
@@ -167,8 +167,11 @@ def _phi_laguerre(y: np.ndarray) -> np.ndarray:
     """Phi_0..4(y) as columns, by Gauss-Laguerre quadrature in tau = 2yt on
     the NumPy backend: the fallback of ``kernels.phi_laguerre``, and the
     oracle that its compiled branch equals bit for bit."""
-    phi = kernels.laguerre_entry(_numpy_backend.phi_laguerre)
-    return phi(y, _LAGUERRE_T, _LAGUERRE_W, _LAGUERRE_POW)
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    out = np.empty((y.size, 5))
+    _numpy_backend.phi_laguerre(y, y.size, _LAGUERRE_T, _LAGUERRE_W, _LAGUERRE_POW,
+                                _LAGUERRE_T.size, out)
+    return out
 
 
 def _moments(r: np.ndarray, mu: float) -> np.ndarray:
@@ -268,11 +271,11 @@ def _map_ranges(fn, ranges, executor=None) -> list:
 def _resonant_octant(bundle: ValidatedBundle, threads, executor) -> float:
     a2 = bundle.a_tilde ** 2
     z2 = bundle.z_tilde ** 2
-    rows = kernels.res_rows_zz if bundle.orientation_label() == "zz" else kernels.res_rows_zx
+    zx = bundle.orientation_label() == "zx"
     M = bundle.half_extent
     # octant row nx holds the nx + 1 sites j = 0..nx
     ranges = _split_rows(np.arange(1, M + 2), threads)
-    parts = _map_ranges(lambda lo, hi: rows(a2, z2, lo, hi), ranges, executor)
+    parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges, executor)
     return math.fsum(np.concatenate(parts).tolist())
 
 
@@ -332,10 +335,14 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
     site in one vectorized kernel call and reduce exactly, so threads do not
     affect them. ``threads=None`` runs a resonant sum whose octant (zz, zx)
     or grid (other pairs) holds at least ``AUTO_THREADS_SITES`` sites on
-    :func:`usable_cpus` workers, and a smaller one on one. A threaded
-    resonant sum runs its ranges on ``executor``, a ``concurrent.futures``
-    pool a caller keeps across sums, or on a pool of its own when None.
+    :func:`usable_cpus` workers, and a smaller one on one; a larger count
+    than :func:`usable_cpus` is cut to it, and one below 1 raises
+    ``ValueError``. A threaded resonant sum runs its ranges on ``executor``,
+    a ``concurrent.futures`` pool a caller keeps across sums, or on a pool
+    of its own when None.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     bundle = validate(bundle)
     count = bundle.lattice.atom_count
     if site_budget is not None and count > site_budget:
@@ -346,6 +353,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
         if threads is None:
             summed = kernels.range_sites(0, bundle.half_extent + 1) if octant else count
             threads = usable_cpus() if summed >= AUTO_THREADS_SITES else 1
+        threads = min(threads, usable_cpus())
         sites = _resonant_octant if octant else _resonant_custom
         value = sites(bundle, threads, executor)
         return ShiftResult(resonant=pref * value, off_resonant=None, terms_summed=count)

@@ -1,6 +1,7 @@
 """Backend contract: the compiled row library and the NumPy fallback are
 interchangeable, the library's reduced sincos matches the C library, and
 the loader falls back to NumPy whenever the library cannot be built."""
+import contextlib
 import ctypes
 import math
 import os
@@ -59,6 +60,21 @@ def test_forced_numpy_backend_in_subprocess():
     assert proc.stdout.strip() == "numpy"
 
 
+def test_forced_numpy_rows_equal_single_rows_in_subprocess():
+    code = ("from cplattice import kernels; from cplattice.kernels import _numpy_backend as nb\n"
+            "assert kernels.backend_name() == 'numpy'\n"
+            "for zx in (False, True):\n"
+            "    for a2, z2, lo, hi in ((1e-4, 0.04, 0, 40), (0.25, 1.0, 17, 30), (4.0, 1e-4, 5, 5)):\n"
+            "        got = [v.hex() for v in kernels.res_rows(zx, a2, z2, lo, hi).tolist()]\n"
+            "        assert got == [nb.res_row(zx, a2, z2, nx).hex() for nx in range(lo, hi)]\n"
+            "print('ok')")
+    env = dict(os.environ, CPLATTICE_FORCE_NUMPY_KERNELS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 def test_failed_builds_fall_back_without_raising(tmp_path):
     # no such compiler, a compiler that fails, a directory that does not exist
     assert kernels.load_library(cc=str(tmp_path / "no-such-cc"), directory=tmp_path) is None
@@ -66,6 +82,23 @@ def test_failed_builds_fall_back_without_raising(tmp_path):
         assert kernels.load_library(cc="false", directory=tmp_path) is None
     assert kernels.load_library(directory=tmp_path / "missing") is None
     assert list(tmp_path.iterdir()) == []  # no temporary file is left behind
+
+
+def test_build_removes_stale_libraries(lib, tmp_path):
+    # a build removes the libraries of other keys, not a concurrent build's
+    # temporary or other files; a cache hit removes nothing
+    stale, other, partial = (tmp_path / name for name in (
+        "_rows-0000000000000000.so", "other.so", "._rows-x1y2z3.so"))
+    for path in (stale, other, partial):
+        path.write_bytes(b"")
+    assert kernels.load_library(directory=tmp_path) is not None
+    built = [p.name for p in tmp_path.glob("_rows-*.so")]
+    assert len(built) == 1 and built[0] != stale.name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*built, other.name,
+                                                                 partial.name])
+    stale.write_bytes(b"")
+    assert kernels.load_library(directory=tmp_path) is not None
+    assert stale.exists()
 
 
 def test_cached_library_loads_without_a_process(lib, tmp_path, monkeypatch):
@@ -78,7 +111,7 @@ def test_cached_library_loads_without_a_process(lib, tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", no_process)
     cached = kernels.load_library(directory=tmp_path)
-    assert cached.res_row_zz(1e-4, 0.04, 100) == lib.res_row_zz(1e-4, 0.04, 100)
+    assert cached.res_row(0, 1e-4, 0.04, 100) == lib.res_row(0, 1e-4, 0.04, 100)
     assert sorted(p.name for p in tmp_path.iterdir()) == built
 
 
@@ -93,12 +126,9 @@ def test_fast_sincos_one_ulp(lib):
 @pytest.mark.parametrize("nx", [0, 1, 2, 3, 17, 173, 2048, 20001])
 @pytest.mark.parametrize("a2,z2", [(1e-4, 0.04), (0.25, 1.0), (4.0, 1e-4), (1e-2, 9.0)])
 def test_rows_match_numpy_backend(lib, nx, a2, z2):
-    a = lib.res_row_zz(a2, z2, nx)
-    b = _numpy_backend.res_row_zz(a2, z2, nx)
-    assert a == pytest.approx(b, rel=5e-12, abs=1e-300)
-    c = lib.res_row_zx(a2, z2, nx)
-    d = _numpy_backend.res_row_zx(a2, z2, nx)
-    assert c == pytest.approx(d, rel=5e-12, abs=1e-300)
+    for zx in (False, True):
+        assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
+            _numpy_backend.res_row(zx, a2, z2, nx), rel=5e-12, abs=1e-300)
 
 
 def _weighted_magnitude(a2, z2, nx):
@@ -119,17 +149,16 @@ def test_compiled_rows_match_numpy_rows(lib, log_a2, log_z2, nx):
     # rows of oscillating terms cancel: a floor of 1e-13 of the magnitude sum
     a2, z2 = math.exp(log_a2), math.exp(log_z2)
     mzz, mzx = _weighted_magnitude(a2, z2, nx)
-    assert lib.res_row_zz(a2, z2, nx) == pytest.approx(
-        _numpy_backend.res_row_zz(a2, z2, nx), rel=5e-12, abs=1e-13 * mzz)
-    assert lib.res_row_zx(a2, z2, nx) == pytest.approx(
-        _numpy_backend.res_row_zx(a2, z2, nx), rel=5e-12, abs=1e-13 * mzx)
+    for zx, magnitude in ((False, mzz), (True, mzx)):
+        assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
+            _numpy_backend.res_row(zx, a2, z2, nx), rel=5e-12, abs=1e-13 * magnitude)
 
 
-# (a2, z2, nx, res_row_zz, res_row_zx), the rows as float.hex. The row pass is
-# strict IEEE arithmetic (no FMA contraction, correctly rounded sqrt, the
-# reduced sin/cos: every largest phase here is below 1e6), so any change to a
-# site formula or to the summation order shows; only the two endpoint terms
-# call libm. nx = 511..513 straddle the 512-site chunk.
+# (a2, z2, nx, res_row(0, ...), res_row(1, ...)), the rows as float.hex. The
+# row pass is strict IEEE arithmetic (no FMA contraction, correctly rounded
+# sqrt, the reduced sin/cos: every largest phase here is below 1e6), so any
+# change to a site formula or to the summation order shows; only the two
+# endpoint terms call libm. nx = 511..513 straddle the 512-site chunk.
 PINNED_ROWS = [
     (0.0001, 0.04, 1, '0x1.f0ae98e0c2cc2p+18', '0x1.05c18bb3a7e91p+11'),
     (0.0001, 0.04, 2, '0x1.d46a8f73e34ccp+19', '0x1.c77d9fb2e1bcbp+13'),
@@ -146,16 +175,32 @@ PINNED_ROWS = [
 
 @pytest.mark.parametrize("a2,z2,nx,zz,zx", PINNED_ROWS)
 def test_compiled_rows_bit_exact(lib, a2, z2, nx, zz, zx):
-    assert lib.res_row_zz(a2, z2, nx).hex() == zz
-    assert lib.res_row_zx(a2, z2, nx).hex() == zx
+    assert lib.res_row(0, a2, z2, nx).hex() == zz
+    assert lib.res_row(1, a2, z2, nx).hex() == zx
 
 
-def _range_backends(lib):
-    """(range entry point, single-row kernel) for each backend and orientation."""
-    return [(kernels.range_entry(lib.res_rows_zz), lib.res_row_zz),
-            (kernels.range_entry(lib.res_rows_zx), lib.res_row_zx),
-            (kernels.range_entry(_numpy_backend.res_rows_zz), _numpy_backend.res_row_zz),
-            (kernels.range_entry(_numpy_backend.res_rows_zx), _numpy_backend.res_row_zx)]
+_BACKENDS = ("c-table", "c-stream", "numpy")
+
+
+@contextlib.contextmanager
+def _backend(lib, name):
+    """``kernels`` on one backend: the compiled library reading its distance
+    tables, the compiled library streaming every range (a table cap of 0),
+    or NumPy. Yields that backend's single-row kernel."""
+    impl = _numpy_backend if name == "numpy" else lib
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "_lib", None if name == "numpy" else lib)
+        m.setattr(kernels, "_impl", impl)
+        if name == "c-stream":
+            m.setattr(kernels, "TABLE_SITE_CAP", 0)
+        yield impl.res_row
+
+
+def _stream(lib, zx, a2, z2, lo, hi):
+    """The compiled streaming rows lo <= nx < hi, without the table path."""
+    out = np.empty(hi - lo)
+    lib.res_rows(zx, a2, z2, lo, hi, out)
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,11 +210,13 @@ def _range_backends(lib):
 @example(log_a2=0.0, log_z2=0.0, lo=7, length=0)
 def test_row_ranges_equal_single_rows_bitwise(lib, log_a2, log_z2, lo, length):
     a2, z2, hi = math.exp(log_a2), math.exp(log_z2), lo + length
-    for rows, row in _range_backends(lib):
-        out = rows(a2, z2, lo, hi)
-        assert out.dtype == np.float64 and out.shape == (length,)
-        assert [v.hex() for v in out.tolist()] == [row(a2, z2, nx).hex()
-                                                   for nx in range(lo, hi)]
+    for name in _BACKENDS:
+        with _backend(lib, name) as row:
+            for zx in (False, True):
+                out = kernels.res_rows(zx, a2, z2, lo, hi)
+                assert out.dtype == np.float64 and out.shape == (length,)
+                assert [v.hex() for v in out.tolist()] == [row(zx, a2, z2, nx).hex()
+                                                           for nx in range(lo, hi)]
 
 
 def test_row_range_across_the_libm_switch(lib):
@@ -178,16 +225,20 @@ def test_row_range_across_the_libm_switch(lib):
     a2, z2, lo, hi = 1e7, 1.0, 100, 130
     fast = [2.0 * math.sqrt(2.0 * nx * nx * a2 + z2) < 1e6 for nx in range(lo, hi)]
     assert any(fast) and not all(fast)
-    for rows, row in _range_backends(lib):
-        assert [v.hex() for v in rows(a2, z2, lo, hi).tolist()] == [
-            row(a2, z2, nx).hex() for nx in range(lo, hi)]
+    for name in _BACKENDS:
+        with _backend(lib, name) as row:
+            for zx in (False, True):
+                assert [v.hex() for v in kernels.res_rows(zx, a2, z2, lo, hi).tolist()] == [
+                    row(zx, a2, z2, nx).hex() for nx in range(lo, hi)]
 
 
 def test_row_ranges_reject_bad_bounds(lib):
-    for rows, _ in _range_backends(lib):
-        for lo, hi in ((-1, 3), (5, 4)):
-            with pytest.raises(ValueError, match="0 <= lo <= hi"):
-                rows(1e-4, 0.04, lo, hi)
+    for name in _BACKENDS:
+        with _backend(lib, name):
+            for zx in (False, True):
+                for lo, hi in ((-1, 3), (5, 4)):
+                    with pytest.raises(ValueError, match="0 <= lo <= hi"):
+                        kernels.res_rows(zx, 1e-4, 0.04, lo, hi)
 
 
 def test_loader_declares_every_exported_symbol(lib, tmp_path):
@@ -197,8 +248,7 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     c_type = {"double": ctypes.c_double, "long": ctypes.c_long, "void": None}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
-        "res_row_zz", "res_row_zx", "res_rows_zz", "res_rows_zx", "distance_table",
-        "table_rows_zz", "table_rows_zx", "phi_laguerre", "sincos_probe"}
+        "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "sincos_probe"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
@@ -233,11 +283,10 @@ def test_distance_table_rejects_bad_ranges(lib):
 
 
 def _table_rows(lib, zx, a2, z2, lo, hi):
-    """lib.table_rows_* on the rows' table, without the entry point's cap."""
+    """lib.table_rows on the rows' table, without the entry point's cap."""
     d2, idx = kernels.build_table(lib.distance_table, lo, hi)
     out = np.empty(hi - lo)
-    fill = lib.table_rows_zx if zx else lib.table_rows_zz
-    fill(a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+    lib.table_rows(zx, a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
     return out
 
 
@@ -251,8 +300,8 @@ def test_table_rows_equal_streaming_rows_bitwise(lib, M):
         for z in np.geomspace(1e-3, 1e3, 7):
             a2, z2 = a * a, float(z) ** 2
             for lo, hi in sorted(ranges):
-                for zx, stream in ((False, lib.res_rows_zz), (True, lib.res_rows_zx)):
-                    want = kernels.range_entry(stream)(a2, z2, lo, hi)
+                for zx in (False, True):
+                    want = _stream(lib, zx, a2, z2, lo, hi)
                     got = _table_rows(lib, zx, a2, z2, lo, hi)
                     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], (
                         M, a, float(z), lo, hi, zx)
@@ -266,6 +315,7 @@ def test_sums_from_tables_equal_streaming_sums(monkeypatch, array_dipole, thread
     if kernels.backend_name() != "c":
         pytest.skip("the NumPy fallback has no table path")
     monkeypatch.setattr(kernels, "_tables", {})
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 4)  # keep every split
     for M, a, z in ((9, 0.5, 0.3), (65, 0.05, 2.0), (500, 0.01, 0.3)):
         b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
                      LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
@@ -285,9 +335,9 @@ def test_table_rows_past_the_phase_limit_stream(lib):
     a2, z2, M = 1e10, 0.09, 5
     fast = [2.0 * math.sqrt(2.0 * nx * nx * a2 + z2) < 1e6 for nx in range(M + 1)]
     assert fast == [True] * 4 + [False] * 2
-    for zx, stream in ((False, lib.res_rows_zz), (True, lib.res_rows_zx)):
+    for zx in (False, True):
         for lo, hi in ((0, M + 1), (3, M + 1), (0, 4), (5, 6)):
-            want = kernels.range_entry(stream)(a2, z2, lo, hi)
+            want = _stream(lib, zx, a2, z2, lo, hi)
             got = _table_rows(lib, zx, a2, z2, lo, hi)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
     assert re.search(r"PHASE_LIMIT = 1\.0e6;", kernels._SOURCE.read_text())
@@ -302,10 +352,9 @@ def test_rows_above_the_table_cap_stream(lib, monkeypatch):
     monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 100)
     a2, z2 = 2.5e-3, 0.09
     for lo, hi in ((0, 501), (0, 14), (0, 13), (10, 14), (5, 13)):
-        for rows, stream in ((kernels.res_rows_zz, lib.res_rows_zz),
-                             (kernels.res_rows_zx, lib.res_rows_zx)):
-            want = kernels.range_entry(stream)(a2, z2, lo, hi)
-            assert rows(a2, z2, lo, hi).tobytes() == want.tobytes()
+        for zx in (False, True):
+            want = _stream(lib, zx, a2, z2, lo, hi)
+            assert kernels.res_rows(zx, a2, z2, lo, hi).tobytes() == want.tobytes()
         kept = {key: idx.size for key, (_, idx) in kernels._tables.items()}
         assert ((lo, hi) in kept) == (kernels.range_sites(lo, hi) <= 100)
         assert sum(kept.values()) <= 100
@@ -365,8 +414,10 @@ def test_phi_laguerre_backends_equal_numpy_branch_bitwise(lib, size, seed):
     y[:2] = [2.0, 1e12][:size]
     want = lattice_sum._phi_laguerre(y)
     assert want.shape == (size, 5)
-    for fill in (lib.phi_laguerre, _numpy_backend.phi_laguerre):
-        got = kernels.laguerre_entry(fill)(y, *_LAGUERRE)
+    for impl in (lib, _numpy_backend):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kernels, "_impl", impl)
+            got = kernels.phi_laguerre(y, *_LAGUERRE)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert kernels.phi_laguerre(y, *_LAGUERRE).tobytes() == want.tobytes()
 
@@ -377,13 +428,13 @@ for _size in range(1, 18):
         test_phi_laguerre_backends_equal_numpy_branch_bitwise)
 
 
-def test_phi_laguerre_rejects_mismatched_tables(lib):
+def test_phi_laguerre_rejects_mismatched_tables(lib, monkeypatch):
     t, w, pw = _LAGUERRE
-    for fill in (lib.phi_laguerre, _numpy_backend.phi_laguerre):
-        phi = kernels.laguerre_entry(fill)
+    for impl in (lib, _numpy_backend):
+        monkeypatch.setattr(kernels, "_impl", impl)
         for bad in ((t, w[:-1], pw), (t, w, pw[:, :4]), (t, w, pw[:-1]), (t[:, None], w, pw)):
             with pytest.raises(ValueError, match="need nodes"):
-                phi(np.array([3.0]), *bad)
+                kernels.phi_laguerre(np.array([3.0]), *bad)
 
 
 def test_phi_laguerre_on_forced_numpy_backend_in_subprocess():
@@ -406,17 +457,13 @@ def test_phi_laguerre_on_forced_numpy_backend_in_subprocess():
 def test_sum_lattice_same_on_numpy_rows(lib, monkeypatch, array_dipole, a, M, z):
     b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
                  LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
-    compiled, numpy_backend = ({"res_row_zz": impl.res_row_zz, "res_row_zx": impl.res_row_zx,
-                                "res_rows_zz": kernels.range_entry(impl.res_rows_zz),
-                                "res_rows_zx": kernels.range_entry(impl.res_rows_zx)}
-                               for impl in (lib, _numpy_backend))
-    numpy_rows, numpy_row = [], _numpy_backend._row
-    monkeypatch.setattr(_numpy_backend, "_row",
-                        lambda *args: numpy_rows.append(args[2]) or numpy_row(*args))
+    numpy_rows, numpy_row = [], _numpy_backend.res_row
+    monkeypatch.setattr(_numpy_backend, "res_row",
+                        lambda zx, a2, z2, nx: numpy_rows.append(nx) or numpy_row(zx, a2, z2, nx))
     values = []
-    for impl in (compiled, numpy_backend):
-        for name in ("res_row_zz", "res_row_zx", "res_rows_zz", "res_rows_zx"):
-            monkeypatch.setattr(kernels, name, impl[name])
+    for impl in (lib, _numpy_backend):
+        monkeypatch.setattr(kernels, "_lib", None if impl is _numpy_backend else lib)
+        monkeypatch.setattr(kernels, "_impl", impl)
         values.append(sum_lattice(b, "resonant").resonant)
     assert sorted(numpy_rows) == list(range(M + 1))  # the second sum ran the NumPy rows
     assert values[1] == pytest.approx(values[0], rel=1e-12)
@@ -434,12 +481,12 @@ def test_row_source_compiles_without_warnings(tmp_path):
 def test_large_phase_fallback_row(lib):
     # rows whose phase exceeds the Cody-Waite range route through libm
     a2, z2 = 9e4, 1.0  # r up to ~sqrt(2)*3e5, phase ~ 8.5e5 < 1e6 stays fast
-    v1 = lib.res_row_zz(a2, z2, 2000)
-    w1 = _numpy_backend.res_row_zz(a2, z2, 2000)
+    v1 = lib.res_row(0, a2, z2, 2000)
+    w1 = _numpy_backend.res_row(False, a2, z2, 2000)
     assert v1 == pytest.approx(w1, rel=1e-11)
     a2 = 4e6  # phase ~ 5.6e6 > 1e6 forces the libm fill
-    v2 = lib.res_row_zz(a2, z2, 2000)
-    w2 = _numpy_backend.res_row_zz(a2, z2, 2000)
+    v2 = lib.res_row(0, a2, z2, 2000)
+    w2 = _numpy_backend.res_row(False, a2, z2, 2000)
     assert v2 == pytest.approx(w2, rel=1e-11)
 
 
@@ -469,13 +516,13 @@ def test_row_throughput_contract(lib):
     # between 0.62 and 1.08 ms within seconds while the row held 1.24-1.45e8
     # terms/s, so a full rescale failed 4 of 22 runs of unchanged code.
     nx, reps = 30000, 10
-    lib.res_row_zz(1e-4, 0.04, nx)  # warm up
+    lib.res_row(0, 1e-4, 0.04, nx)  # warm up
     rates = []
     for _ in range(21):
         piece_s = _reference_piece()
         t0 = time.perf_counter()
         for _ in range(reps):
-            lib.res_row_zz(1e-4, 0.04, nx)
+            lib.res_row(0, 1e-4, 0.04, nx)
         rate = reps * (nx + 1) / (time.perf_counter() - t0)
         rates.append(rate * max(piece_s / REFERENCE_PIECE_S, 1.0))
     rate = statistics.median(rates)

@@ -254,9 +254,31 @@ def test_default_threads_follow_the_site_count(monkeypatch):
         assert seen == [want, 2], (M, array)
 
 
-def test_thread_count_does_not_change_bits():
+def test_thread_counts_are_checked_and_capped(monkeypatch):
+    # a count below 1 is rejected and one above usable_cpus() is cut to it
+    # before any range is split: no worker starts, no array is sized by it
+    seen = []
+    for name in ("_resonant_octant", "_resonant_custom"):
+        monkeypatch.setattr(lattice_sum, name,
+                            lambda bundle, threads, executor: seen.append(threads) or 0.0)
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
+    for array in ((0, 0, 1), (1, 0, 0), (0.6, 0, 0.8)):
+        b = mk(M=4, array=array)
+        seen.clear()
+        for threads in (1, 2, 3, 4, 10 ** 9):
+            sum_lattice(b, "resonant", threads=threads)
+        assert seen == [1, 2, 3, 3, 3], array
+        for kind in ("resonant", "off_resonant"):
+            for threads in (0, -1):
+                with pytest.raises(ValueError, match="threads must be at least 1"):
+                    sum_lattice(b, kind, threads=threads)
+        assert seen == [1, 2, 3, 3, 3]
+
+
+def test_thread_count_does_not_change_bits(monkeypatch):
     # each worker takes one contiguous row range: 61 octant rows and 121
     # full-grid rows do not split evenly over 2, 3 or 4 workers
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 16)  # keep every split
     for test, array in [((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)),
                         ((0.6, 0, 0.8), (0, 0.6, 0.8))]:
         b = mk(a=0.05, M=60, z=0.3, test=test, array=array)
@@ -295,7 +317,8 @@ PINNED_CUSTOM_SUMS = [
 
 
 @pytest.mark.parametrize("pair,M,a,z,want", PINNED_CUSTOM_SUMS)
-def test_custom_sums_bit_exact(pair, M, a, z, want):
+def test_custom_sums_bit_exact(monkeypatch, pair, M, a, z, want):
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)  # keep the 3-way split
     test, array = _CUSTOM_PAIRS[pair]
     b = mk(mu=0.6, a=a, M=M, z=z, test=test, array=array)
     for threads in (1, 3):
