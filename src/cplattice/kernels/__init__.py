@@ -9,7 +9,7 @@ process. Any failure to build or load it (no compiler, a compile error, a
 read-only directory) selects the NumPy fallback. Set
 CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library.
 
-The module exports three functions over the selected backend, and the
+The module exports four functions over the selected backend, and the
 distance table that the compiled rows gather from:
 
 * ``res_rows(zx, a2, z2, lo, hi)``: the octant rows lo <= nx < hi
@@ -35,9 +35,20 @@ distance table that the compiled rows gather from:
   M = 500);
 * ``phi_laguerre(y, t, w, pw)``: the off-resonant kernel's Gauss-Laguerre
   branch, Phi_0..4(y) as the columns of a new (y.size, 5) array, for the
-  nodes t, weights w and powers pw = (t/2)^k that ``lattice_sum`` defines.
+  nodes t, weights w and powers pw = (t/2)^k of a table such as ``LAGUERRE``.
   The compiled branch evaluates eight radii side by side, each in the NumPy
-  one's order of operations, so the two are bitwise equal.
+  one's order of operations, so the two are bitwise equal;
+* ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals of
+  ``lattice_sum.offresonant_sites``, one compiled call per chunk of
+  ``SITE_CHUNK`` sites. NumPy and SciPy compute only the transcendental
+  inputs, Si, Ci, sin and cos of 2y below ``PHI_SWITCH`` and r^6: NumPy may
+  evaluate sin, cos and the power with vector code whose bits are not the C
+  library's, and Si and Ci are SciPy's. The backend does everything else with
+  IEEE +, -, * and /: the closed-form Phi_k, the Gauss-Laguerre branch
+  (``phi_laguerre`` with the ``LAGUERRE`` table), the partial-fraction
+  moments, the h(u)^2 coefficients, the 5-term contraction (in the order of
+  NumPy's ``einsum``) and the division by r^6, so both backends give the
+  same bits.
 """
 from __future__ import annotations
 
@@ -52,6 +63,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
+from scipy.special import roots_laguerre, sici
 
 from . import _numpy_backend
 
@@ -76,11 +88,11 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     """The compiled row library, built into ``directory`` on first use.
 
     Returns a ``ctypes.CDLL`` with ``res_row``, ``res_rows``,
-    ``distance_table``, ``table_rows``, ``phi_laguerre`` and ``sincos_probe``
-    declared, or None when the library cannot be built or loaded. The build
-    writes a temporary file and moves it into place, so concurrent first
-    imports are safe; a successful build then removes the libraries of
-    other keys (``_rows-*.so``) from ``directory``.
+    ``distance_table``, ``table_rows``, ``phi_laguerre``, ``offres_sites``
+    and ``sincos_probe`` declared, or None when the library cannot be built
+    or loaded. The build writes a temporary file and moves it into place, so
+    concurrent first imports are safe; a successful build then removes the
+    libraries of other keys (``_rows-*.so``) from ``directory``.
     """
     try:
         key = hashlib.sha256(b"\0".join([
@@ -125,6 +137,10 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     out2 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.phi_laguerre.argtypes = (vec, ctypes.c_long, vec, vec, table, ctypes.c_long, out2)
     lib.phi_laguerre.restype = None
+    lib.offres_sites.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.c_double,
+                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_long, ctypes.c_void_p)
+    lib.offres_sites.restype = None
     lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
                                  ctypes.POINTER(ctypes.c_double))
     lib.sincos_probe.restype = None
@@ -213,6 +229,62 @@ def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
     y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
     out = np.empty((y.size, 5))
     _impl.phi_laguerre(y, y.size, t, w, pw, t.size, out)
+    return out
+
+
+# The off-resonant site kernel (lattice_sum.offresonant_sites): Phi_k(y) takes
+# the closed form below PHI_SWITCH and Gauss-Laguerre quadrature in tau = 2yt
+# with the 56 nodes t, weights w and powers (t/2)^k of LAGUERRE at and above
+# it; one compiled call takes at most SITE_CHUNK sites.
+PHI_SWITCH = 2.0
+_NODES, _WEIGHTS = roots_laguerre(56)
+LAGUERRE = (_NODES, _WEIGHTS, (0.5 * _NODES)[:, None] ** np.arange(5))
+for _table in LAGUERRE:
+    _table.flags.writeable = False
+_LAGUERRE_ADDRESSES = tuple(table.ctypes.data for table in LAGUERRE)
+SITE_CHUNK = 1024
+
+
+def closed_form_inputs(x: np.ndarray, out: np.ndarray) -> None:
+    """Si(x), Ci(x), sin(x) and cos(x) into the rows of out (4, x.size)."""
+    sici(x, out=(out[0], out[1]))
+    np.sin(x, out=out[2])
+    np.cos(x, out=out[3])
+
+
+def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> np.ndarray:
+    """The off-resonant site integrals of ``lattice_sum.offresonant_sites``
+    for the flat float64 radii r and projections dot and pp, each of r's size
+    or of size 1, as a new array.
+
+    Each chunk of at most ``SITE_CHUNK`` sites fills one (7, 2n) buffer: y =
+    (r mu, r), (dot, pp), r^6, and Si, Ci, sin and cos of 2y for the y below
+    ``PHI_SWITCH`` by NumPy and SciPy, whose bits the compiled library does
+    not reproduce. The backend's ``offres_sites`` does the rest, IEEE
+    arithmetic only, and writes the site values into the buffer. The buffer
+    is built here, C-contiguous and of the size the layout needs, so the
+    compiled call gets its address and no checks.
+    """
+    out = np.empty(r.size)
+    for lo in range(0, r.size, SITE_CHUNK):
+        n = min(r.size - lo, SITE_CHUNK)
+        part = slice(lo, lo + n)
+        buf = np.empty((7, 2 * n))
+        np.multiply(r[part], mu, out=buf[0, :n])
+        buf[0, n:] = r[part]
+        buf[1, :n] = dot if dot.size == 1 else dot[part]
+        buf[1, n:] = pp if pp.size == 1 else pp[part]
+        np.power(r[part], 6, out=buf[2, :n])
+        x = 2.0 * buf[0][buf[0] < PHI_SWITCH]
+        if x.size:
+            closed_form_inputs(x, buf[3:, :x.size])
+        if _impl is _numpy_backend:
+            _numpy_backend.offres_sites(n, mu, PHI_SWITCH, *LAGUERRE, LAGUERRE[0].size, buf)
+        else:
+            # the address of buf's first byte, in a fourth of buf.ctypes.data's time
+            address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+            _impl.offres_sites(n, mu, PHI_SWITCH, *_LAGUERRE_ADDRESSES, LAGUERRE[0].size, address)
+        out[part] = buf[2, n:]
     return out
 
 

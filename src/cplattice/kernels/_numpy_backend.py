@@ -6,7 +6,11 @@ zx (zx true) orientation with the dihedral-orbit weights folded in, and
 returns the row total, and ``res_rows(zx, a2, z2, lo, hi, out)`` writes the
 rows lo <= n_x < hi into ``out`` (``kernels.res_rows`` checks the range and
 allocates ``out``); :func:`phi_laguerre` is the Gauss-Laguerre branch of
-the off-resonant site kernel. :func:`octant_sites` is the one
+the off-resonant site kernel, and :func:`offres_sites` the arithmetic of
+that kernel after its transcendental inputs (``kernels.offres_sites``
+computes those): the closed-form branch :func:`phi_closed`, the
+:func:`moments` and the contraction. They are the fallback and the oracle
+that the compiled library equals bit for bit. :func:`octant_sites` is the one
 statement of those weights; the direct off-resonant sum folds its octant
 with it too.
 The site terms come from :func:`cplattice.greens.resonant_sites`,
@@ -107,3 +111,54 @@ def phi_laguerre(y, n: int, t, w, pw, m: int, out: np.ndarray) -> None:
     # einsum, not a BLAS matmul: that would page in a BLAS buffer for 5
     # columns; it sums the nodes in order, as the compiled branch does
     np.divide(np.einsum("ij,jk->ik", q, pw), y2, out=out)
+
+
+def phi_closed(y, si, ci, sx, cx) -> np.ndarray:
+    """Phi_0..4(y) as columns, from f(2y) and g(2y) (DLMF 6.7.13-14), for
+    si, ci = Si(2y), Ci(2y), sx = sin(2y) and cx = cos(2y)."""
+    si = si - 0.5 * np.pi
+    f = ci * sx - si * cx
+    g = -ci * cx - si * sx
+    y2 = y * y
+    y3 = y2 * y
+    return np.stack([f, y * g, 0.5 * y - y2 * f, 0.25 * y - y3 * g,
+                     0.25 * y - 0.5 * y3 + y2 * y2 * f], axis=-1)
+
+
+def moments(n: int, mu: float, sw: float, t, w, pw, buf: np.ndarray) -> np.ndarray:
+    """M_0..4(r, mu) as columns for the n sites of ``buf`` (the layout of
+    :func:`offres_sites`): Phi_k(y) in closed form for y < sw, by
+    Gauss-Laguerre quadrature above, and the partial fractions. A branch
+    that no y falls in is not called."""
+    y = buf[0]
+    phi = np.empty((2 * n, 5))
+    small = y < sw
+    if small.any():
+        k = np.count_nonzero(small)
+        phi[small] = phi_closed(y[small], *buf[3:, :k])
+    if not small.all():
+        large = np.ascontiguousarray(y[~small])
+        lag = np.empty((large.size, 5))
+        phi_laguerre(large, large.size, t, w, pw, t.size, lag)
+        phi[~small] = lag
+    return (phi[:n] / mu - phi[n:]) / (1.0 - mu * mu)
+
+
+def offres_sites(n: int, mu: float, sw: float, t, w, pw, m: int, buf: np.ndarray) -> None:
+    """The off-resonant site integrals of n sites into ``buf[2, n:]``; m,
+    the size of t, is implied by the arrays here.
+
+    ``buf`` is the (7, 2n) array that ``kernels.offres_sites`` fills: row 0
+    holds y = (r mu, r), row 1 (dot, pp), row 2 (r^6, the output), and rows
+    3-6 Si, Ci, sin and cos of 2y for each y < sw, in row 0 order. Each
+    site value is sum_k c_k M_k / r^6 with the h(u)^2 coefficients c_k.
+    """
+    dot, pp = buf[1, :n], buf[1, n:]
+    alpha = dot - pp
+    beta = dot - 3.0 * pp
+    ab = 2.0 * alpha * beta
+    b2 = beta * beta
+    # h(u)^2 = sum_k c_k u^k
+    coef = np.stack([b2, 2.0 * b2, ab + b2, ab, alpha * alpha], axis=-1)
+    np.divide(np.einsum("ik,ik->i", coef, moments(n, mu, sw, t, w, pw, buf)), buf[2, :n],
+              out=buf[2, n:])

@@ -7,11 +7,15 @@
    ones (zx = 1), and res_rows(zx, a2, z2, lo, hi, out) writes out[nx - lo] =
    res_row(zx, a2, z2, nx) for lo <= nx < hi, so a whole octant costs one
    call; phi_laguerre is the Gauss-Laguerre branch of the off-resonant site
-   kernel. Each orientation's site term is written once (term_zz, term_zx)
-   and serves the row pass, its endpoint corrections and the origin. The
-   exports test zx outside their site loops, so each loop instance has its
-   term fixed: choosing the term per site made the zx table pass ~30%
-   slower. The row pass fills chunks the compiler vectorizes and sums them
+   kernel, and offres_sites the rest of that kernel's arithmetic once NumPy
+   and SciPy have computed its transcendental inputs (Si, Ci, sin and cos of
+   2y, and r^6): their bits come from SciPy and from NumPy's vector code,
+   not from libm, so they stay there, and this file does only IEEE +, -, *
+   and / in the NumPy fallback's order of operations. Each orientation's
+   site term is written once (term_zz, term_zx) and serves the row pass,
+   its endpoint corrections and the origin. The exports test zx outside
+   their site loops, so each loop instance has its term fixed: choosing the
+   term per site made the zx table pass ~30% slower. The row pass fills chunks the compiler vectorizes and sums them
    with Neumaier compensation in strict index order, so a row value is a
    pure function of (a2, z2, nx) and the caller's exact cross-row reduction
    is bit-reproducible for any worker count.
@@ -39,8 +43,10 @@
 
 #define CHUNK 512
 #define LANES 8
+#define SITE_BLOCK 64
 
 static const double TWO_OVER_PI = 6.36619772367581382433e-01, PHASE_LIMIT = 1.0e6;
+static const double HALF_PI = 1.57079632679489661923;
 static const double PIO2_1 = 1.57079632673412561417e+00, PIO2_1T = 6.07710050650619224932e-11;
 
 static const double S1 = -1.66666666666666324348e-01, S2 = 8.33333333332248946124e-03,
@@ -298,8 +304,8 @@ void table_rows(int zx, double a2, double z2, const double *d2, long n, const in
 
 /* Phi_0..4(y[i]) by m-node Gauss-Laguerre quadrature in tau = 2yt, into
    out[5i + k], for the nodes t, weights w and powers pw[5j + k] = (t_j/2)^k of
-   lattice_sum. The order of operations is that of the NumPy branch
-   (lattice_sum._phi_laguerre), so the values are bitwise equal: per node
+   kernels.LAGUERRE. The order of operations is that of the NumPy branch
+   (_numpy_backend.phi_laguerre), so the values are bitwise equal: per node
    q = w_j/((t_j/2y)^2 + 1), per moment acc_k += q pw_jk from j = 0 up, and
    acc_k/2y last. LANES radii are evaluated side by side, one per lane, each
    lane in that order; the lanes past the last radius hold y = 1 and are not
@@ -323,5 +329,82 @@ void phi_laguerre(const double *y, long n, const double *t, const double *w,
         for (int l = 0; l < used; l++)
             for (int k = 0; k < 5; k++)
                 out[5 * (i + l) + k] = acc[k][l] / y2[l];
+    }
+}
+
+/* Phi_0..4(y) into phi by the closed form from f(2y) and g(2y) (DLMF
+   6.7.13-14), for si = Si(2y), ci = Ci(2y), sx = sin(2y) and cx = cos(2y),
+   in the NumPy backend's order of operations (_numpy_backend.phi_closed). */
+static inline void phi_closed(double y, double si, double ci, double sx, double cx,
+                              double *phi)
+{
+    si -= HALF_PI;
+    double f = ci * sx - si * cx;
+    double g = -ci * cx - si * sx;
+    double y2 = y * y, y3 = y2 * y;
+    phi[0] = f;
+    phi[1] = y * g;
+    phi[2] = 0.5 * y - y2 * f;
+    phi[3] = 0.25 * y - y3 * g;
+    phi[4] = 0.25 * y - 0.5 * y3 + y2 * y2 * f;
+}
+
+/* The off-resonant site integrals of n sites from buf, a row-major
+   (7, 2n) array laid out by kernels.offres_sites:
+     row 0: y = (r_i mu, r_i), the Phi_k arguments of M_k(r_i, mu);
+     row 1: (dot_i, pp_i), the dipole projections;
+     row 2: (r_i^6, the site values written here);
+     rows 3-6: Si, Ci, sin and cos of 2y for each y < sw, in row 0 order.
+   Phi_k(y) takes the closed form below sw and the Gauss-Laguerre branch
+   (phi_laguerre, with the nodes t, weights w and powers pw of m nodes)
+   above; the sites are taken SITE_BLOCK at a time, gathering the block's
+   Gauss-Laguerre radii into one phi_laguerre call. Each site value is
+   sum_k c_k M_k / r^6 with the h(u)^2 coefficients c_k, every step in the
+   NumPy backend's order (_numpy_backend.offres_sites). */
+void offres_sites(long n, double mu, double sw, const double *t, const double *w, const double *pw, long m, double *buf)
+{
+    const double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *r6 = buf + 4 * n;
+    const double *si = buf + 6 * n, *ci = buf + 8 * n, *sx = buf + 10 * n, *cx = buf + 12 * n;
+    double *out = buf + 5 * n;
+    double c = 1.0 - mu * mu;
+    /* the next closed-form entries of y = r mu and of y = r */
+    long ka = 0, kb = 0;
+    for (long i = 0; i < n; i++)
+        kb += y[i] < sw;
+    for (long i0 = 0; i0 < n; i0 += SITE_BLOCK) {
+        int used = n - i0 < SITE_BLOCK ? (int)(n - i0) : SITE_BLOCK;
+        /* phi[2l] at y = r mu and phi[2l + 1] at y = r of site i0 + l */
+        double phi[2 * SITE_BLOCK][5], lag[2 * SITE_BLOCK][5], lag_y[2 * SITE_BLOCK];
+        int lag_row[2 * SITE_BLOCK], nl = 0;
+        for (int l = 0; l < used; l++)
+            for (int h = 0; h < 2; h++) {
+                double v = y[h * n + i0 + l];
+                if (v < sw) {
+                    long k = h ? kb++ : ka++;
+                    phi_closed(v, si[k], ci[k], sx[k], cx[k], phi[2 * l + h]);
+                } else {
+                    lag_y[nl] = v;
+                    lag_row[nl++] = 2 * l + h;
+                }
+            }
+        phi_laguerre(lag_y, nl, t, w, pw, m, &lag[0][0]);
+        for (int j = 0; j < nl; j++)
+            for (int k = 0; k < 5; k++)
+                phi[lag_row[j]][k] = lag[j][k];
+        for (int l = 0; l < used; l++) {
+            long i = i0 + l;
+            double mk[5];
+            for (int k = 0; k < 5; k++)
+                mk[k] = (phi[2 * l][k] / mu - phi[2 * l + 1][k]) / c;
+            double alpha = dot[i] - pp[i], beta = dot[i] - 3.0 * pp[i];
+            double ab = 2.0 * alpha * beta, b2 = beta * beta;
+            double p0 = b2 * mk[0], p1 = 2.0 * b2 * mk[1], p2 = (ab + b2) * mk[2],
+                   p3 = ab * mk[3], p4 = alpha * alpha * mk[4];
+            /* np.einsum("ik,ik->i") over 5 columns: two lanes take the even
+               and the odd columns from zero, and the lane sum is added to
+               the zeroed output */
+            double even = ((0.0 + p0) + p2) + p4, odd = ((0.0 + p1) + p3) + 0.0;
+            out[i] = ((even + odd) + 0.0) / r6[i];
+        }
     }
 }

@@ -47,11 +47,14 @@ k = 0..4. Partial fractions write M_k through one function of one variable,
 which is computed in closed form from the auxiliary functions f and g of
 the sine and cosine integrals (DLMF 6.7(ii)) for y < 2, and by 56-node
 Gauss-Laguerre quadrature in tau = 2yt (DLMF 3.5(v)) above, where the closed
-form starts to cancel. The Gauss-Laguerre branch is ``kernels.phi_laguerre``,
-compiled when the C library is loaded, at the nodes defined here; it follows
-the NumPy branch's order of operations and equals it bit for bit. The closed
-form (which needs ``sici``) and the final contraction with the h(u)^2
-coefficients stay in NumPy. A branch that no radius of a call falls in is
+form starts to cancel. :func:`offresonant_sites` only flattens the sites;
+``kernels.offres_sites`` evaluates them. NumPy and SciPy keep the
+transcendental functions (Si, Ci, sin and cos of 2y, and r^6), whose bits
+the C library would not reproduce; one compiled call per chunk of sites,
+when the C library is loaded, does the IEEE arithmetic: the closed form,
+the Gauss-Laguerre branch, the moments and the contraction with the h(u)^2
+coefficients, in the NumPy fallback's order of operations, so the two
+backends give the same bits. A branch that no radius of a call falls in is
 not called. Both branches agree with 30-digit quadrature to
 ~1e-14 relative; the partial fractions cost at most a factor ~2/|1-mu| of
 that near resonance.
@@ -69,11 +72,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_laguerre, sici
 
 from . import kernels
 from .greens import resonant_sites
-from .kernels import _numpy_backend
 from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
@@ -143,69 +144,26 @@ def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
 # ---------------------------------------------------------------------------
 # off-resonant site kernel (see the module docstring)
 
-_PHI_SWITCH = 2.0
-_LAGUERRE_T, _LAGUERRE_W = roots_laguerre(56)
-_LAGUERRE_POW = (0.5 * _LAGUERRE_T)[:, None] ** np.arange(5)
-_SITE_CHUNK = 1024
-
-
-def _phi_closed(y: np.ndarray) -> np.ndarray:
-    """Phi_0..4(y) as columns, from f(2y) and g(2y) (DLMF 6.7.13-14)."""
-    x = 2.0 * y
-    si, ci = sici(x)
-    si -= 0.5 * np.pi
-    sx, cx = np.sin(x), np.cos(x)
-    f = ci * sx - si * cx
-    g = -ci * cx - si * sx
-    y2 = y * y
-    y3 = y2 * y
-    return np.stack([f, y * g, 0.5 * y - y2 * f, 0.25 * y - y3 * g,
-                     0.25 * y - 0.5 * y3 + y2 * y2 * f], axis=-1)
-
-
-def _phi_laguerre(y: np.ndarray) -> np.ndarray:
-    """Phi_0..4(y) as columns, by Gauss-Laguerre quadrature in tau = 2yt on
-    the NumPy backend: the fallback of ``kernels.phi_laguerre``, and the
-    oracle that its compiled branch equals bit for bit."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    out = np.empty((y.size, 5))
-    _numpy_backend.phi_laguerre(y, y.size, _LAGUERRE_T, _LAGUERRE_W, _LAGUERRE_POW,
-                                _LAGUERRE_T.size, out)
-    return out
-
-
-def _moments(r: np.ndarray, mu: float) -> np.ndarray:
-    """M_0..4(r, mu) as columns."""
-    y = np.concatenate((r * mu, r))
-    phi = np.empty((y.size, 5))
-    small = y < _PHI_SWITCH
-    # a branch with no radii is skipped: it would cost tens of microseconds
-    if small.any():
-        phi[small] = _phi_closed(y[small])
-    if not small.all():
-        phi[~small] = kernels.phi_laguerre(y[~small], _LAGUERRE_T, _LAGUERRE_W, _LAGUERRE_POW)
-    return (phi[:r.size] / mu - phi[r.size:]) / (1.0 - mu * mu)
-
-
 def offresonant_sites(r, dot, pp, mu: float) -> np.ndarray:
-    """int_0^inf dxi xi^4 gpair(i xi)^2 / ((xi^2+1)(xi^2+mu^2)) for each site.
+    """int_0^inf dxi xi^4 gpair(i xi)^2 / ((xi^2+1)(xi^2+mu^2)) for each site,
+    as a flat array.
 
     r is the site distance, dot = e0.en and pp = (e0.n)(n.en) the dipole
-    projections (broadcast against r). No prefactor is applied.
+    projections (broadcast against r). No prefactor is applied. This front
+    flattens the broadcast sites; ``kernels.offres_sites`` evaluates them.
     """
-    r, dot, pp = (np.ravel(v) for v in np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(dot, dtype=float), np.asarray(pp, dtype=float)))
-    alpha = dot - pp
-    beta = dot - 3.0 * pp
-    ab = 2.0 * alpha * beta
-    b2 = beta * beta
-    # h(u)^2 = sum_k c_k u^k
-    coef = np.stack([b2, 2.0 * b2, ab + b2, ab, alpha * alpha], axis=-1)
-    out = np.empty(r.size)
-    for lo in range(0, r.size, _SITE_CHUNK):
-        part = slice(lo, lo + _SITE_CHUNK)
-        out[part] = np.einsum("ik,ik->i", coef[part], _moments(r[part], mu))
-    return out / r ** 6
+    r, dot, pp = (np.asarray(v, dtype=np.float64) for v in (r, dot, pp))
+    shape = r.shape
+    # np.broadcast_shapes costs ~2 us: only when a projection is neither a
+    # scalar nor of r's shape
+    if not {dot.shape, pp.shape} <= {(), shape}:
+        shape = np.broadcast_shapes(shape, dot.shape, pp.shape)
+
+    def flat(v):  # a projection of size 1 stays one value
+        return (v if v.shape == shape or (v is not r and v.size == 1)
+                else np.broadcast_to(v, shape)).ravel()
+
+    return kernels.offres_sites(flat(r), flat(dot), flat(pp), mu)
 
 
 def site_projections(e0, en, x, y, z):

@@ -3,6 +3,7 @@ interchangeable, the library's reduced sincos matches the C library, and
 the loader falls back to NumPy whenever the library cannot be built."""
 import contextlib
 import ctypes
+import hashlib
 import math
 import os
 import re
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import sici
 
 from cplattice import kernels, lattice_sum
 from cplattice.greens import resonant_sites
@@ -248,7 +250,8 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     c_type = {"double": ctypes.c_double, "long": ctypes.c_long, "void": None}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
-        "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "sincos_probe"}
+        "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
+        "sincos_probe"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
@@ -400,7 +403,14 @@ def test_offres_octant_equals_np_unique_reference():
             assert lattice_sum._offres_octant(b).hex() == want.hex()
 
 
-_LAGUERRE = (lattice_sum._LAGUERRE_T, lattice_sum._LAGUERRE_W, lattice_sum._LAGUERRE_POW)
+_LAGUERRE = kernels.LAGUERRE
+
+
+def _phi_laguerre_numpy(y):
+    """Phi_0..4(y) of the NumPy Gauss-Laguerre branch, the oracle."""
+    out = np.empty((y.size, 5))
+    _numpy_backend.phi_laguerre(y, y.size, *_LAGUERRE, _LAGUERRE[0].size, out)
+    return out
 
 
 @settings(max_examples=80, deadline=None)
@@ -412,7 +422,7 @@ def test_phi_laguerre_backends_equal_numpy_branch_bitwise(lib, size, seed):
     rng = np.random.default_rng(seed)
     y = np.exp(rng.uniform(math.log(2.0), math.log(1e12), size))
     y[:2] = [2.0, 1e12][:size]
-    want = lattice_sum._phi_laguerre(y)
+    want = _phi_laguerre_numpy(y)
     assert want.shape == (size, 5)
     for impl in (lib, _numpy_backend):
         with pytest.MonkeyPatch.context() as m:
@@ -438,18 +448,145 @@ def test_phi_laguerre_rejects_mismatched_tables(lib, monkeypatch):
 
 
 def test_phi_laguerre_on_forced_numpy_backend_in_subprocess():
-    code = ("import numpy as np; from cplattice import kernels, lattice_sum as ls\n"
+    code = ("import numpy as np; from cplattice import kernels\n"
+            "from cplattice.kernels import _numpy_backend as nb\n"
             "assert kernels.backend_name() == 'numpy'\n"
             "for n in (0, 1, 7, 1000, 3000):\n"
             "    y = np.geomspace(2.0, 1e12, n)\n"
-            "    got = kernels.phi_laguerre(y, ls._LAGUERRE_T, ls._LAGUERRE_W, ls._LAGUERRE_POW)\n"
-            "    assert got.tobytes() == ls._phi_laguerre(y).tobytes(), n\n"
+            "    got = kernels.phi_laguerre(y, *kernels.LAGUERRE)\n"
+            "    want = np.empty((n, 5))\n"
+            "    nb.phi_laguerre(y, n, *kernels.LAGUERRE, 56, want)\n"
+            "    assert got.tobytes() == want.tobytes(), n\n"
             "print('ok')")
     env = dict(os.environ, CPLATTICE_FORCE_NUMPY_KERNELS="1")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def _former_offresonant_sites(r, dot, pp, mu):
+    """The off-resonant site kernel as it was written in NumPy alone, before
+    the compiled call: one sici/sin/cos per chunk of 1024 sites, both Phi_k
+    branches on the NumPy backend, the contraction by einsum and one r**6
+    over all sites. The slow oracle of the compiled entry and the front."""
+    r, dot, pp = (np.ravel(v) for v in np.broadcast_arrays(
+        np.asarray(r, dtype=float), np.asarray(dot, dtype=float), np.asarray(pp, dtype=float)))
+    alpha = dot - pp
+    beta = dot - 3.0 * pp
+    ab = 2.0 * alpha * beta
+    b2 = beta * beta
+    coef = np.stack([b2, 2.0 * b2, ab + b2, ab, alpha * alpha], axis=-1)
+    out = np.empty(r.size)
+    for lo in range(0, r.size, 1024):
+        part = slice(lo, lo + 1024)
+        y = np.concatenate((r[part] * mu, r[part]))
+        phi = np.empty((y.size, 5))
+        small = y < 2.0
+        if small.any():
+            ys = y[small]
+            x = 2.0 * ys
+            si, ci = sici(x)
+            si -= 0.5 * np.pi
+            sx, cx = np.sin(x), np.cos(x)
+            f = ci * sx - si * cx
+            g = -ci * cx - si * sx
+            y2 = ys * ys
+            y3 = y2 * ys
+            phi[small] = np.stack([f, ys * g, 0.5 * ys - y2 * f, 0.25 * ys - y3 * g,
+                                   0.25 * ys - 0.5 * y3 + y2 * y2 * f], axis=-1)
+        if not small.all():
+            phi[~small] = _phi_laguerre_numpy(np.ascontiguousarray(y[~small]))
+        moments = (phi[:r[part].size] / mu - phi[r[part].size:]) / (1.0 - mu * mu)
+        out[part] = np.einsum("ik,ik->i", coef[part], moments)
+    return out / r ** 6
+
+
+def _offres_radii(rng, size, where, mu):
+    """size radii whose y = r mu and y = r lie all below PHI_SWITCH, all at or
+    above it, or on both sides; on both sides with y = r at the switch and at
+    its 1e-12 neighbours, and y = r mu next to them."""
+    sw = kernels.PHI_SWITCH
+    lo, hi = {"below": (1e-3, sw / max(mu, 1.0)), "above": (sw / min(mu, 1.0), 1e3),
+              "straddle": (1e-3, 1e3)}[where]
+    r = np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+    if where == "straddle":
+        edge = sw * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+        special = np.concatenate((edge, edge / mu))  # y = r and y = r mu at the switch
+        r[:min(size, 6)] = special[:size]
+        rng.shuffle(r)
+    return r
+
+
+_OFFRES_MUS = st.one_of(st.sampled_from([0.05, 0.6, 1.0 - 1e-3, 1.0 + 1e-3, 1.7, 5.0]),
+                        st.floats(0.05, 5.0).filter(lambda m: abs(1.0 - m) >= 1e-3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(size=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       where=st.sampled_from(["below", "above", "straddle"]), mu=_OFFRES_MUS,
+       scalar_pp=st.booleans())
+@example(size=0, seed=0, where="straddle", mu=0.6, scalar_pp=False)
+@example(size=kernels.SITE_CHUNK + 1, seed=3, where="straddle", mu=1.7, scalar_pp=False)
+@example(size=2 * kernels.SITE_CHUNK, seed=4, where="above", mu=0.05, scalar_pp=True)
+def test_offres_sites_backends_equal_numpy_bitwise(lib, size, seed, where, mu, scalar_pp):
+    rng = np.random.default_rng(seed)
+    r = _offres_radii(rng, size, where, mu)
+    dot = float(rng.uniform(-1.0, 1.0))
+    pp = float(rng.uniform(-1.0, 1.0)) if scalar_pp else rng.uniform(-1.0, 1.0, size)
+    want = _former_offresonant_sites(r, dot, pp, mu)
+    for impl in (lib, _numpy_backend):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kernels, "_impl", impl)
+            got = lattice_sum.offresonant_sites(r, dot, pp, mu)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), impl
+
+
+# the compiled call takes SITE_BLOCK (64) sites and phi_laguerre 8 radii at a
+# time: sizes about both, on both sides of the switch
+for _size in (1, 7, 8, 9, 17, 63, 64, 65):
+    for _where in ("below", "above", "straddle"):
+        test_offres_sites_backends_equal_numpy_bitwise = example(
+            size=_size, seed=_size, where=_where, mu=0.6, scalar_pp=_size % 2 == 0)(
+            test_offres_sites_backends_equal_numpy_bitwise)
+
+
+@pytest.mark.parametrize("shape,pp_shape", [((3, 17, 5), (3, 17, 5)), ((4, 9, 1), (4, 9, 1)),
+                                            ((2, 33, 2), (1, 33, 2)), ((1,), (7,)), ((), ())])
+def test_offres_sites_on_ray_shapes_bitwise(lib, shape, pp_shape):
+    # the (heights, nodes, directions) arrays of euler_maclaurin._ray_integral,
+    # a projection broadcast against r, r broadcast against a projection, and
+    # a single site
+    rng = np.random.default_rng(len(shape))
+    r = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), shape))
+    pp = rng.uniform(-1.0, 1.0, pp_shape)
+    for mu in (0.05, 0.6, 1.7, 5.0):
+        want = _former_offresonant_sites(r, 0.3, pp, mu)
+        for impl in (lib, _numpy_backend):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(kernels, "_impl", impl)
+                got = lattice_sum.offresonant_sites(r, 0.3, pp, mu)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_offres_sites_on_forced_numpy_backend_in_subprocess(lib):
+    code = ("import hashlib, numpy as np; from cplattice import kernels, lattice_sum\n"
+            "assert kernels.backend_name() == 'numpy'\n"
+            "for n in (0, 1, 7, 1000, 3000):\n"
+            "    r = np.geomspace(1e-3, 1e3, n)\n"
+            "    v = lattice_sum.offresonant_sites(r, 1.0, 0.7 * np.ones(n), 0.6)\n"
+            "    print(hashlib.sha256(v.tobytes()).hexdigest())")
+    env = dict(os.environ, CPLATTICE_FORCE_NUMPY_KERNELS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "_impl", lib)
+        for n in (0, 1, 7, 1000, 3000):
+            v = lattice_sum.offresonant_sites(np.geomspace(1e-3, 1e3, n), 1.0, 0.7 * np.ones(n), 0.6)
+            want.append(hashlib.sha256(v.tobytes()).hexdigest())
+    assert proc.stdout.split() == want
 
 
 @pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])

@@ -22,9 +22,8 @@ from scipy.integrate import quad
 
 from cplattice import kernels, lattice_sum
 from cplattice.euler_maclaurin import edge_term, vertex_term
-from cplattice.lattice_sum import (_PHI_SWITCH, _moments, _phi_closed, _phi_laguerre,
-                                   offresonant_pair_term, offresonant_prefactor,
-                                   offresonant_sites)
+from cplattice.kernels import _numpy_backend
+from cplattice.lattice_sum import offresonant_pair_term, offresonant_prefactor, offresonant_sites
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
@@ -108,18 +107,21 @@ def test_kernel_principal_orientations_over_radii(mu):
 
 
 def test_branch_switch_is_continuous():
-    y = _PHI_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
-    closed, laguerre = _phi_closed(y), _phi_laguerre(y)
+    y = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+    trig = np.empty((4, y.size))
+    kernels.closed_form_inputs(2.0 * y, trig)
+    closed = _numpy_backend.phi_closed(y, *trig)
+    laguerre = kernels.phi_laguerre(y, *kernels.LAGUERRE)
     np.testing.assert_allclose(closed, laguerre, rtol=1e-13, atol=0.0)
     # either side of the switch, through the public kernel
-    r = _PHI_SWITCH * np.array([1.0 - 1e-12, 1.0 + 1e-12])
+    r = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0 + 1e-12])
     below, above = offresonant_sites(r, 1.0, 0.3, 0.5)
     assert above == pytest.approx(below, rel=1e-11)
 
 
 # M_0..4 at mu = 0.6 of radii whose y = r mu and y = r all fall below the
 # switch (small) or above it (large), row by row, as float.hex; recorded while
-# _moments still called both branches on every input
+# the moments still called both branches on every input
 PINNED_MOMENTS = {
     "small": ([0.1, 1.2], [
         "0x1.7e21343aba379p+0", "0x1.09d455919ba59p-4", "0x1.88e07b398014bp-8",
@@ -137,7 +139,9 @@ PINNED_MOMENTS = {
 
 @pytest.mark.parametrize("case", list(PINNED_MOMENTS))
 def test_moments_call_only_branches_with_radii(monkeypatch, case):
-    calls = []
+    # through the front on each backend: sici, sin and cos run only for y
+    # below the switch, and the NumPy Gauss-Laguerre branch only above it
+    calls, moments = [], []
 
     def only_some(name, branch):
         def call(y, *args):
@@ -146,13 +150,30 @@ def test_moments_call_only_branches_with_radii(monkeypatch, case):
             return branch(y, *args)
         return call
 
-    monkeypatch.setattr(lattice_sum, "_phi_closed", only_some("closed", _phi_closed))
-    monkeypatch.setattr(kernels, "phi_laguerre", only_some("laguerre", kernels.phi_laguerre))
+    def recorded(*args):
+        moments.append(numpy_moments(*args))
+        return moments[-1]
+
+    numpy_moments = _numpy_backend.moments
+    monkeypatch.setattr(kernels, "closed_form_inputs",
+                        only_some("closed", kernels.closed_form_inputs))
+    monkeypatch.setattr(_numpy_backend, "phi_laguerre",
+                        only_some("laguerre", _numpy_backend.phi_laguerre))
+    monkeypatch.setattr(_numpy_backend, "moments", recorded)
     r, want = PINNED_MOMENTS[case]
-    got = _moments(np.array(r, dtype=float), 0.6)
-    assert got.shape == (len(r), 5)
+    r = np.array(r, dtype=float)
+    values = []
+    for impl in filter(None, (kernels._lib, _numpy_backend)):
+        monkeypatch.setattr(kernels, "_impl", impl)
+        del calls[:]
+        values.append(offresonant_sites(r, 1.0, 0.3, 0.6).tobytes())
+        closed = ["closed"] if case == "small" else []
+        laguerre = ["laguerre"] if case == "large" and impl is _numpy_backend else []
+        assert calls == closed + laguerre
+    assert len(set(values)) == 1
+    got = moments[0] if moments else np.empty((0, 5))
+    assert len(moments) == (case != "empty") and got.shape == (len(r), 5)
     assert [v.hex() for v in got.ravel().tolist()] == want
-    assert calls == {"small": ["closed"], "large": ["laguerre"], "empty": []}[case]
 
 
 def test_zz_site_terms_strictly_positive_at_large_r():
