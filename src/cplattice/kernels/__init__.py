@@ -46,9 +46,9 @@ distance table that the compiled rows gather from:
   library's, and Si and Ci are SciPy's. The backend does everything else with
   IEEE +, -, * and /: the closed-form Phi_k, the Gauss-Laguerre branch
   (``phi_laguerre`` with the ``LAGUERRE`` table), the partial-fraction
-  moments, the h(u)^2 coefficients, the 5-term contraction (in the order of
-  NumPy's ``einsum``) and the division by r^6, so both backends give the
-  same bits.
+  moments, the h(u)^2 coefficients, the 5-term contraction (in the one order
+  both backends spell out) and the division by r^6, so both give the same
+  bits.
 """
 from __future__ import annotations
 
@@ -263,28 +263,31 @@ def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> n
     not reproduce. The backend's ``offres_sites`` does the rest, IEEE
     arithmetic only, and writes the site values into the buffer. The buffer
     is built here, C-contiguous and of the size the layout needs, so the
-    compiled call gets its address and no checks.
+    compiled call gets its address and no checks; the NumPy backend gets
+    the buffer's rows as named arrays.
     """
     out = np.empty(r.size)
     for lo in range(0, r.size, SITE_CHUNK):
         n = min(r.size - lo, SITE_CHUNK)
         part = slice(lo, lo + n)
         buf = np.empty((7, 2 * n))
-        np.multiply(r[part], mu, out=buf[0, :n])
-        buf[0, n:] = r[part]
+        y = buf[0]
+        np.multiply(r[part], mu, out=y[:n])
+        y[n:] = r[part]
         buf[1, :n] = dot if dot.size == 1 else dot[part]
         buf[1, n:] = pp if pp.size == 1 else pp[part]
         np.power(r[part], 6, out=buf[2, :n])
-        x = 2.0 * buf[0][buf[0] < PHI_SWITCH]
+        x = 2.0 * y[y < PHI_SWITCH]
         if x.size:
             closed_form_inputs(x, buf[3:, :x.size])
         if _impl is _numpy_backend:
-            _numpy_backend.offres_sites(n, mu, PHI_SWITCH, *LAGUERRE, LAGUERRE[0].size, buf)
+            _numpy_backend.offres_sites(y, buf[1, :n], buf[1, n:], buf[2, :n], buf[3:, :x.size],
+                                        mu, PHI_SWITCH, *LAGUERRE, out[part])
         else:
             # the address of buf's first byte, in a fourth of buf.ctypes.data's time
             address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
             _impl.offres_sites(n, mu, PHI_SWITCH, *_LAGUERRE_ADDRESSES, LAGUERRE[0].size, address)
-        out[part] = buf[2, n:]
+            out[part] = buf[2, n:]
     return out
 
 

@@ -125,17 +125,17 @@ def phi_closed(y, si, ci, sx, cx) -> np.ndarray:
                      0.25 * y - 0.5 * y3 + y2 * y2 * f], axis=-1)
 
 
-def moments(n: int, mu: float, sw: float, t, w, pw, buf: np.ndarray) -> np.ndarray:
-    """M_0..4(r, mu) as columns for the n sites of ``buf`` (the layout of
-    :func:`offres_sites`): Phi_k(y) in closed form for y < sw, by
-    Gauss-Laguerre quadrature above, and the partial fractions. A branch
-    that no y falls in is not called."""
-    y = buf[0]
-    phi = np.empty((2 * n, 5))
+def moments(y, trig, mu: float, sw: float, t, w, pw) -> np.ndarray:
+    """M_0..4(r, mu) as columns for the n sites of y = (r mu, r) (2n values):
+    Phi_k(y) in closed form for y < sw, from trig (4, k) = Si, Ci, sin and
+    cos of 2y at those k values of y in y's order, by Gauss-Laguerre
+    quadrature above, and the partial fractions. A branch that no y falls in
+    is not called."""
+    n = y.size // 2
+    phi = np.empty((y.size, 5))
     small = y < sw
     if small.any():
-        k = np.count_nonzero(small)
-        phi[small] = phi_closed(y[small], *buf[3:, :k])
+        phi[small] = phi_closed(y[small], *trig)
     if not small.all():
         large = np.ascontiguousarray(y[~small])
         lag = np.empty((large.size, 5))
@@ -144,21 +144,25 @@ def moments(n: int, mu: float, sw: float, t, w, pw, buf: np.ndarray) -> np.ndarr
     return (phi[:n] / mu - phi[n:]) / (1.0 - mu * mu)
 
 
-def offres_sites(n: int, mu: float, sw: float, t, w, pw, m: int, buf: np.ndarray) -> None:
-    """The off-resonant site integrals of n sites into ``buf[2, n:]``; m,
-    the size of t, is implied by the arrays here.
+def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, t, w, pw, out: np.ndarray) -> None:
+    """out = the off-resonant site integrals of n sites: sum_k c_k M_k / r^6
+    with the h(u)^2 coefficients c_k, for y = (r mu, r) and trig as in
+    :func:`moments`, the projections dot and pp and r6 = r^6 (n values each).
 
-    ``buf`` is the (7, 2n) array that ``kernels.offres_sites`` fills: row 0
-    holds y = (r mu, r), row 1 (dot, pp), row 2 (r^6, the output), and rows
-    3-6 Si, Ci, sin and cos of 2y for each y < sw, in row 0 order. Each
-    site value is sum_k c_k M_k / r^6 with the h(u)^2 coefficients c_k.
+    The five terms are summed as ((p0 + p2) + p4) + (p1 + p3), each lane
+    from zero and the lane sum added to zero, the order in which
+    np.einsum("ik,ik->i") summed them when the site values were pinned; the
+    compiled contraction spells out the same order, so the two are bitwise
+    equal without depending on how a NumPy build splits its einsum loop.
     """
-    dot, pp = buf[1, :n], buf[1, n:]
     alpha = dot - pp
     beta = dot - 3.0 * pp
     ab = 2.0 * alpha * beta
     b2 = beta * beta
+    m = moments(y, trig, mu, sw, t, w, pw)
     # h(u)^2 = sum_k c_k u^k
-    coef = np.stack([b2, 2.0 * b2, ab + b2, ab, alpha * alpha], axis=-1)
-    np.divide(np.einsum("ik,ik->i", coef, moments(n, mu, sw, t, w, pw, buf)), buf[2, :n],
-              out=buf[2, n:])
+    p0, p1, p2 = b2 * m[:, 0], (2.0 * b2) * m[:, 1], (ab + b2) * m[:, 2]
+    p3, p4 = ab * m[:, 3], (alpha * alpha) * m[:, 4]
+    even = ((0.0 + p0) + p2) + p4
+    odd = ((0.0 + p1) + p3) + 0.0
+    np.divide((even + odd) + 0.0, r6, out=out)

@@ -400,9 +400,9 @@ void offres_sites(long n, double mu, double sw, const double *t, const double *w
             double ab = 2.0 * alpha * beta, b2 = beta * beta;
             double p0 = b2 * mk[0], p1 = 2.0 * b2 * mk[1], p2 = (ab + b2) * mk[2],
                    p3 = ab * mk[3], p4 = alpha * alpha * mk[4];
-            /* np.einsum("ik,ik->i") over 5 columns: two lanes take the even
-               and the odd columns from zero, and the lane sum is added to
-               the zeroed output */
+            /* the NumPy backend's contraction order: two lanes take the
+               even and the odd terms from zero, and the lane sum is added
+               to zero */
             double even = ((0.0 + p0) + p2) + p4, odd = ((0.0 + p1) + p3) + 0.0;
             out[i] = ((even + odd) + 0.0) / r6[i];
         }

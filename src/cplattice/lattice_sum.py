@@ -153,17 +153,10 @@ def offresonant_sites(r, dot, pp, mu: float) -> np.ndarray:
     flattens the broadcast sites; ``kernels.offres_sites`` evaluates them.
     """
     r, dot, pp = (np.asarray(v, dtype=np.float64) for v in (r, dot, pp))
-    shape = r.shape
-    # np.broadcast_shapes costs ~2 us: only when a projection is neither a
-    # scalar nor of r's shape
-    if not {dot.shape, pp.shape} <= {(), shape}:
-        shape = np.broadcast_shapes(shape, dot.shape, pp.shape)
-
-    def flat(v):  # a projection of size 1 stays one value
-        return (v if v.shape == shape or (v is not r and v.size == 1)
-                else np.broadcast_to(v, shape)).ravel()
-
-    return kernels.offres_sites(flat(r), flat(dot), flat(pp), mu)
+    # a scalar projection stays one value; any other shape broadcasts
+    if not {dot.shape, pp.shape} <= {(), r.shape}:
+        r, dot, pp = np.broadcast_arrays(r, dot, pp)
+    return kernels.offres_sites(r.ravel(), dot.ravel(), pp.ravel(), mu)
 
 
 def site_projections(e0, en, x, y, z):

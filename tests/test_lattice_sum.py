@@ -183,25 +183,17 @@ def _dipole_pairs(draw):
        log_z=st.floats(math.log(0.01), math.log(50.0)), dipoles=_dipole_pairs())
 def test_exactly_linear_in_rho(rho, mu, log_a, M, log_z, dipoles):
     # rho enters only through the prefactors, and doubling is exact in
-    # floating point: every sum and every decomposition field doubles bitwise.
-    # A dipole component near 1e-153 makes a value subnormal, and there the
-    # products with rho round to a fixed step of 2^-1074 (math.ulp(0.0)), so
-    # rho and 2 rho may land a step or so apart. The absolute bound of 4
-    # steps is half an ulp at 2^-1018 (~3.6e-307) and less above it, so
-    # every value from there up must still double bitwise.
-    def doubled(v2, v1):
-        return abs(v2 - 2.0 * v1) <= 4.0 * math.ulp(0.0)
-
+    # floating point: every sum and every decomposition field doubles bitwise
     test, array = dipoles
     b1, b2 = (mk(rho=r, mu=mu, a=math.exp(log_a), M=M, z=math.exp(log_z),
                  test=test, array=array) for r in (rho, 2.0 * rho))
-    assert doubled(sum_lattice(b2, "resonant").resonant, sum_lattice(b1, "resonant").resonant)
-    assert doubled(sum_lattice(b2, "off_resonant").off_resonant,
-                   sum_lattice(b1, "off_resonant").off_resonant)
+    assert sum_lattice(b2, "resonant").resonant == 2.0 * sum_lattice(b1, "resonant").resonant
+    assert sum_lattice(b2, "off_resonant").off_resonant \
+        == 2.0 * sum_lattice(b1, "off_resonant").off_resonant
     for kind in ("resonant", "off_resonant"):
         d1, d2 = decompose(b1, kind), decompose(b2, kind)
-        for field in ("bulk", "edge", "vertex", "total"):
-            assert doubled(getattr(d2, field), getattr(d1, field)), field
+        assert (d2.bulk, d2.edge, d2.vertex, d2.total) \
+            == (2.0 * d1.bulk, 2.0 * d1.edge, 2.0 * d1.vertex, 2.0 * d1.total)
 
 
 def test_offresonant_partial_sums_monotone_in_m():
