@@ -23,7 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
+import numpy as np
+
 from .euler_maclaurin import bulk_term
+from .lattice_sum import heights_array, per_height
 from .model import ValidatedBundle, validate
 
 Kind = Literal["resonant", "off_resonant"]
@@ -75,17 +78,24 @@ def _key(regime: Regime):
     return (regime.kind, regime.orientation, regime.retardation, regime.density)
 
 
-def asymptotic_shift(regime: Regime, bundle: ValidatedBundle) -> float:
-    """Evaluate the requested closed-form asymptote (no regime detection)."""
+def asymptotic_shift(regime: Regime, bundle: ValidatedBundle, heights=None):
+    """Evaluate the requested closed-form asymptote (no regime detection).
+
+    With ``heights``, the asymptote at each of those heights (the bundle's
+    other parameters kept) as a float64 array, bitwise equal to one call per
+    height; without, the float at the bundle's height.
+    """
     bundle = validate(bundle)
+    z = heights_array(bundle, heights)
     law = _LAWS[_key(regime)]
     if law is None:
-        return 0.0
+        return per_height(heights, np.zeros(z.size))
     coef, pref, trig, n = law
-    z = bundle.z_tilde
     area = bundle.a_tilde ** 2 if regime.density == "dense" else 1.0
-    return (coef * _PREFACTORS[pref](bundle.mu, bundle.rho) * (trig(2.0 * z) if trig else 1.0)
-            / (area * z ** n))
+    scale = coef * _PREFACTORS[pref](bundle.mu, bundle.rho)
+    # math.cos/sin and ** on each float, as a one-height call computes them
+    return per_height(heights, np.array([
+        scale * (trig(2.0 * h) if trig else 1.0) / (area * h ** n) for h in z.tolist()]))
 
 
 def full_closed_form(orientation: Orientation, bundle: ValidatedBundle) -> float:

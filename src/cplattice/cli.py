@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
+import shutil
 import stat
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -152,10 +154,15 @@ def z_grid(z_min: float, z_max: float, points_per_decade: int) -> np.ndarray:
     return np.geomspace(z_min, z_max, n)
 
 
-# A sweep decomposes this many heights per call (one site-kernel call per
-# block and term) before it sums and writes each of their rows, so no row of
-# a block is written when the block's decomposition fails.
-_HEIGHT_BLOCK = 8
+# A sweep computes this many heights at a time: one decompose call per kind,
+# one direct sum per kind and one asymptote call per regime for the block,
+# and only then writes the block's rows, so no row of a block is written when
+# any of its stages fails. Chosen by perfbench sweep_dense (--seconds 45,
+# 2-vCPU Xeon): wall_s 0.0372, 0.0388 and 0.0426 at 16, 32 and 8 over six
+# seeds (0.0453 with a direct sum per row and blocks of 8), and 0.0381 at
+# 16, 0.0378 at 32 over ten more (0.0480); peak RSS +0.8% at 16 and +3.1%
+# at 32, where the decomposition's temporaries cross glibc's mmap threshold.
+_HEIGHT_BLOCK = 16
 
 
 def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
@@ -189,16 +196,17 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
             block = grid[lo:lo + _HEIGHT_BLOCK]
             dr, do = (euler_maclaurin.decompose(first, kind, block)
                       for kind in ("resonant", "off_resonant"))
-            for z, r, o in zip(block.tolist(), dr, do):
-                b = bundle_from_config(cfg, z)
-                res = sum_lattice(b, "resonant", threads=cfg.threads,
-                                  executor=executor).resonant if do_res else None
-                orv = sum_lattice(b, "off_resonant",
-                                  threads=cfg.threads).off_resonant if do_or else None
-                row = [_fmt(z), _fmt(res), _fmt(orv), _fmt(r.bulk), _fmt(r.edge), _fmt(r.vertex),
-                       _fmt(r.total), _fmt(o.bulk), _fmt(o.edge), _fmt(o.vertex), _fmt(o.total)]
-                row += [_fmt(asymptotics.asymptotic_shift(g, b)) for g in regimes]
-                writer.writerow(row)
+            empty = [None] * len(block)
+            res = sum_lattice(first, "resonant", heights=block, threads=cfg.threads,
+                              executor=executor).resonant.tolist() if do_res else empty
+            orv = sum_lattice(first, "off_resonant", heights=block,
+                              threads=cfg.threads).off_resonant.tolist() if do_or else empty
+            asym = [asymptotics.asymptotic_shift(g, first, heights=block).tolist()
+                    for g in regimes]
+            for i, (z, r, o) in enumerate(zip(block.tolist(), dr, do)):
+                row = [z, res[i], orv[i], r.bulk, r.edge, r.vertex, r.total,
+                       o.bulk, o.edge, o.vertex, o.total] + [a[i] for a in asym]
+                writer.writerow([_fmt(v) for v in row])
     return EXIT_OK
 
 
@@ -295,35 +303,40 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="cplattice",
+    # argparse builds a formatter in every add_argument check, and the stock
+    # one asks for the terminal size each time: read it once, as it would
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    parser = _Parser(prog="cplattice", formatter_class=formatter,
                      description="Shifts of an excited probe atom above a square atomic array")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("sweep", help="emit a CSV table over a geometric z grid")
+    p = add_parser("sweep", help="emit a CSV table over a geometric z grid")
     _add_config_flags(p)
     p.add_argument("--output", "-o", help="CSV path (default stdout)")
     p.add_argument("--require-direct", action="store_true",
                    help="fail (exit 2) instead of skipping direct sums over budget")
 
-    p = sub.add_parser("decompose", help="bulk/edge/vertex report at one height")
+    p = add_parser("decompose", help="bulk/edge/vertex report at one height")
     _add_config_flags(p)
     p.add_argument("--z-tilde", dest="z_tilde", type=float, required=True)
     p.add_argument("--kind", choices=("resonant", "off_resonant", "both"), default="both")
     p.add_argument("--csv", dest="csv_path", help="also write a CSV report")
 
-    p = sub.add_parser("asymptotic", help="closed-form asymptote values at one height")
+    p = add_parser("asymptotic", help="closed-form asymptote values at one height")
     _add_config_flags(p)
     p.add_argument("--z-tilde", dest="z_tilde", type=float, required=True)
     p.add_argument("--kind", choices=("resonant", "off_resonant"))
     p.add_argument("--retardation", choices=("non_retarded", "retarded"))
     p.add_argument("--density", choices=("sparse", "dense"))
 
-    p = sub.add_parser("verify-diagrams", help="fuzz the twelve-process collapse identity")
+    p = add_parser("verify-diagrams", help="fuzz the twelve-process collapse identity")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mu", type=float, action="append", dest="mus")
 
-    p = sub.add_parser("fit", help="power-law fit of a sweep CSV column")
+    p = add_parser("fit", help="power-law fit of a sweep CSV column")
     p.add_argument("csv_path")
     p.add_argument("--column", required=True)
     p.add_argument("--z-min", dest="z_min", type=float, required=True)

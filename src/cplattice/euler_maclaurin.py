@@ -55,8 +55,9 @@ per height, bitwise equal to one call per height; a call without heights
 is the same code on one row. A block of heights costs one site-kernel call
 per ray integral. On the real path every height has the same panels in s,
 so the nodes z s stack into one array. On the rotated path the panel count
-depends on z, so the panels of all heights are concatenated, ragged, into
-one array and split again by offsets: padding with zero-weight panels
+depends on z, so :func:`_rotated_rules` builds the panels of all heights in
+one pass, concatenated, ragged, into one array that is split again by
+offsets: padding with zero-weight panels
 would change NumPy's pairwise summation and so the bits. :func:`_integrate`
 sums and checks each height on its own panels, and raises for the first
 height in the block that misses the tolerance. The mean over the directions
@@ -85,8 +86,9 @@ from . import specfun
 from .greens import resonant_sites, resonant_sites_complex
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .lattice_sum import QuadratureFailure, offresonant_sites, prefactor, site_projections
-from .model import NonPositiveLength, ValidatedBundle, validate
+from .lattice_sum import (QuadratureFailure, heights_array, offresonant_sites, per_height,
+                          prefactor, site_projections)
+from .model import ValidatedBundle, validate
 
 
 @dataclass(frozen=True)
@@ -123,10 +125,18 @@ _W_LOW = np.zeros(25)
 _W_LOW[::2] = np.linalg.solve(legvander(_X[::2], 12).T, np.eye(13)[0] * 2.0)
 
 
-def _gl_rule(edges):
-    """Nodes, full and lower-order weights of the panels between consecutive
-    edges, one row per panel."""
-    lo, hi = edges[:-1, None], edges[1:, None]
+# Once a height's integral underflows, every product and partial sum of the
+# rule is rounded to a multiple of 2^-1074, the smallest subnormal, and the
+# estimate can no longer meet _RTOL of a subnormal scale: an estimate of at
+# most one such step per node of the full and the nested sum (2 x 25 per
+# panel) is that rounding, and passes.
+_UNDERFLOW_STEP = 2.0 ** -1074
+
+
+def _gl_rule(lo, hi):
+    """Nodes, full and lower-order weights of the panels [lo, hi], one row
+    per panel."""
+    lo, hi = lo[:, None], hi[:, None]
     half = 0.5 * (hi - lo)
     return lo + half * (1.0 + _X), half * _W, half * _W_LOW
 
@@ -136,8 +146,8 @@ def _integrate(f, w, w_low, panels, heights, bundle: ValidatedBundle, stage: str
     """Re sum(f w) for each height: the rule applied to the integrand values
     f, one row per panel, the rows panels[i]:panels[i+1] belonging to
     heights[i]. Each height's sum and nested estimate are formed from its
-    own panels alone; the first height whose estimate misses _RTOL raises
-    QuadratureFailure."""
+    own panels alone; the first height whose estimate misses _RTOL (and the
+    underflow floor) raises QuadratureFailure."""
     full = np.sum(f * w, axis=1)
     err = np.abs(full - np.sum(f * w_low, axis=1))
     mag = np.abs(full)
@@ -146,7 +156,8 @@ def _integrate(f, w, w_low, panels, heights, bundle: ValidatedBundle, stage: str
         part = slice(panels[i], panels[i + 1])
         values[i] = full[part].sum().real
         e, scale = float(err[part].sum()), float(mag[part].sum())
-        if not e <= _RTOL * scale:
+        floor = 2 * _X.size * (panels[i + 1] - panels[i]) * _UNDERFLOW_STEP
+        if not (e <= _RTOL * scale or e <= floor):
             where = bundle.orientation_label() + (f", {axis} axis" if axis else "")
             raise QuadratureFailure(
                 f"{stage} at z={float(z)!r}, mu={bundle.mu!r} ({where}): error estimate "
@@ -158,8 +169,9 @@ def _real_rule():
     """Panels [0, 1/2], [1/2, 1], [1, 2], ..., [8, 16] in s, then [16, inf)
     mapped by s = 16/t, where the off-resonant integrands have decayed like
     s^-5 or faster and are smooth in t."""
-    s, w, w_low = _gl_rule(np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]))
-    t, wt, wt_low = _gl_rule(np.array([0.0, 1.0]))
+    edges = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    s, w, w_low = _gl_rule(edges[:-1], edges[1:])
+    t, wt, wt_low = _gl_rule(np.array([0.0]), np.array([1.0]))
     jac = 16.0 / (t * t)
     return np.vstack((s, 16.0 / t)), np.vstack((w, jac * wt)), np.vstack((w_low, jac * wt_low))
 
@@ -168,14 +180,27 @@ _S, _S_W, _S_W_LOW = _real_rule()
 _TURN = np.exp(0.25j * math.pi)
 
 
-def _rotated_rule(z: float):
-    """Nodes t e^{i pi/4} and weights of the rotated path: [0, h], then
-    panels in ratio 1.4 out to where e^{2ir} has decayed below ~e^-40."""
-    h = 0.1 * min(z, 1.0)
-    t_max = max(30.0, 7.0 * math.sqrt(z))
-    n = math.ceil(math.log(t_max / h) / math.log(1.4))
-    t, w, w_low = _gl_rule(np.concatenate(([0.0], h * 1.4 ** np.arange(n + 1))))
-    return _TURN * t, _TURN * w, _TURN * w_low
+def _rotated_rules(heights: np.ndarray):
+    """Nodes t e^{i pi/4} and weights of the rotated path at each height,
+    the panels of all heights concatenated as rows in height order, and each
+    height's panel count. A height z has the panel [0, h], h = 0.1 min(z, 1),
+    then n panels in ratio 1.4 out to t_max = max(30, 7 sqrt(z)), where
+    e^{2ir} has decayed below ~e^-40: the edges h 1.4^k, k = 0..n, with
+    n = ceil(log(t_max/h)/log(1.4)). The powers 1.4^k are one array for
+    every height."""
+    zs = heights.tolist()
+    h = [0.1 * min(z, 1.0) for z in zs]
+    n = [math.ceil(math.log(max(30.0, 7.0 * math.sqrt(z)) / hz) / math.log(1.4))
+         for z, hz in zip(zs, h)]
+    counts = np.array(n) + 1
+    first = np.cumsum(counts) - counts  # each height's first panel
+    # panel k of a height spans [0, h] for k = 0, else [h 1.4^(k-1), h 1.4^k]
+    k = np.arange(counts.sum()) - np.repeat(first, counts)
+    hi = np.repeat(h, counts) * (1.4 ** np.arange(max(n) + 1))[k]
+    lo = np.concatenate(([0.0], hi[:-1]))
+    lo[first] = 0.0
+    t, w, w_low = _gl_rule(lo, hi)
+    return _TURN * t, _TURN * w, _TURN * w_low, counts
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +265,7 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     """
     if kind == "resonant":
         # the panel count depends on z: the rows are ragged, never padded
-        rules = [_rotated_rule(float(z)) for z in heights]
-        counts = [len(rule[0]) for rule in rules]
-        t, w, w_low = (np.concatenate(parts) for parts in zip(*rules))
+        t, w, w_low, counts = _rotated_rules(heights)
         z = np.repeat(heights, counts)[:, None]
         if stage == "bulk":
             jac = z + t
@@ -276,23 +299,6 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
 _ZZ_CLOSED_FORM_MAX_Z = 20.0
 
 
-def _heights(bundle: ValidatedBundle, heights) -> np.ndarray:
-    """The heights of a call as a float64 array: the bundle's own height, or
-    the given ones, each checked as the bundle's height is."""
-    if heights is None:
-        return np.array([bundle.z_tilde])
-    z = np.array(heights, dtype=float).reshape(-1)
-    bad = ~((z > 0.0) & (z < math.inf))
-    if bad.any():
-        raise NonPositiveLength(f"z_tilde must be > 0 and finite, got {z[bad][0]}")
-    return z
-
-
-def _per_height(heights, values):
-    """A term's values: the one float of a call without heights, else the array."""
-    return float(values[0]) if heights is None else values
-
-
 def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     """The (4/a^2) double-integral term for the unbounded lattice.
 
@@ -304,7 +310,7 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
-    z = _heights(bundle, heights)
+    z = heights_array(bundle, heights)
     a2 = bundle.a_tilde ** 2
     values = np.empty(z.size)
     if kind == "resonant" and label == "zz":
@@ -320,7 +326,7 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
         ring = _RING[:1] if label == "zz" else _RING
         values[~closed] = pref * (2.0 * math.pi / a2) * _ray_integral(
             bundle, kind, "bulk", ring, z[~closed])
-    return _per_height(heights, values)
+    return per_height(heights, values)
 
 
 def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
@@ -341,24 +347,24 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
-    z = _heights(bundle, heights)
+    z = heights_array(bundle, heights)
     axes = "x" if label in ("zz", "zx") else "xy"
     integrals = _ray_integral(bundle, kind, "edge", _AXES[:len(axes)], z, axes)
     ax = integrals[0]
     ay = ax if label == "zz" else 0.0 if label == "zx" else integrals[1]
-    return _per_height(heights, pref * (2.0 / bundle.a_tilde) * (ax + ay))
+    return per_height(heights, pref * (2.0 / bundle.a_tilde) * (ax + ay))
 
 
 def vertex_term(bundle: ValidatedBundle, kind: str, heights=None):
     """The single-atom term: exactly the (0, 0) pair contribution."""
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
-    z = _heights(bundle, heights)
+    z = heights_array(bundle, heights)
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
                                   0.0, 0.0, z)
     sites = resonant_sites(r, dot, pp) if kind == "resonant" else offresonant_sites(
         r, dot, pp, bundle.mu)
-    return _per_height(heights, pref * sites)
+    return per_height(heights, pref * sites)
 
 
 def decompose(bundle: ValidatedBundle, kind: str, heights=None):
@@ -373,7 +379,7 @@ def decompose(bundle: ValidatedBundle, kind: str, heights=None):
     bulk or edge integral misses the rule's tolerance.
     """
     bundle = validate(bundle)
-    z = _heights(bundle, heights)
+    z = heights_array(bundle, heights)
     token = _SHARED_SITES.set({} if kind == "off_resonant" else None)
     try:
         bulk, edge, vertex = (term(bundle, kind, z).tolist()

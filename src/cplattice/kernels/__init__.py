@@ -14,18 +14,20 @@ distance table that the compiled rows gather from:
 
 * ``res_rows(zx, a2, z2, lo, hi)``: the octant rows lo <= nx < hi
   (0 <= lo <= hi) of the z-probe resonant sum, for z-oriented (zx false)
-  or x-oriented (zx true) array dipoles, as a new float64 array whose
-  element nx - lo is bitwise equal to the backend's single row
-  ``res_row(zx, a2, z2, nx)``. One call fills a whole range, and the
-  compiled call runs without the interpreter lock. On the NumPy backend,
-  and on the compiled one for ranges of more than ``TABLE_SITE_CAP``
-  sites, the backend's ``res_rows(zx, a2, z2, lo, hi, out)`` streams,
-  evaluating every site. Otherwise the compiled ``table_rows`` reads the
-  range's :func:`distance_table`, evaluates the site term once per
-  distinct distance and gathers each row from those values in the
-  streaming row's order, eight rows side by side, so the rows are the same
-  bits. Rows whose largest phase reaches the fast sin/cos bound stream
-  inside that call;
+  or x-oriented (zx true) array dipoles, at one height z2 or at each of an
+  array of heights, as a new float64 array of shape z2.shape + (hi - lo,)
+  whose element [..., nx - lo] is bitwise equal to the backend's single row
+  ``res_row(zx, a2, z2, nx)`` at that height. One call fills a whole range
+  for every height, and the compiled call runs without the interpreter
+  lock. On the NumPy backend, and on the compiled one for ranges of more
+  than ``TABLE_SITE_CAP`` sites, the backend's ``res_rows(zx, a2, z2, nz,
+  lo, hi, out)`` streams, evaluating every site. Otherwise the compiled
+  ``table_rows`` reads the range's :func:`distance_table` and, height by
+  height into one values buffer, evaluates the site term once per distinct
+  distance and gathers each row from those values in the streaming row's
+  order, eight rows side by side, so the rows are the same bits. A height
+  whose rows' largest phase reaches the fast sin/cos bound streams inside
+  that call;
 * ``distance_table(lo, hi)``: the distinct nx^2 + j^2 of the octant sites
   of those rows and each site's index into them, shared by the resonant
   rows above and the direct off-resonant octant sum. The compiled builder
@@ -122,16 +124,18 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     lib.res_row.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_long)
     lib.res_row.restype = ctypes.c_double
     out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    lib.res_rows.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_long,
-                             ctypes.c_long, out)
-    lib.res_rows.restype = None
     vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    # one row range per height: (nz, hi - lo), or (hi - lo,) for one height
+    rows = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lib.res_rows.argtypes = (ctypes.c_int, ctypes.c_double, vec, ctypes.c_long, ctypes.c_long,
+                             ctypes.c_long, rows)
+    lib.res_rows.restype = None
     index = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
     index_out = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lib.distance_table.argtypes = (ctypes.c_long, ctypes.c_long, out, index_out)
     lib.distance_table.restype = ctypes.c_long
-    lib.table_rows.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, vec,
-                               ctypes.c_long, index, ctypes.c_long, ctypes.c_long, out, out)
+    lib.table_rows.argtypes = (ctypes.c_int, ctypes.c_double, vec, ctypes.c_long, vec,
+                               ctypes.c_long, index, ctypes.c_long, ctypes.c_long, out, rows)
     lib.table_rows.restype = None
     table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     out2 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
@@ -205,17 +209,22 @@ _lib = None if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else load_library
 _impl = _numpy_backend if _lib is None else _lib
 
 
-def res_rows(zx: bool, a2: float, z2: float, lo: int, hi: int) -> np.ndarray:
+def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     """The octant rows lo <= nx < hi of the zz (zx false) or zx (zx true)
-    resonant sum; raises ``ValueError`` unless 0 <= lo <= hi."""
+    resonant sum at the height z2, a float or an array of them, as an array
+    of shape z2.shape + (hi - lo,); raises ``ValueError`` unless
+    0 <= lo <= hi."""
     if not 0 <= lo <= hi:
         raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    out = np.empty(hi - lo)
+    z2 = np.asarray(z2, dtype=np.float64)
+    out = np.empty(z2.shape + (hi - lo,))
+    heights = np.ascontiguousarray(z2.reshape(-1))
     if _lib is not None and range_sites(lo, hi) <= TABLE_SITE_CAP:
         d2, idx = distance_table(lo, hi)
-        _lib.table_rows(zx, a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+        _lib.table_rows(zx, a2, heights, heights.size, d2, d2.size, idx, lo, hi,
+                        np.empty(d2.size), out)
     else:
-        _impl.res_rows(zx, a2, z2, lo, hi, out)
+        _impl.res_rows(zx, a2, heights, heights.size, lo, hi, out)
     return out
 
 

@@ -3,12 +3,13 @@
 Same contract as the compiled library: ``res_row(zx, a2, z2, nx)``
 evaluates one octant row n_x = const, n_y = 0..n_x, of the zz (zx false) or
 zx (zx true) orientation with the dihedral-orbit weights folded in, and
-returns the row total, and ``res_rows(zx, a2, z2, lo, hi, out)`` writes the
-rows lo <= n_x < hi into ``out`` (``kernels.res_rows`` checks the range and
-allocates ``out``); :func:`phi_laguerre` is the Gauss-Laguerre branch of
-the off-resonant site kernel, and :func:`offres_sites` the arithmetic of
-that kernel after its transcendental inputs (``kernels.offres_sites``
-computes those): the closed-form branch :func:`phi_closed`, the
+returns the row total, and ``res_rows(zx, a2, z2, nz, lo, hi, out)`` writes
+the rows lo <= n_x < hi at each of the nz heights z2 into ``out``
+(``kernels.res_rows`` checks the range and allocates ``out``);
+:func:`phi_laguerre` is the Gauss-Laguerre branch of the off-resonant site
+kernel, and :func:`offres_sites` the arithmetic of that kernel after its
+transcendental inputs (``kernels.offres_sites`` computes those): the
+closed-form branch :func:`phi_closed`, the
 :func:`moments` and the contraction. They are the fallback and the oracle
 that the compiled library equals bit for bit. :func:`octant_sites` is the one
 statement of those weights; the direct off-resonant sum folds its octant
@@ -81,10 +82,13 @@ def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
     return total
 
 
-def res_rows(zx: bool, a2: float, z2: float, lo: int, hi: int, out: np.ndarray) -> None:
-    """out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi."""
-    for nx in range(lo, hi):
-        out[nx - lo] = res_row(zx, a2, z2, nx)
+def res_rows(zx: bool, a2: float, z2, nz: int, lo: int, hi: int, out: np.ndarray) -> None:
+    """out[h, nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights z2 and
+    lo <= nx < hi, with out viewed as (nz, hi - lo)."""
+    rows = out.reshape(nz, hi - lo)
+    for h, z2h in enumerate(z2.tolist()):
+        for nx in range(lo, hi):
+            rows[h, nx - lo] = res_row(zx, a2, z2h, nx)
 
 
 def distance_table(lo: int, hi: int, d2: np.ndarray, idx: np.ndarray) -> int:

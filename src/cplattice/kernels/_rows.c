@@ -4,14 +4,16 @@
    Contract matches the NumPy fallback (_numpy_backend.py): res_row(zx, a2,
    z2, nx) returns one octant row n_x = nx, n_y = 0..nx with the orbit
    weights folded in, for z-oriented array dipoles (zx = 0) or x-oriented
-   ones (zx = 1), and res_rows(zx, a2, z2, lo, hi, out) writes out[nx - lo] =
-   res_row(zx, a2, z2, nx) for lo <= nx < hi, so a whole octant costs one
-   call; phi_laguerre is the Gauss-Laguerre branch of the off-resonant site
-   kernel, and offres_sites the rest of that kernel's arithmetic once NumPy
-   and SciPy have computed its transcendental inputs (Si, Ci, sin and cos of
-   2y, and r^6): their bits come from SciPy and from NumPy's vector code,
-   not from libm, so they stay there, and this file does only IEEE +, -, *
-   and / in the NumPy fallback's order of operations. Each orientation's
+   ones (zx = 1), and res_rows(zx, a2, z2, nz, lo, hi, out) writes
+   out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz
+   heights z2[h] and lo <= nx < hi, so the octants of a block of heights
+   cost one call; phi_laguerre is the Gauss-Laguerre branch of the
+   off-resonant site kernel, and offres_sites the rest of that kernel's
+   arithmetic once NumPy and SciPy have computed its transcendental inputs
+   (Si, Ci, sin and cos of 2y, and r^6): their bits come from SciPy and from
+   NumPy's vector code, not from libm, so they stay there, and this file
+   does only IEEE +, -, * and / in the NumPy fallback's order of
+   operations. Each orientation's
    site term is written once (term_zz, term_zx) and serves the row pass,
    its endpoint corrections and the origin. The exports test zx outside
    their site loops, so each loop instance has its term fixed: choosing the
@@ -24,9 +26,9 @@
    d2 occur more than once (0.63 of the octant sites at M = 500 are
    distinct). distance_table lists the distinct d2 of a row range and each
    site's index into them; table_rows evaluates the term once per distinct
-   d2 and gathers every row from those values in the same order, with the
-   same compensation and endpoint terms, so it writes the same bits as
-   res_rows.
+   d2 and height and gathers every row from those values in the same order,
+   with the same compensation and endpoint terms, so it writes the same bits
+   as res_rows. One values buffer serves all heights of a call in turn.
 
    sin/cos use a Cody-Waite reduced fdlibm-style kernel (1 ulp), valid for
    phases below ~1e6. Rows whose largest phase reaches that bound, and the
@@ -184,8 +186,8 @@ double res_row(int zx, double a2, double z2, long nx)
     return zx ? stream_row(1, a2, z2, nx) : stream_row(0, a2, z2, nx);
 }
 
-/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi. */
-void res_rows(int zx, double a2, double z2, long lo, long hi, double *out)
+/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, one height. */
+static void stream_rows(int zx, double a2, double z2, long lo, long hi, double *out)
 {
     if (zx)
         for (long nx = lo; nx < hi; nx++)
@@ -193,6 +195,14 @@ void res_rows(int zx, double a2, double z2, long lo, long hi, double *out)
     else
         for (long nx = lo; nx < hi; nx++)
             out[nx - lo] = stream_row(0, a2, z2, nx);
+}
+
+/* out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights
+   h and lo <= nx < hi. */
+void res_rows(int zx, double a2, const double *z2, long nz, long lo, long hi, double *out)
+{
+    for (long h = 0; h < nz; h++)
+        stream_rows(zx, a2, z2[h], lo, hi, out + h * (hi - lo));
 }
 
 /* The distance table of the rows lo <= nx < hi: the distinct d2 = nx^2 + j^2
@@ -279,18 +289,19 @@ static void gather_rows(int zx, double a2, double z2, const double *values,
     }
 }
 
-/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, bitwise, from
-   the rows' distance table (the n distances d2 and the indices idx of
-   distance_table(lo, hi, ...)): the site term is evaluated once per
+/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, one height,
+   bitwise, from the rows' distance table (the n distances d2 and the indices
+   idx of distance_table(lo, hi, ...)): the site term is evaluated once per
    distance into values (room for n) and each row gathers its terms. When
    the last row's largest phase reaches PHASE_LIMIT the rows stream as in
    res_rows, since rows past the limit take libm and one distance could
-   then carry two values. */
-void table_rows(int zx, double a2, double z2, const double *d2, long n, const int32_t *idx,
-                long lo, long hi, double *values, double *out)
+   then carry two values. The height is a value here, not a pointer, so the
+   value loops can be vectorized without an alias check against values. */
+static void table_height(int zx, double a2, double z2, const double *d2, long n,
+                         const int32_t *idx, long lo, long hi, double *values, double *out)
 {
     if (hi > lo && !fast_row(a2, z2, hi - 1)) {
-        res_rows(zx, a2, z2, lo, hi, out);
+        stream_rows(zx, a2, z2, lo, hi, out);
         return;
     }
     if (zx)
@@ -300,6 +311,16 @@ void table_rows(int zx, double a2, double z2, const double *d2, long n, const in
         for (long k = 0; k < n; k++)
             values[k] = term_zz(d2[k], a2, z2, 1);
     gather_rows(zx, a2, z2, values, idx, lo, hi, out);
+}
+
+/* out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights
+   h and lo <= nx < hi, bitwise, as table_height height by height, every
+   height reusing the one values buffer. */
+void table_rows(int zx, double a2, const double *z2, long nz, const double *d2, long n,
+                const int32_t *idx, long lo, long hi, double *values, double *out)
+{
+    for (long h = 0; h < nz; h++)
+        table_height(zx, a2, z2[h], d2, n, idx, lo, hi, values, out + h * (hi - lo));
 }
 
 /* Phi_0..4(y[i]) by m-node Gauss-Laguerre quadrature in tau = 2yt, into

@@ -18,13 +18,15 @@ array z or array x) the projections are radial, and the sum runs over one
 octant with the dihedral orbit weights of
 :func:`cplattice.kernels._numpy_backend.octant_sites`. The resonant octant
 is one call of ``kernels.res_rows`` over the rows n_x = 0..M, or one call
-per contiguous row range when split over threads; the row values come back
-in fixed order and are reduced exactly (math.fsum), so results are
-bit-identical for any worker count. The octant site terms depend on the
-site only through s = n_x^2 + n_y^2, so both octant sums evaluate them once
-per distinct s, from one table of those distances and each site's index
-into them (``kernels.distance_table``): the compiled resonant rows gather
-from it, and the off-resonant sum evaluates its site kernel on it.
+per contiguous row range when split over threads, for all the heights of a
+:func:`sum_lattice` call at once; the row values come back in fixed order
+and are reduced exactly (math.fsum), once per height, so results are
+bit-identical for any worker count and any set of heights. The octant site
+terms depend on the site only through s = n_x^2 + n_y^2, so both octant
+sums evaluate them once per distinct s, from one table of those distances
+and each site's index into them (``kernels.distance_table``): the compiled
+resonant rows gather from it, and the off-resonant sum evaluates its site
+kernel on it.
 General orientations lack the reflection parity needed for folding and run
 the same kernels over the full grid of rows n_x = -M..M, split over threads
 the same way. Each worker evaluates its row range in one site-kernel call per
@@ -78,7 +80,7 @@ from .greens import resonant_sites
 from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .model import ValidatedBundle, validate
+from .model import NonPositiveLength, ValidatedBundle, validate
 
 
 def quad(*args, **kwargs):
@@ -104,10 +106,13 @@ class SiteBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ShiftResult:
-    """One direct-sum evaluation; only the requested component is filled."""
+    """One direct-sum evaluation; only the requested component is filled,
+    with a float, or with a float64 array of one value per height when the
+    sum was asked for ``heights``. ``terms_summed`` counts the sites of all
+    heights."""
 
-    resonant: float | None
-    off_resonant: float | None
+    resonant: float | np.ndarray | None
+    off_resonant: float | np.ndarray | None
     terms_summed: int
 
 
@@ -219,15 +224,35 @@ def _map_ranges(fn, ranges, executor=None) -> list:
     return [f.result() for f in futures] + [last]
 
 
-def _resonant_octant(bundle: ValidatedBundle, threads, executor) -> float:
+def heights_array(bundle: ValidatedBundle, heights) -> np.ndarray:
+    """The heights of a call as a float64 array: the bundle's own height, or
+    the given ones, each checked as the bundle's height is."""
+    if heights is None:
+        return np.array([bundle.z_tilde])
+    z = np.array(heights, dtype=float).reshape(-1)
+    bad = ~((z > 0.0) & (z < math.inf))
+    if bad.any():
+        raise NonPositiveLength(f"z_tilde must be > 0 and finite, got {z[bad][0]}")
+    return z
+
+
+def per_height(heights, values):
+    """A call's values: the one float of a call without heights, else the array."""
+    return float(values[0]) if heights is None else values
+
+
+def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads, executor) -> list:
     a2 = bundle.a_tilde ** 2
-    z2 = bundle.z_tilde ** 2
+    z2 = np.array([h ** 2 for h in z.tolist()])  # each as a one-height call squares it
     zx = bundle.orientation_label() == "zx"
     M = bundle.half_extent
-    # octant row nx holds the nx + 1 sites j = 0..nx
+    # octant row nx holds the nx + 1 sites j = 0..nx; each range is one call
+    # for every height
     ranges = _split_rows(np.arange(1, M + 2), threads)
     parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges, executor)
-    return math.fsum(np.concatenate(parts).tolist())
+    # one height's rows as floats at a time: all heights' at once would
+    # allocate, and in a fresh process page in, 24 bytes per row
+    return [math.fsum(rows.tolist()) for rows in np.concatenate(parts, axis=1)]
 
 
 # A generic direct sum evaluates at most this many sites per site-kernel call:
@@ -235,7 +260,7 @@ def _resonant_octant(bundle: ValidatedBundle, threads, executor) -> float:
 CUSTOM_BLOCK_SITES = 1 << 14
 
 
-def _resonant_custom(bundle: ValidatedBundle, threads, executor) -> float:
+def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads, executor) -> list:
     M = bundle.half_extent
     a = bundle.a_tilde
     e0 = bundle.params.test_dipole
@@ -245,21 +270,25 @@ def _resonant_custom(bundle: ValidatedBundle, threads, executor) -> float:
     step = max(1, CUSTOM_BLOCK_SITES // n.size)
 
     def rows(lo, hi):
-        # index i is row nx = i - M; each row's sites are summed on their own
+        # index i is row nx = i - M; each row's sites are summed on their
+        # own; one list of row values per height
         totals = []
-        for start in range(lo, hi, step):
-            x = n[start:min(start + step, hi), None] * a
-            r, dot, pp = site_projections(e0, en, x, y, bundle.z_tilde)
-            totals += np.sum(resonant_sites(r, dot, pp), axis=1).tolist()
+        for h in z.tolist():
+            row_values = []
+            for start in range(lo, hi, step):
+                x = n[start:min(start + step, hi), None] * a
+                r, dot, pp = site_projections(e0, en, x, y, h)
+                row_values += np.sum(resonant_sites(r, dot, pp), axis=1).tolist()
+            totals.append(row_values)
         return totals
 
     parts = _map_ranges(rows, _split_rows(np.ones(n.size), threads), executor)
-    return math.fsum(v for part in parts for v in part)
+    return [math.fsum(v for part in parts for v in part[k]) for k in range(z.size)]
 
 
-def _offres_octant(bundle: ValidatedBundle) -> float:
+def _offres_octant(bundle: ValidatedBundle, z: float) -> float:
     M = bundle.half_extent
-    a2, z2, zx = bundle.a_tilde ** 2, bundle.z_tilde ** 2, bundle.orientation_label() == "zx"
+    a2, z2, zx = bundle.a_tilde ** 2, z ** 2, bundle.orientation_label() == "zx"
     # the site term is a function of nx^2 + j^2: evaluate it once per distance
     d2, site = kernels.distance_table(0, M + 1)
     radial = offresonant_sites(*radial_sites(d2, a2, z2, zx), bundle.mu)
@@ -267,26 +296,34 @@ def _offres_octant(bundle: ValidatedBundle) -> float:
     return math.fsum(octant_weights(nx, j, a2, zx) * radial[site])
 
 
-def _offres_custom(bundle: ValidatedBundle) -> float:
+def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
     M = bundle.half_extent
     n = np.arange(-M, M + 1) * bundle.a_tilde
     x, y = np.meshgrid(n, n, indexing="ij")
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  x.ravel(), y.ravel(), bundle.z_tilde)
+                                  x.ravel(), y.ravel(), z)
     return math.fsum(offresonant_sites(r, dot, pp, bundle.mu))
 
 
-def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = None,
+def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: int | None = None,
                 site_budget: int | None = None, executor=None) -> ShiftResult:
     """Sum the pair terms over all (2M+1)^2 sites.
 
-    kind is 'resonant' or 'off_resonant'. Results are deterministic for any
-    thread count: row values are independent and the cross-row reduction is
-    exact (math.fsum) in fixed row order. Off-resonant sums evaluate every
-    site in one vectorized kernel call and reduce exactly, so threads do not
-    affect them. ``threads=None`` runs a resonant sum whose octant (zz, zx)
-    or grid (other pairs) holds at least ``AUTO_THREADS_SITES`` sites on
-    :func:`usable_cpus` workers, and a smaller one on one; a larger count
+    kind is 'resonant' or 'off_resonant'. With ``heights``, the sum at each
+    of those heights (the bundle's other parameters kept): the requested
+    field of the result is then a float64 array of one value per height,
+    bitwise equal to one call per height, and ``terms_summed`` counts the
+    sites of all heights; without, it is the float at the bundle's height.
+    A resonant octant (zz, zx) takes all heights in one row-range call per
+    worker; other sums loop over the heights here.
+
+    Results are deterministic for any thread count: row values are
+    independent and the cross-row reduction is exact (math.fsum) in fixed
+    row order, once per height. Off-resonant sums evaluate every site in
+    one vectorized kernel call per height and reduce exactly, so threads do
+    not affect them. ``threads=None`` runs a resonant sum whose octant (zz,
+    zx) or grid (other pairs) holds at least ``AUTO_THREADS_SITES`` sites
+    on :func:`usable_cpus` workers, and a smaller one on one; a larger count
     than :func:`usable_cpus` is cut to it, and one below 1 raises
     ``ValueError``. A threaded resonant sum runs its ranges on ``executor``,
     a ``concurrent.futures`` pool a caller keeps across sums, or on a pool
@@ -299,6 +336,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
     if site_budget is not None and count > site_budget:
         raise SiteBudgetExceeded(f"{count} sites exceed budget {site_budget}")
     pref = prefactor(bundle, kind)
+    z = heights_array(bundle, heights)
     octant = bundle.orientation_label() in ("zz", "zx")
     if kind == "resonant":
         if threads is None:
@@ -306,7 +344,11 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, threads: int | None = Non
             threads = usable_cpus() if summed >= AUTO_THREADS_SITES else 1
         threads = min(threads, usable_cpus())
         sites = _resonant_octant if octant else _resonant_custom
-        value = sites(bundle, threads, executor)
-        return ShiftResult(resonant=pref * value, off_resonant=None, terms_summed=count)
-    value = _offres_octant(bundle) if octant else _offres_custom(bundle)
-    return ShiftResult(resonant=None, off_resonant=pref * value, terms_summed=count)
+        sums = sites(bundle, z, threads, executor)
+    else:
+        sites = _offres_octant if octant else _offres_custom
+        sums = [sites(bundle, h) for h in z.tolist()]
+    value = per_height(heights, pref * np.array(sums))
+    return ShiftResult(resonant=value if kind == "resonant" else None,
+                       off_resonant=value if kind == "off_resonant" else None,
+                       terms_summed=count * z.size)

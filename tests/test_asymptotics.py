@@ -168,3 +168,15 @@ def test_vanishing_forms_are_positive_zero():
     for r in all_regimes("zx"):
         if r.density == "sparse":
             assert math.copysign(1.0, asymptotic_shift(r, b)) == 1.0
+
+
+@pytest.mark.parametrize("orientation", ["zz", "zx"])
+def test_heights_equal_one_call_per_height_bitwise(orientation):
+    array = (0, 0, 1) if orientation == "zz" else (1, 0, 0)
+    heights = np.geomspace(1e-3, 1e4, 65)
+    for g in all_regimes(orientation):
+        got = asymptotic_shift(g, mk(mu=0.6, a=0.05, array=array), heights=heights)
+        assert got.dtype == np.float64 and got.shape == heights.shape
+        want = [asymptotic_shift(g, mk(mu=0.6, a=0.05, z=z, array=array))
+                for z in heights.tolist()]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], g

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -10,6 +11,7 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cplattice import cli, diagrams, euler_maclaurin, fitting
@@ -401,28 +403,39 @@ def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys
     assert "edge resonant at z=0.2" in err and "mu=0.5" in err
 
 
-def _fail_rotated_rule_at(monkeypatch, z_fail):
+def _fail_rotated_rules_at(monkeypatch, z_fail):
     """Make the rotated rule's nested estimate miss at one height only, so
     the resonant edge fails there and nowhere else."""
-    rule = euler_maclaurin._rotated_rule
+    rules = euler_maclaurin._rotated_rules
 
-    def failing(z):
-        t, w, w_low = rule(z)
-        return (t, w, 2.0 * w_low) if z == z_fail else (t, w, w_low)
+    def failing(heights):
+        t, w, w_low, counts = rules(heights)
+        bad = np.repeat(heights == z_fail, counts)[:, None]
+        return t, w, np.where(bad, 2.0 * w_low, w_low), counts
 
-    monkeypatch.setattr(euler_maclaurin, "_rotated_rule", failing)
+    monkeypatch.setattr(euler_maclaurin, "_rotated_rules", failing)
+
+
+def _sweep_of(rows):
+    """SWEEP_ARGS on a grid of ``rows`` heights from z = 0.2 at 40 per
+    decade, and that grid."""
+    z_max = 0.2 * 10.0 ** ((rows - 1) / 40)
+    args = SWEEP_ARGS[:SWEEP_ARGS.index("--z-max")] + [
+        "--z-max", repr(z_max), "--points-per-decade", "40"]
+    grid = cli.z_grid(0.2, z_max, 40)
+    assert len(grid) == rows
+    return args, grid
 
 
 def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, capsys):
-    # the edge rule fails at a height of the second block of heights, after
-    # the header and the first block's rows have been written
-    grid = cli.z_grid(0.2, 0.6, 16)
-    assert len(grid) > cli._HEIGHT_BLOCK
+    # the edge rule fails at the first height of the second block of
+    # heights, after the header and the first block's rows have been written
+    args, grid = _sweep_of(cli._HEIGHT_BLOCK + 1)
     z_fail = float(grid[cli._HEIGHT_BLOCK])
-    _fail_rotated_rule_at(monkeypatch, z_fail)
+    _fail_rotated_rules_at(monkeypatch, z_fail)
     out = tmp_path / "f.csv"
     out.write_bytes(b"z_tilde,previous\n0.1,1\n")
-    rc = cli.main(SWEEP_ARGS + ["--threads", "1", "-o", str(out)])
+    rc = cli.main(args + ["--threads", "1", "-o", str(out)])
     assert rc == cli.EXIT_NUMERICAL
     assert f"edge resonant at z={z_fail!r}, mu=0.5" in capsys.readouterr().err
     assert out.read_bytes() == b"z_tilde,previous\n0.1,1\n"
@@ -430,19 +443,18 @@ def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, c
 
 
 def test_sweep_failure_inside_a_block_writes_none_of_its_rows(monkeypatch, capsys):
-    # 20 heights: blocks 0-7, 8-15 and 16-19; the middle height of the
-    # second block fails
-    args = SWEEP_ARGS[:-1] + ["40"]
-    grid = cli.z_grid(0.2, 0.6, 40)
-    assert len(grid) == 20 and cli._HEIGHT_BLOCK == 8
-    z_fail = float(grid[12])
-    _fail_rotated_rule_at(monkeypatch, z_fail)
+    # two and a half blocks of heights; the middle height of the second
+    # block fails
+    block = cli._HEIGHT_BLOCK
+    args, grid = _sweep_of(2 * block + block // 2)
+    z_fail = float(grid[block + block // 2])
+    _fail_rotated_rules_at(monkeypatch, z_fail)
     assert cli.main(args + ["--threads", "1"]) == cli.EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert f"edge resonant at z={z_fail!r}, mu=0.5" in captured.err
     lines = captured.out.splitlines()
     assert lines[0].startswith("z_tilde,")
-    assert [float(line.split(",")[0]) for line in lines[1:]] == grid[:8].tolist()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == grid[:block].tolist()
 
 
 def test_unwritable_output_exits_usage(tmp_path, capsys):
@@ -518,3 +530,39 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
                                               "verify-diagrams", "fit", "fit"]
     for args in commands:
         assert cli.main(args) == cli.EXIT_OK, args
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+def test_help_equals_the_stock_formatters(monkeypatch, columns):
+    # build_parser reads the terminal width once; the stock HelpFormatter
+    # reads it whenever it formats: both give the same --help bytes
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert set(subparsers) == {"sweep", "decompose", "asymptotic", "verify-diagrams", "fit"}
+    for p in [parser, *subparsers.values()]:
+        ours = p.format_help()
+        p.formatter_class = argparse.HelpFormatter
+        assert ours == p.format_help(), p.prog
+    assert max(map(len, subparsers["sweep"].format_help().splitlines())) <= int(columns) - 2
+
+
+def test_sweep_makes_one_call_per_block_and_stage(monkeypatch, capsys):
+    # each block of heights: one decompose per kind, one direct sum per kind
+    # and one asymptote call per regime, whatever the block's size
+    calls = []
+    for owner, name in ((euler_maclaurin, "decompose"), (cli, "sum_lattice"),
+                        (cli.asymptotics, "asymptotic_shift")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name, **k: (
+            calls.append((_name, len(k["heights"] if "heights" in k else a[2]))) or _fn(*a, **k)))
+    block = cli._HEIGHT_BLOCK
+    args, grid = _sweep_of(2 * block + 3)
+    assert cli.main(args + ["--threads", "1"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == grid.tolist()
+    sizes = [block, block, 3]
+    regimes = len(cli.asymptotics.all_regimes("zz"))
+    assert calls == [call for size in sizes for call in
+                     [("decompose", size)] * 2 + [("sum_lattice", size)] * 2
+                     + [("asymptotic_shift", size)] * regimes]

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import expn
 
 from cplattice import euler_maclaurin, lattice_sum
-from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _heights, _ray_integral,
+from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
 from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, offresonant_sites,
                                    prefactor, resonant_pair_term, resonant_prefactor,
@@ -36,13 +36,13 @@ def _bulk_integral(bundle, kind="resonant"):
     closed form: one azimuth for zz, five otherwise."""
     ring = _RING[:1] if bundle.orientation_label() == "zz" else _RING
     return prefactor(bundle, kind) * (2.0 * math.pi / bundle.a_tilde ** 2) \
-        * _ray_integral(bundle, kind, "bulk", ring, _heights(bundle, None))[0]
+        * _ray_integral(bundle, kind, "bulk", ring, np.array([bundle.z_tilde]))[0]
 
 
 def _axis_integral(bundle, kind, axis):
     """One positive half-axis integral of edge_term, without its prefactor."""
     k = "xy".index(axis)
-    return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], _heights(bundle, None),
+    return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], np.array([bundle.z_tilde]),
                          axis)[0][0]
 
 
@@ -546,12 +546,61 @@ def test_custom_edge_is_both_axes_of_one_site_call(monkeypatch, pair, kind):
     assert calls == [(kind, _AXES.tolist())]
 
 
+def test_subnormal_integral_passes_the_underflow_floor():
+    # a y-dipole probe over array dipoles (0, c, 1): on the x axis the
+    # off-resonant term is c^2 times that of (0, 1, 0) over (0, 1, 0), and at
+    # c = 6.5e-156 its integral is subnormal. Every product of the rule then
+    # rounds to a multiple of 2^-1074, and the estimate (a few such steps)
+    # once missed 1e-9 of the scale: "edge off_resonant at
+    # z=2.770988636195382, mu=4.599488667187421 (custom, x axis): error
+    # estimate 5.93e-323 exceeds 1e-09 of 5.8241236485158343e-315"
+    c, z, mu = 6.5e-156, 2.770988636195382, 4.599488667187421
+    tiny = validate(ModelParams(mu=mu, rho=1e-6, test_dipole=(0, 1, 0), array_dipole=(0, c, 1)),
+                    LatticeSpec(a_tilde=1.0, half_extent=0), Geometry(z_tilde=z))
+    unit = validate(ModelParams(mu=mu, rho=1e-6, test_dipole=(0, 1, 0), array_dipole=(0, 1, 0)),
+                    LatticeSpec(a_tilde=1.0, half_extent=0), Geometry(z_tilde=z))
+    ax = _axis_integral(tiny, "off_resonant", "x")
+    assert 0.0 < ax < np.finfo(float).tiny
+    assert ax == pytest.approx(c * c * _axis_integral(unit, "off_resonant", "x"), rel=1e-6)
+    d = decompose(tiny, "off_resonant")
+    assert d.edge > 0.0 and math.isfinite(d.total)
+
+
+def _one_rotated_rule(z):
+    """The rotated path's rule at one height, edge by edge: [0, h], then
+    panels in ratio 1.4 out to t_max (the reference for _rotated_rules)."""
+    h = 0.1 * min(z, 1.0)
+    t_max = max(30.0, 7.0 * math.sqrt(z))
+    n = math.ceil(math.log(t_max / h) / math.log(1.4))
+    edges = np.concatenate(([0.0], h * 1.4 ** np.arange(n + 1)))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    turn = np.exp(0.25j * math.pi)
+    return (turn * (lo + half * (1.0 + euler_maclaurin._X)), turn * (half * euler_maclaurin._W),
+            turn * (half * euler_maclaurin._W_LOW))
+
+
+@pytest.mark.parametrize("heights", [
+    np.geomspace(1e-3, 1e4, 65), np.geomspace(0.01, 100.0, 257), np.array([0.3]),
+    np.array([50.0, 1e-4, 2.0, 2.0, 1e6])], ids=["65", "readme", "one", "unordered"])
+def test_rotated_rules_equal_one_rule_per_height(heights):
+    t, w, w_low, counts = euler_maclaurin._rotated_rules(heights)
+    rules = [_one_rotated_rule(z) for z in heights.tolist()]
+    assert counts.tolist() == [len(rule[0]) for rule in rules]
+    for got, want in zip((t, w, w_low), zip(*rules)):
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+
 def test_block_failure_names_its_first_failing_height(monkeypatch):
     heights = np.geomspace(0.1, 1.0, 8)
-    rule = euler_maclaurin._rotated_rule
-    failing = {float(heights[3]), float(heights[5])}
-    monkeypatch.setattr(euler_maclaurin, "_rotated_rule", lambda z: (
-        lambda t, w, w_low: (t, w, 2.0 * w_low if z in failing else w_low))(*rule(z)))
+    rules = euler_maclaurin._rotated_rules
+
+    def failing(zs):
+        t, w, w_low, counts = rules(zs)
+        bad = np.repeat(np.isin(zs, heights[[3, 5]]), counts)[:, None]
+        return t, w, np.where(bad, 2.0 * w_low, w_low), counts
+
+    monkeypatch.setattr(euler_maclaurin, "_rotated_rules", failing)
     with pytest.raises(QuadratureFailure,
                        match=f"^edge resonant at z={float(heights[3])!r}, mu=0.5 \\(zz, x axis\\)"):
         edge_term(mk(), "resonant", heights)

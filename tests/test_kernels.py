@@ -201,7 +201,7 @@ def _backend(lib, name):
 def _stream(lib, zx, a2, z2, lo, hi):
     """The compiled streaming rows lo <= nx < hi, without the table path."""
     out = np.empty(hi - lo)
-    lib.res_rows(zx, a2, z2, lo, hi, out)
+    lib.res_rows(zx, a2, np.array([z2]), 1, lo, hi, out)
     return out
 
 
@@ -232,6 +232,24 @@ def test_row_range_across_the_libm_switch(lib):
             for zx in (False, True):
                 assert [v.hex() for v in kernels.res_rows(zx, a2, z2, lo, hi).tolist()] == [
                     row(zx, a2, z2, nx).hex() for nx in range(lo, hi)]
+
+
+@pytest.mark.parametrize("a2, lo, hi", [(2.5e-3, 0, 41), (2.5e-3, 17, 30), (1e-4, 5, 5),
+                                         (1e10, 0, 4), (1e10, 3, 6)])
+def test_row_ranges_at_many_heights_equal_single_rows(lib, a2, lo, hi):
+    # one call over an array of heights: row [h, nx - lo] is the single row
+    # at height h. At a = 1e5 the rows 0..3 take the table at the small
+    # heights and stream at z2 = 1e11, where their largest phase reaches the
+    # fast sin/cos bound, so one call mixes both
+    z2 = np.array([1e-6, 0.09, 2.0, 1e3, 1e11, 0.09])
+    for name in _BACKENDS:
+        with _backend(lib, name) as row:
+            for zx in (False, True):
+                out = kernels.res_rows(zx, a2, z2, lo, hi)
+                assert out.dtype == np.float64 and out.shape == (z2.size, hi - lo)
+                for h, z2h in enumerate(z2.tolist()):
+                    assert [v.hex() for v in out[h].tolist()] == [
+                        row(zx, a2, z2h, nx).hex() for nx in range(lo, hi)], (name, zx, z2h)
 
 
 def test_row_ranges_reject_bad_bounds(lib):
@@ -289,7 +307,7 @@ def _table_rows(lib, zx, a2, z2, lo, hi):
     """lib.table_rows on the rows' table, without the entry point's cap."""
     d2, idx = kernels.build_table(lib.distance_table, lo, hi)
     out = np.empty(hi - lo)
-    lib.table_rows(zx, a2, z2, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+    lib.table_rows(zx, a2, np.array([z2]), 1, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
     return out
 
 
@@ -400,7 +418,7 @@ def test_offres_octant_equals_np_unique_reference():
                                        return_inverse=True)
             radial = lattice_sum.offresonant_sites(r[first], dot, pp[first], mu)
             want = math.fsum(w * radial[site])
-            assert lattice_sum._offres_octant(b).hex() == want.hex()
+            assert lattice_sum._offres_octant(b, b.z_tilde).hex() == want.hex()
 
 
 _LAGUERRE = kernels.LAGUERRE

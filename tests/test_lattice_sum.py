@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplattice import lattice_sum
+from cplattice import kernels, lattice_sum
 from cplattice.euler_maclaurin import decompose
 from cplattice.greens import green_dyadic, resonant_sites
 from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_ranges, _split_rows,
                                    offresonant_pair_term, resonant_pair_term,
                                    sum_lattice)
-from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
+from cplattice.kernels import _numpy_backend
+from cplattice.model import (Geometry, LatticeSpec, ModelParams, NonPositiveLength,
+                             validate)
 from scipy.integrate import quad
 
 
@@ -173,7 +175,13 @@ def _dipole_pairs(draw):
     for _ in range(2):
         v = np.array([draw(st.floats(-1, 1)) for _ in range(3)])
         n = np.linalg.norm(v)
-        vecs.append(tuple(v / n) if n > 1e-3 else (0.0, 1.0, 0.0))
+        u = v / n if n > 1e-3 else np.array([0.0, 1.0, 0.0])
+        # components are 0 or at least 1e-100 in size: exact doubling holds
+        # while every value stays normal, and a component of ~1e-150 makes
+        # some of them subnormal (the rule's underflow floor is tested in
+        # test_euler_maclaurin.py)
+        u[np.abs(u) < 1e-100] = 0.0
+        vecs.append(tuple(u))
     return tuple(vecs)
 
 
@@ -243,7 +251,7 @@ def test_default_threads_follow_the_site_count(monkeypatch):
     seen = []
     for name in ("_resonant_octant", "_resonant_custom"):
         monkeypatch.setattr(lattice_sum, name,
-                            lambda bundle, threads, executor: seen.append(threads) or 0.0)
+                            lambda bundle, z, threads, executor: seen.append(threads) or [0.0])
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
     monkeypatch.setattr(lattice_sum, "AUTO_THREADS_SITES", 66)  # the octant at M = 10
     for M, array, want in ((9, (0, 0, 1), 1), (10, (0, 0, 1), 3), (10, (1, 0, 0), 3),
@@ -260,7 +268,7 @@ def test_thread_counts_are_checked_and_capped(monkeypatch):
     seen = []
     for name in ("_resonant_octant", "_resonant_custom"):
         monkeypatch.setattr(lattice_sum, name,
-                            lambda bundle, threads, executor: seen.append(threads) or 0.0)
+                            lambda bundle, z, threads, executor: seen.append(threads) or [0.0])
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
     for array in ((0, 0, 1), (1, 0, 0), (0.6, 0, 0.8)):
         b = mk(M=4, array=array)
@@ -354,7 +362,7 @@ def test_custom_row_ranges_equal_per_row_oracle_bitwise(monkeypatch, cap):
             want = _per_row_custom(b)
             for threads in (1, 3):
                 calls.clear()
-                got = lattice_sum._resonant_custom(b, threads, None)
+                got, = lattice_sum._resonant_custom(b, np.array([b.z_tilde]), threads, None)
                 assert got.hex() == want.hex(), (pair, M, threads)
                 step = max(1, cap // (2 * M + 1))
                 assert all(rows <= step and sites == 2 * M + 1 for rows, sites in calls)
@@ -388,3 +396,58 @@ def test_sweep_regime_structure():
     far = direct(30.0)  # z beyond the array extent
     bulk = bulk_term(mk(a=a, M=M, z=30.0), "resonant")
     assert abs(far / bulk - 1.0) > 0.5
+
+
+_HEIGHT_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)), **_CUSTOM_PAIRS}
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
+def test_heights_equal_one_call_per_height_bitwise(monkeypatch, backend, kind):
+    # one call over an array of heights gives each height's one-height sum
+    # bit for bit, in a ShiftResult whose field is the array and whose site
+    # count covers every height
+    if backend == "c" and kernels.backend_name() != "c":
+        pytest.skip("no compiled library")
+    if backend == "numpy":
+        monkeypatch.setattr(kernels, "_lib", None)
+        monkeypatch.setattr(kernels, "_impl", _numpy_backend)
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
+    heights = np.geomspace(0.02, 30.0, 5)
+    for pair, (test, array) in _HEIGHT_PAIRS.items():
+        for M in (0, 1, 8, 200):
+            b = mk(mu=0.6, a=0.05, M=M, z=0.3, test=test, array=array)
+            for threads in (1, 3):
+                got = sum_lattice(b, kind, heights=heights, threads=threads)
+                values = getattr(got, kind)
+                assert getattr(got, "off_resonant" if kind == "resonant" else "resonant") is None
+                assert values.dtype == np.float64 and values.shape == heights.shape
+                assert got.terms_summed == heights.size * (2 * M + 1) ** 2
+                want = [getattr(sum_lattice(mk(mu=0.6, a=0.05, M=M, z=z, test=test,
+                                               array=array), kind, threads=threads), kind)
+                        for z in heights.tolist()]
+                assert [v.hex() for v in values.tolist()] == [v.hex() for v in want], (
+                    pair, M, threads)
+                if kind == "off_resonant":
+                    break  # threads do not reach the off-resonant sums
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_octant_heights_take_one_row_call_per_range(monkeypatch, threads):
+    # the resonant octant of every height comes from one kernels.res_rows
+    # call per worker's row range
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
+    calls, rows = [], kernels.res_rows
+    monkeypatch.setattr(kernels, "res_rows", lambda zx, a2, z2, lo, hi: calls.append(
+        (np.shape(z2), lo, hi)) or rows(zx, a2, z2, lo, hi))
+    sum_lattice(mk(a=0.05, M=40), "resonant", heights=np.geomspace(0.1, 3.0, 7),
+                threads=threads)
+    ranges = _split_rows(np.arange(1, 42), threads)
+    assert sorted(calls) == sorted(((7,), lo, hi) for lo, hi in ranges)
+
+
+def test_heights_checked_like_the_bundle_height():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for kind in ("resonant", "off_resonant"):
+            with pytest.raises(NonPositiveLength, match="z_tilde must be > 0 and finite"):
+                sum_lattice(mk(), kind, heights=[0.1, bad])

@@ -6,7 +6,9 @@ The site oracles share no code with the kernel:
   per-site quadrature the package used before the closed-form kernel, with
   the xi axis split at min(mu, 1), max(mu, 1) and 1/r so that no scale of
   the integrand is missed (the unsplit version missed its epsrel by up to
-  3.5e-8 near r = 0.015 without reporting it);
+  3.5e-8 near r = 0.015 without reporting it), except at cut points that
+  QUADPACK cannot take: one within 1e-12 of the one below, or past
+  xi r = 40;
 * mpmath at 30 digits for the regression point of that defect;
 * for the edge panel rule, scipy ``quad`` along the axis of the kernel
   itself, so that only the outer rule is under test.
@@ -16,7 +18,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -49,7 +51,15 @@ def site_quad(r, dot, pp, mu, epsrel=1e-12):
         h = (u * u + u + 1.0) * dot - (u * u + 3.0 * u + 3.0) * pp
         return math.exp(-2.0 * u) * h * h / ((xi * xi + 1.0) * (xi * xi + mu2) * r6)
 
-    cuts = sorted({min(mu, 1.0), max(mu, 1.0), 1.0 / r})
+    # Cut points within 1e-12 relative of the one below bound an interval
+    # QUADPACK rejects ("extremely bad integrand behavior"), and past
+    # xi r = 40, where e^{-2 xi r} < e^-80, a piece's values can all be
+    # subnormal, which it reports as divergent; the tail integral from the
+    # last cut kept covers both.
+    cuts = []
+    for cut in sorted({min(mu, 1.0), max(mu, 1.0), 1.0 / r}):
+        if cut * r <= 40.0 and (not cuts or cut > cuts[-1] * (1.0 + 1e-12)):
+            cuts.append(cut)
     head = sum(_quad_checked(f, lo, hi, epsrel) for lo, hi in zip([0.0] + cuts[:-1], cuts))
     c = cuts[-1]
     return head + _quad_checked(lambda t: f(c / t) * c / (t * t), 0.0, 1.0, epsrel)
@@ -85,6 +95,10 @@ _mus = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(log_r=st.floats(math.log(1e-3), math.log(3e3)), mu=_mus,
        e0=_vectors, en=_vectors, n=_vectors)
+# inputs on which the quad oracle itself once failed at mu = 0.999: 1/r
+# within 2e-14 of 1, and r = 360, where the piece [0.999, 1] is subnormal
+@example(log_r=-2.170977917227826e-14, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(0, 1, 0), n=(0, 1, 0))
+@example(log_r=5.88671875, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(1, 1, 0), n=(1, 1, 1))
 def test_kernel_matches_quad_oracle(log_r, mu, e0, en, n):
     r = math.exp(log_r)
     e0, en, n = _unit(e0), _unit(en), _unit(n)

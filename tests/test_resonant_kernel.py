@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from cplattice import kernels
-from cplattice.euler_maclaurin import _rotated_rule
+from cplattice.euler_maclaurin import _rotated_rules
 from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
                               scalar_coefficients)
 from cplattice.lattice_sum import QuadratureFailure
@@ -175,7 +175,7 @@ def _bulk_loop(bundle):
     z = bundle.z_tilde
     e0 = np.asarray(bundle.params.test_dipole)
     en = np.asarray(bundle.params.array_dipole)
-    t, w, _ = _rotated_rule(z)
+    t, w, _, _ = _rotated_rules(np.array([z]))
     rs = z + t
     out = np.empty_like(rs)
     for idx, r in np.ndenumerate(rs):
@@ -195,7 +195,7 @@ def _edge_axis_loop(bundle, axis):
     z = bundle.z_tilde
     e0 = np.asarray(bundle.params.test_dipole)
     en = np.asarray(bundle.params.array_dipole)
-    xs, w, _ = _rotated_rule(z)
+    xs, w, _, _ = _rotated_rules(np.array([z]))
     out = np.empty_like(xs)
     for idx, x in np.ndenumerate(xs):
         v = np.array((x, 0.0, -z) if axis == "x" else (0.0, x, -z))
