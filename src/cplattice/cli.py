@@ -2,7 +2,11 @@
 
 Configuration is a flat key=value file with per-flag overrides; every float
 in CSV output is serialized with 17 significant digits so downstream fits
-reproduce in-process results bit-exactly.
+reproduce in-process results bit-exactly. A sweep builds one row format for
+the whole sweep and writes each row with one ``%`` of its floats and one
+``write``, the bytes csv.writer would write from ``_fmt`` of each field;
+``decompose`` and ``fit`` use the csv module. ``main`` registers every
+subcommand but adds arguments only to the one its argv names.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure
 (quadrature or site budget), 3 verification failure.
@@ -10,7 +14,6 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import math
@@ -18,7 +21,6 @@ import os
 import shutil
 import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -186,27 +188,33 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
               "or_bulk", "or_edge", "or_vertex", "or_em_total"]
     regimes = asymptotics.all_regimes(cfg.orientation)  # none for custom
     header += [_asym_column(r) for r in regimes]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    # one worker pool for the whole sweep, not one per threaded sum
-    pool = (ThreadPoolExecutor(max_workers=cfg.threads - 1) if cfg.threads > 1
-            else contextlib.nullcontext())
-    with pool as executor:
-        for lo in range(0, len(grid), _HEIGHT_BLOCK):
-            block = grid[lo:lo + _HEIGHT_BLOCK]
-            dr, do = (euler_maclaurin.decompose(first, kind, block)
-                      for kind in ("resonant", "off_resonant"))
-            empty = [None] * len(block)
-            res = sum_lattice(first, "resonant", heights=block, threads=cfg.threads,
-                              executor=executor).resonant.tolist() if do_res else empty
-            orv = sum_lattice(first, "off_resonant", heights=block,
-                              threads=cfg.threads).off_resonant.tolist() if do_or else empty
-            asym = [asymptotics.asymptotic_shift(g, first, heights=block).tolist()
-                    for g in regimes]
-            for i, (z, r, o) in enumerate(zip(block.tolist(), dr, do)):
-                row = [z, res[i], orv[i], r.bulk, r.edge, r.vertex, r.total,
-                       o.bulk, o.edge, o.vertex, o.total] + [a[i] for a in asym]
-                writer.writerow([_fmt(v) for v in row])
+    # one format for every row: each field as _fmt writes it, and a direct
+    # sum its site budget skips empty in every row. No field can hold a
+    # character csv would quote, so the bytes are csv.writer's.
+    fields = ["%.17g"] * len(header)
+    if not do_res:
+        fields[1] = ""
+    if not do_or:
+        fields[2] = ""
+    line = ",".join(fields) + "\n"
+    out.write(",".join(header) + "\n")
+    for lo in range(0, len(grid), _HEIGHT_BLOCK):
+        block = grid[lo:lo + _HEIGHT_BLOCK]
+        dr, do = (euler_maclaurin.decompose(first, kind, block)
+                  for kind in ("resonant", "off_resonant"))
+        direct = []  # the direct sums' columns that have a field
+        if do_res:
+            direct.append(sum_lattice(first, "resonant", heights=block,
+                                      threads=cfg.threads).resonant.tolist())
+        if do_or:
+            direct.append(sum_lattice(first, "off_resonant", heights=block,
+                                      threads=cfg.threads).off_resonant.tolist())
+        asym = [asymptotics.asymptotic_shift(g, first, heights=block).tolist()
+                for g in regimes]
+        # each row formatted and written in its own turn
+        for i, (z, r, o) in enumerate(zip(block.tolist(), dr, do)):
+            out.write(line % (z, *[d[i] for d in direct], r.bulk, r.edge, r.vertex, r.total,
+                              o.bulk, o.edge, o.vertex, o.total, *[a[i] for a in asym]))
     return EXIT_OK
 
 
@@ -302,7 +310,56 @@ def _add_config_flags(p: argparse.ArgumentParser):
         p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
-def build_parser() -> _Parser:
+def _sweep_args(p):
+    _add_config_flags(p)
+    p.add_argument("--output", "-o", help="CSV path (default stdout)")
+    p.add_argument("--require-direct", action="store_true",
+                   help="fail (exit 2) instead of skipping direct sums over budget")
+
+
+def _decompose_args(p):
+    _add_config_flags(p)
+    p.add_argument("--z-tilde", dest="z_tilde", type=float, required=True)
+    p.add_argument("--kind", choices=("resonant", "off_resonant", "both"), default="both")
+    p.add_argument("--csv", dest="csv_path", help="also write a CSV report")
+
+
+def _asymptotic_args(p):
+    _add_config_flags(p)
+    p.add_argument("--z-tilde", dest="z_tilde", type=float, required=True)
+    p.add_argument("--kind", choices=("resonant", "off_resonant"))
+    p.add_argument("--retardation", choices=("non_retarded", "retarded"))
+    p.add_argument("--density", choices=("sparse", "dense"))
+
+
+def _verify_diagrams_args(p):
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--mu", type=float, action="append", dest="mus")
+
+
+def _fit_args(p):
+    p.add_argument("csv_path")
+    p.add_argument("--column", required=True)
+    p.add_argument("--z-min", dest="z_min", type=float, required=True)
+    p.add_argument("--z-max", dest="z_max", type=float, required=True)
+    p.add_argument("--mode", choices=("direct", "envelope"), default="direct")
+
+
+# every subcommand: its help line and the function adding its arguments
+_COMMANDS = {
+    "sweep": ("emit a CSV table over a geometric z grid", _sweep_args),
+    "decompose": ("bulk/edge/vertex report at one height", _decompose_args),
+    "asymptotic": ("closed-form asymptote values at one height", _asymptotic_args),
+    "verify-diagrams": ("fuzz the twelve-process collapse identity", _verify_diagrams_args),
+    "fit": ("power-law fit of a sweep CSV column", _fit_args),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand. With ``command``, only that one gets
+    its arguments: the others are registered, so the top-level help and
+    usage errors are the same, but stay empty."""
     # argparse builds a formatter in every add_argument check, and the stock
     # one asks for the terminal size each time: read it once, as it would
     width = shutil.get_terminal_size().columns - 2
@@ -310,39 +367,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cplattice", formatter_class=formatter,
                      description="Shifts of an excited probe atom above a square atomic array")
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
-
-    p = add_parser("sweep", help="emit a CSV table over a geometric z grid")
-    _add_config_flags(p)
-    p.add_argument("--output", "-o", help="CSV path (default stdout)")
-    p.add_argument("--require-direct", action="store_true",
-                   help="fail (exit 2) instead of skipping direct sums over budget")
-
-    p = add_parser("decompose", help="bulk/edge/vertex report at one height")
-    _add_config_flags(p)
-    p.add_argument("--z-tilde", dest="z_tilde", type=float, required=True)
-    p.add_argument("--kind", choices=("resonant", "off_resonant", "both"), default="both")
-    p.add_argument("--csv", dest="csv_path", help="also write a CSV report")
-
-    p = add_parser("asymptotic", help="closed-form asymptote values at one height")
-    _add_config_flags(p)
-    p.add_argument("--z-tilde", dest="z_tilde", type=float, required=True)
-    p.add_argument("--kind", choices=("resonant", "off_resonant"))
-    p.add_argument("--retardation", choices=("non_retarded", "retarded"))
-    p.add_argument("--density", choices=("sparse", "dense"))
-
-    p = add_parser("verify-diagrams", help="fuzz the twelve-process collapse identity")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mu", type=float, action="append", dest="mus")
-
-    p = add_parser("fit", help="power-law fit of a sweep CSV column")
-    p.add_argument("csv_path")
-    p.add_argument("--column", required=True)
-    p.add_argument("--z-min", dest="z_min", type=float, required=True)
-    p.add_argument("--z-max", dest="z_max", type=float, required=True)
-    p.add_argument("--mode", choices=("direct", "envelope"), default="direct")
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if command in (None, name):
+            add_args(p)
     return parser
+
+
+def _command_of(argv) -> str | None:
+    """The subcommand argparse will pick: the first argument that is not an
+    option, or None when that is no known command (or there is none)."""
+    first = next((a for a in argv if not a.startswith("-")), None)
+    return first if first in _COMMANDS else None
 
 
 def _write_replacing(path: str, write) -> int:
@@ -379,7 +415,9 @@ def _write_replacing(path: str, write) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(_command_of(argv))
     try:
         args = parser.parse_args(argv)
         if hasattr(args, "config"):  # the commands with configuration flags

@@ -142,8 +142,8 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     lib.phi_laguerre.argtypes = (vec, ctypes.c_long, vec, vec, table, ctypes.c_long, out2)
     lib.phi_laguerre.restype = None
     lib.offres_sites.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.c_double,
-                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                                 ctypes.c_long, ctypes.c_void_p)
+                                 ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
     lib.offres_sites.restype = None
     lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
                                  ctypes.POINTER(ctypes.c_double))
@@ -244,8 +244,13 @@ def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
 # The off-resonant site kernel (lattice_sum.offresonant_sites): Phi_k(y) takes
 # the closed form below PHI_SWITCH and Gauss-Laguerre quadrature in tau = 2yt
 # with the 56 nodes t, weights w and powers (t/2)^k of LAGUERRE at and above
-# it; one compiled call takes at most SITE_CHUNK sites.
+# it; one compiled call takes at most SITE_CHUNK sites. Sites with both y in
+# the closed form and r^2 (1 + mu) below RECAST take the moments without the
+# polynomial parts (_numpy_backend.moments): there the rounding those parts
+# leave, ~eps/(r^2 |1 - mu^2|) relative, would exceed the 2e-14/|1 - mu|
+# that the partial fractions cost elsewhere.
 PHI_SWITCH = 2.0
+RECAST = 2.0 ** -52 / 2e-14
 _NODES, _WEIGHTS = roots_laguerre(56)
 LAGUERRE = (_NODES, _WEIGHTS, (0.5 * _NODES)[:, None] ** np.arange(5))
 for _table in LAGUERRE:
@@ -291,11 +296,12 @@ def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> n
             closed_form_inputs(x, buf[3:, :x.size])
         if _impl is _numpy_backend:
             _numpy_backend.offres_sites(y, buf[1, :n], buf[1, n:], buf[2, :n], buf[3:, :x.size],
-                                        mu, PHI_SWITCH, *LAGUERRE, out[part])
+                                        mu, PHI_SWITCH, RECAST, *LAGUERRE, out[part])
         else:
             # the address of buf's first byte, in a fourth of buf.ctypes.data's time
             address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-            _impl.offres_sites(n, mu, PHI_SWITCH, *_LAGUERRE_ADDRESSES, LAGUERRE[0].size, address)
+            _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *_LAGUERRE_ADDRESSES,
+                               LAGUERRE[0].size, address)
             out[part] = buf[2, n:]
     return out
 

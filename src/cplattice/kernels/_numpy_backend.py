@@ -117,41 +117,59 @@ def phi_laguerre(y, n: int, t, w, pw, m: int, out: np.ndarray) -> None:
     np.divide(np.einsum("ij,jk->ik", q, pw), y2, out=out)
 
 
-def phi_closed(y, si, ci, sx, cx) -> np.ndarray:
+def phi_closed(y, si, ci, sx, cx, poly) -> np.ndarray:
     """Phi_0..4(y) as columns, from f(2y) and g(2y) (DLMF 6.7.13-14), for
-    si, ci = Si(2y), Ci(2y), sx = sin(2y) and cx = cos(2y)."""
+    si, ci = Si(2y), Ci(2y), sx = sin(2y) and cx = cos(2y): the f/g parts
+    Q_k = f, y g, -y^2 f, -y^3 g, y^4 f, and where the mask ``poly`` is set
+    the polynomial parts 0, 0, y/2, y/4 and y/4 - y^3/2 added to them."""
     si = si - 0.5 * np.pi
     f = ci * sx - si * cx
     g = -ci * cx - si * sx
     y2 = y * y
     y3 = y2 * y
-    return np.stack([f, y * g, 0.5 * y - y2 * f, 0.25 * y - y3 * g,
-                     0.25 * y - 0.5 * y3 + y2 * y2 * f], axis=-1)
+    phi = np.stack([f, y * g, -(y2 * f), -(y3 * g), y2 * y2 * f], axis=-1)
+    yp = y[poly]
+    phi[poly, 2:] += np.stack([0.5 * yp, 0.25 * yp, 0.25 * yp - 0.5 * y3[poly]], axis=-1)
+    return phi
 
 
-def moments(y, trig, mu: float, sw: float, t, w, pw) -> np.ndarray:
+def moments(y, trig, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarray:
     """M_0..4(r, mu) as columns for the n sites of y = (r mu, r) (2n values):
     Phi_k(y) in closed form for y < sw, from trig (4, k) = Si, Ci, sin and
     cos of 2y at those k values of y in y's order, by Gauss-Laguerre
     quadrature above, and the partial fractions. A branch that no y falls in
-    is not called."""
+    is not called.
+
+    The partial fractions cancel the polynomial parts of Phi_2..4 exactly
+    but for rounding, ~eps r/|1 - mu^2| against M_3 and M_4 ~ r^3: a site
+    whose two y are closed-form and whose r^2 (1 + mu) is below ``recast``
+    takes the moments from the f/g parts alone, (Q_k(r mu)/mu - Q_k(r)) /
+    (1 - mu^2), with the 0.5 r^3 those polynomial parts leave in M_4 added.
+    """
     n = y.size // 2
+    r = y[n:]
+    rearranged = (y[:n] < sw) & (r < sw) & (r * r * (1.0 + mu) < recast)
     phi = np.empty((y.size, 5))
     small = y < sw
     if small.any():
-        phi[small] = phi_closed(y[small], *trig)
+        poly = ~np.concatenate([rearranged, rearranged])
+        phi[small] = phi_closed(y[small], *trig, poly[small])
     if not small.all():
         large = np.ascontiguousarray(y[~small])
         lag = np.empty((large.size, 5))
         phi_laguerre(large, large.size, t, w, pw, t.size, lag)
         phi[~small] = lag
-    return (phi[:n] / mu - phi[n:]) / (1.0 - mu * mu)
+    m = (phi[:n] / mu - phi[n:]) / (1.0 - mu * mu)
+    rr = r[rearranged]
+    m[rearranged, 4] += 0.5 * rr * rr * rr
+    return m
 
 
-def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, t, w, pw, out: np.ndarray) -> None:
+def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, recast: float, t, w, pw,
+                 out: np.ndarray) -> None:
     """out = the off-resonant site integrals of n sites: sum_k c_k M_k / r^6
-    with the h(u)^2 coefficients c_k, for y = (r mu, r) and trig as in
-    :func:`moments`, the projections dot and pp and r6 = r^6 (n values each).
+    with the h(u)^2 coefficients c_k, for y = (r mu, r), trig and recast as
+    in :func:`moments`, the projections dot and pp and r6 = r^6 (n values each).
 
     The five terms are summed as ((p0 + p2) + p4) + (p1 + p3), each lane
     from zero and the lane sum added to zero, the order in which
@@ -163,7 +181,7 @@ def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, t, w, pw, out: np.n
     beta = dot - 3.0 * pp
     ab = 2.0 * alpha * beta
     b2 = beta * beta
-    m = moments(y, trig, mu, sw, t, w, pw)
+    m = moments(y, trig, mu, sw, recast, t, w, pw)
     # h(u)^2 = sum_k c_k u^k
     p0, p1, p2 = b2 * m[:, 0], (2.0 * b2) * m[:, 1], (ab + b2) * m[:, 2]
     p3, p4 = ab * m[:, 3], (alpha * alpha) * m[:, 4]

@@ -355,9 +355,11 @@ void phi_laguerre(const double *y, long n, const double *t, const double *w,
 
 /* Phi_0..4(y) into phi by the closed form from f(2y) and g(2y) (DLMF
    6.7.13-14), for si = Si(2y), ci = Ci(2y), sx = sin(2y) and cx = cos(2y),
-   in the NumPy backend's order of operations (_numpy_backend.phi_closed). */
+   in the NumPy backend's order of operations (_numpy_backend.phi_closed):
+   the f/g parts Q_k = f, y g, -y^2 f, -y^3 g, y^4 f, and with poly set the
+   polynomial parts 0, 0, y/2, y/4 and y/4 - y^3/2 added to them. */
 static inline void phi_closed(double y, double si, double ci, double sx, double cx,
-                              double *phi)
+                              int poly, double *phi)
 {
     si -= HALF_PI;
     double f = ci * sx - si * cx;
@@ -365,9 +367,14 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
     double y2 = y * y, y3 = y2 * y;
     phi[0] = f;
     phi[1] = y * g;
-    phi[2] = 0.5 * y - y2 * f;
-    phi[3] = 0.25 * y - y3 * g;
-    phi[4] = 0.25 * y - 0.5 * y3 + y2 * y2 * f;
+    phi[2] = -(y2 * f);
+    phi[3] = -(y3 * g);
+    phi[4] = y2 * y2 * f;
+    if (poly) {
+        phi[2] += 0.5 * y;
+        phi[3] += 0.25 * y;
+        phi[4] += 0.25 * y - 0.5 * y3;
+    }
 }
 
 /* The off-resonant site integrals of n sites from buf, a row-major
@@ -379,10 +386,15 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
    Phi_k(y) takes the closed form below sw and the Gauss-Laguerre branch
    (phi_laguerre, with the nodes t, weights w and powers pw of m nodes)
    above; the sites are taken SITE_BLOCK at a time, gathering the block's
-   Gauss-Laguerre radii into one phi_laguerre call. Each site value is
-   sum_k c_k M_k / r^6 with the h(u)^2 coefficients c_k, every step in the
-   NumPy backend's order (_numpy_backend.offres_sites). */
-void offres_sites(long n, double mu, double sw, const double *t, const double *w, const double *pw, long m, double *buf)
+   Gauss-Laguerre radii into one phi_laguerre call. A site whose two y are
+   below sw and whose r^2 (1 + mu) is below recast takes the moments from
+   the f/g parts alone, M_k = (Q_k(r mu)/mu - Q_k(r))/(1 - mu^2), and
+   0.5 r^3 added to M_4: the polynomial parts that the partial fractions
+   would cancel only up to rounding. Each site value is sum_k c_k M_k / r^6
+   with the h(u)^2 coefficients c_k, every step in the NumPy backend's
+   order (_numpy_backend.offres_sites). */
+void offres_sites(long n, double mu, double sw, double recast, const double *t,
+                  const double *w, const double *pw, long m, double *buf)
 {
     const double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *r6 = buf + 4 * n;
     const double *si = buf + 6 * n, *ci = buf + 8 * n, *sx = buf + 10 * n, *cx = buf + 12 * n;
@@ -396,18 +408,21 @@ void offres_sites(long n, double mu, double sw, const double *t, const double *w
         int used = n - i0 < SITE_BLOCK ? (int)(n - i0) : SITE_BLOCK;
         /* phi[2l] at y = r mu and phi[2l + 1] at y = r of site i0 + l */
         double phi[2 * SITE_BLOCK][5], lag[2 * SITE_BLOCK][5], lag_y[2 * SITE_BLOCK];
-        int lag_row[2 * SITE_BLOCK], nl = 0;
-        for (int l = 0; l < used; l++)
+        int lag_row[2 * SITE_BLOCK], nl = 0, poly[SITE_BLOCK];
+        for (int l = 0; l < used; l++) {
+            double r = y[n + i0 + l];
+            poly[l] = !(y[i0 + l] < sw && r < sw && r * r * (1.0 + mu) < recast);
             for (int h = 0; h < 2; h++) {
                 double v = y[h * n + i0 + l];
                 if (v < sw) {
                     long k = h ? kb++ : ka++;
-                    phi_closed(v, si[k], ci[k], sx[k], cx[k], phi[2 * l + h]);
+                    phi_closed(v, si[k], ci[k], sx[k], cx[k], poly[l], phi[2 * l + h]);
                 } else {
                     lag_y[nl] = v;
                     lag_row[nl++] = 2 * l + h;
                 }
             }
+        }
         phi_laguerre(lag_y, nl, t, w, pw, m, &lag[0][0]);
         for (int j = 0; j < nl; j++)
             for (int k = 0; k < 5; k++)
@@ -417,6 +432,10 @@ void offres_sites(long n, double mu, double sw, const double *t, const double *w
             double mk[5];
             for (int k = 0; k < 5; k++)
                 mk[k] = (phi[2 * l][k] / mu - phi[2 * l + 1][k]) / c;
+            if (!poly[l]) {
+                double r = y[n + i];
+                mk[4] += 0.5 * r * r * r;
+            }
             double alpha = dot[i] - pp[i], beta = dot[i] - 3.0 * pp[i];
             double ab = 2.0 * alpha * beta, b2 = beta * beta;
             double p0 = b2 * mk[0], p1 = 2.0 * b2 * mk[1], p2 = (ab + b2) * mk[2],

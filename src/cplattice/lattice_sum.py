@@ -57,9 +57,27 @@ when the C library is loaded, does the IEEE arithmetic: the closed form,
 the Gauss-Laguerre branch, the moments and the contraction with the h(u)^2
 coefficients, in the NumPy fallback's order of operations, so the two
 backends give the same bits. A branch that no radius of a call falls in is
-not called. Both branches agree with 30-digit quadrature to
-~1e-14 relative; the partial fractions cost at most a factor ~2/|1-mu| of
-that near resonance.
+not called.
+
+Phi_2, Phi_3 and Phi_4 carry the polynomial parts y/2, y/4 and
+y/4 - y^3/2, which the partial fractions cancel (to 0, 0 and 0.5 r^3) only
+up to rounding: a relative error ~eps/(r^2 |1 - mu^2|) in M_3 and M_4, which
+are ~r^3. Where both y are in the closed form and r^2 (1 + mu) is below
+``kernels.RECAST`` (~0.011), that error would exceed the bound below, so
+there the moments come from the f/g parts of Phi_k alone,
+Q_k(y) = f, y g, -y^2 f, -y^3 g and y^4 f (f and g at 2y):
+
+    M_k = (Q_k(r mu)/mu - Q_k(r)) / (1 - mu^2),   plus 0.5 r^3 for k = 4,
+
+in one order of operations in both backends; every other site keeps the
+form above and its bits. Given alpha and beta as computed, the site values
+agree with 30-digit quadrature to ~1e-14 relative, and at most a factor
+~2/|1-mu| worse near resonance: over r from 1e-4 to 3 and mu from 0.05 to
+30 the worst error was 0.81 of that bound, where the plain partial fractions
+reached 1.6e-6 (mu = 1.001, r = 1e-4). alpha and beta themselves carry the
+rounding of dot - pp and dot - 3 pp; where beta nearly cancels, a site
+value at small r moves with that rounding by ~eps/r relative (up to 1e-11
+at r = 1e-4).
 
 Nothing here is adaptive. :class:`QuadratureFailure` is defined here and
 raised by the decomposition's fixed panel rule
@@ -210,18 +228,16 @@ def _split_rows(work, threads) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def _map_ranges(fn, ranges, executor=None) -> list:
+def _map_ranges(fn, ranges) -> list:
     """[fn(lo, hi) for (lo, hi) in ranges]: every range but the last on a
-    worker thread of ``executor`` (a pool started for this call if None),
-    the last on the calling thread."""
+    worker thread of a pool started for this call, the last on the calling
+    thread."""
     if len(ranges) == 1:
         return [fn(*ranges[0])]
-    if executor is None:
-        with ThreadPoolExecutor(max_workers=len(ranges) - 1) as ex:
-            return _map_ranges(fn, ranges, ex)
-    futures = [executor.submit(fn, lo, hi) for lo, hi in ranges[:-1]]
-    last = fn(*ranges[-1])
-    return [f.result() for f in futures] + [last]
+    with ThreadPoolExecutor(max_workers=len(ranges) - 1) as executor:
+        futures = [executor.submit(fn, lo, hi) for lo, hi in ranges[:-1]]
+        last = fn(*ranges[-1])
+        return [f.result() for f in futures] + [last]
 
 
 def heights_array(bundle: ValidatedBundle, heights) -> np.ndarray:
@@ -241,7 +257,7 @@ def per_height(heights, values):
     return float(values[0]) if heights is None else values
 
 
-def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads, executor) -> list:
+def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     a2 = bundle.a_tilde ** 2
     z2 = np.array([h ** 2 for h in z.tolist()])  # each as a one-height call squares it
     zx = bundle.orientation_label() == "zx"
@@ -249,7 +265,7 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads, executor) 
     # octant row nx holds the nx + 1 sites j = 0..nx; each range is one call
     # for every height
     ranges = _split_rows(np.arange(1, M + 2), threads)
-    parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges, executor)
+    parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges)
     # one height's rows as floats at a time: all heights' at once would
     # allocate, and in a fresh process page in, 24 bytes per row
     return [math.fsum(rows.tolist()) for rows in np.concatenate(parts, axis=1)]
@@ -260,7 +276,7 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads, executor) 
 CUSTOM_BLOCK_SITES = 1 << 14
 
 
-def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads, executor) -> list:
+def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     M = bundle.half_extent
     a = bundle.a_tilde
     e0 = bundle.params.test_dipole
@@ -282,7 +298,7 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads, executor) 
             totals.append(row_values)
         return totals
 
-    parts = _map_ranges(rows, _split_rows(np.ones(n.size), threads), executor)
+    parts = _map_ranges(rows, _split_rows(np.ones(n.size), threads))
     return [math.fsum(v for part in parts for v in part[k]) for k in range(z.size)]
 
 
@@ -306,7 +322,7 @@ def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
 
 
 def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: int | None = None,
-                site_budget: int | None = None, executor=None) -> ShiftResult:
+                site_budget: int | None = None) -> ShiftResult:
     """Sum the pair terms over all (2M+1)^2 sites.
 
     kind is 'resonant' or 'off_resonant'. With ``heights``, the sum at each
@@ -325,9 +341,10 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     zx) or grid (other pairs) holds at least ``AUTO_THREADS_SITES`` sites
     on :func:`usable_cpus` workers, and a smaller one on one; a larger count
     than :func:`usable_cpus` is cut to it, and one below 1 raises
-    ``ValueError``. A threaded resonant sum runs its ranges on ``executor``,
-    a ``concurrent.futures`` pool a caller keeps across sums, or on a pool
-    of its own when None.
+    ``ValueError``. A threaded resonant sum starts a pool of its own for
+    the call: one worker thread per row range but the last, which the
+    calling thread takes. A pool costs ~0.1 ms to start and join, once per
+    call however many heights it takes.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -344,7 +361,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
             threads = usable_cpus() if summed >= AUTO_THREADS_SITES else 1
         threads = min(threads, usable_cpus())
         sites = _resonant_octant if octant else _resonant_custom
-        sums = sites(bundle, z, threads, executor)
+        sums = sites(bundle, z, threads)
     else:
         sites = _offres_octant if octant else _offres_custom
         sums = [sites(bundle, h) for h in z.tolist()]

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cplattice import cli, diagrams, euler_maclaurin, fitting
-from cplattice.lattice_sum import usable_cpus
+from cplattice import asymptotics, cli, diagrams, euler_maclaurin, fitting
+from cplattice.lattice_sum import sum_lattice, usable_cpus
 
 
 def run_cli(args):
@@ -566,3 +566,125 @@ def test_sweep_makes_one_call_per_block_and_stage(monkeypatch, capsys):
     assert calls == [call for size in sizes for call in
                      [("decompose", size)] * 2 + [("sum_lattice", size)] * 2
                      + [("asymptotic_shift", size)] * regimes]
+
+
+def _sweep_by_csv_writer(argv):
+    """The CSV of the sweep ``argv`` as csv.writer(lineterminator="\\n")
+    writes it from ``_fmt`` of each value, every value from one library call
+    per height (bitwise equal to the sweep's calls per block)."""
+    args = cli.build_parser("sweep").parse_args(["sweep", *argv])
+    cfg = cli.load_config(None, {key: getattr(args, key) for key in cli._KEYS})
+    count = (2 * cfg.half_extent + 1) ** 2
+    regimes = asymptotics.all_regimes(cfg.orientation)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["z_tilde", "resonant_direct", "offresonant_direct",
+                     "res_bulk", "res_edge", "res_vertex", "res_em_total",
+                     "or_bulk", "or_edge", "or_vertex", "or_em_total"]
+                    + [cli._asym_column(g) for g in regimes])
+    for z in cli.z_grid(cfg.z_min, cfg.z_max, cfg.points_per_decade).tolist():
+        b = cli.bundle_from_config(cfg, z)
+        res = (sum_lattice(b, "resonant", threads=1).resonant
+               if count <= cfg.site_budget else None)
+        orv = (sum_lattice(b, "off_resonant", threads=1).off_resonant
+               if count <= cfg.offres_site_budget else None)
+        dr, do = (euler_maclaurin.decompose(b, kind) for kind in ("resonant", "off_resonant"))
+        row = [z, res, orv, dr.bulk, dr.edge, dr.vertex, dr.total,
+               do.bulk, do.edge, do.vertex, do.total]
+        writer.writerow([cli._fmt(v) for v in row + [asymptotics.asymptotic_shift(g, b)
+                                                     for g in regimes]])
+    return buf.getvalue()
+
+
+_CUSTOM = ["--orientation", "custom", "--test-dipole", "0.6,0,0.8",
+           "--array-dipole", "0,0.8,0.6", "--a-tilde", "0.2"]
+
+
+@pytest.mark.parametrize("argv,empty", [
+    (["--a-tilde", "0.05", "--half-extent", "50", "--z-min", "0.05", "--z-max", "0.4",
+      "--points-per-decade", "8"], ["offresonant_direct"]),
+    (["--orientation", "zx", "--a-tilde", "0.1", "--half-extent", "6", "--z-min", "0.1",
+      "--z-max", "3", "--points-per-decade", "12", "--threads", "2"], []),
+    (_CUSTOM + ["--half-extent", "5", "--z-min", "0.05", "--z-max", "2",
+                "--points-per-decade", "12"], []),
+    (_CUSTOM + ["--half-extent", "5", "--z-min", "0.05", "--z-max", "2",
+                "--points-per-decade", "6", "--site-budget", "10"], ["resonant_direct"]),
+], ids=["zz-offres-empty", "zx", "custom", "custom-res-empty"])
+def test_sweep_bytes_equal_csv_writer_of_fmt(tmp_path, argv, empty):
+    want = _sweep_by_csv_writer(argv)
+    proc = run_cli(["sweep", *argv])
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stdout == want
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", *argv, "-o", str(out)]).returncode == cli.EXIT_OK
+    assert out.read_bytes() == want.encode()
+    rows = list(csv.DictReader(io.StringIO(want)))
+    assert [name for name in ("resonant_direct", "offresonant_direct")
+            if all(row[name] == "" for row in rows)] == empty
+
+
+class _RecordingStream(io.TextIOBase):
+    """An output stream that keeps each ``write`` on its own, in ``events``."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, s):
+        self.events.append(("write", s))
+        return len(s)
+
+
+def test_sweep_writes_each_line_in_its_own_call_after_its_block(monkeypatch):
+    # the header, then each row in one write of one whole line; every row of
+    # a block after that block's stages and before the next block's
+    events = []
+    decompose = euler_maclaurin.decompose
+    monkeypatch.setattr(euler_maclaurin, "decompose", lambda b, kind, heights=None: (
+        events.append(("decompose", len(heights))) or decompose(b, kind, heights)))
+    block = cli._HEIGHT_BLOCK
+    args, grid = _sweep_of(block + 5)
+    with redirect_stdout(_RecordingStream(events)):
+        assert cli.main(args + ["--threads", "1"]) == cli.EXIT_OK
+    writes = [s for what, s in events if what == "write"]
+    assert all(s.endswith("\n") and s.count("\n") == 1 for s in writes)
+    assert writes[0].startswith("z_tilde,")
+    assert [float(s.split(",")[0]) for s in writes[1:]] == grid.tolist()
+    assert events[0][0] == "write"
+    kinds = [what if what == "decompose" else "row" for what, _ in events[1:]]
+    assert kinds == ["decompose"] * 2 + ["row"] * block + ["decompose"] * 2 + ["row"] * 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--half-extent", "2"], ["decompose", "--z-tilde", "0.3"],
+    ["asymptotic", "--z-tilde", "0.3"], ["verify-diagrams", "--samples", "1"],
+    ["fit", "s.csv", "--column", "res_bulk", "--z-min", "0.1", "--z-max", "0.5"]])
+def test_a_command_builds_only_its_own_arguments(argv):
+    parser = cli.build_parser(cli._command_of(argv))
+    subparsers = parser._subparsers._group_actions[0].choices
+    for name, p in subparsers.items():
+        own = [a.dest for a in p._actions if a.dest != "help"]
+        assert bool(own) == (name == argv[0]), name
+    assert parser.parse_args(argv).command == argv[0]
+
+
+def test_sweep_invocation_adds_no_arguments_to_other_commands(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda self, *a, **k: (
+        added.append((self.prog, a)) or add_argument(self, *a, **k)))
+    assert cli.main(["sweep", "--half-extent", "1", "--z-min", "0.3", "--z-max", "0.4",
+                     "--points-per-decade", "4"]) == cli.EXIT_OK
+    assert {prog for prog, a in added if a != ("-h", "--help")} == {"cplattice sweep"}
+    capsys.readouterr()
+    # no recognisable command: every subcommand gets its arguments, and the
+    # errors are those of the full parser
+    for argv in ([], ["-h"], ["nonsense", "--z-tilde", "1"]):
+        assert cli._command_of(argv) is None
+    assert cli._command_of(["--", "sweep"]) == "sweep"
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    top = capsys.readouterr().out
+    assert top == cli.build_parser().format_help()
+    assert run_cli(["nonsense"]).stderr == (
+        "error: argument command: invalid choice: 'nonsense' (choose from 'sweep', "
+        "'decompose', 'asymptotic', 'verify-diagrams', 'fit')\n")

@@ -487,7 +487,10 @@ def _former_offresonant_sites(r, dot, pp, mu):
     """The off-resonant site kernel as it was written in NumPy alone, before
     the compiled call: one sici/sin/cos per chunk of 1024 sites, both Phi_k
     branches on the NumPy backend, the contraction by einsum and one r**6
-    over all sites. The slow oracle of the compiled entry and the front."""
+    over all sites; and near r = 0, where r^2 (1 + mu) < kernels.RECAST and
+    both y are closed-form, the moments from the f/g parts of Phi_k alone
+    with the 0.5 r^3 that the polynomial parts leave in M_4. The slow
+    oracle of the compiled entry and the front."""
     r, dot, pp = (np.ravel(v) for v in np.broadcast_arrays(
         np.asarray(r, dtype=float), np.asarray(dot, dtype=float), np.asarray(pp, dtype=float)))
     alpha = dot - pp
@@ -498,7 +501,9 @@ def _former_offresonant_sites(r, dot, pp, mu):
     out = np.empty(r.size)
     for lo in range(0, r.size, 1024):
         part = slice(lo, lo + 1024)
-        y = np.concatenate((r[part] * mu, r[part]))
+        rp = r[part]
+        y = np.concatenate((rp * mu, rp))
+        near = (rp * mu < 2.0) & (rp < 2.0) & (rp * rp * (1.0 + mu) < kernels.RECAST)
         phi = np.empty((y.size, 5))
         small = y < 2.0
         if small.any():
@@ -511,11 +516,14 @@ def _former_offresonant_sites(r, dot, pp, mu):
             g = -ci * cx - si * sx
             y2 = ys * ys
             y3 = y2 * ys
-            phi[small] = np.stack([f, ys * g, 0.5 * ys - y2 * f, 0.25 * ys - y3 * g,
-                                   0.25 * ys - 0.5 * y3 + y2 * y2 * f], axis=-1)
+            whole = np.stack([f, ys * g, 0.5 * ys - y2 * f, 0.25 * ys - y3 * g,
+                              0.25 * ys - 0.5 * y3 + y2 * y2 * f], axis=-1)
+            fg = np.stack([f, ys * g, -(y2 * f), -(y3 * g), y2 * y2 * f], axis=-1)
+            phi[small] = np.where(np.concatenate((near, near))[small, None], fg, whole)
         if not small.all():
             phi[~small] = _phi_laguerre_numpy(np.ascontiguousarray(y[~small]))
-        moments = (phi[:r[part].size] / mu - phi[r[part].size:]) / (1.0 - mu * mu)
+        moments = (phi[:rp.size] / mu - phi[rp.size:]) / (1.0 - mu * mu)
+        moments[near, 4] += 0.5 * rp[near] * rp[near] * rp[near]
         out[part] = np.einsum("ik,ik->i", coef[part], moments)
     return out / r ** 6
 

@@ -251,7 +251,7 @@ def test_default_threads_follow_the_site_count(monkeypatch):
     seen = []
     for name in ("_resonant_octant", "_resonant_custom"):
         monkeypatch.setattr(lattice_sum, name,
-                            lambda bundle, z, threads, executor: seen.append(threads) or [0.0])
+                            lambda bundle, z, threads: seen.append(threads) or [0.0])
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
     monkeypatch.setattr(lattice_sum, "AUTO_THREADS_SITES", 66)  # the octant at M = 10
     for M, array, want in ((9, (0, 0, 1), 1), (10, (0, 0, 1), 3), (10, (1, 0, 0), 3),
@@ -268,7 +268,7 @@ def test_thread_counts_are_checked_and_capped(monkeypatch):
     seen = []
     for name in ("_resonant_octant", "_resonant_custom"):
         monkeypatch.setattr(lattice_sum, name,
-                            lambda bundle, z, threads, executor: seen.append(threads) or [0.0])
+                            lambda bundle, z, threads: seen.append(threads) or [0.0])
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
     for array in ((0, 0, 1), (1, 0, 0), (0.6, 0, 0.8)):
         b = mk(M=4, array=array)
@@ -362,7 +362,7 @@ def test_custom_row_ranges_equal_per_row_oracle_bitwise(monkeypatch, cap):
             want = _per_row_custom(b)
             for threads in (1, 3):
                 calls.clear()
-                got, = lattice_sum._resonant_custom(b, np.array([b.z_tilde]), threads, None)
+                got, = lattice_sum._resonant_custom(b, np.array([b.z_tilde]), threads)
                 assert got.hex() == want.hex(), (pair, M, threads)
                 step = max(1, cap // (2 * M + 1))
                 assert all(rows <= step and sites == 2 * M + 1 for rows, sites in calls)

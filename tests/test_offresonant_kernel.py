@@ -99,6 +99,10 @@ _mus = st.one_of(
 # within 2e-14 of 1, and r = 360, where the piece [0.999, 1] is subnormal
 @example(log_r=-2.170977917227826e-14, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(0, 1, 0), n=(0, 1, 0))
 @example(log_r=5.88671875, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(1, 1, 0), n=(1, 1, 1))
+# beta = dot - 3 pp ~ -2e-16 at small r near resonance, where the value rests
+# on alpha^2 M_4 and the partial fractions once lost 5e-10 to the rounding of
+# Phi_4's polynomial part
+@example(log_r=-5.0, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(0, 1, 0), n=(1, 1, 1))
 def test_kernel_matches_quad_oracle(log_r, mu, e0, en, n):
     r = math.exp(log_r)
     e0, en, n = _unit(e0), _unit(en), _unit(n)
@@ -106,6 +110,23 @@ def test_kernel_matches_quad_oracle(log_r, mu, e0, en, n):
     want = site_quad(r, dot, pp, mu)
     got = float(offresonant_sites(r, dot, pp, mu)[0])
     assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+# (r, mu, dot, pp): at small r with beta = dot - 3 pp = 0 the value is
+# alpha^2 M_4 alone, and the first three once lost 5e-10, 5e-8 and 4e-10 to
+# the polynomial parts of Phi_4 cancelling in the partial fractions; the last
+# three lie where the rearranged moments do not apply, or change no bit
+SMALL_R_SITES = [(math.exp(-5.0), 1.0 - 1e-3, 1.0, 1.0 / 3.0), (1e-3, 1.0 - 1e-3, 1.0, 1.0 / 3.0),
+                 (0.01, 1.0 - 1e-3, 1.0, 1.0 / 3.0), (0.01, 0.5, 1.0, 0.3),
+                 (0.5, 1.0 - 1e-3, 1.0, 1.0 / 3.0), (1.5, 0.9, 0.3, 0.1)]
+
+
+@pytest.mark.parametrize("r,mu,dot,pp", SMALL_R_SITES)
+def test_small_r_sites_match_mpmath(monkeypatch, r, mu, dot, pp):
+    want = site_mpmath(r, dot, pp, mu, digits=40)
+    for impl in filter(None, (kernels._lib, _numpy_backend)):
+        monkeypatch.setattr(kernels, "_impl", impl)
+        assert float(offresonant_sites(r, dot, pp, mu)[0]) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.6, 1.0 - 1e-3, 1.0 + 1e-3, 2.0, 5.0])
@@ -124,7 +145,7 @@ def test_branch_switch_is_continuous():
     y = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
     trig = np.empty((4, y.size))
     kernels.closed_form_inputs(2.0 * y, trig)
-    closed = _numpy_backend.phi_closed(y, *trig)
+    closed = _numpy_backend.phi_closed(y, *trig, np.ones(y.size, bool))
     laguerre = kernels.phi_laguerre(y, *kernels.LAGUERRE)
     np.testing.assert_allclose(closed, laguerre, rtol=1e-13, atol=0.0)
     # either side of the switch, through the public kernel
