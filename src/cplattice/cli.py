@@ -94,8 +94,9 @@ def load_config(path: str | None, overrides: dict) -> Config:
     for key, value in overrides.items():
         if value is not None:
             cfg = _apply(cfg, key, value, where="command line")
-    if cfg.threads < 1:
-        raise _UsageError(f"threads must be >= 1, got {cfg.threads}")
+    for key in ("threads", "points_per_decade"):
+        if getattr(cfg, key) < 1:
+            raise _UsageError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     # results are identical for any worker count, so clamping is value-safe
     return replace(cfg, threads=min(cfg.threads, usable_cpus()))
 

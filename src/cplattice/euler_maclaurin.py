@@ -192,11 +192,11 @@ def _rotated_rules(heights: np.ndarray):
     h = [0.1 * min(z, 1.0) for z in zs]
     n = [math.ceil(math.log(max(30.0, 7.0 * math.sqrt(z)) / hz) / math.log(1.4))
          for z, hz in zip(zs, h)]
-    counts = np.array(n) + 1
+    counts = np.array(n, dtype=np.int64) + 1  # int64 even for no heights
     first = np.cumsum(counts) - counts  # each height's first panel
     # panel k of a height spans [0, h] for k = 0, else [h 1.4^(k-1), h 1.4^k]
     k = np.arange(counts.sum()) - np.repeat(first, counts)
-    hi = np.repeat(h, counts) * (1.4 ** np.arange(max(n) + 1))[k]
+    hi = np.repeat(h, counts) * (1.4 ** np.arange(max(n, default=0) + 1))[k]
     lo = np.concatenate(([0.0], hi[:-1]))
     lo[first] = 0.0
     t, w, w_low = _gl_rule(lo, hi)

@@ -7,7 +7,12 @@ command line, the machine type and the CPU model (the build uses
 ``-march=native``). Later imports load the cached library without starting a
 process. Any failure to build or load it (no compiler, a compile error, a
 read-only directory) selects the NumPy fallback. Set
-CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library.
+CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library at import.
+
+The backend is one module variable, the library or the NumPy module
+(``backend_name()`` reports which). ``with backend(name):`` is the one place
+that swaps it, together with the distance-table cache; it loads the library
+on demand, so one process can run both backends.
 
 The module exports four functions over the selected backend, and the
 distance table that the compiled rows gather from:
@@ -205,8 +210,30 @@ def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-_lib = None if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else load_library()
-_impl = _numpy_backend if _lib is None else _lib
+_impl = _numpy_backend if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else (
+    load_library() or _numpy_backend)
+
+
+@contextlib.contextmanager
+def backend(name: str):
+    """The block runs on the backend ``name``, ``"c"`` or ``"numpy"``, with an
+    empty distance-table cache; both are restored on exit. Yields the
+    backend. Raises ``RuntimeError`` when ``"c"`` cannot be built or loaded
+    and ``ValueError`` for another name. Not for use while other threads call
+    the kernels."""
+    global _impl, _tables
+    if name not in ("c", "numpy"):
+        raise ValueError(f"backend must be 'c' or 'numpy', got {name!r}")
+    impl = _numpy_backend if name == "numpy" else (
+        _impl if _impl is not _numpy_backend else load_library())
+    if impl is None:
+        raise RuntimeError(f"the compiled row library {_SOURCE.name} cannot be built or loaded")
+    saved = _impl, _tables
+    _impl, _tables = impl, {}
+    try:
+        yield impl
+    finally:
+        _impl, _tables = saved
 
 
 def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
@@ -219,10 +246,10 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     z2 = np.asarray(z2, dtype=np.float64)
     out = np.empty(z2.shape + (hi - lo,))
     heights = np.ascontiguousarray(z2.reshape(-1))
-    if _lib is not None and range_sites(lo, hi) <= TABLE_SITE_CAP:
+    if _impl is not _numpy_backend and range_sites(lo, hi) <= TABLE_SITE_CAP:
         d2, idx = distance_table(lo, hi)
-        _lib.table_rows(zx, a2, heights, heights.size, d2, d2.size, idx, lo, hi,
-                        np.empty(d2.size), out)
+        _impl.table_rows(zx, a2, heights, heights.size, d2, d2.size, idx, lo, hi,
+                         np.empty(d2.size), out)
     else:
         _impl.res_rows(zx, a2, heights, heights.size, lo, hi, out)
     return out
@@ -317,4 +344,4 @@ def res_row_zx(a2: float, z2: float, nx: int) -> float:
 
 
 def backend_name() -> str:
-    return "numpy" if _lib is None else "c"
+    return "numpy" if _impl is _numpy_backend else "c"

@@ -509,6 +509,25 @@ def test_threads_validated_before_any_work(tmp_path, capsys):
     assert cli.load_config(None, {}).threads == 1
 
 
+def test_points_per_decade_validated_before_any_output(tmp_path, capsys):
+    # a count below 1 once gave a silent two-row grid; huge counts are not
+    # probed, since they size the whole grid
+    for bad in ("0", "-5"):
+        with pytest.raises(cli._UsageError, match="points_per_decade must be >= 1"):
+            cli.load_config(None, {"points_per_decade": bad})
+        out = tmp_path / "never.csv"
+        assert cli.main(["sweep", "--points-per-decade", bad, "-o", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"points_per_decade must be >= 1, got {bad}" in captured.err
+        assert not out.exists()
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"points_per_decade = {bad}\n")
+        assert cli.main(["sweep", "--config", str(conf)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "points_per_decade must be >= 1" in captured.err
+    assert cli.load_config(None, {"points_per_decade": "1"}).points_per_decade == 1
+
+
 def test_threads_clamped_to_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert cli.load_config(None, {"threads": 16}).threads == 3

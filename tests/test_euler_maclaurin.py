@@ -173,7 +173,7 @@ def test_offres_radial_kernels_vs_brute_quadrature():
         assert _radial_kernel_zx(u) == pytest.approx(wzx, rel=1e-9)
 
 
-def test_offres_bulk_reference_values():
+def test_offres_bulk_reference_values(backend):
     # 25-digit oracle values, mu=0.7, rho=1e-6, a=0.02
     b = mk(mu=0.7, a=0.02, z=0.3)
     assert bulk_term(b, "off_resonant") == pytest.approx(0.22927321796455054, rel=1e-10)
@@ -186,7 +186,7 @@ def test_offres_bulk_reference_values():
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.5, 0.998, 1.002, 2.0, 5.0, 50.0])
-def test_offres_bulk_matches_exponential_integral_oracle(mu):
+def test_offres_bulk_matches_exponential_integral_oracle(backend, mu):
     for z in np.geomspace(1e-3, 1e4, 15):
         for array in ((0, 0, 1), (1, 0, 0)):
             b = mk(mu=mu, a=0.02, z=z, array=array)
@@ -194,7 +194,7 @@ def test_offres_bulk_matches_exponential_integral_oracle(mu):
                                                                  rel=1e-12)
 
 
-def test_generic_offres_bulk_path_agrees():
+def test_generic_offres_bulk_path_agrees(backend):
     # the bulk is invariant under rotation about z: probe z over any in-plane
     # array dipole (a custom pair, 5 azimuths) must land on the zx oracle
     for psi in (math.pi / 2.0, math.pi / 6.0, 2.3):
@@ -207,7 +207,7 @@ def test_generic_offres_bulk_path_agrees():
                                                                  rel=1e-12)
 
 
-def test_generic_offres_bulk_general_pair_vs_adaptive_quadrature():
+def test_generic_offres_bulk_general_pair_vs_adaptive_quadrature(backend):
     # a pair whose site term has azimuthal degree 4: adaptive quadrature over
     # R of the mean over 64 azimuths
     e0, en = (np.array(v) / math.sqrt(6.0) for v in ((1.0, 1.0, 2.0), (2.0, -1.0, 1.0)))
@@ -229,7 +229,7 @@ def test_generic_offres_bulk_general_pair_vs_adaptive_quadrature():
         assert bulk_term(b, "off_resonant") == pytest.approx(want, rel=1e-10)
 
 
-def test_offres_edge_against_reordered_quadrature():
+def test_offres_edge_against_reordered_quadrature(backend):
     # oracle: swap the integration order (xi outermost, axis innermost)
     b = mk(mu=0.7, a=0.05, z=0.4)
     z = b.z_tilde
@@ -251,7 +251,7 @@ def test_offres_edge_against_reordered_quadrature():
     assert edge_term(b, "off_resonant") == pytest.approx(want, rel=1e-7)
 
 
-def test_custom_orientation_decompose_matches_principal_pair():
+def test_custom_orientation_decompose_matches_principal_pair(backend):
     # probe z / array y must reproduce probe z / array x term by term,
     # down to heights where the former adaptive bulk quadrature failed
     for z in (0.7, 1e-3, 2e-3):
@@ -326,7 +326,7 @@ def test_vertex_zx_zero_and_offres_nonretarded():
     assert vertex_term(b, "off_resonant") == pytest.approx(want, rel=1e-2)
 
 
-def test_additivity_bit_exact():
+def test_additivity_bit_exact(backend):
     b = mk(a=0.05, z=0.4)
     for kind in ("resonant", "off_resonant"):
         d = decompose(b, kind)
@@ -467,7 +467,7 @@ PINNED_TERMS = [
 
 
 @pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
-def test_terms_bit_exact(label, kind, z, bulk, edge, vertex):
+def test_terms_bit_exact(backend, label, kind, z, bulk, edge, vertex):
     test, array = BLOCK_PAIRS[label]
     b = validate(ModelParams(mu=0.5, rho=1e-6, test_dipole=test, array_dipole=array),
                  LatticeSpec(a_tilde=0.01, half_extent=0), Geometry(z_tilde=z))
@@ -479,7 +479,7 @@ def test_terms_bit_exact(label, kind, z, bulk, edge, vertex):
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
-def test_height_blocks_equal_one_height_calls_bitwise(pair, kind, n):
+def test_height_blocks_equal_one_height_calls_bitwise(backend, pair, kind, n):
     # heights up to 60: the zz resonant bulk leaves its closed form above 20
     # for the rotated path, which takes a different panel count per height.
     # At 65 heights the generic resonant bulk's integrand passes 256 KiB,
@@ -507,7 +507,7 @@ def _counting_sites(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
-def test_decompose_equals_separate_term_calls_bitwise(monkeypatch, pair, kind):
+def test_decompose_equals_separate_term_calls_bitwise(backend, monkeypatch, pair, kind):
     # off-resonant, decompose evaluates the bulk's sites once and the edge
     # takes its x axis from them; each term must still equal its own call
     test, array = BLOCK_PAIRS[pair]
@@ -533,7 +533,7 @@ def test_decompose_equals_separate_term_calls_bitwise(monkeypatch, pair, kind):
 
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", ["custom_a", "custom_b"])
-def test_custom_edge_is_both_axes_of_one_site_call(monkeypatch, pair, kind):
+def test_custom_edge_is_both_axes_of_one_site_call(backend, monkeypatch, pair, kind):
     test, array = BLOCK_PAIRS[pair]
     b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
                  LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
@@ -546,7 +546,7 @@ def test_custom_edge_is_both_axes_of_one_site_call(monkeypatch, pair, kind):
     assert calls == [(kind, _AXES.tolist())]
 
 
-def test_subnormal_integral_passes_the_underflow_floor():
+def test_subnormal_integral_passes_the_underflow_floor(backend):
     # a y-dipole probe over array dipoles (0, c, 1): on the x axis the
     # off-resonant term is c^2 times that of (0, 1, 0) over (0, 1, 0), and at
     # c = 6.5e-156 its integral is subnormal. Every product of the rule then
@@ -604,6 +604,20 @@ def test_block_failure_names_its_first_failing_height(monkeypatch):
     with pytest.raises(QuadratureFailure,
                        match=f"^edge resonant at z={float(heights[3])!r}, mu=0.5 \\(zz, x axis\\)"):
         edge_term(mk(), "resonant", heights)
+
+
+@pytest.mark.parametrize("pair", ["zz", "zx", "custom_a"])
+def test_no_heights_give_empty_terms(backend, pair):
+    # every term of either kind returns an empty array for an empty array of
+    # heights, as the direct sum does, and decompose an empty list
+    test, array = BLOCK_PAIRS[pair]
+    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
+                 LatticeSpec(a_tilde=0.05, half_extent=3), Geometry(z_tilde=0.3))
+    for kind in ("resonant", "off_resonant"):
+        for term in (bulk_term, edge_term, vertex_term):
+            got = term(b, kind, heights=[])
+            assert got.dtype == np.float64 and got.shape == (0,), (term.__name__, kind)
+        assert decompose(b, kind, heights=[]) == []
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

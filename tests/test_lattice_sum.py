@@ -15,7 +15,6 @@ from cplattice.greens import green_dyadic, resonant_sites
 from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_ranges, _split_rows,
                                    offresonant_pair_term, resonant_pair_term,
                                    sum_lattice)
-from cplattice.kernels import _numpy_backend
 from cplattice.model import (Geometry, LatticeSpec, ModelParams, NonPositiveLength,
                              validate)
 from scipy.integrate import quad
@@ -71,7 +70,7 @@ def test_single_site_resonant_reference_value():
     assert resonant_pair_term(1, 0, b) == pytest.approx(3.55240419262384561e-6, rel=1e-13)
 
 
-def test_single_site_offresonant_reference_value():
+def test_single_site_offresonant_reference_value(backend):
     b = mk(a=0.4, M=2, z=0.35)
     assert offresonant_pair_term(2, 1, b) == pytest.approx(2.041655446120816e-7, rel=1e-9)
 
@@ -96,7 +95,7 @@ def test_offresonant_retarded_origin_site():
     assert offresonant_pair_term(0, 0, b) == pytest.approx(want, rel=2e-2)
 
 
-def test_m_zero_reduces_to_single_pair_term():
+def test_m_zero_reduces_to_single_pair_term(backend):
     b = mk(M=0)
     s = sum_lattice(b, "resonant")
     assert s.resonant == pytest.approx(resonant_pair_term(0, 0, b), rel=1e-15)
@@ -111,7 +110,7 @@ def test_terms_summed_counts_all_sites():
 
 
 @pytest.mark.parametrize("orientation", ["zz", "zx"])
-def test_octant_acceleration_matches_naive(orientation):
+def test_octant_acceleration_matches_naive(backend, orientation):
     array = (0, 0, 1) if orientation == "zz" else (1, 0, 0)
     rng = np.random.default_rng(12)
     for _ in range(6):
@@ -122,7 +121,7 @@ def test_octant_acceleration_matches_naive(orientation):
         assert fast == pytest.approx(slow, rel=1e-12, abs=1e-300)
 
 
-def test_offresonant_octant_matches_naive():
+def test_offresonant_octant_matches_naive(backend):
     b = mk(a=0.8, M=2, z=0.6, mu=0.7)
     fast = sum_lattice(b, "off_resonant").off_resonant
     slow = naive_offresonant(b)
@@ -132,7 +131,7 @@ def test_offresonant_octant_matches_naive():
         naive_offresonant(bx), rel=1e-8)
 
 
-def test_custom_orientation_routes_and_matches():
+def test_custom_orientation_routes_and_matches(backend):
     # probe z / array y equals probe z / array x by the lattice x<->y symmetry
     by = mk(a=0.3, M=2, z=0.45, mu=0.6, array=(0, 1, 0))
     bx = mk(a=0.3, M=2, z=0.45, mu=0.6, array=(1, 0, 0))
@@ -157,7 +156,7 @@ def test_custom_orientation_against_naive_oracle():
     assert got == pytest.approx(naive_resonant(b), rel=1e-12)
 
 
-def test_linear_in_rho():
+def test_linear_in_rho(backend):
     b1 = mk(rho=1e-6, M=2)
     b2 = mk(rho=2e-6, M=2)
     assert sum_lattice(b2, "resonant").resonant == pytest.approx(
@@ -185,6 +184,7 @@ def _dipole_pairs(draw):
     return tuple(vecs)
 
 
+@pytest.mark.usefixtures("backend")
 @settings(max_examples=40, deadline=None)
 @given(rho=st.floats(1e-9, 0.0499), mu=st.floats(0.05, 5.0).filter(lambda m: abs(1 - m) > 1e-2),
        log_a=st.floats(math.log(0.01), math.log(3.0)), M=st.integers(0, 5),
@@ -283,7 +283,7 @@ def test_thread_counts_are_checked_and_capped(monkeypatch):
         assert seen == [1, 2, 3, 3, 3]
 
 
-def test_thread_count_does_not_change_bits(monkeypatch):
+def test_thread_count_does_not_change_bits(backend, monkeypatch):
     # each worker takes one contiguous row range: 61 octant rows and 121
     # full-grid rows do not split evenly over 2, 3 or 4 workers
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 16)  # keep every split
@@ -401,17 +401,12 @@ def test_sweep_regime_structure():
 _HEIGHT_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)), **_CUSTOM_PAIRS}
 
 
-@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("backend", ["c", "numpy"], indirect=True)
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 def test_heights_equal_one_call_per_height_bitwise(monkeypatch, backend, kind):
     # one call over an array of heights gives each height's one-height sum
     # bit for bit, in a ShiftResult whose field is the array and whose site
     # count covers every height
-    if backend == "c" and kernels.backend_name() != "c":
-        pytest.skip("no compiled library")
-    if backend == "numpy":
-        monkeypatch.setattr(kernels, "_lib", None)
-        monkeypatch.setattr(kernels, "_impl", _numpy_backend)
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
     heights = np.geomspace(0.02, 30.0, 5)
     for pair, (test, array) in _HEIGHT_PAIRS.items():

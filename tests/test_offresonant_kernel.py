@@ -29,6 +29,10 @@ from cplattice.lattice_sum import offresonant_pair_term, offresonant_prefactor, 
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
+# every test here reaches kernels.offres_sites: each runs on both backends
+pytestmark = pytest.mark.usefixtures("backend")
+
+
 def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, test=(0, 0, 1), array=(0, 0, 1)):
     return validate(ModelParams(mu=mu, rho=rho, test_dipole=test, array_dipole=array),
                     LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
@@ -122,11 +126,9 @@ SMALL_R_SITES = [(math.exp(-5.0), 1.0 - 1e-3, 1.0, 1.0 / 3.0), (1e-3, 1.0 - 1e-3
 
 
 @pytest.mark.parametrize("r,mu,dot,pp", SMALL_R_SITES)
-def test_small_r_sites_match_mpmath(monkeypatch, r, mu, dot, pp):
+def test_small_r_sites_match_mpmath(r, mu, dot, pp):
     want = site_mpmath(r, dot, pp, mu, digits=40)
-    for impl in filter(None, (kernels._lib, _numpy_backend)):
-        monkeypatch.setattr(kernels, "_impl", impl)
-        assert float(offresonant_sites(r, dot, pp, mu)[0]) == pytest.approx(want, rel=1e-12)
+    assert float(offresonant_sites(r, dot, pp, mu)[0]) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.6, 1.0 - 1e-3, 1.0 + 1e-3, 2.0, 5.0])
@@ -156,26 +158,30 @@ def test_branch_switch_is_continuous():
 
 # M_0..4 at mu = 0.6 of radii whose y = r mu and y = r all fall below the
 # switch (small) or above it (large), row by row, as float.hex; recorded while
-# the moments still called both branches on every input
+# the moments still called both branches on every input. Then the site values
+# at dot = 1, pp = 0.3, the same bits on both backends
 PINNED_MOMENTS = {
     "small": ([0.1, 1.2], [
         "0x1.7e21343aba379p+0", "0x1.09d455919ba59p-4", "0x1.88e07b398014bp-8",
         "0x1.15edd4cb29abep-10", "0x1.7e735f53f6e14p-12",
         "0x1.83918fc0ce14fp-1", "0x1.aeeb01c626db2p-3", "0x1.bf01296bf7c35p-4",
-        "0x1.5499ae3d9ee1ap-4", "0x1.5cfba84afd87dp-4"]),
+        "0x1.5499ae3d9ee1ap-4", "0x1.5cfba84afd87dp-4"],
+        ["0x1.10ad3d87b32e1p+14", "0x1.bf6522783f0d4p-6"]),
     "large": ([4.0, 30.0], [
         "0x1.45d9190807ad6p-2", "0x1.18c7309e820f9p-3", "0x1.cf3b069718c2fp-4",
         "0x1.15fb8e457d475p-3", "0x1.b3bdb2844cdaap-3",
         "0x1.7a789ea461e59p-5", "0x1.78e910e3dc4b2p-6", "0x1.769974c1d7745p-6",
-        "0x1.16ace196b8be6p-5", "0x1.13e2cb612ab06p-4"]),
-    "empty": ([], []),
+        "0x1.16ace196b8be6p-5", "0x1.13e2cb612ab06p-4"],
+        ["0x1.2b4e33c22dbacp-15", "0x1.fc3222b56d3cbp-35"]),
+    "empty": ([], [], []),
 }
 
 
 @pytest.mark.parametrize("case", list(PINNED_MOMENTS))
 def test_moments_call_only_branches_with_radii(monkeypatch, case):
-    # through the front on each backend: sici, sin and cos run only for y
-    # below the switch, and the NumPy Gauss-Laguerre branch only above it
+    # through the front: sici, sin and cos run only for y below the switch,
+    # and the NumPy backend's Gauss-Laguerre branch only above it; the
+    # compiled backend takes its moments in C
     calls, moments = [], []
 
     def only_some(name, branch):
@@ -195,20 +201,16 @@ def test_moments_call_only_branches_with_radii(monkeypatch, case):
     monkeypatch.setattr(_numpy_backend, "phi_laguerre",
                         only_some("laguerre", _numpy_backend.phi_laguerre))
     monkeypatch.setattr(_numpy_backend, "moments", recorded)
-    r, want = PINNED_MOMENTS[case]
-    r = np.array(r, dtype=float)
-    values = []
-    for impl in filter(None, (kernels._lib, _numpy_backend)):
-        monkeypatch.setattr(kernels, "_impl", impl)
-        del calls[:]
-        values.append(offresonant_sites(r, 1.0, 0.3, 0.6).tobytes())
-        closed = ["closed"] if case == "small" else []
-        laguerre = ["laguerre"] if case == "large" and impl is _numpy_backend else []
-        assert calls == closed + laguerre
-    assert len(set(values)) == 1
-    got = moments[0] if moments else np.empty((0, 5))
-    assert len(moments) == (case != "empty") and got.shape == (len(r), 5)
-    assert [v.hex() for v in got.ravel().tolist()] == want
+    r, want, sites = PINNED_MOMENTS[case]
+    got = offresonant_sites(np.array(r, dtype=float), 1.0, 0.3, 0.6)
+    on_numpy = kernels.backend_name() == "numpy"
+    closed = ["closed"] if case == "small" else []
+    laguerre = ["laguerre"] if case == "large" and on_numpy else []
+    assert calls == closed + laguerre
+    assert [v.hex() for v in got.tolist()] == sites
+    assert len(moments) == (on_numpy and case != "empty")
+    if moments:
+        assert [v.hex() for v in moments[0].ravel().tolist()] == want
 
 
 def test_zz_site_terms_strictly_positive_at_large_r():

@@ -29,7 +29,6 @@ from cplattice.euler_maclaurin import _rotated_rules
 from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
                               scalar_coefficients)
 from cplattice.lattice_sum import QuadratureFailure
-from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import resonant_pair_term, resonant_prefactor
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 from test_euler_maclaurin import _axis_integral, _bulk_integral
@@ -124,21 +123,18 @@ def _row_zx(a2, z2, nx):
     return g, w
 
 
-def _selected_row(zx, a2, z2, nx):
-    """Row nx through the selected backend's range entry point."""
-    return float(kernels.res_rows(zx, a2, z2, nx, nx + 1)[0])
-
-
-@pytest.mark.parametrize("row", [_numpy_backend.res_row, _selected_row],
-                         ids=["numpy", "selected"])
+# the NumPy backend, and the one selected at import
+@pytest.mark.parametrize("backend", ["numpy", kernels.backend_name()], ids=["numpy", "selected"],
+                         indirect=True)
 @pytest.mark.parametrize("nx", [0, 1, 2, 3, 17, 173, 2048, 20001])
 @pytest.mark.parametrize("a2,z2", [(1e-4, 0.04), (0.25, 1.0), (4.0, 1e-4), (1e-2, 9.0)])
-def test_rows_match_former_brackets(row, nx, a2, z2):
-    # rows of oscillating terms cancel: compare against the sum of magnitudes
+def test_rows_match_former_brackets(backend, nx, a2, z2):
+    # row nx through the range entry point; rows of oscillating terms
+    # cancel: compare against the sum of magnitudes
     for zx, ref in ((False, _row_zz), (True, _row_zx)):
         t, w = ref(a2, z2, nx)
-        assert row(zx, a2, z2, nx) == pytest.approx(float(w @ t), rel=1e-12,
-                                                    abs=1e-13 * float(w @ np.abs(t)))
+        row = float(kernels.res_rows(zx, a2, z2, nx, nx + 1)[0])
+        assert row == pytest.approx(float(w @ t), rel=1e-12, abs=1e-13 * float(w @ np.abs(t)))
 
 
 def test_pair_term_matches_former_brackets():
