@@ -26,13 +26,12 @@ the probe's foot and averaged over a table of unit directions. The bulk is
 trigonometric polynomials of degree 4 in the azimuth, so the mean <f>_phi
 over the 5 uniform azimuths of ``_RING`` is exact (zz needs the first). The
 edge integrates each direction of ``_AXES``, the positive x and y half-axes,
-on its own; a pair that needs both takes them from one site-kernel call. The
-integrands are
-the two vectorized site kernels, which take the dipole orientation as data
-(the projections e0.en and (e0.n)(n.en)), and each integral is one fixed
-rule, :func:`_integrate`: composite 25-point Gauss-Legendre panels, with an
-error estimate from the interpolatory rule on every other node, checked
-against one tolerance. The kind selects one of two node layouts:
+on its own; a pair that needs both takes them from one call. The site term
+takes the dipole orientation as data (the projections e0.en and
+(e0.n)(n.en)), and each integral is one fixed rule: composite 25-point
+Gauss-Legendre panels, with an error estimate from the interpolatory rule
+on every other node, checked against one tolerance in :func:`_checked`. The
+kind selects one of two node layouts:
 
 * real path (off-resonant edge and bulk): fixed panels in s = R/z, with the
   s = 16/t tail;
@@ -48,23 +47,30 @@ against one tolerance. The kind selects one of two node layouts:
   sqrt(z) (the width of e^{i x^2/z} at large z) and 1/sin(pi/4).
 
 The orientation label only selects symmetries: the closed-form zz/zx bulk,
-the single zz azimuth, and which axis integrals are equal or vanish.
+the single zz azimuth, and which axis integrals are equal or vanish. Where a
+closed form is not finite (z^4 underflows or overflows) the bulk raises
+QuadratureFailure, as a ray integral that misses its tolerance does.
 
 Every term takes an optional array of heights and then returns one value
 per height, bitwise equal to one call per height; a call without heights
-is the same code on one row. A block of heights costs one site-kernel call
-per ray integral. On the real path every height has the same panels in s,
-so the nodes z s stack into one array. On the rotated path the panel count
-depends on z, so :func:`_rotated_rules` builds the panels of all heights in
-one pass, concatenated, ragged, into one array that is split again by
-offsets: padding with zero-weight panels
-would change NumPy's pairwise summation and so the bits. :func:`_integrate`
-sums and checks each height on its own panels, and raises for the first
-height in the block that misses the tolerance. The mean over the directions
-is one NumPy reduction over the last axis, whose order does not depend on
-the block, and the Jacobian multiplies it through an explicit ufunc call
-(see :func:`_ray_integral`), so that equality holds for blocks of any size.
-``cplattice sweep`` decomposes its grid in blocks of heights.
+is the same code on one row. A resonant ray integral is one compiled call
+for all heights, ``kernels.ray_rotated``: per height it builds the rotated
+rule (:func:`_rotated_rules` is its NumPy reference), evaluates the site
+term at every node and direction, takes the mean, the Jacobian and each
+panel's full and nested sums, and returns the height's value, error
+estimate and scale; the edge's x and y axes share each node's r and e^{2ir}.
+Its NumPy fallback (``_numpy_backend.ray_rotated``) takes the same steps
+as NumPy array operations, and the two are bitwise equal: csqrt and cexp are glibc's in both (np.sqrt and np.exp call them),
+the C code spells out NumPy's fused complex product, its Smith division,
+its modulus and its pairwise sums, and r^6 is NumPy's binary powering. On
+the real path every height has the same panels in s, so the nodes z s stack
+into one array, the site kernel takes them in one call, NumPy forms the
+mean and the Jacobian, and ``kernels.panel_sums`` the panel sums. The mean
+over the directions is one NumPy reduction over the last axis, whose order
+does not depend on the block, and the Jacobian multiplies it through an
+explicit ufunc call (see :func:`_ray_integral`), so that equality holds for
+blocks of any size. ``cplattice sweep`` decomposes its grid in blocks of
+heights.
 
 Off-resonant, the bulk and the edge evaluate the same site term at the same
 real-path nodes z s; only their Jacobians differ. Within one
@@ -82,12 +88,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from . import specfun
-from .greens import resonant_sites, resonant_sites_complex
+from . import kernels, specfun
+from .greens import resonant_sites, site_projections
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .lattice_sum import (QuadratureFailure, heights_array, offresonant_sites, per_height,
-                          prefactor, site_projections)
+from .kernels import _numpy_backend
+from .lattice_sum import QuadratureFailure, heights_array, offresonant_sites, per_height, prefactor
 from .model import ValidatedBundle, validate
 
 
@@ -141,28 +147,20 @@ def _gl_rule(lo, hi):
     return lo + half * (1.0 + _X), half * _W, half * _W_LOW
 
 
-def _integrate(f, w, w_low, panels, heights, bundle: ValidatedBundle, stage: str,
-               axis: str | None = None) -> np.ndarray:
-    """Re sum(f w) for each height: the rule applied to the integrand values
-    f, one row per panel, the rows panels[i]:panels[i+1] belonging to
-    heights[i]. Each height's sum and nested estimate are formed from its
-    own panels alone; the first height whose estimate misses _RTOL (and the
-    underflow floor) raises QuadratureFailure."""
-    full = np.sum(f * w, axis=1)
-    err = np.abs(full - np.sum(f * w_low, axis=1))
-    mag = np.abs(full)
-    values = np.empty(len(heights))
-    for i, z in enumerate(heights):
-        part = slice(panels[i], panels[i + 1])
-        values[i] = full[part].sum().real
-        e, scale = float(err[part].sum()), float(mag[part].sum())
-        floor = 2 * _X.size * (panels[i + 1] - panels[i]) * _UNDERFLOW_STEP
-        if not (e <= _RTOL * scale or e <= floor):
+def _checked(sums, counts, heights, bundle: ValidatedBundle, stage: str,
+             axis: str | None = None) -> np.ndarray:
+    """The values of one ray integral at each height from its sums (value,
+    error estimate, scale) per height and the heights' panel counts: the
+    first height whose estimate misses _RTOL of its scale and the underflow
+    floor raises QuadratureFailure."""
+    for i, (e, scale, count) in enumerate(zip(sums[:, 1].tolist(), sums[:, 2].tolist(),
+                                              counts.tolist())):
+        if not (e <= _RTOL * scale or e <= 2 * _X.size * count * _UNDERFLOW_STEP):
             where = bundle.orientation_label() + (f", {axis} axis" if axis else "")
             raise QuadratureFailure(
-                f"{stage} at z={float(z)!r}, mu={bundle.mu!r} ({where}): error estimate "
+                f"{stage} at z={float(heights[i])!r}, mu={bundle.mu!r} ({where}): error estimate "
                 f"{e:.3g} exceeds {_RTOL:g} of {scale:.17g}")
-    return values
+    return sums[:, 0]
 
 
 def _real_rule():
@@ -177,30 +175,15 @@ def _real_rule():
 
 
 _S, _S_W, _S_W_LOW = _real_rule()
-_TURN = np.exp(0.25j * math.pi)
+
+_ROTATED_RULE = _numpy_backend.rotated_rule_table(_X, _W, _W_LOW)
 
 
 def _rotated_rules(heights: np.ndarray):
-    """Nodes t e^{i pi/4} and weights of the rotated path at each height,
-    the panels of all heights concatenated as rows in height order, and each
-    height's panel count. A height z has the panel [0, h], h = 0.1 min(z, 1),
-    then n panels in ratio 1.4 out to t_max = max(30, 7 sqrt(z)), where
-    e^{2ir} has decayed below ~e^-40: the edges h 1.4^k, k = 0..n, with
-    n = ceil(log(t_max/h)/log(1.4)). The powers 1.4^k are one array for
-    every height."""
-    zs = heights.tolist()
-    h = [0.1 * min(z, 1.0) for z in zs]
-    n = [math.ceil(math.log(max(30.0, 7.0 * math.sqrt(z)) / hz) / math.log(1.4))
-         for z, hz in zip(zs, h)]
-    counts = np.array(n, dtype=np.int64) + 1  # int64 even for no heights
-    first = np.cumsum(counts) - counts  # each height's first panel
-    # panel k of a height spans [0, h] for k = 0, else [h 1.4^(k-1), h 1.4^k]
-    k = np.arange(counts.sum()) - np.repeat(first, counts)
-    hi = np.repeat(h, counts) * (1.4 ** np.arange(max(n, default=0) + 1))[k]
-    lo = np.concatenate(([0.0], hi[:-1]))
-    lo[first] = 0.0
-    t, w, w_low = _gl_rule(lo, hi)
-    return _TURN * t, _TURN * w, _TURN * w_low, counts
+    """Nodes t e^{i pi/4} and weights of the rotated path at each height and
+    each height's panel count: ``_numpy_backend.rotated_rules``, the
+    reference of the compiled rule."""
+    return _numpy_backend.rotated_rules(heights, _ROTATED_RULE)
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +203,24 @@ _AXES = np.array([[1.0, 0.0], [0.0, 1.0]])
 _SHARED_SITES: ContextVar[dict | None] = ContextVar("_SHARED_SITES", default=None)
 
 
-def _sites(bundle: ValidatedBundle, kind: str, big_r, z, directions) -> np.ndarray:
-    """The kind's site term at R d for each direction d (the last axis)."""
+def _sites(bundle: ValidatedBundle, big_r, z, directions) -> np.ndarray:
+    """The off-resonant site term at R d for each direction d (the last
+    axis)."""
     r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
                                   big_r * directions[:, 0], big_r * directions[:, 1], z)
-    if kind == "resonant":
-        return resonant_sites_complex(r, dot, pp)
     return offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape)
 
 
 def _shared_sites(bundle: ValidatedBundle, big_r, z, directions) -> np.ndarray:
-    """:func:`_sites` on the real path, evaluating within one decompose call
-    only the directions not evaluated before."""
+    """:func:`_sites`, evaluating within one decompose call only the
+    directions not evaluated before."""
     shared = _SHARED_SITES.get()
     if shared is None:
-        return _sites(bundle, "off_resonant", big_r, z, directions)
+        return _sites(bundle, big_r, z, directions)
     keys = list(map(tuple, directions.tolist()))
     missing = [d for d in keys if d not in shared]
     if missing:
-        f = _sites(bundle, "off_resonant", big_r, z, np.array(missing))
+        f = _sites(bundle, big_r, z, np.array(missing))
         shared.update(zip(missing, np.moveaxis(f, -1, 0)))
     return np.stack([shared[d] for d in keys], axis=-1)
 
@@ -253,42 +235,37 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
 
     The kind picks the path: resonant takes the rotated rule, with r = z + t
     e^{i pi/4}, R = sqrt(r^2 - z^2) and J = r for the bulk, and R = t e^{i pi/4}
-    and J = 1 for the edge; off-resonant takes the real rule, R = z s, with
-    J = z^2 s for the bulk and J = z for the edge. The panels of all heights
-    are stacked as rows, each row with its own height z.
+    and J = 1 for the edge, all in one ``kernels.ray_rotated`` call (the
+    resonant bulk averages its directions, and the resonant edge takes
+    ``axes``, each direction an axis); off-resonant takes the real rule,
+    R = z s, with J = z^2 s for the bulk and J = z for the edge, whose panel
+    sums ``kernels.panel_sums`` forms. The panels of all heights are stacked
+    as rows, each row with its own height z.
 
-    The integrand is np.multiply(J, mean), never ``J * mean``: NumPy computes
-    an operator on a temporary of more than 256 KiB in the temporary's
-    buffer, swapping the operands of a product, and its complex product is
-    not bitwise commutative, so large blocks of heights would round
-    differently from one-height calls.
+    The real path's integrand is np.multiply(J, mean), never ``J * mean``:
+    NumPy computes an operator on a temporary of more than 256 KiB in the
+    temporary's buffer, swapping the operands of a product, which would make
+    large blocks of heights round differently from one-height calls.
     """
     if kind == "resonant":
-        # the panel count depends on z: the rows are ragged, never padded
-        t, w, w_low, counts = _rotated_rules(heights)
-        z = np.repeat(heights, counts)[:, None]
-        if stage == "bulk":
-            jac = z + t
-            big_r = np.sqrt(jac * jac - z * z)
-        else:
-            jac, big_r = 1.0, t
+        e0, en = bundle.params.test_dipole, bundle.params.array_dipole
+        pair = np.array([*e0, *en, float(np.dot(e0, en))])
+        sums, counts = kernels.ray_rotated(stage == "bulk", pair, directions, heights,
+                                           _ROTATED_RULE)
     else:
         # the same panels in s = R/z at every height
-        s, w, w_low = (np.tile(rule, (len(heights), 1)) for rule in (_S, _S_W, _S_W_LOW))
-        counts = [len(_S)] * len(heights)
         z = np.repeat(heights, len(_S))[:, None]
-        big_r = z * s
+        s = np.tile(_S, (len(heights), 1))
         jac = z * z * s if stage == "bulk" else z
-    if kind == "resonant":
-        f = _sites(bundle, kind, big_r[..., None], z[..., None], directions)
-    else:
-        f = _shared_sites(bundle, big_r[..., None], z[..., None], directions)
-    panels = np.concatenate(([0], np.cumsum(counts)))
+        f = _shared_sites(bundle, (z * s)[..., None], z[..., None], directions)
+        means = [f.mean(axis=-1)] if axes is None else [f[..., k:k + 1].mean(axis=-1)
+                                                        for k in range(len(axes))]
+        sums = np.stack([kernels.panel_sums(np.multiply(jac, mean), _S_W, _S_W_LOW,
+                                            len(heights)) for mean in means], axis=1)
+        counts = np.full(len(heights), len(_S))
     if axes is None:
-        return _integrate(np.multiply(jac, f.mean(axis=-1)), w, w_low, panels, heights,
-                          bundle, f"{stage} {kind}")
-    return [_integrate(np.multiply(jac, f[..., k:k + 1].mean(axis=-1)), w, w_low, panels,
-                       heights, bundle, f"{stage} {kind}", axis)
+        return _checked(sums[:, 0], counts, heights, bundle, f"{stage} {kind}")
+    return [_checked(sums[:, k], counts, heights, bundle, f"{stage} {kind}", axis)
             for k, axis in enumerate(axes)]
 
 
@@ -297,6 +274,26 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
 # 50-digit mpmath it is off by 2e-14 relative at z = 20, 7e-13 at 100 and
 # 1.4e-8 at 1e4; the rotated path stays within ~2e-13 up to 1e4.
 _ZZ_CLOSED_FORM_MAX_Z = 20.0
+
+
+def _closed_form(bundle: ValidatedBundle, pref: float, label: str, z: float) -> float:
+    """The closed-form resonant bulk of a zz or zx pair at the height z, with
+    the prefactor pref. Raises QuadratureFailure, naming the stage, kind,
+    height and mu as a ray integral does, where the value is not finite: at
+    a = 0.01 it overflows below z ~ 1e-78 (z^4 nears the subnormals), and
+    z^4 itself overflows above ~1e77."""
+    a2 = bundle.a_tilde ** 2
+    try:
+        if label == "zz":
+            v = pref * 2.0 * math.pi * bracket_zz(z) / (8.0 * a2 * z ** 4)
+        else:
+            v = pref * math.pi * bracket_zx(z) / (8.0 * a2 * z ** 4)
+    except (ZeroDivisionError, OverflowError):
+        v = math.nan
+    if not math.isfinite(v):
+        raise QuadratureFailure(f"bulk resonant at z={z!r}, mu={bundle.mu!r} ({label}): "
+                                "closed form is not finite")
+    return v
 
 
 def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
@@ -311,20 +308,15 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
     z = heights_array(bundle, heights)
-    a2 = bundle.a_tilde ** 2
     values = np.empty(z.size)
-    if kind == "resonant" and label == "zz":
-        closed = z <= _ZZ_CLOSED_FORM_MAX_Z
-        values[closed] = [pref * 2.0 * math.pi * bracket_zz(h) / (8.0 * a2 * h ** 4)
-                          for h in z[closed].tolist()]
-    elif kind == "resonant" and label == "zx":
-        closed = np.ones(z.size, dtype=bool)
-        values[:] = [pref * math.pi * bracket_zx(h) / (8.0 * a2 * h ** 4) for h in z.tolist()]
+    if kind == "resonant" and label in ("zz", "zx"):
+        closed = z <= _ZZ_CLOSED_FORM_MAX_Z if label == "zz" else np.ones(z.size, dtype=bool)
+        values[closed] = [_closed_form(bundle, pref, label, h) for h in z[closed].tolist()]
     else:
         closed = np.zeros(z.size, dtype=bool)
     if not closed.all():
         ring = _RING[:1] if label == "zz" else _RING
-        values[~closed] = pref * (2.0 * math.pi / a2) * _ray_integral(
+        values[~closed] = pref * (2.0 * math.pi / bundle.a_tilde ** 2) * _ray_integral(
             bundle, kind, "bulk", ring, z[~closed])
     return per_height(heights, values)
 

@@ -68,6 +68,14 @@ def pair_coupling(test_dipole, array_dipole, displacement, freq=1.0) -> complex:
     return complex(t1 * (e0 @ en) + t2 * (e0 @ n) * (n @ en))
 
 
+def site_projections(e0, en, x, y, z):
+    """r, e0.en and (e0.n)(n.en) for the displacements (x, y, -z)."""
+    r = np.sqrt(x * x + y * y + z * z)
+    p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
+    pn = (en[0] * x + en[1] * y - en[2] * z) / r
+    return r, float(np.dot(e0, en)), p0 * pn
+
+
 def resonant_sites(r, dot, pp):
     """Re[(e0 . g(r, 1) . en)^2] for each site, vectorized.
 

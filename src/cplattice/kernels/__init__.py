@@ -14,7 +14,7 @@ The backend is one module variable, the library or the NumPy module
 that swaps it, together with the distance-table cache; it loads the library
 on demand, so one process can run both backends.
 
-The module exports four functions over the selected backend, and the
+The module exports six functions over the selected backend, and the
 distance table that the compiled rows gather from:
 
 * ``res_rows(zx, a2, z2, lo, hi)``: the octant rows lo <= nx < hi
@@ -55,7 +55,26 @@ distance table that the compiled rows gather from:
   (``phi_laguerre`` with the ``LAGUERRE`` table), the partial-fraction
   moments, the h(u)^2 coefficients, the 5-term contraction (in the one order
   both backends spell out) and the division by r^6, so both give the same
-  bits.
+  bits;
+* ``ray_rotated(bulk, pair, directions, heights, rule)``: the resonant ray
+  integrals of the bulk/edge decomposition (``euler_maclaurin``) on their
+  rotated paths, whole, for every height in one call: the rule, the site
+  term, the azimuth mean, the Jacobian and each height's value, error
+  estimate and scale. The NumPy backend takes these steps as NumPy array
+  operations, and the compiled one takes each of them in C with the same
+  bits: csqrt and cexp
+  are glibc's, which np.sqrt and np.exp call on complex128; a product of
+  complex arrays is NumPy's SIMD fmaddsub, so the C product writes out its
+  two fmas; r^6 is NumPy's binary powering with the plain product; a
+  quotient is NumPy's Smith division, and np.abs its modulus larger *
+  sqrt(fma(ratio, ratio, 1)); the sums are NumPy's pairwise summation; and
+  the powers of 1.4 come in as a NumPy table, whose entries differ from the
+  C library's pow in places. GCC's vectorizer fuses complex products
+  written out in real arithmetic even under -std=c99, so that section of
+  ``_rows.c`` is compiled unvectorized;
+* ``panel_sums(f, w, w_low, nz)``: the panel sums of the off-resonant ray
+  integrals, the same values, estimates and scales from the real path's
+  integrand, which NumPy forms.
 """
 from __future__ import annotations
 
@@ -76,7 +95,8 @@ from . import _numpy_backend
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "_rows.c"
-# -std=c99 turns off FMA contraction; no -ffast-math (see _rows.c)
+# -std=c99 turns off FMA contraction; no -ffast-math (see _rows.c). The
+# compiled ray integrals' bits rest on both.
 _CFLAGS = ("-O3", "-std=c99", "-fno-math-errno", "-march=native", "-shared", "-fPIC")
 
 
@@ -95,8 +115,9 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     """The compiled row library, built into ``directory`` on first use.
 
     Returns a ``ctypes.CDLL`` with ``res_row``, ``res_rows``,
-    ``distance_table``, ``table_rows``, ``phi_laguerre``, ``offres_sites``
-    and ``sincos_probe`` declared, or None when the library cannot be built
+    ``distance_table``, ``table_rows``, ``phi_laguerre``, ``offres_sites``,
+    ``ray_rotated``, ``panel_sums`` and ``sincos_probe`` declared, or None
+    when the library cannot be built
     or loaded. The build writes a temporary file and moves it into place, so
     concurrent first imports are safe; a successful build then removes the
     libraries of other keys (``_rows-*.so``) from ``directory``.
@@ -153,6 +174,15 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
                                  ctypes.POINTER(ctypes.c_double))
     lib.sincos_probe.restype = None
+    # the ray integrals take addresses (_address): per call, ndpointer's
+    # checks cost as much as a panel sum
+    lib.ray_rotated.argtypes = (ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                                ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+                                ctypes.c_void_p, ctypes.c_void_p)
+    lib.ray_rotated.restype = ctypes.c_long
+    lib.panel_sums.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                               ctypes.c_long, ctypes.c_void_p)
+    lib.panel_sums.restype = None
     return lib
 
 
@@ -330,6 +360,83 @@ def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> n
             _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *_LAGUERRE_ADDRESSES,
                                LAGUERRE[0].size, address)
             out[part] = buf[2, n:]
+    return out
+
+
+# The most directions of one ray_rotated call.
+RAY_DIRECTIONS = 8
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of the first byte of a non-empty C-contiguous array:
+    through ctypes.c_char.from_buffer, in a third of a.ctypes.data's time,
+    where the array is writeable."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
+
+
+def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray, heights: np.ndarray,
+                rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The resonant ray integrals of ``euler_maclaurin._ray_integral`` on the
+    rotated path at each of the heights, in one call: returns (sums,
+    counts), sums (heights, outputs, 3) holding each output's value, error
+    estimate and scale, and counts each height's panel count (-1, with NaN
+    sums, where the height has no rule).
+
+    The bulk (``bulk`` true) has one output, the mean of the site term over
+    the directions, rows (cos, sin); the edge one output per direction, each
+    an axis, (1, 0) or (0, 1). ``pair`` holds e0, en and e0.en, and
+    ``rule`` is a table of ``_numpy_backend.rotated_rule_table``; all arrays
+    are float64. Raises ``ValueError`` for other shapes, no directions or
+    more than ``RAY_DIRECTIONS``, or an edge direction that is not an axis,
+    and ``MemoryError`` when the compiled call cannot allocate its work
+    buffer."""
+    nd = len(directions)
+    if not 0 < nd <= RAY_DIRECTIONS:
+        raise ValueError(f"need 1 to {RAY_DIRECTIONS} directions, got {nd}")
+    if (np.shape(pair) != (7,) or np.shape(directions) != (nd, 2) or np.ndim(heights) != 1
+            or np.ndim(rule) != 1 or np.size(rule) <= _numpy_backend.RULE_HEAD):
+        raise ValueError(f"need pair (7,), directions (n, 2), 1-d heights and a rule table, got "
+                         f"{np.shape(pair)}, {np.shape(directions)}, {np.shape(heights)} and "
+                         f"{np.shape(rule)}")
+    if not bulk and not all(d in ([1.0, 0.0], [0.0, 1.0]) for d in np.asarray(directions).tolist()):
+        raise ValueError("the edge takes only the axis directions (1, 0) and (0, 1)")
+    args = [np.ascontiguousarray(a, dtype=np.float64) for a in (pair, directions, heights, rule)]
+    nz, npowers = heights.size, rule.size - _numpy_backend.RULE_HEAD
+    counts = np.empty(nz, dtype=np.int64)
+    sums = np.empty((nz, 1 if bulk else nd, 3))
+    if not nz:
+        return sums, counts
+    if _impl is _numpy_backend:
+        status = _impl.ray_rotated(bool(bulk), args[0], args[1].reshape(-1), nd, args[2], nz,
+                                   args[3], npowers, counts, sums)
+    else:
+        pair, directions, heights, rule = map(_address, args)
+        status = _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, rule, npowers,
+                                   _address(counts), _address(sums))
+    if status < 0:
+        raise MemoryError("no memory for the ray integrals' panel sums")
+    return sums, counts
+
+
+def panel_sums(f: np.ndarray, w: np.ndarray, w_low: np.ndarray, nz: int) -> np.ndarray:
+    """(nz, 3): the value sum f w, error estimate sum |full - nested| and
+    scale sum |full| of each of nz heights, whose panels are consecutive
+    rows of f (nz * rows, 25), with the rows' weights w and nested weights
+    w_low (rows, 25), all float64, as ``euler_maclaurin._ray_integral``
+    sums the real path. Raises ``ValueError`` for other shapes."""
+    if np.ndim(w) != 2 or np.shape(w)[1] != 25 or np.shape(w_low) != np.shape(w) \
+            or np.size(f) != nz * np.size(w):
+        raise ValueError(f"need f of {nz} x rows x 25 values and weights (rows, 25), got "
+                         f"{np.shape(f)}, {np.shape(w)} and {np.shape(w_low)}")
+    out = np.empty((nz, 3))
+    if not nz:
+        return out
+    f, w, w_low = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, w, w_low))
+    if _impl is _numpy_backend:
+        _impl.panel_sums(f, w, w_low, w.shape[0], nz, out)
+    else:
+        _impl.panel_sums(_address(f), _address(w), _address(w_low), w.shape[0], nz,
+                         _address(out))
     return out
 
 

@@ -13,7 +13,9 @@ closed-form branch :func:`phi_closed`, the
 :func:`moments` and the contraction. They are the fallback and the oracle
 that the compiled library equals bit for bit. :func:`octant_sites` is the one
 statement of those weights; the direct off-resonant sum folds its octant
-with it too.
+with it too. :func:`ray_rotated` and :func:`panel_sums` are the ray
+integrals of the bulk/edge decomposition (see ``kernels.ray_rotated``), with
+:func:`rotated_rules` the reference of the compiled rule.
 The site terms come from :func:`cplattice.greens.resonant_sites`,
 evaluated in blocks of ``BLOCK`` sites: whole-row temporaries of long rows
 (50,000 sites) can be mapped from and returned to the OS by the allocator on
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from ..greens import resonant_sites
+from ..greens import resonant_sites, resonant_sites_complex, site_projections
 
 BLOCK = 4096
 
@@ -188,3 +190,110 @@ def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, recast: float, t, w
     even = ((0.0 + p0) + p2) + p4
     odd = ((0.0 + p1) + p3) + 0.0
     np.divide((even + odd) + 0.0, r6, out=out)
+
+
+# ---------------------------------------------------------------------------
+# the decomposition's ray integrals (euler_maclaurin._ray_integral)
+
+NODES = 25
+RULE_HEAD = 3 * NODES + 3  # the values of a rotated rule table before its powers
+
+
+def rotated_rule_table(x, w, w_low) -> np.ndarray:
+    """The read-only table of the rotated rule that :func:`rotated_rules`,
+    :func:`ray_rotated` and the compiled ray_rotated read: the NODES
+    Gauss-Legendre nodes x, weights w and nested weights w_low on [-1, 1],
+    e^{i pi/4} (re, im), log(1.4), and the powers 1.4^k below the largest
+    double, k < 2110. A height whose panel count needs more (z below
+    ~1.7e-306, where t_max/h overflows) has no rule. The powers are
+    NumPy's: 1.4 ** np.arange(n) has the same entries for every n, and 5 of
+    its first 80 differ from the C library's pow."""
+    turn = np.exp(0.25j * math.pi)
+    table = np.concatenate((x, w, w_low, [turn.real, turn.imag, math.log(1.4)],
+                            1.4 ** np.arange(2110)))
+    table.flags.writeable = False
+    return table
+
+
+def rotated_rules(heights, rule):
+    """Nodes t e^{i pi/4} and weights of the rotated path at each height, the
+    panels of all heights concatenated as rows in height order, and each
+    height's panel count, from the table ``rule`` of
+    :func:`rotated_rule_table`. A height z has the panel [0, h],
+    h = 0.1 min(z, 1), then n panels in ratio 1.4 out to t_max = max(30,
+    7 sqrt(z)), where e^{2ir} has decayed below ~e^-40: the edges h 1.4^k,
+    k = 0..n, with n = ceil(log(t_max/h)/log(1.4)). A height whose n is not
+    below the number of powers (t_max/h overflows for z below ~1.7e-306)
+    has no panels and the count -1."""
+    x, w, w_low = (rule[k * NODES:(k + 1) * NODES] for k in range(3))
+    turn, log_ratio, powers = complex(*rule[3 * NODES:3 * NODES + 2]), rule[3 * NODES + 2], \
+        rule[RULE_HEAD:]
+    counts = []
+    for z in heights.tolist():
+        hz = 0.1 * min(z, 1.0)
+        n = math.log(max(30.0, 7.0 * math.sqrt(z)) / hz if hz else math.inf) / log_ratio
+        counts.append(math.ceil(n) + 1 if n <= powers.size - 1 else -1)
+    counts = np.array(counts, dtype=np.int64)  # int64 even for no heights
+    panels = np.maximum(counts, 0)
+    first = np.cumsum(panels) - panels  # each height's first panel
+    # panel k of a height spans [0, h] for k = 0, else [h 1.4^(k-1), h 1.4^k]
+    k = np.arange(panels.sum()) - np.repeat(first, panels)
+    hi = np.repeat(0.1 * np.minimum(heights, 1.0), panels) * powers[k]
+    lo = np.concatenate(([0.0], hi[:-1]))[:hi.size]
+    lo[first[panels > 0]] = 0.0
+    lo, hi = lo[:, None], hi[:, None]
+    half = 0.5 * (hi - lo)
+    return turn * (lo + half * (1.0 + x)), turn * (half * w), turn * (half * w_low), counts
+
+
+def ray_rotated(bulk, pair, dirs, nd: int, z, nz: int, rule, npowers: int, counts,
+                out) -> int:
+    """The resonant ray integrals of the rotated path at the nz heights z:
+    out (nz, outputs, 3) = each output's value Re sum f w, error estimate
+    sum |full - nested| and scale sum |full| over its height's panels, and
+    counts = each height's panel count (-1, with NaNs, where it has no
+    rule). bulk: r = z + t e^{i pi/4}, J = r, R = sqrt(r^2 - z^2) and one
+    output, the mean over the nd directions dirs (cos, sin); the edge:
+    R = t e^{i pi/4}, J = 1 and one output per direction. pair = e0, en and
+    e0.en; rule as in :func:`rotated_rules`; npowers is implied by it here.
+    Returns 0."""
+    t, w, w_low, counts[:] = rotated_rules(z, rule)
+    zr = np.repeat(z, np.maximum(counts, 0))[:, None]
+    if bulk:
+        jac = zr + t
+        big_r = np.sqrt(jac * jac - zr * zr)
+    else:
+        jac, big_r = 1.0, t
+    directions = dirs.reshape(nd, 2)
+    r, _, pp = site_projections(pair[:3], pair[3:6], big_r[..., None] * directions[:, 0],
+                                big_r[..., None] * directions[:, 1], zr[..., None])
+    f = resonant_sites_complex(r, pair[6], pp)
+    # the integrand is np.multiply(J, mean), never J * mean: NumPy computes
+    # an operator on a temporary of more than 256 KiB in the temporary's
+    # buffer, swapping the operands of a product, and its complex product is
+    # not bitwise commutative
+    means = [f.mean(axis=-1)] if bulk else [f[..., k:k + 1].mean(axis=-1) for k in range(nd)]
+    sums = out.reshape(nz, len(means), 3)
+    for o, mean in enumerate(means):
+        g = np.multiply(jac, mean)
+        full = np.sum(g * w, axis=1)
+        err = np.abs(full - np.sum(g * w_low, axis=1))
+        mag = np.abs(full)
+        start = 0
+        for i, count in enumerate(counts.tolist()):
+            part = slice(start, start + max(count, 0))
+            start = part.stop
+            sums[i, o] = ((full[part].sum().real, err[part].sum(), mag[part].sum()) if count >= 0
+                          else math.nan)
+    return 0
+
+
+def panel_sums(f, w, w_low, rows: int, nz: int, out) -> None:
+    """out (nz, 3) = the value sum f w, error estimate sum |full - nested|
+    and scale sum |full| of each of the nz heights, whose rows panels of
+    NODES values are consecutive rows of f, with the rows' weights w and
+    nested weights w_low (rows, NODES)."""
+    g = f.reshape(nz, rows, NODES)
+    full = np.sum(g * w, axis=-1)
+    err = np.abs(full - np.sum(g * w_low, axis=-1))
+    out[:] = np.stack([full.sum(axis=-1), err.sum(axis=-1), np.abs(full).sum(axis=-1)], axis=-1)

@@ -1,5 +1,6 @@
-/* Compiled lattice-sum row kernels, C99 with two GCC/Clang extensions (bit
-   builtins and a vector type), loaded through ctypes.
+/* Compiled lattice-sum row kernels and the decomposition's ray integrals,
+   C99 with two GCC/Clang extensions (bit builtins and a vector type) and
+   one GCC pragma, loaded through ctypes.
 
    Contract matches the NumPy fallback (_numpy_backend.py): res_row(zx, a2,
    z2, nx) returns one octant row n_x = nx, n_y = 0..nx with the orbit
@@ -35,10 +36,15 @@
    endpoint and origin terms, use libm; the choice is a constant at each
    fill call site, so every loop instance is branch-free.
 
+   ray_rotated evaluates the resonant ray integrals of the bulk/edge
+   decomposition on their rotated paths, whole, and panel_sums sums the
+   panels of the off-resonant ones; see their section at the end.
+
    Build: cc -O3 -std=c99 -fno-math-errno -march=native -shared -fPIC
    -o _rows.so _rows.c -lm. Strict ISO C mode turns off FMA contraction, so
    row values do not depend on how the compiler contracts; no -ffast-math,
    the compensated accumulation relies on strict IEEE semantics. */
+#include <complex.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -446,5 +452,388 @@ void offres_sites(long n, double mu, double sw, double recast, const double *t,
             double even = ((0.0 + p0) + p2) + p4, odd = ((0.0 + p1) + p3) + 0.0;
             out[i] = ((even + odd) + 0.0) / r6[i];
         }
+    }
+}
+
+/* ---------------------------------------------------------------------------
+   The decomposition's ray integrals (euler_maclaurin._ray_integral): the
+   resonant ones on the rotated path, whole, and the panel sums of the real
+   path. Every step is the NumPy backend's (_numpy_backend.ray_rotated and
+   panel_sums) in its order of operations, so the values are bitwise equal:
+   csqrt and cexp are glibc's, as np.sqrt and np.exp call them on complex128;
+   a product of complex arrays is NumPy's SIMD loop, fmaddsub, with the fma
+   written out (cmul); r^6 is npy_cpow's binary powering with the plain
+   product (cmul_plain); a quotient is NumPy's Smith division; np.abs is its
+   SIMD modulus, with its one fma written out; a real operand is the
+   complex (v, 0); and every sum is NumPy's pairwise summation, added to
+   the reduction's zero.
+
+   -std=c99 keeps GCC from contracting a * b + c into an fma, but its
+   vectorizer still recognizes complex arithmetic written out in real
+   operations and fuses it (fmaddsub), which changed bits here: this section
+   is compiled without vectorization. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize("no-tree-vectorize")
+#endif
+
+#define NODES 25
+#define DIRECTIONS 8
+
+typedef struct {
+    double re, im;
+} cplx;
+
+static inline cplx cpx(double re, double im)
+{
+    cplx c = {re, im};
+    return c;
+}
+
+static inline cplx cadd(cplx a, cplx b)
+{
+    return cpx(a.re + b.re, a.im + b.im);
+}
+
+static inline cplx csub(cplx a, cplx b)
+{
+    return cpx(a.re - b.re, a.im - b.im);
+}
+
+/* NumPy's product of complex arrays: fmaddsub of a.re b and a.im b swapped */
+static inline cplx cmul(cplx a, cplx b)
+{
+    return cpx(fma(a.re, b.re, -(a.im * b.im)), fma(a.re, b.im, a.im * b.re));
+}
+
+/* The scalar product of npy_cpow: no fused operation */
+static inline cplx cmul_plain(cplx a, cplx b)
+{
+    return cpx(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re);
+}
+
+/* r ** 6 as npy_cpow takes it: (1 r^2) (r^2 r^2) */
+static inline cplx pow6(cplx r)
+{
+    cplx r2 = cmul_plain(r, r);
+    return cmul_plain(cmul_plain(cpx(1.0, 0.0), r2), cmul_plain(r2, r2));
+}
+
+/* NumPy's complex division (Smith's method) */
+static inline cplx cdiv(cplx a, cplx b)
+{
+    double br = fabs(b.re), bi = fabs(b.im);
+    if (br >= bi) {
+        if (br == 0 && bi == 0)
+            return cpx(a.re / br, a.im / br);
+        double rat = b.im / b.re, scl = 1.0 / (b.re + b.im * rat);
+        return cpx((a.re + a.im * rat) * scl, (a.im - a.re * rat) * scl);
+    }
+    double rat = b.re / b.im, scl = 1.0 / (b.im + b.re * rat);
+    return cpx((a.re * rat + a.im) * scl, (a.im * rat - a.re) * scl);
+}
+
+/* np.abs of a complex128: larger sqrt(1 + ratio^2), the square fused */
+static inline double cabs_np(cplx a)
+{
+    double re = fabs(a.re), im = fabs(a.im);
+    if (re == INFINITY)
+        im = INFINITY;
+    if (im == INFINITY)
+        re = INFINITY;
+    if (re != re)
+        im = NAN;
+    if (im != im)
+        re = NAN;
+    double larger = re > im ? re : im, smaller = re > im ? im : re;
+    double ratio = larger == 0.0 || smaller == INFINITY ? 0.0 : smaller / larger;
+    return sqrt(fma(ratio, ratio, 1.0)) * larger;
+}
+
+typedef union {
+    double complex c;
+    cplx s;
+} cunion;
+
+static inline cplx c_sqrt(cplx a)
+{
+    cunion u;
+    u.s = a;
+    u.c = csqrt(u.c);
+    return u.s;
+}
+
+static inline cplx c_exp(cplx a)
+{
+    cunion u;
+    u.s = a;
+    u.c = cexp(u.c);
+    return u.s;
+}
+
+/* NumPy's pairwise sum of the n doubles a[0..n) (DOUBLE_pairwise_sum) */
+static double pairwise(const double *a, long n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (long i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        long i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* One part (real or imaginary) of NumPy's pairwise sum of m complex values,
+   the part's m doubles a[0..m): the blocks and accumulators of
+   CDOUBLE_pairwise_sum, which sums the 2m interleaved doubles */
+static double pairwise_part(const double *a, long m)
+{
+    if (m < 4) {
+        double res = -0.0;
+        for (long i = 0; i < m; i++)
+            res += a[i];
+        return res;
+    }
+    if (m <= 64) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        long i = 4;
+        for (; i < m - m % 4; i += 4) {
+            r0 += a[i];
+            r1 += a[i + 1];
+            r2 += a[i + 2];
+            r3 += a[i + 3];
+        }
+        double res = (r0 + r1) + (r2 + r3);
+        for (; i < m; i++)
+            res += a[i];
+        return res;
+    }
+    long m2 = (m - m % 8) / 2;
+    return pairwise_part(a, m2) + pairwise_part(a + m2, m - m2);
+}
+
+/* e.(x, y, -z) / r for the unit vector e */
+static inline cplx projection(const double *e, cplx x, cplx y, double z, cplx r)
+{
+    cplx v = cadd(cmul(cpx(e[0], 0.0), x), cmul(cpx(e[1], 0.0), y));
+    return cdiv(csub(v, cpx(e[2] * z, 0.0)), r);
+}
+
+/* r = sqrt(x^2 + y^2 + z^2) of site_projections */
+static inline cplx distance(cplx x, cplx y, double z)
+{
+    return c_sqrt(cadd(cadd(cmul(x, x), cmul(y, y)), cpx(z * z, 0.0)));
+}
+
+/* greens.resonant_sites_complex at the site (x, y, -z) at distance r, with
+   phase = e^{2ir}: e^{2ir} b^2 / r^6, b = (dot - pp) r^2 - beta + i beta r,
+   beta = dot - 3 pp; pair holds e0, en and dot = e0.en */
+static inline cplx site_complex(const double *pair, cplx x, cplx y, double z, cplx r,
+                                cplx phase)
+{
+    cplx pp = cmul(projection(pair, x, y, z, r), projection(pair + 3, x, y, z, r));
+    cplx dot = cpx(pair[6], 0.0);
+    cplx beta = csub(dot, cmul(cpx(3.0, 0.0), pp));
+    cplx b = csub(cmul(cmul(csub(dot, pp), r), r), beta);
+    b = cadd(b, cmul(cmul(cpx(0.0, 1.0), beta), r));
+    return cdiv(cmul(cmul(phase, b), b), pow6(r));
+}
+
+/* The panel count n + 1 of the rotated rule at height z, as
+   euler_maclaurin._rotated_rules counts it, with log_ratio = log(1.4); -1
+   when n is not below npowers (no finite count, or a panel edge past the
+   powers of 1.4 the rule holds) */
+static long rotated_panels(double z, double log_ratio, long npowers)
+{
+    double h = 0.1 * fmin(z, 1.0);
+    double n = ceil(log(fmax(30.0, 7.0 * sqrt(z)) / h) / log_ratio);
+    return n < (double)npowers ? (long)n + 1 : -1;
+}
+
+/* The complex values at a panel's nodes, real and imaginary parts in
+   arrays of their own: the edge calls ran 3-5% faster than with arrays of
+   cplx. */
+typedef struct {
+    double re[NODES], im[NODES];
+} nodes;
+
+static inline cplx at(const nodes *v, int j)
+{
+    return cpx(v->re[j], v->im[j]);
+}
+
+static inline void put(nodes *v, int j, cplx c)
+{
+    v->re[j] = c.re;
+    v->im[j] = c.im;
+}
+
+/* One panel of the rotated path at the height z, the nodes lo + half (1 +
+   x_j) of the rule: each output's full and nested sums of f w, into
+   full[o] and low[o] (see ray_rotated). The arithmetic runs in loops over
+   the panel's nodes between the loops of csqrt and cexp calls. */
+static void ray_panel(int bulk, const double *pair, const double *dirs, long nd, double z,
+                      double lo, double half, const double *rule, cplx *full, cplx *low)
+{
+    const double *gx = rule, *gw = rule + NODES, *gw_low = rule + 2 * NODES;
+    cplx turn = cpx(rule[3 * NODES], rule[3 * NODES + 1]);
+    nodes w, w_low, jac, big_r, x, y, r, phase, f[DIRECTIONS];
+    for (int j = 0; j < NODES; j++) {
+        cplx t = cmul(turn, cpx(lo + half * (1.0 + gx[j]), 0.0));
+        put(&w, j, cmul(turn, cpx(half * gw[j], 0.0)));
+        put(&w_low, j, cmul(turn, cpx(half * gw_low[j], 0.0)));
+        cplx jj = bulk ? cadd(cpx(z, 0.0), t) : cpx(1.0, 0.0);
+        put(&jac, j, jj);
+        put(&big_r, j, bulk ? csub(cmul(jj, jj), cpx(z * z, 0.0)) : t);
+    }
+    if (bulk)
+        for (int j = 0; j < NODES; j++)
+            put(&big_r, j, c_sqrt(at(&big_r, j)));
+    for (long d = 0; d < nd; d++) {
+        cplx dx = cpx(dirs[2 * d], 0.0), dy = cpx(dirs[2 * d + 1], 0.0);
+        for (int j = 0; j < NODES; j++) {
+            put(&x, j, cmul(at(&big_r, j), dx));
+            put(&y, j, cmul(at(&big_r, j), dy));
+        }
+        if (bulk || d == 0) {
+            for (int j = 0; j < NODES; j++) {
+                cplx xj = at(&x, j), yj = at(&y, j);
+                put(&r, j, cadd(cadd(cmul(xj, xj), cmul(yj, yj)), cpx(z * z, 0.0)));
+            }
+            for (int j = 0; j < NODES; j++)
+                put(&r, j, c_sqrt(at(&r, j)));
+            for (int j = 0; j < NODES; j++)
+                put(&phase, j, c_exp(cmul(cpx(0.0, 2.0), at(&r, j))));
+        }
+        for (int j = 0; j < NODES; j++)
+            put(&f[d], j, site_complex(pair, at(&x, j), at(&y, j), z, at(&r, j), at(&phase, j)));
+    }
+    /* the mean over the output's directions, all of them for the bulk and
+       the one direction o for the edge, times J and the weights */
+    long nout = bulk ? 1 : nd;
+    for (long o = 0; o < nout; o++) {
+        nodes a, b;
+        for (int j = 0; j < NODES; j++) {
+            cplx sum;
+            if (!bulk)
+                sum = cpx(-0.0 + f[o].re[j], -0.0 + f[o].im[j]);
+            else if (nd == 5)
+                sum = cadd(cadd(cadd(at(&f[0], j), at(&f[1], j)), cadd(at(&f[2], j), at(&f[3], j))),
+                           at(&f[4], j));
+            else {
+                double fre[DIRECTIONS], fim[DIRECTIONS];
+                for (long k = 0; k < nd; k++) {
+                    fre[k] = f[k].re[j];
+                    fim[k] = f[k].im[j];
+                }
+                sum = cpx(pairwise_part(fre, nd), pairwise_part(fim, nd));
+            }
+            cplx mean = cdiv(cpx(0.0 + sum.re, 0.0 + sum.im), cpx(bulk ? (double)nd : 1.0, 0.0));
+            cplx g = cmul(at(&jac, j), mean);
+            put(&a, j, cmul(g, at(&w, j)));
+            put(&b, j, cmul(g, at(&w_low, j)));
+        }
+        full[o] = cpx(0.0 + pairwise_part(a.re, NODES), 0.0 + pairwise_part(a.im, NODES));
+        low[o] = cpx(0.0 + pairwise_part(b.re, NODES), 0.0 + pairwise_part(b.im, NODES));
+    }
+}
+
+/* The resonant ray integrals of euler_maclaurin._ray_integral on the
+   rotated path, for the nz heights z: out[(h nout + o) 3 + 0..2] = the
+   value Re sum f w of output o at height z[h], its error estimate (the sum
+   of the panels' |full - nested|) and its scale (the sum of the panels'
+   |full|), and counts[h] = the height's panel count, or -1 and NaNs where
+   rotated_panels finds no rule.
+
+   bulk: the nodes r = z + t e^{i pi/4}, J = r and R = sqrt(r^2 - z^2), and
+   one output, the mean of the site term over the nd directions dirs
+   (cos, sin). Otherwise the edge: R = t e^{i pi/4}, J = 1, and one output
+   per direction, which must each be an axis, (1, 0) or (0, 1): both take
+   the same r = sqrt(x^2 + y^2 + z^2) = sqrt(y^2 + x^2 + z^2) and e^{2ir},
+   so these are evaluated once per node.
+
+   pair holds e0, en and dot = e0.en; rule the 25 Gauss-Legendre nodes x,
+   weights w and nested weights w_low on [-1, 1], e^{i pi/4} (re, im),
+   log(1.4) and the npowers powers 1.4^k of NumPy's 1.4 ** arange. Returns
+   0, or -1 when the work buffer cannot be allocated. At most DIRECTIONS
+   directions. */
+long ray_rotated(int bulk, const double *pair, const double *dirs, long nd, const double *z,
+                 long nz, const double *rule, long npowers, long *counts, double *out)
+{
+    const double *powers = rule + 3 * NODES + 3;
+    long nout = bulk ? 1 : nd;
+    /* per output and panel: Re full, |full - nested| and |full| */
+    double *panel = malloc((size_t)(3 * nout * npowers) * sizeof *panel);
+    if (panel == NULL)
+        return -1;
+    for (long hz = 0; hz < nz; hz++) {
+        double zh = z[hz], *res = out + 3 * nout * hz;
+        long count = rotated_panels(zh, rule[3 * NODES + 2], npowers);
+        counts[hz] = count;
+        if (count < 0) {
+            for (long o = 0; o < 3 * nout; o++)
+                res[o] = NAN;
+            continue;
+        }
+        double h = 0.1 * fmin(zh, 1.0);
+        for (long k = 0; k < count; k++) {
+            double hi = h * powers[k], lo = k ? h * powers[k - 1] : 0.0;
+            cplx full[DIRECTIONS], low[DIRECTIONS];
+            ray_panel(bulk, pair, dirs, nd, zh, lo, 0.5 * (hi - lo), rule, full, low);
+            for (long o = 0; o < nout; o++) {
+                double *p = panel + 3 * npowers * o;
+                p[k] = full[o].re;
+                p[npowers + k] = cabs_np(csub(full[o], low[o]));
+                p[2 * npowers + k] = cabs_np(full[o]);
+            }
+        }
+        for (long o = 0; o < nout; o++) {
+            double *p = panel + 3 * npowers * o;
+            res[3 * o] = 0.0 + pairwise_part(p, count);
+            res[3 * o + 1] = 0.0 + pairwise(p + npowers, count);
+            res[3 * o + 2] = 0.0 + pairwise(p + 2 * npowers, count);
+        }
+    }
+    free(panel);
+    return 0;
+}
+
+/* The panel sums of the real path: for the nz heights, each with the rows
+   panels of NODES values f, out[3h + 0..2] = the value sum f w, the error
+   estimate sum |full - nested| and the scale sum |full| over its panels,
+   with the rows' weights w and nested weights w_low (rows x NODES). */
+void panel_sums(const double *f, const double *w, const double *w_low, long rows, long nz,
+                double *out)
+{
+    double full[rows], err[rows], mag[rows];
+    for (long hz = 0; hz < nz; hz++) {
+        for (long k = 0; k < rows; k++) {
+            const double *fk = f + (hz * rows + k) * NODES;
+            double a[NODES], b[NODES];
+            for (int j = 0; j < NODES; j++) {
+                a[j] = fk[j] * w[k * NODES + j];
+                b[j] = fk[j] * w_low[k * NODES + j];
+            }
+            full[k] = 0.0 + pairwise(a, NODES);
+            err[k] = fabs(full[k] - (0.0 + pairwise(b, NODES)));
+            mag[k] = fabs(full[k]);
+        }
+        out[3 * hz] = 0.0 + pairwise(full, rows);
+        out[3 * hz + 1] = 0.0 + pairwise(err, rows);
+        out[3 * hz + 2] = 0.0 + pairwise(mag, rows);
     }
 }

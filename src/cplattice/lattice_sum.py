@@ -94,7 +94,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .greens import resonant_sites
+from .greens import resonant_sites, site_projections
 from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
@@ -180,14 +180,6 @@ def offresonant_sites(r, dot, pp, mu: float) -> np.ndarray:
     if not {dot.shape, pp.shape} <= {(), r.shape}:
         r, dot, pp = np.broadcast_arrays(r, dot, pp)
     return kernels.offres_sites(r.ravel(), dot.ravel(), pp.ravel(), mu)
-
-
-def site_projections(e0, en, x, y, z):
-    """r, e0.en and (e0.n)(n.en) for the displacements (x, y, -z)."""
-    r = np.sqrt(x * x + y * y + z * z)
-    p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
-    pn = (en[0] * x + en[1] * y - en[2] * z) / r
-    return r, float(np.dot(e0, en)), p0 * pn
 
 
 def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:

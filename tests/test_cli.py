@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cplattice import asymptotics, cli, diagrams, euler_maclaurin, fitting
+from cplattice import asymptotics, cli, diagrams, euler_maclaurin, fitting, kernels
 from cplattice.lattice_sum import sum_lattice, usable_cpus
 
 
@@ -403,17 +403,43 @@ def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys
     assert "edge resonant at z=0.2" in err and "mu=0.5" in err
 
 
-def _fail_rotated_rules_at(monkeypatch, z_fail):
-    """Make the rotated rule's nested estimate miss at one height only, so
-    the resonant edge fails there and nowhere else."""
-    rules = euler_maclaurin._rotated_rules
+def test_decompose_where_the_closed_form_bulk_is_not_finite_exits_numerical(tmp_path, capsys):
+    # z^4 underflows at 1e-300: a clean failure naming stage, kind, height
+    # and mu, and no report or CSV
+    parts = tmp_path / "parts.csv"
+    rc = cli.main(["decompose", "--half-extent", "2", "--z-tilde", "1e-300", "--csv", str(parts)])
+    assert rc == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: bulk resonant at z=1e-300, mu=0.5 (zz): closed form is not finite" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
-    def failing(heights):
-        t, w, w_low, counts = rules(heights)
-        bad = np.repeat(heights == z_fail, counts)[:, None]
-        return t, w, np.where(bad, 2.0 * w_low, w_low), counts
 
-    monkeypatch.setattr(euler_maclaurin, "_rotated_rules", failing)
+def test_sweep_where_the_closed_form_bulk_is_not_finite_exits_numerical(tmp_path, capsys):
+    args = ["sweep", "--half-extent", "2", "--z-min", "1e-300", "--z-max", "1e-299",
+            "--threads", "1"]
+    out = tmp_path / "f.csv"
+    assert cli.main(args + ["-o", str(out)]) == cli.EXIT_NUMERICAL
+    assert "error: bulk resonant at z=1e-300, mu=0.5 (zz): closed form is not finite" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # on stdout, the header and no row
+    assert cli.main(args) == cli.EXIT_NUMERICAL
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def _fail_rotated_estimates_at(monkeypatch, z_fail):
+    """Make the rotated path's error estimate miss at one height only (it
+    becomes the scale), so the resonant edge fails there and nowhere else."""
+    rays = kernels.ray_rotated
+
+    def failing(bulk, pair, directions, heights, rule):
+        sums, counts = rays(bulk, pair, directions, heights, rule)
+        bad = heights == z_fail
+        sums[bad, :, 1] = sums[bad, :, 2]
+        return sums, counts
+
+    monkeypatch.setattr(kernels, "ray_rotated", failing)
 
 
 def _sweep_of(rows):
@@ -432,7 +458,7 @@ def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, c
     # heights, after the header and the first block's rows have been written
     args, grid = _sweep_of(cli._HEIGHT_BLOCK + 1)
     z_fail = float(grid[cli._HEIGHT_BLOCK])
-    _fail_rotated_rules_at(monkeypatch, z_fail)
+    _fail_rotated_estimates_at(monkeypatch, z_fail)
     out = tmp_path / "f.csv"
     out.write_bytes(b"z_tilde,previous\n0.1,1\n")
     rc = cli.main(args + ["--threads", "1", "-o", str(out)])
@@ -448,7 +474,7 @@ def test_sweep_failure_inside_a_block_writes_none_of_its_rows(monkeypatch, capsy
     block = cli._HEIGHT_BLOCK
     args, grid = _sweep_of(2 * block + block // 2)
     z_fail = float(grid[block + block // 2])
-    _fail_rotated_rules_at(monkeypatch, z_fail)
+    _fail_rotated_estimates_at(monkeypatch, z_fail)
     assert cli.main(args + ["--threads", "1"]) == cli.EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert f"edge resonant at z={z_fail!r}, mu=0.5" in captured.err

@@ -10,14 +10,16 @@ over xi with scipy. Neither touches the package's panel rule or its closed
 forms.
 """
 import cmath
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import expn
 
-from cplattice import euler_maclaurin, lattice_sum
+from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
 from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, offresonant_sites,
@@ -26,8 +28,8 @@ from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, off
 from cplattice.model import Geometry, LatticeSpec, ModelParams, NonPositiveLength, validate
 
 
-def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, array=(0, 0, 1)):
-    return validate(ModelParams(mu=mu, rho=rho, array_dipole=array),
+def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, array=(0, 0, 1), test=(0, 0, 1)):
+    return validate(ModelParams(mu=mu, rho=rho, test_dipole=test, array_dipole=array),
                     LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
 
 
@@ -498,10 +500,15 @@ def test_height_blocks_equal_one_height_calls_bitwise(backend, pair, kind, n):
 
 def _counting_sites(monkeypatch):
     """Record the kind and directions of every site-kernel call of the ray
-    integrals."""
-    calls, sites = [], euler_maclaurin._sites
-    monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, kind, big_r, z, directions: (
-        calls.append((kind, directions.tolist())) or sites(bundle, kind, big_r, z, directions)))
+    integrals: the off-resonant site kernel's, and the compiled resonant ray
+    integrals' (kernels.ray_rotated), which evaluate their site term inside."""
+    calls, sites, rays = [], euler_maclaurin._sites, kernels.ray_rotated
+    monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, big_r, z, directions: (
+        calls.append(("off_resonant", directions.tolist())) or sites(bundle, big_r, z,
+                                                                      directions)))
+    monkeypatch.setattr(kernels, "ray_rotated", lambda bulk, pair, directions, heights, rule: (
+        calls.append(("resonant", directions.tolist()))
+        or rays(bulk, pair, directions, heights, rule)))
     return calls
 
 
@@ -591,19 +598,151 @@ def test_rotated_rules_equal_one_rule_per_height(heights):
         assert got.tobytes() == np.concatenate(want).tobytes()
 
 
-def test_block_failure_names_its_first_failing_height(monkeypatch):
+def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
+    # the estimates of two heights of the block become their scales
     heights = np.geomspace(0.1, 1.0, 8)
-    rules = euler_maclaurin._rotated_rules
+    rays = kernels.ray_rotated
 
-    def failing(zs):
-        t, w, w_low, counts = rules(zs)
-        bad = np.repeat(np.isin(zs, heights[[3, 5]]), counts)[:, None]
-        return t, w, np.where(bad, 2.0 * w_low, w_low), counts
+    def failing(bulk, pair, directions, zs, rule):
+        sums, counts = rays(bulk, pair, directions, zs, rule)
+        bad = np.isin(zs, heights[[3, 5]])
+        sums[bad, :, 1] = sums[bad, :, 2]
+        return sums, counts
 
-    monkeypatch.setattr(euler_maclaurin, "_rotated_rules", failing)
+    monkeypatch.setattr(kernels, "ray_rotated", failing)
     with pytest.raises(QuadratureFailure,
                        match=f"^edge resonant at z={float(heights[3])!r}, mu=0.5 \\(zz, x axis\\)"):
         edge_term(mk(), "resonant", heights)
+
+
+# The rotated-path ray integrals of kernels.ray_rotated at mu-free inputs:
+# (pair, stage, the value, estimate and scale of each output at z = 1e-3 as
+# float.hex, and the sha256 prefix of the float.hex of every sum and the
+# panel counts of the blocks of 16 and 31 heights from 1e-3 to 1e4), with
+# the directions bulk_term and edge_term use (the zz bulk's one azimuth runs
+# its rotated path above z = 20). custom_even is a z probe over y array
+# dipoles, whose site term is even in x and y: its x axis vanishes and its
+# y axis is zx's x axis. Recorded on the NumPy backend; the values rest on
+# glibc's csqrt and cexp.
+RAY_PAIRS = dict(zz=BLOCK_PAIRS["zz"], zx=BLOCK_PAIRS["zx"], custom_a=BLOCK_PAIRS["custom_a"],
+                 custom_even=((0, 0, 1), (0, 1, 0)))
+PINNED_RAYS = [
+    ('zz', 'bulk', ('0x1.5d3f161c998cdp+38', '0x1.575bc226a0a9ap-13', '0x1.fdbaac26726c7p+38'), '5bdd337e6ff11da0', '8610ce02f2c145b7'),
+    ('zz', 'edge', ('0x1.5734e943a19e5p+50', '0x1.fb1b3e8c3992cp+9', '0x1.5eedf6d37cc30p+51'), 'd4f3f7abc9afddde', '96913b812febb419'),
+    ('zx', 'bulk', ('0x1.5d3f06da41000p+37', '0x1.7400cbc88f6d2p-14', '0x1.0ab0be33bf630p+38'), 'b7a856c02ccab1ed', 'c595ffe45facc316'),
+    ('zx', 'edge', ('0x1.f640da56aa8adp+48', '0x1.01e4c2186db1ep+10', '0x1.958e270419e92p+50'), '18f4974138145f62', '95aa394878b79e6c'),
+    ('custom_a', 'bulk', ('0x1.7dd7b84ed5e40p+37', '0x1.4a234e7d747d8p-14', '0x1.078a1fce356e9p+38'), 'dc0869a7a1384dc3', '747d4404f98d9a15'),
+    ('custom_a', 'edge', ('0x1.c9037c0189c19p+46', '0x1.2b7ede8fdac97p+9', '0x1.2856a7c719718p+49', '0x1.b88df50923911p+46', '0x1.bed54058ba39cp+8', '0x1.0e06f836ca556p+49'), 'd807e4e8911d5d39', '23a9621f4a607a1f'),
+    ('custom_even', 'bulk', ('0x1.5d3f06da41002p+37', '0x1.8c8f739ebc994p-14', '0x1.0ab0be33bf631p+38'), '035e3a691c028cb8', 'a3984d1ba056bcea'),
+    ('custom_even', 'edge', ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.f640da56aa8adp+48', '0x1.01e4c2186db1ep+10', '0x1.958e270419e92p+50'), 'fc1b4c7907df83e8', 'bd40889c92619633'),
+]
+
+
+def _rays(pair, stage, heights):
+    """kernels.ray_rotated for the pair of RAY_PAIRS with the directions of
+    the stage's term."""
+    e0, en = RAY_PAIRS[pair]
+    if stage == "bulk":
+        directions = _RING[:1] if pair == "zz" else _RING
+    else:
+        directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
+    return kernels.ray_rotated(stage == "bulk", np.array([*e0, *en, float(np.dot(e0, en))]),
+                               directions, heights, euler_maclaurin._ROTATED_RULE)
+
+
+@pytest.mark.parametrize("pair,stage,one,block16,block31", PINNED_RAYS)
+def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, block31):
+    # every block row equals its one-height call, and the panel counts are
+    # those of the reference rule
+    outputs = 1 if stage == "bulk" else len(one) // 3
+    sums, counts = _rays(pair, stage, np.empty(0))
+    assert sums.shape == (0, outputs, 3) and counts.shape == (0,)
+    for n, want in ((1, one), (16, block16), (31, block31)):
+        heights = np.geomspace(1e-3, 1e4, n)
+        sums, counts = _rays(pair, stage, heights)
+        assert sums.shape == (n, outputs, 3)
+        assert counts.tolist() == euler_maclaurin._rotated_rules(heights)[3].tolist()
+        hexes = [v.hex() for v in sums.ravel().tolist()]
+        if n == 1:
+            assert tuple(hexes) == want
+        else:
+            assert hashlib.sha256(" ".join(hexes + [str(c) for c in counts.tolist()]).encode()
+                                  ).hexdigest()[:16] == want
+            for i, z in enumerate(heights.tolist()):
+                alone = _rays(pair, stage, np.array([z]))[0]
+                assert alone.tobytes() == sums[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("nz", [0, 1, 16, 31])
+def test_real_panel_sums_equal_numpy_sums_per_height(backend, nz):
+    # the oracle: the rule tiled over the heights, NumPy's row sums, and
+    # each height summed over its own panels
+    rows = len(euler_maclaurin._S)
+    rng = np.random.default_rng(nz)
+    f = rng.normal(size=(nz * rows, 25)) * np.exp(rng.uniform(-30.0, 30.0, size=(nz * rows, 1)))
+    w, w_low = (np.tile(rule, (nz, 1)) for rule in (euler_maclaurin._S_W, euler_maclaurin._S_W_LOW))
+    full = np.sum(f * w, axis=1)
+    err = np.abs(full - np.sum(f * w_low, axis=1))
+    mag = np.abs(full)
+    want = [[full[k:k + rows].sum().real, err[k:k + rows].sum(), mag[k:k + rows].sum()]
+            for k in range(0, nz * rows, rows)]
+    got = kernels.panel_sums(f, euler_maclaurin._S_W, euler_maclaurin._S_W_LOW, nz)
+    assert got.shape == (nz, 3) and got.tobytes() == np.array(want).reshape(nz, 3).tobytes()
+
+
+def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
+    # the compiled calls get raw addresses: shapes are checked before them
+    pair, rule, h = np.zeros(7), euler_maclaurin._ROTATED_RULE, np.ones(2)
+    for args, message in [((True, pair[:6], _RING, h, rule), "need pair"),
+                          ((True, pair, _RING[:, :1], h, rule), "need pair"),
+                          ((True, pair, np.ones((9, 2)), h, rule), "need 1 to 8 directions"),
+                          ((True, pair, _RING, h, rule[:78]), "need pair"),
+                          ((False, pair, _RING, h, rule), "axis directions")]:
+        with pytest.raises(ValueError, match=message):
+            kernels.ray_rotated(*args)
+    with pytest.raises(ValueError, match="need f of 2 x rows x 25"):
+        kernels.panel_sums(np.ones((7, 25)), euler_maclaurin._S_W, euler_maclaurin._S_W_LOW, 2)
+
+
+def _term_or_failure(term, b):
+    try:
+        with np.errstate(all="ignore"):
+            return term(b, "resonant").hex()
+    except QuadratureFailure as exc:
+        return f"QuadratureFailure: {exc}"
+
+
+@pytest.mark.parametrize("z", [1e-60, 1e300])
+def test_ray_failures_are_the_same_on_both_backends(z):
+    # where the rotated path's site term underflows or overflows, each ray
+    # integral fails with the same message on both backends; at 1e-60 the zz
+    # and zx bulks are finite closed forms, at 1e300 the zx one fails too
+    got = {}
+    for name in ("c", "numpy"):
+        try:
+            with kernels.backend(name):
+                got[name] = [_term_or_failure(term, mk(z=z, test=RAY_PAIRS[pair][0],
+                                                       array=RAY_PAIRS[pair][1]))
+                             for pair in RAY_PAIRS for term in (bulk_term, edge_term)]
+        except RuntimeError as exc:
+            pytest.skip(str(exc))
+    assert got["c"] == got["numpy"]
+    failures = [v for v in got["c"] if v.startswith("QuadratureFailure")]
+    assert len(failures) == (6 if z == 1e-60 else 8)
+    assert all(f" at z={z!r}, mu=0.5 (" in v for v in failures)
+
+
+@pytest.mark.parametrize("array,z", [((0, 0, 1), 1e-300), ((0, 0, 1), 1e-79), ((0, 0, 1), 1e-81),
+                                     ((1, 0, 0), 1e-300), ((1, 0, 0), 1e100)])
+def test_closed_form_bulk_fails_where_it_is_not_finite(array, z):
+    # z^4 underflows (an infinite value near 1e-79 at a = 0.01, a division
+    # by zero below) or overflows; heights before the failing one are kept
+    # out of the message
+    b = mk(z=0.3, array=array)
+    label = b.orientation_label()
+    with pytest.raises(QuadratureFailure, match="^" + re.escape(
+            f"bulk resonant at z={z!r}, mu=0.5 ({label}): closed form is not finite") + "$"):
+        bulk_term(b, "resonant", [0.3, z, 1e-300])
 
 
 @pytest.mark.parametrize("pair", ["zz", "zx", "custom_a"])

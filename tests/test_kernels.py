@@ -297,7 +297,7 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
-        "sincos_probe"}
+        "sincos_probe", "ray_rotated", "panel_sums"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
@@ -614,6 +614,22 @@ def test_row_source_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "rows.so"), str(kernels._SOURCE), "-lm"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_build_flags_keep_ieee_arithmetic():
+    # the compiled ray integrals are bitwise equal to NumPy's only with
+    # strict IEEE arithmetic: -std=c99 keeps GCC from contracting a * b + c
+    # into fma (NumPy's own fmas are written out in _rows.c), no fast-math
+    # flag may reassociate or fuse, and the ray integrals' section is
+    # compiled unvectorized, since GCC's vectorizer fuses complex products
+    # written out in real arithmetic even under -std=c99
+    assert "-std=c99" in kernels._CFLAGS
+    for flag in kernels._CFLAGS:
+        assert not flag.startswith(("-ffast-math", "-Ofast", "-ffp-contract=fast",
+                                    "-funsafe-math", "-fassociative-math")), flag
+    source = kernels._SOURCE.read_text()
+    assert (source.index('#pragma GCC optimize("no-tree-vectorize")')
+            < source.index("\nstatic inline cplx cmul(") < source.index("\nlong ray_rotated("))
 
 
 def test_large_phase_fallback_row(lib):
