@@ -403,7 +403,7 @@ def test_sweep_edge_failure_names_stage_and_height(tmp_path, monkeypatch, capsys
     assert "edge resonant at z=0.2" in err and "mu=0.5" in err
 
 
-def test_decompose_where_the_closed_form_bulk_is_not_finite_exits_numerical(tmp_path, capsys):
+def test_decompose_where_the_closed_form_bulk_is_not_finite_exits_numerical(backend, tmp_path, capsys):
     # z^4 underflows at 1e-300: a clean failure naming stage, kind, height
     # and mu, and no report or CSV
     parts = tmp_path / "parts.csv"
@@ -415,7 +415,7 @@ def test_decompose_where_the_closed_form_bulk_is_not_finite_exits_numerical(tmp_
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_where_the_closed_form_bulk_is_not_finite_exits_numerical(tmp_path, capsys):
+def test_sweep_where_the_closed_form_bulk_is_not_finite_exits_numerical(backend, tmp_path, capsys):
     args = ["sweep", "--half-extent", "2", "--z-min", "1e-300", "--z-max", "1e-299",
             "--threads", "1"]
     out = tmp_path / "f.csv"

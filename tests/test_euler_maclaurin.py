@@ -734,7 +734,7 @@ def test_ray_failures_are_the_same_on_both_backends(z):
 
 @pytest.mark.parametrize("array,z", [((0, 0, 1), 1e-300), ((0, 0, 1), 1e-79), ((0, 0, 1), 1e-81),
                                      ((1, 0, 0), 1e-300), ((1, 0, 0), 1e100)])
-def test_closed_form_bulk_fails_where_it_is_not_finite(array, z):
+def test_closed_form_bulk_fails_where_it_is_not_finite(backend, array, z):
     # z^4 underflows (an infinite value near 1e-79 at a = 0.01, a division
     # by zero below) or overflows; heights before the failing one are kept
     # out of the message
