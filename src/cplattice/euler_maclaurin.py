@@ -60,12 +60,15 @@ term at every node and direction, takes the mean, the Jacobian and each
 panel's full and nested sums, and returns the height's value, error
 estimate and scale; the edge's x and y axes share each node's r and e^{2ir}.
 Its NumPy fallback (``_numpy_backend.ray_rotated``) takes the same steps
-as NumPy array operations, and the two are bitwise equal: csqrt and cexp are glibc's in both (np.sqrt and np.exp call them),
-the C code spells out NumPy's fused complex product, its Smith division,
-its modulus and its pairwise sums, and r^6 is NumPy's binary powering. On
-the real path every height has the same panels in s, so the nodes z s stack
-into one array, the site kernel takes them in one call, NumPy forms the
-mean and the Jacobian, and ``kernels.panel_sums`` the panel sums. The mean
+as NumPy array operations, and the two are bitwise equal: csqrt and cexp
+are glibc's in both (np.sqrt and np.exp call them), the C code spells out
+NumPy's fused complex product, its Smith division, its modulus and its
+pairwise sums, and r^6 is NumPy's binary powering. On
+the real path every height has the same panels in s, so the nodes z s of
+every height and direction are one site set of ``kernels.offres_points``
+(rays of the directions along the radii z s), which places them and
+evaluates the site kernel in one call, NumPy forms the mean and the
+Jacobian, and ``kernels.panel_sums`` the panel sums. The mean
 over the directions is one NumPy reduction over the last axis, whose order
 does not depend on the block, and the Jacobian multiplies it through an
 explicit ufunc call (see :func:`_ray_integral`), so that equality holds for
@@ -89,11 +92,10 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from . import kernels, specfun
-from .greens import resonant_sites, site_projections
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .kernels import _numpy_backend
-from .lattice_sum import QuadratureFailure, heights_array, offresonant_sites, per_height, prefactor
+from .lattice_sum import QuadratureFailure, finite, heights_array, per_height, prefactor
 from .model import ValidatedBundle, validate
 
 
@@ -203,26 +205,30 @@ _AXES = np.array([[1.0, 0.0], [0.0, 1.0]])
 _SHARED_SITES: ContextVar[dict | None] = ContextVar("_SHARED_SITES", default=None)
 
 
-def _sites(bundle: ValidatedBundle, big_r, z, directions) -> np.ndarray:
-    """The off-resonant site term at R d for each direction d (the last
-    axis)."""
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  big_r * directions[:, 0], big_r * directions[:, 1], z)
-    return offresonant_sites(r, dot, pp, bundle.mu).reshape(r.shape)
+def _sites(bundle: ValidatedBundle, heights, directions) -> np.ndarray:
+    """The off-resonant site term at the real path's nodes R d, R = z s, of
+    each height z and each direction d (the last axis), (heights x panels,
+    nodes, directions): one site set of ``kernels.offres_points``."""
+    f = kernels.offres_points(_pair(bundle), _S, directions, heights, bundle.mu, rays=True)
+    return f.reshape(len(heights) * len(_S), _S.shape[1], len(directions))
 
 
-def _shared_sites(bundle: ValidatedBundle, big_r, z, directions) -> np.ndarray:
+def _shared_sites(bundle: ValidatedBundle, heights, directions) -> np.ndarray:
     """:func:`_sites`, evaluating within one decompose call only the
     directions not evaluated before."""
     shared = _SHARED_SITES.get()
     if shared is None:
-        return _sites(bundle, big_r, z, directions)
+        return _sites(bundle, heights, directions)
     keys = list(map(tuple, directions.tolist()))
     missing = [d for d in keys if d not in shared]
     if missing:
-        f = _sites(bundle, big_r, z, np.array(missing))
+        f = _sites(bundle, heights, np.array(missing))
         shared.update(zip(missing, np.moveaxis(f, -1, 0)))
     return np.stack([shared[d] for d in keys], axis=-1)
+
+
+def _pair(bundle: ValidatedBundle) -> np.ndarray:
+    return kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
 
 
 def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, heights,
@@ -248,16 +254,14 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     large blocks of heights round differently from one-height calls.
     """
     if kind == "resonant":
-        e0, en = bundle.params.test_dipole, bundle.params.array_dipole
-        pair = np.array([*e0, *en, float(np.dot(e0, en))])
-        sums, counts = kernels.ray_rotated(stage == "bulk", pair, directions, heights,
+        sums, counts = kernels.ray_rotated(stage == "bulk", _pair(bundle), directions, heights,
                                            _ROTATED_RULE)
     else:
         # the same panels in s = R/z at every height
         z = np.repeat(heights, len(_S))[:, None]
         s = np.tile(_S, (len(heights), 1))
         jac = z * z * s if stage == "bulk" else z
-        f = _shared_sites(bundle, (z * s)[..., None], z[..., None], directions)
+        f = _shared_sites(bundle, heights, directions)
         means = [f.mean(axis=-1)] if axes is None else [f[..., k:k + 1].mean(axis=-1)
                                                         for k in range(len(axes))]
         sums = np.stack([kernels.panel_sums(np.multiply(jac, mean), _S_W, _S_W_LOW,
@@ -348,15 +352,19 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
 
 
 def vertex_term(bundle: ValidatedBundle, kind: str, heights=None):
-    """The single-atom term: exactly the (0, 0) pair contribution."""
+    """The single-atom term: exactly the (0, 0) pair contribution, the
+    one-site set of the direct sums' kernels. Raises QuadratureFailure,
+    naming the stage, height and mu, where it is not finite (the site's
+    r^6 underflows at tiny heights)."""
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
     z = heights_array(bundle, heights)
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  0.0, 0.0, z)
-    sites = resonant_sites(r, dot, pp) if kind == "resonant" else offresonant_sites(
-        r, dot, pp, bundle.mu)
-    return per_height(heights, pref * sites)
+    origin = np.zeros(1)
+    if kind == "resonant":
+        sites = kernels.res_points(_pair(bundle), origin, origin, z, sums=False).reshape(-1)
+    else:
+        sites = kernels.offres_points(_pair(bundle), origin, origin, z, bundle.mu)
+    return per_height(heights, finite(pref * sites, z, bundle, f"vertex {kind}"))
 
 
 def decompose(bundle: ValidatedBundle, kind: str, heights=None):

@@ -12,6 +12,13 @@ shift prefactors so no 4*pi ever enters a lattice loop.
 
 The same expression serves the Wick-rotated case: pass k_tilde = i*xi_tilde
 and every entry comes out real.
+
+:func:`site_projections` and :func:`resonant_sites` are also the NumPy
+statement of the compiled site-set passes (``kernels.res_points`` and
+``offres_points``), which repeat their arithmetic in C, operation for
+operation, so the two give the same bits: the square root and the other
+IEEE operations round the same in both, and sin and cos of 2r are the C
+library's in C and np.sin and np.cos, which call them on float64, here.
 """
 from __future__ import annotations
 
@@ -69,7 +76,9 @@ def pair_coupling(test_dipole, array_dipole, displacement, freq=1.0) -> complex:
 
 
 def site_projections(e0, en, x, y, z):
-    """r, e0.en and (e0.n)(n.en) for the displacements (x, y, -z)."""
+    """r, e0.en and (e0.n)(n.en) for the displacements (x, y, -z).
+
+    An edit here must be made in ``_rows.c`` (project) too."""
     r = np.sqrt(x * x + y * y + z * z)
     p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
     pn = (en[0] * x + en[1] * y - en[2] * z) / r
@@ -84,6 +93,8 @@ def resonant_sites(r, dot, pp):
     alpha = dot - pp and beta = dot - 3 pp,
 
         e0.g(r, 1).en = e^(ir)/r^3 (B_re + i B_im),  B_re = alpha r^2 - beta,  B_im = beta r.
+
+    An edit here must be made in ``_rows.c`` (res_site) too.
     """
     r2 = r * r
     beta = dot - 3.0 * pp

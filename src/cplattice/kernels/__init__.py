@@ -14,7 +14,7 @@ The backend is one module variable, the library or the NumPy module
 that swaps it, together with the distance-table cache; it loads the library
 on demand, so one process can run both backends.
 
-The module exports six functions over the selected backend, and the
+The module exports these functions over the selected backend, and the
 distance table that the compiled rows gather from:
 
 * ``res_rows(zx, a2, z2, lo, hi)``: the octant rows lo <= nx < hi
@@ -47,15 +47,31 @@ distance table that the compiled rows gather from:
   one's order of operations, so the two are bitwise equal;
 * ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals of
   ``lattice_sum.offresonant_sites``, one compiled call per chunk of
-  ``SITE_CHUNK`` sites. NumPy and SciPy compute only the transcendental
-  inputs, Si, Ci, sin and cos of 2y below ``PHI_SWITCH`` and r^6: NumPy may
-  evaluate sin, cos and the power with vector code whose bits are not the C
-  library's, and Si and Ci are SciPy's. The backend does everything else with
-  IEEE +, -, * and /: the closed-form Phi_k, the Gauss-Laguerre branch
-  (``phi_laguerre`` with the ``LAGUERRE`` table), the partial-fraction
-  moments, the h(u)^2 coefficients, the 5-term contraction (in the one order
-  both backends spell out) and the division by r^6, so both give the same
-  bits;
+  ``SITE_CHUNK`` sites. NumPy computes r^6 (``np.power``, whose bits the C
+  library's pow does not share) and SciPy Si and Ci of 2y below
+  ``PHI_SWITCH``. The backend does everything else: sin and cos of 2y (the
+  C library's in C; np.sin and np.cos, which call them on float64, in
+  NumPy) and, with IEEE +, -, * and /, the closed-form Phi_k, the
+  Gauss-Laguerre branch (``phi_laguerre`` with the ``LAGUERRE`` table), the
+  partial-fraction moments, the h(u)^2 coefficients, the 5-term contraction
+  (in the one order both backends spell out) and the division by r^6, so
+  both give the same bits;
+* ``res_points(pair, u, v, heights, sums)`` and ``offres_points(pair, u, v,
+  heights, mu)``: the resonant and off-resonant site terms of a dipole pair
+  over a real-axis site set, the sites (u_i, v_j) at each height z, or for
+  the off-resonant one also on rays R (v_2j, v_2j+1) with R = z u_i: the
+  direct sums of generic pairs (row sums, or blocks of sites), the vertex
+  (the one site (0, 0)) and the off-resonant real path of the decomposition
+  (rays). The compiled
+  passes take each site from its position on in ``greens.site_projections``'
+  and the site kernels' order of operations, with the C library's sin and
+  cos of 2r; the NumPy backend calls those functions. The off-resonant pass
+  fills the buffers of ``offres_sites`` and shares the rest of its path;
+* ``exact_sum(parts)`` and ``octant_sum(zx, a2, radial, idx, rows)``:
+  math.fsum of a sequence of arrays, and of a folded off-resonant octant
+  (orbit weight times site term), with math.fsum's errors. The compiled
+  ones port CPython's math.fsum (Shewchuk's partials, carried from array to
+  array, and its half-even fix-up), so the two return the same bits;
 * ``ray_rotated(bulk, pair, directions, heights, rule)``: the resonant ray
   integrals of the bulk/edge decomposition (``euler_maclaurin``) on their
   rotated paths, whole, for every height in one call: the rule, the site
@@ -81,6 +97,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import itertools
+import math
 import os
 import platform
 import subprocess
@@ -116,11 +134,12 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
 
     Returns a ``ctypes.CDLL`` with ``res_row``, ``res_rows``,
     ``distance_table``, ``table_rows``, ``phi_laguerre``, ``offres_sites``,
-    ``ray_rotated``, ``panel_sums`` and ``sincos_probe`` declared, or None
-    when the library cannot be built
-    or loaded. The build writes a temporary file and moves it into place, so
-    concurrent first imports are safe; a successful build then removes the
-    libraries of other keys (``_rows-*.so``) from ``directory``.
+    ``ray_rotated``, ``panel_sums``, ``res_points``, ``offres_points``,
+    ``fsum``, ``octant_fsum``, ``sincos_probe`` and ``libm_sincos``
+    declared, or None when the library cannot be built or loaded. The build
+    writes a temporary file and moves it into place, so concurrent first
+    imports are safe; a successful build then removes the libraries of other
+    keys (``_rows-*.so``) from ``directory``.
     """
     try:
         key = hashlib.sha256(b"\0".join([
@@ -180,6 +199,20 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
                                 ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
                                 ctypes.c_void_p, ctypes.c_void_p)
     lib.ray_rotated.restype = ctypes.c_long
+    # the site sets and exact sums take addresses too
+    address, count = ctypes.c_void_p, ctypes.c_long
+    lib.res_points.argtypes = (address, address, count, address, count, address, count,
+                               ctypes.c_int, address)
+    lib.res_points.restype = ctypes.c_long
+    lib.offres_points.argtypes = (address, address, count, address, count, ctypes.c_int, address,
+                                  count, count, ctypes.c_double, ctypes.c_double, address)
+    lib.offres_points.restype = ctypes.c_long
+    lib.fsum.argtypes = (address, count, address)
+    lib.fsum.restype = ctypes.c_long
+    lib.octant_fsum.argtypes = (ctypes.c_int, ctypes.c_double, address, address, count, address)
+    lib.octant_fsum.restype = ctypes.c_long
+    lib.libm_sincos.argtypes = (vec, count, out, out)
+    lib.libm_sincos.restype = None
     lib.panel_sums.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
                                ctypes.c_long, ctypes.c_void_p)
     lib.panel_sums.restype = None
@@ -316,11 +349,37 @@ _LAGUERRE_ADDRESSES = tuple(table.ctypes.data for table in LAGUERRE)
 SITE_CHUNK = 1024
 
 
+def _address(a: np.ndarray) -> int:
+    """The address of the first byte of a non-empty C-contiguous array:
+    through ctypes.c_char.from_buffer, in a third of a.ctypes.data's time,
+    where the array is writeable."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
+
+
 def closed_form_inputs(x: np.ndarray, out: np.ndarray) -> None:
-    """Si(x), Ci(x), sin(x) and cos(x) into the rows of out (4, x.size)."""
+    """Si(x) and Ci(x) into the rows of out (2, x.size): SciPy's inputs of
+    the closed form. sin(x) and cos(x) are the backend's: the C library's
+    in the compiled one, np.sin and np.cos, which call them, in NumPy."""
     sici(x, out=(out[0], out[1]))
-    np.sin(x, out=out[2])
-    np.cos(x, out=out[3])
+
+
+def _offres_chunk(buf: np.ndarray, n: int, closed: int, mu: float) -> np.ndarray:
+    """The site values of one chunk of n sites whose buffer (6, 2n) holds y,
+    dot and pp, and the ``closed`` doubled y below ``PHI_SWITCH`` in row 5
+    (see :func:`offres_sites`): NumPy takes r^6 into row 2, SciPy Si and Ci
+    of 2y into rows 3 and 4, and the backend the rest, writing the values
+    into the second half of row 2, which is returned."""
+    np.power(buf[0, n:], 6, out=buf[2, :n])
+    if closed:
+        closed_form_inputs(buf[5, :closed], buf[3:5, :closed])
+    if _impl is _numpy_backend:
+        _numpy_backend.offres_sites(buf[0], buf[1, :n], buf[1, n:], buf[2, :n],
+                                    buf[3:, :closed], mu, PHI_SWITCH, RECAST, *LAGUERRE,
+                                    buf[2, n:])
+    else:
+        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *_LAGUERRE_ADDRESSES, LAGUERRE[0].size,
+                           _address(buf))
+    return buf[2, n:]
 
 
 def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> np.ndarray:
@@ -328,50 +387,166 @@ def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> n
     for the flat float64 radii r and projections dot and pp, each of r's size
     or of size 1, as a new array.
 
-    Each chunk of at most ``SITE_CHUNK`` sites fills one (7, 2n) buffer: y =
-    (r mu, r), (dot, pp), r^6, and Si, Ci, sin and cos of 2y for the y below
-    ``PHI_SWITCH`` by NumPy and SciPy, whose bits the compiled library does
-    not reproduce. The backend's ``offres_sites`` does the rest, IEEE
-    arithmetic only, and writes the site values into the buffer. The buffer
-    is built here, C-contiguous and of the size the layout needs, so the
-    compiled call gets its address and no checks; the NumPy backend gets
+    Each chunk of at most ``SITE_CHUNK`` sites fills one (6, 2n) buffer: y =
+    (r mu, r), (dot, pp), r^6, and Si, Ci and 2y for the y below
+    ``PHI_SWITCH``. r^6 is NumPy's, whose bits the C library's pow does not
+    reproduce, and Si and Ci are SciPy's. The backend does the rest: sin and
+    cos of 2y (the C library's, which np.sin and np.cos call on float64),
+    and IEEE arithmetic only, writing the site values into the buffer. The
+    buffer is built here, C-contiguous and of the size the layout needs, so
+    the compiled call gets its address and no checks; the NumPy backend gets
     the buffer's rows as named arrays.
     """
     out = np.empty(r.size)
     for lo in range(0, r.size, SITE_CHUNK):
         n = min(r.size - lo, SITE_CHUNK)
         part = slice(lo, lo + n)
-        buf = np.empty((7, 2 * n))
-        y = buf[0]
-        np.multiply(r[part], mu, out=y[:n])
-        y[n:] = r[part]
-        buf[1, :n] = dot if dot.size == 1 else dot[part]
-        buf[1, n:] = pp if pp.size == 1 else pp[part]
-        np.power(r[part], 6, out=buf[2, :n])
-        x = 2.0 * y[y < PHI_SWITCH]
-        if x.size:
-            closed_form_inputs(x, buf[3:, :x.size])
-        if _impl is _numpy_backend:
-            _numpy_backend.offres_sites(y, buf[1, :n], buf[1, n:], buf[2, :n], buf[3:, :x.size],
-                                        mu, PHI_SWITCH, RECAST, *LAGUERRE, out[part])
-        else:
-            # the address of buf's first byte, in a fourth of buf.ctypes.data's time
-            address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-            _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *_LAGUERRE_ADDRESSES,
-                               LAGUERRE[0].size, address)
-            out[part] = buf[2, n:]
+        buf = np.empty((6, 2 * n))
+        closed = _numpy_backend.offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
+                                            pp if pp.size == 1 else pp[part], mu, PHI_SWITCH)
+        out[part] = _offres_chunk(buf, n, closed, mu)
     return out
+
+
+# ---------------------------------------------------------------------------
+# real-axis site sets: the direct sums of generic dipole pairs, the vertex
+# and the off-resonant real path
+
+def dipole_pair(e0, en) -> np.ndarray:
+    """e0, en and e0.en as one float64 array (7,), the dipole pair of the
+    site sets and the ray integrals; e0.en as ``greens.site_projections``
+    computes it."""
+    return np.array([*e0, *en, float(np.dot(e0, en))])
+
+
+def _site_set(pair, u, v, heights, rays: bool):
+    """The float64 coordinate tables and heights of a site set, contiguous,
+    and its sites per row: v holds (cos, sin) pairs with ``rays``. Raises
+    ``ValueError`` unless pair is a float64 (7,) array."""
+    if np.shape(pair) != (7,) or pair.dtype != np.float64:
+        raise ValueError(f"need the dipole pair as float64 (7,), got {np.shape(pair)}")
+    u, v, z = (np.ascontiguousarray(a, dtype=np.float64).reshape(-1) for a in (u, v, heights))
+    return u, v, z, v.size // 2 if rays else v.size
+
+
+def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
+    """The resonant site term ``greens.resonant_sites`` of the dipole pair
+    (:func:`dipole_pair`) over a grid site set: at each height, the sites
+    (x, y) = (u_i, v_j). Returns the values, (heights, u, v), or with
+    ``sums`` each row's sum as ``np.sum(values, axis=1)`` takes it,
+    (heights, u).
+
+    The compiled pass takes every site in one call, without the interpreter
+    lock, in ``greens.site_projections``' and ``resonant_sites``' order of
+    operations, with the C library's sin and cos, and sums each row by
+    NumPy's pairwise summation; the NumPy backend takes those functions in
+    blocks of rows. Raises ``MemoryError`` when the compiled pass cannot
+    allocate its row."""
+    u, v, z, nv = _site_set(pair, u, v, heights, False)
+    out = np.empty((z.size, u.size) if sums else (z.size, u.size, nv))
+    if not out.size:
+        return out
+    if _impl is _numpy_backend:
+        _impl.res_points(pair, u, u.size, v, nv, z, z.size, sums, out)
+    elif _impl.res_points(_address(pair), _address(u), u.size, _address(v), nv, _address(z),
+                          z.size, sums, _address(out)) < 0:
+        raise MemoryError("no memory for a resonant row of the site set")
+    return out
+
+
+def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False, lo: int = 0,
+                  hi: int | None = None) -> np.ndarray:
+    """The off-resonant site integrals of ``lattice_sum.offresonant_sites``
+    over the sites lo <= k < hi (all by default) of a site set, numbered
+    k = (h, i, j) in that order, as a new array: at each height z, the
+    sites (x, y) = (u_i, v_j) of :func:`res_points`, or with ``rays`` the
+    sites R (v_2j, v_2j+1) with R = z u_i, the unit directions v along the
+    radii z u.
+
+    Each chunk of at most ``SITE_CHUNK`` sites is one buffer of
+    :func:`offres_sites`: the backend's ``offres_points`` places the sites
+    and writes y, dot, pp and 2y into it (the compiled one in
+    ``greens.site_projections``' order of operations, the NumPy one through
+    that function), and NumPy, SciPy and the backend take it from there."""
+    u, v, z, nv = _site_set(pair, u, v, heights, rays)
+    hi = z.size * u.size * nv if hi is None else hi
+    out = np.empty(hi - lo)
+    compiled = _impl is not _numpy_backend and out.size
+    if compiled:
+        pair_at, u_at, v_at, z_at = map(_address, (pair, u, v, z))
+    for k0 in range(lo, hi, SITE_CHUNK):
+        n = min(hi - k0, SITE_CHUNK)
+        buf = np.empty((6, 2 * n))
+        if compiled:
+            closed = _impl.offres_points(pair_at, u_at, u.size, v_at, nv, rays, z_at, k0, n, mu,
+                                         PHI_SWITCH, _address(buf))
+        else:
+            closed = _impl.offres_points(pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH,
+                                         buf)
+        out[k0 - lo:k0 - lo + n] = _offres_chunk(buf, n, closed, mu)
+    return out
+
+
+# An exact sum's state in the compiled backend: the head (partial count, the
+# sums of the inf and NaN values and of the inf values, the total) and room
+# for every partial, FSUM_HEAD and FSUM_PARTIALS of _rows.c
+FSUM_STATE = 4 + 2100
+
+
+def _fsum_status(status: int, last: bool) -> None:
+    """Raises as math.fsum does for a compiled exact sum's status: -1 at
+    once, -2 when no values follow."""
+    if status == -1:
+        raise OverflowError("intermediate overflow in fsum")
+    if status == -2 and last:
+        raise ValueError("-inf + inf in fsum")
+
+
+def exact_sum(parts) -> float:
+    """math.fsum of every value of the float64 arrays ``parts``, in order:
+    the correctly rounded sum, inf or NaN when an inf or NaN is summed.
+    ``parts`` is any iterable, taken one array at a time. Raises
+    ``OverflowError`` on intermediate overflow and ``ValueError`` for
+    -inf + inf, as math.fsum does.
+
+    The compiled backend carries math.fsum's partials from one array to the
+    next in one state (CPython's algorithm, ported); the NumPy backend calls
+    math.fsum over all the values."""
+    if _impl is _numpy_backend:
+        return math.fsum(itertools.chain.from_iterable(np.ravel(p).tolist() for p in parts))
+    state = np.zeros(FSUM_STATE)
+    address, status = _address(state), 0
+    for part in parts:
+        part = np.ascontiguousarray(part, dtype=np.float64).reshape(-1)
+        if part.size:
+            status = _impl.fsum(_address(part), part.size, address)
+            _fsum_status(status, False)
+    _fsum_status(status, True)
+    return float(state[3])
+
+
+def octant_sum(zx: bool, a2: float, radial: np.ndarray, idx: np.ndarray, rows: int) -> float:
+    """math.fsum of the folded octant of the rows 0 <= nx < rows: each
+    site's orbit weight ``_numpy_backend.octant_weights`` times radial[idx],
+    its site term at its distance, for the sites and table indices idx of
+    ``distance_table(0, rows)``. The compiled backend forms the products
+    and sums them exactly in one call; raises as :func:`exact_sum`, and
+    ``ValueError`` unless idx holds one int32 index per site."""
+    if idx.dtype != np.int32 or idx.size != range_sites(0, rows):
+        raise ValueError(f"need one int32 index per site of {rows} rows, got {idx.size} "
+                         f"of {idx.dtype}")
+    radial = np.ascontiguousarray(radial, dtype=np.float64)
+    if _impl is _numpy_backend or not idx.size:
+        nx, j = np.tril_indices(rows)
+        return math.fsum(_numpy_backend.octant_weights(nx, j, a2, zx) * radial[idx])
+    state = np.zeros(FSUM_STATE)
+    _fsum_status(_impl.octant_fsum(zx, a2, _address(radial), _address(idx), rows,
+                                   _address(state)), True)
+    return float(state[3])
 
 
 # The most directions of one ray_rotated call.
 RAY_DIRECTIONS = 8
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of the first byte of a non-empty C-contiguous array:
-    through ctypes.c_char.from_buffer, in a third of a.ctypes.data's time,
-    where the array is writeable."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
 
 
 def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray, heights: np.ndarray,

@@ -7,13 +7,17 @@ returns the row total, and ``res_rows(zx, a2, z2, nz, lo, hi, out)`` writes
 the rows lo <= n_x < hi at each of the nz heights z2 into ``out``
 (``kernels.res_rows`` checks the range and allocates ``out``);
 :func:`phi_laguerre` is the Gauss-Laguerre branch of the off-resonant site
-kernel, and :func:`offres_sites` the arithmetic of that kernel after its
-transcendental inputs (``kernels.offres_sites`` computes those): the
-closed-form branch :func:`phi_closed`, the
-:func:`moments` and the contraction. They are the fallback and the oracle
-that the compiled library equals bit for bit. :func:`octant_sites` is the one
-statement of those weights; the direct off-resonant sum folds its octant
-with it too. :func:`ray_rotated` and :func:`panel_sums` are the ray
+kernel, and :func:`offres_sites` the arithmetic of that kernel after r^6 and
+Si and Ci of 2y (``kernels.offres_sites`` computes those), with np.sin and
+np.cos of 2y: the closed-form branch :func:`phi_closed`, the
+:func:`moments` and the contraction. :func:`res_points` and
+:func:`offres_points` are the site sets of the direct sums of generic
+dipole pairs, the vertex and the off-resonant real path (see
+``kernels.res_points``), through ``greens.site_projections`` and the site
+kernels. They are the fallback and the oracle that the compiled library
+equals bit for bit, as math.fsum is of its exact sums. :func:`octant_sites`
+is the one statement of those weights; the direct off-resonant sum folds
+its octant with it too. :func:`ray_rotated` and :func:`panel_sums` are the ray
 integrals of the bulk/edge decomposition (see ``kernels.ray_rotated``), with
 :func:`rotated_rules` the reference of the compiled rule.
 The site terms come from :func:`cplattice.greens.resonant_sites`,
@@ -167,11 +171,13 @@ def moments(y, trig, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarra
     return m
 
 
-def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, recast: float, t, w, pw,
+def offres_sites(y, dot, pp, r6, inputs, mu: float, sw: float, recast: float, t, w, pw,
                  out: np.ndarray) -> None:
     """out = the off-resonant site integrals of n sites: sum_k c_k M_k / r^6
-    with the h(u)^2 coefficients c_k, for y = (r mu, r), trig and recast as
-    in :func:`moments`, the projections dot and pp and r6 = r^6 (n values each).
+    with the h(u)^2 coefficients c_k, for y = (r mu, r), recast as in
+    :func:`moments`, inputs (3, k) = Si(2y), Ci(2y) and 2y at the k values
+    of y below sw in y's order (sin and cos of 2y are taken here), the
+    projections dot and pp and r6 = r^6 (n values each).
 
     The five terms are summed as ((p0 + p2) + p4) + (p1 + p3), each lane
     from zero and the lane sum added to zero, the order in which
@@ -183,13 +189,68 @@ def offres_sites(y, dot, pp, r6, trig, mu: float, sw: float, recast: float, t, w
     beta = dot - 3.0 * pp
     ab = 2.0 * alpha * beta
     b2 = beta * beta
-    m = moments(y, trig, mu, sw, recast, t, w, pw)
+    si, ci, x = inputs
+    m = moments(y, (si, ci, np.sin(x), np.cos(x)), mu, sw, recast, t, w, pw)
     # h(u)^2 = sum_k c_k u^k
     p0, p1, p2 = b2 * m[:, 0], (2.0 * b2) * m[:, 1], (ab + b2) * m[:, 2]
     p3, p4 = ab * m[:, 3], (alpha * alpha) * m[:, 4]
     even = ((0.0 + p0) + p2) + p4
     odd = ((0.0 + p1) + p3) + 0.0
     np.divide((even + odd) + 0.0, r6, out=out)
+
+
+def offres_fill(buf, n: int, r, dot, pp, mu: float, sw: float) -> int:
+    """Rows 0, 1 and 5 of the (6, 2n) buffer of ``kernels.offres_sites`` for
+    the n sites of radii r and projections dot and pp: y = (r mu, r), (dot,
+    pp), and 2y for each y below sw in y's order. Returns the count of those."""
+    y = buf[0]
+    np.multiply(r, mu, out=y[:n])
+    y[n:] = r
+    buf[1, :n] = dot
+    buf[1, n:] = pp
+    closed = y[y < sw]
+    np.multiply(closed, 2.0, out=buf[5, :closed.size])
+    return closed.size
+
+
+# ---------------------------------------------------------------------------
+# real-axis site sets (kernels.res_points and offres_points)
+
+# The most sites of one block of rows of res_points: as many whole rows as
+# fit, or one longer row
+SITE_SET_BLOCK = 1 << 14
+
+
+def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.ndarray) -> None:
+    """out = the resonant site values of the grid site set (see
+    ``kernels.res_points``), (nz, nu, nv), or with ``sums`` each row's
+    np.sum, (nz, nu): ``site_projections`` and ``resonant_sites`` over blocks
+    of at most ``SITE_SET_BLOCK`` sites, whole rows or one longer row, a
+    height at a time."""
+    e0, en = tuple(pair[:3].tolist()), tuple(pair[3:6].tolist())
+    step = max(1, SITE_SET_BLOCK // nv)
+    for h, zh in enumerate(z.tolist()):
+        for start in range(0, nu, step):
+            rows = slice(start, min(start + step, nu))
+            values = resonant_sites(*site_projections(e0, en, u[rows, None], v, zh))
+            out[h, rows] = np.sum(values, axis=1) if sums else values
+
+
+def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, mu: float,
+                  sw: float, buf) -> int:
+    """:func:`offres_fill` for the sites k0 <= k < k0 + n of the site set
+    (k = (h nu + i) nv + j), at (u[i], v[j]) or with ``rays`` R (v[2j],
+    v[2j+1]) with R = z[h] u[i], through ``site_projections``."""
+    h, site = np.divmod(np.arange(k0, k0 + n), nu * nv)
+    i, j = np.divmod(site, nv)
+    zh = z[h]
+    if rays:
+        big_r = zh * u[i]
+        x, y = big_r * v[2 * j], big_r * v[2 * j + 1]
+    else:
+        x, y = u[i], v[j]
+    r, dot, pp = site_projections(tuple(pair[:3].tolist()), tuple(pair[3:6].tolist()), x, y, zh)
+    return offres_fill(buf, n, r, dot, pp, mu, sw)
 
 
 # ---------------------------------------------------------------------------

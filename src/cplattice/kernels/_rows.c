@@ -10,18 +10,19 @@
    heights z2[h] and lo <= nx < hi, so the octants of a block of heights
    cost one call; phi_laguerre is the Gauss-Laguerre branch of the
    off-resonant site kernel, and offres_sites the rest of that kernel's
-   arithmetic once NumPy and SciPy have computed its transcendental inputs
-   (Si, Ci, sin and cos of 2y, and r^6): their bits come from SciPy and from
-   NumPy's vector code, not from libm, so they stay there, and this file
-   does only IEEE +, -, * and / in the NumPy fallback's order of
-   operations. Each orientation's
+   arithmetic once NumPy and SciPy have computed r^6 and Si and Ci of 2y:
+   their bits come from NumPy's power and from SciPy, not from libm, so
+   they stay there; sin and cos of 2y are libm's, which np.sin and np.cos
+   call on float64, and the rest is IEEE +, -, * and / in the NumPy
+   fallback's order of operations. Each orientation's
    site term is written once (term_zz, term_zx) and serves the row pass,
    its endpoint corrections and the origin. The exports test zx outside
    their site loops, so each loop instance has its term fixed: choosing the
-   term per site made the zx table pass ~30% slower. The row pass fills chunks the compiler vectorizes and sums them
-   with Neumaier compensation in strict index order, so a row value is a
-   pure function of (a2, z2, nx) and the caller's exact cross-row reduction
-   is bit-reproducible for any worker count.
+   term per site made the zx table pass ~30% slower. The row pass fills
+   chunks the compiler vectorizes and sums them with Neumaier compensation
+   in strict index order, so a row value is a pure function of (a2, z2, nx)
+   and the caller's exact cross-row reduction is bit-reproducible for any
+   worker count.
 
    The site term depends on (nx, j) only through d2 = nx^2 + j^2, and many
    d2 occur more than once (0.63 of the octant sites at M = 500 are
@@ -38,7 +39,10 @@
 
    ray_rotated evaluates the resonant ray integrals of the bulk/edge
    decomposition on their rotated paths, whole, and panel_sums sums the
-   panels of the off-resonant ones; see their section at the end.
+   panels of the off-resonant ones; res_points and offres_points take the
+   real-axis site sets (the direct sums of generic dipole pairs, the vertex
+   and the off-resonant real path) from site positions on, and fsum and
+   octant_fsum are CPython's math.fsum; see their sections at the end.
 
    Build: cc -O3 -std=c99 -fno-math-errno -march=native -shared -fPIC
    -o _rows.so _rows.c -lm. Strict ISO C mode turns off FMA contraction, so
@@ -384,12 +388,14 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
 }
 
 /* The off-resonant site integrals of n sites from buf, a row-major
-   (7, 2n) array laid out by kernels.offres_sites:
+   (6, 2n) array laid out by kernels.offres_sites:
      row 0: y = (r_i mu, r_i), the Phi_k arguments of M_k(r_i, mu);
      row 1: (dot_i, pp_i), the dipole projections;
      row 2: (r_i^6, the site values written here);
-     rows 3-6: Si, Ci, sin and cos of 2y for each y < sw, in row 0 order.
-   Phi_k(y) takes the closed form below sw and the Gauss-Laguerre branch
+     rows 3-5: Si(2y), Ci(2y) and 2y for each y < sw, in row 0 order.
+   sin and cos of 2y are the C library's, whose bits np.sin and np.cos
+   share on float64 (see libm_sincos). Phi_k(y) takes the closed form below
+   sw and the Gauss-Laguerre branch
    (phi_laguerre, with the nodes t, weights w and powers pw of m nodes)
    above; the sites are taken SITE_BLOCK at a time, gathering the block's
    Gauss-Laguerre radii into one phi_laguerre call. A site whose two y are
@@ -403,7 +409,7 @@ void offres_sites(long n, double mu, double sw, double recast, const double *t,
                   const double *w, const double *pw, long m, double *buf)
 {
     const double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *r6 = buf + 4 * n;
-    const double *si = buf + 6 * n, *ci = buf + 8 * n, *sx = buf + 10 * n, *cx = buf + 12 * n;
+    const double *si = buf + 6 * n, *ci = buf + 8 * n, *x2 = buf + 10 * n;
     double *out = buf + 5 * n;
     double c = 1.0 - mu * mu;
     /* the next closed-form entries of y = r mu and of y = r */
@@ -422,7 +428,8 @@ void offres_sites(long n, double mu, double sw, double recast, const double *t,
                 double v = y[h * n + i0 + l];
                 if (v < sw) {
                     long k = h ? kb++ : ka++;
-                    phi_closed(v, si[k], ci[k], sx[k], cx[k], poly[l], phi[2 * l + h]);
+                    double cx, sx = sin_cos(x2[k], &cx, 0);
+                    phi_closed(v, si[k], ci[k], sx, cx, poly[l], phi[2 * l + h]);
                 } else {
                     lag_y[nl] = v;
                     lag_row[nl++] = 2 * l + h;
@@ -836,4 +843,243 @@ void panel_sums(const double *f, const double *w, const double *w_low, long rows
         out[3 * hz + 1] = 0.0 + pairwise(err, rows);
         out[3 * hz + 2] = 0.0 + pairwise(mag, rows);
     }
+}
+
+/* ---------------------------------------------------------------------------
+   Real-axis site sets: the direct sums of generic dipole pairs, the vertex
+   and the off-resonant real path of the decomposition. A site set is the
+   heights z[h] and two coordinate tables, u (nu values) and v (nv sites a
+   row): site (h, i, j) sits at (x, y) = (u[i], v[j]) at the height z[h], or,
+   with rays set, at R (v[2j], v[2j+1]), R = z[h] u[i]: the unit directions
+   v along the real rule's radii z s. Sites run in h, then i, then j.
+   Every step is the NumPy backend's (greens.site_projections, then
+   greens.resonant_sites or the off-resonant buffer of kernels.offres_sites)
+   in its order of operations: IEEE +, -, *, / and sqrt, and sin and cos of
+   2r from the C library, which np.sin and np.cos call on float64 (see
+   libm_sincos). The exact sums port CPython's math.fsum. */
+
+/* sin and cos of each x[i] as the site sets take them, for the test that
+   pins them to np.sin and np.cos */
+void libm_sincos(const double *x, long n, double *s, double *c)
+{
+    for (long i = 0; i < n; i++)
+        s[i] = sin_cos(x[i], &c[i], 0);
+}
+
+/* The position (*x, *y) of site (h, i, j) of a site set, z = z[h] */
+static inline void position(int rays, const double *u, const double *v, long i, long j, double z,
+                            double *x, double *y)
+{
+    if (rays) {
+        double big_r = z * u[i];
+        *x = big_r * v[2 * j];
+        *y = big_r * v[2 * j + 1];
+    } else {
+        *x = u[i];
+        *y = v[j];
+    }
+}
+
+/* r, and *pp = (e0.n)(n.en), of greens.site_projections at the displacement
+   (x, y, -z); pair holds e0, en and e0.en */
+static inline double project(const double *pair, double x, double y, double z, double *pp)
+{
+    double r = sqrt(x * x + y * y + z * z);
+    double p0 = (pair[0] * x + pair[1] * y - pair[2] * z) / r;
+    double pn = (pair[3] * x + pair[4] * y - pair[5] * z) / r;
+    *pp = p0 * pn;
+    return r;
+}
+
+/* greens.resonant_sites: Re[e^{2ir} (B_re + i B_im)^2] / r^6 with
+   B_re = (dot - pp) r^2 - beta, B_im = beta r, beta = dot - 3 pp */
+static inline double res_site(double dot, double r, double pp)
+{
+    double r2 = r * r;
+    double beta = dot - 3.0 * pp;
+    double bre = (dot - pp) * r2 - beta, bim = beta * r;
+    double c, s = sin_cos(2.0 * r, &c, 0);
+    double cross = bre * bim * s;
+    return ((bre * bre - bim * bim) * c - cross - cross) / (r2 * (r2 * r2));
+}
+
+/* The resonant site values of a grid site set: with sums unset out[(h nu +
+   i) nv + j] = the value of site (h, i, j); with sums set out[h nu + i] = the
+   sum of row (h, i), 0.0 plus NumPy's pairwise sum, as np.sum(values,
+   axis=1) takes it. Returns 0, or -1 when the row buffer cannot be
+   allocated. */
+long res_points(const double *pair, const double *u, long nu, const double *v, long nv,
+                const double *z, long nz, int sums, double *out)
+{
+    double *row = sums ? malloc((size_t)(nv > 0 ? nv : 1) * sizeof *row) : NULL;
+    if (sums && row == NULL)
+        return -1;
+    for (long h = 0; h < nz; h++)
+        for (long i = 0; i < nu; i++) {
+            double *site = sums ? row : out + (h * nu + i) * nv;
+            for (long j = 0; j < nv; j++) {
+                double x, y, pp;
+                position(0, u, v, i, j, z[h], &x, &y);
+                double r = project(pair, x, y, z[h], &pp);
+                site[j] = res_site(pair[6], r, pp);
+            }
+            if (sums)
+                out[h * nu + i] = 0.0 + pairwise(row, nv);
+        }
+    free(row);
+    return 0;
+}
+
+/* The n sites k0 <= k < k0 + n of a site set (k = (h nu + i) nv + j) into
+   the (6, 2n) buffer of offres_sites: y = (r mu, r) in row 0, (e0.en, pp) in
+   row 1, and each y below sw, doubled, in row 5 in row 0 order. Returns the
+   count of those, the Si and Ci that row 3 and 4 need. */
+long offres_points(const double *pair, const double *u, long nu, const double *v, long nv,
+                   int rays, const double *z, long k0, long n, double mu, double sw, double *buf)
+{
+    double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *x2 = buf + 10 * n;
+    long per = nu * nv;
+    for (long l = 0; l < n; l++) {
+        long k = k0 + l, h = k / per, i = k % per / nv, j = k % nv;
+        double x, yy;
+        position(rays, u, v, i, j, z[h], &x, &yy);
+        double r = project(pair, x, yy, z[h], &pp[l]);
+        y[l] = r * mu;
+        y[n + l] = r;
+        dot[l] = pair[6];
+    }
+    long closed = 0;
+    for (long l = 0; l < 2 * n; l++)
+        if (y[l] < sw)
+            x2[closed++] = 2.0 * y[l];
+    return closed;
+}
+
+/* CPython's math.fsum, carried across calls in state: [0] the count of
+   partials, [1] the sum of the inf and NaN values, [2] the sum of the inf
+   values, [3] the total so far, then the partials. Shewchuk's nonoverlapping
+   partials (Discrete Comput. Geom. 18 (1997) 305) hold the exact sum of the
+   finite values, in increasing magnitude; nonoverlapping doubles take
+   distinct bits of the 2098 from 2^-1074 to 2^1023, so at most
+   FSUM_PARTIALS of them exist. */
+#define FSUM_HEAD 4
+#define FSUM_PARTIALS 2100
+
+typedef struct {
+    long n;
+    double special, inf, *p;
+} fsum_acc;
+
+static inline fsum_acc fsum_load(double *state)
+{
+    fsum_acc s = {(long)state[0], state[1], state[2], state + FSUM_HEAD};
+    return s;
+}
+
+/* Adds x as math.fsum's loop does; returns -1 on intermediate overflow, a
+   finite x whose sum with the partials is not finite */
+static inline int fsum_step(fsum_acc *s, double x)
+{
+    double xsave = x;
+    long i = 0;
+    for (long j = 0; j < s->n; j++) {
+        double y = s->p[j];
+        if (fabs(x) < fabs(y)) {
+            double t = x;
+            x = y;
+            y = t;
+        }
+        double hi = x + y, yr = hi - x, lo = y - yr;
+        if (lo != 0.0)
+            s->p[i++] = lo;
+        x = hi;
+    }
+    s->n = i;
+    if (x != 0.0) {
+        if (!isfinite(x)) {
+            if (isfinite(xsave))
+                return -1;
+            if (isinf(xsave))
+                s->inf += xsave;
+            s->special += xsave;
+            s->n = 0;
+        } else
+            s->p[s->n++] = x;
+    }
+    return 0;
+}
+
+/* Stores s into state with math.fsum's result as its total: the special
+   sum when an inf or NaN was added, else the partials summed from the top
+   until the sum turns inexact, with the half-even fix-up across partials.
+   Returns 0, or -2 where math.fsum raises ValueError (-inf + inf). */
+static long fsum_store(const fsum_acc *s, double *state)
+{
+    state[0] = (double)s->n;
+    state[1] = s->special;
+    state[2] = s->inf;
+    if (s->special != 0.0) {
+        state[3] = s->special;
+        return isnan(s->inf) ? -2 : 0;
+    }
+    const double *p = s->p;
+    long n = s->n;
+    double hi = 0.0, lo = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            double x = hi, y = p[--n];
+            hi = x + y;
+            double yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            double y = lo * 2.0, x = hi + y, yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    state[3] = hi;
+    return 0;
+}
+
+/* Adds the n values x to the exact sum in state (zeroed to start) and writes
+   math.fsum of all values added so far to state[3]. Returns 0; -1 on
+   intermediate overflow, where math.fsum raises OverflowError, leaving state
+   unusable; -2 where math.fsum would raise ValueError. */
+long fsum(const double *x, long n, double *state)
+{
+    fsum_acc s = fsum_load(state);
+    for (long i = 0; i < n; i++)
+        if (fsum_step(&s, x[i]))
+            return -1;
+    return fsum_store(&s, state);
+}
+
+/* fsum of the folded octant of the rows 0 <= nx < rows: each site's orbit
+   weight (_numpy_backend.octant_weights, with its products) times
+   radial[idx[k]], the site term at its distance, sites in np.tril_indices
+   order. zz: 1 at the origin, 4 on the axis and the diagonal, 8 inside;
+   zx: ((2 nx) nx) a2 on the axis, ((4 nx) nx) a2 on the diagonal and
+   (4 (nx^2 + j^2)) a2 inside. Returns as fsum. */
+long octant_fsum(int zx, double a2, const double *radial, const int32_t *idx, long rows,
+                 double *state)
+{
+    fsum_acc s = fsum_load(state);
+    for (long nx = 0; nx < rows; nx++) {
+        double dnx = (double)nx;
+        for (long j = 0; j <= nx; j++) {
+            double w;
+            if (zx)
+                w = (j == 0 ? 2.0 * dnx * dnx
+                            : j == nx ? 4.0 * dnx * dnx : 4.0 * (double)(nx * nx + j * j)) * a2;
+            else
+                w = nx == 0 ? 1.0 : j == 0 || j == nx ? 4.0 : 8.0;
+            if (fsum_step(&s, w * radial[*idx++]))
+                return -1;
+        }
+    }
+    return fsum_store(&s, state);
 }

@@ -20,19 +20,28 @@ octant with the dihedral orbit weights of
 is one call of ``kernels.res_rows`` over the rows n_x = 0..M, or one call
 per contiguous row range when split over threads, for all the heights of a
 :func:`sum_lattice` call at once; the row values come back in fixed order
-and are reduced exactly (math.fsum), once per height, so results are
-bit-identical for any worker count and any set of heights. The octant site
-terms depend on the site only through s = n_x^2 + n_y^2, so both octant
-sums evaluate them once per distinct s, from one table of those distances
-and each site's index into them (``kernels.distance_table``): the compiled
-resonant rows gather from it, and the off-resonant sum evaluates its site
-kernel on it.
+and are reduced exactly (``kernels.exact_sum``, math.fsum's correctly
+rounded sum), once per height, so results are bit-identical for any worker
+count and any set of heights. The octant site terms depend on the site only
+through s = n_x^2 + n_y^2, so both octant sums evaluate them once per
+distinct s, from one table of those distances and each site's index into
+them (``kernels.distance_table``): the compiled resonant rows gather from
+it, and the off-resonant sum evaluates its site kernel on it and folds and
+sums the octant exactly in one call (``kernels.octant_sum``).
 General orientations lack the reflection parity needed for folding and run
-the same kernels over the full grid of rows n_x = -M..M, split over threads
-the same way. Each worker evaluates its row range in one site-kernel call per
-block of at most ``CUSTOM_BLOCK_SITES`` sites (whole rows, or one longer
-row), sums each row on its own with NumPy and returns the row values, which
-are reduced exactly in row order as above: the values of one call per row.
+over the full grid of rows n_x = -M..M as a site set of the kernels: the
+resonant rows, split over threads the same way, take one
+``kernels.res_points`` call per worker, which returns each row's sum,
+reduced exactly in row order as above (the values of one call per row); the
+off-resonant grid takes ``kernels.offres_points`` a block of
+``CUSTOM_BLOCK_SITES`` sites at a time, whose values one exact sum takes in
+turn, so its memory does not grow with M. On the compiled backend both run
+in C from the site positions on: ``greens.site_projections`` and the site
+kernels' arithmetic in their order, with the C library's sin and cos
+(whose bits np.sin and np.cos share on float64), NumPy's r^6 and SciPy's Si
+and Ci; the NumPy backend calls those functions, and the two give the same
+bits. A sum that is not finite (at tiny heights the origin site's r^6
+underflows) raises :class:`QuadratureFailure` naming the stage and height.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -50,11 +59,12 @@ which is computed in closed form from the auxiliary functions f and g of
 the sine and cosine integrals (DLMF 6.7(ii)) for y < 2, and by 56-node
 Gauss-Laguerre quadrature in tau = 2yt (DLMF 3.5(v)) above, where the closed
 form starts to cancel. :func:`offresonant_sites` only flattens the sites;
-``kernels.offres_sites`` evaluates them. NumPy and SciPy keep the
-transcendental functions (Si, Ci, sin and cos of 2y, and r^6), whose bits
-the C library would not reproduce; one compiled call per chunk of sites,
-when the C library is loaded, does the IEEE arithmetic: the closed form,
-the Gauss-Laguerre branch, the moments and the contraction with the h(u)^2
+``kernels.offres_sites`` evaluates them. NumPy keeps r^6 (``np.power``,
+whose bits the C library's pow does not reproduce) and SciPy Si and Ci of
+2y; one compiled call per chunk of sites, when the C library is loaded,
+does the rest: sin and cos of 2y from the C library, which np.sin and
+np.cos call on float64, and IEEE arithmetic for the closed form, the
+Gauss-Laguerre branch, the moments and the contraction with the h(u)^2
 coefficients, in the NumPy fallback's order of operations, so the two
 backends give the same bits. A branch that no radius of a call falls in is
 not called.
@@ -95,7 +105,7 @@ import numpy as np
 
 from . import kernels
 from .greens import resonant_sites, site_projections
-from .kernels._numpy_backend import octant_weights, radial_sites
+from .kernels._numpy_backend import radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import NonPositiveLength, ValidatedBundle, validate
@@ -258,40 +268,18 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     # for every height
     ranges = _split_rows(np.arange(1, M + 2), threads)
     parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges)
-    # one height's rows as floats at a time: all heights' at once would
-    # allocate, and in a fresh process page in, 24 bytes per row
-    return [math.fsum(rows.tolist()) for rows in np.concatenate(parts, axis=1)]
-
-
-# A generic direct sum evaluates at most this many sites per site-kernel call:
-# as many whole rows of a worker's range as fit, or one longer row
-CUSTOM_BLOCK_SITES = 1 << 14
+    return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
 def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     M = bundle.half_extent
-    a = bundle.a_tilde
-    e0 = bundle.params.test_dipole
-    en = bundle.params.array_dipole
-    n = np.arange(-M, M + 1, dtype=np.float64)
-    y = n * a
-    step = max(1, CUSTOM_BLOCK_SITES // n.size)
-
-    def rows(lo, hi):
-        # index i is row nx = i - M; each row's sites are summed on their
-        # own; one list of row values per height
-        totals = []
-        for h in z.tolist():
-            row_values = []
-            for start in range(lo, hi, step):
-                x = n[start:min(start + step, hi), None] * a
-                r, dot, pp = site_projections(e0, en, x, y, h)
-                row_values += np.sum(resonant_sites(r, dot, pp), axis=1).tolist()
-            totals.append(row_values)
-        return totals
-
-    parts = _map_ranges(rows, _split_rows(np.ones(n.size), threads))
-    return [math.fsum(v for part in parts for v in part[k]) for k in range(z.size)]
+    y = np.arange(-M, M + 1, dtype=np.float64) * bundle.a_tilde
+    pair = kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
+    # index i is row nx = i - M; each range's rows are summed on their own,
+    # for every height, in one call
+    parts = _map_ranges(lambda lo, hi: kernels.res_points(pair, y[lo:hi], y, z, sums=True),
+                        _split_rows(np.ones(y.size), threads))
+    return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
 def _offres_octant(bundle: ValidatedBundle, z: float) -> float:
@@ -300,17 +288,46 @@ def _offres_octant(bundle: ValidatedBundle, z: float) -> float:
     # the site term is a function of nx^2 + j^2: evaluate it once per distance
     d2, site = kernels.distance_table(0, M + 1)
     radial = offresonant_sites(*radial_sites(d2, a2, z2, zx), bundle.mu)
-    nx, j = np.tril_indices(M + 1)
-    return math.fsum(octant_weights(nx, j, a2, zx) * radial[site])
+    return _exact(kernels.octant_sum, zx, a2, radial, site, M + 1)
+
+
+# A generic off-resonant direct sum evaluates and sums at most this many
+# sites at a time, so that its memory does not grow with the grid
+CUSTOM_BLOCK_SITES = 1 << 14
 
 
 def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
     M = bundle.half_extent
     n = np.arange(-M, M + 1) * bundle.a_tilde
-    x, y = np.meshgrid(n, n, indexing="ij")
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  x.ravel(), y.ravel(), z)
-    return math.fsum(offresonant_sites(r, dot, pp, bundle.mu))
+    pair = kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
+    sites = n.size * n.size
+    # the grid (nx, ny) row by row, one block of sites at a time
+    blocks = (kernels.offres_points(pair, n, n, [z], bundle.mu, lo=lo,
+                                    hi=min(lo + CUSTOM_BLOCK_SITES, sites))
+              for lo in range(0, sites, CUSTOM_BLOCK_SITES))
+    return _exact(kernels.exact_sum, blocks)
+
+
+def _exact(total, *args) -> float:
+    """total(*args), an exact sum of kernels, or NaN where it raises as
+    math.fsum does (intermediate overflow, or -inf + inf): a sum that is not
+    finite, which :func:`finite` reports."""
+    try:
+        return total(*args)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
+def finite(values: np.ndarray, z: np.ndarray, bundle: ValidatedBundle, stage: str) -> np.ndarray:
+    """values, one per height z, when each is finite. Otherwise raises
+    QuadratureFailure naming the stage, the first such height and mu, as
+    the decomposition's terms do: at tiny heights the origin term's r^6
+    underflows, and a sum or term of inf or NaN would be printed."""
+    for v, h in zip(values.tolist(), z.tolist()):
+        if not math.isfinite(v):
+            raise QuadratureFailure(f"{stage} at z={h!r}, mu={bundle.mu!r} "
+                                    f"({bundle.orientation_label()}): value is not finite")
+    return values
 
 
 def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: int | None = None,
@@ -357,7 +374,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     else:
         sites = _offres_octant if octant else _offres_custom
         sums = [sites(bundle, h) for h in z.tolist()]
-    value = per_height(heights, pref * np.array(sums))
+    value = per_height(heights, finite(pref * np.array(sums), z, bundle, f"direct {kind}"))
     return ShiftResult(resonant=value if kind == "resonant" else None,
                        off_resonant=value if kind == "off_resonant" else None,
                        terms_summed=count * z.size)

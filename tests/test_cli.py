@@ -428,6 +428,29 @@ def test_sweep_where_the_closed_form_bulk_is_not_finite_exits_numerical(backend,
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NumPy backend's divisions by 0
+def test_vertex_and_direct_sum_that_are_not_finite_exit_numerical(backend, monkeypatch, capsys):
+    # at z = 1e-60 the bulk fails first (above); with the bulk and the edge
+    # stubbed, decompose fails at the vertex and, with the vertex stubbed
+    # too, the sweep at the direct sum: no report and no row either way
+    def zeros(bundle, kind, heights=None):
+        return 0.0 if heights is None else np.zeros(len(heights))
+
+    monkeypatch.setattr(euler_maclaurin, "bulk_term", zeros)
+    monkeypatch.setattr(euler_maclaurin, "edge_term", zeros)
+    assert cli.main(["decompose", "--half-extent", "2", "--z-tilde", "1e-60"]) == \
+        cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: vertex resonant at z=1e-60, mu=0.5 (zz): value is not finite" in captured.err
+    monkeypatch.setattr(euler_maclaurin, "vertex_term", zeros)
+    assert cli.main(["sweep", "--half-extent", "2", "--z-min", "1e-60", "--z-max", "1e-59",
+                     "--threads", "1"]) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1  # the header
+    assert "error: direct resonant at z=1e-60, mu=0.5 (zz): value is not finite" in captured.err
+
+
 def _fail_rotated_estimates_at(monkeypatch, z_fail):
     """Make the rotated path's error estimate miss at one height only (it
     becomes the scale), so the resonant edge fails there and nowhere else."""

@@ -503,8 +503,8 @@ def _counting_sites(monkeypatch):
     integrals: the off-resonant site kernel's, and the compiled resonant ray
     integrals' (kernels.ray_rotated), which evaluate their site term inside."""
     calls, sites, rays = [], euler_maclaurin._sites, kernels.ray_rotated
-    monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, big_r, z, directions: (
-        calls.append(("off_resonant", directions.tolist())) or sites(bundle, big_r, z,
+    monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, heights, directions: (
+        calls.append(("off_resonant", directions.tolist())) or sites(bundle, heights,
                                                                       directions)))
     monkeypatch.setattr(kernels, "ray_rotated", lambda bulk, pair, directions, heights, rule: (
         calls.append(("resonant", directions.tolist()))

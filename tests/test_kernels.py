@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
-from cplattice import kernels, lattice_sum
+from cplattice import greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
 from cplattice.lattice_sum import sum_lattice
@@ -297,7 +297,8 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
-        "sincos_probe", "ray_rotated", "panel_sums"}
+        "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points", "fsum",
+        "octant_fsum", "libm_sincos"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
@@ -681,3 +682,141 @@ def test_row_throughput_contract(lib):
         rates.append(rate * max(piece_s / REFERENCE_PIECE_S, 1.0))
     rate = statistics.median(rates)
     assert rate > 1e8, f"{rate:.3g} site terms per reference second"
+
+
+# ---------------------------------------------------------------------------
+# exact sums: CPython's math.fsum, ported, with its partials carried from one
+# array to the next
+
+def _fsum_outcome(total, *args):
+    """The bits of a sum, or the error it raises."""
+    try:
+        return total(*args).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_WIDE = st.builds(lambda m, e: m * 2.0 ** e, st.floats(-1.0, 1.0), st.integers(-1000, 1000))
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-16, 1.0,
+                            1e16, 1.7976931348623157e308, -1.7976931348623157e308, math.inf,
+                            -math.inf, math.nan])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals included
+
+
+@pytest.mark.usefixtures("backend")
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(_WIDE, _FINITE, _SPECIAL), max_size=60),
+       cancel=st.booleans(), cuts=st.lists(st.integers(0, 130), max_size=4))
+@example(values=[], cancel=False, cuts=[])
+@example(values=[-0.0], cancel=False, cuts=[])
+@example(values=[5e-324], cancel=True, cuts=[1])
+@example(values=[1e-16, 1.0, 1e16], cancel=False, cuts=[])   # the half-even fix-up
+@example(values=[1.7976931348623157e308, 1.7976931348623157e308, -1e308], cancel=False,
+         cuts=[1])                                               # intermediate overflow
+@example(values=[math.inf, -math.inf, 1.0], cancel=False, cuts=[2])
+@example(values=[math.inf, -math.inf, 1.7976931348623157e308, 1.7976931348623157e308],
+         cancel=False, cuts=[])
+@example(values=[math.nan, math.inf], cancel=False, cuts=[1])
+def test_exact_sum_equals_math_fsum_bitwise(values, cancel, cuts):
+    # cancel plants the values' negatives, shuffled, after a small residue;
+    # cuts split the values into arrays, empty ones included
+    if cancel:
+        values = values + [2.0 ** -60] + [-v for v in values[::-1]]
+    bounds = sorted(min(c, len(values)) for c in cuts)
+    parts = [np.array(values[lo:hi], dtype=np.float64)
+             for lo, hi in zip([0, *bounds], [*bounds, len(values)])]
+    assert _fsum_outcome(kernels.exact_sum, iter(parts)) == _fsum_outcome(math.fsum, values)
+
+
+def test_exact_sum_state_holds_the_library_s_partials():
+    # the state that kernels allocates is the one _rows.c indexes
+    source = kernels._SOURCE.read_text()
+    head, partials = (int(re.search(rf"^#define {name} (\d+)$", source, re.M).group(1))
+                      for name in ("FSUM_HEAD", "FSUM_PARTIALS"))
+    assert kernels.FSUM_STATE == head + partials
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflowing products
+@pytest.mark.parametrize("zx", [False, True])
+def test_octant_sum_equals_math_fsum_of_the_fold(backend, zx):
+    # the fold's products are octant_weights' (for zx ((2 nx) nx) a2 and so
+    # on), and an overflowing product or an inf site term is summed as
+    # math.fsum sums it
+    rng = np.random.default_rng(11)
+    for M, a2 in ((0, 0.01), (1, 0.3), (7, 1e-4), (40, 2.0), (500, 1e-4)):
+        d2, idx = kernels.distance_table(0, M + 1)
+        nx, j = np.tril_indices(M + 1)
+        for radial in (rng.uniform(-1.0, 1.0, d2.size) * 10.0 ** rng.uniform(-300, 300, d2.size),
+                       np.full(d2.size, 1.7e308), np.where(d2 > 2, 1.0, math.inf)):
+            want = _fsum_outcome(math.fsum, _numpy_backend.octant_weights(nx, j, a2, zx)
+                                 * radial[idx])
+            assert _fsum_outcome(kernels.octant_sum, zx, a2, radial, idx, M + 1) == want, M
+
+
+def test_numpy_sin_cos_are_the_c_library_s(lib):
+    # the compiled site sets take sin and cos of 2r and 2y from the C library,
+    # the NumPy backend np.sin and np.cos: they agree only while NumPy calls
+    # the same functions on float64. A NumPy that vectorizes them fails here
+    rng = np.random.default_rng(12)
+    phases = np.concatenate((np.linspace(0.0, 8.0, 200_000, endpoint=False),
+                             rng.uniform(0.0, 8.0, 100_000), rng.uniform(0.0, 1e6, 200_000),
+                             np.arange(120_000) * (math.pi / 4)))
+    s, c = np.empty_like(phases), np.empty_like(phases)
+    lib.libm_sincos(phases, phases.size, s, c)
+    assert np.sin(phases).tobytes() == s.tobytes()
+    assert np.cos(phases).tobytes() == c.tobytes()
+    for step in (slice(None, None, 3), slice(1, None, 7)):
+        assert np.sin(phases[step]).tobytes() == s[step].tobytes()
+        assert np.cos(phases[step]).tobytes() == c[step].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# real-axis site sets: the compiled passes against NumPy's sequences
+
+_S3 = 1.0 / math.sqrt(3.0)
+
+def _site_set_positions(u, v, z, rays):
+    """x and y of every site of a site set at the height z, (u, sites)."""
+    if not rays:
+        return u[:, None], v[None, :]
+    big_r = z * u[:, None]
+    return big_r * v[0::2], big_r * v[1::2]
+
+
+@pytest.mark.parametrize("rays", [False, True])
+def test_site_sets_equal_numpy_sequences_bitwise(backend, rays):
+    # greens.site_projections and resonant_sites with np.sum over each row,
+    # and the off-resonant site integrals from the same projections; rows
+    # of more sites than NumPy's pairwise blocks and reduction buffers
+    rng = np.random.default_rng(13 + rays)
+    for e0, en in (((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)), ((_S3, _S3, _S3), (0.0, 0.8, 0.6))):
+        pair = kernels.dipole_pair(e0, en)
+        for nu, nv, nz in ((1, 1, 1), (3, 17, 2), (5, 129, 3), (2, 9000, 1), (1, 20001, 1)):
+            u = rng.uniform(0.0, 3.0, nu) if rays else rng.uniform(-3.0, 3.0, nu)
+            phi = rng.uniform(0.0, 2.0 * math.pi, nv)
+            v = np.stack([np.cos(phi), np.sin(phi)], axis=-1).ravel() if rays else \
+                rng.uniform(-3.0, 3.0, nv)
+            z = np.geomspace(1e-2, 30.0, nz)
+            values, sites = [], []
+            for h in z.tolist():
+                x, y = _site_set_positions(u, v, h, rays)
+                r, dot, pp = greens.site_projections(e0, en, x, y, h)
+                values.append(greens.resonant_sites(r, dot, pp))
+                sites.append((r, pp))
+            values = np.array(values)
+            if not rays:  # the resonant site sets are grids
+                got = kernels.res_points(pair, u, v, z, sums=False)
+                assert got.tobytes() == values.tobytes()
+                sums = kernels.res_points(pair, u, v, z, sums=True)
+                assert sums.tobytes() == np.sum(values, axis=-1).tobytes()
+            if nu * nv * nz > 3000:
+                continue
+            r = np.concatenate([r.ravel() for r, _ in sites])
+            pp = np.concatenate([pp.ravel() for _, pp in sites])
+            for mu in (0.05, 0.6, 1.7):
+                want = _former_offresonant_sites(r, pair[6], pp, mu)
+                assert kernels.offres_points(pair, u, v, z, mu, rays=rays).tobytes() == \
+                    want.tobytes()
+                lo, hi = r.size // 3, r.size - r.size // 4
+                assert kernels.offres_points(pair, u, v, z, mu, rays=rays, lo=lo,
+                                             hi=hi).tobytes() == want[lo:hi].tobytes()

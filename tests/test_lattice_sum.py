@@ -1,20 +1,23 @@
 """Direct-sum module tests. The reference ("naive") summation used here is
 built from the public 3x3 tensor API, site by site over the full grid, with
 no octant folding and no shared code with the accelerated paths."""
+import contextlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplattice import kernels, lattice_sum
-from cplattice.euler_maclaurin import decompose
+from cplattice import euler_maclaurin, greens, kernels, lattice_sum
+from cplattice.euler_maclaurin import bulk_term, decompose, edge_term, vertex_term
+from cplattice.kernels import _numpy_backend
 from cplattice.greens import green_dyadic, resonant_sites
-from cplattice.lattice_sum import (ShiftResult, SiteBudgetExceeded, _map_ranges, _split_rows,
-                                   offresonant_pair_term, resonant_pair_term,
-                                   sum_lattice)
+from cplattice.lattice_sum import (QuadratureFailure, ShiftResult, SiteBudgetExceeded,
+                                   _map_ranges, _split_rows, offresonant_pair_term,
+                                   resonant_pair_term, sum_lattice)
 from cplattice.model import (Geometry, LatticeSpec, ModelParams, NonPositiveLength,
                              validate)
 from scipy.integrate import quad
@@ -349,12 +352,13 @@ def _per_row_custom(bundle):
 
 
 @pytest.mark.parametrize("cap", [1, 50, 1 << 14])
-def test_custom_row_ranges_equal_per_row_oracle_bitwise(monkeypatch, cap):
-    # a cap below a row's 2M+1 sites gives one row per call; 50 sites split
-    # every worker's range into blocks of 2 rows (M = 12) or 1 row (M = 40)
-    monkeypatch.setattr(lattice_sum, "CUSTOM_BLOCK_SITES", cap)
-    calls, kernel = [], lattice_sum.resonant_sites
-    monkeypatch.setattr(lattice_sum, "resonant_sites",
+def test_custom_row_ranges_equal_per_row_oracle_bitwise(backend, monkeypatch, cap):
+    # the NumPy backend's site sets: a cap below a row's 2M+1 sites gives one
+    # row per call; 50 sites split every worker's range into blocks of 2 rows
+    # (M = 12) or 1 row (M = 40). The compiled pass calls no NumPy kernel
+    monkeypatch.setattr(_numpy_backend, "SITE_SET_BLOCK", cap)
+    calls, kernel = [], _numpy_backend.resonant_sites
+    monkeypatch.setattr(_numpy_backend, "resonant_sites",
                         lambda r, dot, pp: calls.append(r.shape) or kernel(r, dot, pp))
     for pair, (test, array) in _CUSTOM_PAIRS.items():
         for M, a, z in ((0, 0.5, 0.3), (12, 0.3, 0.7), (40, 0.05, 0.2)):
@@ -364,6 +368,9 @@ def test_custom_row_ranges_equal_per_row_oracle_bitwise(monkeypatch, cap):
                 calls.clear()
                 got, = lattice_sum._resonant_custom(b, np.array([b.z_tilde]), threads)
                 assert got.hex() == want.hex(), (pair, M, threads)
+                if backend is not _numpy_backend:
+                    assert calls == []
+                    continue
                 step = max(1, cap // (2 * M + 1))
                 assert all(rows <= step and sites == 2 * M + 1 for rows, sites in calls)
                 assert sum(rows for rows, _ in calls) == 2 * M + 1
@@ -446,3 +453,71 @@ def test_heights_checked_like_the_bundle_height():
         for kind in ("resonant", "off_resonant"):
             with pytest.raises(NonPositiveLength, match="z_tilde must be > 0 and finite"):
                 sum_lattice(mk(), kind, heights=[0.1, bad])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NumPy backend's divisions by 0
+@pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
+def test_sums_that_are_not_finite_raise_naming_stage_and_height(backend, kind):
+    # the origin site's r^6 underflows: zz at a 0.01, M 2 summed to inf at
+    # z = 1e-60 and NaN at 1e-300, and a custom pair at M 2, a 0.5 to NaN at
+    # 1e-200, as the vertex did
+    zz = dict(mu=0.6, a=0.01, M=2)
+    custom = dict(mu=0.6, a=0.5, M=2, test=_CUSTOM_PAIRS["custom_a"][0],
+                  array=_CUSTOM_PAIRS["custom_a"][1])
+    for where, label, z in ((zz, "zz", 1e-60), (zz, "zz", 1e-300), (custom, "custom", 1e-200)):
+        for stage, call in ((f"direct {kind}", lambda b, **kw: sum_lattice(b, kind, **kw)),
+                            (f"vertex {kind}", lambda b, **kw: vertex_term(b, kind, **kw))):
+            want = rf"{stage} at z={z!r}, mu=0\.6 \({label}\): value is not finite"
+            with pytest.raises(QuadratureFailure, match=want):
+                call(mk(z=z, **where))
+            # among other heights, which pass, the one that fails is named
+            call(mk(z=0.5, **where), heights=[0.5, 0.3])
+            with pytest.raises(QuadratureFailure, match=want):
+                call(mk(z=0.5, **where), heights=[0.5, z, 0.3])
+
+
+def test_custom_offresonant_sum_memory_is_bounded(backend):
+    # the grid is evaluated and summed a block of sites at a time: at
+    # M = 300 (361,201 sites) the whole grid and its temporaries took a
+    # tracemalloc peak of 17.3 MB, ~48 bytes a site
+    b = mk(mu=0.6, a=0.05, M=300, z=0.5, test=_CUSTOM_PAIRS["custom_b"][0],
+           array=_CUSTOM_PAIRS["custom_b"][1])
+    sum_lattice(mk(mu=0.6, M=2, test=b.params.test_dipole, array=b.params.array_dipole),
+                "off_resonant")  # first calls outside the measurement
+    tracemalloc.start()
+    try:
+        value = sum_lattice(b, "off_resonant").off_resonant
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_custom_call_group_calls_no_numpy_site_kernel(monkeypatch):
+    # on the compiled backend a custom pair's sums and terms, both kinds,
+    # take their site terms in C: the NumPy site kernels raise at every
+    # caller's name
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module in (greens, lattice_sum, euler_maclaurin, kernels._numpy_backend):
+        for name in ("site_projections", "resonant_sites"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    with contextlib.ExitStack() as stack:
+        try:
+            stack.enter_context(kernels.backend("c"))
+        except RuntimeError as exc:
+            pytest.skip(str(exc))
+        for pair in _CUSTOM_PAIRS.values():
+            b = mk(mu=0.6, a=0.6, M=8, z=1.3, test=pair[0], array=pair[1])
+            for kind in ("resonant", "off_resonant"):
+                for heights in (None, [0.3, 1.3, 4.0]):
+                    sum_lattice(b, kind, heights=heights, threads=1)
+                    bulk_term(b, kind, heights)
+                    edge_term(b, kind, heights)
+                    vertex_term(b, kind, heights)
+                    decompose(b, kind, heights)

@@ -145,9 +145,10 @@ def test_kernel_principal_orientations_over_radii(mu):
 
 def test_branch_switch_is_continuous():
     y = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
-    trig = np.empty((4, y.size))
-    kernels.closed_form_inputs(2.0 * y, trig)
-    closed = _numpy_backend.phi_closed(y, *trig, np.ones(y.size, bool))
+    si_ci = np.empty((2, y.size))
+    kernels.closed_form_inputs(2.0 * y, si_ci)
+    closed = _numpy_backend.phi_closed(y, *si_ci, np.sin(2.0 * y), np.cos(2.0 * y),
+                                       np.ones(y.size, bool))
     laguerre = kernels.phi_laguerre(y, *kernels.LAGUERRE)
     np.testing.assert_allclose(closed, laguerre, rtol=1e-13, atol=0.0)
     # either side of the switch, through the public kernel
