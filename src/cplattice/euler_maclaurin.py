@@ -67,13 +67,13 @@ pairwise sums, and r^6 is NumPy's binary powering. On
 the real path every height has the same panels in s, so the nodes z s of
 every height and direction are one site set of ``kernels.offres_points``
 (rays of the directions along the radii z s), which places them and
-evaluates the site kernel in one call, NumPy forms the mean and the
-Jacobian, and ``kernels.panel_sums`` the panel sums. The mean
-over the directions is one NumPy reduction over the last axis, whose order
-does not depend on the block, and the Jacobian multiplies it through an
-explicit ufunc call (see :func:`_ray_integral`), so that equality holds for
-blocks of any size. ``cplattice sweep`` decomposes its grid in blocks of
-heights.
+evaluates the site kernel in one call, and ``kernels.panel_sums`` takes
+the mean over the directions, the Jacobian and the panel sums in one more.
+Its NumPy fallback forms the mean as one NumPy reduction over the last
+axis, whose order does not depend on the block, and multiplies by the
+Jacobian through an explicit ufunc call, and the compiled call spells out
+the same operations, so equality holds for blocks of any size.
+``cplattice sweep`` decomposes its grid in blocks of heights.
 
 Off-resonant, the bulk and the edge evaluate the same site term at the same
 real-path nodes z s; only their Jacobians differ. Within one
@@ -244,28 +244,19 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     and J = 1 for the edge, all in one ``kernels.ray_rotated`` call (the
     resonant bulk averages its directions, and the resonant edge takes
     ``axes``, each direction an axis); off-resonant takes the real rule,
-    R = z s, with J = z^2 s for the bulk and J = z for the edge, whose panel
-    sums ``kernels.panel_sums`` forms. The panels of all heights are stacked
-    as rows, each row with its own height z.
-
-    The real path's integrand is np.multiply(J, mean), never ``J * mean``:
-    NumPy computes an operator on a temporary of more than 256 KiB in the
-    temporary's buffer, swapping the operands of a product, which would make
-    large blocks of heights round differently from one-height calls.
+    R = z s, with J = z^2 s for the bulk and J = z for the edge: one site
+    set of ``kernels.offres_points`` gives the site values at every node
+    and direction, and one ``kernels.panel_sums`` call forms the mean over
+    the directions, the Jacobian and the panel sums. The panels of all
+    heights are stacked as rows, each row with its own height z.
     """
     if kind == "resonant":
         sums, counts = kernels.ray_rotated(stage == "bulk", _pair(bundle), directions, heights,
                                            _ROTATED_RULE)
     else:
         # the same panels in s = R/z at every height
-        z = np.repeat(heights, len(_S))[:, None]
-        s = np.tile(_S, (len(heights), 1))
-        jac = z * z * s if stage == "bulk" else z
-        f = _shared_sites(bundle, heights, directions)
-        means = [f.mean(axis=-1)] if axes is None else [f[..., k:k + 1].mean(axis=-1)
-                                                        for k in range(len(axes))]
-        sums = np.stack([kernels.panel_sums(np.multiply(jac, mean), _S_W, _S_W_LOW,
-                                            len(heights)) for mean in means], axis=1)
+        sums = kernels.panel_sums(_shared_sites(bundle, heights, directions), heights, _S, _S_W,
+                                  _S_W_LOW, stage == "bulk", axes is not None)
         counts = np.full(len(heights), len(_S))
     if axes is None:
         return _checked(sums[:, 0], counts, heights, bundle, f"{stage} {kind}")

@@ -88,9 +88,10 @@ distance table that the compiled rows gather from:
   C library's pow in places. GCC's vectorizer fuses complex products
   written out in real arithmetic even under -std=c99, so that section of
   ``_rows.c`` is compiled unvectorized;
-* ``panel_sums(f, w, w_low, nz)``: the panel sums of the off-resonant ray
-  integrals, the same values, estimates and scales from the real path's
-  integrand, which NumPy forms.
+* ``panel_sums(f, heights, s, w, w_low, bulk, each)``: the off-resonant
+  ray integrals on the real path from their site values, the same values,
+  estimates and scales: the mean over the directions (np.mean's sum and
+  division), the Jacobian and the pairwise panel sums.
 """
 from __future__ import annotations
 
@@ -213,8 +214,9 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     lib.octant_fsum.restype = ctypes.c_long
     lib.libm_sincos.argtypes = (vec, count, out, out)
     lib.libm_sincos.restype = None
-    lib.panel_sums.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-                               ctypes.c_long, ctypes.c_void_p)
+    lib.panel_sums.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_int,
+                               ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+                               ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
     lib.panel_sums.restype = None
     return lib
 
@@ -593,25 +595,35 @@ def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray, heights: n
     return sums, counts
 
 
-def panel_sums(f: np.ndarray, w: np.ndarray, w_low: np.ndarray, nz: int) -> np.ndarray:
-    """(nz, 3): the value sum f w, error estimate sum |full - nested| and
-    scale sum |full| of each of nz heights, whose panels are consecutive
-    rows of f (nz * rows, 25), with the rows' weights w and nested weights
-    w_low (rows, 25), all float64, as ``euler_maclaurin._ray_integral``
-    sums the real path. Raises ``ValueError`` for other shapes."""
-    if np.ndim(w) != 2 or np.shape(w)[1] != 25 or np.shape(w_low) != np.shape(w) \
-            or np.size(f) != nz * np.size(w):
-        raise ValueError(f"need f of {nz} x rows x 25 values and weights (rows, 25), got "
-                         f"{np.shape(f)}, {np.shape(w)} and {np.shape(w_low)}")
-    out = np.empty((nz, 3))
-    if not nz:
+def panel_sums(f: np.ndarray, heights: np.ndarray, s: np.ndarray, w: np.ndarray,
+               w_low: np.ndarray, bulk: bool, each: bool) -> np.ndarray:
+    """The real path's ray integrals of ``euler_maclaurin._ray_integral`` at
+    each of the heights, from f (heights x rows, 25, directions), the site
+    values at the nodes z s of the rule s (rows, 25) for each direction:
+    (heights, outputs, 3) holding each output's value sum J <f> w, error
+    estimate sum |full - nested| and scale sum |full|, with the rows'
+    weights w and nested weights w_low (rows, 25). <f> is the mean over all
+    directions, one output, or with ``each`` each direction alone, and J is
+    z^2 s for the bulk and z for the edge, in NumPy's order of operations
+    (np.mean's sum and division, then the product, then the pairwise panel
+    sums). All arrays are float64. Raises ``ValueError`` for other
+    shapes."""
+    rows, nz = np.shape(s)[0], np.size(heights)
+    if np.shape(s) != (rows, 25) or np.shape(w) != (rows, 25) or np.shape(w_low) != (rows, 25) \
+            or np.ndim(heights) != 1 or np.ndim(f) != 3 or np.shape(f)[:2] != (nz * rows, 25):
+        raise ValueError(f"need f of {nz} x rows x 25 nodes and directions and the rule and "
+                         f"weights (rows, 25), got {np.shape(f)}, {np.shape(s)}, {np.shape(w)} "
+                         f"and {np.shape(w_low)}")
+    nd = np.shape(f)[2]
+    out = np.empty((nz, nd if each else 1, 3))
+    if not out.size:
         return out
-    f, w, w_low = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, w, w_low))
+    args = [np.ascontiguousarray(a, dtype=np.float64) for a in (f, heights, s, w, w_low)]
     if _impl is _numpy_backend:
-        _impl.panel_sums(f, w, w_low, w.shape[0], nz, out)
+        _impl.panel_sums(args[0], nd, each, bulk, args[1], nz, *args[2:], rows, out)
     else:
-        _impl.panel_sums(_address(f), _address(w), _address(w_low), w.shape[0], nz,
-                         _address(out))
+        f, heights, s, w, w_low = map(_address, args)
+        _impl.panel_sums(f, nd, each, bulk, heights, nz, s, w, w_low, rows, _address(out))
     return out
 
 

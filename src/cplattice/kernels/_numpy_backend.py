@@ -349,12 +349,27 @@ def ray_rotated(bulk, pair, dirs, nd: int, z, nz: int, rule, npowers: int, count
     return 0
 
 
-def panel_sums(f, w, w_low, rows: int, nz: int, out) -> None:
-    """out (nz, 3) = the value sum f w, error estimate sum |full - nested|
-    and scale sum |full| of each of the nz heights, whose rows panels of
-    NODES values are consecutive rows of f, with the rows' weights w and
-    nested weights w_low (rows, NODES)."""
-    g = f.reshape(nz, rows, NODES)
-    full = np.sum(g * w, axis=-1)
-    err = np.abs(full - np.sum(g * w_low, axis=-1))
-    out[:] = np.stack([full.sum(axis=-1), err.sum(axis=-1), np.abs(full).sum(axis=-1)], axis=-1)
+def panel_sums(f, nd: int, each: bool, bulk: bool, z, nz: int, s, w, w_low, rows: int,
+               out) -> None:
+    """out (nz, outputs, 3) = the value sum J <f> w, error estimate sum
+    |full - nested| and scale sum |full| of each of the nz heights z, whose
+    rows panels of NODES nodes z s are consecutive rows of f (nz rows,
+    NODES, nd directions): <f> the mean over all directions, one output, or
+    with ``each`` over each direction alone, and J = z^2 s for the bulk or z
+    for the edge, with the rows' weights w and nested weights w_low (rows,
+    NODES)."""
+    zr = np.repeat(z, rows)[:, None]
+    jac = zr * zr * np.tile(s, (nz, 1)) if bulk else zr
+    sites = f.reshape(nz * rows, NODES, nd)
+    means = [sites[..., k:k + 1].mean(axis=-1) for k in range(nd)] if each else [
+        sites.mean(axis=-1)]
+    sums = out.reshape(nz, len(means), 3)
+    for o, mean in enumerate(means):
+        # np.multiply(J, mean), never J * mean: NumPy computes an operator on
+        # a temporary of more than 256 KiB in the temporary's buffer, and the
+        # order of a block's operations must not depend on its size
+        g = np.multiply(jac, mean).reshape(nz, rows, NODES)
+        full = np.sum(g * w, axis=-1)
+        err = np.abs(full - np.sum(g * w_low, axis=-1))
+        sums[:, o] = np.stack([full.sum(axis=-1), err.sum(axis=-1), np.abs(full).sum(axis=-1)],
+                              axis=-1)

@@ -38,8 +38,8 @@
    fill call site, so every loop instance is branch-free.
 
    ray_rotated evaluates the resonant ray integrals of the bulk/edge
-   decomposition on their rotated paths, whole, and panel_sums sums the
-   panels of the off-resonant ones; res_points and offres_points take the
+   decomposition on their rotated paths, whole, and panel_sums the
+   off-resonant ones on the real path from their site values; res_points and offres_points take the
    real-axis site sets (the direct sums of generic dipole pairs, the vertex
    and the off-resonant real path) from site positions on, and fsum and
    octant_fsum are CPython's math.fsum; see their sections at the end.
@@ -819,30 +819,41 @@ long ray_rotated(int bulk, const double *pair, const double *dirs, long nd, cons
     return 0;
 }
 
-/* The panel sums of the real path: for the nz heights, each with the rows
-   panels of NODES values f, out[3h + 0..2] = the value sum f w, the error
-   estimate sum |full - nested| and the scale sum |full| over its panels,
-   with the rows' weights w and nested weights w_low (rows x NODES). */
-void panel_sums(const double *f, const double *w, const double *w_low, long rows, long nz,
-                double *out)
+/* The panel sums of the real path, for the nz heights z, each with the
+   rows panels of NODES nodes z s (s: rows x NODES), from f, the site values
+   at every node and each of nd directions, directions last: per output o,
+   the integrand J <f>, with <f> np.mean's over the output's directions
+   (0.0 plus NumPy's pairwise sum, over their count) and J = z^2 s for the
+   bulk or z for the edge, and out[3 (h nout + o) + 0..2] = the value sum
+   J <f> w, the error estimate sum |full - nested| and the scale sum |full|
+   over the height's panels, with the rows' weights w and nested weights
+   w_low (rows x NODES). One output, the mean of all directions, or with
+   each set one per direction. */
+void panel_sums(const double *f, long nd, int each, int bulk, const double *z, long nz,
+                const double *s, const double *w, const double *w_low, long rows, double *out)
 {
+    long nout = each ? nd : 1;
     double full[rows], err[rows], mag[rows];
-    for (long hz = 0; hz < nz; hz++) {
-        for (long k = 0; k < rows; k++) {
-            const double *fk = f + (hz * rows + k) * NODES;
-            double a[NODES], b[NODES];
-            for (int j = 0; j < NODES; j++) {
-                a[j] = fk[j] * w[k * NODES + j];
-                b[j] = fk[j] * w_low[k * NODES + j];
+    for (long hz = 0; hz < nz; hz++)
+        for (long o = 0; o < nout; o++) {
+            for (long k = 0; k < rows; k++) {
+                double a[NODES], b[NODES];
+                for (int j = 0; j < NODES; j++) {
+                    const double *site = f + ((hz * rows + k) * NODES + j) * nd;
+                    double mean = each ? 0.0 + site[o] : (0.0 + pairwise(site, nd)) / (double)nd;
+                    double jac = bulk ? z[hz] * z[hz] * s[k * NODES + j] : z[hz];
+                    a[j] = jac * mean * w[k * NODES + j];
+                    b[j] = jac * mean * w_low[k * NODES + j];
+                }
+                full[k] = 0.0 + pairwise(a, NODES);
+                err[k] = fabs(full[k] - (0.0 + pairwise(b, NODES)));
+                mag[k] = fabs(full[k]);
             }
-            full[k] = 0.0 + pairwise(a, NODES);
-            err[k] = fabs(full[k] - (0.0 + pairwise(b, NODES)));
-            mag[k] = fabs(full[k]);
+            double *res = out + 3 * (hz * nout + o);
+            res[0] = 0.0 + pairwise(full, rows);
+            res[1] = 0.0 + pairwise(err, rows);
+            res[2] = 0.0 + pairwise(mag, rows);
         }
-        out[3 * hz] = 0.0 + pairwise(full, rows);
-        out[3 * hz + 1] = 0.0 + pairwise(err, rows);
-        out[3 * hz + 2] = 0.0 + pairwise(mag, rows);
-    }
 }
 
 /* ---------------------------------------------------------------------------

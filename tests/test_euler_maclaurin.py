@@ -675,19 +675,33 @@ def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, blo
 
 @pytest.mark.parametrize("nz", [0, 1, 16, 31])
 def test_real_panel_sums_equal_numpy_sums_per_height(backend, nz):
-    # the oracle: the rule tiled over the heights, NumPy's row sums, and
-    # each height summed over its own panels
-    rows = len(euler_maclaurin._S)
+    # the oracle: the mean over the directions and the Jacobian as NumPy
+    # takes them, the rule tiled over the heights, NumPy's row sums, and each
+    # height summed over its own panels; one direction (zz), the five of the
+    # ring, and two axes each on its own
+    S = euler_maclaurin._S
+    rows = len(S)
     rng = np.random.default_rng(nz)
-    f = rng.normal(size=(nz * rows, 25)) * np.exp(rng.uniform(-30.0, 30.0, size=(nz * rows, 1)))
+    heights = np.exp(rng.uniform(-5.0, 5.0, nz))
+    z = np.repeat(heights, rows)[:, None]
     w, w_low = (np.tile(rule, (nz, 1)) for rule in (euler_maclaurin._S_W, euler_maclaurin._S_W_LOW))
-    full = np.sum(f * w, axis=1)
-    err = np.abs(full - np.sum(f * w_low, axis=1))
-    mag = np.abs(full)
-    want = [[full[k:k + rows].sum().real, err[k:k + rows].sum(), mag[k:k + rows].sum()]
-            for k in range(0, nz * rows, rows)]
-    got = kernels.panel_sums(f, euler_maclaurin._S_W, euler_maclaurin._S_W_LOW, nz)
-    assert got.shape == (nz, 3) and got.tobytes() == np.array(want).reshape(nz, 3).tobytes()
+    for nd, each in ((1, False), (5, False), (2, True)):
+        f = rng.normal(size=(nz * rows, 25, nd)) * np.exp(
+            rng.uniform(-30.0, 30.0, size=(nz * rows, 1, 1)))
+        means = [f[..., k:k + 1].mean(axis=-1) for k in range(nd)] if each else [f.mean(axis=-1)]
+        for bulk in (True, False):
+            jac = z * z * np.tile(S, (nz, 1)) if bulk else z
+            want = []
+            for k in range(0, nz * rows, rows):
+                for mean in means:
+                    g = np.multiply(jac, mean)
+                    full = np.sum(g * w, axis=1)[k:k + rows]
+                    err = np.abs(full - np.sum(g * w_low, axis=1)[k:k + rows])
+                    want.append([full.sum(), err.sum(), np.abs(full).sum()])
+            got = kernels.panel_sums(f, heights, S, euler_maclaurin._S_W,
+                                     euler_maclaurin._S_W_LOW, bulk, each)
+            assert got.shape == (nz, len(means), 3)
+            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes(), (nd, bulk)
 
 
 def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
@@ -701,7 +715,8 @@ def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
         with pytest.raises(ValueError, match=message):
             kernels.ray_rotated(*args)
     with pytest.raises(ValueError, match="need f of 2 x rows x 25"):
-        kernels.panel_sums(np.ones((7, 25)), euler_maclaurin._S_W, euler_maclaurin._S_W_LOW, 2)
+        kernels.panel_sums(np.ones((7, 25, 1)), np.ones(2), euler_maclaurin._S,
+                           euler_maclaurin._S_W, euler_maclaurin._S_W_LOW, True, False)
 
 
 def _term_or_failure(term, b):
