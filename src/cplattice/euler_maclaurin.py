@@ -351,10 +351,12 @@ def vertex_term(bundle: ValidatedBundle, kind: str, heights=None):
     pref = prefactor(bundle, kind)
     z = heights_array(bundle, heights)
     origin = np.zeros(1)
-    if kind == "resonant":
-        sites = kernels.res_points(_pair(bundle), origin, origin, z, sums=False).reshape(-1)
-    else:
-        sites = kernels.offres_points(_pair(bundle), origin, origin, z, bundle.mu)
+    # a site that is not finite raises in finite(), with no NumPy warning first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "resonant":
+            sites = kernels.res_points(_pair(bundle), origin, origin, z, sums=False).reshape(-1)
+        else:
+            sites = kernels.offres_points(_pair(bundle), origin, origin, z, bundle.mu)
     return per_height(heights, finite(pref * sites, z, bundle, f"vertex {kind}"))
 
 

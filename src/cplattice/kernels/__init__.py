@@ -14,6 +14,15 @@ The backend is one module variable, the library or the NumPy module
 that swaps it, together with the distance-table cache; it loads the library
 on demand, so one process can run both backends.
 
+Arrays cross into C one way: every array parameter of every export is
+declared as one of three checked ctypes types, ``F64``, ``I32`` and ``I64``,
+which take a C-contiguous ndarray of their dtype and pass the address of its
+first element, and reject anything else with ``ctypes.ArgumentError`` before
+the C code runs. The NumPy backend takes each export's arguments, with the
+arrays where C takes pointers, so a wrapper below makes one call that runs
+on either backend; it tests which backend it has only where the two take
+different algorithms.
+
 The module exports these functions over the selected backend, and the
 distance table that the compiled rows gather from:
 
@@ -130,6 +139,29 @@ def _cpu_model() -> str:
     return ""
 
 
+def _array(dtype):
+    """The ctypes parameter type of a C-contiguous ndarray of ``dtype``, of
+    any shape and size: ``from_param`` passes the address of its first
+    element, through ctypes.c_char.from_buffer, in a third of
+    a.ctypes.data's time, where the array is writeable and not empty, and
+    raises ``TypeError`` (ctypes' ``ArgumentError`` at the call) for any
+    other argument, before the C code runs."""
+    dtype = np.dtype(dtype)
+
+    def from_param(cls, a):
+        if not isinstance(a, np.ndarray) or a.dtype != dtype or not a.flags.c_contiguous:
+            raise TypeError(f"need a C-contiguous {dtype} ndarray")
+        if a.flags.writeable and a.size:
+            return ctypes.byref(ctypes.c_char.from_buffer(a))
+        return ctypes.c_void_p(a.ctypes.data)
+
+    return type(f"{dtype}_array", (), {"from_param": classmethod(from_param)})
+
+
+# The array parameters of the compiled exports
+F64, I32, I64 = _array(np.float64), _array(np.int32), _array(np.int64)
+
+
 def load_library(cc: str = "cc", directory: Path = _HERE):
     """The compiled row library, built into ``directory`` on first use.
 
@@ -137,7 +169,11 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     ``distance_table``, ``table_rows``, ``phi_laguerre``, ``offres_sites``,
     ``ray_rotated``, ``panel_sums``, ``res_points``, ``offres_points``,
     ``fsum``, ``octant_fsum``, ``sincos_probe`` and ``libm_sincos``
-    declared, or None when the library cannot be built or loaded. The build
+    declared, or None when the library cannot be built or loaded. Each
+    export has one ``argtypes`` and ``restype``: every array parameter is
+    ``F64``, ``I32`` or ``I64`` (C-contiguous, of that dtype, checked at each
+    call), every other one ``c_int``, ``c_long`` or ``c_double``, and
+    ``sincos_probe`` takes two ``POINTER(c_double)``. The build
     writes a temporary file and moves it into place, so concurrent first
     imports are safe; a successful build then removes the libraries of other
     keys (``_rows-*.so``) from ``directory``.
@@ -169,54 +205,40 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
         return None
     lib.res_row.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_long)
     lib.res_row.restype = ctypes.c_double
-    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    # one row range per height: (nz, hi - lo), or (hi - lo,) for one height
-    rows = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    lib.res_rows.argtypes = (ctypes.c_int, ctypes.c_double, vec, ctypes.c_long, ctypes.c_long,
-                             ctypes.c_long, rows)
+    lib.res_rows.argtypes = (ctypes.c_int, ctypes.c_double, F64, ctypes.c_long, ctypes.c_long,
+                             ctypes.c_long, F64)
     lib.res_rows.restype = None
-    index = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    index_out = np.ctypeslib.ndpointer(np.int32, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    lib.distance_table.argtypes = (ctypes.c_long, ctypes.c_long, out, index_out)
+    lib.distance_table.argtypes = (ctypes.c_long, ctypes.c_long, F64, I32)
     lib.distance_table.restype = ctypes.c_long
-    lib.table_rows.argtypes = (ctypes.c_int, ctypes.c_double, vec, ctypes.c_long, vec,
-                               ctypes.c_long, index, ctypes.c_long, ctypes.c_long, out, rows)
+    lib.table_rows.argtypes = (ctypes.c_int, ctypes.c_double, F64, ctypes.c_long, F64,
+                               ctypes.c_long, I32, ctypes.c_long, ctypes.c_long, F64, F64)
     lib.table_rows.restype = None
-    table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    out2 = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    lib.phi_laguerre.argtypes = (vec, ctypes.c_long, vec, vec, table, ctypes.c_long, out2)
+    lib.phi_laguerre.argtypes = (F64, ctypes.c_long, F64, F64, F64, ctypes.c_long, F64)
     lib.phi_laguerre.restype = None
     lib.offres_sites.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.c_double,
-                                 ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-                                 ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
+                                 ctypes.c_double, F64, F64, F64, ctypes.c_long, F64)
     lib.offres_sites.restype = None
     lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
                                  ctypes.POINTER(ctypes.c_double))
     lib.sincos_probe.restype = None
-    # the ray integrals take addresses (_address): per call, ndpointer's
-    # checks cost as much as a panel sum
-    lib.ray_rotated.argtypes = (ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
-                                ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
-                                ctypes.c_void_p, ctypes.c_void_p)
+    lib.ray_rotated.argtypes = (ctypes.c_int, F64, F64, ctypes.c_long, F64, ctypes.c_long, F64,
+                                ctypes.c_long, I64, F64)
     lib.ray_rotated.restype = ctypes.c_long
-    # the site sets and exact sums take addresses too
-    address, count = ctypes.c_void_p, ctypes.c_long
-    lib.res_points.argtypes = (address, address, count, address, count, address, count,
-                               ctypes.c_int, address)
+    lib.res_points.argtypes = (F64, F64, ctypes.c_long, F64, ctypes.c_long, F64, ctypes.c_long,
+                               ctypes.c_int, F64)
     lib.res_points.restype = ctypes.c_long
-    lib.offres_points.argtypes = (address, address, count, address, count, ctypes.c_int, address,
-                                  count, count, ctypes.c_double, ctypes.c_double, address)
+    lib.offres_points.argtypes = (F64, F64, ctypes.c_long, F64, ctypes.c_long, ctypes.c_int, F64,
+                                  ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_double,
+                                  F64)
     lib.offres_points.restype = ctypes.c_long
-    lib.fsum.argtypes = (address, count, address)
+    lib.fsum.argtypes = (F64, ctypes.c_long, F64)
     lib.fsum.restype = ctypes.c_long
-    lib.octant_fsum.argtypes = (ctypes.c_int, ctypes.c_double, address, address, count, address)
+    lib.octant_fsum.argtypes = (ctypes.c_int, ctypes.c_double, F64, I32, ctypes.c_long, F64)
     lib.octant_fsum.restype = ctypes.c_long
-    lib.libm_sincos.argtypes = (vec, count, out, out)
+    lib.libm_sincos.argtypes = (F64, ctypes.c_long, F64, F64)
     lib.libm_sincos.restype = None
-    lib.panel_sums.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_int,
-                               ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-                               ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
+    lib.panel_sums.argtypes = (F64, ctypes.c_long, ctypes.c_int, ctypes.c_int, F64,
+                               ctypes.c_long, F64, F64, F64, ctypes.c_long, F64)
     lib.panel_sums.restype = None
     return lib
 
@@ -347,15 +369,7 @@ _NODES, _WEIGHTS = roots_laguerre(56)
 LAGUERRE = (_NODES, _WEIGHTS, (0.5 * _NODES)[:, None] ** np.arange(5))
 for _table in LAGUERRE:
     _table.flags.writeable = False
-_LAGUERRE_ADDRESSES = tuple(table.ctypes.data for table in LAGUERRE)
 SITE_CHUNK = 1024
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of the first byte of a non-empty C-contiguous array:
-    through ctypes.c_char.from_buffer, in a third of a.ctypes.data's time,
-    where the array is writeable."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
 
 
 def closed_form_inputs(x: np.ndarray, out: np.ndarray) -> None:
@@ -379,8 +393,7 @@ def _offres_chunk(buf: np.ndarray, n: int, closed: int, mu: float) -> np.ndarray
                                     buf[3:, :closed], mu, PHI_SWITCH, RECAST, *LAGUERRE,
                                     buf[2, n:])
     else:
-        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *_LAGUERRE_ADDRESSES, LAGUERRE[0].size,
-                           _address(buf))
+        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *LAGUERRE, LAGUERRE[0].size, buf)
     return buf[2, n:]
 
 
@@ -395,9 +408,8 @@ def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> n
     reproduce, and Si and Ci are SciPy's. The backend does the rest: sin and
     cos of 2y (the C library's, which np.sin and np.cos call on float64),
     and IEEE arithmetic only, writing the site values into the buffer. The
-    buffer is built here, C-contiguous and of the size the layout needs, so
-    the compiled call gets its address and no checks; the NumPy backend gets
-    the buffer's rows as named arrays.
+    buffer is built here, of the size the layout needs; the compiled call
+    takes it whole, the NumPy backend its rows as named arrays.
     """
     out = np.empty(r.size)
     for lo in range(0, r.size, SITE_CHUNK):
@@ -446,24 +458,17 @@ def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
     allocate its row."""
     u, v, z, nv = _site_set(pair, u, v, heights, False)
     out = np.empty((z.size, u.size) if sums else (z.size, u.size, nv))
-    if not out.size:
-        return out
-    if _impl is _numpy_backend:
-        _impl.res_points(pair, u, u.size, v, nv, z, z.size, sums, out)
-    elif _impl.res_points(_address(pair), _address(u), u.size, _address(v), nv, _address(z),
-                          z.size, sums, _address(out)) < 0:
+    if out.size and _impl.res_points(pair, u, u.size, v, nv, z, z.size, sums, out) < 0:
         raise MemoryError("no memory for a resonant row of the site set")
     return out
 
 
-def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False, lo: int = 0,
-                  hi: int | None = None) -> np.ndarray:
+def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False) -> np.ndarray:
     """The off-resonant site integrals of ``lattice_sum.offresonant_sites``
-    over the sites lo <= k < hi (all by default) of a site set, numbered
-    k = (h, i, j) in that order, as a new array: at each height z, the
-    sites (x, y) = (u_i, v_j) of :func:`res_points`, or with ``rays`` the
-    sites R (v_2j, v_2j+1) with R = z u_i, the unit directions v along the
-    radii z u.
+    over a site set, its sites numbered k = (h, i, j) in that order, as a
+    new array: at each height z, the sites (x, y) = (u_i, v_j) of
+    :func:`res_points`, or with ``rays`` the sites R (v_2j, v_2j+1) with
+    R = z u_i, the unit directions v along the radii z u.
 
     Each chunk of at most ``SITE_CHUNK`` sites is one buffer of
     :func:`offres_sites`: the backend's ``offres_points`` places the sites
@@ -471,21 +476,12 @@ def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False
     ``greens.site_projections``' order of operations, the NumPy one through
     that function), and NumPy, SciPy and the backend take it from there."""
     u, v, z, nv = _site_set(pair, u, v, heights, rays)
-    hi = z.size * u.size * nv if hi is None else hi
-    out = np.empty(hi - lo)
-    compiled = _impl is not _numpy_backend and out.size
-    if compiled:
-        pair_at, u_at, v_at, z_at = map(_address, (pair, u, v, z))
-    for k0 in range(lo, hi, SITE_CHUNK):
-        n = min(hi - k0, SITE_CHUNK)
+    out = np.empty(z.size * u.size * nv)
+    for k0 in range(0, out.size, SITE_CHUNK):
+        n = min(out.size - k0, SITE_CHUNK)
         buf = np.empty((6, 2 * n))
-        if compiled:
-            closed = _impl.offres_points(pair_at, u_at, u.size, v_at, nv, rays, z_at, k0, n, mu,
-                                         PHI_SWITCH, _address(buf))
-        else:
-            closed = _impl.offres_points(pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH,
-                                         buf)
-        out[k0 - lo:k0 - lo + n] = _offres_chunk(buf, n, closed, mu)
+        closed = _impl.offres_points(pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH, buf)
+        out[k0:k0 + n] = _offres_chunk(buf, n, closed, mu)
     return out
 
 
@@ -516,13 +512,11 @@ def exact_sum(parts) -> float:
     math.fsum over all the values."""
     if _impl is _numpy_backend:
         return math.fsum(itertools.chain.from_iterable(np.ravel(p).tolist() for p in parts))
-    state = np.zeros(FSUM_STATE)
-    address, status = _address(state), 0
+    state, status = np.zeros(FSUM_STATE), 0
     for part in parts:
         part = np.ascontiguousarray(part, dtype=np.float64).reshape(-1)
-        if part.size:
-            status = _impl.fsum(_address(part), part.size, address)
-            _fsum_status(status, False)
+        status = _impl.fsum(part, part.size, state)
+        _fsum_status(status, False)
     _fsum_status(status, True)
     return float(state[3])
 
@@ -538,12 +532,11 @@ def octant_sum(zx: bool, a2: float, radial: np.ndarray, idx: np.ndarray, rows: i
         raise ValueError(f"need one int32 index per site of {rows} rows, got {idx.size} "
                          f"of {idx.dtype}")
     radial = np.ascontiguousarray(radial, dtype=np.float64)
-    if _impl is _numpy_backend or not idx.size:
+    if _impl is _numpy_backend:
         nx, j = np.tril_indices(rows)
         return math.fsum(_numpy_backend.octant_weights(nx, j, a2, zx) * radial[idx])
     state = np.zeros(FSUM_STATE)
-    _fsum_status(_impl.octant_fsum(zx, a2, _address(radial), _address(idx), rows,
-                                   _address(state)), True)
+    _fsum_status(_impl.octant_fsum(zx, a2, radial, idx, rows, state), True)
     return float(state[3])
 
 
@@ -577,20 +570,13 @@ def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray, heights: n
                          f"{np.shape(rule)}")
     if not bulk and not all(d in ([1.0, 0.0], [0.0, 1.0]) for d in np.asarray(directions).tolist()):
         raise ValueError("the edge takes only the axis directions (1, 0) and (0, 1)")
-    args = [np.ascontiguousarray(a, dtype=np.float64) for a in (pair, directions, heights, rule)]
+    pair, directions, heights, rule = (np.ascontiguousarray(a, dtype=np.float64)
+                                       for a in (pair, directions, heights, rule))
     nz, npowers = heights.size, rule.size - _numpy_backend.RULE_HEAD
     counts = np.empty(nz, dtype=np.int64)
     sums = np.empty((nz, 1 if bulk else nd, 3))
-    if not nz:
-        return sums, counts
-    if _impl is _numpy_backend:
-        status = _impl.ray_rotated(bool(bulk), args[0], args[1].reshape(-1), nd, args[2], nz,
-                                   args[3], npowers, counts, sums)
-    else:
-        pair, directions, heights, rule = map(_address, args)
-        status = _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, rule, npowers,
-                                   _address(counts), _address(sums))
-    if status < 0:
+    if nz and _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, rule, npowers,
+                                counts, sums) < 0:
         raise MemoryError("no memory for the ray integrals' panel sums")
     return sums, counts
 
@@ -616,14 +602,10 @@ def panel_sums(f: np.ndarray, heights: np.ndarray, s: np.ndarray, w: np.ndarray,
                          f"and {np.shape(w_low)}")
     nd = np.shape(f)[2]
     out = np.empty((nz, nd if each else 1, 3))
-    if not out.size:
-        return out
-    args = [np.ascontiguousarray(a, dtype=np.float64) for a in (f, heights, s, w, w_low)]
-    if _impl is _numpy_backend:
-        _impl.panel_sums(args[0], nd, each, bulk, args[1], nz, *args[2:], rows, out)
-    else:
-        f, heights, s, w, w_low = map(_address, args)
-        _impl.panel_sums(f, nd, each, bulk, heights, nz, s, w, w_low, rows, _address(out))
+    if out.size:
+        f, heights, s, w, w_low = (np.ascontiguousarray(a, dtype=np.float64)
+                                   for a in (f, heights, s, w, w_low))
+        _impl.panel_sums(f, nd, each, bulk, heights, nz, s, w, w_low, rows, out)
     return out
 
 

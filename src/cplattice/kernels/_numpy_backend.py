@@ -221,12 +221,13 @@ def offres_fill(buf, n: int, r, dot, pp, mu: float, sw: float) -> int:
 SITE_SET_BLOCK = 1 << 14
 
 
-def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.ndarray) -> None:
+def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.ndarray) -> int:
     """out = the resonant site values of the grid site set (see
     ``kernels.res_points``), (nz, nu, nv), or with ``sums`` each row's
     np.sum, (nz, nu): ``site_projections`` and ``resonant_sites`` over blocks
     of at most ``SITE_SET_BLOCK`` sites, whole rows or one longer row, a
-    height at a time."""
+    height at a time. Returns 0, as the compiled pass does when it can
+    allocate its row."""
     e0, en = tuple(pair[:3].tolist()), tuple(pair[3:6].tolist())
     step = max(1, SITE_SET_BLOCK // nv)
     for h, zh in enumerate(z.tolist()):
@@ -234,6 +235,7 @@ def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.nda
             rows = slice(start, min(start + step, nu))
             values = resonant_sites(*site_projections(e0, en, u[rows, None], v, zh))
             out[h, rows] = np.sum(values, axis=1) if sums else values
+    return 0
 
 
 def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, mu: float,
@@ -314,10 +316,10 @@ def ray_rotated(bulk, pair, dirs, nd: int, z, nz: int, rule, npowers: int, count
     sum |full - nested| and scale sum |full| over its height's panels, and
     counts = each height's panel count (-1, with NaNs, where it has no
     rule). bulk: r = z + t e^{i pi/4}, J = r, R = sqrt(r^2 - z^2) and one
-    output, the mean over the nd directions dirs (cos, sin); the edge:
-    R = t e^{i pi/4}, J = 1 and one output per direction. pair = e0, en and
-    e0.en; rule as in :func:`rotated_rules`; npowers is implied by it here.
-    Returns 0."""
+    output, the mean over the nd directions, the rows (cos, sin) of dirs
+    (nd, 2); the edge: R = t e^{i pi/4}, J = 1 and one output per direction.
+    pair = e0, en and e0.en; rule as in :func:`rotated_rules`; npowers is
+    implied by it here. Returns 0."""
     t, w, w_low, counts[:] = rotated_rules(z, rule)
     zr = np.repeat(z, np.maximum(counts, 0))[:, None]
     if bulk:
@@ -325,9 +327,8 @@ def ray_rotated(bulk, pair, dirs, nd: int, z, nz: int, rule, npowers: int, count
         big_r = np.sqrt(jac * jac - zr * zr)
     else:
         jac, big_r = 1.0, t
-    directions = dirs.reshape(nd, 2)
-    r, _, pp = site_projections(pair[:3], pair[3:6], big_r[..., None] * directions[:, 0],
-                                big_r[..., None] * directions[:, 1], zr[..., None])
+    r, _, pp = site_projections(pair[:3], pair[3:6], big_r[..., None] * dirs[:, 0],
+                                big_r[..., None] * dirs[:, 1], zr[..., None])
     f = resonant_sites_complex(r, pair[6], pp)
     # the integrand is np.multiply(J, mean), never J * mean: NumPy computes
     # an operator on a temporary of more than 256 KiB in the temporary's

@@ -33,15 +33,17 @@ over the full grid of rows n_x = -M..M as a site set of the kernels: the
 resonant rows, split over threads the same way, take one
 ``kernels.res_points`` call per worker, which returns each row's sum,
 reduced exactly in row order as above (the values of one call per row); the
-off-resonant grid takes ``kernels.offres_points`` a block of
-``CUSTOM_BLOCK_SITES`` sites at a time, whose values one exact sum takes in
-turn, so its memory does not grow with M. On the compiled backend both run
-in C from the site positions on: ``greens.site_projections`` and the site
-kernels' arithmetic in their order, with the C library's sin and cos
-(whose bits np.sin and np.cos share on float64), NumPy's r^6 and SciPy's Si
-and Ci; the NumPy backend calls those functions, and the two give the same
-bits. A sum that is not finite (at tiny heights the origin site's r^6
-underflows) raises :class:`QuadratureFailure` naming the stage and height.
+off-resonant grid takes ``kernels.offres_points`` a block of rows at a
+time, as many rows as ``CUSTOM_BLOCK_SITES`` sites hold or one longer row,
+whose values one exact sum takes in turn, so its memory grows with a row,
+not with the grid. On the compiled backend both run in C from the site
+positions on: ``greens.site_projections`` and the site kernels' arithmetic
+in their order, with the C library's sin and cos (whose bits np.sin and
+np.cos share on float64), NumPy's r^6 and SciPy's Si and Ci; the NumPy
+backend calls those functions, and the two give the same bits. A sum that
+is not finite (at tiny heights the origin site's r^6 underflows) raises
+:class:`QuadratureFailure` naming the stage and height, without a NumPy
+warning.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -96,6 +98,7 @@ tolerance.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -237,7 +240,9 @@ def _map_ranges(fn, ranges) -> list:
     if len(ranges) == 1:
         return [fn(*ranges[0])]
     with ThreadPoolExecutor(max_workers=len(ranges) - 1) as executor:
-        futures = [executor.submit(fn, lo, hi) for lo, hi in ranges[:-1]]
+        # each worker runs in a copy of the caller's context: its np.errstate
+        futures = [executor.submit(contextvars.copy_context().run, fn, lo, hi)
+                   for lo, hi in ranges[:-1]]
         last = fn(*ranges[-1])
         return [f.result() for f in futures] + [last]
 
@@ -291,8 +296,9 @@ def _offres_octant(bundle: ValidatedBundle, z: float) -> float:
     return _exact(kernels.octant_sum, zx, a2, radial, site, M + 1)
 
 
-# A generic off-resonant direct sum evaluates and sums at most this many
-# sites at a time, so that its memory does not grow with the grid
+# A generic off-resonant direct sum evaluates and sums as many whole rows at
+# a time as this many sites hold (at least one), so that its memory does not
+# grow with the grid
 CUSTOM_BLOCK_SITES = 1 << 14
 
 
@@ -300,11 +306,10 @@ def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
     M = bundle.half_extent
     n = np.arange(-M, M + 1) * bundle.a_tilde
     pair = kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
-    sites = n.size * n.size
-    # the grid (nx, ny) row by row, one block of sites at a time
-    blocks = (kernels.offres_points(pair, n, n, [z], bundle.mu, lo=lo,
-                                    hi=min(lo + CUSTOM_BLOCK_SITES, sites))
-              for lo in range(0, sites, CUSTOM_BLOCK_SITES))
+    rows = max(1, CUSTOM_BLOCK_SITES // n.size)
+    # the grid (nx, ny) row by row, one block of rows at a time
+    blocks = (kernels.offres_points(pair, n[i:i + rows], n, [z], bundle.mu)
+              for i in range(0, n.size, rows))
     return _exact(kernels.exact_sum, blocks)
 
 
@@ -364,16 +369,18 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     pref = prefactor(bundle, kind)
     z = heights_array(bundle, heights)
     octant = bundle.orientation_label() in ("zz", "zx")
-    if kind == "resonant":
-        if threads is None:
-            summed = kernels.range_sites(0, bundle.half_extent + 1) if octant else count
-            threads = usable_cpus() if summed >= AUTO_THREADS_SITES else 1
-        threads = min(threads, usable_cpus())
-        sites = _resonant_octant if octant else _resonant_custom
-        sums = sites(bundle, z, threads)
-    else:
-        sites = _offres_octant if octant else _offres_custom
-        sums = [sites(bundle, h) for h in z.tolist()]
+    # a sum that is not finite raises in finite(), with no NumPy warning first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "resonant":
+            if threads is None:
+                summed = kernels.range_sites(0, bundle.half_extent + 1) if octant else count
+                threads = usable_cpus() if summed >= AUTO_THREADS_SITES else 1
+            threads = min(threads, usable_cpus())
+            sites = _resonant_octant if octant else _resonant_custom
+            sums = sites(bundle, z, threads)
+        else:
+            sites = _offres_octant if octant else _offres_custom
+            sums = [sites(bundle, h) for h in z.tolist()]
     value = per_height(heights, finite(pref * np.array(sums), z, bundle, f"direct {kind}"))
     return ShiftResult(resonant=value if kind == "resonant" else None,
                        off_resonant=value if kind == "off_resonant" else None,

@@ -428,7 +428,7 @@ def test_sweep_where_the_closed_form_bulk_is_not_finite_exits_numerical(backend,
     assert len(capsys.readouterr().out.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NumPy backend's divisions by 0
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure is the error line alone
 def test_vertex_and_direct_sum_that_are_not_finite_exit_numerical(backend, monkeypatch, capsys):
     # at z = 1e-60 the bulk fails first (above); with the bulk and the edge
     # stubbed, decompose fails at the vertex and, with the vertex stubbed

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
-from cplattice import greens, kernels, lattice_sum
+from cplattice import euler_maclaurin, greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
 from cplattice.lattice_sum import sum_lattice
@@ -299,10 +299,49 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
         "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points", "fsum",
         "octant_fsum", "libm_sincos"}
+    # arrays cross as one checked type per dtype: no raw pointers
+    # (c_void_p) and no second convention (ndpointer)
+    allowed = {kernels.F64, kernels.I32, kernels.I64, ctypes.c_int, ctypes.c_long,
+               ctypes.c_double, ctypes.POINTER(ctypes.c_double)}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
+        assert set(fn.argtypes) <= allowed, name
         assert fn.restype is c_type[ret], name
+
+
+def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
+    # one export of each array type: fsum's values (float64), distance_table's
+    # index (int32) and ray_rotated's counts (int64). Each wrong argument
+    # raises before the C code runs, so the outputs keep their fill
+    pair, axis, rule = kernels.dipole_pair(Z_HAT, Z_HAT), np.array([[1.0, 0.0]]), \
+        euler_maclaurin._ROTATED_RULE
+    powers = rule.size - _numpy_backend.RULE_HEAD
+
+    def rays(z, counts, out):
+        return lib.ray_rotated(1, pair, axis, 1, z, z.size, rule, powers, counts, out)
+
+    state, d2, counts = np.zeros(kernels.FSUM_STATE), np.full(3, -1.0), np.full(1, -7)
+    for dtype, call in ((np.float64, lambda a: lib.fsum(a, 2, state)),
+                        (np.int32, lambda a: lib.distance_table(1, 2, d2, a)),
+                        (np.int64, lambda a: rays(np.array([0.5]), a, np.empty(3)))):
+        for bad in (np.zeros(4, dtype=np.float32 if dtype is np.float64 else np.float64),
+                    np.zeros(8, dtype=dtype)[::2], [0, 0], 12345):
+            with pytest.raises(ctypes.ArgumentError, match=f"C-contiguous {np.dtype(dtype)}"):
+                call(bad)
+    assert not state.any() and (d2 == -1.0).all() and (counts == -7).all()
+    # empty arrays and read-only ones (LAGUERRE, a cached distance table) pass
+    assert lib.fsum(np.empty(0), 0, state) == 0 and state[3] == 0.0
+    assert lib.distance_table(0, 0, np.empty(0), np.empty(0, dtype=np.int32)) == 0
+    assert rays(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)) == 0
+    t = kernels.LAGUERRE[0]
+    assert not t.flags.writeable and lib.fsum(t, t.size, state) == 0
+    assert state[3] == math.fsum(t.tolist())
+    radial, idx = np.linspace(1.0, 2.0, 6), kernels.distance_table(0, 3)[1]
+    state[:] = 0.0
+    assert not idx.flags.writeable and lib.octant_fsum(0, 1.0, radial, idx, 3, state) == 0
+    nx, j = np.tril_indices(3)
+    assert state[3] == math.fsum(_numpy_backend.octant_weights(nx, j, 1.0, False) * radial[idx])
 
 
 def _unique_table(lo, hi):
@@ -817,6 +856,3 @@ def test_site_sets_equal_numpy_sequences_bitwise(backend, rays):
                 want = _former_offresonant_sites(r, pair[6], pp, mu)
                 assert kernels.offres_points(pair, u, v, z, mu, rays=rays).tobytes() == \
                     want.tobytes()
-                lo, hi = r.size // 3, r.size - r.size // 4
-                assert kernels.offres_points(pair, u, v, z, mu, rays=rays, lo=lo,
-                                             hi=hi).tobytes() == want[lo:hi].tobytes()

@@ -455,7 +455,7 @@ def test_heights_checked_like_the_bundle_height():
                 sum_lattice(mk(), kind, heights=[0.1, bad])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NumPy backend's divisions by 0
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure alone, no NumPy warning
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 def test_sums_that_are_not_finite_raise_naming_stage_and_height(backend, kind):
     # the origin site's r^6 underflows: zz at a 0.01, M 2 summed to inf at
@@ -474,6 +474,9 @@ def test_sums_that_are_not_finite_raise_naming_stage_and_height(backend, kind):
             call(mk(z=0.5, **where), heights=[0.5, 0.3])
             with pytest.raises(QuadratureFailure, match=want):
                 call(mk(z=0.5, **where), heights=[0.5, z, 0.3])
+        # the worker threads of a split sum warn no more than the caller
+        with pytest.raises(QuadratureFailure, match=f"direct {kind} at z={z!r}"):
+            sum_lattice(mk(z=z, **where), kind, threads=2)
 
 
 def test_custom_offresonant_sum_memory_is_bounded(backend):
