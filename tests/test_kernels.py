@@ -321,15 +321,15 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     def rays(z, counts, out):
         return lib.ray_rotated(1, pair, axis, 1, z, z.size, rule, powers, counts, out)
 
-    state, d2, counts = np.zeros(kernels.FSUM_STATE), np.full(3, -1.0), np.full(1, -7)
+    state, d2, sums = np.zeros(kernels.FSUM_STATE), np.full(3, -1.0), np.full(3, -1.0)
     for dtype, call in ((np.float64, lambda a: lib.fsum(a, 2, state)),
                         (np.int32, lambda a: lib.distance_table(1, 2, d2, a)),
-                        (np.int64, lambda a: rays(np.array([0.5]), a, np.empty(3)))):
+                        (np.int64, lambda a: rays(np.array([0.5]), a, sums))):
         for bad in (np.zeros(4, dtype=np.float32 if dtype is np.float64 else np.float64),
                     np.zeros(8, dtype=dtype)[::2], [0, 0], 12345):
             with pytest.raises(ctypes.ArgumentError, match=f"C-contiguous {np.dtype(dtype)}"):
                 call(bad)
-    assert not state.any() and (d2 == -1.0).all() and (counts == -7).all()
+    assert not state.any() and (d2 == -1.0).all() and (sums == -1.0).all()
     # empty arrays and read-only ones (LAGUERRE, a cached distance table) pass
     assert lib.fsum(np.empty(0), 0, state) == 0 and state[3] == 0.0
     assert lib.distance_table(0, 0, np.empty(0), np.empty(0, dtype=np.int32)) == 0
