@@ -27,7 +27,7 @@ trigonometric polynomials of degree 4 in the azimuth, so the mean <f>_phi
 over the 5 uniform azimuths of ``_RING`` is exact (zz needs the first). The
 edge integrates each direction of ``_AXES``, the positive x and y half-axes,
 on its own; a pair that needs both takes them from one call. The site term
-takes the dipole orientation as data (the projections e0.en and
+takes the dipole orientation as data (``bundle.pair``, through e0.en and
 (e0.n)(n.en)), and each integral is one fixed rule: composite 25-point
 Gauss-Legendre panels, with an error estimate from the interpolatory rule
 on every other node, checked against one tolerance in :func:`_checked`. The
@@ -55,9 +55,9 @@ Every term takes an optional array of heights and then returns one value
 per height, bitwise equal to one call per height; a call without heights
 is the same code on one row. A resonant ray integral is one compiled call
 for all heights, ``kernels.ray_rotated``: per height it builds the rotated
-rule (:func:`_rotated_rules` is its NumPy reference), evaluates the site
-term at every node and direction, takes the mean, the Jacobian and each
-panel's full and nested sums, and returns the height's value, error
+rule (``_numpy_backend.rotated_rules`` is its NumPy reference), evaluates
+the site term at every node and direction, takes the mean, the Jacobian and
+each panel's full and nested sums, and returns the height's value, error
 estimate and scale; the edge's x and y axes share each node's r and e^{2ir}.
 Its NumPy fallback (``_numpy_backend.ray_rotated``) takes the same steps
 as NumPy array operations, and the two are bitwise equal: csqrt and cexp
@@ -181,13 +181,6 @@ _S, _S_W, _S_W_LOW = _real_rule()
 _ROTATED_RULE = _numpy_backend.rotated_rule_table(_X, _W, _W_LOW)
 
 
-def _rotated_rules(heights: np.ndarray):
-    """Nodes t e^{i pi/4} and weights of the rotated path at each height and
-    each height's panel count: ``_numpy_backend.rotated_rules``, the
-    reference of the compiled rule."""
-    return _numpy_backend.rotated_rules(heights, _ROTATED_RULE)
-
-
 # ---------------------------------------------------------------------------
 # ray integrals
 
@@ -209,7 +202,7 @@ def _sites(bundle: ValidatedBundle, heights, directions) -> np.ndarray:
     """The off-resonant site term at the real path's nodes R d, R = z s, of
     each height z and each direction d (the last axis), (heights x panels,
     nodes, directions): one site set of ``kernels.offres_points``."""
-    f = kernels.offres_points(_pair(bundle), _S, directions, heights, bundle.mu, rays=True)
+    f = kernels.offres_points(bundle.pair, _S, directions, heights, bundle.mu, rays=True)
     return f.reshape(len(heights) * len(_S), _S.shape[1], len(directions))
 
 
@@ -225,10 +218,6 @@ def _shared_sites(bundle: ValidatedBundle, heights, directions) -> np.ndarray:
         f = _sites(bundle, heights, np.array(missing))
         shared.update(zip(missing, np.moveaxis(f, -1, 0)))
     return np.stack([shared[d] for d in keys], axis=-1)
-
-
-def _pair(bundle: ValidatedBundle) -> np.ndarray:
-    return kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
 
 
 def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, heights,
@@ -251,7 +240,7 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     heights are stacked as rows, each row with its own height z.
     """
     if kind == "resonant":
-        sums, counts = kernels.ray_rotated(stage == "bulk", _pair(bundle), directions, heights,
+        sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights,
                                            _ROTATED_RULE)
     else:
         # the same panels in s = R/z at every height
@@ -328,8 +317,9 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
     resonant +x and -x integrals are 3.33 and 40.69), so their edge term is
     wrong. It is kept as it is because the benchmark references
     (perfbench/references) pin the custom edge values at rtol 1e-8; the fix,
-    the negative half-axes (-1, 0) and (0, -1) as two more directions of the
-    same call, has to ship together with newly recorded references.
+    by one of ROADMAP item 2's two routes (mirrored pairs, or a
+    ``kernels.ray_rotated`` that takes the negative half-axes, which it
+    rejects today), has to ship together with newly recorded references.
     """
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
@@ -354,9 +344,9 @@ def vertex_term(bundle: ValidatedBundle, kind: str, heights=None):
     # a site that is not finite raises in finite(), with no NumPy warning first
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "resonant":
-            sites = kernels.res_points(_pair(bundle), origin, origin, z, sums=False).reshape(-1)
+            sites = kernels.res_points(bundle.pair, origin, origin, z, sums=False).reshape(-1)
         else:
-            sites = kernels.offres_points(_pair(bundle), origin, origin, z, bundle.mu)
+            sites = kernels.offres_points(bundle.pair, origin, origin, z, bundle.mu)
     return per_height(heights, finite(pref * sites, z, bundle, f"vertex {kind}"))
 
 

@@ -67,11 +67,11 @@ distance table that the compiled rows gather from:
   both give the same bits;
 * ``res_points(pair, u, v, heights, sums)`` and ``offres_points(pair, u, v,
   heights, mu)``: the resonant and off-resonant site terms of a dipole pair
-  over a real-axis site set, the sites (u_i, v_j) at each height z, or for
-  the off-resonant one also on rays R (v_2j, v_2j+1) with R = z u_i: the
-  direct sums of generic pairs (row sums, or blocks of sites), the vertex
-  (the one site (0, 0)) and the off-resonant real path of the decomposition
-  (rays). The compiled
+  (``bundle.pair``: e0, en and e0.en) over a real-axis site set, the sites
+  (u_i, v_j) at each height z, or for the off-resonant one also on rays
+  R (v_2j, v_2j+1) with R = z u_i: the direct sums of generic pairs (row
+  sums, or blocks of sites), the pair terms and the vertex (one site each),
+  and the off-resonant real path of the decomposition (rays). The compiled
   passes take each site from its position on in ``greens.site_projections``'
   and the site kernels' order of operations, with the C library's sin and
   cos of 2r; the NumPy backend calls those functions. The off-resonant pass
@@ -216,7 +216,7 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     lib.phi_laguerre.argtypes = (F64, ctypes.c_long, F64, F64, F64, ctypes.c_long, F64)
     lib.phi_laguerre.restype = None
     lib.offres_sites.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.c_double,
-                                 ctypes.c_double, F64, F64, F64, ctypes.c_long, F64)
+                                 ctypes.c_double, F64, ctypes.c_long, F64)
     lib.offres_sites.restype = None
     lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
                                  ctypes.POINTER(ctypes.c_double))
@@ -358,17 +358,20 @@ def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
 # The off-resonant site kernel (lattice_sum.offresonant_sites): Phi_k(y) takes
 # the closed form below PHI_SWITCH and Gauss-Laguerre quadrature in tau = 2yt
 # with the 56 nodes t, weights w and powers (t/2)^k of LAGUERRE at and above
-# it; one compiled call takes at most SITE_CHUNK sites. Sites with both y in
-# the closed form and r^2 (1 + mu) below RECAST take the moments without the
+# it (views of one read-only table, which a compiled call takes whole); one
+# compiled call takes at most SITE_CHUNK sites. Sites with both y in the
+# closed form and r^2 (1 + mu) below RECAST take the moments without the
 # polynomial parts (_numpy_backend.moments): there the rounding those parts
 # leave, ~eps/(r^2 |1 - mu^2|) relative, would exceed the 2e-14/|1 - mu|
 # that the partial fractions cost elsewhere.
 PHI_SWITCH = 2.0
 RECAST = 2.0 ** -52 / 2e-14
 _NODES, _WEIGHTS = roots_laguerre(56)
-LAGUERRE = (_NODES, _WEIGHTS, (0.5 * _NODES)[:, None] ** np.arange(5))
-for _table in LAGUERRE:
-    _table.flags.writeable = False
+_LAGUERRE_TABLE = np.concatenate((_NODES, _WEIGHTS,
+                                  ((0.5 * _NODES)[:, None] ** np.arange(5)).ravel()))
+_LAGUERRE_TABLE.flags.writeable = False
+LAGUERRE = (_LAGUERRE_TABLE[:_NODES.size], _LAGUERRE_TABLE[_NODES.size:2 * _NODES.size],
+            _LAGUERRE_TABLE[2 * _NODES.size:].reshape(_NODES.size, 5))
 SITE_CHUNK = 1024
 
 
@@ -393,7 +396,7 @@ def _offres_chunk(buf: np.ndarray, n: int, closed: int, mu: float) -> np.ndarray
                                     buf[3:, :closed], mu, PHI_SWITCH, RECAST, *LAGUERRE,
                                     buf[2, n:])
     else:
-        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, *LAGUERRE, LAGUERRE[0].size, buf)
+        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, _LAGUERRE_TABLE, _NODES.size, buf)
     return buf[2, n:]
 
 
@@ -426,26 +429,19 @@ def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> n
 # real-axis site sets: the direct sums of generic dipole pairs, the vertex
 # and the off-resonant real path
 
-def dipole_pair(e0, en) -> np.ndarray:
-    """e0, en and e0.en as one float64 array (7,), the dipole pair of the
-    site sets and the ray integrals; e0.en as ``greens.site_projections``
-    computes it."""
-    return np.array([*e0, *en, float(np.dot(e0, en))])
-
-
 def _site_set(pair, u, v, heights, rays: bool):
-    """The float64 coordinate tables and heights of a site set, contiguous,
-    and its sites per row: v holds (cos, sin) pairs with ``rays``. Raises
-    ``ValueError`` unless pair is a float64 (7,) array."""
+    """The dipole pair, float64 coordinate tables and heights of a site set,
+    contiguous, and its sites per row: v holds (cos, sin) pairs with
+    ``rays``. Raises ``ValueError`` unless pair is a float64 (7,) array."""
     if np.shape(pair) != (7,) or pair.dtype != np.float64:
         raise ValueError(f"need the dipole pair as float64 (7,), got {np.shape(pair)}")
     u, v, z = (np.ascontiguousarray(a, dtype=np.float64).reshape(-1) for a in (u, v, heights))
-    return u, v, z, v.size // 2 if rays else v.size
+    return np.ascontiguousarray(pair), u, v, z, v.size // 2 if rays else v.size
 
 
 def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
     """The resonant site term ``greens.resonant_sites`` of the dipole pair
-    (:func:`dipole_pair`) over a grid site set: at each height, the sites
+    (``bundle.pair``) over a grid site set: at each height, the sites
     (x, y) = (u_i, v_j). Returns the values, (heights, u, v), or with
     ``sums`` each row's sum as ``np.sum(values, axis=1)`` takes it,
     (heights, u).
@@ -456,7 +452,7 @@ def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
     NumPy's pairwise summation; the NumPy backend takes those functions in
     blocks of rows. Raises ``MemoryError`` when the compiled pass cannot
     allocate its row."""
-    u, v, z, nv = _site_set(pair, u, v, heights, False)
+    pair, u, v, z, nv = _site_set(pair, u, v, heights, False)
     out = np.empty((z.size, u.size) if sums else (z.size, u.size, nv))
     if out.size and _impl.res_points(pair, u, u.size, v, nv, z, z.size, sums, out) < 0:
         raise MemoryError("no memory for a resonant row of the site set")
@@ -475,7 +471,7 @@ def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False
     and writes y, dot, pp and 2y into it (the compiled one in
     ``greens.site_projections``' order of operations, the NumPy one through
     that function), and NumPy, SciPy and the backend take it from there."""
-    u, v, z, nv = _site_set(pair, u, v, heights, rays)
+    pair, u, v, z, nv = _site_set(pair, u, v, heights, rays)
     out = np.empty(z.size * u.size * nv)
     for k0 in range(0, out.size, SITE_CHUNK):
         n = min(out.size - k0, SITE_CHUNK)

@@ -228,12 +228,11 @@ def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.nda
     of at most ``SITE_SET_BLOCK`` sites, whole rows or one longer row, a
     height at a time. Returns 0, as the compiled pass does when it can
     allocate its row."""
-    e0, en = tuple(pair[:3].tolist()), tuple(pair[3:6].tolist())
     step = max(1, SITE_SET_BLOCK // nv)
     for h, zh in enumerate(z.tolist()):
         for start in range(0, nu, step):
             rows = slice(start, min(start + step, nu))
-            values = resonant_sites(*site_projections(e0, en, u[rows, None], v, zh))
+            values = resonant_sites(*site_projections(pair[:3], pair[3:6], u[rows, None], v, zh))
             out[h, rows] = np.sum(values, axis=1) if sums else values
     return 0
 
@@ -251,7 +250,7 @@ def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, 
         x, y = big_r * v[2 * j], big_r * v[2 * j + 1]
     else:
         x, y = u[i], v[j]
-    r, dot, pp = site_projections(tuple(pair[:3].tolist()), tuple(pair[3:6].tolist()), x, y, zh)
+    r, dot, pp = site_projections(pair[:3], pair[3:6], x, y, zh)
     return offres_fill(buf, n, r, dot, pp, mu, sw)
 
 

@@ -395,9 +395,9 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
      rows 3-5: Si(2y), Ci(2y) and 2y for each y < sw, in row 0 order.
    sin and cos of 2y are the C library's, whose bits np.sin and np.cos
    share on float64 (see libm_sincos). Phi_k(y) takes the closed form below
-   sw and the Gauss-Laguerre branch
-   (phi_laguerre, with the nodes t, weights w and powers pw of m nodes)
-   above; the sites are taken SITE_BLOCK at a time, gathering the block's
+   sw and the Gauss-Laguerre branch above (phi_laguerre, with the m nodes t,
+   weights w and powers pw (m, 5) that table holds in that order); the
+   sites are taken SITE_BLOCK at a time, gathering the block's
    Gauss-Laguerre radii into one phi_laguerre call. A site whose two y are
    below sw and whose r^2 (1 + mu) is below recast takes the moments from
    the f/g parts alone, M_k = (Q_k(r mu)/mu - Q_k(r))/(1 - mu^2), and
@@ -405,9 +405,10 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
    would cancel only up to rounding. Each site value is sum_k c_k M_k / r^6
    with the h(u)^2 coefficients c_k, every step in the NumPy backend's
    order (_numpy_backend.offres_sites). */
-void offres_sites(long n, double mu, double sw, double recast, const double *t,
-                  const double *w, const double *pw, long m, double *buf)
+void offres_sites(long n, double mu, double sw, double recast, const double *table, long m,
+                  double *buf)
 {
+    const double *t = table, *w = table + m, *pw = table + 2 * m;
     const double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *r6 = buf + 4 * n;
     const double *si = buf + 6 * n, *ci = buf + 8 * n, *x2 = buf + 10 * n;
     double *out = buf + 5 * n;
@@ -661,7 +662,7 @@ static inline cplx site_complex(const double *pair, cplx x, cplx y, double z, cp
 }
 
 /* The panel count n + 1 of the rotated rule at height z, as
-   euler_maclaurin._rotated_rules counts it, with log_ratio = log(1.4); -1
+   _numpy_backend.rotated_rules counts it, with log_ratio = log(1.4); -1
    when n is not below npowers (no finite count, or a panel edge past the
    powers of 1.4 the rule holds) */
 static long rotated_panels(double z, double log_ratio, long npowers)

@@ -29,21 +29,22 @@ them (``kernels.distance_table``): the compiled resonant rows gather from
 it, and the off-resonant sum evaluates its site kernel on it and folds and
 sums the octant exactly in one call (``kernels.octant_sum``).
 General orientations lack the reflection parity needed for folding and run
-over the full grid of rows n_x = -M..M as a site set of the kernels: the
-resonant rows, split over threads the same way, take one
-``kernels.res_points`` call per worker, which returns each row's sum,
-reduced exactly in row order as above (the values of one call per row); the
-off-resonant grid takes ``kernels.offres_points`` a block of rows at a
-time, as many rows as ``CUSTOM_BLOCK_SITES`` sites hold or one longer row,
-whose values one exact sum takes in turn, so its memory grows with a row,
-not with the grid. On the compiled backend both run in C from the site
-positions on: ``greens.site_projections`` and the site kernels' arithmetic
-in their order, with the C library's sin and cos (whose bits np.sin and
-np.cos share on float64), NumPy's r^6 and SciPy's Si and Ci; the NumPy
-backend calls those functions, and the two give the same bits. A sum that
-is not finite (at tiny heights the origin site's r^6 underflows) raises
-:class:`QuadratureFailure` naming the stage and height, without a NumPy
-warning.
+over the full grid of rows n_x = -M..M as a site set of the kernels, which
+take the dipoles as ``bundle.pair`` (the pair terms, for any pair, are
+one-site sets of them): the resonant rows, split over threads the same way,
+take one ``kernels.res_points`` call per worker, which returns each row's
+sum, reduced exactly in row order as above (the values of one call per
+row); the off-resonant grid takes ``kernels.offres_points`` a block of
+rows at a time, as many rows as ``CUSTOM_BLOCK_SITES`` sites hold or one
+longer row, whose values one exact sum takes in turn, so its memory grows
+with a row, not with the grid. On the compiled backend both run in C from
+the site positions on: ``greens.site_projections`` and the site kernels'
+arithmetic in their order, with the C library's sin and cos (whose bits
+np.sin and np.cos share on float64), NumPy's r^6 and SciPy's Si and Ci; the
+NumPy backend calls those functions, and the two give the same bits. A sum
+that is not finite (at tiny heights the origin site's r^6 underflows)
+raises :class:`QuadratureFailure` naming the stage and height, without a
+NumPy warning.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -107,7 +108,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .greens import resonant_sites, site_projections
 from .kernels._numpy_backend import radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
@@ -172,9 +172,8 @@ def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     """Contribution of site (nx, ny) to the resonant shift, in gamma0 units."""
     bundle = validate(bundle)
     a = bundle.a_tilde
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  nx * a, ny * a, bundle.z_tilde)
-    return resonant_prefactor(bundle) * float(resonant_sites(r, dot, pp))
+    site = kernels.res_points(bundle.pair, [nx * a], [ny * a], [bundle.z_tilde], sums=False)
+    return resonant_prefactor(bundle) * float(site[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +198,8 @@ def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     """Contribution of site (nx, ny) to the off-resonant shift (gamma0 units)."""
     bundle = validate(bundle)
     a = bundle.a_tilde
-    r, dot, pp = site_projections(bundle.params.test_dipole, bundle.params.array_dipole,
-                                  nx * a, ny * a, bundle.z_tilde)
-    return offresonant_prefactor(bundle) * float(offresonant_sites(r, dot, pp, bundle.mu)[0])
+    site = kernels.offres_points(bundle.pair, [nx * a], [ny * a], [bundle.z_tilde], bundle.mu)
+    return offresonant_prefactor(bundle) * float(site[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +277,9 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
 def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     M = bundle.half_extent
     y = np.arange(-M, M + 1, dtype=np.float64) * bundle.a_tilde
-    pair = kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
     # index i is row nx = i - M; each range's rows are summed on their own,
     # for every height, in one call
+    pair = bundle.pair  # built here, so that the workers share one array
     parts = _map_ranges(lambda lo, hi: kernels.res_points(pair, y[lo:hi], y, z, sums=True),
                         _split_rows(np.ones(y.size), threads))
     return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
@@ -305,10 +303,9 @@ CUSTOM_BLOCK_SITES = 1 << 14
 def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
     M = bundle.half_extent
     n = np.arange(-M, M + 1) * bundle.a_tilde
-    pair = kernels.dipole_pair(bundle.params.test_dipole, bundle.params.array_dipole)
     rows = max(1, CUSTOM_BLOCK_SITES // n.size)
     # the grid (nx, ny) row by row, one block of rows at a time
-    blocks = (kernels.offres_points(pair, n[i:i + rows], n, [z], bundle.mu)
+    blocks = (kernels.offres_points(bundle.pair, n[i:i + rows], n, [z], bundle.mu)
               for i in range(0, n.size, rows))
     return _exact(kernels.exact_sum, blocks)
 
@@ -349,16 +346,17 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
 
     Results are deterministic for any thread count: row values are
     independent and the cross-row reduction is exact (math.fsum) in fixed
-    row order, once per height. Off-resonant sums evaluate every site in
-    one vectorized kernel call per height and reduce exactly, so threads do
-    not affect them. ``threads=None`` runs a resonant sum whose octant (zz,
-    zx) or grid (other pairs) holds at least ``AUTO_THREADS_SITES`` sites
-    on :func:`usable_cpus` workers, and a smaller one on one; a larger count
-    than :func:`usable_cpus` is cut to it, and one below 1 raises
-    ``ValueError``. A threaded resonant sum starts a pool of its own for
-    the call: one worker thread per row range but the last, which the
-    calling thread takes. A pool costs ~0.1 ms to start and join, once per
-    call however many heights it takes.
+    row order, once per height. Off-resonant sums take a height at a time,
+    the octant once per distinct distance in ``kernels.SITE_CHUNK`` chunks
+    and other grids in blocks of rows of ``CUSTOM_BLOCK_SITES`` sites, and
+    reduce exactly, so threads do not affect them. ``threads=None`` runs a
+    resonant sum whose octant (zz, zx) or grid (other pairs) holds at least
+    ``AUTO_THREADS_SITES`` sites on :func:`usable_cpus` workers, and a
+    smaller one on one; a larger count than :func:`usable_cpus` is cut to
+    it, and one below 1 raises ``ValueError``. A threaded resonant sum
+    starts a pool of its own for the call: one worker thread per row range
+    but the last, which the calling thread takes. A pool costs ~0.1 ms to
+    start and join, once per call however many heights it takes.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

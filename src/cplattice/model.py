@@ -15,6 +15,7 @@ dipole magnitudes appear in any formula, and the only remaining knobs are
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,20 @@ class ValidatedBundle:
 
     def orientation_label(self) -> str:
         return self.params.orientation_label()
+
+    @functools.cached_property
+    def pair(self) -> np.ndarray:
+        """e0, en and e0.en (as ``greens.site_projections`` takes it): the
+        dipole pair of every site kernel, one read-only float64 array (7,),
+        built on first use and kept. Not a field: ``==`` and ``hash`` skip it."""
+        e0, en = self.params.test_dipole, self.params.array_dipole
+        pair = np.array([*e0, *en, np.dot(e0, en)])
+        pair.flags.writeable = False
+        return pair
+
+    def __getstate__(self):
+        # a pickled or copied array comes back writeable: a copy builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "pair"}
 
 
 def _check_mu(mu: float) -> None:

@@ -23,8 +23,8 @@ from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
 from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, offresonant_sites,
-                                   prefactor, resonant_pair_term, resonant_prefactor,
-                                   site_projections)
+                                   prefactor, resonant_pair_term, resonant_prefactor)
+from cplattice.greens import site_projections
 from cplattice.model import Geometry, LatticeSpec, ModelParams, NonPositiveLength, validate
 
 
@@ -575,7 +575,7 @@ def test_subnormal_integral_passes_the_underflow_floor(backend):
 
 def _one_rotated_rule(z):
     """The rotated path's rule at one height, edge by edge: [0, h], then
-    panels in ratio 1.4 out to t_max (the reference for _rotated_rules)."""
+    panels in ratio 1.4 out to t_max (the reference for _numpy_backend.rotated_rules)."""
     h = 0.1 * min(z, 1.0)
     t_max = max(30.0, 7.0 * math.sqrt(z))
     n = math.ceil(math.log(t_max / h) / math.log(1.4))
@@ -591,7 +591,8 @@ def _one_rotated_rule(z):
     np.geomspace(1e-3, 1e4, 65), np.geomspace(0.01, 100.0, 257), np.array([0.3]),
     np.array([50.0, 1e-4, 2.0, 2.0, 1e6])], ids=["65", "readme", "one", "unordered"])
 def test_rotated_rules_equal_one_rule_per_height(heights):
-    t, w, w_low, counts = euler_maclaurin._rotated_rules(heights)
+    t, w, w_low, counts = kernels._numpy_backend.rotated_rules(heights,
+                                                               euler_maclaurin._ROTATED_RULE)
     rules = [_one_rotated_rule(z) for z in heights.tolist()]
     assert counts.tolist() == [len(rule[0]) for rule in rules]
     for got, want in zip((t, w, w_low), zip(*rules)):
@@ -661,7 +662,8 @@ def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, blo
         heights = np.geomspace(1e-3, 1e4, n)
         sums, counts = _rays(pair, stage, heights)
         assert sums.shape == (n, outputs, 3)
-        assert counts.tolist() == euler_maclaurin._rotated_rules(heights)[3].tolist()
+        want_counts = kernels._numpy_backend.rotated_rules(heights, euler_maclaurin._ROTATED_RULE)[3]
+        assert counts.tolist() == want_counts.tolist()
         hexes = [v.hex() for v in sums.ravel().tolist()]
         if n == 1:
             assert tuple(hexes) == want

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import sici
+from scipy.special import roots_laguerre, sici
 
 from cplattice import euler_maclaurin, greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
@@ -314,7 +314,7 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     # one export of each array type: fsum's values (float64), distance_table's
     # index (int32) and ray_rotated's counts (int64). Each wrong argument
     # raises before the C code runs, so the outputs keep their fill
-    pair, axis, rule = kernels.dipole_pair(Z_HAT, Z_HAT), np.array([[1.0, 0.0]]), \
+    pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), \
         euler_maclaurin._ROTATED_RULE
     powers = rule.size - _numpy_backend.RULE_HEAD
 
@@ -516,6 +516,19 @@ def test_phi_laguerre_backends_equal_numpy_branch_bitwise(size, seed):
 for _size in range(1, 18):
     test_phi_laguerre_backends_equal_numpy_branch_bitwise = example(size=_size, seed=_size)(
         test_phi_laguerre_backends_equal_numpy_branch_bitwise)
+
+
+def test_laguerre_tables_are_views_of_one_read_only_table():
+    # the compiled offres_sites takes t, w and pw from one address: nodes,
+    # weights and powers (t/2)^k, one after the other, with their own bits
+    t, w, pw = _LAGUERRE
+    nodes, weights = roots_laguerre(56)
+    assert t.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
+    assert pw.tobytes() == ((0.5 * nodes)[:, None] ** np.arange(5)).tobytes()
+    assert pw.shape == (t.size, 5)
+    assert w.ctypes.data == t.ctypes.data + t.nbytes
+    assert pw.ctypes.data == w.ctypes.data + w.nbytes
+    assert all(a.flags.c_contiguous and not a.flags.writeable for a in _LAGUERRE)
 
 
 def test_phi_laguerre_rejects_mismatched_tables(backend):
@@ -829,7 +842,7 @@ def test_site_sets_equal_numpy_sequences_bitwise(backend, rays):
     # of more sites than NumPy's pairwise blocks and reduction buffers
     rng = np.random.default_rng(13 + rays)
     for e0, en in (((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)), ((_S3, _S3, _S3), (0.0, 0.8, 0.6))):
-        pair = kernels.dipole_pair(e0, en)
+        pair = np.array([*e0, *en, np.dot(e0, en)])
         for nu, nv, nz in ((1, 1, 1), (3, 17, 2), (5, 129, 3), (2, 9000, 1), (1, 20001, 1)):
             u = rng.uniform(0.0, 3.0, nu) if rays else rng.uniform(-3.0, 3.0, nu)
             phi = rng.uniform(0.0, 2.0 * math.pi, nv)
@@ -856,3 +869,26 @@ def test_site_sets_equal_numpy_sequences_bitwise(backend, rays):
                 want = _former_offresonant_sites(r, pair[6], pp, mu)
                 assert kernels.offres_points(pair, u, v, z, mu, rays=rays).tobytes() == \
                     want.tobytes()
+
+
+def test_strided_pair_gives_the_contiguous_pair_s_bits(backend):
+    # a dipole pair viewed with a stride runs as the contiguous one does: the
+    # site sets and the ray integrals make it contiguous, as they do their
+    # tables
+    e0, en = (_S3, _S3, _S3), (0.6, 0.0, 0.8)
+    pair = np.array([*e0, *en, np.dot(e0, en)])
+    strided = np.zeros(14)[::2]
+    strided[:] = pair
+    assert not strided.flags.c_contiguous
+    u, v, z = np.linspace(-2.0, 2.0, 5), np.linspace(-1.5, 1.5, 4), np.array([0.3, 1.1])
+    for sums in (False, True):
+        assert kernels.res_points(strided, u, v, z, sums).tobytes() == \
+            kernels.res_points(pair, u, v, z, sums).tobytes()
+    rays = np.array([[1.0, 0.0], [0.6, 0.8]])
+    for s, d, along in ((u, v, False), (np.array([0.5, 2.0]), rays.ravel(), True)):
+        assert kernels.offres_points(strided, s, d, z, 0.6, rays=along).tobytes() == \
+            kernels.offres_points(pair, s, d, z, 0.6, rays=along).tobytes()
+    for bulk, directions in ((True, rays), (False, np.eye(2))):
+        got = kernels.ray_rotated(bulk, strided, directions, z, euler_maclaurin._ROTATED_RULE)
+        want = kernels.ray_rotated(bulk, pair, directions, z, euler_maclaurin._ROTATED_RULE)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

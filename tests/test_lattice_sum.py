@@ -344,9 +344,9 @@ def _per_row_custom(bundle):
     y = np.arange(-M, M + 1, dtype=np.float64) * a
     rows = []
     for nx in range(-M, M + 1):
-        r, dot, pp = lattice_sum.site_projections(bundle.params.test_dipole,
-                                                  bundle.params.array_dipole, nx * a, y,
-                                                  bundle.z_tilde)
+        r, dot, pp = greens.site_projections(bundle.params.test_dipole,
+                                             bundle.params.array_dipole, nx * a, y,
+                                             bundle.z_tilde)
         rows.append(float(np.sum(resonant_sites(r, dot, pp))))
     return math.fsum(rows)
 
@@ -498,9 +498,9 @@ def test_custom_offresonant_sum_memory_is_bounded(backend):
 
 
 def test_custom_call_group_calls_no_numpy_site_kernel(monkeypatch):
-    # on the compiled backend a custom pair's sums and terms, both kinds,
-    # take their site terms in C: the NumPy site kernels raise at every
-    # caller's name
+    # on the compiled backend a custom pair's sums, terms and single-site
+    # pair terms, both kinds, take their site terms in C: the NumPy site
+    # kernels raise at every caller's name
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
@@ -524,3 +524,39 @@ def test_custom_call_group_calls_no_numpy_site_kernel(monkeypatch):
                     edge_term(b, kind, heights)
                     vertex_term(b, kind, heights)
                     decompose(b, kind, heights)
+            for nx, ny in ((0, 0), (3, -2)):
+                resonant_pair_term(nx, ny, b)
+                offresonant_pair_term(nx, ny, b)
+
+
+def test_custom_call_group_passes_the_bundle_pair(monkeypatch):
+    # every site set and ray integral of a custom pair's call group takes
+    # the bundle's one pair array, whichever sum, term or thread calls it
+    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
+    seen = []
+
+    def spy(name, at):
+        kernel = getattr(kernels, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, args[at]))
+            return kernel(*args, **kwargs)
+        return call
+
+    for name, at in (("res_points", 0), ("offres_points", 0), ("ray_rotated", 1)):
+        monkeypatch.setattr(kernels, name, spy(name, at))
+    for pair in _CUSTOM_PAIRS.values():
+        b = mk(mu=0.6, a=0.6, M=8, z=1.3, test=pair[0], array=pair[1])
+        seen.clear()
+        for kind in ("resonant", "off_resonant"):
+            for heights in (None, [0.3, 1.3, 4.0]):
+                for threads in (1, 3):
+                    sum_lattice(b, kind, heights=heights, threads=threads)
+                bulk_term(b, kind, heights)
+                edge_term(b, kind, heights)
+                vertex_term(b, kind, heights)
+                decompose(b, kind, heights)
+        resonant_pair_term(3, -2, b)
+        offresonant_pair_term(3, -2, b)
+        assert {name for name, _ in seen} == {"res_points", "offres_points", "ray_rotated"}
+        assert all(p is b.pair for _, p in seen)

@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 
+from cplattice.greens import site_projections
 from cplattice.model import (DetuningTooSmall, Geometry, LatticeSpec, LinewidthTooLarge,
                              ModelParams, NonPositiveLength, NonUnitDipole, ValidatedBundle,
                              validate)
@@ -108,3 +112,34 @@ def test_orientation_labels():
 
 def test_atom_count_single_atom_limit():
     assert LatticeSpec(a_tilde=1.0, half_extent=0).atom_count == 1
+
+
+_S3 = 1.0 / math.sqrt(3.0)
+
+
+def test_bundle_pair_is_built_once_read_only():
+    # e0, en and e0.en as one contiguous float64 (7,), the one dipole input
+    # of the site kernels, with e0.en as greens.site_projections takes it
+    b = bundle(test=(_S3, _S3, _S3), array=(0.6, 0.0, 0.8))
+    pair = b.pair
+    assert pair is b.pair
+    assert pair.dtype == np.float64 and pair.shape == (7,) and pair.flags.c_contiguous
+    dot = site_projections(b.params.test_dipole, b.params.array_dipole, 1.0, 0.0, 1.0)[1]
+    assert pair.tolist() == [_S3, _S3, _S3, 0.6, 0.0, 0.8, dot]
+    with pytest.raises(ValueError, match="read-only"):
+        pair[6] = 0.0
+
+
+def test_bundle_pair_leaves_equality_hash_and_copies_alone():
+    # the pair is not a field: equal inputs give equal bundles of one hash
+    # whether or not either has built its pair, and a pickled or copied
+    # bundle's pair is read-only with the same bits
+    a, b = (bundle(test=(_S3, _S3, _S3), array=(0.6, 0.0, 0.8)) for _ in range(2))
+    unbuilt = hash(b)
+    assert a.pair is not None and a == b and hash(a) == unbuilt
+    assert b.pair is not None and a == b and hash(b) == unbuilt
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a),
+                   pickle.loads(pickle.dumps(bundle(test=(_S3, _S3, _S3), array=(0.6, 0.0, 0.8))))):
+        assert copied == a and hash(copied) == unbuilt
+        assert not copied.pair.flags.writeable
+        assert copied.pair.tobytes() == a.pair.tobytes()
