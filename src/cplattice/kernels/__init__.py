@@ -54,17 +54,16 @@ distance table that the compiled rows gather from:
   nodes t, weights w and powers pw = (t/2)^k of a table such as ``LAGUERRE``.
   The compiled branch evaluates eight radii side by side, each in the NumPy
   one's order of operations, so the two are bitwise equal;
-* ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals of
-  ``lattice_sum.offresonant_sites``, one compiled call per chunk of
-  ``SITE_CHUNK`` sites. NumPy computes r^6 (``np.power``, whose bits the C
-  library's pow does not share) and SciPy Si and Ci of 2y below
-  ``PHI_SWITCH``. The backend does everything else: sin and cos of 2y (the
-  C library's in C; np.sin and np.cos, which call them on float64, in
-  NumPy) and, with IEEE +, -, * and /, the closed-form Phi_k, the
-  Gauss-Laguerre branch (``phi_laguerre`` with the ``LAGUERRE`` table), the
-  partial-fraction moments, the h(u)^2 coefficients, the 5-term contraction
-  (in the one order both backends spell out) and the division by r^6, so
-  both give the same bits;
+* ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals, one
+  backend call per buffer of ``SITE_CHUNK`` sites (:func:`_offres_chunks`).
+  NumPy computes r^6 (``np.power``, whose bits the C library's pow does not
+  share) and SciPy Si and Ci of 2y below ``PHI_SWITCH``. The backend does
+  everything else: sin and cos of 2y (the C library's in C; np.sin and
+  np.cos, which call them on float64, in NumPy) and, with IEEE +, -, * and
+  /, the closed-form Phi_k, the Gauss-Laguerre branch (``phi_laguerre``
+  with the ``LAGUERRE`` table), the partial-fraction moments, the h(u)^2
+  coefficients, the 5-term contraction (in the one order both backends
+  spell out) and the division by r^6, so both give the same bits;
 * ``res_points(pair, u, v, heights, sums)`` and ``offres_points(pair, u, v,
   heights, mu)``: the resonant and off-resonant site terms of a dipole pair
   (``bundle.pair``: e0, en and e0.en) over a real-axis site set, the sites
@@ -355,11 +354,11 @@ def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
     return out
 
 
-# The off-resonant site kernel (lattice_sum.offresonant_sites): Phi_k(y) takes
-# the closed form below PHI_SWITCH and Gauss-Laguerre quadrature in tau = 2yt
-# with the 56 nodes t, weights w and powers (t/2)^k of LAGUERRE at and above
-# it (views of one read-only table, which a compiled call takes whole); one
-# compiled call takes at most SITE_CHUNK sites. Sites with both y in the
+# The off-resonant site kernel (offres_sites): Phi_k(y) takes the closed
+# form below PHI_SWITCH and Gauss-Laguerre quadrature in tau = 2yt with the
+# 56 nodes t, weights w and powers (t/2)^k of LAGUERRE at and above it (views
+# of one read-only table, which a backend call takes whole); one backend
+# call takes at most SITE_CHUNK sites. Sites with both y in the
 # closed form and r^2 (1 + mu) below RECAST take the moments without the
 # polynomial parts (_numpy_backend.moments): there the rounding those parts
 # leave, ~eps/(r^2 |1 - mu^2|) relative, would exceed the 2e-14/|1 - mu|
@@ -382,47 +381,52 @@ def closed_form_inputs(x: np.ndarray, out: np.ndarray) -> None:
     sici(x, out=(out[0], out[1]))
 
 
-def _offres_chunk(buf: np.ndarray, n: int, closed: int, mu: float) -> np.ndarray:
-    """The site values of one chunk of n sites whose buffer (6, 2n) holds y,
-    dot and pp, and the ``closed`` doubled y below ``PHI_SWITCH`` in row 5
-    (see :func:`offres_sites`): NumPy takes r^6 into row 2, SciPy Si and Ci
-    of 2y into rows 3 and 4, and the backend the rest, writing the values
-    into the second half of row 2, which is returned."""
-    np.power(buf[0, n:], 6, out=buf[2, :n])
-    if closed:
-        closed_form_inputs(buf[5, :closed], buf[3:5, :closed])
-    if _impl is _numpy_backend:
-        _numpy_backend.offres_sites(buf[0], buf[1, :n], buf[1, n:], buf[2, :n],
-                                    buf[3:, :closed], mu, PHI_SWITCH, RECAST, *LAGUERRE,
-                                    buf[2, n:])
-    else:
-        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, _LAGUERRE_TABLE, _NODES.size, buf)
-    return buf[2, n:]
+def _offres_chunks(size: int, mu: float, fill) -> np.ndarray:
+    """The off-resonant site values of ``size`` sites as a new array, one
+    backend ``offres_sites`` call per chunk of at most ``SITE_CHUNK`` sites.
 
-
-def offres_sites(r: np.ndarray, dot: np.ndarray, pp: np.ndarray, mu: float) -> np.ndarray:
-    """The off-resonant site integrals of ``lattice_sum.offresonant_sites``
-    for the flat float64 radii r and projections dot and pp, each of r's size
-    or of size 1, as a new array.
-
-    Each chunk of at most ``SITE_CHUNK`` sites fills one (6, 2n) buffer: y =
-    (r mu, r), (dot, pp), r^6, and Si, Ci and 2y for the y below
-    ``PHI_SWITCH``. r^6 is NumPy's, whose bits the C library's pow does not
-    reproduce, and Si and Ci are SciPy's. The backend does the rest: sin and
-    cos of 2y (the C library's, which np.sin and np.cos call on float64),
-    and IEEE arithmetic only, writing the site values into the buffer. The
-    buffer is built here, of the size the layout needs; the compiled call
-    takes it whole, the NumPy backend its rows as named arrays.
+    The sites k0 <= k < k0 + n of a chunk fill one (6, 2n) buffer:
+      row 0: y = (r_k mu, r_k), the Phi_k arguments of M_k(r_k, mu);
+      row 1: (dot_k, pp_k), the dipole projections;
+      row 2: (r_k^6, the site values);
+      rows 3-5: Si(2y), Ci(2y) and 2y for each y below ``PHI_SWITCH``, in
+      row 0 order.
+    ``fill(k0, n, buf)`` writes rows 0, 1 and 5 and returns the count of
+    those y. NumPy then takes r^6, whose bits the C library's pow does not
+    reproduce, and SciPy Si and Ci; the backend writes the site values.
     """
-    out = np.empty(r.size)
-    for lo in range(0, r.size, SITE_CHUNK):
-        n = min(r.size - lo, SITE_CHUNK)
-        part = slice(lo, lo + n)
+    out = np.empty(size)
+    for k0 in range(0, size, SITE_CHUNK):
+        n = min(size - k0, SITE_CHUNK)
         buf = np.empty((6, 2 * n))
-        closed = _numpy_backend.offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
-                                            pp if pp.size == 1 else pp[part], mu, PHI_SWITCH)
-        out[part] = _offres_chunk(buf, n, closed, mu)
+        closed = fill(k0, n, buf)
+        np.power(buf[0, n:], 6, out=buf[2, :n])
+        if closed:
+            closed_form_inputs(buf[5, :closed], buf[3:5, :closed])
+        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, _LAGUERRE_TABLE, _NODES.size, buf)
+        out[k0:k0 + n] = buf[2, n:]
     return out
+
+
+def offres_sites(r, dot, pp, mu: float) -> np.ndarray:
+    """int_0^inf dxi xi^4 gpair(i xi)^2 / ((xi^2+1)(xi^2+mu^2)) for each site,
+    as a flat array.
+
+    r is the site distance, dot = e0.en and pp = (e0.n)(n.en) the dipole
+    projections (broadcast against r). No prefactor is applied.
+    """
+    r, dot, pp = (np.asarray(v, dtype=np.float64) for v in (r, dot, pp))
+    # a scalar projection stays one value; any other shape broadcasts
+    if not {dot.shape, pp.shape} <= {(), r.shape}:
+        r, dot, pp = np.broadcast_arrays(r, dot, pp)
+    r, dot, pp = r.ravel(), dot.ravel(), pp.ravel()
+
+    def fill(k0, n, buf):
+        part = slice(k0, k0 + n)
+        return _numpy_backend.offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
+                                          pp if pp.size == 1 else pp[part], mu, PHI_SWITCH)
+
+    return _offres_chunks(r.size, mu, fill)
 
 
 # ---------------------------------------------------------------------------
@@ -460,25 +464,17 @@ def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
 
 
 def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False) -> np.ndarray:
-    """The off-resonant site integrals of ``lattice_sum.offresonant_sites``
-    over a site set, its sites numbered k = (h, i, j) in that order, as a
-    new array: at each height z, the sites (x, y) = (u_i, v_j) of
-    :func:`res_points`, or with ``rays`` the sites R (v_2j, v_2j+1) with
-    R = z u_i, the unit directions v along the radii z u.
-
-    Each chunk of at most ``SITE_CHUNK`` sites is one buffer of
-    :func:`offres_sites`: the backend's ``offres_points`` places the sites
-    and writes y, dot, pp and 2y into it (the compiled one in
+    """The off-resonant site integrals of :func:`offres_sites` over a site
+    set, its sites numbered k = (h, i, j) in that order, as a new array: at
+    each height z, the sites (x, y) = (u_i, v_j) of :func:`res_points`, or
+    with ``rays`` the sites R (v_2j, v_2j+1) with R = z u_i, the unit
+    directions v along the radii z u. The backend's ``offres_points`` fills
+    the buffers of :func:`_offres_chunks` (the compiled one in
     ``greens.site_projections``' order of operations, the NumPy one through
-    that function), and NumPy, SciPy and the backend take it from there."""
+    that function)."""
     pair, u, v, z, nv = _site_set(pair, u, v, heights, rays)
-    out = np.empty(z.size * u.size * nv)
-    for k0 in range(0, out.size, SITE_CHUNK):
-        n = min(out.size - k0, SITE_CHUNK)
-        buf = np.empty((6, 2 * n))
-        closed = _impl.offres_points(pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH, buf)
-        out[k0:k0 + n] = _offres_chunk(buf, n, closed, mu)
-    return out
+    return _offres_chunks(z.size * u.size * nv, mu, lambda k0, n, buf: _impl.offres_points(
+        pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH, buf))
 
 
 # An exact sum's state in the compiled backend: the head (partial count, the

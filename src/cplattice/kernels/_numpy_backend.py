@@ -7,14 +7,14 @@ returns the row total, and ``res_rows(zx, a2, z2, nz, lo, hi, out)`` writes
 the rows lo <= n_x < hi at each of the nz heights z2 into ``out``
 (``kernels.res_rows`` checks the range and allocates ``out``);
 :func:`phi_laguerre` is the Gauss-Laguerre branch of the off-resonant site
-kernel, and :func:`offres_sites` the arithmetic of that kernel after r^6 and
-Si and Ci of 2y (``kernels.offres_sites`` computes those), with np.sin and
-np.cos of 2y: the closed-form branch :func:`phi_closed`, the
-:func:`moments` and the contraction. :func:`res_points` and
-:func:`offres_points` are the site sets of the direct sums of generic
-dipole pairs, the vertex and the off-resonant real path (see
-``kernels.res_points``), through ``greens.site_projections`` and the site
-kernels. They are the fallback and the oracle that the compiled library
+kernel, and :func:`offres_sites` the arithmetic of that kernel on the
+buffer of ``kernels._offres_chunks`` once NumPy and SciPy have put r^6 and
+Si and Ci of 2y into it, with np.sin and np.cos of 2y: the closed-form
+branch :func:`phi_closed`, the :func:`moments` and the contraction.
+:func:`res_points` and :func:`offres_points` are the site sets of the
+direct sums of generic dipole pairs, the vertex and the off-resonant real
+path (see ``kernels.res_points``), through ``greens.site_projections`` and
+the site kernels. They are the fallback and the oracle that the compiled library
 equals bit for bit, as math.fsum is of its exact sums. :func:`octant_sites`
 is the one statement of those weights; the direct off-resonant sum folds
 its octant with it too. :func:`ray_rotated` and :func:`panel_sums` are the ray
@@ -171,13 +171,12 @@ def moments(y, trig, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarra
     return m
 
 
-def offres_sites(y, dot, pp, r6, inputs, mu: float, sw: float, recast: float, t, w, pw,
-                 out: np.ndarray) -> None:
-    """out = the off-resonant site integrals of n sites: sum_k c_k M_k / r^6
-    with the h(u)^2 coefficients c_k, for y = (r mu, r), recast as in
-    :func:`moments`, inputs (3, k) = Si(2y), Ci(2y) and 2y at the k values
-    of y below sw in y's order (sin and cos of 2y are taken here), the
-    projections dot and pp and r6 = r^6 (n values each).
+def offres_sites(n: int, mu: float, sw: float, recast: float, table, m: int, buf) -> None:
+    """The off-resonant site integrals of the n sites of the (6, 2n) buffer
+    buf of ``kernels._offres_chunks`` into the second half of its row 2:
+    sum_k c_k M_k / r^6 with the h(u)^2 coefficients c_k, the moments as in
+    :func:`moments` (sin and cos of 2y are taken here) with the m nodes t,
+    weights w and powers pw (m, 5) that table holds in that order.
 
     The five terms are summed as ((p0 + p2) + p4) + (p1 + p3), each lane
     from zero and the lane sum added to zero, the order in which
@@ -185,24 +184,26 @@ def offres_sites(y, dot, pp, r6, inputs, mu: float, sw: float, recast: float, t,
     compiled contraction spells out the same order, so the two are bitwise
     equal without depending on how a NumPy build splits its einsum loop.
     """
+    y, dot, pp = buf[0], buf[1, :n], buf[1, n:]
+    si, ci, x = buf[3:, :np.count_nonzero(y < sw)]
+    t, w, pw = table[:m], table[m:2 * m], table[2 * m:].reshape(m, 5)
     alpha = dot - pp
     beta = dot - 3.0 * pp
     ab = 2.0 * alpha * beta
     b2 = beta * beta
-    si, ci, x = inputs
-    m = moments(y, (si, ci, np.sin(x), np.cos(x)), mu, sw, recast, t, w, pw)
+    mk = moments(y, (si, ci, np.sin(x), np.cos(x)), mu, sw, recast, t, w, pw)
     # h(u)^2 = sum_k c_k u^k
-    p0, p1, p2 = b2 * m[:, 0], (2.0 * b2) * m[:, 1], (ab + b2) * m[:, 2]
-    p3, p4 = ab * m[:, 3], (alpha * alpha) * m[:, 4]
+    p0, p1, p2 = b2 * mk[:, 0], (2.0 * b2) * mk[:, 1], (ab + b2) * mk[:, 2]
+    p3, p4 = ab * mk[:, 3], (alpha * alpha) * mk[:, 4]
     even = ((0.0 + p0) + p2) + p4
     odd = ((0.0 + p1) + p3) + 0.0
-    np.divide((even + odd) + 0.0, r6, out=out)
+    np.divide((even + odd) + 0.0, buf[2, :n], out=buf[2, n:])
 
 
 def offres_fill(buf, n: int, r, dot, pp, mu: float, sw: float) -> int:
-    """Rows 0, 1 and 5 of the (6, 2n) buffer of ``kernels.offres_sites`` for
-    the n sites of radii r and projections dot and pp: y = (r mu, r), (dot,
-    pp), and 2y for each y below sw in y's order. Returns the count of those."""
+    """Rows 0, 1 and 5 of the (6, 2n) buffer of ``kernels._offres_chunks``
+    for the n sites of radii r and projections dot and pp; returns the count
+    of y below sw."""
     y = buf[0]
     np.multiply(r, mu, out=y[:n])
     y[n:] = r

@@ -388,7 +388,7 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
 }
 
 /* The off-resonant site integrals of n sites from buf, a row-major
-   (6, 2n) array laid out by kernels.offres_sites:
+   (6, 2n) array laid out by kernels._offres_chunks:
      row 0: y = (r_i mu, r_i), the Phi_k arguments of M_k(r_i, mu);
      row 1: (dot_i, pp_i), the dipole projections;
      row 2: (r_i^6, the site values written here);
@@ -865,7 +865,7 @@ void panel_sums(const double *f, long nd, int each, int bulk, const double *z, l
    with rays set, at R (v[2j], v[2j+1]), R = z[h] u[i]: the unit directions
    v along the real rule's radii z s. Sites run in h, then i, then j.
    Every step is the NumPy backend's (greens.site_projections, then
-   greens.resonant_sites or the off-resonant buffer of kernels.offres_sites)
+   greens.resonant_sites or the off-resonant buffer of offres_sites)
    in its order of operations: IEEE +, -, *, / and sqrt, and sin and cos of
    2r from the C library, which np.sin and np.cos call on float64 (see
    libm_sincos). The exact sums port CPython's math.fsum. */
@@ -943,9 +943,8 @@ long res_points(const double *pair, const double *u, long nu, const double *v, l
 }
 
 /* The n sites k0 <= k < k0 + n of a site set (k = (h nu + i) nv + j) into
-   the (6, 2n) buffer of offres_sites: y = (r mu, r) in row 0, (e0.en, pp) in
-   row 1, and each y below sw, doubled, in row 5 in row 0 order. Returns the
-   count of those, the Si and Ci that row 3 and 4 need. */
+   rows 0, 1 and 5 of the (6, 2n) buffer of offres_sites. Returns the count
+   of y below sw, the Si and Ci that rows 3 and 4 need. */
 long offres_points(const double *pair, const double *u, long nu, const double *v, long nv,
                    int rays, const double *z, long k0, long n, double mu, double sw, double *buf)
 {

@@ -13,7 +13,7 @@ and the off-resonant shift per site is the imaginary-frequency integral
 both in units of gamma0. For any dipole pair both depend on the orientation
 only through the projections dot = e0.en and pp = (e0.n)(n.en), so each has
 one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
-:func:`offresonant_sites`. For the two principal orientations (probe z with
+``kernels.offres_sites``. For the two principal orientations (probe z with
 array z or array x) the projections are radial, and the sum runs over one
 octant with the dihedral orbit weights of
 :func:`cplattice.kernels._numpy_backend.octant_sites`. The resonant octant
@@ -61,10 +61,9 @@ k = 0..4. Partial fractions write M_k through one function of one variable,
 which is computed in closed form from the auxiliary functions f and g of
 the sine and cosine integrals (DLMF 6.7(ii)) for y < 2, and by 56-node
 Gauss-Laguerre quadrature in tau = 2yt (DLMF 3.5(v)) above, where the closed
-form starts to cancel. :func:`offresonant_sites` only flattens the sites;
-``kernels.offres_sites`` evaluates them. NumPy keeps r^6 (``np.power``,
-whose bits the C library's pow does not reproduce) and SciPy Si and Ci of
-2y; one compiled call per chunk of sites, when the C library is loaded,
+form starts to cancel. ``kernels.offres_sites`` evaluates the sites. NumPy
+keeps r^6 (``np.power``, whose bits the C library's pow does not
+reproduce) and SciPy Si and Ci of 2y; one backend call per chunk of sites
 does the rest: sin and cos of 2y from the C library, which np.sin and
 np.cos call on float64, and IEEE arithmetic for the closed form, the
 Gauss-Laguerre branch, the moments and the contraction with the h(u)^2
@@ -176,24 +175,6 @@ def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     return resonant_prefactor(bundle) * float(site[0, 0, 0])
 
 
-# ---------------------------------------------------------------------------
-# off-resonant site kernel (see the module docstring)
-
-def offresonant_sites(r, dot, pp, mu: float) -> np.ndarray:
-    """int_0^inf dxi xi^4 gpair(i xi)^2 / ((xi^2+1)(xi^2+mu^2)) for each site,
-    as a flat array.
-
-    r is the site distance, dot = e0.en and pp = (e0.n)(n.en) the dipole
-    projections (broadcast against r). No prefactor is applied. This front
-    flattens the broadcast sites; ``kernels.offres_sites`` evaluates them.
-    """
-    r, dot, pp = (np.asarray(v, dtype=np.float64) for v in (r, dot, pp))
-    # a scalar projection stays one value; any other shape broadcasts
-    if not {dot.shape, pp.shape} <= {(), r.shape}:
-        r, dot, pp = np.broadcast_arrays(r, dot, pp)
-    return kernels.offres_sites(r.ravel(), dot.ravel(), pp.ravel(), mu)
-
-
 def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     """Contribution of site (nx, ny) to the off-resonant shift (gamma0 units)."""
     bundle = validate(bundle)
@@ -219,15 +200,16 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_rows(work, threads) -> list[tuple[int, int]]:
-    """Contiguous, non-empty index ranges (lo, hi) covering ``work`` in order,
-    at most one per thread, each holding about an equal share of the total
-    (``work`` is the cost of each row)."""
+def _split_rows(rows: int, threads, cost=np.ones) -> list[tuple[int, int]]:
+    """Contiguous, non-empty index ranges (lo, hi) covering range(rows) in
+    order, at most one per thread, each holding about an equal share of the
+    total of ``cost(rows)``, the cost of each row (equal by default), which
+    is called only for more than one thread."""
     if threads is None or threads <= 1:
-        return [(0, len(work))]
-    cum = np.cumsum(work)
+        return [(0, rows)]
+    cum = np.cumsum(cost(rows))
     cuts = np.searchsorted(cum, cum[-1] * np.arange(1, threads) / threads)
-    bounds = [0, *cuts.tolist(), len(work)]
+    bounds = [0, *cuts.tolist(), rows]
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
@@ -269,7 +251,7 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     M = bundle.half_extent
     # octant row nx holds the nx + 1 sites j = 0..nx; each range is one call
     # for every height
-    ranges = _split_rows(np.arange(1, M + 2), threads)
+    ranges = _split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
     parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges)
     return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
 
@@ -281,7 +263,7 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     # for every height, in one call
     pair = bundle.pair  # built here, so that the workers share one array
     parts = _map_ranges(lambda lo, hi: kernels.res_points(pair, y[lo:hi], y, z, sums=True),
-                        _split_rows(np.ones(y.size), threads))
+                        _split_rows(y.size, threads))
     return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
@@ -290,7 +272,7 @@ def _offres_octant(bundle: ValidatedBundle, z: float) -> float:
     a2, z2, zx = bundle.a_tilde ** 2, z ** 2, bundle.orientation_label() == "zx"
     # the site term is a function of nx^2 + j^2: evaluate it once per distance
     d2, site = kernels.distance_table(0, M + 1)
-    radial = offresonant_sites(*radial_sites(d2, a2, z2, zx), bundle.mu)
+    radial = kernels.offres_sites(*radial_sites(d2, a2, z2, zx), bundle.mu)
     return _exact(kernels.octant_sum, zx, a2, radial, site, M + 1)
 
 

@@ -22,8 +22,9 @@ from scipy.special import expn
 from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
-from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, offresonant_sites,
-                                   prefactor, resonant_pair_term, resonant_prefactor)
+from cplattice.kernels import offres_sites
+from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, prefactor,
+                                   resonant_pair_term, resonant_prefactor)
 from cplattice.greens import site_projections
 from cplattice.model import Geometry, LatticeSpec, ModelParams, NonPositiveLength, validate
 
@@ -220,7 +221,7 @@ def test_generic_offres_bulk_general_pair_vs_adaptive_quadrature(backend):
 
         def ring(big_r):
             r, dot, pp = site_projections(e0, en, big_r * np.cos(phi), big_r * np.sin(phi), z)
-            return big_r * float(np.mean(offresonant_sites(r, dot, pp, b.mu)))
+            return big_r * float(np.mean(offres_sites(r, dot, pp, b.mu)))
 
         cuts = [0.0, z, 16.0 * z]
         head = sum(quad(ring, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]

@@ -3,6 +3,7 @@ interchangeable, the library's reduced sincos matches the C library, and
 the loader falls back to NumPy whenever the library cannot be built."""
 import ast
 import ctypes
+import inspect
 import math
 import os
 import re
@@ -310,6 +311,22 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
         assert fn.restype is c_type[ret], name
 
 
+def test_numpy_backend_takes_the_compiled_signatures():
+    # a wrapper makes one call through _impl that runs on either backend, so
+    # each export it calls so has a NumPy twin of the same name and parameter
+    # count; the compiled table pass and exact sums are called only where
+    # the compiled backend is loaded
+    called = set(re.findall(r"\b_impl\.(\w+)", Path(kernels.__file__).read_text()))
+    assert called - {"table_rows", "fsum", "octant_fsum"} == {
+        "res_row", "res_rows", "distance_table", "phi_laguerre", "offres_sites",
+        "offres_points", "res_points", "ray_rotated", "panel_sums"}
+    exported = {name: params.split(",") for _, name, params in
+                re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)}
+    for name in called - {"table_rows", "fsum", "octant_fsum"}:
+        twin = inspect.signature(getattr(_numpy_backend, name)).parameters
+        assert len(twin) == len(exported[name]), name
+
+
 def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     # one export of each array type: fsum's values (float64), distance_table's
     # index (int32) and ray_rotated's counts (int64). Each wrong argument
@@ -408,7 +425,7 @@ def test_sums_from_tables_equal_streaming_sums(lib, monkeypatch, array_dipole, t
                      LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
         with kernels.backend("c"):
             table = sum_lattice(b, "resonant", threads=threads).resonant
-            ranges = lattice_sum._split_rows(np.arange(1, M + 2), threads)
+            ranges = lattice_sum._split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
             assert set(ranges) <= set(kernels._tables)  # the tables served the sum
             with monkeypatch.context() as m:
                 m.setattr(kernels, "TABLE_SITE_CAP", 0)
@@ -481,7 +498,7 @@ def test_offres_octant_equals_np_unique_reference(backend):
                                                         array_dipole == X_HAT)
             _, first, site = np.unique(nx * nx + j * j, return_index=True,
                                        return_inverse=True)
-            radial = lattice_sum.offresonant_sites(r[first], dot, pp[first], mu)
+            radial = kernels.offres_sites(r[first], dot, pp[first], mu)
             want = math.fsum(w * radial[site])
             assert lattice_sum._offres_octant(b, b.z_tilde).hex() == want.hex()
 
@@ -617,7 +634,7 @@ def test_offres_sites_backends_equal_numpy_bitwise(size, seed, where, mu, scalar
     dot = float(rng.uniform(-1.0, 1.0))
     pp = float(rng.uniform(-1.0, 1.0)) if scalar_pp else rng.uniform(-1.0, 1.0, size)
     want = _former_offresonant_sites(r, dot, pp, mu)
-    got = lattice_sum.offresonant_sites(r, dot, pp, mu)
+    got = kernels.offres_sites(r, dot, pp, mu)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -641,7 +658,42 @@ def test_offres_sites_on_ray_shapes_bitwise(backend, shape, pp_shape):
     pp = rng.uniform(-1.0, 1.0, pp_shape)
     for mu in (0.05, 0.6, 1.7, 5.0):
         want = _former_offresonant_sites(r, 0.3, pp, mu)
-        assert lattice_sum.offresonant_sites(r, 0.3, pp, mu).tobytes() == want.tobytes()
+        assert kernels.offres_sites(r, 0.3, pp, mu).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where", ["closed", "laguerre", "recast", "mixed"])
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 1024])
+def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
+    # both backends' offres_sites take one (6, 2n) buffer: each writes the
+    # same site values into the second half of row 2 and nothing else. The
+    # radii put every y in the closed form (outside the recast region), every
+    # y in the Gauss-Laguerre branch, every site in the recast region
+    # (r^2 (1 + mu) < RECAST), or sites in all three and at the switch
+    mu, sw = 0.6, kernels.PHI_SWITCH
+    lo, hi = {"closed": (0.1, 1.9), "laguerre": (3.4, 1e3), "recast": (1e-4, 0.08),
+              "mixed": (1e-4, 1e3)}[where]
+    rng = np.random.default_rng(n)
+    r = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    if where == "mixed" and n >= 7:
+        r[:5] = 0.01, 1.0, 10.0, sw, sw / mu
+        rng.shuffle(r)
+    buf = np.full((6, 2 * n), -1.5)
+    closed = _numpy_backend.offres_fill(buf, n, r, rng.uniform(-1.0, 1.0, n),
+                                        rng.uniform(-1.0, 1.0, n), mu, sw)
+    np.power(buf[0, n:], 6, out=buf[2, :n])
+    if closed:
+        kernels.closed_form_inputs(buf[5, :closed], buf[3:5, :closed])
+    recast = r * r * (1.0 + mu) < kernels.RECAST
+    assert {"closed": closed == 2 * n and not recast.any(), "laguerre": closed == 0,
+            "recast": recast.all(), "mixed": n < 7 or 0 < recast.sum() < closed < 2 * n}[where]
+    args = (n, mu, sw, kernels.RECAST, kernels._LAGUERRE_TABLE, kernels._NODES.size)
+    compiled, numpy = buf.copy(), buf.copy()
+    lib.offres_sites(*args, compiled)
+    _numpy_backend.offres_sites(*args, numpy)
+    assert np.isfinite(numpy[2, n:]).all()
+    assert compiled.tobytes() == numpy.tobytes()
+    numpy[2, n:] = buf[2, n:]
+    assert numpy.tobytes() == buf.tobytes()
 
 
 @pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])

@@ -24,8 +24,8 @@ from scipy.integrate import quad
 
 from cplattice import kernels, lattice_sum
 from cplattice.euler_maclaurin import edge_term, vertex_term
-from cplattice.kernels import _numpy_backend
-from cplattice.lattice_sum import offresonant_pair_term, offresonant_prefactor, offresonant_sites
+from cplattice.kernels import _numpy_backend, offres_sites
+from cplattice.lattice_sum import offresonant_pair_term, offresonant_prefactor
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
@@ -112,7 +112,7 @@ def test_kernel_matches_quad_oracle(log_r, mu, e0, en, n):
     e0, en, n = _unit(e0), _unit(en), _unit(n)
     dot, pp = float(e0 @ en), float((e0 @ n) * (n @ en))
     want = site_quad(r, dot, pp, mu)
-    got = float(offresonant_sites(r, dot, pp, mu)[0])
+    got = float(offres_sites(r, dot, pp, mu)[0])
     assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
 
@@ -128,15 +128,15 @@ SMALL_R_SITES = [(math.exp(-5.0), 1.0 - 1e-3, 1.0, 1.0 / 3.0), (1e-3, 1.0 - 1e-3
 @pytest.mark.parametrize("r,mu,dot,pp", SMALL_R_SITES)
 def test_small_r_sites_match_mpmath(r, mu, dot, pp):
     want = site_mpmath(r, dot, pp, mu, digits=40)
-    assert float(offresonant_sites(r, dot, pp, mu)[0]) == pytest.approx(want, rel=1e-12)
+    assert float(offres_sites(r, dot, pp, mu)[0]) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.6, 1.0 - 1e-3, 1.0 + 1e-3, 2.0, 5.0])
 def test_kernel_principal_orientations_over_radii(mu):
     r = np.geomspace(1e-3, 3e3, 25)
     z = 0.7 * r
-    zz = offresonant_sites(r, 1.0, z * z / (r * r), mu)
-    zx = offresonant_sites(r, 0.0, -z * np.sqrt(r * r - z * z) / (r * r), mu)
+    zz = offres_sites(r, 1.0, z * z / (r * r), mu)
+    zx = offres_sites(r, 0.0, -z * np.sqrt(r * r - z * z) / (r * r), mu)
     for i in range(r.size):
         pp_x = -z[i] * math.sqrt(r[i] ** 2 - z[i] ** 2) / r[i] ** 2
         assert zz[i] == pytest.approx(site_quad(r[i], 1.0, (z[i] / r[i]) ** 2, mu), rel=1e-10)
@@ -153,7 +153,7 @@ def test_branch_switch_is_continuous():
     np.testing.assert_allclose(closed, laguerre, rtol=1e-13, atol=0.0)
     # either side of the switch, through the public kernel
     r = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0 + 1e-12])
-    below, above = offresonant_sites(r, 1.0, 0.3, 0.5)
+    below, above = offres_sites(r, 1.0, 0.3, 0.5)
     assert above == pytest.approx(below, rel=1e-11)
 
 
@@ -203,7 +203,7 @@ def test_moments_call_only_branches_with_radii(monkeypatch, case):
                         only_some("laguerre", _numpy_backend.phi_laguerre))
     monkeypatch.setattr(_numpy_backend, "moments", recorded)
     r, want, sites = PINNED_MOMENTS[case]
-    got = offresonant_sites(np.array(r, dtype=float), 1.0, 0.3, 0.6)
+    got = offres_sites(np.array(r, dtype=float), 1.0, 0.3, 0.6)
     on_numpy = kernels.backend_name() == "numpy"
     closed = ["closed"] if case == "small" else []
     laguerre = ["laguerre"] if case == "large" and on_numpy else []
@@ -218,7 +218,7 @@ def test_zz_site_terms_strictly_positive_at_large_r():
     for mu in (0.05, 0.5, 1.0 + 1e-3, 2.0, 5.0):
         for z in (0.01, 1.0, 30.0):
             r = np.geomspace(max(z, 10.0), 1e6, 200)
-            assert np.all(offresonant_sites(r, 1.0, z * z / (r * r), mu) > 0.0)
+            assert np.all(offres_sites(r, 1.0, z * z / (r * r), mu) > 0.0)
     b = mk(mu=2.0, a=50.0, z=0.3)
     assert all(offresonant_pair_term(nx, ny, b) > 0.0 for nx in range(0, 60, 7)
                for ny in range(0, 60, 11))
@@ -228,7 +228,7 @@ def test_zx_on_axis_and_origin_terms_exactly_zero():
     b = mk(mu=0.7, a=0.3, z=0.4, array=(1, 0, 0))
     for ny in range(-3, 4):
         assert offresonant_pair_term(0, ny, b) == 0.0
-    assert offresonant_sites(np.geomspace(0.1, 10.0, 5), 0.0, 0.0, 0.7).tolist() == [0.0] * 5
+    assert offres_sites(np.geomspace(0.1, 10.0, 5), 0.0, 0.0, 0.7).tolist() == [0.0] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def axis_quad(bundle, axis):
         v = np.array([x, 0.0, -z] if axis == "x" else [0.0, x, -z])
         r = float(np.linalg.norm(v))
         n = v / r
-        return float(offresonant_sites(r, e0 @ en, (e0 @ n) * (n @ en), mu)[0])
+        return float(offres_sites(r, e0 @ en, (e0 @ n) * (n @ en), mu)[0])
 
     cuts = sorted({z, 1.0, 1.0 / mu, 10.0 * z, 10.0 / min(mu, 1.0)})
     head = sum(_quad_checked(f, lo, hi, 1e-12) for lo, hi in zip([0.0] + cuts[:-1], cuts))
