@@ -116,7 +116,7 @@ import threading
 from pathlib import Path
 
 import numpy as np
-from scipy.special import roots_laguerre, sici
+from scipy.special import sici
 
 from . import _numpy_backend
 
@@ -363,9 +363,40 @@ def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
 # polynomial parts (_numpy_backend.moments): there the rounding those parts
 # leave, ~eps/(r^2 |1 - mu^2|) relative, would exceed the 2e-14/|1 - mu|
 # that the partial fractions cost elsewhere.
+# The nodes and weights are scipy.special.roots_laguerre(56)'s bits as exact
+# literals, so no run loads scipy.linalg; test_kernels.py pins them to SciPy.
 PHI_SWITCH = 2.0
 RECAST = 2.0 ** -52 / 2e-14
-_NODES, _WEIGHTS = roots_laguerre(56)
+_NODES = np.array((
+    0.02558995024699013, 0.13485365676188618, 0.331516219204913, 0.6157738010977049,
+    0.9878529099198406, 1.4480455819475517, 1.9967138611873816, 2.6342919819784982,
+    3.3612884504001763, 4.178288379389873, 5.085956176857315, 6.085038637781431,
+    7.176368482959885, 8.360868389121553, 9.639555560887683, 11.013546902925992,
+    12.484064860250953, 14.052444006085297, 15.720138470312696, 17.48873031775833,
+    19.359939004906686, 21.335632066939603, 23.417837215087584, 25.608756058430515,
+    27.91077970599693, 30.32650655628362, 32.858762644742264, 35.510624998763596,
+    38.28544854874538, 41.18689726899075, 44.21898038158905, 47.3860946611795,
+    50.693074143881304, 54.14524889101371, 57.74851491762464, 61.50941801036679,
+    65.43525499144076, 69.53419712741778, 73.81544197222009, 78.28940218416267,
+    82.96794309850267, 87.86468559796211, 92.99539797070624, 98.37851143996076,
+    104.03581143805874, 109.99338508049419, 116.28295333877813, 122.9438012509464,
+    130.02567701374784, 137.5933413188264, 145.73410731496938, 154.57124645977552,
+    164.29017239726784, 175.19687082004242, 187.8782955838899, 203.85006192921233))
+_WEIGHTS = np.array((
+    0.06401526736888252, 0.13363444607731612, 0.17258701783752248, 0.17726077695653733,
+    0.15493848404101968, 0.11854030343956513, 0.08052405283320553, 0.048961064527939566,
+    0.02677742018932556, 0.013213220385879467, 0.005893878901757031, 0.0023792634228538764,
+    0.0008697429206121111, 0.00028795574288019963, 8.633463676210527e-05, 2.3430940196333695e-05,
+    5.752533623739485e-06, 1.2765024998190707e-06, 2.557528543266465e-07, 4.620801031393886e-08,
+    7.517842406670475e-09, 1.099634953532233e-09, 1.4434452913113285e-10, 1.6969894883162103e-11,
+    1.782888822626294e-12, 1.6698502609791837e-13, 1.3905159272674434e-14, 1.0264617076391983e-15,
+    6.695399916243771e-17, 3.8453753459711065e-18, 1.937040730211094e-19, 8.52150281455112e-21,
+    3.25851767693856e-22, 1.077417576671361e-23, 3.0626456251831644e-25, 7.436459304313969e-27,
+    1.5313583865551348e-28, 2.6529979290842895e-30, 3.831897289808056e-32, 4.567240818289392e-34,
+    4.439978901124426e-36, 3.473500602432695e-38, 2.1531180501516303e-40, 1.0384835351407867e-42,
+    3.814601619150807e-45, 1.0400882255792576e-47, 2.040416134840701e-50, 2.7710014115210064e-53,
+    2.4810010269263656e-56, 1.3744692759252969e-59, 4.32592288642387e-63, 6.858480471583479e-67,
+    4.573744974389832e-71, 9.540270902217006e-76, 3.54051920172022e-81, 5.555999192941929e-88))
 _LAGUERRE_TABLE = np.concatenate((_NODES, _WEIGHTS,
                                   ((0.5 * _NODES)[:, None] ** np.arange(5)).ravel()))
 _LAGUERRE_TABLE.flags.writeable = False

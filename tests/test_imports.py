@@ -2,9 +2,12 @@
 
 ``scipy.integrate`` pulls in ``scipy.optimize``, ``scipy.sparse.linalg``,
 ``scipy.fft`` and ``scipy.spatial``: about 0.3 s of every import, for code the
-package does not run. A fresh interpreter imports ``cplattice``, runs the
-direct sums and the decomposition for every orientation route and the CLI,
-and must still not have loaded either module.
+package does not run. ``scipy.linalg`` and its LAPACK and BLAS libraries
+would come with ``scipy.special.roots_laguerre``; ``kernels`` holds the 56
+nodes and weights it returns as literals instead. A fresh interpreter imports
+``cplattice``, runs the direct sums and the decomposition for every
+orientation route and the CLI, and must still not have loaded any of the
+three modules.
 """
 import os
 import subprocess
@@ -33,7 +36,8 @@ SCRIPT = textwrap.dedent("""
         assert cli.main(["sweep", "--a-tilde", "0.05", "--half-extent", "4",
                          "--z-min", "0.2", "--z-max", "0.4",
                          "--points-per-decade", "4"]) == 0
-    print(" ".join(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+    print(" ".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+                   if m in sys.modules))
 """)
 
 

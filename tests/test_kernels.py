@@ -548,6 +548,16 @@ def test_laguerre_tables_are_views_of_one_read_only_table():
     assert all(a.flags.c_contiguous and not a.flags.writeable for a in _LAGUERRE)
 
 
+def test_laguerre_rule_integrates_t_k_exactly():
+    # the frozen rule without SciPy: the 56-node Gauss-Laguerre rule is exact
+    # for polynomials of degree up to 111, so sum(w t^k) = int t^k e^-t dt = k!
+    t, w, _ = _LAGUERRE
+    assert t.size == 56 and np.all(np.diff(t) > 0) and t[0] > 0 and np.all(w > 0)
+    for k in range(33):
+        got = math.fsum(wi * ti ** k for ti, wi in zip(t.tolist(), w.tolist()))
+        assert abs(got - math.factorial(k)) <= 1e-14 * math.factorial(k), k
+
+
 def test_phi_laguerre_rejects_mismatched_tables(backend):
     t, w, pw = _LAGUERRE
     for bad in ((t, w[:-1], pw), (t, w, pw[:, :4]), (t, w, pw[:-1]), (t[:, None], w, pw)):
