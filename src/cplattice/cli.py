@@ -440,17 +440,14 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return cmd_fit(args.csv_path, args.column, args.z_min, args.z_max,
                            args.mode, sys.stdout)
-        raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureFailure, SiteBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (fitting.InsufficientPoints, fitting.ZeroValue, fitting.TooFewPeaks) as exc:
+    except (QuadratureFailure, SiteBudgetExceeded, fitting.InsufficientPoints, fitting.ZeroValue,
+            fitting.TooFewPeaks) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -28,13 +28,14 @@ over the 5 uniform azimuths of ``_RING`` is exact (zz needs the first). The
 edge integrates each direction of ``_AXES``, the positive x and y half-axes,
 on its own; a pair that needs both takes them from one call. The site term
 takes the dipole orientation as data (``bundle.pair``, through e0.en and
-(e0.n)(n.en)), and each integral is one fixed rule: composite 25-point
-Gauss-Legendre panels, with an error estimate from the interpolatory rule
-on every other node, checked against one tolerance in :func:`_checked`. The
-kind selects one of two node layouts:
+(e0.n)(n.en)), and each integral is one fixed rule of ``kernels``:
+composite 25-point Gauss-Legendre panels, with an error estimate from the
+interpolatory rule on every other node (``kernels.LEGENDRE``). This module
+keeps only the tolerance those estimates are checked against,
+:func:`_checked`. The kind selects one of two node layouts:
 
 * real path (off-resonant edge and bulk): fixed panels in s = R/z, with the
-  s = 16/t tail;
+  s = 16/t tail (``kernels.REAL_PATH``);
 * rotated path (resonant edge; resonant bulk of generic orientations, and
   of zz above z = 20): the e^{2ir}
   phase would oscillate along the real axis, so the path turns into the
@@ -44,7 +45,8 @@ kind selects one of two node layouts:
   analytic continuation ``greens.resonant_sites_complex``; no branch point
   is crossed, since r depends on x only through x^2 and <f>_phi on R only
   through R^2. Geometric panels are sized by z (the r^-6 near field),
-  sqrt(z) (the width of e^{i x^2/z} at large z) and 1/sin(pi/4).
+  sqrt(z) (the width of e^{i x^2/z} at large z) and 1/sin(pi/4), each
+  height's from the table ``kernels.ROTATED_RULE``.
 
 The orientation label only selects symmetries: the closed-form zz/zx bulk,
 the single zz azimuth, and which axis integrals are equal or vanish. Where a
@@ -89,12 +91,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from . import kernels, specfun
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .kernels import _numpy_backend
 from .lattice_sum import QuadratureFailure, finite, heights_array, per_height, prefactor
 from .model import ValidatedBundle, validate
 
@@ -120,65 +120,39 @@ def bracket_zx(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the panel rule
+# the tolerance
 
 # The error estimate of a panel is its difference from the interpolatory rule
-# on every other node (13 nodes, exact to degree 12); their sum must stay
-# below _RTOL of the sum of the panel magnitudes. Estimates stay below ~1e-11
-# of the value for z in [1e-3, 1e4], while the full rule agrees with
-# independent quadrature to ~1e-13.
+# on every other node (kernels.LEGENDRE); their sum must stay below _RTOL of
+# the sum of the panel magnitudes. Estimates stay below ~1e-11 of the value
+# for z in [1e-3, 1e4], while the full rule agrees with independent
+# quadrature to ~1e-13.
 _RTOL = 1e-9
-_X, _W = leggauss(25)
-_W_LOW = np.zeros(25)
-_W_LOW[::2] = np.linalg.solve(legvander(_X[::2], 12).T, np.eye(13)[0] * 2.0)
-
 
 # Once a height's integral underflows, every product and partial sum of the
 # rule is rounded to a multiple of 2^-1074, the smallest subnormal, and the
 # estimate can no longer meet _RTOL of a subnormal scale: an estimate of at
 # most one such step per node of the full and the nested sum (2 x 25 per
 # panel) is that rounding, and passes.
-_UNDERFLOW_STEP = 2.0 ** -1074
-
-
-def _gl_rule(lo, hi):
-    """Nodes, full and lower-order weights of the panels [lo, hi], one row
-    per panel."""
-    lo, hi = lo[:, None], hi[:, None]
-    half = 0.5 * (hi - lo)
-    return lo + half * (1.0 + _X), half * _W, half * _W_LOW
+_UNDERFLOW_FLOOR = 2 * kernels.LEGENDRE[0].size * 2.0 ** -1074
 
 
 def _checked(sums, counts, heights, bundle: ValidatedBundle, stage: str,
-             axis: str | None = None) -> np.ndarray:
-    """The values of one ray integral at each height from its sums (value,
-    error estimate, scale) per height and the heights' panel counts: the
-    first height whose estimate misses _RTOL of its scale and the underflow
-    floor raises QuadratureFailure."""
-    for i, (e, scale, count) in enumerate(zip(sums[:, 1].tolist(), sums[:, 2].tolist(),
-                                              counts.tolist())):
-        if not (e <= _RTOL * scale or e <= 2 * _X.size * count * _UNDERFLOW_STEP):
-            where = bundle.orientation_label() + (f", {axis} axis" if axis else "")
-            raise QuadratureFailure(
-                f"{stage} at z={float(heights[i])!r}, mu={bundle.mu!r} ({where}): error estimate "
-                f"{e:.3g} exceeds {_RTOL:g} of {scale:.17g}")
-    return sums[:, 0]
-
-
-def _real_rule():
-    """Panels [0, 1/2], [1/2, 1], [1, 2], ..., [8, 16] in s, then [16, inf)
-    mapped by s = 16/t, where the off-resonant integrands have decayed like
-    s^-5 or faster and are smooth in t."""
-    edges = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    s, w, w_low = _gl_rule(edges[:-1], edges[1:])
-    t, wt, wt_low = _gl_rule(np.array([0.0]), np.array([1.0]))
-    jac = 16.0 / (t * t)
-    return np.vstack((s, 16.0 / t)), np.vstack((w, jac * wt)), np.vstack((w_low, jac * wt_low))
-
-
-_S, _S_W, _S_W_LOW = _real_rule()
-
-_ROTATED_RULE = _numpy_backend.rotated_rule_table(_X, _W, _W_LOW)
+             axes: str | None = None) -> np.ndarray:
+    """The values (heights, outputs) of one ray integral from its sums
+    (value, error estimate, scale) per height and output and the heights'
+    panel counts: the first output, and in it the first height, whose
+    estimate misses _RTOL of its scale and the underflow floor raises
+    QuadratureFailure, naming the output's axis with ``axes``."""
+    e, scale = sums[..., 1], sums[..., 2]
+    missed = np.argwhere(~((e <= _RTOL * scale) | (e <= counts[:, None] * _UNDERFLOW_FLOOR)).T)
+    if missed.size:
+        k, i = missed[0]
+        where = bundle.orientation_label() + (f", {axes[k]} axis" if axes else "")
+        raise QuadratureFailure(
+            f"{stage} at z={float(heights[i])!r}, mu={bundle.mu!r} ({where}): error estimate "
+            f"{float(e[i, k]):.3g} exceeds {_RTOL:g} of {float(scale[i, k]):.17g}")
+    return sums[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +176,9 @@ def _sites(bundle: ValidatedBundle, heights, directions) -> np.ndarray:
     """The off-resonant site term at the real path's nodes R d, R = z s, of
     each height z and each direction d (the last axis), (heights x panels,
     nodes, directions): one site set of ``kernels.offres_points``."""
-    f = kernels.offres_points(bundle.pair, _S, directions, heights, bundle.mu, rays=True)
-    return f.reshape(len(heights) * len(_S), _S.shape[1], len(directions))
+    s = kernels.REAL_PATH[0]
+    f = kernels.offres_points(bundle.pair, s, directions, heights, bundle.mu, rays=True)
+    return f.reshape(len(heights) * len(s), s.shape[1], len(directions))
 
 
 def _shared_sites(bundle: ValidatedBundle, heights, directions) -> np.ndarray:
@@ -226,7 +201,8 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     unit directions d, with the kind's site term f and no prefactor, at each
     of the heights (a float64 array): one site-kernel call for all of them.
     With ``axes``, a name for each direction, each direction is integrated
-    on its own instead, and a list of one array per direction is returned.
+    on its own instead. Returns the checked values, (heights, outputs):
+    one output, or one per direction with ``axes``.
 
     The kind picks the path: resonant takes the rotated rule, with r = z + t
     e^{i pi/4}, R = sqrt(r^2 - z^2) and J = r for the bulk, and R = t e^{i pi/4}
@@ -240,17 +216,11 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     heights are stacked as rows, each row with its own height z.
     """
     if kind == "resonant":
-        sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights,
-                                           _ROTATED_RULE)
+        sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights)
     else:
-        # the same panels in s = R/z at every height
-        sums = kernels.panel_sums(_shared_sites(bundle, heights, directions), heights, _S, _S_W,
-                                  _S_W_LOW, stage == "bulk", axes is not None)
-        counts = np.full(len(heights), len(_S))
-    if axes is None:
-        return _checked(sums[:, 0], counts, heights, bundle, f"{stage} {kind}")
-    return [_checked(sums[:, k], counts, heights, bundle, f"{stage} {kind}", axis)
-            for k, axis in enumerate(axes)]
+        sums, counts = kernels.panel_sums(_shared_sites(bundle, heights, directions), heights,
+                                          stage == "bulk", axes is not None)
+    return _checked(sums, counts, heights, bundle, f"{stage} {kind}", axes)
 
 
 # Above this height the zz bulk takes the rotated path: bracket_zz loses digits
@@ -301,7 +271,7 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     if not closed.all():
         ring = _RING[:1] if label == "zz" else _RING
         values[~closed] = pref * (2.0 * math.pi / bundle.a_tilde ** 2) * _ray_integral(
-            bundle, kind, "bulk", ring, z[~closed])
+            bundle, kind, "bulk", ring, z[~closed])[:, 0]
     return per_height(heights, values)
 
 
@@ -327,8 +297,8 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
     z = heights_array(bundle, heights)
     axes = "x" if label in ("zz", "zx") else "xy"
     integrals = _ray_integral(bundle, kind, "edge", _AXES[:len(axes)], z, axes)
-    ax = integrals[0]
-    ay = ax if label == "zz" else 0.0 if label == "zx" else integrals[1]
+    ax = integrals[:, 0]
+    ay = ax if label == "zz" else 0.0 if label == "zx" else integrals[:, 1]
     return per_height(heights, pref * (2.0 / bundle.a_tilde) * (ax + ay))
 
 

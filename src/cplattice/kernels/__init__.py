@@ -14,11 +14,12 @@ The backend is one module variable, the library or the NumPy module
 that swaps it, together with the distance-table cache; it loads the library
 on demand, so one process can run both backends.
 
-Arrays cross into C one way: every array parameter of every export is
-declared as one of three checked ctypes types, ``F64``, ``I32`` and ``I64``,
-which take a C-contiguous ndarray of their dtype and pass the address of its
-first element, and reject anything else with ``ctypes.ArgumentError`` before
-the C code runs. The NumPy backend takes each export's arguments, with the
+Arrays cross into C one way. Each export is declared from its prototype in
+``_rows.c`` (:func:`load_library`), and every array parameter as one of
+three checked ctypes types, ``F64``, ``I32`` and ``I64``, which take a
+C-contiguous ndarray of their dtype and pass the address of its first
+element, and reject anything else with ``ctypes.ArgumentError`` before the
+C code runs. The NumPy backend takes each export's arguments, with the
 arrays where C takes pointers, so a wrapper below makes one call that runs
 on either backend; it tests which backend it has only where the two take
 different algorithms.
@@ -80,13 +81,13 @@ distance table that the compiled rows gather from:
   (orbit weight times site term), with math.fsum's errors. The compiled
   ones port CPython's math.fsum (Shewchuk's partials, carried from array to
   array, and its half-even fix-up), so the two return the same bits;
-* ``ray_rotated(bulk, pair, directions, heights, rule)``: the resonant ray
+* ``ray_rotated(bulk, pair, directions, heights)``: the resonant ray
   integrals of the bulk/edge decomposition (``euler_maclaurin``) on their
-  rotated paths, whole, for every height in one call: the rule, the site
-  term, the azimuth mean, the Jacobian and each height's value, error
-  estimate and scale. The NumPy backend takes these steps as NumPy array
-  operations, and the compiled one takes each of them in C with the same
-  bits: csqrt and cexp
+  rotated paths, whole, for every height in one call: each height's rule
+  from ``ROTATED_RULE``, the site term, the azimuth mean, the Jacobian and
+  each height's value, error estimate and scale. The NumPy backend takes
+  these steps as NumPy array operations, and the compiled one takes each of
+  them in C with the same bits: csqrt and cexp
   are glibc's, which np.sqrt and np.exp call on complex128; a product of
   complex arrays is NumPy's SIMD fmaddsub, so the C product writes out its
   two fmas; r^6 is NumPy's binary powering with the plain product; a
@@ -96,10 +97,15 @@ distance table that the compiled rows gather from:
   C library's pow in places. GCC's vectorizer fuses complex products
   written out in real arithmetic even under -std=c99, so that section of
   ``_rows.c`` is compiled unvectorized;
-* ``panel_sums(f, heights, s, w, w_low, bulk, each)``: the off-resonant
-  ray integrals on the real path from their site values, the same values,
+* ``panel_sums(f, heights, bulk, each)``: the off-resonant ray integrals
+  on the real path (``REAL_PATH``) from their site values, the same values,
   estimates and scales: the mean over the directions (np.mean's sum and
   division), the Jacobian and the pairwise panel sums.
+
+Both return the sums and each height's panel count. This module builds the
+decomposition's rules once, ``LEGENDRE``, ``REAL_PATH`` and ``ROTATED_RULE``
+(:func:`_rules`), and passes them to each backend call itself, so no caller
+takes or checks one.
 """
 from __future__ import annotations
 
@@ -110,12 +116,14 @@ import itertools
 import math
 import os
 import platform
+import re
 import subprocess
 import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import sici
 
 from . import _numpy_backend
@@ -160,26 +168,43 @@ def _array(dtype):
 # The array parameters of the compiled exports
 F64, I32, I64 = _array(np.float64), _array(np.int32), _array(np.int64)
 
+# An export's prototype in _rows.c, on its own lines: the return type, the
+# name and the parameters; and the ctypes type of each C type in one
+_PROTOTYPE = re.compile(r"^(\w+) (\w+)\(([^)]*)\)$", re.M)
+_CTYPES = {"double": ctypes.c_double, "int": ctypes.c_int, "long": ctypes.c_long, "void": None,
+           "double *": F64, "int32_t *": I32, "long *": I64}
+
+
+def _ctype(export: str, c_type: str):
+    """The ctypes type of ``c_type``, const or not, in the prototype of
+    ``export``; raises ``TypeError`` for a C type without one."""
+    c_type = c_type.removeprefix("const ")
+    if c_type not in _CTYPES:
+        raise TypeError(f"{export} in {_SOURCE.name} takes or returns {c_type!r}, which has no "
+                        f"ctypes type")
+    return _CTYPES[c_type]
+
 
 def load_library(cc: str = "cc", directory: Path = _HERE):
-    """The compiled row library, built into ``directory`` on first use.
+    """The compiled row library, built into ``directory`` on first use, as
+    a ``ctypes.CDLL``, or None when it cannot be built or loaded.
 
-    Returns a ``ctypes.CDLL`` with ``res_row``, ``res_rows``,
-    ``distance_table``, ``table_rows``, ``phi_laguerre``, ``offres_sites``,
-    ``ray_rotated``, ``panel_sums``, ``res_points``, ``offres_points``,
-    ``fsum``, ``octant_fsum``, ``sincos_probe`` and ``libm_sincos``
-    declared, or None when the library cannot be built or loaded. Each
-    export has one ``argtypes`` and ``restype``: every array parameter is
-    ``F64``, ``I32`` or ``I64`` (C-contiguous, of that dtype, checked at each
-    call), every other one ``c_int``, ``c_long`` or ``c_double``, and
-    ``sincos_probe`` takes two ``POINTER(c_double)``. The build
+    Each export is declared from its prototype in ``_rows.c``, the one
+    statement of its signature: a line ``type name(parameters)`` at the start
+    of a line, the parameters possibly running over several. ``double``,
+    ``int`` and ``long`` become ``c_double``, ``c_int`` and ``c_long``, a
+    ``void`` return None, and the arrays ``double *``, ``int32_t *`` and
+    ``long *``, const or not, ``F64``, ``I32`` and ``I64`` (C-contiguous, of
+    that dtype, checked at each call). Any other C type raises
+    ``TypeError``, naming the export. The build
     writes a temporary file and moves it into place, so concurrent first
     imports are safe; a successful build then removes the libraries of other
     keys (``_rows-*.so``) from ``directory``.
     """
     try:
+        source = _SOURCE.read_bytes()
         key = hashlib.sha256(b"\0".join([
-            _SOURCE.read_bytes(), " ".join((cc,) + _CFLAGS).encode(),
+            source, " ".join((cc,) + _CFLAGS).encode(),
             platform.machine().encode(), _cpu_model().encode()])).hexdigest()[:16]
         path = Path(directory) / f"_rows-{key}.so"
         if not path.exists():
@@ -202,43 +227,10 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError):
         return None
-    lib.res_row.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_long)
-    lib.res_row.restype = ctypes.c_double
-    lib.res_rows.argtypes = (ctypes.c_int, ctypes.c_double, F64, ctypes.c_long, ctypes.c_long,
-                             ctypes.c_long, F64)
-    lib.res_rows.restype = None
-    lib.distance_table.argtypes = (ctypes.c_long, ctypes.c_long, F64, I32)
-    lib.distance_table.restype = ctypes.c_long
-    lib.table_rows.argtypes = (ctypes.c_int, ctypes.c_double, F64, ctypes.c_long, F64,
-                               ctypes.c_long, I32, ctypes.c_long, ctypes.c_long, F64, F64)
-    lib.table_rows.restype = None
-    lib.phi_laguerre.argtypes = (F64, ctypes.c_long, F64, F64, F64, ctypes.c_long, F64)
-    lib.phi_laguerre.restype = None
-    lib.offres_sites.argtypes = (ctypes.c_long, ctypes.c_double, ctypes.c_double,
-                                 ctypes.c_double, F64, ctypes.c_long, F64)
-    lib.offres_sites.restype = None
-    lib.sincos_probe.argtypes = (ctypes.c_double, ctypes.POINTER(ctypes.c_double),
-                                 ctypes.POINTER(ctypes.c_double))
-    lib.sincos_probe.restype = None
-    lib.ray_rotated.argtypes = (ctypes.c_int, F64, F64, ctypes.c_long, F64, ctypes.c_long, F64,
-                                ctypes.c_long, I64, F64)
-    lib.ray_rotated.restype = ctypes.c_long
-    lib.res_points.argtypes = (F64, F64, ctypes.c_long, F64, ctypes.c_long, F64, ctypes.c_long,
-                               ctypes.c_int, F64)
-    lib.res_points.restype = ctypes.c_long
-    lib.offres_points.argtypes = (F64, F64, ctypes.c_long, F64, ctypes.c_long, ctypes.c_int, F64,
-                                  ctypes.c_long, ctypes.c_long, ctypes.c_double, ctypes.c_double,
-                                  F64)
-    lib.offres_points.restype = ctypes.c_long
-    lib.fsum.argtypes = (F64, ctypes.c_long, F64)
-    lib.fsum.restype = ctypes.c_long
-    lib.octant_fsum.argtypes = (ctypes.c_int, ctypes.c_double, F64, I32, ctypes.c_long, F64)
-    lib.octant_fsum.restype = ctypes.c_long
-    lib.libm_sincos.argtypes = (F64, ctypes.c_long, F64, F64)
-    lib.libm_sincos.restype = None
-    lib.panel_sums.argtypes = (F64, ctypes.c_long, ctypes.c_int, ctypes.c_int, F64,
-                               ctypes.c_long, F64, F64, F64, ctypes.c_long, F64)
-    lib.panel_sums.restype = None
+    for ret, name, params in _PROTOTYPE.findall(source.decode()):
+        fn = getattr(lib, name)
+        fn.restype = _ctype(name, ret)
+        fn.argtypes = [_ctype(name, re.sub(r"\s*\w+$", "", p.strip())) for p in params.split(",")]
     return lib
 
 
@@ -563,12 +555,43 @@ def octant_sum(zx: bool, a2: float, radial: np.ndarray, idx: np.ndarray, rows: i
     return float(state[3])
 
 
-# The most directions of one ray_rotated call.
+# ---------------------------------------------------------------------------
+# the ray integrals of the bulk/edge decomposition (euler_maclaurin)
+
+# The most directions of one ray_rotated call: DIRECTIONS of _rows.c.
 RAY_DIRECTIONS = 8
 
 
-def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray, heights: np.ndarray,
-                rule: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rules():
+    """The rules of the ray integrals, each of composite NODES-point
+    Gauss-Legendre panels with nested weights, the interpolatory rule on
+    every other node (13 nodes, exact to degree 12), whose difference from
+    the full rule is a panel's error estimate.
+
+    Returns LEGENDRE, the nodes, weights and nested weights on [-1, 1];
+    REAL_PATH, the nodes, weights and nested weights (rows, NODES) of the
+    real path's panels in s = R/z: [0, 1/2], [1/2, 1], [1, 2], ..., [8, 16],
+    then [16, inf) mapped by s = 16/t, where the off-resonant integrands have
+    decayed like s^-5 or faster and are smooth in t; and the rotated path's
+    table of ``_numpy_backend.rotated_rule_table``, from which each call
+    builds each height's panels."""
+    x, w = leggauss(_numpy_backend.NODES)
+    w_low = np.zeros(x.size)
+    w_low[::2] = np.linalg.solve(legvander(x[::2], 12).T, np.eye(13)[0] * 2.0)
+    lo = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 0.0])[:, None]
+    hi = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1.0])[:, None]
+    half = 0.5 * (hi - lo)
+    s, sw, sw_low = lo + half * (1.0 + x), half * w, half * w_low
+    jac = 16.0 / (s[-1] * s[-1])  # the last row is the tail's t in [0, 1]
+    s[-1], sw[-1], sw_low[-1] = 16.0 / s[-1], jac * sw[-1], jac * sw_low[-1]
+    return (x, w, w_low), (s, sw, sw_low), _numpy_backend.rotated_rule_table(x, w, w_low)
+
+
+LEGENDRE, REAL_PATH, ROTATED_RULE = _rules()
+
+
+def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray,
+                heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The resonant ray integrals of ``euler_maclaurin._ray_integral`` on the
     rotated path at each of the heights, in one call: returns (sums,
     counts), sums (heights, outputs, 3) holding each output's value, error
@@ -577,59 +600,54 @@ def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray, heights: n
 
     The bulk (``bulk`` true) has one output, the mean of the site term over
     the directions, rows (cos, sin); the edge one output per direction, each
-    an axis, (1, 0) or (0, 1). ``pair`` holds e0, en and e0.en, and
-    ``rule`` is a table of ``_numpy_backend.rotated_rule_table``; all arrays
-    are float64. Raises ``ValueError`` for other shapes, no directions or
-    more than ``RAY_DIRECTIONS``, or an edge direction that is not an axis,
-    and ``MemoryError`` when the compiled call cannot allocate its work
-    buffer."""
+    an axis, (1, 0) or (0, 1). ``pair`` holds e0, en and e0.en; all arrays
+    are float64. The rule is ``ROTATED_RULE``. Raises ``ValueError`` for
+    other shapes, no directions or more than ``RAY_DIRECTIONS``, or an edge
+    direction that is not an axis, and ``MemoryError`` when the compiled
+    call cannot allocate its work buffer."""
     nd = len(directions)
     if not 0 < nd <= RAY_DIRECTIONS:
         raise ValueError(f"need 1 to {RAY_DIRECTIONS} directions, got {nd}")
-    if (np.shape(pair) != (7,) or np.shape(directions) != (nd, 2) or np.ndim(heights) != 1
-            or np.ndim(rule) != 1 or np.size(rule) <= _numpy_backend.RULE_HEAD):
-        raise ValueError(f"need pair (7,), directions (n, 2), 1-d heights and a rule table, got "
-                         f"{np.shape(pair)}, {np.shape(directions)}, {np.shape(heights)} and "
-                         f"{np.shape(rule)}")
+    if np.shape(pair) != (7,) or np.shape(directions) != (nd, 2) or np.ndim(heights) != 1:
+        raise ValueError(f"need pair (7,), directions (n, 2) and 1-d heights, got "
+                         f"{np.shape(pair)}, {np.shape(directions)} and {np.shape(heights)}")
     if not bulk and not all(d in ([1.0, 0.0], [0.0, 1.0]) for d in np.asarray(directions).tolist()):
         raise ValueError("the edge takes only the axis directions (1, 0) and (0, 1)")
-    pair, directions, heights, rule = (np.ascontiguousarray(a, dtype=np.float64)
-                                       for a in (pair, directions, heights, rule))
-    nz, npowers = heights.size, rule.size - _numpy_backend.RULE_HEAD
+    pair, directions, heights = (np.ascontiguousarray(a, dtype=np.float64)
+                                 for a in (pair, directions, heights))
+    nz = heights.size
     counts = np.empty(nz, dtype=np.int64)
     sums = np.empty((nz, 1 if bulk else nd, 3))
-    if nz and _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, rule, npowers,
-                                counts, sums) < 0:
+    if nz and _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, ROTATED_RULE,
+                                ROTATED_RULE.size - _numpy_backend.RULE_HEAD, counts, sums) < 0:
         raise MemoryError("no memory for the ray integrals' panel sums")
     return sums, counts
 
 
-def panel_sums(f: np.ndarray, heights: np.ndarray, s: np.ndarray, w: np.ndarray,
-               w_low: np.ndarray, bulk: bool, each: bool) -> np.ndarray:
+def panel_sums(f: np.ndarray, heights: np.ndarray, bulk: bool,
+               each: bool) -> tuple[np.ndarray, np.ndarray]:
     """The real path's ray integrals of ``euler_maclaurin._ray_integral`` at
-    each of the heights, from f (heights x rows, 25, directions), the site
-    values at the nodes z s of the rule s (rows, 25) for each direction:
-    (heights, outputs, 3) holding each output's value sum J <f> w, error
-    estimate sum |full - nested| and scale sum |full|, with the rows'
-    weights w and nested weights w_low (rows, 25). <f> is the mean over all
-    directions, one output, or with ``each`` each direction alone, and J is
-    z^2 s for the bulk and z for the edge, in NumPy's order of operations
-    (np.mean's sum and division, then the product, then the pairwise panel
-    sums). All arrays are float64. Raises ``ValueError`` for other
-    shapes."""
-    rows, nz = np.shape(s)[0], np.size(heights)
-    if np.shape(s) != (rows, 25) or np.shape(w) != (rows, 25) or np.shape(w_low) != (rows, 25) \
-            or np.ndim(heights) != 1 or np.ndim(f) != 3 or np.shape(f)[:2] != (nz * rows, 25):
-        raise ValueError(f"need f of {nz} x rows x 25 nodes and directions and the rule and "
-                         f"weights (rows, 25), got {np.shape(f)}, {np.shape(s)}, {np.shape(w)} "
-                         f"and {np.shape(w_low)}")
+    each of the heights, from f (heights x rows, NODES, directions), the
+    site values at the nodes z s of ``REAL_PATH`` for each direction:
+    returns (sums, counts), sums (heights, outputs, 3) holding each output's
+    value sum J <f> w, error estimate sum |full - nested| and scale sum
+    |full|, and counts each height's panel count, the rows. <f> is the mean
+    over all directions, one output, or with ``each`` each direction alone,
+    and J is z^2 s for the bulk and z for the edge, in NumPy's order of
+    operations (np.mean's sum and division, then the product, then the
+    pairwise panel sums). All arrays are float64. Raises ``ValueError`` for
+    other shapes."""
+    s, w, w_low = REAL_PATH
+    rows, nz = len(s), np.size(heights)
+    if np.ndim(heights) != 1 or np.ndim(f) != 3 or np.shape(f)[:2] != (nz * rows, s.shape[1]):
+        raise ValueError(f"need f of {nz} x {rows} rows x {s.shape[1]} nodes and directions and "
+                         f"1-d heights, got {np.shape(f)} and {np.shape(heights)}")
     nd = np.shape(f)[2]
     out = np.empty((nz, nd if each else 1, 3))
     if out.size:
-        f, heights, s, w, w_low = (np.ascontiguousarray(a, dtype=np.float64)
-                                   for a in (f, heights, s, w, w_low))
+        f, heights = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, heights))
         _impl.panel_sums(f, nd, each, bulk, heights, nz, s, w, w_low, rows, out)
-    return out
+    return out, np.full(nz, rows)
 
 
 # Single rows under their former names, only because perfbench/tracer.py

@@ -264,7 +264,8 @@ RULE_HEAD = 3 * NODES + 3  # the values of a rotated rule table before its power
 
 def rotated_rule_table(x, w, w_low) -> np.ndarray:
     """The read-only table of the rotated rule that :func:`rotated_rules`,
-    :func:`ray_rotated` and the compiled ray_rotated read: the NODES
+    :func:`ray_rotated` and the compiled ray_rotated read, built once as
+    ``kernels.ROTATED_RULE`` from ``kernels.LEGENDRE``: the NODES
     Gauss-Legendre nodes x, weights w and nested weights w_low on [-1, 1],
     e^{i pi/4} (re, im), log(1.4), and the powers 1.4^k below the largest
     double, k < 2110. A height whose panel count needs more (z below

@@ -84,10 +84,11 @@ static inline double sin_branchless(double x, double *cosv)
     return sign_s * (odd * kc + even * ks);
 }
 
-/* The reduced sin/cos pair, exported for accuracy tests. */
-void sincos_probe(double x, double *s, double *c)
+/* The reduced sin/cos pair of each x[i], exported for accuracy tests. */
+void sincos_probe(const double *x, long n, double *s, double *c)
 {
-    *s = sin_branchless(x, c);
+    for (long i = 0; i < n; i++)
+        s[i] = sin_branchless(x[i], &c[i]);
 }
 
 /* sin(x) and *c = cos(x): the reduced kernel when fast, else libm. */
@@ -739,9 +740,6 @@ static void ray_panel(int bulk, const double *pair, const double *dirs, long nd,
             cplx sum;
             if (!bulk)
                 sum = cpx(-0.0 + f[o].re[j], -0.0 + f[o].im[j]);
-            else if (nd == 5)
-                sum = cadd(cadd(cadd(at(&f[0], j), at(&f[1], j)), cadd(at(&f[2], j), at(&f[3], j))),
-                           at(&f[4], j));
             else {
                 double fre[DIRECTIONS], fim[DIRECTIONS];
                 for (long k = 0; k < nd; k++) {

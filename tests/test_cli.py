@@ -456,8 +456,8 @@ def _fail_rotated_estimates_at(monkeypatch, z_fail):
     becomes the scale), so the resonant edge fails there and nowhere else."""
     rays = kernels.ray_rotated
 
-    def failing(bulk, pair, directions, heights, rule):
-        sums, counts = rays(bulk, pair, directions, heights, rule)
+    def failing(bulk, pair, directions, heights):
+        sums, counts = rays(bulk, pair, directions, heights)
         bad = heights == z_fail
         sums[bad, :, 1] = sums[bad, :, 2]
         return sums, counts

@@ -39,14 +39,14 @@ def _bulk_integral(bundle, kind="resonant"):
     closed form: one azimuth for zz, five otherwise."""
     ring = _RING[:1] if bundle.orientation_label() == "zz" else _RING
     return prefactor(bundle, kind) * (2.0 * math.pi / bundle.a_tilde ** 2) \
-        * _ray_integral(bundle, kind, "bulk", ring, np.array([bundle.z_tilde]))[0]
+        * _ray_integral(bundle, kind, "bulk", ring, np.array([bundle.z_tilde]))[0, 0]
 
 
 def _axis_integral(bundle, kind, axis):
     """One positive half-axis integral of edge_term, without its prefactor."""
     k = "xy".index(axis)
     return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], np.array([bundle.z_tilde]),
-                         axis)[0][0]
+                         axis)[0, 0]
 
 
 def contour_bulk_resonant(bundle):
@@ -507,9 +507,8 @@ def _counting_sites(monkeypatch):
     monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, heights, directions: (
         calls.append(("off_resonant", directions.tolist())) or sites(bundle, heights,
                                                                       directions)))
-    monkeypatch.setattr(kernels, "ray_rotated", lambda bulk, pair, directions, heights, rule: (
-        calls.append(("resonant", directions.tolist()))
-        or rays(bulk, pair, directions, heights, rule)))
+    monkeypatch.setattr(kernels, "ray_rotated", lambda bulk, pair, directions, heights: (
+        calls.append(("resonant", directions.tolist())) or rays(bulk, pair, directions, heights)))
     return calls
 
 
@@ -546,7 +545,7 @@ def test_custom_edge_is_both_axes_of_one_site_call(backend, monkeypatch, pair, k
     b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
                  LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
     heights = np.geomspace(3e-3, 60.0, 9)
-    ax, ay = (_ray_integral(b, kind, "edge", _AXES[k:k + 1], heights, axis)[0]
+    ax, ay = (_ray_integral(b, kind, "edge", _AXES[k:k + 1], heights, axis)[:, 0]
               for k, axis in enumerate("xy"))
     want = prefactor(b, kind) * (2.0 / b.a_tilde) * (ax + ay)
     calls = _counting_sites(monkeypatch)
@@ -584,16 +583,15 @@ def _one_rotated_rule(z):
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
     turn = np.exp(0.25j * math.pi)
-    return (turn * (lo + half * (1.0 + euler_maclaurin._X)), turn * (half * euler_maclaurin._W),
-            turn * (half * euler_maclaurin._W_LOW))
+    x, w, w_low = kernels.LEGENDRE
+    return turn * (lo + half * (1.0 + x)), turn * (half * w), turn * (half * w_low)
 
 
 @pytest.mark.parametrize("heights", [
     np.geomspace(1e-3, 1e4, 65), np.geomspace(0.01, 100.0, 257), np.array([0.3]),
     np.array([50.0, 1e-4, 2.0, 2.0, 1e6])], ids=["65", "readme", "one", "unordered"])
 def test_rotated_rules_equal_one_rule_per_height(heights):
-    t, w, w_low, counts = kernels._numpy_backend.rotated_rules(heights,
-                                                               euler_maclaurin._ROTATED_RULE)
+    t, w, w_low, counts = kernels._numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)
     rules = [_one_rotated_rule(z) for z in heights.tolist()]
     assert counts.tolist() == [len(rule[0]) for rule in rules]
     for got, want in zip((t, w, w_low), zip(*rules)):
@@ -605,8 +603,8 @@ def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
     heights = np.geomspace(0.1, 1.0, 8)
     rays = kernels.ray_rotated
 
-    def failing(bulk, pair, directions, zs, rule):
-        sums, counts = rays(bulk, pair, directions, zs, rule)
+    def failing(bulk, pair, directions, zs):
+        sums, counts = rays(bulk, pair, directions, zs)
         bad = np.isin(zs, heights[[3, 5]])
         sums[bad, :, 1] = sums[bad, :, 2]
         return sums, counts
@@ -649,7 +647,7 @@ def _rays(pair, stage, heights):
     else:
         directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
     return kernels.ray_rotated(stage == "bulk", np.array([*e0, *en, float(np.dot(e0, en))]),
-                               directions, heights, euler_maclaurin._ROTATED_RULE)
+                               directions, heights)
 
 
 @pytest.mark.parametrize("pair,stage,one,block16,block31", PINNED_RAYS)
@@ -663,7 +661,7 @@ def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, blo
         heights = np.geomspace(1e-3, 1e4, n)
         sums, counts = _rays(pair, stage, heights)
         assert sums.shape == (n, outputs, 3)
-        want_counts = kernels._numpy_backend.rotated_rules(heights, euler_maclaurin._ROTATED_RULE)[3]
+        want_counts = kernels._numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)[3]
         assert counts.tolist() == want_counts.tolist()
         hexes = [v.hex() for v in sums.ravel().tolist()]
         if n == 1:
@@ -676,18 +674,36 @@ def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, blo
                 assert alone.tobytes() == sums[i:i + 1].tobytes()
 
 
+def test_height_without_a_rotated_rule_fails_by_name(backend):
+    # below z ~ 1.7e-306 a height's panels would need more powers of 1.4
+    # than ROTATED_RULE holds: it takes the count -1 and NaN sums, the other
+    # heights of the call keep their own values, and the terms of a custom
+    # pair raise as a missed tolerance does
+    heights = np.array([0.3, 1e-307])
+    for stage in ("bulk", "edge"):
+        sums, counts = _rays("custom_a", stage, heights)
+        assert counts[1] == -1 and np.isnan(sums[1]).all()
+        assert sums[0].tobytes() == _rays("custom_a", stage, heights[:1])[0].tobytes()
+    b = mk(mu=0.6, z=0.3, test=RAY_PAIRS["custom_a"][0], array=RAY_PAIRS["custom_a"][1])
+    for term, where in ((bulk_term, "bulk resonant at z=1e-307, mu=0.6 (custom)"),
+                        (edge_term, "edge resonant at z=1e-307, mu=0.6 (custom, x axis)")):
+        with pytest.raises(QuadratureFailure,
+                           match=f"^{re.escape(where)}: error estimate nan exceeds 1e-09 of nan$"):
+            term(b, "resonant", heights)
+
+
 @pytest.mark.parametrize("nz", [0, 1, 16, 31])
 def test_real_panel_sums_equal_numpy_sums_per_height(backend, nz):
     # the oracle: the mean over the directions and the Jacobian as NumPy
     # takes them, the rule tiled over the heights, NumPy's row sums, and each
     # height summed over its own panels; one direction (zz), the five of the
     # ring, and two axes each on its own
-    S = euler_maclaurin._S
+    S, S_W, S_W_LOW = kernels.REAL_PATH
     rows = len(S)
     rng = np.random.default_rng(nz)
     heights = np.exp(rng.uniform(-5.0, 5.0, nz))
     z = np.repeat(heights, rows)[:, None]
-    w, w_low = (np.tile(rule, (nz, 1)) for rule in (euler_maclaurin._S_W, euler_maclaurin._S_W_LOW))
+    w, w_low = (np.tile(rule, (nz, 1)) for rule in (S_W, S_W_LOW))
     for nd, each in ((1, False), (5, False), (2, True)):
         f = rng.normal(size=(nz * rows, 25, nd)) * np.exp(
             rng.uniform(-30.0, 30.0, size=(nz * rows, 1, 1)))
@@ -701,25 +717,23 @@ def test_real_panel_sums_equal_numpy_sums_per_height(backend, nz):
                     full = np.sum(g * w, axis=1)[k:k + rows]
                     err = np.abs(full - np.sum(g * w_low, axis=1)[k:k + rows])
                     want.append([full.sum(), err.sum(), np.abs(full).sum()])
-            got = kernels.panel_sums(f, heights, S, euler_maclaurin._S_W,
-                                     euler_maclaurin._S_W_LOW, bulk, each)
-            assert got.shape == (nz, len(means), 3)
+            got, counts = kernels.panel_sums(f, heights, bulk, each)
+            assert got.shape == (nz, len(means), 3) and counts.tolist() == [rows] * nz
             assert got.tobytes() == np.array(want).reshape(got.shape).tobytes(), (nd, bulk)
 
 
 def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
     # the compiled calls get raw addresses: shapes are checked before them
-    pair, rule, h = np.zeros(7), euler_maclaurin._ROTATED_RULE, np.ones(2)
-    for args, message in [((True, pair[:6], _RING, h, rule), "need pair"),
-                          ((True, pair, _RING[:, :1], h, rule), "need pair"),
-                          ((True, pair, np.ones((9, 2)), h, rule), "need 1 to 8 directions"),
-                          ((True, pair, _RING, h, rule[:78]), "need pair"),
-                          ((False, pair, _RING, h, rule), "axis directions")]:
+    pair, h = np.zeros(7), np.ones(2)
+    for args, message in [((True, pair[:6], _RING, h), "need pair"),
+                          ((True, pair, _RING[:, :1], h), "need pair"),
+                          ((True, pair, np.ones((9, 2)), h), "need 1 to 8 directions"),
+                          ((True, pair, _RING, np.ones((2, 1))), "need pair"),
+                          ((False, pair, _RING, h), "axis directions")]:
         with pytest.raises(ValueError, match=message):
             kernels.ray_rotated(*args)
-    with pytest.raises(ValueError, match="need f of 2 x rows x 25"):
-        kernels.panel_sums(np.ones((7, 25, 1)), np.ones(2), euler_maclaurin._S,
-                           euler_maclaurin._S_W, euler_maclaurin._S_W_LOW, True, False)
+    with pytest.raises(ValueError, match="need f of 2 x 7 rows x 25"):
+        kernels.panel_sums(np.ones((7, 25, 1)), np.ones(2), True, False)
 
 
 def _term_or_failure(term, b):

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_laguerre, sici
 
-from cplattice import euler_maclaurin, greens, kernels, lattice_sum
+from cplattice import greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
 from cplattice.lattice_sum import sum_lattice
@@ -39,9 +39,9 @@ def lib():
 
 
 def _sincos(lib, x):
-    s, c = ctypes.c_double(), ctypes.c_double()
-    lib.sincos_probe(x, ctypes.byref(s), ctypes.byref(c))
-    return s.value, c.value
+    s, c = np.empty(x.size), np.empty(x.size)
+    lib.sincos_probe(x, x.size, s, c)
+    return s.tolist(), c.tolist()
 
 
 def test_backend_selected():
@@ -154,9 +154,8 @@ def test_cached_library_loads_without_a_process(lib, tmp_path, monkeypatch):
 
 
 def test_fast_sincos_one_ulp(lib):
-    rng = np.random.default_rng(4)
-    for x in rng.uniform(0.0, 5000.0, 20000):
-        s, c = _sincos(lib, float(x))
+    x = np.random.default_rng(4).uniform(0.0, 5000.0, 20000)
+    for x, s, c in zip(x.tolist(), *_sincos(lib, x)):
         assert abs(s - math.sin(x)) <= 2.3e-16
         assert abs(c - math.cos(x)) <= 2.3e-16
 
@@ -290,25 +289,35 @@ def test_row_ranges_reject_bad_bounds(backend):
                     kernels.res_rows(zx, 1e-4, 0.04, lo, hi)
 
 
-def test_loader_declares_every_exported_symbol(lib, tmp_path):
+def test_loader_declares_every_export_from_its_prototype(lib, tmp_path):
     # an undeclared ctypes function takes ints and returns an int: doubles
-    # would pass wrongly without an error
+    # would pass wrongly without an error. Each parameter and the return
+    # take the ctypes type of their C type in the prototype, in place
     loaded = kernels.load_library(directory=tmp_path)
-    c_type = {"double": ctypes.c_double, "long": ctypes.c_long, "void": None}
+    c_type = {"double": ctypes.c_double, "int": ctypes.c_int, "long": ctypes.c_long, "void": None,
+              "double *": kernels.F64, "int32_t *": kernels.I32, "long *": kernels.I64}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
         "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points", "fsum",
         "octant_fsum", "libm_sincos"}
-    # arrays cross as one checked type per dtype: no raw pointers
-    # (c_void_p) and no second convention (ndpointer)
-    allowed = {kernels.F64, kernels.I32, kernels.I64, ctypes.c_int, ctypes.c_long,
-               ctypes.c_double, ctypes.POINTER(ctypes.c_double)}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
-        assert fn.argtypes is not None and len(fn.argtypes) == len(params.split(",")), name
-        assert set(fn.argtypes) <= allowed, name
+        want = [c_type[re.fullmatch(r"(?:const )?(\w+(?: \*)?) ?\w+", p.strip()).group(1)]
+                for p in params.split(",")]
+        assert fn.argtypes is not None and list(fn.argtypes) == want, name
         assert fn.restype is c_type[ret], name
+
+
+def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatch):
+    # an export the loader cannot declare stops the load, naming it
+    source = tmp_path / "_rows.c"
+    source.write_text(kernels._SOURCE.read_text() + (
+        "\nvoid halves(const float *x, long n, float *out)\n"
+        "{\n    for (long i = 0; i < n; i++)\n        out[i] = 0.5f * x[i];\n}\n"))
+    monkeypatch.setattr(kernels, "_SOURCE", source)
+    with pytest.raises(TypeError, match="^halves in _rows.c takes or returns 'float \\*'"):
+        kernels.load_library(directory=tmp_path)
 
 
 def test_numpy_backend_takes_the_compiled_signatures():
@@ -331,8 +340,7 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     # one export of each array type: fsum's values (float64), distance_table's
     # index (int32) and ray_rotated's counts (int64). Each wrong argument
     # raises before the C code runs, so the outputs keep their fill
-    pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), \
-        euler_maclaurin._ROTATED_RULE
+    pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), kernels.ROTATED_RULE
     powers = rule.size - _numpy_backend.RULE_HEAD
 
     def rays(z, counts, out):
@@ -842,12 +850,25 @@ def test_exact_sum_equals_math_fsum_bitwise(values, cancel, cuts):
     assert _fsum_outcome(kernels.exact_sum, iter(parts)) == _fsum_outcome(math.fsum, values)
 
 
+def _defined(*names):
+    source = kernels._SOURCE.read_text()
+    return (int(re.search(rf"^#define {name} (\d+)$", source, re.M).group(1)) for name in names)
+
+
 def test_exact_sum_state_holds_the_library_s_partials():
     # the state that kernels allocates is the one _rows.c indexes
-    source = kernels._SOURCE.read_text()
-    head, partials = (int(re.search(rf"^#define {name} (\d+)$", source, re.M).group(1))
-                      for name in ("FSUM_HEAD", "FSUM_PARTIALS"))
+    head, partials = _defined("FSUM_HEAD", "FSUM_PARTIALS")
     assert kernels.FSUM_STATE == head + partials
+
+
+def test_ray_sizes_are_the_library_s():
+    # ray_panel keeps DIRECTIONS outputs and NODES nodes on its stack: more
+    # directions than kernels lets through would overrun them, and the rules
+    # kernels builds must have the nodes the compiled rows read
+    directions, nodes = _defined("DIRECTIONS", "NODES")
+    assert kernels.RAY_DIRECTIONS == directions
+    assert _numpy_backend.NODES == nodes == kernels.LEGENDRE[0].size
+    assert kernels.REAL_PATH[0].shape[1] == nodes
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflowing products
@@ -951,6 +972,6 @@ def test_strided_pair_gives_the_contiguous_pair_s_bits(backend):
         assert kernels.offres_points(strided, s, d, z, 0.6, rays=along).tobytes() == \
             kernels.offres_points(pair, s, d, z, 0.6, rays=along).tobytes()
     for bulk, directions in ((True, rays), (False, np.eye(2))):
-        got = kernels.ray_rotated(bulk, strided, directions, z, euler_maclaurin._ROTATED_RULE)
-        want = kernels.ray_rotated(bulk, pair, directions, z, euler_maclaurin._ROTATED_RULE)
+        got = kernels.ray_rotated(bulk, strided, directions, z)
+        want = kernels.ray_rotated(bulk, pair, directions, z)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

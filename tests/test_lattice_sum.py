@@ -481,6 +481,22 @@ def test_heights_checked_like_the_bundle_height():
                 sum_lattice(mk(), kind, heights=[0.1, bad])
 
 
+@pytest.mark.parametrize("values,error", [([1e308, 1e308], OverflowError),
+                                          ([math.inf, -math.inf], ValueError)],
+                         ids=["intermediate_overflow", "inf_minus_inf"])
+def test_exact_sum_that_raises_is_a_sum_that_is_not_finite(backend, values, error):
+    # where kernels.exact_sum raises as math.fsum does, the direct sum takes
+    # NaN, and finite() names the stage, height and mu
+    parts = (np.array(values),)
+    with pytest.raises(error):
+        kernels.exact_sum(parts)
+    total = lattice_sum._exact(kernels.exact_sum, parts)
+    assert math.isnan(total)
+    with pytest.raises(QuadratureFailure,
+                       match=r"^direct resonant at z=0\.3, mu=0\.5 \(zz\): value is not finite$"):
+        lattice_sum.finite(np.array([0.1, total]), np.array([0.2, 0.3]), mk(), "direct resonant")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure alone, no NumPy warning
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 def test_sums_that_are_not_finite_raise_naming_stage_and_height(backend, kind):

@@ -25,7 +25,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from cplattice import kernels
-from cplattice.euler_maclaurin import _ROTATED_RULE
 from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
                               scalar_coefficients)
 from cplattice.kernels import _numpy_backend
@@ -172,7 +171,7 @@ def _bulk_loop(bundle):
     z = bundle.z_tilde
     e0 = np.asarray(bundle.params.test_dipole)
     en = np.asarray(bundle.params.array_dipole)
-    t, w, _, _ = _numpy_backend.rotated_rules(np.array([z]), _ROTATED_RULE)
+    t, w, _, _ = _numpy_backend.rotated_rules(np.array([z]), kernels.ROTATED_RULE)
     rs = z + t
     out = np.empty_like(rs)
     for idx, r in np.ndenumerate(rs):
@@ -192,7 +191,7 @@ def _edge_axis_loop(bundle, axis):
     z = bundle.z_tilde
     e0 = np.asarray(bundle.params.test_dipole)
     en = np.asarray(bundle.params.array_dipole)
-    xs, w, _, _ = _numpy_backend.rotated_rules(np.array([z]), _ROTATED_RULE)
+    xs, w, _, _ = _numpy_backend.rotated_rules(np.array([z]), kernels.ROTATED_RULE)
     out = np.empty_like(xs)
     for idx, x in np.ndenumerate(xs):
         v = np.array((x, 0.0, -z) if axis == "x" else (0.0, x, -z))
