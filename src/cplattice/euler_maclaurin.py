@@ -144,14 +144,14 @@ def _checked(sums, counts, heights, bundle: ValidatedBundle, stage: str,
     panel counts: the first output, and in it the first height, whose
     estimate misses _RTOL of its scale and the underflow floor raises
     QuadratureFailure, naming the output's axis with ``axes``."""
-    e, scale = sums[..., 1], sums[..., 2]
-    missed = np.argwhere(~((e <= _RTOL * scale) | (e <= counts[:, None] * _UNDERFLOW_FLOOR)).T)
-    if missed.size:
-        k, i = missed[0]
-        where = bundle.orientation_label() + (f", {axes[k]} axis" if axes else "")
-        raise QuadratureFailure(
-            f"{stage} at z={float(heights[i])!r}, mu={bundle.mu!r} ({where}): error estimate "
-            f"{float(e[i, k]):.3g} exceeds {_RTOL:g} of {float(scale[i, k]):.17g}")
+    for k in range(sums.shape[1]):
+        for i, (e, scale, count) in enumerate(zip(sums[:, k, 1].tolist(), sums[:, k, 2].tolist(),
+                                                  counts.tolist())):
+            if not (e <= _RTOL * scale or e <= count * _UNDERFLOW_FLOOR):
+                where = bundle.orientation_label() + (f", {axes[k]} axis" if axes else "")
+                raise QuadratureFailure(
+                    f"{stage} at z={float(heights[i])!r}, mu={bundle.mu!r} ({where}): error "
+                    f"estimate {e:.3g} exceeds {_RTOL:g} of {scale:.17g}")
     return sums[..., 0]
 
 

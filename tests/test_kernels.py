@@ -289,7 +289,7 @@ def test_row_ranges_reject_bad_bounds(backend):
                     kernels.res_rows(zx, 1e-4, 0.04, lo, hi)
 
 
-def test_loader_declares_every_export_from_its_prototype(lib, tmp_path):
+def test_loader_declares_every_exported_symbol(lib, tmp_path):
     # an undeclared ctypes function takes ints and returns an int: doubles
     # would pass wrongly without an error. Each parameter and the return
     # take the ctypes type of their C type in the prototype, in place
