@@ -5,9 +5,17 @@ D_p is a product of three linear factors in (w, w') built from the probe
 resonance (1, in omega0 units), the array resonance mu, and the detuning
 delta = 1 - mu. Summing the twelve inverse denominators, symmetrized under
 w <-> w', collapses by partial fractions to a single closed form with one
-(w+w') and one (w-w') pole; this module exists to verify that collapse
-numerically, since the closed form is what justifies splitting the shift
-into its resonant and off-resonant pieces.
+(w+w') and one (w-w') pole; that closed form is what justifies splitting
+the shift into its resonant and off-resonant pieces.
+
+The tables ``FACTORS`` and ``PROCESSES`` are the one statement of the
+factors: :func:`denominator` multiplies them out and :func:`verify_identity`
+excludes their zero sets. The denominators and both sides of the collapse
+take only integer literals, so they are exact on ``fractions.Fraction``
+inputs and give floats the bits that float literals gave.
+``tests/test_diagrams.py`` proves the collapse, and its 1/delta part, as
+identities in exact arithmetic on a grid; :func:`verify_identity`
+(``cplattice verify-diagrams``) is the float check.
 """
 from __future__ import annotations
 
@@ -17,11 +25,35 @@ import numpy as np
 
 from .model import ModelParams, _check_mu
 
-PROCESS_IDS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
+# The linear factors of the denominators in (w, w', mu), and the (w - w')
+# pole of the combined form, which no denominator carries
+FACTORS = {
+    "1-w": lambda w, wp, mu: 1 - w,
+    "1-w'": lambda w, wp, mu: 1 - wp,
+    "mu+w": lambda w, wp, mu: mu + w,
+    "mu+w'": lambda w, wp, mu: mu + wp,
+    "1-mu": lambda w, wp, mu: 1 - mu,
+    "w+w'": lambda w, wp, mu: w + wp,
+    "1-mu-w-w'": lambda w, wp, mu: 1 - mu - w - wp,
+    "w-w'": lambda w, wp, mu: w - wp,
+}
 
-# Process groups whose inverse denominators combine to the 1/delta-carrying
-# blocks of the partial-fraction collapse (the remaining six are delta-free).
-DELTA_BLOCK_PROCESSES = ("I", "XI", "II", "VIII", "IX", "XII")
+# Each process: the sign of D_p and its three factors, multiplied left to right
+PROCESSES = {
+    "I": (-1, ("1-w", "1-mu", "mu+w'")),
+    "II": (1, ("1-w", "1-mu", "1-w'")),
+    "III": (1, ("1-w", "1-mu-w-w'", "1-w'")),
+    "IV": (1, ("1-w", "w+w'", "mu+w")),
+    "V": (-1, ("1-w", "1-mu-w-w'", "mu+w")),
+    "VI": (-1, ("mu+w", "1-mu-w-w'", "1-w")),
+    "VII": (1, ("mu+w", "1-mu-w-w'", "mu+w'")),
+    "VIII": (1, ("mu+w", "1-mu", "mu+w'")),
+    "IX": (-1, ("mu+w", "1-mu", "1-w'")),
+    "X": (1, ("mu+w", "w+w'", "1-w")),
+    "XI": (1, ("mu+w'", "w+w'", "1-w")),
+    "XII": (1, ("mu+w", "w+w'", "1-w'")),
+}
+PROCESS_IDS = tuple(PROCESSES)
 
 
 class PoleHit(ArithmeticError):
@@ -29,46 +61,26 @@ class PoleHit(ArithmeticError):
 
 
 def denominator(process: str, w, wp, params: ModelParams):
-    """D_p(w, w') in omega0 units. Vectorized over w, w'.
+    """D_p(w, w') in omega0 units, from the table ``PROCESSES``. Vectorized
+    over w, w'; exact on ``fractions.Fraction`` inputs.
 
     Poles are legal input; the result is simply 0 there and the caller of
     the inverse sums is responsible for avoiding them.
     """
-    mu = params.mu
-    if process == "I":
-        return -(1 - w) * (1 - mu) * (wp + mu)
-    if process == "II":
-        return (1 - w) * (1 - mu) * (1 - wp)
-    if process == "III":
-        return (1 - w) * (1 - mu - w - wp) * (1 - wp)
-    if process == "IV":
-        return (1 - w) * (w + wp) * (mu + w)
-    if process == "V":
-        return -(1 - w) * (1 - mu - w - wp) * (mu + w)
-    if process == "VI":
-        return -(mu + w) * (1 - mu - w - wp) * (1 - w)
-    if process == "VII":
-        return (mu + w) * (1 - mu - w - wp) * (mu + wp)
-    if process == "VIII":
-        return (mu + w) * (1 - mu) * (mu + wp)
-    if process == "IX":
-        return -(mu + w) * (1 - mu) * (1 - wp)
-    if process == "X":
-        return (mu + w) * (w + wp) * (1 - w)
-    if process == "XI":
-        return (mu + wp) * (w + wp) * (1 - w)
-    if process == "XII":
-        return (mu + w) * (w + wp) * (1 - wp)
-    raise ValueError(f"unknown process id {process!r}")
+    if process not in PROCESSES:
+        raise ValueError(f"unknown process id {process!r}")
+    sign, names = PROCESSES[process]
+    a, b, c = (FACTORS[name](w, wp, params.mu) for name in names)
+    return sign * (a * b * c)
 
 
 def _inverse_sum(w, wp, params: ModelParams, processes=PROCESS_IDS):
-    total = 0.0
+    total = 0
     for p in processes:
         d = denominator(p, w, wp, params)
-        if np.any(d == 0.0):
+        if np.any(d == 0):
             raise PoleHit(f"D_{p} vanished")
-        total = total + 1.0 / d
+        total = total + 1 / d
     return total
 
 
@@ -77,13 +89,12 @@ def symmetrized_inverse_sum(w, wp, params: ModelParams, *, processes=PROCESS_IDS
 
     Symmetric under w <-> w' by construction; vectorized.
     """
-    return 0.5 * (_inverse_sum(w, wp, params, processes)
-                  + _inverse_sum(wp, w, params, processes))
+    return (_inverse_sum(w, wp, params, processes) + _inverse_sum(wp, w, params, processes)) / 2
 
 
 def _combined_half(w, wp, mu):
-    d = 1.0 - mu
-    lead = 4.0 * (w - d) / (d * (w - 1.0) * (w + mu))
+    d = 1 - mu
+    lead = 4 * (w - d) / (d * (w - 1) * (w + mu))
     return lead / (w + wp) - lead / (w - wp)
 
 
@@ -96,28 +107,7 @@ def combined_denominator_form(w, wp, params: ModelParams):
     mu = params.mu
     if np.any(np.asarray(w) == np.asarray(wp)):
         raise PoleHit("combined form evaluated literally at w = w'")
-    return 0.5 * (_combined_half(w, wp, mu) + _combined_half(wp, w, mu))
-
-
-def delta_block_symmetrized(w, wp, params: ModelParams):
-    """Symmetrized inverse-denominator sum over the 1/delta-carrying blocks."""
-    return symmetrized_inverse_sum(w, wp, params, processes=DELTA_BLOCK_PROCESSES)
-
-
-def combined_delta_part(w, wp, params: ModelParams):
-    """The 1/delta piece of the combined form, block-for-block.
-
-    The collapse assigns (2/delta)(2w - delta) style numerators to the four
-    delta blocks; written per half:
-      (2/delta) [1/(w+w') - 1/(w-w')] [1/(w-1) + 1/(w+mu)].
-    """
-    mu = params.mu
-    d = 1.0 - mu
-
-    def half(w, wp):
-        return (2.0 / d) * (1.0 / (w + wp) - 1.0 / (w - wp)) * (1.0 / (w - 1.0) + 1.0 / (w + mu))
-
-    return 0.5 * (half(w, wp) + half(wp, w))
+    return (_combined_half(w, wp, mu) + _combined_half(wp, w, mu)) / 2
 
 
 @dataclass(frozen=True)
@@ -131,14 +121,11 @@ _EXCLUSION = 1e-6
 
 
 def _admissible(w: np.ndarray, wp: np.ndarray, mu: float) -> np.ndarray:
-    """Mask of samples at least the exclusion radius away from every pole."""
-    ok = np.abs(w - 1.0) > _EXCLUSION
-    ok &= np.abs(wp - 1.0) > _EXCLUSION
-    ok &= np.abs(w + mu) > _EXCLUSION
-    ok &= np.abs(wp + mu) > _EXCLUSION
-    ok &= np.abs(w + wp) > _EXCLUSION
-    ok &= np.abs(w - wp) > _EXCLUSION
-    ok &= np.abs(1.0 - mu - w - wp) > _EXCLUSION
+    """Mask of samples at least the exclusion radius away from every pole:
+    the zero set of each factor of ``FACTORS``."""
+    ok = np.ones(w.shape, dtype=bool)
+    for factor in FACTORS.values():
+        ok &= np.abs(factor(w, wp, mu)) > _EXCLUSION
     return ok
 
 

@@ -50,21 +50,17 @@ distance table that the compiled rows gather from:
   one calls ``np.unique``. Tables of up to ``TABLE_SITE_CAP`` sites in all
   are kept for the process (4 bytes a site and 8 a distance: 1.1 MB at
   M = 500);
-* ``phi_laguerre(y, t, w, pw)``: the off-resonant kernel's Gauss-Laguerre
-  branch, Phi_0..4(y) as the columns of a new (y.size, 5) array, for the
-  nodes t, weights w and powers pw = (t/2)^k of a table such as ``LAGUERRE``.
-  The compiled branch evaluates eight radii side by side, each in the NumPy
-  one's order of operations, so the two are bitwise equal;
 * ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals, one
   backend call per buffer of ``SITE_CHUNK`` sites (:func:`_offres_chunks`).
   NumPy computes r^6 (``np.power``, whose bits the C library's pow does not
   share) and SciPy Si and Ci of 2y below ``PHI_SWITCH``. The backend does
   everything else: sin and cos of 2y (the C library's in C; np.sin and
   np.cos, which call them on float64, in NumPy) and, with IEEE +, -, * and
-  /, the closed-form Phi_k, the Gauss-Laguerre branch (``phi_laguerre``
-  with the ``LAGUERRE`` table), the partial-fraction moments, the h(u)^2
-  coefficients, the 5-term contraction (in the one order both backends
-  spell out) and the division by r^6, so both give the same bits;
+  /, the closed-form Phi_k, the Gauss-Laguerre branch (``phi_laguerre``,
+  eight radii side by side in C, each in the NumPy one's order of
+  operations), the partial-fraction moments, the h(u)^2 coefficients, the
+  5-term contraction (in the one order both backends spell out) and the
+  division by r^6, so both give the same bits;
 * ``res_points(pair, u, v, heights, sums)`` and ``offres_points(pair, u, v,
   heights, mu)``: the resonant and off-resonant site terms of a dipole pair
   (``bundle.pair``: e0, en and e0.en) over a real-axis site set, the sites
@@ -103,7 +99,8 @@ distance table that the compiled rows gather from:
   division), the Jacobian and the pairwise panel sums.
 
 Both return the sums and each height's panel count. This module builds the
-decomposition's rules once, ``LEGENDRE``, ``REAL_PATH`` and ``ROTATED_RULE``
+decomposition's rules once, read-only, ``LEGENDRE``, ``REAL_PATH`` (views
+of one table, which ``panel_sums`` passes whole) and ``ROTATED_RULE``
 (:func:`_rules`), and passes them to each backend call itself, so no caller
 takes or checks one.
 """
@@ -333,23 +330,10 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def phi_laguerre(y, t: np.ndarray, w: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """Phi_0..4(y) as the columns of a new (y.size, 5) array for the m nodes
-    t, weights w and powers pw (m, 5); raises ``ValueError`` for other
-    shapes."""
-    if t.ndim != 1 or w.shape != t.shape or pw.shape != (t.size, 5):
-        raise ValueError(f"need nodes (m,), weights (m,) and powers (m, 5), got "
-                         f"{t.shape}, {w.shape} and {pw.shape}")
-    y = np.ascontiguousarray(y, dtype=np.float64).reshape(-1)
-    out = np.empty((y.size, 5))
-    _impl.phi_laguerre(y, y.size, t, w, pw, t.size, out)
-    return out
-
-
 # The off-resonant site kernel (offres_sites): Phi_k(y) takes the closed
 # form below PHI_SWITCH and Gauss-Laguerre quadrature in tau = 2yt with the
-# 56 nodes t, weights w and powers (t/2)^k of LAGUERRE at and above it (views
-# of one read-only table, which a backend call takes whole); one backend
+# 56 nodes t, weights w and powers (t/2)^k of _LAGUERRE_TABLE at and above it
+# (one read-only table, which a backend call takes whole); one backend
 # call takes at most SITE_CHUNK sites. Sites with both y in the
 # closed form and r^2 (1 + mu) below RECAST take the moments without the
 # polynomial parts (_numpy_backend.moments): there the rounding those parts
@@ -392,8 +376,6 @@ _WEIGHTS = np.array((
 _LAGUERRE_TABLE = np.concatenate((_NODES, _WEIGHTS,
                                   ((0.5 * _NODES)[:, None] ** np.arange(5)).ravel()))
 _LAGUERRE_TABLE.flags.writeable = False
-LAGUERRE = (_LAGUERRE_TABLE[:_NODES.size], _LAGUERRE_TABLE[_NODES.size:2 * _NODES.size],
-            _LAGUERRE_TABLE[2 * _NODES.size:].reshape(_NODES.size, 5))
 SITE_CHUNK = 1024
 
 
@@ -566,15 +548,15 @@ def _rules():
     """The rules of the ray integrals, each of composite NODES-point
     Gauss-Legendre panels with nested weights, the interpolatory rule on
     every other node (13 nodes, exact to degree 12), whose difference from
-    the full rule is a panel's error estimate.
+    the full rule is a panel's error estimate. All are read-only.
 
-    Returns LEGENDRE, the nodes, weights and nested weights on [-1, 1];
-    REAL_PATH, the nodes, weights and nested weights (rows, NODES) of the
-    real path's panels in s = R/z: [0, 1/2], [1/2, 1], [1, 2], ..., [8, 16],
-    then [16, inf) mapped by s = 16/t, where the off-resonant integrands have
-    decayed like s^-5 or faster and are smooth in t; and the rotated path's
-    table of ``_numpy_backend.rotated_rule_table``, from which each call
-    builds each height's panels."""
+    Returns LEGENDRE, the nodes, weights and nested weights on [-1, 1]; the
+    real path's table (3, rows, NODES), the nodes, weights and nested
+    weights of its panels in s = R/z: [0, 1/2], [1/2, 1], [1, 2], ..., [8,
+    16], then [16, inf) mapped by s = 16/t, where the off-resonant
+    integrands have decayed like s^-5 or faster and are smooth in t; and the
+    rotated path's table of ``_numpy_backend.rotated_rule_table``, from
+    which each call builds each height's panels."""
     x, w = leggauss(_numpy_backend.NODES)
     w_low = np.zeros(x.size)
     w_low[::2] = np.linalg.solve(legvander(x[::2], 12).T, np.eye(13)[0] * 2.0)
@@ -584,10 +566,16 @@ def _rules():
     s, sw, sw_low = lo + half * (1.0 + x), half * w, half * w_low
     jac = 16.0 / (s[-1] * s[-1])  # the last row is the tail's t in [0, 1]
     s[-1], sw[-1], sw_low[-1] = 16.0 / s[-1], jac * sw[-1], jac * sw_low[-1]
-    return (x, w, w_low), (s, sw, sw_low), _numpy_backend.rotated_rule_table(x, w, w_low)
+    real = np.stack((s, sw, sw_low))
+    for rule in (x, w, w_low, real):
+        rule.flags.writeable = False
+    return (x, w, w_low), real, _numpy_backend.rotated_rule_table(x, w, w_low)
 
 
-LEGENDRE, REAL_PATH, ROTATED_RULE = _rules()
+# REAL_PATH: the real path's nodes, weights and nested weights (rows,
+# NODES), views of one read-only table, which panel_sums passes whole
+LEGENDRE, _REAL_PATH_TABLE, ROTATED_RULE = _rules()
+REAL_PATH = tuple(_REAL_PATH_TABLE)
 
 
 def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray,
@@ -637,16 +625,16 @@ def panel_sums(f: np.ndarray, heights: np.ndarray, bulk: bool,
     operations (np.mean's sum and division, then the product, then the
     pairwise panel sums). All arrays are float64. Raises ``ValueError`` for
     other shapes."""
-    s, w, w_low = REAL_PATH
-    rows, nz = len(s), np.size(heights)
-    if np.ndim(heights) != 1 or np.ndim(f) != 3 or np.shape(f)[:2] != (nz * rows, s.shape[1]):
-        raise ValueError(f"need f of {nz} x {rows} rows x {s.shape[1]} nodes and directions and "
+    _, rows, nodes = _REAL_PATH_TABLE.shape
+    nz = np.size(heights)
+    if np.ndim(heights) != 1 or np.ndim(f) != 3 or np.shape(f)[:2] != (nz * rows, nodes):
+        raise ValueError(f"need f of {nz} x {rows} rows x {nodes} nodes and directions and "
                          f"1-d heights, got {np.shape(f)} and {np.shape(heights)}")
     nd = np.shape(f)[2]
     out = np.empty((nz, nd if each else 1, 3))
     if out.size:
         f, heights = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, heights))
-        _impl.panel_sums(f, nd, each, bulk, heights, nz, s, w, w_low, rows, out)
+        _impl.panel_sums(f, nd, each, bulk, heights, nz, _REAL_PATH_TABLE, rows, out)
     return out, np.full(nz, rows)
 
 

@@ -826,11 +826,13 @@ long ray_rotated(int bulk, const double *pair, const double *dirs, long nd, cons
    bulk or z for the edge, and out[3 (h nout + o) + 0..2] = the value sum
    J <f> w, the error estimate sum |full - nested| and the scale sum |full|
    over the height's panels, with the rows' weights w and nested weights
-   w_low (rows x NODES). One output, the mean of all directions, or with
-   each set one per direction. */
+   w_low (rows x NODES): the table rule holds s, w and w_low, one after the
+   other. One output, the mean of all directions, or with each set one per
+   direction. */
 void panel_sums(const double *f, long nd, int each, int bulk, const double *z, long nz,
-                const double *s, const double *w, const double *w_low, long rows, double *out)
+                const double *rule, long rows, double *out)
 {
+    const double *s = rule, *w = rule + rows * NODES, *w_low = rule + 2 * rows * NODES;
     long nout = each ? nd : 1;
     double full[rows], err[rows], mag[rows];
     for (long hz = 0; hz < nz; hz++)

@@ -68,7 +68,9 @@ def test_criterion_03_dense_nonretarded_resonant():
     value at z = 0.2 sits 5.8% above the leading-order 1/(z^4 a^2)
     prefactor, outside the 5% gate. Both margins are physics of the window
     choice, not numerical error; see the quadrature cross-checks in
-    test_euler_maclaurin.py.
+    test_euler_maclaurin.py. test_asymptotics.py::
+    test_criterion_3_numbers_are_the_closed_form_bulk_s derives the series
+    and checks both numbers on the closed-form bulk alone.
     """
     zs = list(np.geomspace(0.1, 0.5, 8))
     pts = []
@@ -175,7 +177,10 @@ def test_criterion_08_decomposition_vs_direct_sum():
     term counts the two coordinate axes twice, so bulk+edge+vertex is an
     interpolation device (exact in the sparse limit, bulk-dominated in the
     dense limit) rather than an identity, and no implementation of the
-    stated comparison can meet 2% at these parameters.
+    stated comparison can meet 2% at these parameters. The coefficient is
+    41/16 in the limit z -> 0: test_euler_maclaurin.py::
+    test_criterion_8_edge_over_bulk_tends_to_41_16_of_a_over_z derives and
+    checks it.
     """
     t0 = time.perf_counter()
     b = mk(a=0.05, M=2000, z=0.3)

@@ -1,11 +1,12 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cplattice import diagrams
-from cplattice.diagrams import (DELTA_BLOCK_PROCESSES, PROCESS_IDS, PoleHit,
-                                combined_delta_part, combined_denominator_form,
-                                delta_block_symmetrized, denominator,
-                                symmetrized_inverse_sum, verify_identity)
+from cplattice.diagrams import (FACTORS, PROCESS_IDS, PoleHit, combined_denominator_form,
+                                denominator, symmetrized_inverse_sum, verify_identity)
 from cplattice.model import ModelParams
 
 
@@ -71,54 +72,79 @@ def test_symmetrized_sum_is_swap_symmetric():
     assert a == b
 
 
-def test_identity_at_sample_point():
-    lhs = symmetrized_inverse_sum(0.37, 0.81, P5)
-    rhs = combined_denominator_form(0.37, 0.81, P5)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_equal_frequency_point_via_two_sided_limit():
+def test_combined_form_raises_at_equal_frequencies():
     # w = w' is regular for the twelve-term sum; the combined form has a
-    # removable 0/0 there. Two-sided evaluation at +-1e-6 brackets the limit.
+    # removable 0/0 there, which it refuses to evaluate
     params = ModelParams(mu=0.25, rho=1e-6)
-    direct = symmetrized_inverse_sum(0.5, 0.5, params)
-    eps = 1e-6
-    lo = combined_denominator_form(0.5, 0.5 - eps, params)
-    hi = combined_denominator_form(0.5, 0.5 + eps, params)
-    assert direct == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+    assert np.isfinite(symmetrized_inverse_sum(0.5, 0.5, params))
     with pytest.raises(PoleHit):
         combined_denominator_form(0.5, 0.5, params)
 
 
-def test_pole_residue_agreement_at_w_equals_one():
-    # Laurent fit: residue A of the (w-1) pole from two-point evaluation
-    eps = 1e-4
-    wp = 0.37
-
-    def residue(fn):
-        return eps * (fn(1.0 + eps, wp, P5) - fn(1.0 - eps, wp, P5)) / 2.0
-
-    ra = residue(symmetrized_inverse_sum)
-    rb = residue(combined_denominator_form)
-    assert ra == pytest.approx(rb, rel=1e-8)
+# The processes whose inverse denominators carry the 1/delta part of the
+# collapse, and that part, per half of the symmetrization:
+#   (2/delta) [1/(w+w') - 1/(w-w')] [1/(w-1) + 1/(w+mu)]
+DELTA_BLOCK_PROCESSES = ("I", "XI", "II", "VIII", "IX", "XII")
 
 
-def test_delta_block_bookkeeping():
-    # the six processes grouped into the 1/delta blocks reproduce the
-    # 1/delta part of the combined form
-    assert set(DELTA_BLOCK_PROCESSES) == {"I", "XI", "II", "VIII", "IX", "XII"}
-    rng = np.random.default_rng(8)
-    for mu in (0.25, 0.5, 0.9):
+def _delta_half(w, wp, mu):
+    d = 1 - mu
+    return 2 / d * (1 / (w + wp) - 1 / (w - wp)) * (1 / (w - 1) + 1 / (w + mu))
+
+
+def test_collapse_is_proved_exactly_on_a_grid():
+    """The twelve-process collapse, symmetrized_inverse_sum ==
+    combined_denominator_form, and its 1/delta part, the six processes of
+    DELTA_BLOCK_PROCESSES == the symmetrized _delta_half, hold as identities
+    of rational functions: checked in exact arithmetic on a product grid
+    large enough that the check is a proof.
+
+    Let D be the product of the eight factors of ``diagrams.FACTORS``:
+    (1-w), (1-w'), (mu+w), (mu+w'), (1-mu), (w+w'), (1-mu-w-w') and
+    (w-w'). w occurs in five of them and w' in five, mu in four
+    ((mu+w), (mu+w'), (1-mu), (1-mu-w-w')), so D has degree 5 in w, 5 in
+    w' and 4 in mu. For either identity LHS = RHS, N = D (LHS - RHS) is a
+    polynomial of at most those degrees, since every term of either side,
+    times D, is D divided by distinct factors of D, times a numerator no
+    higher in any variable than the factors it replaces:
+    - 1/D_p(w, w') and 1/D_p(w', w): D_p is +-1 times three distinct
+      factors of D (the swap w <-> w' maps the factors onto themselves up
+      to sign), so D/D_p is +-1 times the other five;
+    - the combined form: each half is lead/(w+w') - lead/(w-w') with lead
+      = 4 (w - delta)/(delta (w-1)(w+mu)), delta = 1 - mu. D times a term is
+      4 (w - 1 + mu) times D over four distinct factors, among them (1-w)
+      and (1-mu), so the linear numerator only takes their place;
+    - the 1/delta part: each half expands to four terms, +-2 over three
+      distinct factors of D.
+    So deg_w N <= 5, deg_w' N <= 5 and deg_mu N <= 4. A polynomial of
+    degree at most t_i in x_i that vanishes on a grid S_1 x S_2 x S_3 with
+    |S_i| > t_i vanishes identically (Alon, Combin. Probab. Comput. 8
+    (1999) 7, Lemma 2.1; Schwartz, J. ACM 27 (1980) 701). The grid below has
+    6 x 6 x 5 points, and D != 0 on it: every factor is asserted nonzero at
+    every point, which also keeps each evaluation off the poles. Equality
+    there gives N = 0 there, so N = 0 everywhere and LHS = RHS wherever
+    D != 0. Since the twelve-term sum is continuous across w = w', its
+    value there is the limit of the combined form's removable 0/0, and the
+    residues of the remaining poles agree.
+
+    S_w = k/7, S_w' = m/11 and S_mu = j/5 with no k, m, j a multiple of its
+    denominator: no element is an integer, and, the denominators being
+    distinct primes, no sum or difference of elements of two or three
+    different sets is one, so none of the eight factors can vanish.
+    """
+    s_w = [Fraction(k, 7) for k in (-3, 1, 2, 5, 9, 13)]
+    s_wp = [Fraction(m, 11) for m in (-4, 1, 3, 7, 15, 20)]
+    s_mu = [Fraction(j, 5) for j in (1, 2, 3, 4, 8)]
+    assert not set(s_w) & set(s_wp)
+    for w, wp, mu in itertools.product(s_w, s_wp, s_mu):
+        assert all(factor(w, wp, mu) != 0 for factor in FACTORS.values()), (w, wp, mu)
         params = ModelParams(mu=mu, rho=1e-6)
-        for _ in range(200):
-            w, wp = rng.uniform(0.02, 2.0, 2)
-            if abs(w - wp) < 1e-3 or abs(w - 1) < 1e-3 or abs(wp - 1) < 1e-3:
-                continue
-            if abs(1 - mu - w - wp) < 1e-3:
-                continue
-            a = delta_block_symmetrized(w, wp, params)
-            b = combined_delta_part(w, wp, params)
-            assert a == pytest.approx(b, rel=1e-9)
+        lhs = symmetrized_inverse_sum(w, wp, params)
+        rhs = combined_denominator_form(w, wp, params)
+        assert type(lhs) is type(rhs) is Fraction
+        assert lhs == rhs, (w, wp, mu)
+        delta = symmetrized_inverse_sum(w, wp, params, processes=DELTA_BLOCK_PROCESSES)
+        assert delta == (_delta_half(w, wp, mu) + _delta_half(wp, w, mu)) / 2, (w, wp, mu)
 
 
 def test_fuzzed_identity_10k():

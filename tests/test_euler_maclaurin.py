@@ -383,6 +383,33 @@ def test_dense_breakdown_ordering_and_edge_scaling():
     assert r2 / r4 == pytest.approx(2.0, rel=1e-6)
 
 
+def test_criterion_8_edge_over_bulk_tends_to_41_16_of_a_over_z():
+    """The analysis of acceptance criterion 8: for zz, resonant, edge/bulk
+    is c(z) a/z with c(z) -> 41/16 as z -> 0, whatever the spacing a.
+
+    In the non-retarded limit the zz resonant site term at in-plane distance
+    rho is proportional to (1 - 3 z^2/r^2)^2 / r^6 = (t^2 - 2)^2 / (z^6 (1 +
+    t^2)^5), t = rho/z. The bulk, (2 pi/a^2) int_0^inf rho (.) drho, is then
+    (2 pi/(a^2 z^4)) int_0^inf t (t^2 - 2)^2/(1 + t^2)^5 dt = (2 pi/(a^2
+    z^4)) 3/8, and the edge, (2/a) times the two half-axis integrals int_0^inf
+    (.) dx, is (4/(a z^5)) int_0^inf (t^2 - 2)^2/(1 + t^2)^5 dt = (4/(a z^5))
+    123 pi/256. So edge/bulk = (2a/(pi z)) (123 pi/256)/(3/8) = (41/16) a/z:
+    at criterion 8's a = 0.05, z = 0.3 the edge alone adds 0.42 of the bulk,
+    while the direct sum equals the bulk to ~3e-6.
+    """
+    def moment(k):
+        return quad(lambda t: t ** k * (t * t - 2.0) ** 2 / (1.0 + t * t) ** 5, 0.0, math.inf,
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    assert moment(0) == pytest.approx(123.0 * math.pi / 256.0, rel=1e-12)
+    assert moment(1) == pytest.approx(3.0 / 8.0, rel=1e-12)
+    for z, want, tol in ((1e-3, 41.0 / 16.0, 1e-6), (0.3, 2.5098, 1e-4)):
+        c = [edge_term(b, "resonant") / bulk_term(b, "resonant") * z / a
+             for a, b in ((a, mk(a=a, z=z)) for a in (0.005, 0.01, 0.05))]
+        assert c == pytest.approx([want] * 3, abs=tol), z
+        assert max(c) - min(c) <= 1e-14 * c[0], z
+
+
 def test_edge_subleading_by_one_power_of_spacing():
     d = decompose(mk(a=0.01, z=0.1), "resonant")
     assert 0.05 < abs(d.edge / d.bulk) < 0.4

@@ -327,8 +327,8 @@ def test_numpy_backend_takes_the_compiled_signatures():
     # the compiled backend is loaded
     called = set(re.findall(r"\b_impl\.(\w+)", Path(kernels.__file__).read_text()))
     assert called - {"table_rows", "fsum", "octant_fsum"} == {
-        "res_row", "res_rows", "distance_table", "phi_laguerre", "offres_sites",
-        "offres_points", "res_points", "ray_rotated", "panel_sums"}
+        "res_row", "res_rows", "distance_table", "offres_sites", "offres_points",
+        "res_points", "ray_rotated", "panel_sums"}
     exported = {name: params.split(",") for _, name, params in
                 re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)}
     for name in called - {"table_rows", "fsum", "octant_fsum"}:
@@ -355,11 +355,11 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
             with pytest.raises(ctypes.ArgumentError, match=f"C-contiguous {np.dtype(dtype)}"):
                 call(bad)
     assert not state.any() and (d2 == -1.0).all() and (sums == -1.0).all()
-    # empty arrays and read-only ones (LAGUERRE, a cached distance table) pass
+    # empty arrays and read-only ones (a rule, a cached distance table) pass
     assert lib.fsum(np.empty(0), 0, state) == 0 and state[3] == 0.0
     assert lib.distance_table(0, 0, np.empty(0), np.empty(0, dtype=np.int32)) == 0
     assert rays(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)) == 0
-    t = kernels.LAGUERRE[0]
+    t = kernels.LEGENDRE[0]
     assert not t.flags.writeable and lib.fsum(t, t.size, state) == 0
     assert state[3] == math.fsum(t.tolist())
     radial, idx = np.linspace(1.0, 2.0, 6), kernels.distance_table(0, 3)[1]
@@ -511,13 +511,17 @@ def test_offres_octant_equals_np_unique_reference(backend):
             assert lattice_sum._offres_octant(b, b.z_tilde).hex() == want.hex()
 
 
-_LAGUERRE = kernels.LAGUERRE
+# The nodes t, weights w and powers (t/2)^k of the Gauss-Laguerre branch:
+# views of the one table that the backend offres_sites takes whole
+_T = kernels._LAGUERRE_TABLE
+_LAGUERRE = (_T[:56], _T[56:112], _T[112:].reshape(56, 5))
 
 
-def _phi_laguerre_numpy(y):
-    """Phi_0..4(y) of the NumPy Gauss-Laguerre branch, the oracle."""
+def _phi_laguerre(y, impl=_numpy_backend):
+    """Phi_0..4(y) of a backend's Gauss-Laguerre branch; the NumPy one's is
+    the oracle."""
     out = np.empty((y.size, 5))
-    _numpy_backend.phi_laguerre(y, y.size, *_LAGUERRE, _LAGUERRE[0].size, out)
+    impl.phi_laguerre(y, y.size, *_LAGUERRE, _LAGUERRE[0].size, out)
     return out
 
 
@@ -531,9 +535,9 @@ def test_phi_laguerre_backends_equal_numpy_branch_bitwise(size, seed):
     rng = np.random.default_rng(seed)
     y = np.exp(rng.uniform(math.log(2.0), math.log(1e12), size))
     y[:2] = [2.0, 1e12][:size]
-    want = _phi_laguerre_numpy(y)
+    want = _phi_laguerre(y)
     assert want.shape == (size, 5)
-    got = kernels.phi_laguerre(y, *_LAGUERRE)
+    got = _phi_laguerre(y, kernels._impl)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -543,17 +547,13 @@ for _size in range(1, 18):
         test_phi_laguerre_backends_equal_numpy_branch_bitwise)
 
 
-def test_laguerre_tables_are_views_of_one_read_only_table():
+def test_laguerre_table_is_one_read_only_table():
     # the compiled offres_sites takes t, w and pw from one address: nodes,
     # weights and powers (t/2)^k, one after the other, with their own bits
-    t, w, pw = _LAGUERRE
     nodes, weights = roots_laguerre(56)
-    assert t.tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
-    assert pw.tobytes() == ((0.5 * nodes)[:, None] ** np.arange(5)).tobytes()
-    assert pw.shape == (t.size, 5)
-    assert w.ctypes.data == t.ctypes.data + t.nbytes
-    assert pw.ctypes.data == w.ctypes.data + w.nbytes
-    assert all(a.flags.c_contiguous and not a.flags.writeable for a in _LAGUERRE)
+    powers = (0.5 * nodes)[:, None] ** np.arange(5)
+    assert _T.tobytes() == np.concatenate((nodes, weights, powers.ravel())).tobytes()
+    assert _T.flags.c_contiguous and not _T.flags.writeable
 
 
 def test_laguerre_rule_integrates_t_k_exactly():
@@ -564,13 +564,6 @@ def test_laguerre_rule_integrates_t_k_exactly():
     for k in range(33):
         got = math.fsum(wi * ti ** k for ti, wi in zip(t.tolist(), w.tolist()))
         assert abs(got - math.factorial(k)) <= 1e-14 * math.factorial(k), k
-
-
-def test_phi_laguerre_rejects_mismatched_tables(backend):
-    t, w, pw = _LAGUERRE
-    for bad in ((t, w[:-1], pw), (t, w, pw[:, :4]), (t, w, pw[:-1]), (t[:, None], w, pw)):
-        with pytest.raises(ValueError, match="need nodes"):
-            kernels.phi_laguerre(np.array([3.0]), *bad)
 
 
 def _former_offresonant_sites(r, dot, pp, mu):
@@ -611,7 +604,7 @@ def _former_offresonant_sites(r, dot, pp, mu):
             fg = np.stack([f, ys * g, -(y2 * f), -(y3 * g), y2 * y2 * f], axis=-1)
             phi[small] = np.where(np.concatenate((near, near))[small, None], fg, whole)
         if not small.all():
-            phi[~small] = _phi_laguerre_numpy(np.ascontiguousarray(y[~small]))
+            phi[~small] = _phi_laguerre(np.ascontiguousarray(y[~small]))
         moments = (phi[:rp.size] / mu - phi[rp.size:]) / (1.0 - mu * mu)
         moments[near, 4] += 0.5 * rp[near] * rp[near] * rp[near]
         out[part] = np.einsum("ik,ik->i", coef[part], moments)
@@ -869,6 +862,21 @@ def test_ray_sizes_are_the_library_s():
     assert kernels.RAY_DIRECTIONS == directions
     assert _numpy_backend.NODES == nodes == kernels.LEGENDRE[0].size
     assert kernels.REAL_PATH[0].shape[1] == nodes
+
+
+def test_rules_are_read_only():
+    # a stray write would change every later ray integral or site term:
+    # doubling one real-path weight made the next zz off-resonant bulk_term
+    # fail its error estimate. The real path's nodes, weights and nested
+    # weights follow one another in one table, which panel_sums takes whole
+    rules = (*kernels.LEGENDRE, *kernels.REAL_PATH, kernels.ROTATED_RULE, _T)
+    for rule in rules:
+        with pytest.raises(ValueError, match="read-only"):
+            rule[(0,) * rule.ndim] *= 2.0
+    s, w, w_low = kernels.REAL_PATH
+    assert w.ctypes.data == s.ctypes.data + s.nbytes
+    assert w_low.ctypes.data == w.ctypes.data + w.nbytes
+    assert all(rule.flags.c_contiguous and rule.shape == s.shape for rule in (w, w_low))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflowing products

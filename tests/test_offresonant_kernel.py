@@ -149,7 +149,10 @@ def test_branch_switch_is_continuous():
     kernels.closed_form_inputs(2.0 * y, si_ci)
     closed = _numpy_backend.phi_closed(y, *si_ci, np.sin(2.0 * y), np.cos(2.0 * y),
                                        np.ones(y.size, bool))
-    laguerre = kernels.phi_laguerre(y, *kernels.LAGUERRE)
+    table = kernels._LAGUERRE_TABLE
+    laguerre = np.empty((y.size, 5))
+    kernels._impl.phi_laguerre(y, y.size, table[:56], table[56:112],
+                               table[112:].reshape(56, 5), 56, laguerre)
     np.testing.assert_allclose(closed, laguerre, rtol=1e-13, atol=0.0)
     # either side of the switch, through the public kernel
     r = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0 + 1e-12])
