@@ -336,7 +336,7 @@ void table_rows(int zx, double a2, const double *z2, long nz, const double *d2, 
 
 /* Phi_0..4(y[i]) by m-node Gauss-Laguerre quadrature in tau = 2yt, into
    out[5i + k], for the nodes t, weights w and powers pw[5j + k] = (t_j/2)^k of
-   kernels.LAGUERRE. The order of operations is that of the NumPy branch
+   kernels._LAGUERRE_TABLE. The order of operations is that of the NumPy branch
    (_numpy_backend.phi_laguerre), so the values are bitwise equal: per node
    q = w_j/((t_j/2y)^2 + 1), per moment acc_k += q pw_jk from j = 0 up, and
    acc_k/2y last. LANES radii are evaluated side by side, one per lane, each
