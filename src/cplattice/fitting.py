@@ -81,10 +81,9 @@ def envelope_fit(points, window) -> FitReport:
     if sel.shape[0] < 5:
         raise InsufficientPoints(f"{sel.shape[0]} points in window, need >= 5")
     v = np.abs(sel[:, 1])
+    # a peak exceeds a neighbour's |value| >= 0, so it is never zero
     inner = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
     idx = np.nonzero(inner)[0] + 1
     if idx.size < 5:
         raise TooFewPeaks(f"{idx.size} peaks in window, need >= 5")
-    if np.any(v[idx] == 0.0):
-        raise ZeroValue("zero-valued peak inside fit window")
     return _least_squares_loglog(sel[idx, 0], sel[idx, 1], win)

@@ -72,11 +72,9 @@ distance table that the compiled rows gather from:
   and the site kernels' order of operations, with the C library's sin and
   cos of 2r; the NumPy backend calls those functions. The off-resonant pass
   fills the buffers of ``offres_sites`` and shares the rest of its path;
-* ``exact_sum(parts)`` and ``octant_sum(zx, a2, radial, idx, rows)``:
-  math.fsum of a sequence of arrays, and of a folded off-resonant octant
-  (orbit weight times site term), with math.fsum's errors. The compiled
-  ones port CPython's math.fsum (Shewchuk's partials, carried from array to
-  array, and its half-even fix-up), so the two return the same bits;
+* ``exact_sum(parts)``: math.fsum of every value of a sequence of arrays,
+  in order, with math.fsum's errors, on either backend: the exact reduction
+  that makes each direct sum the same bits for any worker count;
 * ``ray_rotated(bulk, pair, directions, heights)``: the resonant ray
   integrals of the bulk/edge decomposition (``euler_maclaurin``) on their
   rotated paths, whole, for every height in one call: each height's rule
@@ -482,59 +480,13 @@ def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False
         pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH, buf))
 
 
-# An exact sum's state in the compiled backend: the head (partial count, the
-# sums of the inf and NaN values and of the inf values, the total) and room
-# for every partial, FSUM_HEAD and FSUM_PARTIALS of _rows.c
-FSUM_STATE = 4 + 2100
-
-
-def _fsum_status(status: int, last: bool) -> None:
-    """Raises as math.fsum does for a compiled exact sum's status: -1 at
-    once, -2 when no values follow."""
-    if status == -1:
-        raise OverflowError("intermediate overflow in fsum")
-    if status == -2 and last:
-        raise ValueError("-inf + inf in fsum")
-
-
 def exact_sum(parts) -> float:
     """math.fsum of every value of the float64 arrays ``parts``, in order:
-    the correctly rounded sum, inf or NaN when an inf or NaN is summed.
-    ``parts`` is any iterable, taken one array at a time. Raises
-    ``OverflowError`` on intermediate overflow and ``ValueError`` for
-    -inf + inf, as math.fsum does.
-
-    The compiled backend carries math.fsum's partials from one array to the
-    next in one state (CPython's algorithm, ported); the NumPy backend calls
-    math.fsum over all the values."""
-    if _impl is _numpy_backend:
-        return math.fsum(itertools.chain.from_iterable(np.ravel(p).tolist() for p in parts))
-    state, status = np.zeros(FSUM_STATE), 0
-    for part in parts:
-        part = np.ascontiguousarray(part, dtype=np.float64).reshape(-1)
-        status = _impl.fsum(part, part.size, state)
-        _fsum_status(status, False)
-    _fsum_status(status, True)
-    return float(state[3])
-
-
-def octant_sum(zx: bool, a2: float, radial: np.ndarray, idx: np.ndarray, rows: int) -> float:
-    """math.fsum of the folded octant of the rows 0 <= nx < rows: each
-    site's orbit weight ``_numpy_backend.octant_weights`` times radial[idx],
-    its site term at its distance, for the sites and table indices idx of
-    ``distance_table(0, rows)``. The compiled backend forms the products
-    and sums them exactly in one call; raises as :func:`exact_sum`, and
-    ``ValueError`` unless idx holds one int32 index per site."""
-    if idx.dtype != np.int32 or idx.size != range_sites(0, rows):
-        raise ValueError(f"need one int32 index per site of {rows} rows, got {idx.size} "
-                         f"of {idx.dtype}")
-    radial = np.ascontiguousarray(radial, dtype=np.float64)
-    if _impl is _numpy_backend:
-        nx, j = np.tril_indices(rows)
-        return math.fsum(_numpy_backend.octant_weights(nx, j, a2, zx) * radial[idx])
-    state = np.zeros(FSUM_STATE)
-    _fsum_status(_impl.octant_fsum(zx, a2, radial, idx, rows, state), True)
-    return float(state[3])
+    the correctly rounded sum, inf or NaN when an inf or NaN is summed, the
+    same on either backend. ``parts`` is any iterable, taken one array at a
+    time. Raises ``OverflowError`` on intermediate overflow and
+    ``ValueError`` for -inf + inf, as math.fsum does."""
+    return math.fsum(itertools.chain.from_iterable(memoryview(np.ravel(p)) for p in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ branch :func:`phi_closed`, the :func:`moments` and the contraction.
 :func:`res_points` and :func:`offres_points` are the site sets of the
 direct sums of generic dipole pairs, the vertex and the off-resonant real
 path (see ``kernels.res_points``), through ``greens.site_projections`` and
-the site kernels. They are the fallback and the oracle that the compiled library
-equals bit for bit, as math.fsum is of its exact sums. :func:`octant_sites`
-is the one statement of those weights; the direct off-resonant sum folds
-its octant with it too. :func:`ray_rotated` and :func:`panel_sums` are the ray
-integrals of the bulk/edge decomposition (see ``kernels.ray_rotated``), with
+the site kernels. They are the fallback and the oracle that the compiled
+library equals bit for bit. :func:`octant_weights` is the one statement of
+the orbit weights; the direct off-resonant sum folds its octant with it
+too. :func:`ray_rotated` and :func:`panel_sums` are the ray integrals of
+the bulk/edge decomposition (see ``kernels.ray_rotated``), with
 :func:`rotated_rules` the reference of the compiled rule.
 The site terms come from :func:`cplattice.greens.resonant_sites`,
 evaluated in blocks of ``BLOCK`` sites: whole-row temporaries of long rows

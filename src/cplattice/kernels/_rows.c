@@ -41,8 +41,8 @@
    decomposition on their rotated paths, whole, and panel_sums the
    off-resonant ones on the real path from their site values; res_points and offres_points take the
    real-axis site sets (the direct sums of generic dipole pairs, the vertex
-   and the off-resonant real path) from site positions on, and fsum and
-   octant_fsum are CPython's math.fsum; see their sections at the end.
+   and the off-resonant real path) from site positions on; see their
+   sections at the end.
 
    Build: cc -O3 -std=c99 -fno-math-errno -march=native -shared -fPIC
    -o _rows.so _rows.c -lm. Strict ISO C mode turns off FMA contraction, so
@@ -642,12 +642,6 @@ static inline cplx projection(const double *e, cplx x, cplx y, double z, cplx r)
     return cdiv(csub(v, cpx(e[2] * z, 0.0)), r);
 }
 
-/* r = sqrt(x^2 + y^2 + z^2) of site_projections */
-static inline cplx distance(cplx x, cplx y, double z)
-{
-    return c_sqrt(cadd(cadd(cmul(x, x), cmul(y, y)), cpx(z * z, 0.0)));
-}
-
 /* greens.resonant_sites_complex at the site (x, y, -z) at distance r, with
    phase = e^{2ir}: e^{2ir} b^2 / r^6, b = (dot - pp) r^2 - beta + i beta r,
    beta = dot - 3 pp; pair holds e0, en and dot = e0.en */
@@ -868,7 +862,7 @@ void panel_sums(const double *f, long nd, int each, int bulk, const double *z, l
    greens.resonant_sites or the off-resonant buffer of offres_sites)
    in its order of operations: IEEE +, -, *, / and sqrt, and sin and cos of
    2r from the C library, which np.sin and np.cos call on float64 (see
-   libm_sincos). The exact sums port CPython's math.fsum. */
+   libm_sincos). */
 
 /* sin and cos of each x[i] as the site sets take them, for the test that
    pins them to np.sin and np.cos */
@@ -964,133 +958,4 @@ long offres_points(const double *pair, const double *u, long nu, const double *v
         if (y[l] < sw)
             x2[closed++] = 2.0 * y[l];
     return closed;
-}
-
-/* CPython's math.fsum, carried across calls in state: [0] the count of
-   partials, [1] the sum of the inf and NaN values, [2] the sum of the inf
-   values, [3] the total so far, then the partials. Shewchuk's nonoverlapping
-   partials (Discrete Comput. Geom. 18 (1997) 305) hold the exact sum of the
-   finite values, in increasing magnitude; nonoverlapping doubles take
-   distinct bits of the 2098 from 2^-1074 to 2^1023, so at most
-   FSUM_PARTIALS of them exist. */
-#define FSUM_HEAD 4
-#define FSUM_PARTIALS 2100
-
-typedef struct {
-    long n;
-    double special, inf, *p;
-} fsum_acc;
-
-static inline fsum_acc fsum_load(double *state)
-{
-    fsum_acc s = {(long)state[0], state[1], state[2], state + FSUM_HEAD};
-    return s;
-}
-
-/* Adds x as math.fsum's loop does; returns -1 on intermediate overflow, a
-   finite x whose sum with the partials is not finite */
-static inline int fsum_step(fsum_acc *s, double x)
-{
-    double xsave = x;
-    long i = 0;
-    for (long j = 0; j < s->n; j++) {
-        double y = s->p[j];
-        if (fabs(x) < fabs(y)) {
-            double t = x;
-            x = y;
-            y = t;
-        }
-        double hi = x + y, yr = hi - x, lo = y - yr;
-        if (lo != 0.0)
-            s->p[i++] = lo;
-        x = hi;
-    }
-    s->n = i;
-    if (x != 0.0) {
-        if (!isfinite(x)) {
-            if (isfinite(xsave))
-                return -1;
-            if (isinf(xsave))
-                s->inf += xsave;
-            s->special += xsave;
-            s->n = 0;
-        } else
-            s->p[s->n++] = x;
-    }
-    return 0;
-}
-
-/* Stores s into state with math.fsum's result as its total: the special
-   sum when an inf or NaN was added, else the partials summed from the top
-   until the sum turns inexact, with the half-even fix-up across partials.
-   Returns 0, or -2 where math.fsum raises ValueError (-inf + inf). */
-static long fsum_store(const fsum_acc *s, double *state)
-{
-    state[0] = (double)s->n;
-    state[1] = s->special;
-    state[2] = s->inf;
-    if (s->special != 0.0) {
-        state[3] = s->special;
-        return isnan(s->inf) ? -2 : 0;
-    }
-    const double *p = s->p;
-    long n = s->n;
-    double hi = 0.0, lo = 0.0;
-    if (n > 0) {
-        hi = p[--n];
-        while (n > 0) {
-            double x = hi, y = p[--n];
-            hi = x + y;
-            double yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            double y = lo * 2.0, x = hi + y, yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
-    }
-    state[3] = hi;
-    return 0;
-}
-
-/* Adds the n values x to the exact sum in state (zeroed to start) and writes
-   math.fsum of all values added so far to state[3]. Returns 0; -1 on
-   intermediate overflow, where math.fsum raises OverflowError, leaving state
-   unusable; -2 where math.fsum would raise ValueError. */
-long fsum(const double *x, long n, double *state)
-{
-    fsum_acc s = fsum_load(state);
-    for (long i = 0; i < n; i++)
-        if (fsum_step(&s, x[i]))
-            return -1;
-    return fsum_store(&s, state);
-}
-
-/* fsum of the folded octant of the rows 0 <= nx < rows: each site's orbit
-   weight (_numpy_backend.octant_weights, with its products) times
-   radial[idx[k]], the site term at its distance, sites in np.tril_indices
-   order. zz: 1 at the origin, 4 on the axis and the diagonal, 8 inside;
-   zx: ((2 nx) nx) a2 on the axis, ((4 nx) nx) a2 on the diagonal and
-   (4 (nx^2 + j^2)) a2 inside. Returns as fsum. */
-long octant_fsum(int zx, double a2, const double *radial, const int32_t *idx, long rows,
-                 double *state)
-{
-    fsum_acc s = fsum_load(state);
-    for (long nx = 0; nx < rows; nx++) {
-        double dnx = (double)nx;
-        for (long j = 0; j <= nx; j++) {
-            double w;
-            if (zx)
-                w = (j == 0 ? 2.0 * dnx * dnx
-                            : j == nx ? 4.0 * dnx * dnx : 4.0 * (double)(nx * nx + j * j)) * a2;
-            else
-                w = nx == 0 ? 1.0 : j == 0 || j == nx ? 4.0 : 8.0;
-            if (fsum_step(&s, w * radial[*idx++]))
-                return -1;
-        }
-    }
-    return fsum_store(&s, state);
 }

@@ -26,8 +26,9 @@ count and any set of heights. The octant site terms depend on the site only
 through s = n_x^2 + n_y^2, so both octant sums evaluate them once per
 distinct s, from one table of those distances and each site's index into
 them (``kernels.distance_table``): the compiled resonant rows gather from
-it, and the off-resonant sum evaluates its site kernel on it and folds and
-sums the octant exactly in one call (``kernels.octant_sum``).
+it, and the off-resonant sum evaluates its site kernel on it at each height
+and folds the octant with the orbit weights, built once for all heights,
+into one exact sum per height, ``OFFRES_BLOCK_SITES`` products at a time.
 General orientations lack the reflection parity needed for folding and run
 over the full grid of rows n_x = -M..M as a site set of the kernels, which
 take the dipoles as ``bundle.pair`` (the pair terms, for any pair, are
@@ -35,7 +36,7 @@ one-site sets of them): the resonant rows, split over threads the same way,
 take one ``kernels.res_points`` call per worker, which returns each row's
 sum, reduced exactly in row order as above (the values of one call per
 row); the off-resonant grid takes ``kernels.offres_points`` a block of
-rows at a time, as many rows as ``CUSTOM_BLOCK_SITES`` sites hold or one
+rows at a time, as many rows as ``OFFRES_BLOCK_SITES`` sites hold or one
 longer row, whose values one exact sum takes in turn, so its memory grows
 with a row, not with the grid. On the compiled backend both run in C from
 the site positions on: ``greens.site_projections`` and the site kernels'
@@ -107,7 +108,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels._numpy_backend import radial_sites
+from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import NonPositiveLength, ValidatedBundle, validate
@@ -267,25 +268,38 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
-def _offres_octant(bundle: ValidatedBundle, z: float) -> float:
+# An off-resonant direct sum takes this many folded octant sites at a time,
+# or as many whole rows of a generic grid as this many sites hold (at least
+# one), into its exact sum, so that its memory does not grow with the grid
+OFFRES_BLOCK_SITES = 1 << 14
+
+
+def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:
     M = bundle.half_extent
-    a2, z2, zx = bundle.a_tilde ** 2, z ** 2, bundle.orientation_label() == "zx"
-    # the site term is a function of nx^2 + j^2: evaluate it once per distance
+    a2, zx = bundle.a_tilde ** 2, bundle.orientation_label() == "zx"
+    # the site term is a function of nx^2 + j^2: evaluate it once per
+    # distance and height, and fold it with each site's orbit weight, built
+    # once for all heights from blocks of whole rows, (nx, j) grids masked
+    # to j <= nx, so that no index array the size of the octant is built
     d2, site = kernels.distance_table(0, M + 1)
-    radial = kernels.offres_sites(*radial_sites(d2, a2, z2, zx), bundle.mu)
-    return _exact(kernels.octant_sum, zx, a2, radial, site, M + 1)
+    weights, rows = np.empty(site.size), max(1, OFFRES_BLOCK_SITES // (M + 1))
+    for lo in range(0, M + 1, rows):
+        hi = min(lo + rows, M + 1)
+        nx, j = np.arange(lo, hi)[:, None], np.arange(hi)
+        weights[kernels.range_sites(0, lo):kernels.range_sites(0, hi)] = \
+            octant_weights(nx, j, a2, zx)[j <= nx]
 
+    def folded(h, step=OFFRES_BLOCK_SITES):
+        radial = kernels.offres_sites(*radial_sites(d2, a2, h ** 2, zx), bundle.mu)
+        return (weights[k:k + step] * radial[site[k:k + step]] for k in range(0, site.size, step))
 
-# A generic off-resonant direct sum evaluates and sums as many whole rows at
-# a time as this many sites hold (at least one), so that its memory does not
-# grow with the grid
-CUSTOM_BLOCK_SITES = 1 << 14
+    return [_exact(kernels.exact_sum, folded(h)) for h in z.tolist()]
 
 
 def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
     M = bundle.half_extent
     n = np.arange(-M, M + 1) * bundle.a_tilde
-    rows = max(1, CUSTOM_BLOCK_SITES // n.size)
+    rows = max(1, OFFRES_BLOCK_SITES // n.size)
     # the grid (nx, ny) row by row, one block of rows at a time
     blocks = (kernels.offres_points(bundle.pair, n[i:i + rows], n, [z], bundle.mu)
               for i in range(0, n.size, rows))
@@ -324,15 +338,17 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     bitwise equal to one call per height, and ``terms_summed`` counts the
     sites of all heights; without, it is the float at the bundle's height.
     A resonant octant (zz, zx) takes all heights in one row-range call per
-    worker; other sums loop over the heights here.
+    worker, and an off-resonant octant builds its orbit weights once for
+    all heights; other sums loop over the heights here.
 
     Results are deterministic for any thread count: row values are
     independent and the cross-row reduction is exact (math.fsum) in fixed
     row order, once per height. Off-resonant sums take a height at a time,
-    the octant once per distinct distance in ``kernels.SITE_CHUNK`` chunks
-    and other grids in blocks of rows of ``CUSTOM_BLOCK_SITES`` sites, and
-    reduce exactly, so threads do not affect them. ``threads=None`` runs a
-    resonant sum whose octant (zz, zx) or grid (other pairs) holds at least
+    the octant's site terms once per distinct distance in
+    ``kernels.SITE_CHUNK`` chunks and its products, or other grids' blocks
+    of rows, ``OFFRES_BLOCK_SITES`` sites at a time, and reduce exactly, so
+    threads do not affect them. ``threads=None`` runs a resonant sum whose
+    octant (zz, zx) or grid (other pairs) holds at least
     ``AUTO_THREADS_SITES`` sites on :func:`usable_cpus` workers, and a
     smaller one on one; a larger count than :func:`usable_cpus` is cut to
     it, and one below 1 raises ``ValueError``. A threaded resonant sum
@@ -358,9 +374,10 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
             threads = min(threads, usable_cpus())
             sites = _resonant_octant if octant else _resonant_custom
             sums = sites(bundle, z, threads)
+        elif octant:
+            sums = _offres_octant(bundle, z)
         else:
-            sites = _offres_octant if octant else _offres_custom
-            sums = [sites(bundle, h) for h in z.tolist()]
+            sums = [_offres_custom(bundle, h) for h in z.tolist()]
     value = per_height(heights, finite(pref * np.array(sums), z, bundle, f"direct {kind}"))
     return ShiftResult(resonant=value if kind == "resonant" else None,
                        off_resonant=value if kind == "off_resonant" else None,

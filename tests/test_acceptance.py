@@ -180,7 +180,10 @@ def test_criterion_08_decomposition_vs_direct_sum():
     stated comparison can meet 2% at these parameters. The coefficient is
     41/16 in the limit z -> 0: test_euler_maclaurin.py::
     test_criterion_8_edge_over_bulk_tends_to_41_16_of_a_over_z derives and
-    checks it.
+    checks it, and test_euler_maclaurin.py::
+    test_criterion_8_excess_is_the_edge_and_vertex_over_the_bulk checks
+    that total/direct - 1 is (edge + vertex)/bulk to within 2|direct/bulk -
+    1| at these parameters.
     """
     t0 = time.perf_counter()
     b = mk(a=0.05, M=2000, z=0.3)

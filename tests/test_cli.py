@@ -111,6 +111,15 @@ def test_fit_missing_column_and_file():
     assert proc.returncode == cli.EXIT_USAGE
 
 
+def test_fit_without_a_z_tilde_column_exits_usage(tmp_path):
+    data = tmp_path / "s.csv"
+    data.write_text("z,res_bulk\n" + "".join(f"{z},{z ** -4}\n" for z in (0.1, 0.2, 0.3, 0.4,
+                                                                          0.5, 0.6)))
+    proc = run_cli(["fit", str(data), "--column", "res_bulk", "--z-min", "0.1", "--z-max", "1"])
+    assert proc.returncode == cli.EXIT_USAGE and proc.stdout == ""
+    assert f"column 'z_tilde' not found in {str(data)!r}" in proc.stderr
+
+
 def test_fit_too_narrow_window_is_numerical_error(tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(SWEEP_ARGS + ["-o", str(out)]).returncode == 0
@@ -252,6 +261,19 @@ def test_config_errors_exit_usage(tmp_path):
     bad.write_text("mu = zebra\n")
     assert run_cli(["sweep", "--config", str(bad)]).returncode == cli.EXIT_USAGE
     assert run_cli(["sweep", "--config", "/does/not/exist"]).returncode == cli.EXIT_USAGE
+
+
+def test_bad_vector_and_orientation_exit_usage_without_output(tmp_path):
+    # a dipole of other than three components, and an orientation other than
+    # zz, zx and custom, stop the sweep before it writes anything
+    out = tmp_path / "s.csv"
+    for flags, message in ((["--test-dipole", "0 1"], "expected three components, got '0 1'"),
+                           (["--orientation", "xy"], "orientation must be zz|zx|custom, got 'xy'")):
+        for output in ([], ["-o", str(out)]):
+            proc = run_cli(SWEEP_ARGS + flags + output)
+            assert proc.returncode == cli.EXIT_USAGE
+            assert proc.stdout == "" and message in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # one value per key, each different from its default
@@ -510,6 +532,15 @@ def test_unwritable_output_exits_usage(tmp_path, capsys):
     out = tmp_path / "missing" / "f.csv"
     assert cli.main(SWEEP_ARGS + ["-o", str(out)]) == cli.EXIT_USAGE
     assert f"cannot write {str(out)!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_to_a_directory_exits_usage(tmp_path, capsys):
+    # an existing path that is not a regular file is opened in place, and a
+    # directory cannot be
+    assert cli.main(SWEEP_ARGS + ["-o", str(tmp_path)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"cannot write {str(tmp_path)!r}" in captured.err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -163,6 +163,13 @@ def test_corrupted_denominator_detected(monkeypatch):
     assert rep.max_rel_error > 1e-10
 
 
+def test_unknown_process_and_no_samples_rejected():
+    with pytest.raises(ValueError, match="unknown process id 'XIII'"):
+        denominator("XIII", 0.3, 0.7, P5)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_identity(0, seed=42)
+
+
 def test_single_sample_smoke():
     rep = verify_identity(1, seed=123)
     assert rep.samples == 1

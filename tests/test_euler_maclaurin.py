@@ -410,6 +410,24 @@ def test_criterion_8_edge_over_bulk_tends_to_41_16_of_a_over_z():
         assert max(c) - min(c) <= 1e-14 * c[0], z
 
 
+def test_criterion_8_excess_is_the_edge_and_vertex_over_the_bulk():
+    """The rest of the analysis of acceptance criterion 8, at its own
+    parameters (zz, a 0.05, M 2000, z 0.3, mu 0.5): the direct sum equals
+    the bulk to |direct/bulk - 1| < 1e-5, so the decomposition's excess
+    over it is its edge and vertex. With x = (edge + vertex)/bulk and
+    d = direct/bulk - 1, total/direct = (1 + x)/(1 + d), so total/direct -
+    1 - x = -d (1 + x)/(1 + d), at most 2|d| for 0 <= x < 1 (measured:
+    total/direct - 1 = 0.463568, x = 0.463565, d = -2.6e-6, the gap 1.46
+    times |d|).
+    """
+    b = mk(a=0.05, M=2000, z=0.3)
+    direct = lattice_sum.sum_lattice(b, "resonant").resonant
+    d = decompose(b, "resonant")
+    off = direct / d.bulk - 1.0
+    assert abs(off) < 1e-5
+    assert abs((d.total / direct - 1.0) - (d.edge + d.vertex) / d.bulk) <= 2.0 * abs(off)
+
+
 def test_edge_subleading_by_one_power_of_spacing():
     d = decompose(mk(a=0.01, z=0.1), "resonant")
     assert 0.05 < abs(d.edge / d.bulk) < 0.4

@@ -46,11 +46,31 @@ def test_zero_value_rejected():
         fit_power_law(pts, (0.1, 1.0))
 
 
+def test_points_that_are_not_pairs_rejected():
+    for points in ([1.0, 2.0, 3.0, 4.0, 5.0], [(z, 1.0, 0.0) for z in range(1, 7)]):
+        for fit in (fit_power_law, envelope_fit):
+            with pytest.raises(ValueError, match="sequence of \\(z, value\\) pairs"):
+                fit(points, (0.0, 10.0))
+
+
+def test_envelope_fit_insufficient_points():
+    # four points in the window: too few before any peak is looked for
+    with pytest.raises(InsufficientPoints, match="4 points in window"):
+        envelope_fit([(z, 1.0 + z % 2) for z in range(1, 9)], (1.0, 4.0))
+
+
 def test_envelope_fit_constructed_oscillation():
     z = np.linspace(5.0, 30.0, 1200)  # ~16 periods, 75 points per period
     v = np.abs(np.sin(2 * z)) / z ** 3
     rep = envelope_fit(np.stack([z, v], axis=1), (5.0, 30.0))
     assert rep.slope == pytest.approx(-3.0, abs=0.05)
+
+
+def test_envelope_fit_takes_the_peaks_between_zeros():
+    # zeros in the troughs are no peaks, and every peak is positive
+    pts = [(z, 0.0 if z % 2 == 0 else z ** -2.0) for z in range(1, 22)]
+    rep = envelope_fit(pts, (1.0, 21.0))
+    assert rep.points_used == 9 and rep.slope == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_envelope_fit_too_few_peaks():

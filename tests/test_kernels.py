@@ -299,14 +299,23 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
-        "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points", "fsum",
-        "octant_fsum", "libm_sincos"}
+        "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points",
+        "libm_sincos"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         want = [c_type[re.fullmatch(r"(?:const )?(\w+(?: \*)?) ?\w+", p.strip()).group(1)]
                 for p in params.split(",")]
         assert fn.argtypes is not None and list(fn.argtypes) == want, name
         assert fn.restype is c_type[ret], name
+
+
+def test_every_static_function_of_the_library_is_called():
+    # -Wall -Wextra does not flag a static inline function that nothing
+    # calls, so a helper left behind would stay in _rows.c unnoticed
+    source = re.sub(r"/\*.*?\*/", "", kernels._SOURCE.read_text(), flags=re.S)
+    defined = re.findall(r"^static [\w ]*?\**(\w+)\(", source, re.M)
+    assert "sin_branchless" in defined and "ray_panel" in defined
+    assert [name for name in defined if len(re.findall(rf"\b{name}\(", source)) < 2] == []
 
 
 def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatch):
@@ -323,50 +332,52 @@ def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatc
 def test_numpy_backend_takes_the_compiled_signatures():
     # a wrapper makes one call through _impl that runs on either backend, so
     # each export it calls so has a NumPy twin of the same name and parameter
-    # count; the compiled table pass and exact sums are called only where
-    # the compiled backend is loaded
+    # count; the compiled table pass is called only where the compiled
+    # backend is loaded
     called = set(re.findall(r"\b_impl\.(\w+)", Path(kernels.__file__).read_text()))
-    assert called - {"table_rows", "fsum", "octant_fsum"} == {
+    assert called - {"table_rows"} == {
         "res_row", "res_rows", "distance_table", "offres_sites", "offres_points",
         "res_points", "ray_rotated", "panel_sums"}
     exported = {name: params.split(",") for _, name, params in
                 re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)}
-    for name in called - {"table_rows", "fsum", "octant_fsum"}:
+    for name in called - {"table_rows"}:
         twin = inspect.signature(getattr(_numpy_backend, name)).parameters
         assert len(twin) == len(exported[name]), name
 
 
 def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
-    # one export of each array type: fsum's values (float64), distance_table's
-    # index (int32) and ray_rotated's counts (int64). Each wrong argument
-    # raises before the C code runs, so the outputs keep their fill
+    # one export of each array type: sincos_probe's phases (float64),
+    # distance_table's index (int32) and ray_rotated's counts (int64). Each
+    # wrong argument raises before the C code runs, so the outputs keep
+    # their fill
     pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), kernels.ROTATED_RULE
     powers = rule.size - _numpy_backend.RULE_HEAD
 
     def rays(z, counts, out):
         return lib.ray_rotated(1, pair, axis, 1, z, z.size, rule, powers, counts, out)
 
-    state, d2, sums = np.zeros(kernels.FSUM_STATE), np.full(3, -1.0), np.full(3, -1.0)
-    for dtype, call in ((np.float64, lambda a: lib.fsum(a, 2, state)),
+    sc, d2, sums = np.full(2, -1.0), np.full(3, -1.0), np.full(3, -1.0)
+    for dtype, call in ((np.float64, lambda a: lib.sincos_probe(a, 2, sc, sc)),
                         (np.int32, lambda a: lib.distance_table(1, 2, d2, a)),
                         (np.int64, lambda a: rays(np.array([0.5]), a, sums))):
         for bad in (np.zeros(4, dtype=np.float32 if dtype is np.float64 else np.float64),
                     np.zeros(8, dtype=dtype)[::2], [0, 0], 12345):
             with pytest.raises(ctypes.ArgumentError, match=f"C-contiguous {np.dtype(dtype)}"):
                 call(bad)
-    assert not state.any() and (d2 == -1.0).all() and (sums == -1.0).all()
+    assert (sc == -1.0).all() and (d2 == -1.0).all() and (sums == -1.0).all()
     # empty arrays and read-only ones (a rule, a cached distance table) pass
-    assert lib.fsum(np.empty(0), 0, state) == 0 and state[3] == 0.0
+    assert lib.sincos_probe(np.empty(0), 0, np.empty(0), np.empty(0)) is None
     assert lib.distance_table(0, 0, np.empty(0), np.empty(0, dtype=np.int32)) == 0
     assert rays(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)) == 0
-    t = kernels.LEGENDRE[0]
-    assert not t.flags.writeable and lib.fsum(t, t.size, state) == 0
-    assert state[3] == math.fsum(t.tolist())
-    radial, idx = np.linspace(1.0, 2.0, 6), kernels.distance_table(0, 3)[1]
-    state[:] = 0.0
-    assert not idx.flags.writeable and lib.octant_fsum(0, 1.0, radial, idx, 3, state) == 0
-    nx, j = np.tril_indices(3)
-    assert state[3] == math.fsum(_numpy_backend.octant_weights(nx, j, 1.0, False) * radial[idx])
+    t = kernels.LEGENDRE[1]  # the weights: phases in [0, 1)
+    assert not t.flags.writeable
+    assert _sincos(lib, t) == _sincos(lib, t.copy())
+    d2, idx = kernels.distance_table(0, 3)
+    assert not (d2.flags.writeable or idx.flags.writeable)
+    z2, rows, want = np.array([0.04]), np.empty(3), np.empty(3)
+    lib.table_rows(0, 1e-4, z2, 1, d2, d2.size, idx, 0, 3, np.empty(d2.size), rows)
+    lib.res_rows(0, 1e-4, z2, 1, 0, 3, want)
+    assert rows.tolist() == want.tolist()
 
 
 def _unique_table(lo, hi):
@@ -493,6 +504,28 @@ def test_table_cache_under_concurrent_callers(backend, monkeypatch):
     assert sum(idx.size for _, idx in kernels._tables.values()) <= 400
 
 
+def test_distance_table_above_the_cap_is_built_on_each_call(backend, monkeypatch):
+    # a table of more sites than the cap is neither kept nor allowed to
+    # evict the tables that are
+    want_d2, want_idx = kernels.distance_table(0, 10)  # 55 sites, kept
+    kernels._tables.clear()
+    small = kernels.distance_table(0, 2)
+    monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 54)
+    first, second = kernels.distance_table(0, 10), kernels.distance_table(0, 10)
+    assert list(kernels._tables) == [(0, 2)] and kernels._tables[(0, 2)] is small
+    assert first[0] is not second[0]
+    for d2, idx in (first, second):
+        assert np.array_equal(d2, want_d2) and np.array_equal(idx, want_idx)
+
+
+def test_site_sets_reject_a_pair_that_is_not_float64_7(backend):
+    for pair in (np.zeros(6), np.zeros(8), np.zeros(7, dtype=np.float32), np.zeros((7, 1))):
+        for call in (lambda: kernels.res_points(pair, [0.0], [0.0], [0.3], sums=False),
+                     lambda: kernels.offres_points(pair, [0.0], [0.0], [0.3], 0.6)):
+            with pytest.raises(ValueError, match="need the dipole pair as float64 \\(7,\\)"):
+                call()
+
+
 def test_offres_octant_equals_np_unique_reference(backend):
     # the direct off-resonant octant sum takes its distinct distances from
     # the shared table; the reference finds them with np.unique, as before
@@ -508,7 +541,7 @@ def test_offres_octant_equals_np_unique_reference(backend):
                                        return_inverse=True)
             radial = kernels.offres_sites(r[first], dot, pp[first], mu)
             want = math.fsum(w * radial[site])
-            assert lattice_sum._offres_octant(b, b.z_tilde).hex() == want.hex()
+            assert lattice_sum._offres_octant(b, np.array([z]))[0].hex() == want.hex()
 
 
 # The nodes t, weights w and powers (t/2)^k of the Gauss-Laguerre branch:
@@ -800,8 +833,7 @@ def test_row_throughput_contract(lib):
 
 
 # ---------------------------------------------------------------------------
-# exact sums: CPython's math.fsum, ported, with its partials carried from one
-# array to the next
+# exact sums: math.fsum over every value of a sequence of arrays, in order
 
 def _fsum_outcome(total, *args):
     """The bits of a sum, or the error it raises."""
@@ -848,12 +880,6 @@ def _defined(*names):
     return (int(re.search(rf"^#define {name} (\d+)$", source, re.M).group(1)) for name in names)
 
 
-def test_exact_sum_state_holds_the_library_s_partials():
-    # the state that kernels allocates is the one _rows.c indexes
-    head, partials = _defined("FSUM_HEAD", "FSUM_PARTIALS")
-    assert kernels.FSUM_STATE == head + partials
-
-
 def test_ray_sizes_are_the_library_s():
     # ray_panel keeps DIRECTIONS outputs and NODES nodes on its stack: more
     # directions than kernels lets through would overrun them, and the rules
@@ -877,23 +903,6 @@ def test_rules_are_read_only():
     assert w.ctypes.data == s.ctypes.data + s.nbytes
     assert w_low.ctypes.data == w.ctypes.data + w.nbytes
     assert all(rule.flags.c_contiguous and rule.shape == s.shape for rule in (w, w_low))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflowing products
-@pytest.mark.parametrize("zx", [False, True])
-def test_octant_sum_equals_math_fsum_of_the_fold(backend, zx):
-    # the fold's products are octant_weights' (for zx ((2 nx) nx) a2 and so
-    # on), and an overflowing product or an inf site term is summed as
-    # math.fsum sums it
-    rng = np.random.default_rng(11)
-    for M, a2 in ((0, 0.01), (1, 0.3), (7, 1e-4), (40, 2.0), (500, 1e-4)):
-        d2, idx = kernels.distance_table(0, M + 1)
-        nx, j = np.tril_indices(M + 1)
-        for radial in (rng.uniform(-1.0, 1.0, d2.size) * 10.0 ** rng.uniform(-300, 300, d2.size),
-                       np.full(d2.size, 1.7e308), np.where(d2 > 2, 1.0, math.inf)):
-            want = _fsum_outcome(math.fsum, _numpy_backend.octant_weights(nx, j, a2, zx)
-                                 * radial[idx])
-            assert _fsum_outcome(kernels.octant_sum, zx, a2, radial, idx, M + 1) == want, M
 
 
 def test_numpy_sin_cos_are_the_c_library_s(lib):

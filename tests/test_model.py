@@ -62,6 +62,14 @@ def test_non_unit_dipole_rejected():
     bundle(test=(0, 0, s))
 
 
+def test_dipole_that_is_not_a_3_vector_rejected():
+    for dipole in ((0, 1), (0, 0, 1, 0), ((0, 0, 1),)):
+        with pytest.raises(NonUnitDipole, match="must be a 3-vector"):
+            bundle(test=dipole)
+        with pytest.raises(NonUnitDipole, match="must be a 3-vector"):
+            bundle(array=dipole)
+
+
 def test_rho_guard():
     with pytest.raises(LinewidthTooLarge):
         bundle(rho=0.2)
