@@ -50,15 +50,19 @@ distance table that the compiled rows gather from:
   one calls ``np.unique``. Tables of up to ``TABLE_SITE_CAP`` sites in all
   are kept for the process (4 bytes a site and 8 a distance: 1.1 MB at
   M = 500);
+* ``sici(x)``: Si(x) and Ci(x), the bits of ``scipy.special.sici`` on
+  either backend: the compiled one ports SciPy's algorithm (cephes sici),
+  and the NumPy one calls SciPy, importing ``scipy.special`` on its first
+  call, so that no run on the compiled backend loads it;
 * ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals, one
   backend call per buffer of ``SITE_CHUNK`` sites (:func:`_offres_chunks`).
   NumPy computes r^6 (``np.power``, whose bits the C library's pow does not
-  share) and SciPy Si and Ci of 2y below ``PHI_SWITCH``. The backend does
-  everything else: sin and cos of 2y (the C library's in C; np.sin and
-  np.cos, which call them on float64, in NumPy) and, with IEEE +, -, * and
-  /, the closed-form Phi_k, the Gauss-Laguerre branch (``phi_laguerre``,
-  eight radii side by side in C, each in the NumPy one's order of
-  operations), the partial-fraction moments, the h(u)^2 coefficients, the
+  share). The backend does everything else: Si and Ci of 2y below
+  ``PHI_SWITCH`` (its ``sici``), sin and cos of 2y (the C library's in C;
+  np.sin and np.cos, which call them on float64, in NumPy) and, with IEEE
+  +, -, * and /, the closed-form Phi_k, the Gauss-Laguerre branch
+  (``phi_laguerre``, eight radii side by side in C, each in the NumPy one's
+  order of operations), the partial-fraction moments, the h(u)^2 coefficients, the
   5-term contraction (in the one order both backends spell out) and the
   division by r^6, so both give the same bits;
 * ``res_points(pair, u, v, heights, sums)`` and ``offres_points(pair, u, v,
@@ -119,7 +123,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import sici
 
 from . import _numpy_backend
 
@@ -377,35 +380,36 @@ _LAGUERRE_TABLE.flags.writeable = False
 SITE_CHUNK = 1024
 
 
-def closed_form_inputs(x: np.ndarray, out: np.ndarray) -> None:
-    """Si(x) and Ci(x) into the rows of out (2, x.size): SciPy's inputs of
-    the closed form. sin(x) and cos(x) are the backend's: the C library's
-    in the compiled one, np.sin and np.cos, which call them, in NumPy."""
-    sici(x, out=(out[0], out[1]))
+def sici(x) -> tuple[np.ndarray, np.ndarray]:
+    """(Si(x), Ci(x)) of the values x as two new float64 arrays of x's
+    shape, the bits of ``scipy.special.sici`` on either backend: Ci takes
+    the real part for x < 0, Si(0) = 0, Ci(0) = -inf, Si(+-inf) = +-pi/2,
+    Ci(inf) = 0 and Ci(-inf) = NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = np.ascontiguousarray(x.reshape(-1))
+    si, ci = np.empty(x.shape), np.empty(x.shape)
+    _impl.sici(flat, flat.size, si.reshape(-1), ci.reshape(-1))
+    return si, ci
 
 
 def _offres_chunks(size: int, mu: float, fill) -> np.ndarray:
     """The off-resonant site values of ``size`` sites as a new array, one
     backend ``offres_sites`` call per chunk of at most ``SITE_CHUNK`` sites.
 
-    The sites k0 <= k < k0 + n of a chunk fill one (6, 2n) buffer:
+    The sites k0 <= k < k0 + n of a chunk fill one (3, 2n) buffer:
       row 0: y = (r_k mu, r_k), the Phi_k arguments of M_k(r_k, mu);
       row 1: (dot_k, pp_k), the dipole projections;
-      row 2: (r_k^6, the site values);
-      rows 3-5: Si(2y), Ci(2y) and 2y for each y below ``PHI_SWITCH``, in
-      row 0 order.
-    ``fill(k0, n, buf)`` writes rows 0, 1 and 5 and returns the count of
-    those y. NumPy then takes r^6, whose bits the C library's pow does not
-    reproduce, and SciPy Si and Ci; the backend writes the site values.
+      row 2: (r_k^6, the site values).
+    ``fill(k0, n, buf)`` writes rows 0 and 1. NumPy then takes r^6, whose
+    bits the C library's pow does not reproduce; the backend writes the site
+    values.
     """
     out = np.empty(size)
     for k0 in range(0, size, SITE_CHUNK):
         n = min(size - k0, SITE_CHUNK)
-        buf = np.empty((6, 2 * n))
-        closed = fill(k0, n, buf)
+        buf = np.empty((3, 2 * n))
+        fill(k0, n, buf)
         np.power(buf[0, n:], 6, out=buf[2, :n])
-        if closed:
-            closed_form_inputs(buf[5, :closed], buf[3:5, :closed])
         _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, _LAGUERRE_TABLE, _NODES.size, buf)
         out[k0:k0 + n] = buf[2, n:]
     return out
@@ -426,8 +430,8 @@ def offres_sites(r, dot, pp, mu: float) -> np.ndarray:
 
     def fill(k0, n, buf):
         part = slice(k0, k0 + n)
-        return _numpy_backend.offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
-                                          pp if pp.size == 1 else pp[part], mu, PHI_SWITCH)
+        _numpy_backend.offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
+                                   pp if pp.size == 1 else pp[part], mu)
 
     return _offres_chunks(r.size, mu, fill)
 
@@ -477,7 +481,7 @@ def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False
     that function)."""
     pair, u, v, z, nv = _site_set(pair, u, v, heights, rays)
     return _offres_chunks(z.size * u.size * nv, mu, lambda k0, n, buf: _impl.offres_points(
-        pair, u, u.size, v, nv, rays, z, k0, n, mu, PHI_SWITCH, buf))
+        pair, u, u.size, v, nv, rays, z, k0, n, mu, buf))
 
 
 def exact_sum(parts) -> float:

@@ -8,9 +8,11 @@ the rows lo <= n_x < hi at each of the nz heights z2 into ``out``
 (``kernels.res_rows`` checks the range and allocates ``out``);
 :func:`phi_laguerre` is the Gauss-Laguerre branch of the off-resonant site
 kernel, and :func:`offres_sites` the arithmetic of that kernel on the
-buffer of ``kernels._offres_chunks`` once NumPy and SciPy have put r^6 and
-Si and Ci of 2y into it, with np.sin and np.cos of 2y: the closed-form
-branch :func:`phi_closed`, the :func:`moments` and the contraction.
+buffer of ``kernels._offres_chunks`` once NumPy has put r^6 into it, with
+SciPy's Si and Ci (:func:`sici`) and np.sin and np.cos of 2y: the
+closed-form branch :func:`phi_closed`, the :func:`moments` and the
+contraction. :func:`sici` imports ``scipy.special`` on its first call, so
+this backend alone loads it.
 :func:`res_points` and :func:`offres_points` are the site sets of the
 direct sums of generic dipole pairs, the vertex and the off-resonant real
 path (see ``kernels.res_points``), through ``greens.site_projections`` and
@@ -79,7 +81,10 @@ def octant_weights(nx, j, a2: float, zx: bool):
 def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
     """Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole
     pairs (zx false), or for z-probe / x-array dipoles with x^2-folded
-    weights (zx true)."""
+    weights (zx true). The zx origin row is 0.0, as in C: its weight
+    2 nx^2 a^2 is 0, and its term, infinite as z -> 0, is not formed."""
+    if zx and nx == 0:
+        return 0.0
     total = 0.0
     for j0 in range(0, nx + 1, BLOCK):
         j = np.arange(j0, min(j0 + BLOCK, nx + 1), dtype=np.float64)
@@ -139,10 +144,10 @@ def phi_closed(y, si, ci, sx, cx, poly) -> np.ndarray:
     return phi
 
 
-def moments(y, trig, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarray:
+def moments(y, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarray:
     """M_0..4(r, mu) as columns for the n sites of y = (r mu, r) (2n values):
-    Phi_k(y) in closed form for y < sw, from trig (4, k) = Si, Ci, sin and
-    cos of 2y at those k values of y in y's order, by Gauss-Laguerre
+    Phi_k(y) in closed form for y < sw, from :func:`sici`, np.sin and np.cos
+    of 2y, by Gauss-Laguerre
     quadrature above, and the partial fractions. A branch that no y falls in
     is not called.
 
@@ -159,7 +164,10 @@ def moments(y, trig, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarra
     small = y < sw
     if small.any():
         poly = ~np.concatenate([rearranged, rearranged])
-        phi[small] = phi_closed(y[small], *trig, poly[small])
+        x = 2.0 * y[small]
+        si, ci = np.empty(x.size), np.empty(x.size)
+        sici(x, x.size, si, ci)
+        phi[small] = phi_closed(y[small], si, ci, np.sin(x), np.cos(x), poly[small])
     if not small.all():
         large = np.ascontiguousarray(y[~small])
         lag = np.empty((large.size, 5))
@@ -171,12 +179,20 @@ def moments(y, trig, mu: float, sw: float, recast: float, t, w, pw) -> np.ndarra
     return m
 
 
+def sici(x, n: int, si, ci) -> None:
+    """si, ci = Si(x) and Ci(x) of the n values x: ``scipy.special.sici``,
+    the oracle that the compiled port equals bit for bit, imported here so
+    that only this backend loads ``scipy.special``."""
+    from scipy.special import sici as scipy_sici
+    scipy_sici(x, out=(si, ci))
+
+
 def offres_sites(n: int, mu: float, sw: float, recast: float, table, m: int, buf) -> None:
-    """The off-resonant site integrals of the n sites of the (6, 2n) buffer
+    """The off-resonant site integrals of the n sites of the (3, 2n) buffer
     buf of ``kernels._offres_chunks`` into the second half of its row 2:
     sum_k c_k M_k / r^6 with the h(u)^2 coefficients c_k, the moments as in
-    :func:`moments` (sin and cos of 2y are taken here) with the m nodes t,
-    weights w and powers pw (m, 5) that table holds in that order.
+    :func:`moments` with the m nodes t, weights w and powers pw (m, 5) that
+    table holds in that order.
 
     The five terms are summed as ((p0 + p2) + p4) + (p1 + p3), each lane
     from zero and the lane sum added to zero, the order in which
@@ -185,13 +201,12 @@ def offres_sites(n: int, mu: float, sw: float, recast: float, table, m: int, buf
     equal without depending on how a NumPy build splits its einsum loop.
     """
     y, dot, pp = buf[0], buf[1, :n], buf[1, n:]
-    si, ci, x = buf[3:, :np.count_nonzero(y < sw)]
     t, w, pw = table[:m], table[m:2 * m], table[2 * m:].reshape(m, 5)
     alpha = dot - pp
     beta = dot - 3.0 * pp
     ab = 2.0 * alpha * beta
     b2 = beta * beta
-    mk = moments(y, (si, ci, np.sin(x), np.cos(x)), mu, sw, recast, t, w, pw)
+    mk = moments(y, mu, sw, recast, t, w, pw)
     # h(u)^2 = sum_k c_k u^k
     p0, p1, p2 = b2 * mk[:, 0], (2.0 * b2) * mk[:, 1], (ab + b2) * mk[:, 2]
     p3, p4 = ab * mk[:, 3], (alpha * alpha) * mk[:, 4]
@@ -200,18 +215,13 @@ def offres_sites(n: int, mu: float, sw: float, recast: float, table, m: int, buf
     np.divide((even + odd) + 0.0, buf[2, :n], out=buf[2, n:])
 
 
-def offres_fill(buf, n: int, r, dot, pp, mu: float, sw: float) -> int:
-    """Rows 0, 1 and 5 of the (6, 2n) buffer of ``kernels._offres_chunks``
-    for the n sites of radii r and projections dot and pp; returns the count
-    of y below sw."""
-    y = buf[0]
-    np.multiply(r, mu, out=y[:n])
-    y[n:] = r
+def offres_fill(buf, n: int, r, dot, pp, mu: float) -> None:
+    """Rows 0 and 1 of the (3, 2n) buffer of ``kernels._offres_chunks`` for
+    the n sites of radii r and projections dot and pp."""
+    np.multiply(r, mu, out=buf[0, :n])
+    buf[0, n:] = r
     buf[1, :n] = dot
     buf[1, n:] = pp
-    closed = y[y < sw]
-    np.multiply(closed, 2.0, out=buf[5, :closed.size])
-    return closed.size
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +249,7 @@ def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.nda
 
 
 def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, mu: float,
-                  sw: float, buf) -> int:
+                  buf) -> None:
     """:func:`offres_fill` for the sites k0 <= k < k0 + n of the site set
     (k = (h nu + i) nv + j), at (u[i], v[j]) or with ``rays`` R (v[2j],
     v[2j+1]) with R = z[h] u[i], through ``site_projections``."""
@@ -252,7 +262,7 @@ def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, 
     else:
         x, y = u[i], v[j]
     r, dot, pp = site_projections(pair[:3], pair[3:6], x, y, zh)
-    return offres_fill(buf, n, r, dot, pp, mu, sw)
+    offres_fill(buf, n, r, dot, pp, mu)
 
 
 # ---------------------------------------------------------------------------

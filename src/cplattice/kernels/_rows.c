@@ -10,19 +10,19 @@
    heights z2[h] and lo <= nx < hi, so the octants of a block of heights
    cost one call; phi_laguerre is the Gauss-Laguerre branch of the
    off-resonant site kernel, and offres_sites the rest of that kernel's
-   arithmetic once NumPy and SciPy have computed r^6 and Si and Ci of 2y:
-   their bits come from NumPy's power and from SciPy, not from libm, so
-   they stay there; sin and cos of 2y are libm's, which np.sin and np.cos
-   call on float64, and the rest is IEEE +, -, * and / in the NumPy
-   fallback's order of operations. Each orientation's
-   site term is written once (term_zz, term_zx) and serves the row pass,
-   its endpoint corrections and the origin. The exports test zx outside
-   their site loops, so each loop instance has its term fixed: choosing the
-   term per site made the zx table pass ~30% slower. The row pass fills
-   chunks the compiler vectorizes and sums them with Neumaier compensation
-   in strict index order, so a row value is a pure function of (a2, z2, nx)
-   and the caller's exact cross-row reduction is bit-reproducible for any
-   worker count.
+   arithmetic once NumPy has computed r^6: its bits come from NumPy's
+   power, not from libm, so it stays there; Si and Ci of 2y are sici's, a
+   port of SciPy's algorithm (cephes sici) with SciPy's bits; sin and cos of
+   2y are libm's, which np.sin and np.cos call on float64, and the rest is
+   IEEE +, -, * and / in the NumPy fallback's order of operations. Each
+   orientation's site term is written once (term_zz, term_zx) and serves the
+   row pass, its endpoint corrections and the origin. The exports test zx
+   outside their site loops, so each loop instance has its term fixed:
+   choosing the term per site made the zx table pass ~30% slower. The row
+   pass fills chunks the compiler vectorizes and sums them with Neumaier
+   compensation in strict index order, so a row value is a pure function of
+   (a2, z2, nx) and the caller's exact cross-row reduction is
+   bit-reproducible for any worker count.
 
    The site term depends on (nx, j) only through d2 = nx^2 + j^2, and many
    d2 occur more than once (0.63 of the octant sites at M = 500 are
@@ -364,6 +364,114 @@ void phi_laguerre(const double *y, long n, const double *t, const double *w,
     }
 }
 
+/* The sine and cosine integrals: cephes sici, the algorithm and the
+   coefficients of scipy.special.sici, in its order of operations, so that
+   the bits are SciPy's. Below 4 the rational approximations of Si(x)/x and
+   Ci(x) - gamma - ln x in x^2, above it the auxiliary functions f(x) and
+   g(x) (DLMF 6.7(ii)) as rational functions of 1/x^2, one set to 8 and one
+   beyond. The denominators' leading coefficients of 1, which cephes leaves
+   to p1evl, are written out: 1 * z is exactly z. */
+static const double SN[] = {-8.39167827910303881427E-11, 4.62591714427012837309E-8,
+                            -9.75759303843632795789E-6, 9.76945438170435310816E-4,
+                            -4.13470316229406538752E-2, 1.00000000000000000302E0};
+static const double SD[] = {2.03269266195951942049E-12, 1.27997891179943299903E-9,
+                            4.41827842801218905784E-7, 9.96412122043875552487E-5,
+                            1.42085239326149893930E-2, 9.99999999999999996984E-1};
+static const double CN[] = {2.02524002389102268789E-11, -1.35249504915790756375E-8,
+                            3.59325051419993077021E-6, -4.74007206873407909465E-4,
+                            2.89159652607555242092E-2, -1.00000000000000000080E0};
+static const double CD[] = {4.07746040061880559506E-12, 3.06780997581887812692E-9,
+                            1.23210355685883423679E-6, 3.17442024775032769882E-4,
+                            5.10028056236446052392E-2, 4.00000000000000000080E0};
+static const double FN4[] = {4.23612862892216586994E0, 5.45937717161812843388E0,
+                             1.62083287701538329132E0, 1.67006611831323023771E-1,
+                             6.81020132472518137426E-3, 1.08936580650328664411E-4,
+                             5.48900223421373614008E-7};
+static const double FD4[] = {1.0, 8.16496634205391016773E0, 7.30828822505564552187E0,
+                             1.86792257950184183883E0, 1.78792052963149907262E-1,
+                             7.01710668322789753610E-3, 1.10034357153915731354E-4,
+                             5.48900252756255700982E-7};
+static const double GN4[] = {8.71001698973114191777E-2, 6.11379109952219284151E-1,
+                             3.97180296392337498885E-1, 7.48527737628469092119E-2,
+                             5.38868681462177273157E-3, 1.61999794598934024525E-4,
+                             1.97963874140963632189E-6, 7.82579040744090311069E-9};
+static const double GD4[] = {1.0, 1.64402202413355338886E0, 6.66296701268987968381E-1,
+                             9.88771761277688796203E-2, 6.22396345441768420760E-3,
+                             1.73221081474177119497E-4, 2.02659182086343991969E-6,
+                             7.82579218933534490868E-9};
+static const double FN8[] = {4.55880873470465315206E-1, 7.13715274100146711374E-1,
+                             1.60300158222319456320E-1, 1.16064229408124407915E-2,
+                             3.49556442447859055605E-4, 4.86215430826454749482E-6,
+                             3.20092790091004902806E-8, 9.41779576128512936592E-11,
+                             9.70507110881952024631E-14};
+static const double FD8[] = {1.0, 9.17463611873684053703E-1, 1.78685545332074536321E-1,
+                             1.22253594771971293032E-2, 3.58696481881851580297E-4,
+                             4.92435064317881464393E-6, 3.21956939101046018377E-8,
+                             9.43720590350276732376E-11, 9.70507110881952025725E-14};
+static const double GN8[] = {6.97359953443276214934E-1, 3.30410979305632063225E-1,
+                             3.84878767649974295920E-2, 1.71718239052347903558E-3,
+                             3.48941165502279436777E-5, 3.47131167084116673800E-7,
+                             1.70404452782044526189E-9, 3.85945925430276600453E-12,
+                             3.14040098946363334640E-15};
+static const double GD8[] = {1.0, 1.68548898811011640017E0, 4.87852258695304967486E-1,
+                             4.67913194259625806320E-2, 1.90284426674399523638E-3,
+                             3.68475504442561108162E-5, 3.57043223443740838771E-7,
+                             1.72693748966316146736E-9, 3.87830166023954706752E-12,
+                             3.14040098946363335242E-15};
+static const double EULER_GAMMA = 0.57721566490153286061;
+
+/* cephes polevl: the polynomial of the given degree with the coefficients
+   c[0..degree], highest power first, by Horner's rule */
+static inline double polevl(double x, const double *c, int degree)
+{
+    double p = c[0];
+    for (int i = 1; i <= degree; i++)
+        p = p * x + c[i];
+    return p;
+}
+
+/* *si = Si(x) and *ci = Ci(x), the real part for x < 0: Si(0) = 0 and
+   Ci(0) = -inf, Si(+-inf) = +-pi/2 and Ci(inf) = 0, Ci(-inf) NaN, NaN for
+   NaN. (cephes also takes sin(x)/x and cos(x)/x above 1e9, then overwrites
+   them in the branch beyond 8: they are left out.) */
+static inline void si_ci(double x, double *si, double *ci)
+{
+    int negative = x < 0.0;
+    if (negative)
+        x = -x;
+    if (x == 0.0) {
+        *si = 0.0;
+        *ci = -INFINITY;
+    } else if (x == INFINITY) {
+        *si = negative ? -HALF_PI : HALF_PI;
+        *ci = negative ? NAN : 0.0;
+    } else if (!(x > 4.0)) {
+        double z = x * x;
+        double s = x * polevl(z, SN, 5) / polevl(z, SD, 5);
+        *si = negative ? -s : s;
+        *ci = EULER_GAMMA + log(x) + z * polevl(z, CN, 5) / polevl(z, CD, 5);
+    } else {
+        double s = sin(x), c = cos(x), z = 1.0 / (x * x), f, g;
+        if (x < 8.0) {
+            f = polevl(z, FN4, 6) / (x * polevl(z, FD4, 7));
+            g = z * polevl(z, GN4, 7) / polevl(z, GD4, 7);
+        } else {
+            f = polevl(z, FN8, 8) / (x * polevl(z, FD8, 8));
+            g = z * polevl(z, GN8, 8) / polevl(z, GD8, 9);
+        }
+        double v = HALF_PI - f * c - g * s;
+        *si = negative ? -v : v;
+        *ci = f * s - g * c;
+    }
+}
+
+/* si[i] = Si(x[i]) and ci[i] = Ci(x[i]), as si_ci takes them */
+void sici(const double *x, long n, double *si, double *ci)
+{
+    for (long i = 0; i < n; i++)
+        si_ci(x[i], &si[i], &ci[i]);
+}
+
 /* Phi_0..4(y) into phi by the closed form from f(2y) and g(2y) (DLMF
    6.7.13-14), for si = Si(2y), ci = Ci(2y), sx = sin(2y) and cx = cos(2y),
    in the NumPy backend's order of operations (_numpy_backend.phi_closed):
@@ -389,13 +497,13 @@ static inline void phi_closed(double y, double si, double ci, double sx, double 
 }
 
 /* The off-resonant site integrals of n sites from buf, a row-major
-   (6, 2n) array laid out by kernels._offres_chunks:
+   (3, 2n) array laid out by kernels._offres_chunks:
      row 0: y = (r_i mu, r_i), the Phi_k arguments of M_k(r_i, mu);
      row 1: (dot_i, pp_i), the dipole projections;
-     row 2: (r_i^6, the site values written here);
-     rows 3-5: Si(2y), Ci(2y) and 2y for each y < sw, in row 0 order.
-   sin and cos of 2y are the C library's, whose bits np.sin and np.cos
-   share on float64 (see libm_sincos). Phi_k(y) takes the closed form below
+     row 2: (r_i^6, the site values written here).
+   Si and Ci of 2y are si_ci's, SciPy's bits, and sin and cos the C
+   library's, whose bits np.sin and np.cos share on float64 (see
+   libm_sincos). Phi_k(y) takes the closed form below
    sw and the Gauss-Laguerre branch above (phi_laguerre, with the m nodes t,
    weights w and powers pw (m, 5) that table holds in that order); the
    sites are taken SITE_BLOCK at a time, gathering the block's
@@ -411,13 +519,8 @@ void offres_sites(long n, double mu, double sw, double recast, const double *tab
 {
     const double *t = table, *w = table + m, *pw = table + 2 * m;
     const double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *r6 = buf + 4 * n;
-    const double *si = buf + 6 * n, *ci = buf + 8 * n, *x2 = buf + 10 * n;
     double *out = buf + 5 * n;
     double c = 1.0 - mu * mu;
-    /* the next closed-form entries of y = r mu and of y = r */
-    long ka = 0, kb = 0;
-    for (long i = 0; i < n; i++)
-        kb += y[i] < sw;
     for (long i0 = 0; i0 < n; i0 += SITE_BLOCK) {
         int used = n - i0 < SITE_BLOCK ? (int)(n - i0) : SITE_BLOCK;
         /* phi[2l] at y = r mu and phi[2l + 1] at y = r of site i0 + l */
@@ -429,9 +532,9 @@ void offres_sites(long n, double mu, double sw, double recast, const double *tab
             for (int h = 0; h < 2; h++) {
                 double v = y[h * n + i0 + l];
                 if (v < sw) {
-                    long k = h ? kb++ : ka++;
-                    double cx, sx = sin_cos(x2[k], &cx, 0);
-                    phi_closed(v, si[k], ci[k], sx, cx, poly[l], phi[2 * l + h]);
+                    double si, ci, cx, sx = sin_cos(2.0 * v, &cx, 0);
+                    si_ci(2.0 * v, &si, &ci);
+                    phi_closed(v, si, ci, sx, cx, poly[l], phi[2 * l + h]);
                 } else {
                     lag_y[nl] = v;
                     lag_row[nl++] = 2 * l + h;
@@ -937,12 +1040,11 @@ long res_points(const double *pair, const double *u, long nu, const double *v, l
 }
 
 /* The n sites k0 <= k < k0 + n of a site set (k = (h nu + i) nv + j) into
-   rows 0, 1 and 5 of the (6, 2n) buffer of offres_sites. Returns the count
-   of y below sw, the Si and Ci that rows 3 and 4 need. */
-long offres_points(const double *pair, const double *u, long nu, const double *v, long nv,
-                   int rays, const double *z, long k0, long n, double mu, double sw, double *buf)
+   rows 0 and 1 of the (3, 2n) buffer of offres_sites. */
+void offres_points(const double *pair, const double *u, long nu, const double *v, long nv,
+                   int rays, const double *z, long k0, long n, double mu, double *buf)
 {
-    double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n, *x2 = buf + 10 * n;
+    double *y = buf, *dot = buf + 2 * n, *pp = buf + 3 * n;
     long per = nu * nv;
     for (long l = 0; l < n; l++) {
         long k = k0 + l, h = k / per, i = k % per / nv, j = k % nv;
@@ -953,9 +1055,4 @@ long offres_points(const double *pair, const double *u, long nu, const double *v
         y[n + l] = r;
         dot[l] = pair[6];
     }
-    long closed = 0;
-    for (long l = 0; l < 2 * n; l++)
-        if (y[l] < sw)
-            x2[closed++] = 2.0 * y[l];
-    return closed;
 }

@@ -41,11 +41,11 @@ longer row, whose values one exact sum takes in turn, so its memory grows
 with a row, not with the grid. On the compiled backend both run in C from
 the site positions on: ``greens.site_projections`` and the site kernels'
 arithmetic in their order, with the C library's sin and cos (whose bits
-np.sin and np.cos share on float64), NumPy's r^6 and SciPy's Si and Ci; the
-NumPy backend calls those functions, and the two give the same bits. A sum
-that is not finite (at tiny heights the origin site's r^6 underflows)
-raises :class:`QuadratureFailure` naming the stage and height, without a
-NumPy warning.
+np.sin and np.cos share on float64), NumPy's r^6 and a port of SciPy's Si
+and Ci; the NumPy backend calls those functions, and the two give the same
+bits. A sum that is not finite (at tiny heights the origin site's r^6
+underflows) raises :class:`QuadratureFailure` naming the stage and height,
+without a NumPy warning.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -64,11 +64,12 @@ the sine and cosine integrals (DLMF 6.7(ii)) for y < 2, and by 56-node
 Gauss-Laguerre quadrature in tau = 2yt (DLMF 3.5(v)) above, where the closed
 form starts to cancel. ``kernels.offres_sites`` evaluates the sites. NumPy
 keeps r^6 (``np.power``, whose bits the C library's pow does not
-reproduce) and SciPy Si and Ci of 2y; one backend call per chunk of sites
-does the rest: sin and cos of 2y from the C library, which np.sin and
-np.cos call on float64, and IEEE arithmetic for the closed form, the
-Gauss-Laguerre branch, the moments and the contraction with the h(u)^2
-coefficients, in the NumPy fallback's order of operations, so the two
+reproduce); one backend call per chunk of sites does the rest: Si and Ci of
+2y with SciPy's bits (``kernels.sici``: a C port of SciPy's algorithm, or
+SciPy itself on the NumPy backend), sin and cos of 2y from the C library,
+which np.sin and np.cos call on float64, and IEEE arithmetic for the closed
+form, the Gauss-Laguerre branch, the moments and the contraction with the
+h(u)^2 coefficients, in the NumPy fallback's order of operations, so the two
 backends give the same bits. A branch that no radius of a call falls in is
 not called.
 

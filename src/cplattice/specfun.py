@@ -1,13 +1,15 @@
 """Cosine integral and the hyperbolic-integral combination Chi - Shi.
 
-Both functions appear in the closed-form bulk shift expressions. They are
-thin wrappers over ``scipy.special.sici`` and ``scipy.special.exp1`` that
-reject x <= 0. Against 40-digit mpmath on (1e-6, 1e3] scipy is within
-~2e-15 absolute for Ci and ~2e-15 relative for E1, inside the 1e-13 target.
+Both functions appear in the closed-form bulk shift expressions, and reject
+x <= 0. Ci comes from ``kernels.sici``, the bits of ``scipy.special.sici``
+(compiled, or SciPy itself on the NumPy backend), and E1 from
+``scipy.special.exp1``, imported on the first call. Against 40-digit mpmath
+on (1e-6, 1e3] they are within ~2e-15 absolute for Ci and ~2e-15 relative
+for E1, inside the 1e-13 target.
 """
 from __future__ import annotations
 
-from scipy.special import exp1, sici
+from . import kernels
 
 
 class DomainError(ValueError):
@@ -18,13 +20,14 @@ def cosine_integral(x: float) -> float:
     """Ci(x) = gamma + ln x + int_0^x (cos t - 1)/t dt, for x > 0."""
     if not x > 0.0:
         raise DomainError(f"cosine_integral requires x > 0, got {x!r}")
-    return float(sici(x)[1])
+    return float(kernels.sici(x)[1])
 
 
 def exp_integral_e1(x: float) -> float:
     """E1(x) = int_x^inf e^{-t}/t dt, for x > 0."""
     if not x > 0.0:
         raise DomainError(f"exp_integral_e1 requires x > 0, got {x!r}")
+    from scipy.special import exp1
     return float(exp1(x))
 
 

@@ -8,11 +8,20 @@ nodes and weights it returns as literals instead. A fresh interpreter imports
 ``cplattice``, runs the direct sums and the decomposition for every
 orientation route and the CLI, and must still not have loaded any of the
 three modules.
+
+``scipy.special`` clones the NumPy namespace on import (``numpy.f2py`` and
+``scipy._lib.array_api_compat`` among some 280 modules). The compiled
+backend computes Si and Ci itself, so those routes, the asymptotes and
+``specfun.cosine_integral`` load none of it; the NumPy fallback imports
+SciPy's sici, its oracle, at its first closed-form off-resonant site.
 """
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 SCRIPT = textwrap.dedent("""
     import contextlib, io, sys
@@ -49,3 +58,52 @@ def test_running_the_package_loads_no_scipy_integrate_or_optimize():
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+# SCRIPT's routes, then the asymptotes and Ci, on the compiled backend
+SPECIAL = ("scipy.special", "scipy._lib.array_api_compat", "numpy.f2py")
+COMPILED_SCRIPT = SCRIPT + textwrap.dedent(f"""
+    from cplattice import asymptotics, kernels, specfun
+    assert kernels.backend_name() == "c"
+    for test, array in pairs[:2]:
+        b = bundle(test, array)
+        for regime in cplattice.all_regimes(b.orientation_label()):
+            cplattice.asymptotic_shift(regime, b)
+        asymptotics.full_closed_form(b.orientation_label(), b)
+    specfun.cosine_integral(0.8)
+    print(" ".join(m for m in {SPECIAL!r} if m in sys.modules))
+""")
+
+NUMPY_SCRIPT = textwrap.dedent("""
+    import sys
+    import cplattice
+    from cplattice import kernels
+    print(kernels.backend_name(), "scipy.special" in sys.modules)
+    b = cplattice.validate(cplattice.ModelParams(mu=0.5, rho=1e-6),
+                           cplattice.LatticeSpec(a_tilde=0.2, half_extent=3),
+                           cplattice.Geometry(z_tilde=0.4))
+    cplattice.sum_lattice(b, "off_resonant")
+    print("scipy.special" in sys.modules)
+""")
+
+
+def _run(script: str, force_numpy: bool) -> list[str]:
+    """The stdout lines of script in a fresh interpreter on the package's
+    source, on the NumPy fallback or, unless forced, the compiled backend."""
+    env = dict(os.environ)
+    env.pop("CPLATTICE_FORCE_NUMPY_KERNELS", None)
+    if force_numpy:
+        env["CPLATTICE_FORCE_NUMPY_KERNELS"] = "1"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")
+
+
+def test_only_the_numpy_fallback_loads_scipy_special():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    assert _run(COMPILED_SCRIPT, force_numpy=False) == ["", "", ""]
+    assert _run(NUMPY_SCRIPT, force_numpy=True) == ["numpy False", "True", ""]

@@ -300,7 +300,7 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     assert {name for _, name, _ in exported} == {
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
         "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points",
-        "libm_sincos"}
+        "libm_sincos", "sici"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         want = [c_type[re.fullmatch(r"(?:const )?(\w+(?: \*)?) ?\w+", p.strip()).group(1)]
@@ -337,7 +337,7 @@ def test_numpy_backend_takes_the_compiled_signatures():
     called = set(re.findall(r"\b_impl\.(\w+)", Path(kernels.__file__).read_text()))
     assert called - {"table_rows"} == {
         "res_row", "res_rows", "distance_table", "offres_sites", "offres_points",
-        "res_points", "ray_rotated", "panel_sums"}
+        "res_points", "ray_rotated", "panel_sums", "sici"}
     exported = {name: params.split(",") for _, name, params in
                 re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)}
     for name in called - {"table_rows"}:
@@ -708,7 +708,7 @@ def test_offres_sites_on_ray_shapes_bitwise(backend, shape, pp_shape):
 @pytest.mark.parametrize("where", ["closed", "laguerre", "recast", "mixed"])
 @pytest.mark.parametrize("n", [1, 7, 64, 65, 1024])
 def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
-    # both backends' offres_sites take one (6, 2n) buffer: each writes the
+    # both backends' offres_sites take one (3, 2n) buffer: each writes the
     # same site values into the second half of row 2 and nothing else. The
     # radii put every y in the closed form (outside the recast region), every
     # y in the Gauss-Laguerre branch, every site in the recast region
@@ -721,12 +721,11 @@ def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
     if where == "mixed" and n >= 7:
         r[:5] = 0.01, 1.0, 10.0, sw, sw / mu
         rng.shuffle(r)
-    buf = np.full((6, 2 * n), -1.5)
-    closed = _numpy_backend.offres_fill(buf, n, r, rng.uniform(-1.0, 1.0, n),
-                                        rng.uniform(-1.0, 1.0, n), mu, sw)
+    buf = np.full((3, 2 * n), -1.5)
+    _numpy_backend.offres_fill(buf, n, r, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
+                               mu)
     np.power(buf[0, n:], 6, out=buf[2, :n])
-    if closed:
-        kernels.closed_form_inputs(buf[5, :closed], buf[3:5, :closed])
+    closed = np.count_nonzero(buf[0] < sw)
     recast = r * r * (1.0 + mu) < kernels.RECAST
     assert {"closed": closed == 2 * n and not recast.any(), "laguerre": closed == 0,
             "recast": recast.all(), "mixed": n < 7 or 0 < recast.sum() < closed < 2 * n}[where]
@@ -920,6 +919,53 @@ def test_numpy_sin_cos_are_the_c_library_s(lib):
     for step in (slice(None, None, 3), slice(1, None, 7)):
         assert np.sin(phases[step]).tobytes() == s[step].tobytes()
         assert np.cos(phases[step]).tobytes() == c[step].tobytes()
+
+
+def _sici_inputs():
+    """The inputs on which the compiled sici must give SciPy's bits: 2 M
+    log-uniform magnitudes in [1e-300, 1e300] of either sign, 1 M uniform
+    values in [0, 4), the closed form's own range (2y below 2 PHI_SWITCH),
+    every double within 1,000 ulps of +-4, +-8 and +-1e9, where the branches
+    and cephes' large-x test switch, and the special values: subnormals,
+    the extremes, +-0, NaN of either sign and +-inf."""
+    rng = np.random.default_rng(33)
+    magnitudes = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 2_000_000))
+    ulps = np.concatenate([(np.array(edge).view(np.int64) + np.arange(-1000, 1001)).view(
+        np.float64) for edge in (4.0, 8.0, 1e9)])
+    tiny, huge = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+    special = np.array([0.0, tiny, 3.0 * tiny, 1e-310, np.finfo(np.float64).tiny, 1e-30, 1e-8,
+                        1e9, 1e20, 1e154, 1.5e154, 1e300, huge, math.inf, math.nan])
+    return np.concatenate((magnitudes * rng.choice([-1.0, 1.0], magnitudes.size),
+                           rng.uniform(0.0, 4.0, 1_000_000), ulps, -ulps, special, -special))
+
+
+def test_compiled_sici_is_scipy_s_bitwise(lib):
+    # the port of cephes sici gives scipy.special.sici's bits everywhere,
+    # +-inf (cephes' own case) and NaNs of either sign included
+    x = _sici_inputs()
+    si, ci = np.empty_like(x), np.empty_like(x)
+    lib.sici(x, x.size, si, ci)
+    want_si, want_ci = sici(x)
+    for got, want in ((si, want_si), (ci, want_ci)):
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, [(x[i].hex(), got[i].hex(), want[i].hex())
+                                  for i in differ[:5].tolist()]
+    edges = np.array([math.inf, -math.inf, 0.0, -0.0])
+    lib.sici(edges, edges.size, si[:4], ci[:4])
+    assert [v.hex() for v in si[:4].tolist()] == [
+        (0.5 * math.pi).hex(), (-0.5 * math.pi).hex(), "0x0.0p+0", "0x0.0p+0"]
+    assert ci[0] == 0.0 and math.isnan(ci[1]) and ci[2] == ci[3] == -math.inf
+
+
+def test_sici_on_either_backend_is_scipy_s(backend):
+    # kernels.sici keeps the shape of its input, a scalar included, on both
+    # backends; the NumPy one calls SciPy
+    x = np.array([[0.5, -3.0, 4.0], [7.5, 1e10, 0.0]])
+    for v in (x, x[:, ::2], 2.5, []):
+        got = kernels.sici(v)
+        want = sici(np.asarray(v, dtype=float))
+        assert [g.shape for g in got] == [np.shape(v)] * 2
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------

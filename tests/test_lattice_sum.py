@@ -92,6 +92,17 @@ def test_origin_site_zx_exactly_zero():
     assert offresonant_pair_term(0, 0, b) == 0.0
 
 
+@pytest.mark.parametrize("M,want", [(0, 0.0), (1, 2.0171610377929678e-109)])
+def test_zx_sums_at_a_tiny_height_are_finite(backend, M, want):
+    # at z = 1e-60 the zx origin's term overflows while its orbit weight
+    # 2 nx^2 a^2 is exactly 0: both backends take its row as 0.0, where the
+    # NumPy rows once formed 0 * inf = NaN and the sum raised
+    # QuadratureFailure. The rows past it agree across backends to rounding
+    got = sum_lattice(mk(mu=0.6, a=0.01, M=M, z=1e-60, array=(1, 0, 0)), "resonant").resonant
+    assert got == want if backend is not _numpy_backend else got == pytest.approx(want, rel=1e-14)
+    assert _numpy_backend.res_row(True, 1e-4, 1e-120, 0) == 0.0
+
+
 def test_offresonant_retarded_origin_site():
     b = mk(mu=2.0, a=100.0, M=0, z=10.0)
     want = 45.0 / (8 * math.pi) * (1e-6 / 2.0) / 10.0 ** 7

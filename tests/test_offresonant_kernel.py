@@ -145,10 +145,8 @@ def test_kernel_principal_orientations_over_radii(mu):
 
 def test_branch_switch_is_continuous():
     y = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
-    si_ci = np.empty((2, y.size))
-    kernels.closed_form_inputs(2.0 * y, si_ci)
-    closed = _numpy_backend.phi_closed(y, *si_ci, np.sin(2.0 * y), np.cos(2.0 * y),
-                                       np.ones(y.size, bool))
+    closed = _numpy_backend.phi_closed(y, *kernels.sici(2.0 * y), np.sin(2.0 * y),
+                                       np.cos(2.0 * y), np.ones(y.size, bool))
     table = kernels._LAGUERRE_TABLE
     laguerre = np.empty((y.size, 5))
     kernels._impl.phi_laguerre(y, y.size, table[:56], table[56:112],
@@ -183,9 +181,9 @@ PINNED_MOMENTS = {
 
 @pytest.mark.parametrize("case", list(PINNED_MOMENTS))
 def test_moments_call_only_branches_with_radii(monkeypatch, case):
-    # through the front: sici, sin and cos run only for y below the switch,
-    # and the NumPy backend's Gauss-Laguerre branch only above it; the
-    # compiled backend takes its moments in C
+    # through the front: the NumPy backend's sici runs only for y below the
+    # switch and its Gauss-Laguerre branch only above it; the compiled
+    # backend takes Si, Ci and the moments in C
     calls, moments = [], []
 
     def only_some(name, branch):
@@ -200,15 +198,14 @@ def test_moments_call_only_branches_with_radii(monkeypatch, case):
         return moments[-1]
 
     numpy_moments = _numpy_backend.moments
-    monkeypatch.setattr(kernels, "closed_form_inputs",
-                        only_some("closed", kernels.closed_form_inputs))
+    monkeypatch.setattr(_numpy_backend, "sici", only_some("closed", _numpy_backend.sici))
     monkeypatch.setattr(_numpy_backend, "phi_laguerre",
                         only_some("laguerre", _numpy_backend.phi_laguerre))
     monkeypatch.setattr(_numpy_backend, "moments", recorded)
     r, want, sites = PINNED_MOMENTS[case]
     got = offres_sites(np.array(r, dtype=float), 1.0, 0.3, 0.6)
     on_numpy = kernels.backend_name() == "numpy"
-    closed = ["closed"] if case == "small" else []
+    closed = ["closed"] if case == "small" and on_numpy else []
     laguerre = ["laguerre"] if case == "large" and on_numpy else []
     assert calls == closed + laguerre
     assert [v.hex() for v in got.tolist()] == sites
