@@ -1,4 +1,6 @@
-"""Command-line front end: sweeps, decomposition reports, identity checks, fits.
+"""Command-line front end: sweeps, decomposition reports, asymptotes, fits,
+and ``verify-diagrams``, which takes no options and runs the exact proof of
+the twelve-process collapse (:func:`cplattice.diagrams.verify_identity`).
 
 Configuration is a flat key=value file with per-flag overrides; every float
 in CSV output is serialized with 17 significant digits so downstream fits
@@ -267,14 +269,14 @@ def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out)
 # ---------------------------------------------------------------------------
 # verify-diagrams
 
-def cmd_verify_diagrams(samples: int, seed: int, mus, out) -> int:
-    if samples < 1:
-        raise _UsageError(f"samples must be >= 1, got {samples}")
-    report = diagrams.verify_identity(samples, seed, mus=tuple(mus))
-    status = "OK" if report.max_rel_error <= 1e-10 else "FAIL"
-    print(f"diagram identity: samples={report.samples} per mu, mus={list(report.mus)}, "
-          f"max_rel_error={report.max_rel_error:.3e} [{status}]", file=out)
-    return EXIT_OK if status == "OK" else EXIT_VERIFY
+def cmd_verify_diagrams(out) -> int:
+    point = diagrams.verify_identity()
+    if point is None:
+        print("diagram identity: exact on the 6 x 6 x 5 rational grid, a proof [OK]", file=out)
+        return EXIT_OK
+    print("diagram identity: the sides differ at (w, w', mu) = (%s, %s, %s) [FAIL]" % point,
+          file=out)
+    return EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +335,6 @@ def _asymptotic_args(p):
     p.add_argument("--density", choices=("sparse", "dense"))
 
 
-def _verify_diagrams_args(p):
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mu", type=float, action="append", dest="mus")
-
-
 def _fit_args(p):
     p.add_argument("csv_path")
     p.add_argument("--column", required=True)
@@ -347,12 +343,12 @@ def _fit_args(p):
     p.add_argument("--mode", choices=("direct", "envelope"), default="direct")
 
 
-# every subcommand: its help line and the function adding its arguments
+# every subcommand: its help line and the function adding its arguments, if any
 _COMMANDS = {
     "sweep": ("emit a CSV table over a geometric z grid", _sweep_args),
     "decompose": ("bulk/edge/vertex report at one height", _decompose_args),
     "asymptotic": ("closed-form asymptote values at one height", _asymptotic_args),
-    "verify-diagrams": ("fuzz the twelve-process collapse identity", _verify_diagrams_args),
+    "verify-diagrams": ("prove the twelve-process collapse identity exactly", None),
     "fit": ("power-law fit of a sweep CSV column", _fit_args),
 }
 
@@ -370,7 +366,7 @@ def build_parser(command: str | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if command in (None, name):
+        if add_args and command in (None, name):
             add_args(p)
     return parser
 
@@ -435,8 +431,7 @@ def main(argv=None) -> int:
             return cmd_asymptotic(cfg, args.z_tilde, args.kind, args.retardation,
                                   args.density, sys.stdout)
         if args.command == "verify-diagrams":
-            mus = args.mus if args.mus else [0.25, 0.5, 0.9]
-            return cmd_verify_diagrams(args.samples, args.seed, mus, sys.stdout)
+            return cmd_verify_diagrams(sys.stdout)
         if args.command == "fit":
             return cmd_fit(args.csv_path, args.column, args.z_min, args.z_max,
                            args.mode, sys.stdout)

@@ -10,20 +10,19 @@ the shift into its resonant and off-resonant pieces.
 
 The tables ``FACTORS`` and ``PROCESSES`` are the one statement of the
 factors: :func:`denominator` multiplies them out and :func:`verify_identity`
-excludes their zero sets. The denominators and both sides of the collapse
-take only integer literals, so they are exact on ``fractions.Fraction``
-inputs and give floats the bits that float literals gave.
-``tests/test_diagrams.py`` proves the collapse, and its 1/delta part, as
-identities in exact arithmetic on a grid; :func:`verify_identity`
-(``cplattice verify-diagrams``) is the float check.
+checks that none vanishes on its grid. The denominators and both sides of
+the collapse take only integer literals, so they are exact on
+``fractions.Fraction`` inputs and give floats the bits that float literals
+gave. :func:`verify_identity` (``cplattice verify-diagrams``) proves the
+collapse in exact arithmetic on a grid; its docstring carries the proof.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
-from .model import ModelParams, _check_mu
+from .model import ModelParams
 
 # The linear factors of the denominators in (w, w', mu), and the (w - w')
 # pole of the combined form, which no denominator carries
@@ -53,7 +52,6 @@ PROCESSES = {
     "XI": (1, ("mu+w'", "w+w'", "1-w")),
     "XII": (1, ("mu+w", "w+w'", "1-w'")),
 }
-PROCESS_IDS = tuple(PROCESSES)
 
 
 class PoleHit(ArithmeticError):
@@ -74,9 +72,9 @@ def denominator(process: str, w, wp, params: ModelParams):
     return sign * (a * b * c)
 
 
-def _inverse_sum(w, wp, params: ModelParams, processes=PROCESS_IDS):
+def _inverse_sum(w, wp, params: ModelParams):
     total = 0
-    for p in processes:
+    for p in PROCESSES:
         d = denominator(p, w, wp, params)
         if np.any(d == 0):
             raise PoleHit(f"D_{p} vanished")
@@ -84,12 +82,12 @@ def _inverse_sum(w, wp, params: ModelParams, processes=PROCESS_IDS):
     return total
 
 
-def symmetrized_inverse_sum(w, wp, params: ModelParams, *, processes=PROCESS_IDS):
+def symmetrized_inverse_sum(w, wp, params: ModelParams):
     """(1/2) [ sum_p 1/D_p(w,w') + sum_p 1/D_p(w',w) ].
 
     Symmetric under w <-> w' by construction; vectorized.
     """
-    return (_inverse_sum(w, wp, params, processes) + _inverse_sum(wp, w, params, processes)) / 2
+    return (_inverse_sum(w, wp, params) + _inverse_sum(wp, w, params)) / 2
 
 
 def _combined_half(w, wp, mu):
@@ -110,56 +108,59 @@ def combined_denominator_form(w, wp, params: ModelParams):
     return (_combined_half(w, wp, mu) + _combined_half(wp, w, mu)) / 2
 
 
-@dataclass(frozen=True)
-class DiagramReport:
-    max_rel_error: float
-    samples: int
-    mus: tuple[float, ...]
+def grid_points():
+    """The 6 x 6 x 5 points (w, w', mu) of :func:`verify_identity`, as
+    ``fractions.Fraction`` triples in ``itertools.product`` order."""
+    from fractions import Fraction  # ~2 ms, paid only by the check
+    s_w = [Fraction(k, 7) for k in (-3, 1, 2, 5, 9, 13)]
+    s_wp = [Fraction(m, 11) for m in (-4, 1, 3, 7, 15, 20)]
+    s_mu = [Fraction(j, 5) for j in (1, 2, 3, 4, 8)]
+    return itertools.product(s_w, s_wp, s_mu)
 
 
-_EXCLUSION = 1e-6
+def verify_identity():
+    """Prove the twelve-process collapse, symmetrized_inverse_sum ==
+    combined_denominator_form, as an identity of rational functions:
+    check it in exact arithmetic on a product grid large enough that the
+    check is a proof. Returns the first (w, w', mu) of :func:`grid_points`
+    where the two sides differ, or None.
 
+    Let D be the product of the eight factors of ``FACTORS``: (1-w),
+    (1-w'), (mu+w), (mu+w'), (1-mu), (w+w'), (1-mu-w-w') and (w-w'). w
+    occurs in five of them and w' in five, mu in four ((mu+w), (mu+w'),
+    (1-mu), (1-mu-w-w')), so D has degree 5 in w, 5 in w' and 4 in mu.
+    N = D (LHS - RHS) is a polynomial of at most those degrees, since every
+    term of either side, times D, is D divided by distinct factors of D,
+    times a numerator no higher in any variable than the factors it
+    replaces:
+    - 1/D_p(w, w') and 1/D_p(w', w): D_p is +-1 times three distinct
+      factors of D (the swap w <-> w' maps the factors onto themselves up
+      to sign), so D/D_p is +-1 times the other five;
+    - the combined form: each half is lead/(w+w') - lead/(w-w') with lead
+      = 4 (w - delta)/(delta (w-1)(w+mu)), delta = 1 - mu. D times a term is
+      4 (w - 1 + mu) times D over four distinct factors, among them (1-w)
+      and (1-mu), so the linear numerator only takes their place.
+    So deg_w N <= 5, deg_w' N <= 5 and deg_mu N <= 4. A polynomial of
+    degree at most t_i in x_i that vanishes on a grid S_1 x S_2 x S_3 with
+    |S_i| > t_i vanishes identically (Alon, Combin. Probab. Comput. 8
+    (1999) 7, Lemma 2.1; Schwartz, J. ACM 27 (1980) 701). The grid has
+    6 x 6 x 5 points, and D != 0 on it: every factor is checked nonzero at
+    every point (PoleHit otherwise), which also keeps each evaluation off
+    the poles. Equality there gives N = 0 there, so N = 0 everywhere and
+    LHS = RHS wherever D != 0. Since the twelve-term sum is continuous
+    across w = w', its value there is the limit of the combined form's
+    removable 0/0, and the residues of the remaining poles agree.
 
-def _admissible(w: np.ndarray, wp: np.ndarray, mu: float) -> np.ndarray:
-    """Mask of samples at least the exclusion radius away from every pole:
-    the zero set of each factor of ``FACTORS``."""
-    ok = np.ones(w.shape, dtype=bool)
-    for factor in FACTORS.values():
-        ok &= np.abs(factor(w, wp, mu)) > _EXCLUSION
-    return ok
-
-
-def verify_identity(samples: int, seed: int, mus=(0.25, 0.5, 0.9)) -> DiagramReport:
-    """Fuzz the collapse identity over random (w, w') in (0,2)^2.
-
-    Rejection-samples an exclusion radius of 1e-6 around every linear-factor
-    zero set, evaluates both sides vectorized, and reports the worst
-    relative deviation. Every mu must pass the model's detuning rules
-    (:class:`cplattice.model.DetuningTooSmall` otherwise), checked before
-    any sample is drawn.
+    S_w = k/7, S_w' = m/11 and S_mu = j/5 with no k, m, j a multiple of its
+    denominator: no element is an integer, and, the denominators being
+    distinct primes, no sum or difference of elements of two or three
+    different sets is one, so none of the eight factors can vanish.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    for mu in mus:
-        _check_mu(mu)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for mu in mus:
+    for w, wp, mu in grid_points():
+        for name, factor in FACTORS.items():
+            if factor(w, wp, mu) == 0:
+                raise PoleHit(f"factor {name} vanishes at (w, w', mu) = ({w}, {wp}, {mu})")
         params = ModelParams(mu=mu, rho=1e-6)
-        kept = 0
-        while kept < samples:
-            n = max(64, samples - kept)
-            w = rng.uniform(0.0, 2.0, n)
-            wp = rng.uniform(0.0, 2.0, n)
-            m = _admissible(w, wp, mu)
-            w, wp = w[m], wp[m]
-            if w.size == 0:
-                continue
-            take = min(w.size, samples - kept)
-            w, wp = w[:take], wp[:take]
-            kept += take
-            lhs = symmetrized_inverse_sum(w, wp, params)
-            rhs = combined_denominator_form(w, wp, params)
-            rel = np.max(np.abs(lhs - rhs) / np.abs(rhs))
-            worst = max(worst, float(rel))
-    return DiagramReport(max_rel_error=worst, samples=samples, mus=tuple(mus))
+        if symmetrized_inverse_sum(w, wp, params) != combined_denominator_form(w, wp, params):
+            return w, wp, mu
+    return None

@@ -33,12 +33,13 @@ def report(num, name, ok, detail):
 
 
 def test_criterion_01_diagram_identity():
+    # exact on a grid that makes it a proof (verify_identity's docstring)
     t0 = time.perf_counter()
-    rep = verify_identity(10000, seed=42, mus=(0.25, 0.5, 0.9))
+    mismatch = verify_identity()
     dt = time.perf_counter() - t0
-    ok = rep.max_rel_error <= 1e-10 and dt < 1.0
+    ok = mismatch is None and dt < 1.0
     assert report(1, "twelve-process collapse identity", ok,
-                  f"max_rel={rep.max_rel_error:.2e} over 1e4 tuples x 3 mus, {dt:.2f}s")
+                  f"first mismatch {mismatch} on the 6 x 6 x 5 rational grid, {dt:.2f}s")
 
 
 def test_criterion_02_single_atom_nonretarded_resonant():

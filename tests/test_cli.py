@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -140,39 +141,36 @@ def test_decompose_report_additivity(tmp_path):
         assert float(r["total"]) == float(r["bulk"]) + float(r["edge"]) + float(r["vertex"])
 
 
-def test_verify_diagrams_ok_and_corrupted(monkeypatch):
-    proc = run_cli(["verify-diagrams", "--samples", "3000", "--seed", "42"])
-    assert proc.returncode == 0
-    assert "max_rel_error" in proc.stdout
+def test_verify_diagrams_ok():
+    proc = run_cli(["verify-diagrams"])
+    assert proc.returncode == cli.EXIT_OK and proc.stderr == ""
+    assert proc.stdout == "diagram identity: exact on the 6 x 6 x 5 rational grid, a proof [OK]\n"
+
+
+@pytest.mark.parametrize("process", list(diagrams.PROCESSES))
+def test_verify_diagrams_fails_on_a_corrupted_denominator(monkeypatch, process):
     exact = diagrams.denominator
 
-    def corrupted(process, w, wp, params):  # D_II off by 1e-6
-        d = exact(process, w, wp, params)
-        return d * (1.0 + 1e-6) if process == "II" else d
+    def corrupted(p, w, wp, params):  # one D_p off by the rational factor 1 + 1e-12
+        d = exact(p, w, wp, params)
+        return d * (1 + Fraction(1, 10 ** 12)) if p == process else d
 
     monkeypatch.setattr(diagrams, "denominator", corrupted)
-    bad = run_cli(["verify-diagrams", "--samples", "500", "--seed", "42"])
+    bad = run_cli(["verify-diagrams"])
     assert bad.returncode == cli.EXIT_VERIFY
+    assert bad.stdout.startswith("diagram identity: the sides differ at (w, w', mu) = (")
+    assert bad.stdout.endswith(") [FAIL]\n")
 
 
-def test_verify_diagrams_single_sample():
-    proc = run_cli(["verify-diagrams", "--samples", "1", "--seed", "5"])
-    assert proc.returncode == 0
-
-
-def test_verify_diagrams_inputs_checked_before_any_work(monkeypatch):
+@pytest.mark.parametrize("args", [["--samples", "10000"], ["--seed", "7"], ["--mu", "0.5"]])
+def test_verify_diagrams_takes_no_options(monkeypatch, args):
     def no_work(*args, **kwargs):
-        raise AssertionError("sampled before the inputs were checked")
+        raise AssertionError("checked before the arguments were parsed")
 
-    monkeypatch.setattr(diagrams, "symmetrized_inverse_sum", no_work)
-    for args, message in ((["--samples", "0"], "samples must be >= 1"),
-                          (["--samples", "-5"], "samples must be >= 1"),
-                          (["--mu", "1.0"], "|1 - mu| = 0 < 0.001"),
-                          (["--mu", "-0.5"], "mu must be positive"),
-                          (["--mu", "0.5", "--mu", "0.9995"], "|1 - mu| = 0.0005")):
-        proc = run_cli(["verify-diagrams", *args])
-        assert proc.returncode == cli.EXIT_USAGE, args
-        assert proc.stdout == "" and message in proc.stderr, args
+    monkeypatch.setattr(diagrams, "verify_identity", no_work)
+    proc = run_cli(["verify-diagrams", *args])
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == "" and f"unrecognized arguments: {' '.join(args)}" in proc.stderr
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -755,14 +753,19 @@ def test_sweep_writes_each_line_in_its_own_call_after_its_block(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--half-extent", "2"], ["decompose", "--z-tilde", "0.3"],
-    ["asymptotic", "--z-tilde", "0.3"], ["verify-diagrams", "--samples", "1"],
+    ["asymptotic", "--z-tilde", "0.3"], ["verify-diagrams"],
     ["fit", "s.csv", "--column", "res_bulk", "--z-min", "0.1", "--z-max", "0.5"]])
 def test_a_command_builds_only_its_own_arguments(argv):
+    # the named command gets all its arguments (verify-diagrams has none),
+    # every other command none
+    full = cli.build_parser()._subparsers._group_actions[0].choices
     parser = cli.build_parser(cli._command_of(argv))
     subparsers = parser._subparsers._group_actions[0].choices
     for name, p in subparsers.items():
         own = [a.dest for a in p._actions if a.dest != "help"]
-        assert bool(own) == (name == argv[0]), name
+        assert own == ([a.dest for a in full[name]._actions if a.dest != "help"]
+                       if name == argv[0] else []), name
+        assert bool(own) == (name == argv[0] != "verify-diagrams"), name
     assert parser.parse_args(argv).command == argv[0]
 
 
