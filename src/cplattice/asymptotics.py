@@ -26,7 +26,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from .euler_maclaurin import bulk_term
-from .lattice_sum import heights_array, per_height
+from .lattice_sum import finite, heights_array, per_height
 from .model import ValidatedBundle, validate
 
 Kind = Literal["resonant", "off_resonant"]
@@ -83,7 +83,9 @@ def asymptotic_shift(regime: Regime, bundle: ValidatedBundle, heights=None):
 
     With ``heights``, the asymptote at each of those heights (the bundle's
     other parameters kept) as a float64 array, bitwise equal to one call per
-    height; without, the float at the bundle's height.
+    height; without, the float at the bundle's height. Raises
+    QuadratureFailure, naming the regime, the first such height and mu, where
+    a value is not finite: where z^n overflows or underflows.
     """
     bundle = validate(bundle)
     z = heights_array(bundle, heights)
@@ -93,9 +95,17 @@ def asymptotic_shift(regime: Regime, bundle: ValidatedBundle, heights=None):
     coef, pref, trig, n = law
     area = bundle.a_tilde ** 2 if regime.density == "dense" else 1.0
     scale = coef * _PREFACTORS[pref](bundle.mu, bundle.rho)
-    # math.cos/sin and ** on each float, as a one-height call computes them
-    return per_height(heights, np.array([
-        scale * (trig(2.0 * h) if trig else 1.0) / (area * h ** n) for h in z.tolist()]))
+
+    def value(h):
+        # math.cos/sin and ** on each float, as a one-height call computes
+        # them; NaN where h ** n overflows or area * h ** n underflows to 0
+        try:
+            return scale * (trig(2.0 * h) if trig else 1.0) / (area * h ** n)
+        except (OverflowError, ZeroDivisionError):
+            return math.nan
+
+    stage = f"asymptote {regime.kind} {regime.retardation} {regime.density}"
+    return per_height(heights, finite(np.array([value(h) for h in z.tolist()]), z, bundle, stage))
 
 
 def full_closed_form(orientation: Orientation, bundle: ValidatedBundle) -> float:

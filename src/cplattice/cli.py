@@ -29,8 +29,8 @@ import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
 from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice, usable_cpus
-from .model import (X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, ValidationError,
-                     validate)
+from .model import (MAX_LENGTH, X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams,
+                    ValidationError, validate)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,11 +151,21 @@ def _asym_column(regime: asymptotics.Regime) -> str:
     return f"asym_{_SHORT[regime.kind]}_{_SHORT[regime.retardation]}_{regime.density}"
 
 
+# The most heights a sweep takes: 10^6 rows are about 0.2 GB of CSV
+MAX_GRID_ROWS = 10 ** 6
+
+
 def z_grid(z_min: float, z_max: float, points_per_decade: int) -> np.ndarray:
-    if not 0.0 < z_min < z_max < math.inf:
-        raise _UsageError("need 0 < z_min < z_max < inf")
+    if not 0.0 < z_min < z_max < MAX_LENGTH:
+        raise _UsageError("need 0 < z_min < z_max < inf, and z_max below 2**512")
     decades = math.log10(z_max / z_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
+    try:
+        n = max(2, int(round(decades * points_per_decade)) + 1)
+    except OverflowError:  # more rows than a float counts
+        n = math.inf
+    if n > MAX_GRID_ROWS:
+        raise _UsageError(f"the height grid would have {n} rows, more than {MAX_GRID_ROWS}: "
+                          "lower points_per_decade or narrow z_min..z_max")
     return np.geomspace(z_min, z_max, n)
 
 
@@ -251,18 +261,21 @@ def cmd_decompose(cfg: Config, z_tilde: float, kinds, out, csv_path: str | None)
 # asymptotic
 
 def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out) -> int:
+    """Print the lines once every value is computed: a failure leaves no output."""
     regimes = asymptotics.all_regimes(cfg.orientation)
     if not regimes:
         raise _UsageError("closed-form asymptotes exist for orientations zz and zx only")
     b = bundle_from_config(cfg, z_tilde)
+    lines = []
     for r in regimes:
         if (kind in (None, r.kind) and retardation in (None, r.retardation)
                 and density in (None, r.density)):
             v = asymptotics.asymptotic_shift(r, b)
-            print(f"{r.kind} {r.orientation} {r.retardation} {r.density} {_fmt(v)}", file=out)
+            lines.append(f"{r.kind} {r.orientation} {r.retardation} {r.density} {_fmt(v)}")
     if not kind or kind == "resonant":
         v = asymptotics.full_closed_form(cfg.orientation, b)
-        print(f"resonant {cfg.orientation} bulk_closed_form - {_fmt(v)}", file=out)
+        lines.append(f"resonant {cfg.orientation} bulk_closed_form - {_fmt(v)}")
+    print(*lines, sep="\n", file=out)
     return EXIT_OK
 
 

@@ -95,7 +95,7 @@ import numpy as np
 from . import kernels, specfun
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .lattice_sum import QuadratureFailure, finite, heights_array, per_height, prefactor
+from .lattice_sum import QuadratureFailure, heights_array, per_height, prefactor, site_term
 from .model import ValidatedBundle, validate
 
 
@@ -303,21 +303,11 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
 
 
 def vertex_term(bundle: ValidatedBundle, kind: str, heights=None):
-    """The single-atom term: exactly the (0, 0) pair contribution, the
-    one-site set of the direct sums' kernels. Raises QuadratureFailure,
-    naming the stage, height and mu, where it is not finite (the site's
-    r^6 underflows at tiny heights)."""
+    """The single-atom term: exactly the (0, 0) pair contribution,
+    :func:`cplattice.lattice_sum.site_term` of the origin."""
     bundle = validate(bundle)
-    pref = prefactor(bundle, kind)
     z = heights_array(bundle, heights)
-    origin = np.zeros(1)
-    # a site that is not finite raises in finite(), with no NumPy warning first
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "resonant":
-            sites = kernels.res_points(bundle.pair, origin, origin, z, sums=False).reshape(-1)
-        else:
-            sites = kernels.offres_points(bundle.pair, origin, origin, z, bundle.mu)
-    return per_height(heights, finite(pref * sites, z, bundle, f"vertex {kind}"))
+    return per_height(heights, site_term(bundle, kind, 0.0, 0.0, z, f"vertex {kind}"))
 
 
 def decompose(bundle: ValidatedBundle, kind: str, heights=None):

@@ -112,7 +112,7 @@ from . import kernels
 from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .model import NonPositiveLength, ValidatedBundle, validate
+from .model import MAX_LENGTH, NonPositiveLength, ValidatedBundle, validate
 
 
 def quad(*args, **kwargs):
@@ -169,20 +169,37 @@ def prefactor(bundle: ValidatedBundle, kind: str) -> float:
 # ---------------------------------------------------------------------------
 # single-site terms
 
-def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
-    """Contribution of site (nx, ny) to the resonant shift, in gamma0 units."""
+def site_term(bundle: ValidatedBundle, kind: str, x: float, y: float, z: np.ndarray,
+              stage: str) -> np.ndarray:
+    """The kind's term of the site at (x, y), in gamma0 units, at each height
+    z: the one-site set of the direct sums' kernels. Raises
+    QuadratureFailure, naming the stage, height and mu, where it is not
+    finite (the site's r^6 underflows at tiny heights)."""
+    pref, site = prefactor(bundle, kind), np.array([x])
+    # a site that is not finite raises in finite(), with no NumPy warning first
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "resonant":
+            values = kernels.res_points(bundle.pair, site, [y], z, sums=False).reshape(-1)
+        else:
+            values = kernels.offres_points(bundle.pair, site, [y], z, bundle.mu)
+    return finite(pref * values, z, bundle, stage)
+
+
+def _pair_term(kind: str, nx: int, ny: int, bundle: ValidatedBundle) -> float:
     bundle = validate(bundle)
     a = bundle.a_tilde
-    site = kernels.res_points(bundle.pair, [nx * a], [ny * a], [bundle.z_tilde], sums=False)
-    return resonant_prefactor(bundle) * float(site[0, 0, 0])
+    return float(site_term(bundle, kind, nx * a, ny * a, heights_array(bundle, None),
+                           f"site ({nx}, {ny}) {kind}")[0])
+
+
+def resonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
+    """Contribution of site (nx, ny) to the resonant shift, in gamma0 units."""
+    return _pair_term("resonant", nx, ny, bundle)
 
 
 def offresonant_pair_term(nx: int, ny: int, bundle: ValidatedBundle) -> float:
     """Contribution of site (nx, ny) to the off-resonant shift (gamma0 units)."""
-    bundle = validate(bundle)
-    a = bundle.a_tilde
-    site = kernels.offres_points(bundle.pair, [nx * a], [ny * a], [bundle.z_tilde], bundle.mu)
-    return offresonant_prefactor(bundle) * float(site[0])
+    return _pair_term("off_resonant", nx, ny, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +252,9 @@ def heights_array(bundle: ValidatedBundle, heights) -> np.ndarray:
     if heights is None:
         return np.array([bundle.z_tilde])
     z = np.array(heights, dtype=float).reshape(-1)
-    bad = ~((z > 0.0) & (z < math.inf))
+    bad = ~((z > 0.0) & (z < MAX_LENGTH))
     if bad.any():
-        raise NonPositiveLength(f"z_tilde must be > 0 and finite, got {z[bad][0]}")
+        raise NonPositiveLength(f"z_tilde must be > 0 and finite, below 2**512, got {z[bad][0]}")
     return z
 
 

@@ -27,6 +27,9 @@ X_HAT = (1.0, 0.0, 0.0)
 _UNIT_NORM_TOL = 1e-12
 _DETUNING_TOL = 1e-3
 _RHO_MAX = 0.1
+# Every length is below this, so that its square, a Python float ** 2 as
+# the package takes it, does not overflow
+MAX_LENGTH = 2.0 ** 512
 
 
 class ValidationError(ValueError):
@@ -38,7 +41,8 @@ class DetuningTooSmall(ValidationError):
 
 
 class NonPositiveLength(ValidationError):
-    """A dimensionless length (z_tilde or a_tilde) is not strictly positive and finite."""
+    """A dimensionless length (z_tilde or a_tilde) is not strictly positive
+    and finite, below ``MAX_LENGTH`` = 2**512."""
 
 
 class NonUnitDipole(ValidationError):
@@ -182,14 +186,16 @@ def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
         )
     for name, vec in (("test_dipole", params.test_dipole), ("array_dipole", params.array_dipole)):
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
             raise NonUnitDipole(f"{name} norm deviates from 1 by {abs(norm - 1.0):.3g}")
-    if not 0.0 < lattice.a_tilde < math.inf:
-        raise NonPositiveLength(f"a_tilde must be > 0 and finite, got {lattice.a_tilde}")
+    if not 0.0 < lattice.a_tilde < MAX_LENGTH:
+        raise NonPositiveLength(f"a_tilde must be > 0 and finite, below 2**512, "
+                                f"got {lattice.a_tilde}")
     if lattice.half_extent < 0 or int(lattice.half_extent) != lattice.half_extent:
         raise NonPositiveLength(f"half_extent must be a non-negative integer, got {lattice.half_extent}")
-    if not 0.0 < geom.z_tilde < math.inf:
-        raise NonPositiveLength(f"z_tilde must be > 0 and finite, got {geom.z_tilde}")
+    if not 0.0 < geom.z_tilde < MAX_LENGTH:
+        raise NonPositiveLength(f"z_tilde must be > 0 and finite, below 2**512, "
+                                f"got {geom.z_tilde}")
 
 
 def validate(params, lattice: LatticeSpec | None = None, geom: Geometry | None = None) -> ValidatedBundle:

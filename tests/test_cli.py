@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import os
+import resource
 import shlex
 import stat
 import subprocess
@@ -29,8 +30,8 @@ def run_cli(args):
 
 
 def test_module_entry_point_in_subprocess():
-    # the only test that starts an interpreter: `python -m cplattice.cli`
-    # prints what cli.main prints and exits with its code
+    # `python -m cplattice.cli` prints what cli.main prints and exits with
+    # its code
     args = ["asymptotic", "--z-tilde", "0.3"]
     ok = subprocess.run([sys.executable, "-m", "cplattice.cli", *args],
                         capture_output=True, text=True)
@@ -604,6 +605,78 @@ def test_points_per_decade_validated_before_any_output(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "points_per_decade must be >= 1" in captured.err
     assert cli.load_config(None, {"points_per_decade": "1"}).points_per_decade == 1
+
+
+def test_sweep_rejects_a_grid_over_the_row_cap(monkeypatch, capsys):
+    # 10^9 per decade over the default four decades asked np.geomspace for
+    # 4e9 heights (30 GiB); the cap is checked before any output or grid
+    monkeypatch.setattr(np, "geomspace", None)
+    for ppd in ("1000000000", "10" * 400):
+        assert cli.main(["sweep", "--points-per-decade", ppd]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than 1000000" in captured.err
+    assert cli.MAX_GRID_ROWS == 10 ** 6
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--a-tilde", "1e308", "--half-extent", "3"],
+     "invalid parameters: a_tilde must be > 0 and finite, below 2**512, got 1e+308"),
+    (["--z-max", "1e200"], "need 0 < z_min < z_max < inf, and z_max below 2**512"),
+    (["--orientation", "custom", "--test-dipole", "nan,0,0"],
+     "invalid parameters: test_dipole norm deviates from 1 by nan")],
+    ids=["a_tilde", "z_max", "nan_dipole"])
+def test_sweep_rejects_lengths_that_overflow_and_nan_dipoles(flags, message):
+    # these ended in an OverflowError traceback, or exited 2 on an error
+    # estimate of nan
+    proc = run_cli(["sweep", *flags])
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("z,regime", [("1e100", "resonant non_retarded sparse"),
+                                      ("1e-320", "resonant non_retarded sparse"),
+                                      ("1e50", "off_resonant retarded sparse")],
+                         ids=["1e100", "1e-320", "1e50"])
+def test_asymptote_that_is_not_finite_exits_numerical_without_output(z, regime):
+    # z^n overflows or underflows: an OverflowError or ZeroDivisionError
+    # traceback before; at 1e50 the six regimes before the failing one were
+    # printed
+    proc = run_cli(["asymptotic", "--z-tilde", z])
+    assert proc.returncode == cli.EXIT_NUMERICAL and proc.stdout == ""
+    assert proc.stderr == (f"error: asymptote {regime} at z={float(z)!r}, mu=0.5 (zz): "
+                           "value is not finite\n")
+
+
+# Inputs that ended in a traceback or asked for more memory than a host has,
+# and the exit code each has now
+_BAD_INPUTS = [
+    (["sweep", "--orientation", "custom", "--test-dipole", "nan,0,0"], cli.EXIT_USAGE),
+    (["sweep", "--a-tilde", "1e308", "--half-extent", "3"], cli.EXIT_USAGE),
+    (["sweep", "--z-max", "1e300"], cli.EXIT_USAGE),
+    (["sweep", "--points-per-decade", "1000000000"], cli.EXIT_USAGE),
+    (["decompose", "--z-tilde", "1e200"], cli.EXIT_USAGE),
+    (["decompose", "--a-tilde", "1e200", "--z-tilde", "0.3"], cli.EXIT_USAGE),
+    (["asymptotic", "--z-tilde", "1e100"], cli.EXIT_NUMERICAL),
+    (["asymptotic", "--z-tilde", "1e-320"], cli.EXIT_NUMERICAL),
+    (["verify-diagrams", "--samples", "100000000000"], cli.EXIT_USAGE),
+    (["verify-diagrams", "--seed", "7"], cli.EXIT_USAGE),
+    (["verify-diagrams", "--mu", "0.5"], cli.EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("argv,code", _BAD_INPUTS, ids=[" ".join(a) for a, _ in _BAD_INPUTS])
+def test_bad_input_exits_with_one_error_line_under_a_memory_limit(argv, code):
+    # a fresh interpreter whose address space is capped at 2 GiB, so that a
+    # regression fails here instead of exhausting the host
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "cplattice.cli", *argv], capture_output=True,
+                          text=True, preexec_fn=limit, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_threads_clamped_to_the_cpus_this_process_may_use(monkeypatch):

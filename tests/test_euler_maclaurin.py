@@ -789,11 +789,12 @@ def _term_or_failure(term, b):
         return f"QuadratureFailure: {exc}"
 
 
-@pytest.mark.parametrize("z", [1e-60, 1e300])
+@pytest.mark.parametrize("z", [1e-60, 1e150])
 def test_ray_failures_are_the_same_on_both_backends(z):
     # where the rotated path's site term underflows or overflows, each ray
     # integral fails with the same message on both backends; at 1e-60 the zz
-    # and zx bulks are finite closed forms, at 1e300 the zx one fails too
+    # and zx bulks are finite closed forms, at 1e150 (lengths stay below
+    # 2**512) the zx one fails too
     got = {}
     for name in ("c", "numpy"):
         try:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cplattice import euler_maclaurin, greens, kernels, lattice_sum
+from cplattice.asymptotics import all_regimes, asymptotic_shift, full_closed_form
 from cplattice.euler_maclaurin import bulk_term, decompose, edge_term, vertex_term
 from cplattice.kernels import _numpy_backend
 from cplattice.greens import green_dyadic, resonant_sites
@@ -19,7 +20,7 @@ from cplattice.lattice_sum import (QuadratureFailure, ShiftResult, SiteBudgetExc
                                    _map_ranges, _split_rows, offresonant_pair_term,
                                    resonant_pair_term, sum_lattice)
 from cplattice.model import (Geometry, LatticeSpec, ModelParams, NonPositiveLength,
-                             validate)
+                             ValidationError, validate)
 from scipy.integrate import quad
 
 
@@ -486,7 +487,8 @@ def test_octant_heights_take_one_row_call_per_range(monkeypatch, threads):
 
 
 def test_heights_checked_like_the_bundle_height():
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # 2**512 and above: the square of a height overflows
+    for bad in (0.0, -1.0, math.inf, math.nan, 2.0 ** 512, 1e200):
         for kind in ("resonant", "off_resonant"):
             with pytest.raises(NonPositiveLength, match="z_tilde must be > 0 and finite"):
                 sum_lattice(mk(), kind, heights=[0.1, bad])
@@ -530,6 +532,54 @@ def test_sums_that_are_not_finite_raise_naming_stage_and_height(backend, kind):
         # the worker threads of a split sum warn no more than the caller
         with pytest.raises(QuadratureFailure, match=f"direct {kind} at z={z!r}"):
             sum_lattice(mk(z=z, **where), kind, threads=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure alone, no NumPy warning
+@pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
+def test_pair_terms_that_are_not_finite_raise_as_the_vertex(backend, kind):
+    # the pair terms are the vertex's one-site path: at z = 1e-60 they
+    # returned inf, where the vertex raised
+    term = resonant_pair_term if kind == "resonant" else offresonant_pair_term
+    for nx, ny in ((0, 0), (1, -2)):
+        b = mk(mu=0.6, a=1e-62, z=1e-60)
+        with pytest.raises(QuadratureFailure, match=rf"^site \({nx}, {ny}\) {kind} at "
+                                                    rf"z=1e-60, mu=0\.6 \(zz\): value is not finite$"):
+            term(nx, ny, b)
+    b = mk(mu=0.6, z=0.4)
+    assert term(0, 0, b) == vertex_term(b, kind)
+
+
+def _public_calls(b):
+    """(name, call) of every public function of a bundle that returns a number."""
+    label = b.orientation_label()
+    for kind in ("resonant", "off_resonant"):
+        yield f"sum_lattice {kind}", lambda kind=kind: getattr(sum_lattice(b, kind), kind)
+        for term in (bulk_term, edge_term, vertex_term):
+            yield f"{term.__name__} {kind}", lambda term=term, kind=kind: term(b, kind)
+        yield f"decompose {kind}", lambda kind=kind: decompose(b, kind).total
+    yield "resonant_pair_term", lambda: resonant_pair_term(1, -1, b)
+    yield "offresonant_pair_term", lambda: offresonant_pair_term(1, -1, b)
+    for regime in all_regimes(label):
+        yield f"asymptotic_shift {regime}", lambda regime=regime: asymptotic_shift(regime, b)
+    if label != "custom":
+        yield "full_closed_form", lambda: full_closed_form(label, b)
+
+
+@pytest.mark.parametrize("pair", ["zz", "zx", "custom_a"])
+def test_every_public_function_is_finite_or_fails_cleanly_at_extreme_heights(backend, pair):
+    # at tiny and huge heights, up to just below the 2**512 bound, each call
+    # returns a finite value or raises QuadratureFailure or ValidationError:
+    # never an OverflowError, ZeroDivisionError or a value of inf or NaN
+    test, array = _CUSTOM_PAIRS.get(pair, ((0, 0, 1), (0, 0, 1) if pair == "zz" else (1, 0, 0)))
+    for z in (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0)):
+        b = mk(mu=0.6, a=0.05, M=2, z=z, test=test, array=array)
+        for name, call in _public_calls(b):
+            try:
+                with np.errstate(all="ignore"):
+                    value = call()
+            except (QuadratureFailure, ValidationError):
+                continue
+            assert math.isfinite(value), (name, z)
 
 
 def test_custom_offresonant_sum_memory_is_bounded(backend):

@@ -62,6 +62,29 @@ def test_non_unit_dipole_rejected():
     bundle(test=(0, 0, s))
 
 
+def test_nan_dipole_rejected():
+    # abs(nan - 1.0) > tol is False: a NaN component passed and failed later
+    # as a quadrature error estimate of nan
+    for dipole in ((math.nan, 0, 0), (0, 0, math.nan)):
+        for which in ("test", "array"):
+            with pytest.raises(NonUnitDipole, match="norm deviates from 1 by nan"):
+                bundle(**{which: dipole})
+
+
+def test_lengths_whose_square_overflows_rejected():
+    # a float ** 2 of 2**512 or more raises OverflowError
+    for big in (2.0 ** 512, 1e200, 1e308):
+        with pytest.raises(NonPositiveLength, match=r"^z_tilde must be > 0 and finite, "
+                                                    r"below 2\*\*512, got "):
+            bundle(z=big)
+        with pytest.raises(NonPositiveLength, match=r"^a_tilde must be > 0 and finite, "
+                                                    r"below 2\*\*512, got "):
+            bundle(a=big)
+    below = math.nextafter(2.0 ** 512, 0.0)
+    b = bundle(a=below, z=below)
+    assert b.a_tilde == b.z_tilde == below and math.isfinite(below ** 2)
+
+
 def test_dipole_that_is_not_a_3_vector_rejected():
     for dipole in ((0, 1), (0, 0, 1, 0), ((0, 0, 1),)):
         with pytest.raises(NonUnitDipole, match="must be a 3-vector"):
