@@ -175,13 +175,13 @@ def site_term(bundle: ValidatedBundle, kind: str, x: float, y: float, z: np.ndar
     z: the one-site set of the direct sums' kernels. Raises
     QuadratureFailure, naming the stage, height and mu, where it is not
     finite (the site's r^6 underflows at tiny heights)."""
-    pref, site = prefactor(bundle, kind), np.array([x])
+    pref, u, v = prefactor(bundle, kind), np.array([x]), np.array([y])
     # a site that is not finite raises in finite(), with no NumPy warning first
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == "resonant":
-            values = kernels.res_points(bundle.pair, site, [y], z, sums=False).reshape(-1)
+            values = kernels.res_points(bundle.pair, u, v, z, sums=False).reshape(-1)
         else:
-            values = kernels.offres_points(bundle.pair, site, [y], z, bundle.mu)
+            values = kernels.offres_points(bundle.pair, u, v, z, bundle.mu)
     return finite(pref * values, z, bundle, stage)
 
 
