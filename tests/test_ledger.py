@@ -1,0 +1,45 @@
+"""The public outputs are the bits of the committed ledger.
+
+``tests/ledger.json`` holds every entry of ``tests/ledger.py`` as recorded,
+with the toolchain it was recorded on. A change that moves an entry records
+the ledger again (``python tests/ledger.py``) and names each changed entry
+and its reason in CHANGES.md.
+
+The entries are compared on every toolchain. The bits rest on the C library,
+NumPy, SciPy, the C compiler and the CPU, so on a toolchain that differs from
+the recorded one the test warns, naming each difference, and a mismatch
+reports that difference with the entries it names: a differing toolchain is
+reported, never skipped.
+"""
+import json
+import warnings
+
+import ledger
+
+import cplattice
+from cplattice import kernels
+
+# The public functions that compute numbers, each the prefix of its entries
+NUMERIC = ("sum_lattice", "bulk_term", "edge_term", "vertex_term", "decompose",
+           "resonant_pair_term", "offresonant_pair_term", "green_dyadic", "pair_coupling",
+           "asymptotic_shift", "expected_exponent", "full_closed_form")
+
+
+def test_public_outputs_equal_the_ledger(backend):
+    golden = json.loads(ledger.LEDGER.read_text())
+    name = kernels.backend_name()
+    want = ledger.expected(golden["entries"], name)
+    got = ledger.entries()
+    recorded, here = golden["toolchain"], ledger.toolchain()
+    moved = {k: (recorded.get(k), v) for k, v in here.items() if recorded.get(k) != v}
+    if moved:
+        warnings.warn(f"the ledger was recorded on another toolchain: {moved}")
+    changed = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
+    missing, new = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    assert not (changed or missing or new), (
+        f"on {name}: changed {changed}, missing {missing}, new {new}; toolchain changes: {moved}")
+    # every entry kept per backend is one the ledger names as such
+    assert {k for k, e in golden["entries"].items() if "value" not in e} == \
+        {k for k in golden["entries"] if ledger.by_backend(k)}
+    assert set(NUMERIC) <= set(cplattice.__all__)
+    assert all(any(k.startswith(f + " ") for k in got) for f in NUMERIC)
