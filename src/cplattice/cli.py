@@ -29,7 +29,7 @@ import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
 from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice, usable_cpus
-from .model import (MAX_LENGTH, X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams,
+from .model import (MAX_LENGTH, ORIENTATIONS, Z_HAT, Geometry, LatticeSpec, ModelParams,
                     ValidationError, validate)
 
 EXIT_OK = 0
@@ -114,19 +114,17 @@ def _apply(cfg: Config, key: str, value, where: str) -> Config:
             v = value if isinstance(value, tuple) else _parse_vec(str(value))
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"{where}: bad value for {key}: {exc}")
-    if key == "orientation" and v not in ("zz", "zx", "custom"):
+    if key == "orientation" and v not in (*ORIENTATIONS, "custom"):
         raise _UsageError(f"{where}: orientation must be zz|zx|custom, got {v!r}")
     return replace(cfg, **{key: v})
 
 
-_ORIENTATION_DIPOLES = {"zz": (Z_HAT, Z_HAT), "zx": (Z_HAT, X_HAT)}
-
-
 def bundle_from_config(cfg: Config, z_tilde: float):
-    """The bundle at one height. zz and zx fix the dipole pair, so any other
-    pair than the default (z, z) or the orientation's own is rejected."""
+    """The bundle at one height. zz and zx fix the dipole pair (``ORIENTATIONS``),
+    so any other pair than the default (z, z) or the orientation's own is
+    rejected. No other code reads the orientation key: a run's is its bundle's."""
     given = (cfg.test_dipole, cfg.array_dipole)
-    fixed = _ORIENTATION_DIPOLES.get(cfg.orientation)
+    fixed = ORIENTATIONS.get(cfg.orientation)
     if fixed is not None and given not in ((Z_HAT, Z_HAT), fixed):
         raise _UsageError(f"orientation {cfg.orientation} fixes the dipoles; set "
                           "orientation = custom to use test_dipole and array_dipole")
@@ -199,7 +197,7 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
     header = ["z_tilde", "resonant_direct", "offresonant_direct",
               "res_bulk", "res_edge", "res_vertex", "res_em_total",
               "or_bulk", "or_edge", "or_vertex", "or_em_total"]
-    regimes = asymptotics.all_regimes(cfg.orientation)  # none for custom
+    regimes = asymptotics.all_regimes(first.orientation_label())  # none for custom
     header += [_asym_column(r) for r in regimes]
     # one format for every row: each field as _fmt writes it, and a direct
     # sum its site budget skips empty in every row. No field can hold a
@@ -262,10 +260,11 @@ def cmd_decompose(cfg: Config, z_tilde: float, kinds, out, csv_path: str | None)
 
 def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out) -> int:
     """Print the lines once every value is computed: a failure leaves no output."""
-    regimes = asymptotics.all_regimes(cfg.orientation)
+    b = bundle_from_config(cfg, z_tilde)
+    label = b.orientation_label()
+    regimes = asymptotics.all_regimes(label)
     if not regimes:
         raise _UsageError("closed-form asymptotes exist for orientations zz and zx only")
-    b = bundle_from_config(cfg, z_tilde)
     lines = []
     for r in regimes:
         if (kind in (None, r.kind) and retardation in (None, r.retardation)
@@ -273,8 +272,8 @@ def cmd_asymptotic(cfg: Config, z_tilde: float, kind, retardation, density, out)
             v = asymptotics.asymptotic_shift(r, b)
             lines.append(f"{r.kind} {r.orientation} {r.retardation} {r.density} {_fmt(v)}")
     if not kind or kind == "resonant":
-        v = asymptotics.full_closed_form(cfg.orientation, b)
-        lines.append(f"resonant {cfg.orientation} bulk_closed_form - {_fmt(v)}")
+        v = asymptotics.full_closed_form(label, b)
+        lines.append(f"resonant {label} bulk_closed_form - {_fmt(v)}")
     print(*lines, sep="\n", file=out)
     return EXIT_OK
 

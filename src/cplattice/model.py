@@ -23,6 +23,8 @@ import numpy as np
 
 Z_HAT = (0.0, 0.0, 1.0)
 X_HAT = (1.0, 0.0, 0.0)
+# The two principal (test_dipole, array_dipole) pairs, by orientation label
+ORIENTATIONS = {"zz": (Z_HAT, Z_HAT), "zx": (Z_HAT, X_HAT)}
 
 _UNIT_NORM_TOL = 1e-12
 _DETUNING_TOL = 1e-3
@@ -81,13 +83,10 @@ class ModelParams:
         object.__setattr__(self, "array_dipole", _as_unit_tuple(self.array_dipole))
 
     def orientation_label(self) -> str:
-        """'zz' or 'zx' when the dipoles match the two studied principal
-        configurations exactly, else 'custom'."""
-        if self.test_dipole == Z_HAT and self.array_dipole == Z_HAT:
-            return "zz"
-        if self.test_dipole == Z_HAT and self.array_dipole == X_HAT:
-            return "zx"
-        return "custom"
+        """The label of the ``ORIENTATIONS`` pair that the dipoles match
+        exactly, else 'custom'."""
+        pair = (self.test_dipole, self.array_dipole)
+        return next((label for label, fixed in ORIENTATIONS.items() if pair == fixed), "custom")
 
 
 @dataclass(frozen=True)

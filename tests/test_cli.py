@@ -365,6 +365,29 @@ def test_asymptotic_rejects_custom_orientation():
     assert proc.returncode == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("twin,pair", [("zz", []), ("zx", ["--array-dipole", "1,0,0"])])
+def test_custom_orientation_of_a_principal_pair_prints_its_twin(backend, tmp_path, twin, pair):
+    # the pair, not the orientation key, decides the paths and the asymptotes:
+    # a custom run of the (z, z) or (z, x) pair prints its principal twin's
+    # bytes, asymptote columns and lines included
+    sweep = ["sweep", "--half-extent", "3", "--z-min", "0.2", "--z-max", "2",
+             "--points-per-decade", "8"]
+    for argv in (sweep, ["decompose", "--z-tilde", "1"], ["asymptotic", "--z-tilde", "1"]):
+        want = run_cli(argv + ["--orientation", twin])
+        got = run_cli(argv + ["--orientation", "custom", *pair])
+        assert want.returncode == got.returncode == cli.EXIT_OK, argv
+        assert got.stdout == want.stdout and got.stderr == want.stderr == "", argv
+    assert len(want.stdout.splitlines()) == 9  # 8 regimes and the closed-form bulk
+    outputs = []
+    for flags in (["--orientation", twin], ["--orientation", "custom", *pair]):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert run_cli(sweep + flags + ["-o", str(out)]).returncode == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == run_cli(sweep + ["--orientation", twin]).stdout
+    assert len(outputs[0].splitlines()[0].split(b",")) == 19
+
+
 def test_zx_sweep_m0_direct_columns_zero(tmp_path):
     out = tmp_path / "zx.csv"
     proc = run_cli(["sweep", "--orientation", "zx", "--half-extent", "0",
@@ -717,7 +740,8 @@ def _sweep_by_csv_writer(argv):
     args = cli.build_parser("sweep").parse_args(["sweep", *argv])
     cfg = cli.load_config(None, {key: getattr(args, key) for key in cli._KEYS})
     count = (2 * cfg.half_extent + 1) ** 2
-    regimes = asymptotics.all_regimes(cfg.orientation)
+    # the asymptotes follow the dipole pair's label, whatever the orientation key
+    regimes = asymptotics.all_regimes(cli.bundle_from_config(cfg, cfg.z_min).orientation_label())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["z_tilde", "resonant_direct", "offresonant_direct",
