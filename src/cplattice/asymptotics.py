@@ -83,11 +83,15 @@ def asymptotic_shift(regime: Regime, bundle: ValidatedBundle, heights=None):
 
     With ``heights``, the asymptote at each of those heights (the bundle's
     other parameters kept) as a float64 array, bitwise equal to one call per
-    height; without, the float at the bundle's height. Raises
+    height; without, the float at the bundle's height. Raises ValueError
+    unless the regime's orientation is the bundle's label, and
     QuadratureFailure, naming the regime, the first such height and mu, where
     a value is not finite: where z^n overflows or underflows.
     """
     bundle = validate(bundle)
+    if regime.orientation != bundle.orientation_label():
+        raise ValueError(f"regime orientation {regime.orientation!r} does not match the "
+                         f"bundle's {bundle.orientation_label()!r}")
     z = heights_array(bundle, heights)
     law = _LAWS[_key(regime)]
     if law is None:

@@ -10,8 +10,16 @@ the whole sweep and writes each row with one ``%`` of its floats and one
 ``decompose`` and ``fit`` use the csv module. ``main`` registers every
 subcommand but adds arguments only to the one its argv names.
 
+A failed command leaves no output, with one exception: a sweep to stdout
+writes its header with the first block's rows and each block's rows once
+the block is computed, so one that fails leaves the header and the rows of
+the blocks before the failing one (none when the first block fails). With
+``-o`` the file is replaced only on success.
+
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure
-(quadrature or site budget), 3 verification failure.
+(quadrature, site budget, or out of memory), 3 verification failure, 141
+stdout closed before the output was written (as a shell reports a program
+that SIGPIPE ends; nothing is printed).
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
+EXIT_CLOSED_STDOUT = 141
 
 
 class _UsageError(Exception):
@@ -208,7 +217,6 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
     if not do_or:
         fields[2] = ""
     line = ",".join(fields) + "\n"
-    out.write(",".join(header) + "\n")
     for lo in range(0, len(grid), _HEIGHT_BLOCK):
         block = grid[lo:lo + _HEIGHT_BLOCK]
         dr, do = (euler_maclaurin.decompose(first, kind, block)
@@ -222,6 +230,8 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
                                       threads=cfg.threads).off_resonant.tolist())
         asym = [asymptotics.asymptotic_shift(g, first, heights=block).tolist()
                 for g in regimes]
+        if not lo:  # the header goes with the first block's rows
+            out.write(",".join(header) + "\n")
         # each row formatted and written in its own turn
         for i, (z, r, o) in enumerate(zip(block.tolist(), dr, do)):
             out.write(line % (z, *[d[i] for d in direct], r.bulk, r.edge, r.vertex, r.total,
@@ -423,30 +433,34 @@ def _write_replacing(path: str, write) -> int:
             os.unlink(tmp)
 
 
+def _run(args) -> int:
+    """Run the parsed command."""
+    if hasattr(args, "config"):  # the commands with configuration flags
+        cfg = load_config(args.config, {key: getattr(args, key) for key in _KEYS})
+    if args.command == "sweep":
+        if args.output:
+            return _write_replacing(args.output, lambda fh: cmd_sweep(
+                cfg, fh, require_direct=args.require_direct))
+        return cmd_sweep(cfg, sys.stdout, require_direct=args.require_direct)
+    if args.command == "decompose":
+        kinds = ("resonant", "off_resonant") if args.kind == "both" else (args.kind,)
+        return cmd_decompose(cfg, args.z_tilde, kinds, sys.stdout, args.csv_path)
+    if args.command == "asymptotic":
+        return cmd_asymptotic(cfg, args.z_tilde, args.kind, args.retardation,
+                              args.density, sys.stdout)
+    if args.command == "verify-diagrams":
+        return cmd_verify_diagrams(sys.stdout)
+    return cmd_fit(args.csv_path, args.column, args.z_min, args.z_max, args.mode, sys.stdout)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser(_command_of(argv))
     try:
-        args = parser.parse_args(argv)
-        if hasattr(args, "config"):  # the commands with configuration flags
-            cfg = load_config(args.config, {key: getattr(args, key) for key in _KEYS})
-        if args.command == "sweep":
-            if args.output:
-                return _write_replacing(args.output, lambda fh: cmd_sweep(
-                    cfg, fh, require_direct=args.require_direct))
-            return cmd_sweep(cfg, sys.stdout, require_direct=args.require_direct)
-        if args.command == "decompose":
-            kinds = ("resonant", "off_resonant") if args.kind == "both" else (args.kind,)
-            return cmd_decompose(cfg, args.z_tilde, kinds, sys.stdout, args.csv_path)
-        if args.command == "asymptotic":
-            return cmd_asymptotic(cfg, args.z_tilde, args.kind, args.retardation,
-                                  args.density, sys.stdout)
-        if args.command == "verify-diagrams":
-            return cmd_verify_diagrams(sys.stdout)
-        if args.command == "fit":
-            return cmd_fit(args.csv_path, args.column, args.z_min, args.z_max,
-                           args.mode, sys.stdout)
+        rc = _run(parser.parse_args(argv))
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return rc
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -457,6 +471,14 @@ def main(argv=None) -> int:
             fitting.TooFewPeaks) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # NumPy's names the size it asked for
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # the reader went away (| head): stdout goes to /dev/null, so that
+        # the flush at exit does not fail again (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

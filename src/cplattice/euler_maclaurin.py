@@ -287,9 +287,10 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
     resonant +x and -x integrals are 3.33 and 40.69), so their edge term is
     wrong. It is kept as it is because the benchmark references
     (perfbench/references) pin the custom edge values at rtol 1e-8; the fix,
-    by one of ROADMAP item 2's two routes (mirrored pairs, or a
+    by one of ROADMAP item 2's three routes (mirrored pairs, a
     ``kernels.ray_rotated`` that takes the negative half-axes, which it
-    rejects today), has to ship together with newly recorded references.
+    rejects today, or item 16's six basis pairs, whose site terms are even
+    along both axes), has to ship together with newly recorded references.
     """
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)

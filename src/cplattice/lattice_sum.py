@@ -102,6 +102,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -369,12 +370,13 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     octant (zz, zx) or grid (other pairs) holds at least
     ``AUTO_THREADS_SITES`` sites on :func:`usable_cpus` workers, and a
     smaller one on one; a larger count than :func:`usable_cpus` is cut to
-    it, and one below 1 raises ``ValueError``. A threaded resonant sum
+    it, one that is not an integer raises ``TypeError`` and one below 1
+    ``ValueError``, before any work. A threaded resonant sum
     starts a pool of its own for the call: one worker thread per row range
     but the last, which the calling thread takes. A pool costs ~0.1 ms to
     start and join, once per call however many heights it takes.
     """
-    if threads is not None and threads < 1:
+    if threads is not None and operator.index(threads) < 1:  # TypeError for 2.5 or NaN
         raise ValueError(f"threads must be at least 1, got {threads}")
     bundle = validate(bundle)
     count = bundle.lattice.atom_count

@@ -1,6 +1,7 @@
 """Cosine integral and the hyperbolic-integral combination Chi - Shi.
 
-Both functions appear in the closed-form bulk shift expressions, and reject
+Ci appears in the closed-form zz resonant bulk (``bracket_zz``); E1 and
+Chi - Shi are read only by perfbench's tracer and the tests. All reject
 x <= 0. Ci comes from ``kernels.sici``, the bits of ``scipy.special.sici``
 (compiled, or SciPy itself on the NumPy backend), and E1 from
 ``scipy.special.exp1``, imported on the first call. Against 40-digit mpmath

@@ -183,6 +183,18 @@ def test_full_closed_form_rejects_a_mismatched_orientation():
         full_closed_form("zz", mk(array=(0, 1, 0)))
 
 
+def test_asymptotic_shift_rejects_a_mismatched_orientation():
+    # the zx law evaluated for a custom or zz bundle gave the value it gives
+    # a zx bundle (0.0613... for the custom pair below)
+    regime = Regime("resonant", "zx", "non_retarded", "dense")
+    for array, label in (((0, 1, 0), "custom"), ((0, 0, 1), "zz")):
+        for heights in (None, [0.1, 0.2]):
+            with pytest.raises(ValueError, match=f"regime orientation 'zx' does not match "
+                                                 f"the bundle's '{label}'"):
+                asymptotic_shift(regime, mk(array=array), heights=heights)
+    assert asymptotic_shift(regime, mk(array=(1, 0, 0))) > 0.0
+
+
 @pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
 def test_full_closed_form_is_the_bulk_term_at_large_z(z):
     # the Ci closed form cancels at these heights (1.4e-8 relative at 1e4)

@@ -456,9 +456,9 @@ def test_sweep_where_the_closed_form_bulk_is_not_finite_exits_numerical(backend,
     assert "error: bulk resonant at z=1e-300, mu=0.5 (zz): closed form is not finite" in \
         capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    # on stdout, the header and no row
+    # on stdout nothing either: the header goes out with the first block's rows
     assert cli.main(args) == cli.EXIT_NUMERICAL
-    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure is the error line alone
@@ -480,7 +480,7 @@ def test_vertex_and_direct_sum_that_are_not_finite_exit_numerical(backend, monke
     assert cli.main(["sweep", "--half-extent", "2", "--z-min", "1e-60", "--z-max", "1e-59",
                      "--threads", "1"]) == cli.EXIT_NUMERICAL
     captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 1  # the header
+    assert captured.out == ""  # the first block failed: not even the header
     assert "error: direct resonant at z=1e-60, mu=0.5 (zz): value is not finite" in captured.err
 
 
@@ -526,7 +526,7 @@ def test_sweep_failure_leaves_existing_output_untouched(tmp_path, monkeypatch, c
 
 def test_sweep_failure_inside_a_block_writes_none_of_its_rows(monkeypatch, capsys):
     # two and a half blocks of heights; the middle height of the second
-    # block fails
+    # block fails: a stdout sweep leaves the header and the first block's rows
     block = cli._HEIGHT_BLOCK
     args, grid = _sweep_of(2 * block + block // 2)
     z_fail = float(grid[block + block // 2])
@@ -535,8 +535,18 @@ def test_sweep_failure_inside_a_block_writes_none_of_its_rows(monkeypatch, capsy
     captured = capsys.readouterr()
     assert f"edge resonant at z={z_fail!r}, mu=0.5" in captured.err
     lines = captured.out.splitlines()
-    assert lines[0].startswith("z_tilde,")
+    assert lines[0].startswith("z_tilde,") and lines[0].count(",") == 18
     assert [float(line.split(",")[0]) for line in lines[1:]] == grid[:block].tolist()
+
+
+def test_sweep_failure_in_the_first_block_writes_nothing(monkeypatch, capsys):
+    # the header goes out with the first block's rows, so not even it is left
+    args, grid = _sweep_of(cli._HEIGHT_BLOCK + 3)
+    z_fail = float(grid[cli._HEIGHT_BLOCK // 2])
+    _fail_rotated_estimates_at(monkeypatch, z_fail)
+    assert cli.main(args + ["--threads", "1"]) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"edge resonant at z={z_fail!r}, mu=0.5" in captured.err
 
 
 def test_unwritable_output_exits_usage(tmp_path, capsys):
@@ -646,6 +656,15 @@ _BAD_INPUTS = [
      "unrecognized arguments: --samples 100000000000"),
     (["verify-diagrams", "--seed", "7"], cli.EXIT_USAGE, "unrecognized arguments: --seed 7"),
     (["verify-diagrams", "--mu", "0.5"], cli.EXIT_USAGE, "unrecognized arguments: --mu 0.5"),
+    # the header is written with the first block's rows: none of them here
+    (["sweep", "--z-min", "1e-320", "--z-max", "1e-300", "--points-per-decade", "1"],
+     cli.EXIT_NUMERICAL, "bulk resonant at z=1e-320, mu=0.5 (zz): closed form is not finite"),
+    # the off-resonant octant's distance table alone asks for 14 GiB; run
+    # it only under an address-space limit
+    (["sweep", "--half-extent", "50000", "--site-budget", "0", "--offres-site-budget", "1e11",
+      "--z-min", "1", "--z-max", "1.1", "--points-per-decade", "1"], cli.EXIT_NUMERICAL,
+     "out of memory: Unable to allocate 9.31 GiB for an array with shape (1250075001,) and "
+     "data type float64"),
 ]
 
 
@@ -660,7 +679,30 @@ def test_bad_input_exits_with_one_error_line_under_a_memory_limit(argv, code, me
     proc = subprocess.run([sys.executable, "-m", "cplattice.cli", *argv], capture_output=True,
                           text=True, preexec_fn=limit, timeout=120)
     assert proc.returncode == code, proc.stderr
-    assert proc.stdout == "" and proc.stderr == f"error: {message}\n"
+    # one error line, after the notes of a sweep's skipped direct sums
+    *notes, error = proc.stderr.split("\n")[:-1]
+    assert proc.stdout == "" and proc.stderr.endswith("\n") and error == f"error: {message}"
+    assert all(note.startswith("note: ") and "exceed" in note for note in notes)
+
+
+@pytest.mark.parametrize("argv,lines", [
+    # more rows than a pipe holds: the sweep is still writing when the
+    # reader leaves after the header
+    (["sweep", "--half-extent", "1", "--z-min", "0.01", "--z-max", "100",
+      "--points-per-decade", "1000"], 1),
+    # the reader leaves before anything is written: the final flush fails
+    (["asymptotic", "--z-tilde", "0.3"], 0)], ids=["sweep", "asymptotic"])
+def test_a_closed_stdout_exits_quietly(argv, lines):
+    proc = subprocess.Popen([sys.executable, "-m", "cplattice.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        head = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=120)
+    assert all(line.startswith("z_tilde,") for line in head)
+    assert proc.returncode == cli.EXIT_CLOSED_STDOUT and err == ""  # no traceback
 
 
 def test_sweep_rejects_a_grid_over_the_row_cap(monkeypatch, capsys):
@@ -801,8 +843,9 @@ class _RecordingStream(io.TextIOBase):
 
 
 def test_sweep_writes_each_line_in_its_own_call_after_its_block(monkeypatch):
-    # the header, then each row in one write of one whole line; every row of
-    # a block after that block's stages and before the next block's
+    # the header, then each row in one write of one whole line; the header
+    # and every row of a block after that block's stages and before the
+    # next block's
     events = []
     decompose = euler_maclaurin.decompose
     monkeypatch.setattr(euler_maclaurin, "decompose", lambda b, kind, heights=None: (
@@ -815,9 +858,9 @@ def test_sweep_writes_each_line_in_its_own_call_after_its_block(monkeypatch):
     assert all(s.endswith("\n") and s.count("\n") == 1 for s in writes)
     assert writes[0].startswith("z_tilde,")
     assert [float(s.split(",")[0]) for s in writes[1:]] == grid.tolist()
-    assert events[0][0] == "write"
-    kinds = [what if what == "decompose" else "row" for what, _ in events[1:]]
-    assert kinds == ["decompose"] * 2 + ["row"] * block + ["decompose"] * 2 + ["row"] * 5
+    kinds = [what if what == "decompose" else "line" for what, _ in events]
+    assert kinds == (["decompose"] * 2 + ["line"] * (1 + block) + ["decompose"] * 2
+                     + ["line"] * 5)
 
 
 @pytest.mark.parametrize("argv", [

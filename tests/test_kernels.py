@@ -407,6 +407,22 @@ def test_distance_table_rejects_bad_ranges(lib):
             kernels.build_table(fill, 0, 70000)  # 2.45e9 sites: rejected before allocating
 
 
+def test_allocation_failures_raise_memory_error(backend, monkeypatch):
+    # a builder or export that cannot allocate returns -1; stand-ins that do
+    # so reach each wrapper's MemoryError
+    with pytest.raises(MemoryError, match=r"^no memory for the distance table of rows 2\.\.4$"):
+        kernels.build_table(lambda lo, hi, d2, idx: -1, 2, 5)
+    pair = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    monkeypatch.setattr(backend, "res_points", lambda *args: -1)
+    for sums in (True, False):
+        with pytest.raises(MemoryError, match="^no memory for a resonant row of the site set$"):
+            kernels.res_points(pair, [0.1, 0.2], [0.3], [0.5], sums=sums)
+    monkeypatch.setattr(backend, "ray_rotated", lambda *args: -1)
+    for bulk, directions in ((True, [[1.0, 0.0], [0.0, 1.0]]), (False, [[1.0, 0.0]])):
+        with pytest.raises(MemoryError, match="^no memory for the ray integrals' panel sums$"):
+            kernels.ray_rotated(bulk, pair, np.array(directions), np.array([0.3, 0.5]))
+
+
 def _table_rows(lib, zx, a2, z2, lo, hi):
     """lib.table_rows on the rows' table, without the entry point's cap."""
     d2, idx = kernels.build_table(lib.distance_table, lo, hi)

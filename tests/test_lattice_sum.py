@@ -298,6 +298,16 @@ def test_thread_counts_are_checked_and_capped(monkeypatch):
         assert seen == [1, 2, 3, 3, 3]
 
 
+def test_thread_counts_that_are_not_integers_are_rejected_before_any_work(monkeypatch):
+    # NaN failed inside np.arange and 2.5 ran; neither reaches the bundle now
+    b = mk(M=4)
+    monkeypatch.setattr(lattice_sum, "validate", None)
+    for threads in (float("nan"), 2.5, 2.0, "2"):
+        for kind in ("resonant", "off_resonant"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                sum_lattice(b, kind, threads=threads)
+
+
 def test_thread_count_does_not_change_bits(backend, monkeypatch):
     # each worker takes one contiguous row range: 61 octant rows and 121
     # full-grid rows do not split evenly over 2, 3 or 4 workers
