@@ -170,9 +170,9 @@ def _library() -> dict:
             for kind in KINDS:
                 b = _bundle(pair, M=M)
                 name = f"sum_lattice {pair} M={M} {kind}"
-                e[f"{name} z=0.3"] = _call(lambda: getattr(
-                    cp.sum_lattice(b, kind, threads=1), kind))
                 for threads in (1, 2):
+                    e[f"{name} z=0.3 threads={threads}"] = _call(lambda: getattr(
+                        cp.sum_lattice(b, kind, threads=threads), kind))
                     e[f"{name} heights threads={threads}"] = _call(lambda: getattr(
                         cp.sum_lattice(b, kind, heights=SUM_HEIGHTS, threads=threads), kind))
         b = _bundle(pair)
