@@ -36,7 +36,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
-from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice, usable_cpus
+from .lattice_sum import (QuadratureFailure, SiteBudgetExceeded, check_octant_memory,
+                          sum_lattice, usable_cpus)
 from .model import (MAX_LENGTH, ORIENTATIONS, Z_HAT, Geometry, LatticeSpec, ModelParams,
                     ValidationError, validate)
 
@@ -197,6 +198,8 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
             f"off-resonant {cfg.offres_site_budget:g})")
     grid = z_grid(cfg.z_min, cfg.z_max, cfg.points_per_decade)
     first = bundle_from_config(cfg, float(grid[0]))  # fail on bad physics before any output
+    if do_or:  # and on an off-resonant octant that cannot fit in memory
+        check_octant_memory(first, "off_resonant")
     if not do_res:
         print(f"note: {count} sites exceed site_budget; resonant_direct left empty",
               file=sys.stderr)

@@ -215,11 +215,14 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     the directions, the Jacobian and the panel sums. The panels of all
     heights are stacked as rows, each row with its own height z.
     """
-    if kind == "resonant":
-        sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights)
-    else:
-        sums, counts = kernels.panel_sums(_shared_sites(bundle, heights, directions), heights,
-                                          stage == "bulk", axes is not None)
+    # an integral that is not finite raises in _checked, with no NumPy
+    # warning first, as a direct sum's site term does
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "resonant":
+            sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights)
+        else:
+            sums, counts = kernels.panel_sums(_shared_sites(bundle, heights, directions),
+                                              heights, stage == "bulk", axes is not None)
     return _checked(sums, counts, heights, bundle, f"{stage} {kind}", axes)
 
 

@@ -2,10 +2,13 @@
 NumPy otherwise.
 
 On first import ``_rows.c`` is compiled with the system ``cc`` into
-``_rows-<key>.so`` next to it, where the key hashes the source, the compiler
-command line, the machine type and the CPU model (the build uses
-``-march=native``). Later imports load the cached library without starting a
-process. Any failure to build or load it (no compiler, a compile error, a
+``_rows-<key>.so`` next to it, where the key is the first 16 hex digits of
+the SHA-256 of the source, the compiler command line, the machine type and
+the CPU model (the build uses ``-march=native``). The digest is CPython's
+own (``_sha256``, or ``_sha2`` from 3.12; ``hashlib`` only where neither is
+built), so no run loads OpenSSL for it. Later imports load the cached
+library without starting a process, or importing ``subprocess``: only a
+build does. Any failure to build or load it (no compiler, a compile error, a
 read-only directory) selects the NumPy fallback. Set
 CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library at import.
 
@@ -104,27 +107,33 @@ Both return the sums and each height's panel count. This module builds the
 decomposition's rules once, read-only, ``LEGENDRE``, ``REAL_PATH`` (views
 of one table, which ``panel_sums`` passes whole) and ``ROTATED_RULE``
 (:func:`_rules`), and passes them to each backend call itself, so no caller
-takes or checks one.
+takes or checks one. Their Gauss-Legendre nodes and weights are literals,
+the bits of ``numpy.polynomial.legendre``, as the Gauss-Laguerre ones are
+SciPy's: no run imports either to build a rule.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import hashlib
 import itertools
 import math
 import os
 import platform
 import re
-import subprocess
-import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from . import _numpy_backend
+
+try:  # CPython's own SHA-256, not OpenSSL's, as random.py takes its sha512
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 on
+    except ImportError:
+        from hashlib import sha256
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "_rows.c"
@@ -201,11 +210,14 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     """
     try:
         source = _SOURCE.read_bytes()
-        key = hashlib.sha256(b"\0".join([
+        key = sha256(b"\0".join([
             source, " ".join((cc,) + _CFLAGS).encode(),
             platform.machine().encode(), _cpu_model().encode()])).hexdigest()[:16]
         path = Path(directory) / f"_rows-{key}.so"
         if not path.exists():
+            # only a build starts a process: loading a cached library needs neither
+            import subprocess
+            import tempfile
             fd, tmp = tempfile.mkstemp(prefix="._rows-", suffix=".so", dir=directory)
             os.close(fd)
             try:
@@ -213,6 +225,8 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
                                check=True, capture_output=True, timeout=120)
                 os.chmod(tmp, 0o755)  # mkstemp's 0600 would hide it from other users
                 os.replace(tmp, path)
+            except subprocess.SubprocessError:  # the compiler failed or timed out
+                return None
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
@@ -223,7 +237,7 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
                     with contextlib.suppress(OSError):
                         stale.unlink()
         lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.SubprocessError):
+    except OSError:
         return None
     for ret, name, params in _PROTOTYPE.findall(source.decode()):
         fn = getattr(lib, name)
@@ -500,11 +514,39 @@ def exact_sum(parts) -> float:
 RAY_DIRECTIONS = 8
 
 
+# The 25-point Gauss-Legendre rule on [-1, 1] and its nested weights, the
+# interpolatory rule on every other node (13 nodes, exact to degree 12):
+# numpy.polynomial.legendre.leggauss(25)'s nodes and weights, and the
+# np.linalg.solve of legvander(x[::2], 12).T w = (2, 0, ..., 0) for the nested
+# ones, as exact literals, so that no run loads numpy.polynomial;
+# test_kernels.py pins them to NumPy.
+_LEGENDRE_NODES = (
+    -0.9955569697904981, -0.9766639214595175, -0.9429745712289743, -0.8949919978782754,
+    -0.833442628760834, -0.7592592630373576, -0.6735663684734684, -0.577662930241223,
+    -0.473002731445715, -0.36117230580938786, -0.24386688372098841, -0.1228646926107104, 0.0,
+    0.1228646926107104, 0.24386688372098841, 0.36117230580938786, 0.473002731445715,
+    0.577662930241223, 0.6735663684734684, 0.7592592630373576, 0.833442628760834,
+    0.8949919978782754, 0.9429745712289743, 0.9766639214595175, 0.9955569697904981)
+_LEGENDRE_WEIGHTS = (
+    0.011393798501025315, 0.026354986615031686, 0.04093915670130627, 0.054904695975835256,
+    0.06803833381235715, 0.08014070033500123, 0.09102826198296358, 0.10053594906705085,
+    0.10851962447426379, 0.11485825914571186, 0.11945576353578503, 0.1222424429903102,
+    0.1231760537267156, 0.1222424429903102, 0.11945576353578503, 0.11485825914571186,
+    0.10851962447426379, 0.10053594906705085, 0.09102826198296358, 0.08014070033500123,
+    0.06803833381235715, 0.054904695975835256, 0.04093915670130627, 0.026354986615031686,
+    0.011393798501025315)
+_LEGENDRE_NESTED = (
+    0.02003669196499526, 0.08316974037850174, 0.1352883150151743, 0.18263110461517287,
+    0.2165685920391775, 0.23933267396859687, 0.24594576403676285, 0.2393326739685968,
+    0.2165685920391774, 0.18263110461517287, 0.1352883150151743, 0.08316974037850201,
+    0.02003669196499519)
+
+
 def _rules():
     """The rules of the ray integrals, each of composite NODES-point
-    Gauss-Legendre panels with nested weights, the interpolatory rule on
-    every other node (13 nodes, exact to degree 12), whose difference from
-    the full rule is a panel's error estimate. All are read-only.
+    Gauss-Legendre panels with nested weights (zero off the nested nodes),
+    whose difference from the full rule is a panel's error estimate. All
+    are read-only.
 
     Returns LEGENDRE, the nodes, weights and nested weights on [-1, 1]; the
     real path's table (3, rows, NODES), the nodes, weights and nested
@@ -513,9 +555,9 @@ def _rules():
     integrands have decayed like s^-5 or faster and are smooth in t; and the
     rotated path's table of ``_numpy_backend.rotated_rule_table``, from
     which each call builds each height's panels."""
-    x, w = leggauss(_numpy_backend.NODES)
+    x, w = np.array(_LEGENDRE_NODES), np.array(_LEGENDRE_WEIGHTS)
     w_low = np.zeros(x.size)
-    w_low[::2] = np.linalg.solve(legvander(x[::2], 12).T, np.eye(13)[0] * 2.0)
+    w_low[::2] = _LEGENDRE_NESTED
     lo = np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 0.0])[:, None]
     hi = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 1.0])[:, None]
     half = 0.5 * (hi - lo)

@@ -104,7 +104,6 @@ import contextvars
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +133,8 @@ class QuadratureFailure(RuntimeError):
 
 
 class SiteBudgetExceeded(RuntimeError):
-    """(2M+1)^2 exceeds the configured direct-summation budget."""
+    """(2M+1)^2 exceeds the configured direct-summation budget, or an
+    off-resonant octant's tables exceed the memory the process can hold."""
 
 
 @dataclass(frozen=True)
@@ -239,6 +239,7 @@ def _map_ranges(fn, ranges) -> list:
     thread."""
     if len(ranges) == 1:
         return [fn(*ranges[0])]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a threaded sum
     with ThreadPoolExecutor(max_workers=len(ranges) - 1) as executor:
         # each worker runs in a copy of the caller's context: its np.errstate
         futures = [executor.submit(contextvars.copy_context().run, fn, lo, hi)
@@ -291,6 +292,43 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
 # or as many whole rows of a generic grid as this many sites hold (at least
 # one), into its exact sum, so that its memory does not grow with the grid
 OFFRES_BLOCK_SITES = 1 << 14
+
+
+def memory_limit() -> float:
+    """The most bytes this process can hold: the host's physical memory, or
+    the process's address-space limit where that is lower; inf where
+    neither is known."""
+    limits = [math.inf]
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):  # no such sysconf names here
+        pass
+    try:
+        import resource
+    except ImportError:  # not a Unix
+        pass
+    else:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    return min(limits)
+
+
+def check_octant_memory(bundle: ValidatedBundle, kind: str) -> None:
+    """Raise SiteBudgetExceeded, naming M, the octant's sites and their
+    bytes, when an off-resonant zz or zx direct sum's octant tables would
+    not fit in :func:`memory_limit`, before any of them is allocated: the
+    distance table takes 8 + 4 bytes a site (a distance, at most one a site,
+    and the site's index into them) and the orbit weights 8."""
+    if kind != "off_resonant" or bundle.orientation_label() not in ("zz", "zx"):
+        return
+    M = bundle.half_extent
+    sites = kernels.range_sites(0, M + 1)
+    need, limit = (8 + 4 + 8) * sites, memory_limit()
+    if need > limit:
+        raise SiteBudgetExceeded(f"the off-resonant octant of M={M} holds {sites} sites, whose "
+                                 f"tables take {need} bytes, more than the {limit} bytes this "
+                                 f"process can hold")
 
 
 def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:
@@ -383,6 +421,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     if site_budget is not None and count > site_budget:
         raise SiteBudgetExceeded(f"{count} sites exceed budget {site_budget}")
     pref = prefactor(bundle, kind)
+    check_octant_memory(bundle, kind)
     z = heights_array(bundle, heights)
     octant = bundle.orientation_label() in ("zz", "zx")
     # a sum that is not finite raises in finite(), with no NumPy warning first

@@ -11,10 +11,15 @@ The inputs:
   * pairs zz, zx, the custom e0 = (1,1,1)/sqrt(3), en = (0.6, 0, 0.8), and
     the custom "even" pair (0.6, 0, 0.8), (0.6, 0, -0.8), whose site term
     is even along both axes;
-  * ``sum_lattice`` at M 0, 1, 8 and 40, both kinds, at one height and at
-    four with ``heights=``, on one and two threads;
+  * ``sum_lattice`` at M 0, 1, 8 and 40, and for zz, zx and custom at
+    M 150, both kinds, at one height and at four with ``heights=``, on one
+    and two threads;
   * the three terms and ``decompose`` for a block of 16 heights from 1e-3
     to 1e3, and at z = 1e-307, where they fail;
+  * for zz, zx and custom at M 2, every public call of
+    ``test_every_public_function_is_finite_or_fails_cleanly_at_extreme_heights``
+    at its extreme heights: each value, or the ``QuadratureFailure`` or
+    ``ValidationError`` it raises;
   * the pair terms, ``green_dyadic`` and ``pair_coupling``;
   * ``asymptotic_shift`` for every regime, ``expected_exponent`` and
     ``full_closed_form``;
@@ -67,6 +72,7 @@ PAIRS = {
 KINDS = ("resonant", "off_resonant")
 SUM_HEIGHTS = [0.05, 0.3, 1.0, 7.0]
 TERM_HEIGHTS = np.geomspace(1e-3, 1e3, 16)
+EXTREME_HEIGHTS = (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0))
 
 # The README commands, in their order there, with the CSV paths they name
 README_SWEEP = ["sweep", "--a-tilde", "0.01", "--half-extent", "500", "--z-min", "0.01",
@@ -166,7 +172,7 @@ def _cli(argv, directory: Path) -> dict:
 def _library() -> dict:
     e = {}
     for pair in PAIRS:
-        for M in (0, 1, 8, 40):
+        for M in (0, 1, 8, 40, 150) if pair != "even" else (0, 1, 8, 40):
             for kind in KINDS:
                 b = _bundle(pair, M=M)
                 name = f"sum_lattice {pair} M={M} {kind}"
@@ -194,6 +200,9 @@ def _library() -> dict:
         for freq in (1.0, 0.7j):
             e[f"pair_coupling {pair} freq={freq}"] = _call(
                 cp.pair_coupling, e0, en, (0.3, -0.2, 0.4), freq)
+    for pair in ("zz", "zx", "custom"):
+        for z in EXTREME_HEIGHTS:
+            e.update(_extreme(pair, z))
     for freq in (1.0, 0.7j):
         e[f"green_dyadic freq={freq}"] = _call(lambda: np.ravel(cp.green_dyadic(
             (0.6, 0.0, 0.8), 0.9, freq)).tolist())
@@ -207,6 +216,27 @@ def _library() -> dict:
         for z in (0.01, 0.3, 20.0, 300.0):
             e[f"full_closed_form {pair} z={z}"] = _call(
                 cp.full_closed_form, pair, _bundle(pair, z=z))
+    return e
+
+
+def _extreme(pair: str, z: float) -> dict:
+    """Every public numeric call of the pair at M 2 and the height z."""
+    b, at = _bundle(pair, M=2, z=z), f"z={z!r}"
+    e = {}
+    for kind in KINDS:
+        e[f"sum_lattice {pair} M=2 {kind} {at}"] = _call(
+            lambda: getattr(cp.sum_lattice(b, kind), kind))
+        for term in (cp.bulk_term, cp.edge_term, cp.vertex_term):
+            e[f"{term.__name__} {pair} {kind} {at}"] = _call(term, b, kind)
+        e[f"decompose {pair} {kind} {at}"] = _call(
+            lambda: list(vars(cp.decompose(b, kind)).values()))
+    e[f"resonant_pair_term {pair} (1, -1) {at}"] = _call(cp.resonant_pair_term, 1, -1, b)
+    e[f"offresonant_pair_term {pair} (1, -1) {at}"] = _call(cp.offresonant_pair_term, 1, -1, b)
+    for regime in cp.all_regimes(pair):
+        e[f"asymptotic_shift {' '.join(vars(regime).values())} {at}"] = _call(
+            cp.asymptotic_shift, regime, b)
+    if pair != "custom":
+        e[f"full_closed_form {pair} {at}"] = _call(cp.full_closed_form, pair, b)
     return e
 
 

@@ -659,12 +659,12 @@ _BAD_INPUTS = [
     # the header is written with the first block's rows: none of them here
     (["sweep", "--z-min", "1e-320", "--z-max", "1e-300", "--points-per-decade", "1"],
      cli.EXIT_NUMERICAL, "bulk resonant at z=1e-320, mu=0.5 (zz): closed form is not finite"),
-    # the off-resonant octant's distance table alone asks for 14 GiB; run
-    # it only under an address-space limit
+    # the off-resonant octant's tables would take 25 GB: rejected before
+    # any of them is allocated, against the 2 GiB address-space limit below
     (["sweep", "--half-extent", "50000", "--site-budget", "0", "--offres-site-budget", "1e11",
       "--z-min", "1", "--z-max", "1.1", "--points-per-decade", "1"], cli.EXIT_NUMERICAL,
-     "out of memory: Unable to allocate 9.31 GiB for an array with shape (1250075001,) and "
-     "data type float64"),
+     "the off-resonant octant of M=50000 holds 1250075001 sites, whose tables take "
+     "25001500020 bytes, more than the 2147483648 bytes this process can hold"),
 ]
 
 
@@ -683,6 +683,38 @@ def test_bad_input_exits_with_one_error_line_under_a_memory_limit(argv, code, me
     *notes, error = proc.stderr.split("\n")[:-1]
     assert proc.stdout == "" and proc.stderr.endswith("\n") and error == f"error: {message}"
     assert all(note.startswith("note: ") and "exceed" in note for note in notes)
+
+
+# Ray integrals whose NumPy site terms overflowed or divided by zero, and
+# the RuntimeWarnings they printed before the error line or the report
+_RAY_EXTREMES = [
+    # the off-resonant real path, five on the NumPy backend
+    (["decompose", "--orientation", "custom", "--array-dipole", "0,1,0", "--z-tilde", "1e-307",
+      "--kind", "off_resonant"], cli.EXIT_NUMERICAL),
+    # the resonant rotated path, three on the NumPy backend
+    (["decompose", "--z-tilde", "1e100", "--kind", "resonant"], cli.EXIT_NUMERICAL),
+    # the off-resonant real path, whose r^6 overflows: one on either backend
+    (["decompose", "--z-tilde", "1e100", "--kind", "off_resonant"], cli.EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv,code", _RAY_EXTREMES,
+                         ids=[" ".join(argv) for argv, _ in _RAY_EXTREMES])
+def test_ray_integrals_at_extreme_heights_write_no_warning_on_either_backend(argv, code):
+    runs = []
+    for force_numpy in ("", "1"):
+        env = dict(os.environ, CPLATTICE_FORCE_NUMPY_KERNELS=force_numpy)
+        proc = subprocess.run([sys.executable, "-m", "cplattice.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    rc, out, err = runs[0]
+    assert rc == code
+    if code == cli.EXIT_OK:
+        assert err == "" and "total=0" in out
+    else:  # exactly one error line
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 \
+            and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv,lines", [

@@ -9,6 +9,12 @@ nodes and weights it returns as literals instead. A fresh interpreter imports
 orientation route and the CLI, and must still not have loaded any of the
 three modules.
 
+Nor does a run load what only a rare branch needs. The key of the cached
+compiled library is CPython's own SHA-256, not ``hashlib``'s OpenSSL;
+``subprocess`` comes only with a build of the library, ``concurrent.futures``
+(and ``logging``) only with a sum on more than one thread, and the
+Gauss-Legendre rule is literals, not ``numpy.polynomial``.
+
 ``scipy.special`` clones the NumPy namespace on import (``numpy.f2py`` and
 ``scipy._lib.array_api_compat`` among some 280 modules). The compiled
 backend computes Si and Ci itself, so those routes, the asymptotes and
@@ -107,3 +113,23 @@ def test_only_the_numpy_fallback_loads_scipy_special():
         pytest.skip("no C compiler (cc) on PATH")
     assert _run(COMPILED_SCRIPT, force_numpy=False) == ["", "", ""]
     assert _run(NUMPY_SCRIPT, force_numpy=True) == ["numpy False", "True", ""]
+
+
+# SCRIPT's routes on one thread, on the compiled backend with its library
+# built, then a sum on two threads where this process may use two CPUs
+ON_DEMAND = ("_hashlib", "hashlib", "subprocess", "concurrent.futures", "logging",
+             "numpy.polynomial")
+ON_DEMAND_SCRIPT = SCRIPT + textwrap.dedent(f"""
+    from cplattice import kernels, lattice_sum
+    assert kernels.backend_name() == "c"
+    print(" ".join(m for m in {ON_DEMAND!r} if m in sys.modules))
+    if lattice_sum.usable_cpus() > 1:
+        cplattice.sum_lattice(bundle(*pairs[0]), "resonant", threads=2)
+    print(lattice_sum.usable_cpus() == 1 or "concurrent.futures" in sys.modules)
+""")
+
+
+def test_a_run_on_one_thread_loads_no_openssl_subprocess_pool_or_polynomial():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    assert _run(ON_DEMAND_SCRIPT, force_numpy=False) == ["", "", "True", ""]

@@ -3,9 +3,11 @@ interchangeable, the library's reduced sincos matches the C library, and
 the loader falls back to NumPy whenever the library cannot be built."""
 import ast
 import ctypes
+import hashlib
 import inspect
 import math
 import os
+import platform
 import re
 import shutil
 import statistics
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import roots_laguerre, sici
 
 from cplattice import greens, kernels, lattice_sum
@@ -137,6 +140,15 @@ def test_build_removes_stale_libraries(lib, tmp_path):
     stale.write_bytes(b"")
     assert kernels.load_library(directory=tmp_path) is not None
     assert stale.exists()
+
+
+def test_library_key_is_hashlib_s_sha256(lib):
+    # the key is CPython's own SHA-256, so the library built while the key
+    # came from hashlib keeps its name and is not rebuilt
+    key = hashlib.sha256(b"\0".join([
+        kernels._SOURCE.read_bytes(), " ".join(("cc",) + kernels._CFLAGS).encode(),
+        platform.machine().encode(), kernels._cpu_model().encode()])).hexdigest()[:16]
+    assert Path(lib._name) == kernels._HERE / f"_rows-{key}.so"
 
 
 def test_cached_library_loads_without_a_process(lib, tmp_path, monkeypatch):
@@ -603,6 +615,16 @@ def test_laguerre_table_is_one_read_only_table():
     powers = (0.5 * nodes)[:, None] ** np.arange(5)
     assert _T.tobytes() == np.concatenate((nodes, weights, powers.ravel())).tobytes()
     assert _T.flags.c_contiguous and not _T.flags.writeable
+
+
+def test_legendre_rule_is_numpy_s_bits():
+    # the literals are leggauss(25)'s nodes and weights and the nested
+    # weights that the Vandermonde solve on every other node gives
+    x, w = leggauss(25)
+    w_low = np.zeros(x.size)
+    w_low[::2] = np.linalg.solve(legvander(x[::2], 12).T, np.eye(13)[0] * 2.0)
+    for got, want in zip(kernels.LEGENDRE, (x, w, w_low)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_laguerre_rule_integrates_t_k_exactly():

@@ -4,6 +4,8 @@ no octant folding and no shared code with the accelerated paths."""
 import contextlib
 import itertools
 import math
+import os
+import resource
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cplattice import euler_maclaurin, greens, kernels, lattice_sum
+from cplattice import cli, euler_maclaurin, greens, kernels, lattice_sum
 from cplattice.asymptotics import all_regimes, asymptotic_shift, full_closed_form
 from cplattice.euler_maclaurin import bulk_term, decompose, edge_term, vertex_term
 from cplattice.kernels import _numpy_backend
@@ -258,6 +260,40 @@ def test_site_budget_guard():
     with pytest.raises(SiteBudgetExceeded):
         sum_lattice(b, "resonant", site_budget=100)
     assert isinstance(sum_lattice(b, "resonant", site_budget=441), ShiftResult)
+
+
+def test_offresonant_octant_over_the_memory_limit_is_rejected_before_any_work(monkeypatch,
+                                                                             capsys):
+    # the octant of M = 8 holds 45 sites, 20 bytes each in its tables: with
+    # a byte less memory the zz and zx off-resonant sums, and a sweep that
+    # takes one, fail before the distance table or the first block
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 20 - 1)
+    monkeypatch.setattr(kernels, "distance_table", forbidden)
+    monkeypatch.setattr(euler_maclaurin, "decompose", forbidden)
+    message = ("the off-resonant octant of M=8 holds 45 sites, whose tables take 900 bytes, "
+               "more than the 899 bytes this process can hold")
+    for array in ((0, 0, 1), (1, 0, 0)):
+        with pytest.raises(SiteBudgetExceeded, match=message):
+            sum_lattice(mk(M=8, array=array), "off_resonant")
+    assert cli.main(["sweep", "--half-extent", "8", "--offres-site-budget", "289"]) == \
+        cli.EXIT_NUMERICAL
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the resonant and custom sums keep no octant tables of that size
+    lattice_sum.check_octant_memory(mk(M=8), "resonant")
+    sum_lattice(mk(M=8, test=_CUSTOM_PAIRS["custom_a"][0], array=_CUSTOM_PAIRS["custom_a"][1]),
+                "off_resonant")
+    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 20)
+    lattice_sum.check_octant_memory(mk(M=8), "off_resonant")
+
+
+def test_memory_limit_is_physical_memory_or_a_lower_address_space_limit(monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for soft in (resource.RLIM_INFINITY, 1 << 30, 1 << 62):
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
+        assert lattice_sum.memory_limit() == min(physical, math.inf if soft < 0 else soft)
 
 
 def test_default_threads_follow_the_site_count(monkeypatch):
