@@ -95,7 +95,7 @@ import numpy as np
 from . import kernels, specfun
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .lattice_sum import QuadratureFailure, heights_array, per_height, prefactor, site_term
+from .lattice_sum import failure, heights_array, per_height, prefactor, quiet_nonfinite, site_term
 from .model import ValidatedBundle, validate
 
 
@@ -148,10 +148,8 @@ def _checked(sums, counts, heights, bundle: ValidatedBundle, stage: str,
         for i, (e, scale, count) in enumerate(zip(sums[:, k, 1].tolist(), sums[:, k, 2].tolist(),
                                                   counts.tolist())):
             if not (e <= _RTOL * scale or e <= count * _UNDERFLOW_FLOOR):
-                where = bundle.orientation_label() + (f", {axes[k]} axis" if axes else "")
-                raise QuadratureFailure(
-                    f"{stage} at z={float(heights[i])!r}, mu={bundle.mu!r} ({where}): error "
-                    f"estimate {e:.3g} exceeds {_RTOL:g} of {scale:.17g}")
+                raise failure(stage, heights[i], bundle, f"error estimate {e:.3g} exceeds "
+                              f"{_RTOL:g} of {scale:.17g}", axes[k] if axes else None)
     return sums[..., 0]
 
 
@@ -215,9 +213,7 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     the directions, the Jacobian and the panel sums. The panels of all
     heights are stacked as rows, each row with its own height z.
     """
-    # an integral that is not finite raises in _checked, with no NumPy
-    # warning first, as a direct sum's site term does
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with quiet_nonfinite():
         if kind == "resonant":
             sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights)
         else:
@@ -248,8 +244,7 @@ def _closed_form(bundle: ValidatedBundle, pref: float, label: str, z: float) -> 
     except (ZeroDivisionError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
-        raise QuadratureFailure(f"bulk resonant at z={z!r}, mu={bundle.mu!r} ({label}): "
-                                "closed form is not finite")
+        raise failure("bulk resonant", z, bundle, "closed form is not finite")
     return v
 
 

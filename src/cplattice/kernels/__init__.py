@@ -80,8 +80,8 @@ distance table that the compiled rows gather from:
   cos of 2r; the NumPy backend calls those functions. The off-resonant pass
   fills the buffers of ``offres_sites`` and shares the rest of its path;
 * ``exact_sum(parts)``: math.fsum of every value of a sequence of arrays,
-  in order, with math.fsum's errors, on either backend: the exact reduction
-  that makes each direct sum the same bits for any worker count;
+  in order, on either backend, and NaN where math.fsum raises: the exact
+  reduction that makes each direct sum the same bits for any worker count;
 * ``ray_rotated(bulk, pair, directions, heights)``: the resonant ray
   integrals of the bulk/edge decomposition (``euler_maclaurin``) on their
   rotated paths, whole, for every height in one call: each height's rule
@@ -502,9 +502,12 @@ def exact_sum(parts) -> float:
     """math.fsum of every value of the float64 arrays ``parts``, in order:
     the correctly rounded sum, inf or NaN when an inf or NaN is summed, the
     same on either backend. ``parts`` is any iterable, taken one array at a
-    time. Raises ``OverflowError`` on intermediate overflow and
-    ``ValueError`` for -inf + inf, as math.fsum does."""
-    return math.fsum(itertools.chain.from_iterable(memoryview(np.ravel(p)) for p in parts))
+    time. NaN where math.fsum raises (intermediate overflow, or -inf + inf):
+    like every kernel here it returns a sum that is not finite, never raises."""
+    try:
+        return math.fsum(itertools.chain.from_iterable(memoryview(np.ravel(p)) for p in parts))
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ is one call of ``kernels.res_rows`` over the rows n_x = 0..M, or one call
 per contiguous row range when split over threads, for all the heights of a
 :func:`sum_lattice` call at once; the row values come back in fixed order
 and are reduced exactly (``kernels.exact_sum``, math.fsum's correctly
-rounded sum), once per height, so results are bit-identical for any worker
-count and any set of heights. The octant site terms depend on the site only
-through s = n_x^2 + n_y^2, so both octant sums evaluate them once per
-distinct s, from one table of those distances and each site's index into
-them (``kernels.distance_table``): the compiled resonant rows gather from
-it, and the off-resonant sum evaluates its site kernel on it at each height
-and folds the octant with the orbit weights, built once for all heights,
-into one exact sum per height, ``OFFRES_BLOCK_SITES`` products at a time.
+rounded sum, NaN where fsum raises), once per height, so results are
+bit-identical for any worker count and any set of heights. The octant site
+terms depend on the site only through s = n_x^2 + n_y^2, so both octant
+sums evaluate them once per distinct s, from one table of those distances
+and each site's index into them (``kernels.distance_table``): the compiled
+resonant rows gather from it, and the off-resonant sum evaluates its site
+kernel on it at each height and folds the octant, from its first site of
+nonzero weight, with the orbit weights, built once for all heights, into
+one exact sum per height, ``OFFRES_BLOCK_SITES`` products at a time.
 General orientations lack the reflection parity needed for folding and run
 over the full grid of rows n_x = -M..M as a site set of the kernels, which
 take the dipoles as ``bundle.pair`` (the pair terms, for any pair, are
@@ -177,8 +178,7 @@ def site_term(bundle: ValidatedBundle, kind: str, x: float, y: float, z: np.ndar
     QuadratureFailure, naming the stage, height and mu, where it is not
     finite (the site's r^6 underflows at tiny heights)."""
     pref, u, v = prefactor(bundle, kind), np.array([x]), np.array([y])
-    # a site that is not finite raises in finite(), with no NumPy warning first
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with quiet_nonfinite():
         if kind == "resonant":
             values = kernels.res_points(bundle.pair, u, v, z, sums=False).reshape(-1)
         else:
@@ -241,7 +241,7 @@ def _map_ranges(fn, ranges) -> list:
         return [fn(*ranges[0])]
     from concurrent.futures import ThreadPoolExecutor  # loaded only by a threaded sum
     with ThreadPoolExecutor(max_workers=len(ranges) - 1) as executor:
-        # each worker runs in a copy of the caller's context: its np.errstate
+        # each worker runs in a copy of the caller's context: its quiet_nonfinite()
         futures = [executor.submit(contextvars.copy_context().run, fn, lo, hi)
                    for lo, hi in ranges[:-1]]
         last = fn(*ranges[-1])
@@ -274,7 +274,7 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     # for every height
     ranges = _split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
     parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges)
-    return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
+    return [kernels.exact_sum((rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
 def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
@@ -285,7 +285,7 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     pair = bundle.pair  # built here, so that the workers share one array
     parts = _map_ranges(lambda lo, hi: kernels.res_points(pair, y[lo:hi], y, z, sums=True),
                         _split_rows(y.size, threads))
-    return [_exact(kernels.exact_sum, (rows,)) for rows in np.concatenate(parts, axis=1)]
+    return [kernels.exact_sum((rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
 # An off-resonant direct sum takes this many folded octant sites at a time,
@@ -347,10 +347,12 @@ def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:
             octant_weights(nx, j, a2, zx)[j <= nx]
 
     def folded(h, step=OFFRES_BLOCK_SITES):
+        # the zx origin's weight is 0: its term, inf once r^6 underflows, is skipped
         radial = kernels.offres_sites(*radial_sites(d2, a2, h ** 2, zx), bundle.mu)
-        return (weights[k:k + step] * radial[site[k:k + step]] for k in range(0, site.size, step))
+        return (weights[k:k + step] * radial[site[k:k + step]]
+                for k in range(int(zx), site.size, step))
 
-    return [_exact(kernels.exact_sum, folded(h)) for h in z.tolist()]
+    return [kernels.exact_sum(folded(h)) for h in z.tolist()]
 
 
 def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
@@ -360,28 +362,28 @@ def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
     # the grid (nx, ny) row by row, one block of rows at a time
     blocks = (kernels.offres_points(bundle.pair, n[i:i + rows], n, [z], bundle.mu)
               for i in range(0, n.size, rows))
-    return _exact(kernels.exact_sum, blocks)
+    return kernels.exact_sum(blocks)
 
 
-def _exact(total, *args) -> float:
-    """total(*args), an exact sum of kernels, or NaN where it raises as
-    math.fsum does (intermediate overflow, or -inf + inf): a sum that is not
-    finite, which :func:`finite` reports."""
-    try:
-        return total(*args)
-    except (OverflowError, ValueError):
-        return math.nan
+def quiet_nonfinite():
+    """The one NumPy error state of every site kernel, sum and ray integral: a
+    value that is not finite is reported once, as a :func:`failure`, not warned of."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+def failure(stage: str, z: float, bundle: ValidatedBundle, detail: str, axis=None):
+    """The QuadratureFailure naming the stage, height z, mu, orientation, axis and detail."""
+    where = bundle.orientation_label() + (f", {axis} axis" if axis else "")
+    return QuadratureFailure(f"{stage} at z={float(z)!r}, mu={bundle.mu!r} ({where}): {detail}")
 
 
 def finite(values: np.ndarray, z: np.ndarray, bundle: ValidatedBundle, stage: str) -> np.ndarray:
-    """values, one per height z, when each is finite. Otherwise raises
-    QuadratureFailure naming the stage, the first such height and mu, as
-    the decomposition's terms do: at tiny heights the origin term's r^6
-    underflows, and a sum or term of inf or NaN would be printed."""
+    """values, one per height z, when each is finite; else raises the stage's
+    :func:`failure` at the first such height, as the decomposition's terms do:
+    at tiny heights the origin's r^6 underflows, and inf or NaN would be printed."""
     for v, h in zip(values.tolist(), z.tolist()):
         if not math.isfinite(v):
-            raise QuadratureFailure(f"{stage} at z={h!r}, mu={bundle.mu!r} "
-                                    f"({bundle.orientation_label()}): value is not finite")
+            raise failure(stage, h, bundle, "value is not finite")
     return values
 
 
@@ -424,8 +426,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads: in
     check_octant_memory(bundle, kind)
     z = heights_array(bundle, heights)
     octant = bundle.orientation_label() in ("zz", "zx")
-    # a sum that is not finite raises in finite(), with no NumPy warning first
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with quiet_nonfinite():
         if kind == "resonant":
             if threads is None:
                 summed = kernels.range_sites(0, bundle.half_extent + 1) if octant else count

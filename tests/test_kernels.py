@@ -872,14 +872,6 @@ def test_row_throughput_contract(lib):
 # ---------------------------------------------------------------------------
 # exact sums: math.fsum over every value of a sequence of arrays, in order
 
-def _fsum_outcome(total, *args):
-    """The bits of a sum, or the error it raises."""
-    try:
-        return total(*args).hex()
-    except (OverflowError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 _WIDE = st.builds(lambda m, e: m * 2.0 ** e, st.floats(-1.0, 1.0), st.integers(-1000, 1000))
 _SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-16, 1.0,
                             1e16, 1.7976931348623157e308, -1.7976931348623157e308, math.inf,
@@ -903,13 +895,19 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals include
 @example(values=[math.nan, math.inf], cancel=False, cuts=[1])
 def test_exact_sum_equals_math_fsum_bitwise(values, cancel, cuts):
     # cancel plants the values' negatives, shuffled, after a small residue;
-    # cuts split the values into arrays, empty ones included
+    # cuts split the values into arrays, empty ones included. Where math.fsum
+    # raises, the exact sum is NaN
     if cancel:
         values = values + [2.0 ** -60] + [-v for v in values[::-1]]
     bounds = sorted(min(c, len(values)) for c in cuts)
     parts = [np.array(values[lo:hi], dtype=np.float64)
              for lo, hi in zip([0, *bounds], [*bounds, len(values)])]
-    assert _fsum_outcome(kernels.exact_sum, iter(parts)) == _fsum_outcome(math.fsum, values)
+    try:
+        want = math.fsum(values).hex()
+    except (OverflowError, ValueError):  # intermediate overflow, or -inf + inf
+        want = None
+    got = kernels.exact_sum(iter(parts))
+    assert math.isnan(got) if want is None else got.hex() == want
 
 
 def _defined(*names):

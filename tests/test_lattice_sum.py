@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cplattice import cli, euler_maclaurin, greens, kernels, lattice_sum
@@ -95,14 +95,20 @@ def test_origin_site_zx_exactly_zero():
     assert offresonant_pair_term(0, 0, b) == 0.0
 
 
-@pytest.mark.parametrize("M,want", [(0, 0.0), (1, 2.0171610377929678e-109)])
-def test_zx_sums_at_a_tiny_height_are_finite(backend, M, want):
+@pytest.mark.parametrize("kind,M,want", [("resonant", 0, 0.0),
+                                         ("resonant", 1, 2.0171610377929678e-109),
+                                         ("off_resonant", 0, 0.0),
+                                         ("off_resonant", 1, 6.723491683748857e-110)])
+def test_zx_sums_at_a_tiny_height_are_finite(backend, kind, M, want):
     # at z = 1e-60 the zx origin's term overflows while its orbit weight
-    # 2 nx^2 a^2 is exactly 0: both backends take its row as 0.0, where the
-    # NumPy rows once formed 0 * inf = NaN and the sum raised
-    # QuadratureFailure. The rows past it agree across backends to rounding
-    got = sum_lattice(mk(mu=0.6, a=0.01, M=M, z=1e-60, array=(1, 0, 0)), "resonant").resonant
-    assert got == want if backend is not _numpy_backend else got == pytest.approx(want, rel=1e-14)
+    # 2 nx^2 a^2 is exactly 0: both backends take its row as 0.0, and the
+    # off-resonant fold starts past it, where the NumPy rows and the fold
+    # once formed 0 * inf = NaN and the sum raised QuadratureFailure. The
+    # resonant rows past it agree across backends to rounding; the
+    # off-resonant sums are the same bits
+    got = getattr(sum_lattice(mk(mu=0.6, a=0.01, M=M, z=1e-60, array=(1, 0, 0)), kind), kind)
+    exact = backend is not _numpy_backend or kind == "off_resonant"
+    assert got == want if exact else got == pytest.approx(want, rel=1e-14)
     assert _numpy_backend.res_row(True, 1e-4, 1e-120, 0) == 0.0
 
 
@@ -544,12 +550,11 @@ def test_heights_checked_like_the_bundle_height():
                                           ([math.inf, -math.inf], ValueError)],
                          ids=["intermediate_overflow", "inf_minus_inf"])
 def test_exact_sum_that_raises_is_a_sum_that_is_not_finite(backend, values, error):
-    # where kernels.exact_sum raises as math.fsum does, the direct sum takes
-    # NaN, and finite() names the stage, height and mu
-    parts = (np.array(values),)
+    # where math.fsum raises, kernels.exact_sum is NaN, and finite() names
+    # the stage, height and mu
     with pytest.raises(error):
-        kernels.exact_sum(parts)
-    total = lattice_sum._exact(kernels.exact_sum, parts)
+        math.fsum(values)
+    total = kernels.exact_sum((np.array(values),))
     assert math.isnan(total)
     with pytest.raises(QuadratureFailure,
                        match=r"^direct resonant at z=0\.3, mu=0\.5 \(zz\): value is not finite$"):
@@ -611,21 +616,85 @@ def _public_calls(b):
         yield "full_closed_form", lambda: full_closed_form(label, b)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure alone, no NumPy warning
 @pytest.mark.parametrize("pair", ["zz", "zx", "custom_a"])
 def test_every_public_function_is_finite_or_fails_cleanly_at_extreme_heights(backend, pair):
     # at tiny and huge heights, up to just below the 2**512 bound, each call
     # returns a finite value or raises QuadratureFailure or ValidationError:
-    # never an OverflowError, ZeroDivisionError or a value of inf or NaN
+    # never an OverflowError, ZeroDivisionError, a NumPy warning or a value
+    # of inf or NaN
     test, array = _CUSTOM_PAIRS.get(pair, ((0, 0, 1), (0, 0, 1) if pair == "zz" else (1, 0, 0)))
     for z in (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0)):
         b = mk(mu=0.6, a=0.05, M=2, z=z, test=test, array=array)
         for name, call in _public_calls(b):
             try:
-                with np.errstate(all="ignore"):
-                    value = call()
+                value = call()
             except (QuadratureFailure, ValidationError):
                 continue
             assert math.isfinite(value), (name, z)
+
+
+_R2 = math.sqrt(0.5)
+# zz, zx, xx, xy, ((x+y)/sqrt2, same) and ((x+z)/sqrt2, (x-z)/sqrt2)
+_BASIS_PAIRS = [((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)), ((1, 0, 0), (1, 0, 0)),
+                ((1, 0, 0), (0, 1, 0)), ((_R2, _R2, 0), (_R2, _R2, 0)),
+                ((_R2, 0, _R2), (_R2, 0, -_R2))]
+# the same invariants, with -z probes in place of zz and zx: pairs whose
+# resonant bulk is the ray integral, not the zz and zx closed forms
+_RAY_BASIS_PAIRS = [((0, 0, -1), (0, 0, 1)), ((0, 0, -1), (1, 0, 0)), *_BASIS_PAIRS[2:]]
+
+
+def _invariants(e0, en):
+    """The six quadratic D4 invariants of S = (e0 en^T + en e0^T)/2, T = S_xx + S_yy."""
+    e0, en = np.asarray(e0, dtype=float), np.asarray(en, dtype=float)
+    s = (np.outer(e0, en) + np.outer(en, e0)) / 2.0
+    t = s[0, 0] + s[1, 1]
+    return np.array([t * t, s[2, 2] ** 2, t * s[2, 2], (s[0, 0] - s[1, 1]) ** 2, s[0, 1] ** 2,
+                     s[0, 2] ** 2 + s[1, 2] ** 2])
+
+
+_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: tuple((np.array(v) / np.linalg.norm(v)).tolist()))
+_ROUTES = {"sum_lattice": lambda b, kind: getattr(sum_lattice(b, kind, threads=1), kind),
+           "bulk_term": bulk_term, "vertex_term": vertex_term, "edge_term": edge_term}
+
+
+@pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize("route", [
+    "sum_lattice", "bulk_term", "vertex_term",
+    pytest.param("edge_term", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: the edge doubles half-axes, wrong for a pair "
+                            "whose site term is odd along an axis"))])
+# no shrinking: the edge fails on every draw, and shrinking it would repeat that failure
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(e0=_UNIT, en=_UNIT, a=st.floats(0.2, 1.0), M=st.integers(0, 8), z=st.floats(0.1, 5.0))
+def test_every_pair_is_the_combination_of_six_basis_pairs(route, e0, en, a, M, z):
+    """A route's value I of a unit dipole pair is linear in the six D4
+    invariants v = (T^2, S_zz^2, T S_zz, (S_xx - S_yy)^2, S_xy^2,
+    S_xz^2 + S_yz^2), so it is the combination sum_k c_k I_k of the six basis
+    pairs' values I_k, with c solving V_basis^T c = v (V_basis has condition
+    number 7.1), for both kinds, to
+
+        |sum_k c_k I_k - I| <= 32 eps ||c||_1 max_k |I_k|.
+
+    The scale is the largest basis value, not sum_k |c_k I_k|: near a zero of
+    a resonant site term or sum, a value cancels inside its route, and its
+    rounding, and its response to the rounding of e0.en and of c, are ulps
+    of the terms that cancel. Drawn pairs reached 72 eps of sum_k |c_k I_k|
+    (a resonant sum near z = pi) and at most 10 eps of this scale, over
+    2,000 draws. The bulk takes zz and zx from -z probes, whose bulk is the
+    ray integral of every other pair: the zz closed form differs from it by
+    up to ~100 eps of its value at z <= 5 (the cancellation in bracket_zz).
+    Within the bound each route is also invariant under the square's point
+    group D4 (ROADMAP items 15 and 16a)."""
+    pairs = _RAY_BASIS_PAIRS if route == "bulk_term" else _BASIS_PAIRS
+    c = np.linalg.solve(np.array([_invariants(*p) for p in pairs]).T, _invariants(e0, en))
+    for kind in ("resonant", "off_resonant"):
+        value = _ROUTES[route](mk(mu=0.6, a=a, M=M, z=z, test=e0, array=en), kind)
+        basis = np.array([_ROUTES[route](mk(mu=0.6, a=a, M=M, z=z, test=p[0], array=p[1]), kind)
+                          for p in pairs])
+        bound = 32 * np.finfo(float).eps * np.abs(c).sum() * np.abs(basis).max()
+        assert abs(math.fsum(c * basis) - value) <= bound, (kind, value, basis.tolist())
 
 
 def test_custom_offresonant_sum_memory_is_bounded(backend):
