@@ -23,9 +23,9 @@ three checked ctypes types, ``F64``, ``I32`` and ``I64``, which take a
 C-contiguous ndarray of their dtype and pass the address of its first
 element, and reject anything else with ``ctypes.ArgumentError`` before the
 C code runs. The NumPy backend takes each export's arguments, with the
-arrays where C takes pointers, so a wrapper below makes one call that runs
-on either backend; it tests which backend it has only where the two take
-different algorithms.
+arrays where C takes pointers, and runs its algorithm, so each wrapper
+below makes one call that runs on either backend; only ``backend`` and
+``backend_name`` test which backend is in place.
 
 The module exports these functions over the selected backend, and the
 distance table that the compiled rows gather from:
@@ -37,15 +37,15 @@ distance table that the compiled rows gather from:
   whose element [..., nx - lo] is bitwise equal to the backend's single row
   ``res_row(zx, a2, z2, nx)`` at that height. One call fills a whole range
   for every height, and the compiled call runs without the interpreter
-  lock. On the NumPy backend, and on the compiled one for ranges of more
-  than ``TABLE_SITE_CAP`` sites, the backend's ``res_rows(zx, a2, z2, nz,
-  lo, hi, out)`` streams, evaluating every site. Otherwise the compiled
-  ``table_rows`` reads the range's :func:`distance_table` and, height by
-  height into one values buffer, evaluates the site term once per distinct
-  distance and gathers each row from those values in the streaming row's
-  order, eight rows side by side, so the rows are the same bits. A height
-  whose rows' largest phase reaches the fast sin/cos bound streams inside
-  that call;
+  lock. For ranges of more than ``TABLE_SITE_CAP`` sites the backend's
+  ``res_rows(zx, a2, z2, nz, lo, hi, out)`` streams, evaluating every site.
+  Otherwise the backend's ``table_rows`` reads the range's
+  :func:`distance_table` and, height by height into one values buffer,
+  evaluates the site term once per distinct distance and gathers each row
+  from those values in the streaming row's order (in C eight rows side by
+  side), so the rows are the same bits. A height whose rows' largest phase
+  reaches the fast sin/cos bound streams inside that call. The NumPy
+  backend ports both passes, so either backend gives the same bits;
 * ``distance_table(lo, hi)``: the distinct nx^2 + j^2 of the octant sites
   of those rows and each site's index into them, shared by the resonant
   rows above and the direct off-resonant octant sum. The compiled builder
@@ -336,7 +336,7 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     z2 = np.asarray(z2, dtype=np.float64)
     out = np.empty(z2.shape + (hi - lo,))
     heights = np.ascontiguousarray(z2.reshape(-1))
-    if _impl is not _numpy_backend and range_sites(lo, hi) <= TABLE_SITE_CAP:
+    if range_sites(lo, hi) <= TABLE_SITE_CAP:
         d2, idx = distance_table(lo, hi)
         _impl.table_rows(zx, a2, heights, heights.size, d2, d2.size, idx, lo, hi,
                          np.empty(d2.size), out)

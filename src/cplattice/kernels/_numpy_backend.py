@@ -1,11 +1,13 @@
 """NumPy fallback for the hot lattice-sum row kernels, and the octant fold.
 
-Same contract as the compiled library: ``res_row(zx, a2, z2, nx)``
-evaluates one octant row n_x = const, n_y = 0..n_x, of the zz (zx false) or
-zx (zx true) orientation with the dihedral-orbit weights folded in, and
-returns the row total, and ``res_rows(zx, a2, z2, nz, lo, hi, out)`` writes
-the rows lo <= n_x < hi at each of the nz heights z2 into ``out``
-(``kernels.res_rows`` checks the range and allocates ``out``);
+Same contract as the compiled library, and the same bits: ``res_rows(zx,
+a2, z2, nz, lo, hi, out)`` writes the octant rows lo <= n_x < hi, n_y =
+0..n_x, of the zz (zx false) or zx (zx true) orientation with the
+dihedral-orbit weights folded in, at each of the nz heights z2, into
+``out``, and ``table_rows`` the same rows from their :func:`distance_table`
+(``kernels.res_rows`` checks the range, allocates ``out`` and chooses
+between them); ``res_row`` is one row. Both port ``_rows.c``'s passes in
+its order of operations (:func:`site_terms`, :func:`sin_cos`, :func:`_sums`).
 :func:`phi_laguerre` is the Gauss-Laguerre branch of the off-resonant site
 kernel, and :func:`offres_sites` the arithmetic of that kernel on the
 buffer of ``kernels._offres_chunks`` once NumPy has put r^6 into it, with
@@ -17,19 +19,12 @@ this backend alone loads it.
 direct sums of generic dipole pairs, the vertex and the off-resonant real
 path (see ``kernels.res_points``), through ``greens.site_projections`` and
 the site kernels. They are the fallback and the oracle that the compiled
-library equals bit for bit. :func:`octant_weights` is the one statement of
-the orbit weights; the direct off-resonant sum folds its octant with it
-too. :func:`ray_rotated` and :func:`panel_sums` are the ray integrals of
+library equals bit for bit. :func:`octant_weights` and :func:`radial_sites`
+are the one statement of the octant's orbit weights and radial projections;
+the direct off-resonant sum folds its octant with them.
+:func:`ray_rotated` and :func:`panel_sums` are the ray integrals of
 the bulk/edge decomposition (see ``kernels.ray_rotated``), with
 :func:`rotated_rules` the reference of the compiled rule.
-The site terms come from :func:`cplattice.greens.resonant_sites`,
-evaluated in blocks of ``BLOCK`` sites: whole-row temporaries of long rows
-(50,000 sites) can be mapped from and returned to the OS by the allocator on
-every call, which made such rows up to ~10x slower depending on the process's
-allocation history; small blocks are cache-resident and reused.
-Each block is summed with an uncompensated NumPy dot product (w @ t), not
-with the compiled kernel's Neumaier compensation; the caller performs the
-exact cross-row reduction.
 """
 from __future__ import annotations
 
@@ -39,30 +34,15 @@ import numpy as np
 
 from ..greens import resonant_sites, resonant_sites_complex, site_projections
 
-BLOCK = 4096
-
-
-def octant_sites(nx, j, a2: float, z2: float, zx: bool):
-    """Distances, projections and orbit weights of octant sites (nx, j), 0 <= j <= nx.
-
-    Returns (r, dot, pp, w): the orbit of (nx, j) under the square's
-    symmetries contributes w * term(r, dot, pp), for any site term that
-    depends on the dipoles through dot = e0.en and pp = (e0.n)(n.en).
-    With s = nx^2 + j^2 and r^2 = s a^2 + z^2:
-
-    * zz: dot = 1, pp = z^2/r^2, and w = 8 interior, 4 on the axis and the
-      diagonal, 1 at the origin.
-    * zx (z probe, x array): the term carries x^2 = (nx a)^2, which breaks
-      the bare dihedral degeneracy; summing x^2 over each orbit restores a
-      radial kernel (the term at unit x: dot = 0, pp = z/r^2) with weights
-      4 s a^2 interior, 2 nx^2 a^2 on the axis and 4 nx^2 a^2 on the diagonal.
-    """
-    return (*radial_sites(nx * nx + j * j, a2, z2, zx), octant_weights(nx, j, a2, zx))
-
 
 def radial_sites(s, a2: float, z2: float, zx: bool):
-    """(r, dot, pp) of :func:`octant_sites` at s = nx^2 + j^2, on which they
-    alone depend."""
+    """(r, dot, pp) of the octant sites at s = nx^2 + j^2, on which they
+    alone depend: the orbit of site (nx, j) under the square's symmetries
+    contributes w * term(r, dot, pp), w from :func:`octant_weights`, for any
+    site term that depends on the dipoles through dot = e0.en and
+    pp = (e0.n)(n.en). With r^2 = s a^2 + z^2: zz has dot = 1 and
+    pp = z^2/r^2; zx (z probe, x array) the term at unit x, dot = 0 and
+    pp = z/r^2, since its weights carry x^2."""
     r2 = s * a2 + z2
     if zx:
         return np.sqrt(r2), 0.0, math.sqrt(z2) / r2
@@ -70,7 +50,11 @@ def radial_sites(s, a2: float, z2: float, zx: bool):
 
 
 def octant_weights(nx, j, a2: float, zx: bool):
-    """The orbit weights w of :func:`octant_sites`."""
+    """The orbit weights w of the octant sites (nx, j), 0 <= j <= nx (see
+    :func:`radial_sites`): zz 8 interior, 4 on the axis and the diagonal, 1
+    at the origin; zx, where the term carries x^2 = (nx a)^2, which breaks
+    the bare dihedral degeneracy, x^2 summed over each orbit: 4 s a^2
+    interior, 2 nx^2 a^2 on the axis and 4 nx^2 a^2 on the diagonal."""
     axis, diagonal = j == 0, j == nx
     if zx:
         s = nx * nx + j * j
@@ -78,28 +62,165 @@ def octant_weights(nx, j, a2: float, zx: bool):
     return np.where(nx == 0, 1.0, np.where(axis | diagonal, 4.0, 8.0))
 
 
-def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
-    """Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole
-    pairs (zx false), or for z-probe / x-array dipoles with x^2-folded
-    weights (zx true). The zx origin row is 0.0, as in C: its weight
-    2 nx^2 a^2 is 0, and its term, infinite as z -> 0, is not formed."""
-    if zx and nx == 0:
-        return 0.0
-    total = 0.0
-    for j0 in range(0, nx + 1, BLOCK):
-        j = np.arange(j0, min(j0 + BLOCK, nx + 1), dtype=np.float64)
-        r, dot, pp, w = octant_sites(nx, j, a2, z2, zx)
-        total += float(w @ resonant_sites(r, dot, pp))
-    return total
+# _rows.c's sin_branchless, a Cody-Waite reduced fdlibm-style sin/cos for
+# phases below PHASE_LIMIT: its literals, which test_kernels.py requires to
+# equal the C ones bit for bit
+TWO_OVER_PI, PHASE_LIMIT = 6.36619772367581382433e-01, 1.0e6
+PIO2_1, PIO2_1T = 1.57079632673412561417e+00, 6.07710050650619224932e-11
+S1, S2, S3 = -1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04
+S4, S5, S6 = 2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10
+C1, C2, C3 = 4.16666666666666019037e-02, -1.38888888888741095749e-03, 2.48015872894767294178e-05
+C4, C5, C6 = -2.75573143513906633035e-07, 2.08757232129817482790e-09, -1.13596475577881948265e-11
+
+# The most values of one pass of the rows (rows x columns) unless it holds
+# one row, and of one site_terms call: arrays of 64 KB, which the allocator
+# reuses. Whole-octant temporaries (M = 500) were mapped from and returned
+# to the OS on every call, and made the table pass about twice as slow
+ROW_SITES = 1 << 13
+
+
+def sin_cos(x):
+    """(sin x, cos x) for x in [0, PHASE_LIMIT), in sin_branchless's order of
+    operations: a truncating int32 quadrant, the reduced argument and 0/1
+    masks for the quadrant's signs."""
+    n = (x * TWO_OVER_PI + 0.5).astype(np.int32)
+    fn = n.astype(np.float64)
+    t = (x - fn * PIO2_1) - fn * PIO2_1T
+    t2 = t * t
+    ks = t + t * t2 * (S1 + t2 * (S2 + t2 * (S3 + t2 * (S4 + t2 * (S5 + t2 * S6)))))
+    kc = 1.0 - 0.5 * t2 + t2 * t2 * (C1 + t2 * (C2 + t2 * (C3 + t2 * (C4 + t2 * (C5 + t2 * C6)))))
+    odd, hi = (n & 1).astype(np.float64), ((n >> 1) & 1).astype(np.float64)
+    even = 1.0 - odd
+    sign_s, sign_c = 1.0 - 2.0 * hi, 1.0 - 2.0 * (odd + hi - 2.0 * odd * hi)
+    return sign_s * (odd * kc + even * ks), sign_c * (odd * ks + even * kc)
+
+
+def site_terms(zx: bool, d2, a2: float, z2, fast: bool):
+    """_rows.c's term_zz, Re[e^{2ir} Bzz^2]/r^6 (zx false), or term_zx, the
+    zx term times its interior orbit weight 4 d2 a^2 (zx true), at
+    r^2 = d2 a^2 + z2, d2 = nx^2 + j^2: sin and cos of 2r from
+    :func:`sin_cos` where ``fast``, else from np.sin and np.cos."""
+    r2 = d2 * a2 + z2
+    r = np.sqrt(r2)
+    s, co = sin_cos(2.0 * r) if fast else (np.sin(2.0 * r), np.cos(2.0 * r))
+    if zx:
+        q = 3.0 - r2
+        g = (co * (q * q - 9.0 * r2) + s * (6.0 * r * q)) * z2 / (r2 * r2 * r2 * r2 * r2)
+        return 4.0 * d2 * a2 * g
+    c = z2 / r2
+    bre = (r2 - 1.0) + (3.0 - r2) * c
+    bim = r * (1.0 - 3.0 * c)
+    return (co * (bre * bre - bim * bim) - s * (2.0 * bre * bim)) / (r2 * r2 * r2)
+
+
+def _fill_terms(zx: bool, d2, a2: float, z2: float, fast: bool, out):
+    """out = :func:`site_terms` at the distances d2, ``ROW_SITES`` at a
+    time; returns out."""
+    for k in range(0, d2.size, ROW_SITES):
+        out[k:k + ROW_SITES] = site_terms(zx, d2[k:k + ROW_SITES], a2, z2, fast)
+    return out
+
+
+def fast_rows(a2: float, z2, nx):
+    """_rows.c's fast_row: whether row nx takes the reduced sin/cos, its
+    largest phase, at the diagonal site, below PHASE_LIMIT. Rows grow in
+    phase with nx."""
+    nx2 = np.float64(nx) * np.float64(nx)
+    return 2.0 * np.sqrt(2.0 * nx2 * a2 + z2) < PHASE_LIMIT
+
+
+def _sites(lo: int, hi: int):
+    """(nx, j) of the octant sites 0 <= j <= nx of the rows lo <= nx < hi,
+    row by row (``np.tril_indices`` order)."""
+    row, j = np.nonzero(np.arange(hi) <= np.arange(lo, hi)[:, None])
+    return row + lo, j
+
+
+def _sums(lo: int, hi: int, values) -> np.ndarray:
+    """The passes of the rows 0 < lo <= nx < hi from values, their site terms
+    in row order, as _rows.c's row_sum gives them: each row's Neumaier sum
+    in j order from 0.0, taken along the row. np.add.accumulate takes the
+    running sum in order, each step's compensation term follows from it
+    elementwise, and a second accumulate sums those in order. Each row is
+    padded to the longest with +0.0 after its end; such a step changes
+    neither sum, since neither starts at or can reach -0.0 and x + 0.0 = x
+    for every other x (once a sum is inf or NaN its compensation is NaN)."""
+    nx = np.arange(lo, hi)
+    steps = np.zeros((nx.size, hi + 1))
+    steps[:, 1:][np.arange(hi) <= nx[:, None]] = values
+    acc = np.add.accumulate(steps, axis=1)
+    t, before = acc[:, 1:], acc[:, :-1]
+    bb = t - before
+    # the first term is +0.0 (or NaN), so the sum from it is the sum from 0.0
+    comp = np.add.accumulate((before - (t - bb)) + (steps[:, 1:] - bb), axis=1)
+    return acc[:, -1] + comp[:, -1]
+
+
+def _totals(zx: bool, a2: float, z2: float, lo: int, hi: int, passes, out) -> None:
+    """out = the rows lo <= nx < hi at the height z2 from their passes, as
+    _rows.c's row_total gives them, the endpoint terms with np.sin and
+    np.cos. The origin row takes no pass: zz its one term, zx 0.0, its
+    weight 2 nx^2 a^2 being 0."""
+    if lo == 0 < hi:
+        out[0] = 0.0 if zx else site_terms(False, np.float64(0.0), a2, z2, False)
+        lo, passes, out = 1, passes[1:], out[1:]
+    nx2 = (np.arange(lo, hi) ** 2).astype(np.float64)
+    ends = site_terms(zx, nx2, a2, z2, False), site_terms(zx, 2.0 * nx2, a2, z2, False)
+    out[:] = (passes - 0.5 * ends[0] - 0.5 * ends[1] if zx
+              else 8.0 * passes - 4.0 * ends[0] - 4.0 * ends[1])
 
 
 def res_rows(zx: bool, a2: float, z2, nz: int, lo: int, hi: int, out: np.ndarray) -> None:
     """out[h, nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights z2 and
-    lo <= nx < hi, with out viewed as (nz, hi - lo)."""
-    rows = out.reshape(nz, hi - lo)
+    lo <= nx < hi, with out viewed as (nz, hi - lo): _rows.c's stream_rows
+    height by height, every site's term evaluated, those of the rows whose
+    largest phase is below PHASE_LIMIT (:func:`fast_rows`) with the reduced
+    sin/cos."""
+    rows, passes = out.reshape(nz, hi - lo), np.empty(hi - lo)
+    start, step = max(lo, 1), max(1, ROW_SITES // (hi + 1))  # the origin row takes no pass
     for h, z2h in enumerate(z2.tolist()):
-        for nx in range(lo, hi):
-            rows[h, nx - lo] = res_row(zx, a2, z2h, nx)
+        split = lo + int(np.count_nonzero(fast_rows(a2, z2h, np.arange(lo, hi))))
+        for fast, first, last in ((True, start, split), (False, max(split, start), hi)):
+            for b in range(first, last, step):
+                e = min(b + step, last)
+                nx, j = _sites(b, e)
+                d2 = (nx * nx + j * j).astype(np.float64)
+                passes[b - lo:e - lo] = _sums(b, e, _fill_terms(zx, d2, a2, z2h, fast,
+                                                                np.empty(d2.size)))
+        _totals(zx, a2, z2h, lo, hi, passes, rows[h])
+
+
+def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
+    """Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole
+    pairs (zx false), or for z-probe / x-array dipoles with x^2-folded
+    weights (zx true): :func:`res_rows` of one row. The zx origin row is
+    0.0: its weight 2 nx^2 a^2 is 0, and its term, infinite as z -> 0, is
+    not formed."""
+    out = np.empty(1)
+    res_rows(zx, a2, np.array([z2]), 1, nx, nx + 1, out)
+    return float(out[0])
+
+
+def table_rows(zx: bool, a2: float, z2, nz: int, d2, n: int, idx, lo: int, hi: int, values,
+               out: np.ndarray) -> None:
+    """The rows of :func:`res_rows`, bitwise, from their distance table, the n
+    distances d2 and each site's index idx of :func:`distance_table`:
+    _rows.c's table_height height by height, the site term with the
+    reduced sin/cos once per distance into values (room for n; n is implied
+    by d2 here), and each row gathered through idx. A height whose last
+    row's largest phase reaches PHASE_LIMIT streams, as in C."""
+    rows, passes = out.reshape(nz, hi - lo), np.empty(hi - lo)
+    below, step = lo * (lo + 1) // 2, max(1, ROW_SITES // (hi + 1))  # the sites of rows < lo
+    for h, z2h in enumerate(z2.tolist()):
+        if hi > lo and not fast_rows(a2, z2h, hi - 1):
+            res_rows(zx, a2, z2[h:h + 1], 1, lo, hi, rows[h])
+            continue
+        _fill_terms(zx, d2, a2, z2h, True, values)
+        for b in range(max(lo, 1), hi, step):  # the origin row takes no pass
+            e = min(b + step, hi)
+            sites = idx[b * (b + 1) // 2 - below:e * (e + 1) // 2 - below]
+            passes[b - lo:e - lo] = _sums(b, e, values[sites])
+        _totals(zx, a2, z2h, lo, hi, passes, rows[h])
 
 
 def distance_table(lo: int, hi: int, d2: np.ndarray, idx: np.ndarray) -> int:
@@ -107,9 +228,8 @@ def distance_table(lo: int, hi: int, d2: np.ndarray, idx: np.ndarray) -> int:
     lo <= nx < hi in ascending order into d2, and each site's index into d2
     into idx (``np.tril_indices`` order); return the count.
     ``kernels.build_table`` checks the range and allocates d2 and idx."""
-    nx, j = np.tril_indices(hi)
-    start = lo * (lo + 1) // 2
-    distinct, idx[:] = np.unique(nx[start:] ** 2 + j[start:] ** 2, return_inverse=True)
+    nx, j = _sites(lo, hi)
+    distinct, idx[:] = np.unique(nx * nx + j * j, return_inverse=True)
     d2[:distinct.size] = distinct
     return distinct.size
 

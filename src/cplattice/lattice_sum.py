@@ -16,7 +16,7 @@ one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
 ``kernels.offres_sites``. For the two principal orientations (probe z with
 array z or array x) the projections are radial, and the sum runs over one
 octant with the dihedral orbit weights of
-:func:`cplattice.kernels._numpy_backend.octant_sites`. The resonant octant
+:func:`cplattice.kernels._numpy_backend.octant_weights`. The resonant octant
 is one call of ``kernels.res_rows`` over the rows n_x = 0..M, or one call
 per contiguous row range when split over threads, for all the heights of a
 :func:`sum_lattice` call at once; the row values come back in fixed order
@@ -25,8 +25,8 @@ rounded sum, NaN where fsum raises), once per height, so results are
 bit-identical for any worker count and any set of heights. The octant site
 terms depend on the site only through s = n_x^2 + n_y^2, so both octant
 sums evaluate them once per distinct s, from one table of those distances
-and each site's index into them (``kernels.distance_table``): the compiled
-resonant rows gather from it, and the off-resonant sum evaluates its site
+and each site's index into them (``kernels.distance_table``): the resonant
+rows gather from it, and the off-resonant sum evaluates its site
 kernel on it at each height and folds the octant, from its first site of
 nonzero weight, with the orbit weights, built once for all heights, into
 one exact sum per height, ``OFFRES_BLOCK_SITES`` products at a time.

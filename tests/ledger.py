@@ -1,5 +1,5 @@
 """The ledger of public outputs: what every public route returns on a fixed
-set of inputs, bit for bit, on each row backend.
+set of inputs, bit for bit, the same on each row backend.
 
 ``entries()`` computes the ledger on the selected backend (``kernels.backend``):
 a dict of entry name -> JSON value. Floats are ``float.hex`` strings (a
@@ -26,18 +26,14 @@ The inputs:
   * the pair terms, ``green_dyadic`` and ``pair_coupling``;
   * ``asymptotic_shift`` for every regime, ``expected_exponent`` and
     ``full_closed_form``;
-  * the README ``sweep`` (compiled backend only), ``decompose``,
-    ``asymptotic`` and ``fit`` commands, a short zz sweep, the sweeps and
+  * the README ``sweep``, ``decompose``, ``asymptotic`` and ``fit``
+    commands, a short zz sweep, the sweeps and
     asymptotes of ``--orientation custom`` with each principal pair and
     their zz/zx twins, and a sweep that fails in its first block.
 
-The two backends differ by design in the zz/zx resonant direct sums (the
-compiled ``res_rows`` compensates its row sums, the NumPy rows do not), so
-those entries, and the CLI sweeps that print them in ``resonant_direct``,
-keep one value per backend (:func:`by_backend`); every other entry must be
-the same on both. Each entry of the golden file is an object: ``value``,
-or ``c``/``numpy`` for the entries of :func:`by_backend`, leaving room for
-more fields (a reference value).
+Every entry must be the same on both backends. Each entry of the golden
+file is an object, its ``value``, leaving room for more fields (a
+reference value).
 
 Run ``python tests/ledger.py`` (with ``src`` on the path) to record the
 ledger into ``tests/ledger.json`` from both backends, with the toolchain
@@ -108,15 +104,6 @@ ORIENTATION_FLAGS = {
 ORIENTATION_SWEEP = ["sweep", "--half-extent", "3", "--z-min", "0.2", "--z-max", "2",
                      "--points-per-decade", "8"]
 FAILED_SWEEP = ["sweep", "--z-min", "1e-320", "--z-max", "1e-300", "--points-per-decade", "1"]
-
-
-def by_backend(name: str) -> bool:
-    """Whether the entry keeps one value per backend: a zz or zx resonant
-    direct sum, a CLI sweep that prints one, or the README sweep and its
-    fits, which are recorded on the compiled backend only."""
-    principal = name.startswith(("sum_lattice zz ", "sum_lattice zx "))
-    sweep = name.startswith("cli sweep") and "custom (z, y)" not in name and "failed" not in name
-    return (principal and " resonant " in name) or sweep or name.startswith("cli fit README")
 
 
 def toolchain() -> dict:
@@ -268,10 +255,9 @@ def _commands() -> dict:
         directory = Path(tmp)
         for name, argv in README_COMMANDS.items():
             e[f"cli {argv[0]} README{name[len(argv[0]):]}"] = _cli(argv, directory)
-        if kernels.backend_name() == "c":  # 0.2 s, and 6.4 s on NumPy (2-vCPU Xeon)
-            e["cli sweep README"] = _cli(README_SWEEP, directory)
-            for name in ("direct", "envelope"):
-                e[f"cli fit README {name}"] = _cli(README_FITS[name], directory)
+        e["cli sweep README"] = _cli(README_SWEEP, directory)
+        for name in ("direct", "envelope"):
+            e[f"cli fit README {name}"] = _cli(README_FITS[name], directory)
         e["cli sweep short zz"] = _cli(SHORT_SWEEP, directory)
         for name, flags in ORIENTATION_FLAGS.items():
             e[f"cli sweep {name}"] = _cli(ORIENTATION_SWEEP + flags, directory)
@@ -286,11 +272,9 @@ def entries() -> dict:
     return {**_library(), **_commands()}
 
 
-def expected(golden: dict, backend: str) -> dict:
-    """The golden entries' values on ``backend``: each entry's ``value``,
-    or its value for that backend where it has one."""
-    return {k: e["value"] if "value" in e else e[backend] for k, e in golden.items()
-            if "value" in e or backend in e}
+def expected(golden: dict) -> dict:
+    """The golden entries' values."""
+    return {k: e["value"] for k, e in golden.items()}
 
 
 def record() -> dict:
@@ -302,12 +286,9 @@ def record() -> dict:
     golden = {}
     for name in {**runs["c"], **runs["numpy"]}:
         values = {b: runs[b][name] for b in runs if name in runs[b]}
-        if by_backend(name):
-            golden[name] = values
-        elif len(values) == 2 and values["c"] == values["numpy"]:
-            golden[name] = {"value": values["c"]}
-        else:
+        if len(values) != 2 or values["c"] != values["numpy"]:
             raise AssertionError(f"{name}: the backends differ, or one lacks it: {values}")
+        golden[name] = {"value": values["c"]}
     return golden
 
 

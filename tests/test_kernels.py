@@ -27,6 +27,7 @@ from scipy.special import roots_laguerre, sici
 from cplattice import greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
+from cplattice.kernels._numpy_backend import octant_weights, radial_sites
 from cplattice.lattice_sum import sum_lattice
 from cplattice.model import X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, validate
 
@@ -172,12 +173,47 @@ def test_fast_sincos_one_ulp(lib):
         assert abs(c - math.cos(x)) <= 2.3e-16
 
 
+def _dot_row(zx, a2, z2, nx):
+    """Octant row nx as the dot product of its orbit weights with its site
+    terms from ``greens.resonant_sites``: an oracle of the rows independent of
+    their site terms, sin/cos and compensated sum (it sums by BLAS)."""
+    j = np.arange(nx + 1, dtype=np.float64)
+    return float(octant_weights(nx, j, a2, zx) @ resonant_sites(
+        *radial_sites(nx * nx + j * j, a2, z2, zx)))
+
+
+# The constants of sin_branchless in _rows.c, which the NumPy port states again
+_SINCOS_CONSTANTS = ("TWO_OVER_PI", "PHASE_LIMIT", "PIO2_1", "PIO2_1T", *(
+    f"{k}{i}" for k in "SC" for i in range(1, 7)))
+
+
+def test_numpy_sincos_literals_are_the_c_ones():
+    source = kernels._SOURCE.read_text()
+    for name in _SINCOS_CONSTANTS:
+        literal, = re.findall(rf"\b{name} = ([-+0-9.e]+)[,;]", source)
+        assert getattr(_numpy_backend, name).hex() == float(literal).hex(), name
+
+
+def test_numpy_sincos_is_the_compiled_one_bitwise(lib):
+    # random phases, and each side of every rounding boundary (k + 1/2) pi/2
+    # of the truncating quadrant below PHASE_LIMIT
+    limit = _numpy_backend.PHASE_LIMIT
+    edges = (np.arange(int(limit / (math.pi / 2)) - 1) + 0.5) * (math.pi / 2)
+    x = np.concatenate((np.random.default_rng(7).uniform(0.0, limit, 200_000), [0.0],
+                        *(np.nextafter(edges, side) for side in (0.0, math.inf)), edges))
+    assert x.max() < limit
+    s, c = np.empty_like(x), np.empty_like(x)
+    lib.sincos_probe(x, x.size, s, c)
+    got = _numpy_backend.sin_cos(x)
+    assert got[0].tobytes() == s.tobytes() and got[1].tobytes() == c.tobytes()
+
+
 @pytest.mark.parametrize("nx", [0, 1, 2, 3, 17, 173, 2048, 20001])
 @pytest.mark.parametrize("a2,z2", [(1e-4, 0.04), (0.25, 1.0), (4.0, 1e-4), (1e-2, 9.0)])
-def test_rows_match_numpy_backend(lib, nx, a2, z2):
+def test_rows_match_the_weighted_site_sum(lib, nx, a2, z2):
     for zx in (False, True):
         assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
-            _numpy_backend.res_row(zx, a2, z2, nx), rel=5e-12, abs=1e-300)
+            _dot_row(zx, a2, z2, nx), rel=5e-12, abs=1e-300)
 
 
 def _weighted_magnitude(a2, z2, nx):
@@ -194,13 +230,13 @@ def _weighted_magnitude(a2, z2, nx):
 @given(log_a2=st.floats(math.log(1e-6), math.log(10.0)),
        log_z2=st.floats(math.log(1e-4), math.log(100.0)),
        nx=st.integers(0, 5000))
-def test_compiled_rows_match_numpy_rows(lib, log_a2, log_z2, nx):
+def test_compiled_rows_match_the_weighted_site_sums(lib, log_a2, log_z2, nx):
     # rows of oscillating terms cancel: a floor of 1e-13 of the magnitude sum
     a2, z2 = math.exp(log_a2), math.exp(log_z2)
     mzz, mzx = _weighted_magnitude(a2, z2, nx)
     for zx, magnitude in ((False, mzz), (True, mzx)):
         assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
-            _numpy_backend.res_row(zx, a2, z2, nx), rel=5e-12, abs=1e-13 * magnitude)
+            _dot_row(zx, a2, z2, nx), rel=5e-12, abs=1e-13 * magnitude)
 
 
 # (a2, z2, nx, res_row(0, ...), res_row(1, ...)), the rows as float.hex. The
@@ -230,14 +266,13 @@ def test_compiled_rows_bit_exact(lib, a2, z2, nx, zz, zx):
 
 def _row_paths():
     """Yields the single-row kernel of the backend in place once for each
-    of its row paths: the compiled backend reads its distance tables, then
-    streams every range (a table cap of 0); NumPy always streams."""
+    of its row paths: the backend reads its distance tables, then streams
+    every range (a table cap of 0)."""
     row = kernels._impl.res_row
     yield row
-    if kernels.backend_name() == "c":
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(kernels, "TABLE_SITE_CAP", 0)
-            yield row
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "TABLE_SITE_CAP", 0)
+        yield row
 
 
 def _stream(lib, zx, a2, z2, lo, hi):
@@ -261,6 +296,28 @@ def test_row_ranges_equal_single_rows_bitwise(log_a2, log_z2, lo, length):
             assert out.dtype == np.float64 and out.shape == (length,)
             assert [v.hex() for v in out.tolist()] == [row(zx, a2, z2, nx).hex()
                                                        for nx in range(lo, hi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(zx=st.booleans(), log_a=st.floats(math.log(1e-3), math.log(2e3)),
+       heights=st.lists(st.floats(math.log(1e-3), math.log(30.0)), min_size=1, max_size=4),
+       lo=st.integers(0, 400), length=st.integers(0, 60), cap=st.sampled_from([None, 0, 500]))
+@example(zx=False, log_a=math.log(1e3), heights=[0.0], lo=340, length=30, cap=None)
+@example(zx=True, log_a=math.log(0.05), heights=[math.log(0.3)], lo=0, length=501, cap=None)
+@example(zx=True, log_a=0.0, heights=[math.log(0.02), 0.0], lo=300, length=10, cap=500)
+def test_rows_are_the_same_bits_on_both_backends(lib, zx, log_a, heights, lo, length, cap):
+    # the NumPy rows port the compiled ones: the table or the stream, as
+    # TABLE_SITE_CAP chooses (a cap of 0 or 500 sites streams larger ranges),
+    # and rows past PHASE_LIMIT (large a) in either
+    a2, z2, hi = math.exp(2.0 * log_a), np.exp(2.0 * np.array(heights)), lo + length
+    with pytest.MonkeyPatch.context() as m:
+        if cap is not None:
+            m.setattr(kernels, "TABLE_SITE_CAP", cap)
+        rows = []
+        for name in ("c", "numpy"):
+            with kernels.backend(name):
+                rows.append(kernels.res_rows(zx, a2, z2, lo, hi))
+    assert rows[0].tobytes() == rows[1].tobytes()
 
 
 def test_row_range_across_the_libm_switch(backend):
@@ -344,17 +401,26 @@ def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatc
 def test_numpy_backend_takes_the_compiled_signatures():
     # a wrapper makes one call through _impl that runs on either backend, so
     # each export it calls so has a NumPy twin of the same name and parameter
-    # count; the compiled table pass is called only where the compiled
-    # backend is loaded
+    # count; so has the single row, the tests' range oracle
     called = set(re.findall(r"\b_impl\.(\w+)", Path(kernels.__file__).read_text()))
-    assert called - {"table_rows"} == {
-        "res_rows", "distance_table", "offres_sites", "offres_points", "res_points",
-        "ray_rotated", "panel_sums", "sici"}
+    assert called == {"res_rows", "table_rows", "distance_table", "offres_sites",
+                      "offres_points", "res_points", "ray_rotated", "panel_sums", "sici"}
     exported = {name: params.split(",") for _, name, params in
                 re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)}
-    for name in called - {"table_rows"}:
+    for name in called | {"res_row"}:
         twin = inspect.signature(getattr(_numpy_backend, name)).parameters
         assert len(twin) == len(exported[name]), name
+
+
+def test_only_the_switch_and_the_name_test_the_backend():
+    # each wrapper makes one backend call: the backends run one algorithm,
+    # so no other function of kernels compares _impl with the NumPy module
+    testing = {getattr(node, "name", None)
+               for node in ast.parse(Path(kernels.__file__).read_text()).body
+               for c in ast.walk(node) if isinstance(c, ast.Compare)
+               and {"_impl", "_numpy_backend"} <= {o.id for o in (c.left, *c.comparators)
+                                                   if isinstance(o, ast.Name)}}
+    assert testing == {"backend", "backend_name"}
 
 
 def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
@@ -462,21 +528,19 @@ def test_table_rows_equal_streaming_rows_bitwise(lib, M):
 
 @pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_sums_from_tables_equal_streaming_sums(lib, monkeypatch, array_dipole, threads):
+def test_sums_from_tables_equal_streaming_sums(backend, monkeypatch, array_dipole, threads):
     # each worker's row range takes its own table; capping the tables at
-    # zero sites streams every range instead (the NumPy fallback has no
-    # table path)
+    # zero sites streams every range instead
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 4)  # keep every split
     for M, a, z in ((9, 0.5, 0.3), (65, 0.05, 2.0), (500, 0.01, 0.3)):
         b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
                      LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
-        with kernels.backend("c"):
-            table = sum_lattice(b, "resonant", threads=threads).resonant
-            ranges = lattice_sum._split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
-            assert set(ranges) <= set(kernels._tables)  # the tables served the sum
-            with monkeypatch.context() as m:
-                m.setattr(kernels, "TABLE_SITE_CAP", 0)
-                stream = sum_lattice(b, "resonant", threads=threads).resonant
+        table = sum_lattice(b, "resonant", threads=threads).resonant
+        ranges = lattice_sum._split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
+        assert set(ranges) <= set(kernels._tables)  # the tables served the sum
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "TABLE_SITE_CAP", 0)
+            stream = sum_lattice(b, "resonant", threads=threads).resonant
         assert table.hex() == stream.hex()
 
 
@@ -563,8 +627,9 @@ def test_offres_octant_equals_np_unique_reference(backend):
             b = validate(ModelParams(mu=mu, rho=1e-6, array_dipole=array_dipole),
                          LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
             nx, j = np.tril_indices(M + 1)
-            r, dot, pp, w = _numpy_backend.octant_sites(nx, j, a * a, z * z,
-                                                        array_dipole == X_HAT)
+            zx = array_dipole == X_HAT
+            r, dot, pp = radial_sites(nx * nx + j * j, a * a, z * z, zx)
+            w = octant_weights(nx, j, a * a, zx)
             _, first, site = np.unique(nx * nx + j * j, return_index=True,
                                        return_inverse=True)
             radial = kernels.offres_sites(r[first], dot, pp[first], mu)
@@ -782,15 +847,15 @@ def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
 def test_sum_lattice_same_on_numpy_rows(lib, monkeypatch, array_dipole, a, M, z):
     b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
                  LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
-    numpy_rows, numpy_row = [], _numpy_backend.res_row
-    monkeypatch.setattr(_numpy_backend, "res_row",
-                        lambda zx, a2, z2, nx: numpy_rows.append(nx) or numpy_row(zx, a2, z2, nx))
+    numpy_ranges, numpy_rows = [], _numpy_backend.table_rows
+    monkeypatch.setattr(_numpy_backend, "table_rows",
+                        lambda *args: numpy_ranges.append(args[7:9]) or numpy_rows(*args))
     values = []
     for name in ("c", "numpy"):
         with kernels.backend(name):
             values.append(sum_lattice(b, "resonant").resonant)
-    assert sorted(numpy_rows) == list(range(M + 1))  # the second sum ran the NumPy rows
-    assert values[1] == pytest.approx(values[0], rel=1e-12)
+    assert numpy_ranges == [(0, M + 1)]  # the second sum ran the NumPy rows
+    assert values[1].hex() == values[0].hex()
 
 
 def test_row_source_compiles_without_warnings(tmp_path):
@@ -822,11 +887,11 @@ def test_large_phase_fallback_row(lib):
     # rows whose phase exceeds the Cody-Waite range route through libm
     a2, z2 = 9e4, 1.0  # r up to ~sqrt(2)*3e5, phase ~ 8.5e5 < 1e6 stays fast
     v1 = lib.res_row(0, a2, z2, 2000)
-    w1 = _numpy_backend.res_row(False, a2, z2, 2000)
+    w1 = _dot_row(False, a2, z2, 2000)
     assert v1 == pytest.approx(w1, rel=1e-11)
     a2 = 4e6  # phase ~ 5.6e6 > 1e6 forces the libm fill
     v2 = lib.res_row(0, a2, z2, 2000)
-    w2 = _numpy_backend.res_row(False, a2, z2, 2000)
+    w2 = _dot_row(False, a2, z2, 2000)
     assert v2 == pytest.approx(w2, rel=1e-11)
 
 

@@ -103,12 +103,10 @@ def test_zx_sums_at_a_tiny_height_are_finite(backend, kind, M, want):
     # at z = 1e-60 the zx origin's term overflows while its orbit weight
     # 2 nx^2 a^2 is exactly 0: both backends take its row as 0.0, and the
     # off-resonant fold starts past it, where the NumPy rows and the fold
-    # once formed 0 * inf = NaN and the sum raised QuadratureFailure. The
-    # resonant rows past it agree across backends to rounding; the
-    # off-resonant sums are the same bits
+    # once formed 0 * inf = NaN and the sum raised QuadratureFailure. Both
+    # kinds are the same bits on both backends
     got = getattr(sum_lattice(mk(mu=0.6, a=0.01, M=M, z=1e-60, array=(1, 0, 0)), kind), kind)
-    exact = backend is not _numpy_backend or kind == "off_resonant"
-    assert got == want if exact else got == pytest.approx(want, rel=1e-14)
+    assert got.hex() == want.hex()
     assert _numpy_backend.res_row(True, 1e-4, 1e-120, 0) == 0.0
 
 

@@ -19,6 +19,7 @@ SRC = Path(cplattice.__file__).resolve().parent.parent
 ALLOWED = {
     ("cplattice.kernels", "backend"): "the tests and the benchmark switch the row backend",
     ("cplattice.kernels", "backend_name"): "the tests and the benchmark name the row backend",
+    ("cplattice.kernels._numpy_backend", "res_row"): "the tests' single-row oracle, as in C",
     ("cplattice.kernels", "res_row_zz"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.kernels", "res_row_zx"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.lattice_sum", "quad"): "perfbench's tracer; ROADMAP item 1a deletes",
