@@ -15,7 +15,8 @@ CPLATTICE_FORCE_NUMPY_KERNELS=1 to skip the compiled library at import.
 The backend is one module variable, the library or the NumPy module
 (``backend_name()`` reports which). ``with backend(name):`` is the one place
 that swaps it, together with the distance-table cache; it loads the library
-on demand, so one process can run both backends.
+on demand, so one process can run both backends. Only selecting the NumPy
+module (at import or by ``backend("numpy")``) imports it: no compiled run does.
 
 Arrays cross into C one way. Each export is declared from its prototype in
 ``_rows.c`` (:func:`load_library`), and every array parameter as one of
@@ -25,7 +26,7 @@ element, and reject anything else with ``ctypes.ArgumentError`` before the
 C code runs. The NumPy backend takes each export's arguments, with the
 arrays where C takes pointers, and runs its algorithm, so each wrapper
 below makes one call that runs on either backend; only ``backend`` and
-``backend_name`` test which backend is in place.
+``backend_name`` test which backend is in place, by its type (``ctypes.CDLL``).
 
 The module exports these functions over the selected backend, and the
 distance table that the compiled rows gather from:
@@ -37,9 +38,11 @@ distance table that the compiled rows gather from:
   whose element [..., nx - lo] is bitwise equal to the backend's single row
   ``res_row(zx, a2, z2, nx)`` at that height. One call fills a whole range
   for every height, and the compiled call runs without the interpreter
-  lock. For ranges of more than ``TABLE_SITE_CAP`` sites the backend's
-  ``res_rows(zx, a2, z2, nz, lo, hi, out)`` streams, evaluating every site.
-  Otherwise the backend's ``table_rows`` reads the range's
+  lock. For ranges of more than ``TABLE_SITE_CAP`` sites, or of fewer
+  than the 64-bit words of the compiled table builder's bitmap (a thin
+  range far out, such as one row past 64), the backend's ``res_rows(zx,
+  a2, z2, nz, lo, hi, out)`` streams, evaluating every site. Otherwise the
+  backend's ``table_rows`` reads the range's
   :func:`distance_table` and, height by height into one values buffer,
   evaluates the site term once per distinct distance and gathers each row
   from those values in the streaming row's order (in C eight rows side by
@@ -103,13 +106,14 @@ distance table that the compiled rows gather from:
   estimates and scales: the mean over the directions (np.mean's sum and
   division), the Jacobian and the pairwise panel sums.
 
-Both return the sums and each height's panel count. This module builds the
-decomposition's rules once, read-only, ``LEGENDRE``, ``REAL_PATH`` (views
-of one table, which ``panel_sums`` passes whole) and ``ROTATED_RULE``
+Both return the sums and each height's panel count. This module builds every
+rule once, read-only, the Gauss-Laguerre table, ``LEGENDRE``, ``REAL_PATH``
+(views of one table, which ``panel_sums`` passes whole) and ``ROTATED_RULE``
 (:func:`_rules`), and passes them to each backend call itself, so no caller
-takes or checks one. Their Gauss-Legendre nodes and weights are literals,
-the bits of ``numpy.polynomial.legendre``, as the Gauss-Laguerre ones are
-SciPy's: no run imports either to build a rule.
+takes or checks one; the NumPy backend imports ``NODES``, ``RULE_HEAD`` and
+``offres_fill`` from here. Their Gauss-Legendre nodes and weights are
+literals, the bits of ``numpy.polynomial.legendre``, as the Gauss-Laguerre
+ones are SciPy's: no run imports either to build a rule.
 """
 from __future__ import annotations
 
@@ -124,8 +128,6 @@ import threading
 from pathlib import Path
 
 import numpy as np
-
-from . import _numpy_backend
 
 try:  # CPython's own SHA-256, not OpenSSL's, as random.py takes its sha512
     from _sha256 import sha256  # CPython 3.10 and 3.11
@@ -300,32 +302,6 @@ def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-_impl = _numpy_backend if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else (
-    load_library() or _numpy_backend)
-
-
-@contextlib.contextmanager
-def backend(name: str):
-    """The block runs on the backend ``name``, ``"c"`` or ``"numpy"``, with an
-    empty distance-table cache; both are restored on exit. Yields the
-    backend. Raises ``RuntimeError`` when ``"c"`` cannot be built or loaded
-    and ``ValueError`` for another name. Not for use while other threads call
-    the kernels."""
-    global _impl, _tables
-    if name not in ("c", "numpy"):
-        raise ValueError(f"backend must be 'c' or 'numpy', got {name!r}")
-    impl = _numpy_backend if name == "numpy" else (
-        _impl if _impl is not _numpy_backend else load_library())
-    if impl is None:
-        raise RuntimeError(f"the compiled row library {_SOURCE.name} cannot be built or loaded")
-    saved = _impl, _tables
-    _impl, _tables = impl, {}
-    try:
-        yield impl
-    finally:
-        _impl, _tables = saved
-
-
 def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     """The octant rows lo <= nx < hi of the zz (zx false) or zx (zx true)
     resonant sum at the height z2, a float or an array of them, as an array
@@ -336,7 +312,9 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     z2 = np.asarray(z2, dtype=np.float64)
     out = np.empty(z2.shape + (hi - lo,))
     heights = np.ascontiguousarray(z2.reshape(-1))
-    if range_sites(lo, hi) <= TABLE_SITE_CAP:
+    # the compiled builder's bitmap spans lo^2..2(hi-1)^2: a thin range far
+    # out, with fewer sites than its 64-bit words, would page in O(hi^2) scratch
+    if (2 * (hi - 1) ** 2 - lo * lo) // 64 + 1 <= range_sites(lo, hi) <= TABLE_SITE_CAP:
         d2, idx = distance_table(lo, hi)
         _impl.table_rows(zx, a2, heights, heights.size, d2, d2.size, idx, lo, hi,
                          np.empty(d2.size), out)
@@ -358,7 +336,7 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
 # literals, so no run loads scipy.linalg; test_kernels.py pins them to SciPy.
 PHI_SWITCH = 2.0
 RECAST = 2.0 ** -52 / 2e-14
-_NODES = np.array((
+_LAGUERRE_NODES = np.array((
     0.02558995024699013, 0.13485365676188618, 0.331516219204913, 0.6157738010977049,
     0.9878529099198406, 1.4480455819475517, 1.9967138611873816, 2.6342919819784982,
     3.3612884504001763, 4.178288379389873, 5.085956176857315, 6.085038637781431,
@@ -373,7 +351,7 @@ _NODES = np.array((
     104.03581143805874, 109.99338508049419, 116.28295333877813, 122.9438012509464,
     130.02567701374784, 137.5933413188264, 145.73410731496938, 154.57124645977552,
     164.29017239726784, 175.19687082004242, 187.8782955838899, 203.85006192921233))
-_WEIGHTS = np.array((
+_LAGUERRE_WEIGHTS = np.array((
     0.06401526736888252, 0.13363444607731612, 0.17258701783752248, 0.17726077695653733,
     0.15493848404101968, 0.11854030343956513, 0.08052405283320553, 0.048961064527939566,
     0.02677742018932556, 0.013213220385879467, 0.005893878901757031, 0.0023792634228538764,
@@ -388,8 +366,8 @@ _WEIGHTS = np.array((
     3.814601619150807e-45, 1.0400882255792576e-47, 2.040416134840701e-50, 2.7710014115210064e-53,
     2.4810010269263656e-56, 1.3744692759252969e-59, 4.32592288642387e-63, 6.858480471583479e-67,
     4.573744974389832e-71, 9.540270902217006e-76, 3.54051920172022e-81, 5.555999192941929e-88))
-_LAGUERRE_TABLE = np.concatenate((_NODES, _WEIGHTS,
-                                  ((0.5 * _NODES)[:, None] ** np.arange(5)).ravel()))
+_LAGUERRE_TABLE = np.concatenate((_LAGUERRE_NODES, _LAGUERRE_WEIGHTS,
+                                  ((0.5 * _LAGUERRE_NODES)[:, None] ** np.arange(5)).ravel()))
 _LAGUERRE_TABLE.flags.writeable = False
 SITE_CHUNK = 1024
 
@@ -424,9 +402,18 @@ def _offres_chunks(size: int, mu: float, fill) -> np.ndarray:
         buf = np.empty((3, 2 * n))
         fill(k0, n, buf)
         np.power(buf[0, n:], 6, out=buf[2, :n])
-        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, _LAGUERRE_TABLE, _NODES.size, buf)
+        _impl.offres_sites(n, mu, PHI_SWITCH, RECAST, _LAGUERRE_TABLE, _LAGUERRE_NODES.size, buf)
         out[k0:k0 + n] = buf[2, n:]
     return out
+
+
+def offres_fill(buf, n: int, r, dot, pp, mu: float) -> None:
+    """Rows 0 and 1 of the (3, 2n) buffer of :func:`_offres_chunks` for the
+    n sites of radii r and projections dot and pp."""
+    np.multiply(r, mu, out=buf[0, :n])
+    buf[0, n:] = r
+    buf[1, :n] = dot
+    buf[1, n:] = pp
 
 
 def offres_sites(r, dot, pp, mu: float) -> np.ndarray:
@@ -444,8 +431,8 @@ def offres_sites(r, dot, pp, mu: float) -> np.ndarray:
 
     def fill(k0, n, buf):
         part = slice(k0, k0 + n)
-        _numpy_backend.offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
-                                   pp if pp.size == 1 else pp[part], mu)
+        offres_fill(buf, n, r[part], dot if dot.size == 1 else dot[part],
+                    pp if pp.size == 1 else pp[part], mu)
 
     return _offres_chunks(r.size, mu, fill)
 
@@ -545,6 +532,27 @@ _LEGENDRE_NESTED = (
     0.02003669196499519)
 
 
+NODES = 25
+RULE_HEAD = 3 * NODES + 3  # the values of a rotated rule table before its powers
+
+
+def rotated_rule_table(x, w, w_low) -> np.ndarray:
+    """The read-only table of the rotated rule that the backends' ray_rotated
+    read (the NumPy one through its ``rotated_rules``), built once as
+    ``ROTATED_RULE`` from ``LEGENDRE``: the NODES Gauss-Legendre nodes x,
+    weights w and nested weights w_low on [-1, 1], e^{i pi/4} (re, im),
+    log(1.4), and the powers 1.4^k below the largest double, k < 2110. A
+    height whose panel count needs more (z below ~1.7e-306, where t_max/h
+    overflows) has no rule. The powers are NumPy's: 1.4 ** np.arange(n) has
+    the same entries for every n, and 5 of its first 80 differ from the C
+    library's pow."""
+    turn = np.exp(0.25j * math.pi)
+    table = np.concatenate((x, w, w_low, [turn.real, turn.imag, math.log(1.4)],
+                            1.4 ** np.arange(2110)))
+    table.flags.writeable = False
+    return table
+
+
 def _rules():
     """The rules of the ray integrals, each of composite NODES-point
     Gauss-Legendre panels with nested weights (zero off the nested nodes),
@@ -556,8 +564,8 @@ def _rules():
     weights of its panels in s = R/z: [0, 1/2], [1/2, 1], [1, 2], ..., [8,
     16], then [16, inf) mapped by s = 16/t, where the off-resonant
     integrands have decayed like s^-5 or faster and are smooth in t; and the
-    rotated path's table of ``_numpy_backend.rotated_rule_table``, from
-    which each call builds each height's panels."""
+    rotated path's table of :func:`rotated_rule_table`, from which each call
+    builds each height's panels."""
     x, w = np.array(_LEGENDRE_NODES), np.array(_LEGENDRE_WEIGHTS)
     w_low = np.zeros(x.size)
     w_low[::2] = _LEGENDRE_NESTED
@@ -570,7 +578,7 @@ def _rules():
     real = np.stack((s, sw, sw_low))
     for rule in (x, w, w_low, real):
         rule.flags.writeable = False
-    return (x, w, w_low), real, _numpy_backend.rotated_rule_table(x, w, w_low)
+    return (x, w, w_low), real, rotated_rule_table(x, w, w_low)
 
 
 # REAL_PATH: the real path's nodes, weights and nested weights (rows,
@@ -608,7 +616,7 @@ def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray,
     counts = np.empty(nz, dtype=np.int64)
     sums = np.empty((nz, 1 if bulk else nd, 3))
     if nz and _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, ROTATED_RULE,
-                                ROTATED_RULE.size - _numpy_backend.RULE_HEAD, counts, sums) < 0:
+                                ROTATED_RULE.size - RULE_HEAD, counts, sums) < 0:
         raise MemoryError("no memory for the ray integrals' panel sums")
     return sums, counts
 
@@ -642,5 +650,40 @@ def panel_sums(f: np.ndarray, heights: np.ndarray, bulk: bool,
 res_row_zz = res_row_zx = None  # nothing calls them: only perfbench/tracer.py's getattr reads them
 
 
+# ---------------------------------------------------------------------------
+# the backend, selected after every name the NumPy fallback imports from here
+
+def _fallback():
+    """The NumPy fallback, imported where it becomes the backend."""
+    from . import _numpy_backend
+    return _numpy_backend
+
+
+_impl = _fallback() if os.environ.get("CPLATTICE_FORCE_NUMPY_KERNELS") else (
+    load_library() or _fallback())
+
+
+@contextlib.contextmanager
+def backend(name: str):
+    """The block runs on the backend ``name``, ``"c"`` or ``"numpy"``, with an
+    empty distance-table cache; both are restored on exit. Yields the
+    backend. Raises ``RuntimeError`` when ``"c"`` cannot be built or loaded
+    and ``ValueError`` for another name. Not for use while other threads call
+    the kernels."""
+    global _impl, _tables
+    if name not in ("c", "numpy"):
+        raise ValueError(f"backend must be 'c' or 'numpy', got {name!r}")
+    impl = _fallback() if name == "numpy" else (
+        _impl if isinstance(_impl, ctypes.CDLL) else load_library())
+    if impl is None:
+        raise RuntimeError(f"the compiled row library {_SOURCE.name} cannot be built or loaded")
+    saved = _impl, _tables
+    _impl, _tables = impl, {}
+    try:
+        yield impl
+    finally:
+        _impl, _tables = saved
+
+
 def backend_name() -> str:
-    return "numpy" if _impl is _numpy_backend else "c"
+    return "c" if isinstance(_impl, ctypes.CDLL) else "numpy"

@@ -1,4 +1,4 @@
-"""NumPy fallback for the hot lattice-sum row kernels, and the octant fold.
+"""NumPy fallback for the hot lattice-sum row kernels.
 
 Same contract as the compiled library, and the same bits: ``res_rows(zx,
 a2, z2, nz, lo, hi, out)`` writes the octant rows lo <= n_x < hi, n_y =
@@ -19,9 +19,7 @@ this backend alone loads it.
 direct sums of generic dipole pairs, the vertex and the off-resonant real
 path (see ``kernels.res_points``), through ``greens.site_projections`` and
 the site kernels. They are the fallback and the oracle that the compiled
-library equals bit for bit. :func:`octant_weights` and :func:`radial_sites`
-are the one statement of the octant's orbit weights and radial projections;
-the direct off-resonant sum folds its octant with them.
+library equals bit for bit.
 :func:`ray_rotated` and :func:`panel_sums` are the ray integrals of
 the bulk/edge decomposition (see ``kernels.ray_rotated``), with
 :func:`rotated_rules` the reference of the compiled rule.
@@ -33,33 +31,7 @@ import math
 import numpy as np
 
 from ..greens import resonant_sites, resonant_sites_complex, site_projections
-
-
-def radial_sites(s, a2: float, z2: float, zx: bool):
-    """(r, dot, pp) of the octant sites at s = nx^2 + j^2, on which they
-    alone depend: the orbit of site (nx, j) under the square's symmetries
-    contributes w * term(r, dot, pp), w from :func:`octant_weights`, for any
-    site term that depends on the dipoles through dot = e0.en and
-    pp = (e0.n)(n.en). With r^2 = s a^2 + z^2: zz has dot = 1 and
-    pp = z^2/r^2; zx (z probe, x array) the term at unit x, dot = 0 and
-    pp = z/r^2, since its weights carry x^2."""
-    r2 = s * a2 + z2
-    if zx:
-        return np.sqrt(r2), 0.0, math.sqrt(z2) / r2
-    return np.sqrt(r2), 1.0, z2 / r2
-
-
-def octant_weights(nx, j, a2: float, zx: bool):
-    """The orbit weights w of the octant sites (nx, j), 0 <= j <= nx (see
-    :func:`radial_sites`): zz 8 interior, 4 on the axis and the diagonal, 1
-    at the origin; zx, where the term carries x^2 = (nx a)^2, which breaks
-    the bare dihedral degeneracy, x^2 summed over each orbit: 4 s a^2
-    interior, 2 nx^2 a^2 on the axis and 4 nx^2 a^2 on the diagonal."""
-    axis, diagonal = j == 0, j == nx
-    if zx:
-        s = nx * nx + j * j
-        return np.where(axis, 2.0 * nx * nx, np.where(diagonal, 4.0 * nx * nx, 4.0 * s)) * a2
-    return np.where(nx == 0, 1.0, np.where(axis | diagonal, 4.0, 8.0))
+from . import NODES, RULE_HEAD, offres_fill
 
 
 # _rows.c's sin_branchless, a Cody-Waite reduced fdlibm-style sin/cos for
@@ -335,15 +307,6 @@ def offres_sites(n: int, mu: float, sw: float, recast: float, table, m: int, buf
     np.divide((even + odd) + 0.0, buf[2, :n], out=buf[2, n:])
 
 
-def offres_fill(buf, n: int, r, dot, pp, mu: float) -> None:
-    """Rows 0 and 1 of the (3, 2n) buffer of ``kernels._offres_chunks`` for
-    the n sites of radii r and projections dot and pp."""
-    np.multiply(r, mu, out=buf[0, :n])
-    buf[0, n:] = r
-    buf[1, :n] = dot
-    buf[1, n:] = pp
-
-
 # ---------------------------------------------------------------------------
 # real-axis site sets (kernels.res_points and offres_points)
 
@@ -370,7 +333,7 @@ def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.nda
 
 def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, mu: float,
                   buf) -> None:
-    """:func:`offres_fill` for the sites k0 <= k < k0 + n of the site set
+    """``kernels.offres_fill`` for the sites k0 <= k < k0 + n of the site set
     (k = (h nu + i) nv + j), at (u[i], v[j]) or with ``rays`` R (v[2j],
     v[2j+1]) with R = z[h] u[i], through ``site_projections``."""
     h, site = np.divmod(np.arange(k0, k0 + n), nu * nv)
@@ -388,32 +351,11 @@ def offres_points(pair, u, nu: int, v, nv: int, rays: bool, z, k0: int, n: int, 
 # ---------------------------------------------------------------------------
 # the decomposition's ray integrals (euler_maclaurin._ray_integral)
 
-NODES = 25
-RULE_HEAD = 3 * NODES + 3  # the values of a rotated rule table before its powers
-
-
-def rotated_rule_table(x, w, w_low) -> np.ndarray:
-    """The read-only table of the rotated rule that :func:`rotated_rules`,
-    :func:`ray_rotated` and the compiled ray_rotated read, built once as
-    ``kernels.ROTATED_RULE`` from ``kernels.LEGENDRE``: the NODES
-    Gauss-Legendre nodes x, weights w and nested weights w_low on [-1, 1],
-    e^{i pi/4} (re, im), log(1.4), and the powers 1.4^k below the largest
-    double, k < 2110. A height whose panel count needs more (z below
-    ~1.7e-306, where t_max/h overflows) has no rule. The powers are
-    NumPy's: 1.4 ** np.arange(n) has the same entries for every n, and 5 of
-    its first 80 differ from the C library's pow."""
-    turn = np.exp(0.25j * math.pi)
-    table = np.concatenate((x, w, w_low, [turn.real, turn.imag, math.log(1.4)],
-                            1.4 ** np.arange(2110)))
-    table.flags.writeable = False
-    return table
-
-
 def rotated_rules(heights, rule):
     """Nodes t e^{i pi/4} and weights of the rotated path at each height, the
     panels of all heights concatenated as rows in height order, and each
     height's panel count, from the table ``rule`` of
-    :func:`rotated_rule_table`. A height z has the panel [0, h],
+    ``kernels.rotated_rule_table``. A height z has the panel [0, h],
     h = 0.1 min(z, 1), then n panels in ratio 1.4 out to t_max = max(30,
     7 sqrt(z)), where e^{2ir} has decayed below ~e^-40: the edges h 1.4^k,
     k = 0..n, with n = ceil(log(t_max/h)/log(1.4)). A height whose n is not

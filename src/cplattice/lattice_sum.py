@@ -15,8 +15,8 @@ only through the projections dot = e0.en and pp = (e0.n)(n.en), so each has
 one vectorized site kernel: :func:`cplattice.greens.resonant_sites` and
 ``kernels.offres_sites``. For the two principal orientations (probe z with
 array z or array x) the projections are radial, and the sum runs over one
-octant with the dihedral orbit weights of
-:func:`cplattice.kernels._numpy_backend.octant_weights`. The resonant octant
+octant with the dihedral orbit weights of :func:`octant_weights` at the
+radial projections of :func:`radial_sites`. The resonant octant
 is one call of ``kernels.res_rows`` over the rows n_x = 0..M, or one call
 per contiguous row range when split over threads, for all the heights of a
 :func:`sum_lattice` call at once; the row values come back in fixed order
@@ -110,7 +110,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .kernels._numpy_backend import octant_weights, radial_sites
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .model import MAX_LENGTH, NonPositiveLength, ValidatedBundle, validate
@@ -332,6 +331,33 @@ def check_octant_memory(bundle: ValidatedBundle, kind: str) -> None:
         raise SiteBudgetExceeded(f"the off-resonant octant of M={M} holds {sites} sites, whose "
                                  f"tables take {need} bytes, more than the {limit} bytes this "
                                  f"process can hold")
+
+
+def radial_sites(s, a2: float, z2: float, zx: bool):
+    """(r, dot, pp) of the octant sites at s = nx^2 + j^2, on which they
+    alone depend: the orbit of site (nx, j) under the square's symmetries
+    contributes w * term(r, dot, pp), w from :func:`octant_weights`, for any
+    site term that depends on the dipoles through dot = e0.en and
+    pp = (e0.n)(n.en). With r^2 = s a^2 + z^2: zz has dot = 1 and
+    pp = z^2/r^2; zx (z probe, x array) the term at unit x, dot = 0 and
+    pp = z/r^2, since its weights carry x^2."""
+    r2 = s * a2 + z2
+    if zx:
+        return np.sqrt(r2), 0.0, math.sqrt(z2) / r2
+    return np.sqrt(r2), 1.0, z2 / r2
+
+
+def octant_weights(nx, j, a2: float, zx: bool):
+    """The orbit weights w of the octant sites (nx, j), 0 <= j <= nx (see
+    :func:`radial_sites`): zz 8 interior, 4 on the axis and the diagonal, 1
+    at the origin; zx, where the term carries x^2 = (nx a)^2, which breaks
+    the bare dihedral degeneracy, x^2 summed over each orbit: 4 s a^2
+    interior, 2 nx^2 a^2 on the axis and 4 nx^2 a^2 on the diagonal."""
+    axis, diagonal = j == 0, j == nx
+    if zx:
+        s = nx * nx + j * j
+        return np.where(axis, 2.0 * nx * nx, np.where(diagonal, 4.0 * nx * nx, 4.0 * s)) * a2
+    return np.where(nx == 0, 1.0, np.where(axis | diagonal, 4.0, 8.0))
 
 
 def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:

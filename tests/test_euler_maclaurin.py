@@ -22,7 +22,7 @@ from scipy.special import expn
 from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
-from cplattice.kernels import offres_sites
+from cplattice.kernels import _numpy_backend, offres_sites
 from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, prefactor,
                                    resonant_pair_term, resonant_prefactor)
 from cplattice.greens import site_projections
@@ -636,7 +636,7 @@ def _one_rotated_rule(z):
     np.geomspace(1e-3, 1e4, 65), np.geomspace(0.01, 100.0, 257), np.array([0.3]),
     np.array([50.0, 1e-4, 2.0, 2.0, 1e6])], ids=["65", "readme", "one", "unordered"])
 def test_rotated_rules_equal_one_rule_per_height(heights):
-    t, w, w_low, counts = kernels._numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)
+    t, w, w_low, counts = _numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)
     rules = [_one_rotated_rule(z) for z in heights.tolist()]
     assert counts.tolist() == [len(rule[0]) for rule in rules]
     for got, want in zip((t, w, w_low), zip(*rules)):
@@ -706,7 +706,7 @@ def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, blo
         heights = np.geomspace(1e-3, 1e4, n)
         sums, counts = _rays(pair, stage, heights)
         assert sums.shape == (n, outputs, 3)
-        want_counts = kernels._numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)[3]
+        want_counts = _numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)[3]
         assert counts.tolist() == want_counts.tolist()
         hexes = [v.hex() for v in sums.ravel().tolist()]
         if n == 1:

@@ -20,6 +20,9 @@ Gauss-Legendre rule is literals, not ``numpy.polynomial``.
 backend computes Si and Ci itself, so those routes, the asymptotes and
 ``specfun.cosine_integral`` load none of it; the NumPy fallback imports
 SciPy's sici, its oracle, at its first closed-form off-resonant site.
+
+Nor does a compiled run load the NumPy fallback, ``kernels._numpy_backend``:
+only selecting it imports it.
 """
 import os
 import shutil
@@ -77,6 +80,7 @@ COMPILED_SCRIPT = SCRIPT + textwrap.dedent(f"""
             cplattice.asymptotic_shift(regime, b)
         asymptotics.full_closed_form(b.orientation_label(), b)
     specfun.cosine_integral(0.8)
+    assert "cplattice.kernels._numpy_backend" not in sys.modules
     print(" ".join(m for m in {SPECIAL!r} if m in sys.modules))
 """)
 
@@ -84,6 +88,7 @@ NUMPY_SCRIPT = textwrap.dedent("""
     import sys
     import cplattice
     from cplattice import kernels
+    assert "cplattice.kernels._numpy_backend" in sys.modules
     print(kernels.backend_name(), "scipy.special" in sys.modules)
     b = cplattice.validate(cplattice.ModelParams(mu=0.5, rho=1e-6),
                            cplattice.LatticeSpec(a_tilde=0.2, half_extent=3),

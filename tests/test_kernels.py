@@ -27,8 +27,7 @@ from scipy.special import roots_laguerre, sici
 from cplattice import greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
-from cplattice.kernels._numpy_backend import octant_weights, radial_sites
-from cplattice.lattice_sum import sum_lattice
+from cplattice.lattice_sum import octant_weights, radial_sites, sum_lattice
 from cplattice.model import X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, validate
 
 
@@ -414,13 +413,33 @@ def test_numpy_backend_takes_the_compiled_signatures():
 
 def test_only_the_switch_and_the_name_test_the_backend():
     # each wrapper makes one backend call: the backends run one algorithm,
-    # so no other function of kernels compares _impl with the NumPy module
-    testing = {getattr(node, "name", None)
-               for node in ast.parse(Path(kernels.__file__).read_text()).body
-               for c in ast.walk(node) if isinstance(c, ast.Compare)
-               and {"_impl", "_numpy_backend"} <= {o.id for o in (c.left, *c.comparators)
-                                                   if isinstance(o, ast.Name)}}
-    assert testing == {"backend", "backend_name"}
+    # so no other function of kernels tests which backend _impl is, by its
+    # type or by comparing it, and neither compares it with the NumPy module
+    def tests_impl(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "type"):
+            return any(isinstance(a, ast.Name) and a.id == "_impl" for a in node.args)
+        return isinstance(node, ast.Compare) and any(
+            isinstance(o, ast.Name) and o.id == "_impl" for o in (node.left, *node.comparators))
+
+    found = [(getattr(node, "name", None), c)
+             for node in ast.parse(Path(kernels.__file__).read_text()).body
+             for c in ast.walk(node) if tests_impl(c)]
+    assert {name for name, _ in found} == {"backend", "backend_name"}
+    assert all(ast.unparse(c) == "isinstance(_impl, ctypes.CDLL)" for _, c in found)
+
+
+def test_only_the_fallback_selection_imports_the_numpy_backend():
+    # the NumPy module is the fallback and no more: no other module of the
+    # package imports it, and kernels only in the function that selects it
+    src, importing = Path(kernels.__file__).resolve().parents[2], []
+    for path in sorted((src / "cplattice").rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                        "_numpy_backend" in name.split(".") for name in
+                        [getattr(node, "module", None) or "", *(a.name for a in node.names)]):
+                    importing.append((path.relative_to(src).as_posix(), getattr(top, "name", None)))
+    assert importing == [("cplattice/kernels/__init__.py", "_fallback")]
 
 
 def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
@@ -429,7 +448,7 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     # wrong argument raises before the C code runs, so the outputs keep
     # their fill
     pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), kernels.ROTATED_RULE
-    powers = rule.size - _numpy_backend.RULE_HEAD
+    powers = rule.size - kernels.RULE_HEAD
 
     def rays(z, counts, out):
         return lib.ray_rotated(1, pair, axis, 1, z, z.size, rule, powers, counts, out)
@@ -573,6 +592,31 @@ def test_rows_above_the_table_cap_stream(lib, monkeypatch):
             assert ((lo, hi) in kept) == (kernels.range_sites(lo, hi) <= 100)
             assert sum(kept.values()) <= 100
         assert list(kernels._tables) == [(5, 13)]  # the older tables made room for it
+
+
+def test_a_far_row_streams_without_a_table(backend):
+    # the compiled table builder's bitmap spans lo^2..2(hi-1)^2: row 20001
+    # alone would take 6.25 M words (~94 MB) for its 20,002 sites, so it
+    # streams, while a range with more sites than words takes its table
+    for zx, want in ((False, "0x1.0fb62a7e19b92p-4"), (True, "0x1.513f17e289df6p-24")):
+        row = kernels.res_rows(zx, 1e-4, [0.09], 20001, 20002)
+        assert row.shape == (1, 1)
+        assert row[0, 0].hex() == backend.res_row(zx, 1e-4, 0.09, 20001).hex() == want
+    assert kernels._tables == {}
+    kernels.res_rows(False, 1e-4, 0.09, 0, 501)
+    assert list(kernels._tables) == [(0, 501)]
+
+
+def test_a_far_row_pages_in_no_table():
+    script = ("import resource\n"
+              "from cplattice import kernels\n"
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+              "kernels.res_rows(False, 1e-4, [0.09], 20001, 20002)\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 1024  # kB: the table took ~94 MB
 
 
 def test_table_cache_under_concurrent_callers(backend, monkeypatch):
@@ -825,14 +869,13 @@ def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
         r[:5] = 0.01, 1.0, 10.0, sw, sw / mu
         rng.shuffle(r)
     buf = np.full((3, 2 * n), -1.5)
-    _numpy_backend.offres_fill(buf, n, r, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
-                               mu)
+    kernels.offres_fill(buf, n, r, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n), mu)
     np.power(buf[0, n:], 6, out=buf[2, :n])
     closed = np.count_nonzero(buf[0] < sw)
     recast = r * r * (1.0 + mu) < kernels.RECAST
     assert {"closed": closed == 2 * n and not recast.any(), "laguerre": closed == 0,
             "recast": recast.all(), "mixed": n < 7 or 0 < recast.sum() < closed < 2 * n}[where]
-    args = (n, mu, sw, kernels.RECAST, kernels._LAGUERRE_TABLE, kernels._NODES.size)
+    args = (n, mu, sw, kernels.RECAST, kernels._LAGUERRE_TABLE, kernels._LAGUERRE_NODES.size)
     compiled, numpy = buf.copy(), buf.copy()
     lib.offres_sites(*args, compiled)
     _numpy_backend.offres_sites(*args, numpy)
@@ -986,7 +1029,7 @@ def test_ray_sizes_are_the_library_s():
     # kernels builds must have the nodes the compiled rows read
     directions, nodes = _defined("DIRECTIONS", "NODES")
     assert kernels.RAY_DIRECTIONS == directions
-    assert _numpy_backend.NODES == nodes == kernels.LEGENDRE[0].size
+    assert kernels.NODES == nodes == kernels.LEGENDRE[0].size
     assert kernels.REAL_PATH[0].shape[1] == nodes
 
 
