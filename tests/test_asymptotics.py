@@ -1,20 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+
+import reference
+from reference import contour_bulk_resonant
 
 from cplattice.asymptotics import (Regime, all_regimes, asymptotic_shift,
                                    expected_exponent, full_closed_form)
 from cplattice.euler_maclaurin import bracket_zz, bulk_term
 from cplattice.fitting import fit_power_law
 from cplattice.lattice_sum import resonant_pair_term, sum_lattice
-from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
-from test_euler_maclaurin import contour_bulk_resonant
 
-
-def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.01, array=(0, 0, 1)):
-    return validate(ModelParams(mu=mu, rho=rho, array_dipole=array),
-                    LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+mk = functools.partial(reference.bundle, z=0.01)
 
 
 def reg(kind, orientation, retardation, density):

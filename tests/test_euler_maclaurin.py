@@ -1,15 +1,5 @@
-"""Bulk/edge/vertex decomposition tests.
-
-The independent resonant bulk oracle used throughout is contour rotation:
-the radial integrand of the resonant bulk term is analytic above the real
-axis and e^{2ir} decays there, so int_z^inf F(r) dr = Re[ i int_0^inf
-F(z+is) ds ], which scipy handles as a smooth exponentially damped
-integral. The off-resonant bulk oracle reduces the radial integral of each
-imaginary-frequency integrand to exponential integrals E_n and integrates
-over xi with scipy. Neither touches the package's panel rule or its closed
-forms.
-"""
-import cmath
+"""Bulk/edge/vertex decomposition tests, against ``reference``'s oracles,
+which touch neither the package's panel rule nor its closed forms."""
 import hashlib
 import math
 import re
@@ -17,104 +7,19 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import expn
+
+from reference import (PAIRS, axis_integral, bulk_integral, contour_bulk_resonant,
+                       offres_bulk_by_ring, offres_bulk_oracle, offres_edge_reordered,
+                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad)
+from reference import bundle as mk
 
 from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
-from cplattice.kernels import _numpy_backend, offres_sites
-from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, prefactor,
-                                   resonant_pair_term, resonant_prefactor)
-from cplattice.greens import site_projections
-from cplattice.model import Geometry, LatticeSpec, ModelParams, NonPositiveLength, validate
-
-
-def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, array=(0, 0, 1), test=(0, 0, 1)):
-    return validate(ModelParams(mu=mu, rho=rho, test_dipole=test, array_dipole=array),
-                    LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
-
-
-def _bulk_integral(bundle, kind="resonant"):
-    """bulk_term's ray-integral route, taken also where bulk_term has a
-    closed form: one azimuth for zz, five otherwise."""
-    ring = _RING[:1] if bundle.orientation_label() == "zz" else _RING
-    return prefactor(bundle, kind) * (2.0 * math.pi / bundle.a_tilde ** 2) \
-        * _ray_integral(bundle, kind, "bulk", ring, np.array([bundle.z_tilde]))[0, 0]
-
-
-def _axis_integral(bundle, kind, axis):
-    """One positive half-axis integral of edge_term, without its prefactor."""
-    k = "xy".index(axis)
-    return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], np.array([bundle.z_tilde]),
-                         axis)[0, 0]
-
-
-def contour_bulk_resonant(bundle):
-    """Oracle: Re[i int_0^inf F(z+is) ds] * 2 pi pref / a^2."""
-    z = bundle.z_tilde
-    zz = bundle.orientation_label() == "zz"
-
-    def fr(r):
-        if zz:
-            br = (r * r + 1j * r - 1.0) + (-r * r + 3.0 - 3j * r) * z * z / (r * r)
-            return cmath.exp(2j * r) * br * br / r ** 5
-        return (r * r - z * z) * cmath.exp(2j * r) * (3.0 - r * r - 3j * r) ** 2 \
-            * z * z / r ** 9
-
-    def g(s):
-        return (1j * fr(z + 1j * s)).real
-
-    val, _ = quad(g, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
-    geom = 2.0 * math.pi if zz else math.pi
-    return resonant_prefactor(bundle) * geom * val / bundle.a_tilde ** 2
-
-
-# off-resonant radial kernels: int_1^inf e^{-2ut} P(ut, 1/t^2) t^-k dt as
-# E_n combinations, u = z*xi
-
-_EN_ORDERS = np.arange(1, 10)
-
-
-def _radial_kernel_zz(u: float) -> float:
-    if u < 1e-12:
-        return 0.375
-    e = expn(_EN_ORDERS, 2.0 * u)
-    u2 = u * u
-    u3 = u2 * u
-    u4 = u2 * u2
-    return (u4 * e[0] + 2.0 * u3 * e[1] + (3.0 * u2 - 2.0 * u4) * e[2]
-            + (2.0 * u - 8.0 * u3) * e[3] + (1.0 - 14.0 * u2 + u4) * e[4]
-            + (-12.0 * u + 6.0 * u3) * e[5] + (-6.0 + 15.0 * u2) * e[6]
-            + 18.0 * u * e[7] + 9.0 * e[8])
-
-
-def _radial_kernel_zx(u: float) -> float:
-    if u < 1e-12:
-        return 0.375
-    e = expn(_EN_ORDERS, 2.0 * u)
-    u2 = u * u
-    u3 = u2 * u
-    u4 = u2 * u2
-    return (u4 * e[2] + 6.0 * u3 * e[3] + (15.0 * u2 - u4) * e[4]
-            + (18.0 * u - 6.0 * u3) * e[5] + (9.0 - 15.0 * u2) * e[6]
-            - 18.0 * u * e[7] - 9.0 * e[8])
-
-
-def offres_bulk_oracle(bundle):
-    """Oracle: zz/zx off-resonant bulk, E_n radial kernels, quad over xi in [0, 1] + [1, inf)."""
-    z = bundle.z_tilde
-    mu2 = bundle.mu ** 2
-    kern, geom = ((_radial_kernel_zz, 2.0) if bundle.orientation_label() == "zz"
-                  else (_radial_kernel_zx, 1.0))
-
-    def f(xi):
-        return kern(z * xi) / ((xi * xi + 1.0) * (xi * xi + mu2))
-
-    head, _ = quad(f, 0.0, 1.0, epsabs=1e-300, epsrel=1e-13, limit=200)
-    tail, _ = quad(lambda t: f(1.0 / t) / (t * t), 0.0, 1.0, epsabs=1e-300, epsrel=1e-13,
-                   limit=200)
-    return offresonant_prefactor(bundle) * geom * math.pi / (bundle.a_tilde ** 2 * z ** 4) \
-        * (head + tail)
+from cplattice.kernels import _numpy_backend
+from cplattice.lattice_sum import (QuadratureFailure, prefactor, resonant_pair_term,
+                                   resonant_prefactor)
+from cplattice.model import NonPositiveLength
 
 
 ZGRID = [0.05, 0.11, 0.3, 0.7, 1.7, 4.0, 11.0, 23.0, 50.0]
@@ -137,16 +42,16 @@ def test_generic_resonant_bulk_path_agrees_with_closed_forms():
     # pairs directly, must land on the closed forms
     for z in (0.2, 1.3, 6.0):
         b = mk(z=z)
-        assert _bulk_integral(b) == pytest.approx(bulk_term(b, "resonant"), rel=1e-9)
+        assert bulk_integral(b) == pytest.approx(bulk_term(b, "resonant"), rel=1e-9)
         bx = mk(z=z, array=(1, 0, 0))
-        assert _bulk_integral(bx) == pytest.approx(bulk_term(bx, "resonant"), rel=1e-9)
+        assert bulk_integral(bx) == pytest.approx(bulk_term(bx, "resonant"), rel=1e-9)
 
 
 @pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
 def test_zz_bulk_above_switch_height_takes_rotated_path(z):
     # bracket_zz cancels at these heights (1.4e-8 relative at z = 1e4)
     b = mk(z=z)
-    assert bulk_term(b, "resonant") == _bulk_integral(b)
+    assert bulk_term(b, "resonant") == bulk_integral(b)
     assert bulk_term(b, "resonant") == pytest.approx(contour_bulk_resonant(b), rel=1e-12)
 
 
@@ -156,24 +61,15 @@ def test_zz_bulk_keeps_closed_form_up_to_switch_height():
         want = resonant_prefactor(b) * 2.0 * math.pi * euler_maclaurin.bracket_zz(z) \
             / (8.0 * b.a_tilde ** 2 * z ** 4)
         assert bulk_term(b, "resonant") == want
-        assert _bulk_integral(b) == pytest.approx(want, rel=1e-13)
+        assert bulk_integral(b) == pytest.approx(want, rel=1e-13)
 
 
 def test_offres_radial_kernels_vs_brute_quadrature():
     # E_n combinations vs direct integration of the defining t-integral
     for u in (1e-3, 0.07, 0.9, 3.0, 11.0):
-        def fzz(t):
-            g = (u * u * t * t + u * t + 1.0) - (u * u * t * t + 3 * u * t + 3.0) / (t * t)
-            return math.exp(-2.0 * u * t) * g * g / t ** 5
-
-        def fzx(t):
-            bb = u * u * t * t + 3 * u * t + 3.0
-            return (t * t - 1.0) * math.exp(-2.0 * u * t) * bb * bb / t ** 9
-
-        wzz, _ = quad(fzz, 1.0, np.inf, epsrel=1e-12, limit=300)
-        wzx, _ = quad(fzx, 1.0, np.inf, epsrel=1e-12, limit=300)
-        assert _radial_kernel_zz(u) == pytest.approx(wzz, rel=1e-9)
-        assert _radial_kernel_zx(u) == pytest.approx(wzx, rel=1e-9)
+        wzz, wzx = radial_kernels_by_quad(u)
+        assert radial_kernel_zz(u) == pytest.approx(wzz, rel=1e-9)
+        assert radial_kernel_zx(u) == pytest.approx(wzx, rel=1e-9)
 
 
 def test_offres_bulk_reference_values(backend):
@@ -214,44 +110,15 @@ def test_generic_offres_bulk_general_pair_vs_adaptive_quadrature(backend):
     # a pair whose site term has azimuthal degree 4: adaptive quadrature over
     # R of the mean over 64 azimuths
     e0, en = (np.array(v) / math.sqrt(6.0) for v in ((1.0, 1.0, 2.0), (2.0, -1.0, 1.0)))
-    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     for z in (0.01, 0.3, 3.0):
-        b = validate(ModelParams(mu=0.7, rho=1e-6, test_dipole=tuple(e0), array_dipole=tuple(en)),
-                     LatticeSpec(a_tilde=0.02, half_extent=0), Geometry(z_tilde=z))
-
-        def ring(big_r):
-            r, dot, pp = site_projections(e0, en, big_r * np.cos(phi), big_r * np.sin(phi), z)
-            return big_r * float(np.mean(offres_sites(r, dot, pp, b.mu)))
-
-        cuts = [0.0, z, 16.0 * z]
-        head = sum(quad(ring, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-                   for lo, hi in zip(cuts, cuts[1:]))
-        tail, _ = quad(lambda t: ring(16.0 * z / t) * 16.0 * z / (t * t), 0.0, 1.0,
-                       epsabs=0.0, epsrel=1e-12, limit=200)
-        want = offresonant_prefactor(b) * (2.0 * math.pi / b.a_tilde ** 2) * (head + tail)
-        assert bulk_term(b, "off_resonant") == pytest.approx(want, rel=1e-10)
+        b = mk(mu=0.7, a=0.02, z=z, test=tuple(e0), array=tuple(en))
+        assert bulk_term(b, "off_resonant") == pytest.approx(offres_bulk_by_ring(b), rel=1e-10)
 
 
 def test_offres_edge_against_reordered_quadrature(backend):
     # oracle: swap the integration order (xi outermost, axis innermost)
     b = mk(mu=0.7, a=0.05, z=0.4)
-    z = b.z_tilde
-    mu2 = b.mu ** 2
-
-    def inner(xi):
-        def g(x):
-            r2 = x * x + z * z
-            r = math.sqrt(r2)
-            u = xi * r
-            gg = (u * u + u + 1.0) - (u * u + 3.0 * u + 3.0) * z * z / r2
-            return math.exp(-2.0 * u) * gg * gg / r2 ** 3
-        val, _ = quad(g, 0.0, np.inf, epsrel=1e-10, limit=300)
-        return val / ((xi * xi + 1.0) * (xi * xi + mu2))
-
-    head, _ = quad(inner, 0.0, 1.0, epsrel=1e-9, limit=200)
-    tail, _ = quad(lambda t: inner(1.0 / t) / (t * t), 1e-13, 1.0, epsrel=1e-9, limit=200)
-    want = offresonant_prefactor(b) * (4.0 / b.a_tilde) * (head + tail)
-    assert edge_term(b, "off_resonant") == pytest.approx(want, rel=1e-7)
+    assert edge_term(b, "off_resonant") == pytest.approx(offres_edge_reordered(b), rel=1e-7)
 
 
 def test_custom_orientation_decompose_matches_principal_pair(backend):
@@ -278,8 +145,7 @@ def test_decompose_makes_no_adaptive_quadrature(monkeypatch):
     for array, test in (((0, 0, 1), (0, 0, 1)), ((1, 0, 0), (0, 0, 1)),
                         ((0.6, 0.0, 0.8), (s, s, s))):
         for z in (1e-3, 0.3, 30.0):
-            b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
-                         LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=z))
+            b = mk(mu=0.6, a=0.05, z=z, test=test, array=array)
             for kind in ("resonant", "off_resonant"):
                 d = decompose(b, kind)
                 assert math.isfinite(d.total)
@@ -300,11 +166,11 @@ def test_resonant_edge_reference_values():
 
 def test_edge_axis_symmetry_zz_and_zx():
     b = mk(z=0.4)
-    assert _axis_integral(b, "resonant", "x") == pytest.approx(
-        _axis_integral(b, "resonant", "y"), rel=1e-12)
+    assert axis_integral(b, "resonant", "x") == pytest.approx(
+        axis_integral(b, "resonant", "y"), rel=1e-12)
     bx = mk(z=0.4, array=(1, 0, 0))
-    assert _axis_integral(bx, "resonant", "y") == 0.0
-    assert _axis_integral(bx, "off_resonant", "y") == 0.0
+    assert axis_integral(bx, "resonant", "y") == 0.0
+    assert axis_integral(bx, "off_resonant", "y") == 0.0
 
 
 def test_vertex_is_exactly_the_origin_pair_term():
@@ -450,21 +316,13 @@ def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair)
     # the zz resonant bulk is a closed form and cannot fail
     monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
     dipoles = _CUSTOM if pair == "custom" else dict(test=(0, 0, 1), array=(0, 0, 1))
-    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=dipoles["test"],
-                             array_dipole=dipoles["array"]),
-                 LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
+    b = mk(mu=0.6, a=0.05, z=0.3, **dipoles)
     assert b.orientation_label() == pair
     with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z=0.3, mu=0.6 \\({pair}"):
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
 
 
-_S3 = 1.0 / math.sqrt(3.0)
-BLOCK_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)),
-               "custom_a": ((0.6, 0.0, 0.8), (_S3, _S3, _S3)),
-               "custom_b": ((_S3, _S3, _S3), (0.0, 0.8, 0.6))}
-
-
-# (pair of BLOCK_PAIRS, kind, z, bulk, edge, vertex) as float.hex at
+# (pair of PAIRS, kind, z, bulk, edge, vertex) as float.hex at
 # mu = 0.5, rho = 1e-6, a = 0.01: zz and zx recorded before the bulk and edge
 # integrands became one ray integral, custom_a and custom_b before the custom
 # edge took both axes from one site-kernel call; z = 25 is the zz bulk on the
@@ -516,9 +374,8 @@ PINNED_TERMS = [
 
 @pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
 def test_terms_bit_exact(backend, label, kind, z, bulk, edge, vertex):
-    test, array = BLOCK_PAIRS[label]
-    b = validate(ModelParams(mu=0.5, rho=1e-6, test_dipole=test, array_dipole=array),
-                 LatticeSpec(a_tilde=0.01, half_extent=0), Geometry(z_tilde=z))
+    test, array = PAIRS[label]
+    b = mk(z=z, test=test, array=array)
     assert b.orientation_label() == label.partition("_")[0]
     assert (bulk_term(b, kind).hex(), edge_term(b, kind).hex(),
             vertex_term(b, kind).hex()) == (bulk, edge, vertex)
@@ -526,17 +383,15 @@ def test_terms_bit_exact(backend, label, kind, z, bulk, edge, vertex):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
-@pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
+@pytest.mark.parametrize("pair", list(PAIRS))
 def test_height_blocks_equal_one_height_calls_bitwise(backend, pair, kind, n):
     # heights up to 60: the zz resonant bulk leaves its closed form above 20
     # for the rotated path, which takes a different panel count per height.
     # At 65 heights the generic resonant bulk's integrand passes 256 KiB,
     # where NumPy would evaluate J * <f> with swapped operands
     heights = np.geomspace(3e-3, 60.0, n) if n > 1 else np.array([25.0])
-    test, array = BLOCK_PAIRS[pair]
-    p = ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array)
-    one = [validate(p, LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=float(z)))
-           for z in heights]
+    test, array = PAIRS[pair]
+    one = [mk(mu=0.6, a=0.05, z=float(z), test=test, array=array) for z in heights]
     for term in (bulk_term, edge_term, vertex_term):
         block = term(one[0], kind, heights)
         assert block.shape == (n,)
@@ -558,13 +413,12 @@ def _counting_sites(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
-@pytest.mark.parametrize("pair", list(BLOCK_PAIRS))
+@pytest.mark.parametrize("pair", list(PAIRS))
 def test_decompose_equals_separate_term_calls_bitwise(backend, monkeypatch, pair, kind):
     # off-resonant, decompose evaluates the bulk's sites once and the edge
     # takes its x axis from them; each term must still equal its own call
-    test, array = BLOCK_PAIRS[pair]
-    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
-                 LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
+    test, array = PAIRS[pair]
+    b = mk(mu=0.6, a=0.05, z=0.3, test=test, array=array)
     calls = _counting_sites(monkeypatch)
     for heights in (None, np.geomspace(3e-3, 60.0, 9)):
         calls.clear()
@@ -586,9 +440,8 @@ def test_decompose_equals_separate_term_calls_bitwise(backend, monkeypatch, pair
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", ["custom_a", "custom_b"])
 def test_custom_edge_is_both_axes_of_one_site_call(backend, monkeypatch, pair, kind):
-    test, array = BLOCK_PAIRS[pair]
-    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
-                 LatticeSpec(a_tilde=0.05, half_extent=0), Geometry(z_tilde=0.3))
+    test, array = PAIRS[pair]
+    b = mk(mu=0.6, a=0.05, z=0.3, test=test, array=array)
     heights = np.geomspace(3e-3, 60.0, 9)
     ax, ay = (_ray_integral(b, kind, "edge", _AXES[k:k + 1], heights, axis)[:, 0]
               for k, axis in enumerate("xy"))
@@ -607,13 +460,11 @@ def test_subnormal_integral_passes_the_underflow_floor(backend):
     # z=2.770988636195382, mu=4.599488667187421 (custom, x axis): error
     # estimate 5.93e-323 exceeds 1e-09 of 5.8241236485158343e-315"
     c, z, mu = 6.5e-156, 2.770988636195382, 4.599488667187421
-    tiny = validate(ModelParams(mu=mu, rho=1e-6, test_dipole=(0, 1, 0), array_dipole=(0, c, 1)),
-                    LatticeSpec(a_tilde=1.0, half_extent=0), Geometry(z_tilde=z))
-    unit = validate(ModelParams(mu=mu, rho=1e-6, test_dipole=(0, 1, 0), array_dipole=(0, 1, 0)),
-                    LatticeSpec(a_tilde=1.0, half_extent=0), Geometry(z_tilde=z))
-    ax = _axis_integral(tiny, "off_resonant", "x")
+    tiny = mk(mu=mu, a=1.0, z=z, test=(0, 1, 0), array=(0, c, 1))
+    unit = mk(mu=mu, a=1.0, z=z, test=(0, 1, 0), array=(0, 1, 0))
+    ax = axis_integral(tiny, "off_resonant", "x")
     assert 0.0 < ax < np.finfo(float).tiny
-    assert ax == pytest.approx(c * c * _axis_integral(unit, "off_resonant", "x"), rel=1e-6)
+    assert ax == pytest.approx(c * c * axis_integral(unit, "off_resonant", "x"), rel=1e-6)
     d = decompose(tiny, "off_resonant")
     assert d.edge > 0.0 and math.isfinite(d.total)
 
@@ -669,7 +520,7 @@ def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
 # dipoles, whose site term is even in x and y: its x axis vanishes and its
 # y axis is zx's x axis. Recorded on the NumPy backend; the values rest on
 # glibc's csqrt and cexp.
-RAY_PAIRS = dict(zz=BLOCK_PAIRS["zz"], zx=BLOCK_PAIRS["zx"], custom_a=BLOCK_PAIRS["custom_a"],
+RAY_PAIRS = dict(zz=PAIRS["zz"], zx=PAIRS["zx"], custom_a=PAIRS["custom_a"],
                  custom_even=((0, 0, 1), (0, 1, 0)))
 PINNED_RAYS = [
     ('zz', 'bulk', ('0x1.5d3f161c998cdp+38', '0x1.575bc226a0a9ap-13', '0x1.fdbaac26726c7p+38'), '5bdd337e6ff11da0', '8610ce02f2c145b7'),
@@ -827,9 +678,8 @@ def test_closed_form_bulk_fails_where_it_is_not_finite(backend, array, z):
 def test_no_heights_give_empty_terms(backend, pair):
     # every term of either kind returns an empty array for an empty array of
     # heights, as the direct sum does, and decompose an empty list
-    test, array = BLOCK_PAIRS[pair]
-    b = validate(ModelParams(mu=0.6, rho=1e-6, test_dipole=test, array_dipole=array),
-                 LatticeSpec(a_tilde=0.05, half_extent=3), Geometry(z_tilde=0.3))
+    test, array = PAIRS[pair]
+    b = mk(mu=0.6, a=0.05, M=3, z=0.3, test=test, array=array)
     for kind in ("resonant", "off_resonant"):
         for term in (bulk_term, edge_term, vertex_term):
             got = term(b, kind, heights=[])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import unit
+
 from cplattice.greens import ZeroSeparation, green_dyadic, pair_coupling
 
 Z = (0.0, 0.0, 1.0)
@@ -91,16 +93,14 @@ def test_reciprocity_and_parity(e0, en, vx, r, kz):
 def test_tensor_symmetry():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
+        n = unit(rng.normal(size=3))
         g = green_dyadic(n, float(rng.uniform(0.1, 5.0)), complex(rng.uniform(0.2, 2), rng.uniform(0, 2)))
         assert np.allclose(g, g.T, rtol=0, atol=1e-15 * np.abs(g).max())
 
 
 def test_scale_invariance_of_dimensionless_form():
     # g(n, r, k) * r depends on k*r and direction only
-    n = np.array([0.48, -0.6, 0.64])
-    n /= np.linalg.norm(n)
+    n = unit([0.48, -0.6, 0.64])
     target = 0.8  # fixed k*r product
     ref = None
     for r in (0.1, 0.37, 1.9, 8.0):
@@ -115,8 +115,7 @@ def test_scale_invariance_of_dimensionless_form():
 def test_imaginary_frequency_realness():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
+        n = unit(rng.normal(size=3))
         g = green_dyadic(n, float(rng.uniform(0.05, 30)), 1j * float(rng.uniform(0.01, 20)))
         assert np.abs(g.imag).max() < 1e-14 * max(1.0, np.abs(g.real).max())
 

@@ -1,10 +1,8 @@
 """Backend contract: the compiled row library and the NumPy fallback are
 interchangeable, the library's reduced sincos matches the C library, and
 the loader falls back to NumPy whenever the library cannot be built."""
-import ast
 import ctypes
 import hashlib
-import inspect
 import math
 import os
 import platform
@@ -24,11 +22,13 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import roots_laguerre, sici
 
+from reference import LAGUERRE, S3, bundle, former_offresonant_sites, phi_laguerre
+
 from cplattice import greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
 from cplattice.kernels import _numpy_backend, backend_name
 from cplattice.lattice_sum import octant_weights, radial_sites, sum_lattice
-from cplattice.model import X_HAT, Z_HAT, Geometry, LatticeSpec, ModelParams, validate
+from cplattice.model import X_HAT, Z_HAT
 
 
 @pytest.fixture(scope="module")
@@ -83,37 +83,6 @@ def test_backend_switch_swaps_and_restores(lib, monkeypatch):
             pass
         raise KeyError
     assert (kernels.backend_name(), kernels._tables) == before
-
-
-_SWAPPED = {"_impl", "_lib", "_tables"}
-
-
-def _swaps(node) -> bool:
-    """Whether the node assigns or deletes one of kernels' _SWAPPED names, by
-    a statement or by a setattr/delattr call (monkeypatch's included)."""
-    def named(owner, attr):
-        return attr in _SWAPPED and ast.unparse(owner).split(".")[-1] == "kernels"
-
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
-        targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
-        return any(isinstance(t, ast.Attribute) and named(t.value, t.attr) for t in targets)
-    if isinstance(node, ast.Call) and node.args and getattr(
-            node.func, "attr", getattr(node.func, "id", None)) in ("setattr", "delattr"):
-        first = node.args[0]
-        if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            owner, _, attr = first.value.rpartition(".")  # monkeypatch's "pkg.mod.name" form
-            return attr in _SWAPPED and owner.split(".")[-1] == "kernels"
-        second = node.args[1] if len(node.args) > 1 else None
-        return isinstance(second, ast.Constant) and named(first, second.value)
-    return False
-
-
-def test_no_test_swaps_the_backend_but_the_switch():
-    # kernels.backend stays the one place that swaps the backend state
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(__file__).parent.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text())) if _swaps(node)]
-    assert found == []
 
 
 def test_failed_builds_fall_back_without_raising(tmp_path):
@@ -377,15 +346,6 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
         assert fn.restype is c_type[ret], name
 
 
-def test_every_static_function_of_the_library_is_called():
-    # -Wall -Wextra does not flag a static inline function that nothing
-    # calls, so a helper left behind would stay in _rows.c unnoticed
-    source = re.sub(r"/\*.*?\*/", "", kernels._SOURCE.read_text(), flags=re.S)
-    defined = re.findall(r"^static [\w ]*?\**(\w+)\(", source, re.M)
-    assert "sin_branchless" in defined and "ray_panel" in defined
-    assert [name for name in defined if len(re.findall(rf"\b{name}\(", source)) < 2] == []
-
-
 def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatch):
     # an export the loader cannot declare stops the load, naming it
     source = tmp_path / "_rows.c"
@@ -395,51 +355,6 @@ def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatc
     monkeypatch.setattr(kernels, "_SOURCE", source)
     with pytest.raises(TypeError, match="^halves in _rows.c takes or returns 'float \\*'"):
         kernels.load_library(directory=tmp_path)
-
-
-def test_numpy_backend_takes_the_compiled_signatures():
-    # a wrapper makes one call through _impl that runs on either backend, so
-    # each export it calls so has a NumPy twin of the same name and parameter
-    # count; so has the single row, the tests' range oracle
-    called = set(re.findall(r"\b_impl\.(\w+)", Path(kernels.__file__).read_text()))
-    assert called == {"res_rows", "table_rows", "distance_table", "offres_sites",
-                      "offres_points", "res_points", "ray_rotated", "panel_sums", "sici"}
-    exported = {name: params.split(",") for _, name, params in
-                re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)}
-    for name in called | {"res_row"}:
-        twin = inspect.signature(getattr(_numpy_backend, name)).parameters
-        assert len(twin) == len(exported[name]), name
-
-
-def test_only_the_switch_and_the_name_test_the_backend():
-    # each wrapper makes one backend call: the backends run one algorithm,
-    # so no other function of kernels tests which backend _impl is, by its
-    # type or by comparing it, and neither compares it with the NumPy module
-    def tests_impl(node):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "type"):
-            return any(isinstance(a, ast.Name) and a.id == "_impl" for a in node.args)
-        return isinstance(node, ast.Compare) and any(
-            isinstance(o, ast.Name) and o.id == "_impl" for o in (node.left, *node.comparators))
-
-    found = [(getattr(node, "name", None), c)
-             for node in ast.parse(Path(kernels.__file__).read_text()).body
-             for c in ast.walk(node) if tests_impl(c)]
-    assert {name for name, _ in found} == {"backend", "backend_name"}
-    assert all(ast.unparse(c) == "isinstance(_impl, ctypes.CDLL)" for _, c in found)
-
-
-def test_only_the_fallback_selection_imports_the_numpy_backend():
-    # the NumPy module is the fallback and no more: no other module of the
-    # package imports it, and kernels only in the function that selects it
-    src, importing = Path(kernels.__file__).resolve().parents[2], []
-    for path in sorted((src / "cplattice").rglob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-                        "_numpy_backend" in name.split(".") for name in
-                        [getattr(node, "module", None) or "", *(a.name for a in node.names)]):
-                    importing.append((path.relative_to(src).as_posix(), getattr(top, "name", None)))
-    assert importing == [("cplattice/kernels/__init__.py", "_fallback")]
 
 
 def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
@@ -552,8 +467,7 @@ def test_sums_from_tables_equal_streaming_sums(backend, monkeypatch, array_dipol
     # zero sites streams every range instead
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 4)  # keep every split
     for M, a, z in ((9, 0.5, 0.3), (65, 0.05, 2.0), (500, 0.01, 0.3)):
-        b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
-                     LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+        b = bundle(a=a, M=M, z=z, array=array_dipole)
         table = sum_lattice(b, "resonant", threads=threads).resonant
         ranges = lattice_sum._split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
         assert set(ranges) <= set(kernels._tables)  # the tables served the sum
@@ -668,8 +582,7 @@ def test_offres_octant_equals_np_unique_reference(backend):
     for array_dipole in (Z_HAT, X_HAT):
         for M, a, z, mu in ((0, 0.5, 0.3, 0.6), (9, 0.5, 0.3, 0.6), (64, 0.05, 2.0, 1.7),
                             (200, 0.01, 0.05, 0.6)):
-            b = validate(ModelParams(mu=mu, rho=1e-6, array_dipole=array_dipole),
-                         LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+            b = bundle(mu=mu, a=a, M=M, z=z, array=array_dipole)
             nx, j = np.tril_indices(M + 1)
             zx = array_dipole == X_HAT
             r, dot, pp = radial_sites(nx * nx + j * j, a * a, z * z, zx)
@@ -679,20 +592,6 @@ def test_offres_octant_equals_np_unique_reference(backend):
             radial = kernels.offres_sites(r[first], dot, pp[first], mu)
             want = math.fsum(w * radial[site])
             assert lattice_sum._offres_octant(b, np.array([z]))[0].hex() == want.hex()
-
-
-# The nodes t, weights w and powers (t/2)^k of the Gauss-Laguerre branch:
-# views of the one table that the backend offres_sites takes whole
-_T = kernels._LAGUERRE_TABLE
-_LAGUERRE = (_T[:56], _T[56:112], _T[112:].reshape(56, 5))
-
-
-def _phi_laguerre(y, impl=_numpy_backend):
-    """Phi_0..4(y) of a backend's Gauss-Laguerre branch; the NumPy one's is
-    the oracle."""
-    out = np.empty((y.size, 5))
-    impl.phi_laguerre(y, y.size, *_LAGUERRE, _LAGUERRE[0].size, out)
-    return out
 
 
 @pytest.mark.usefixtures("backend")
@@ -705,9 +604,9 @@ def test_phi_laguerre_backends_equal_numpy_branch_bitwise(size, seed):
     rng = np.random.default_rng(seed)
     y = np.exp(rng.uniform(math.log(2.0), math.log(1e12), size))
     y[:2] = [2.0, 1e12][:size]
-    want = _phi_laguerre(y)
+    want = phi_laguerre(y)
     assert want.shape == (size, 5)
-    got = _phi_laguerre(y, kernels._impl)
+    got = phi_laguerre(y, kernels._impl)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -722,8 +621,9 @@ def test_laguerre_table_is_one_read_only_table():
     # weights and powers (t/2)^k, one after the other, with their own bits
     nodes, weights = roots_laguerre(56)
     powers = (0.5 * nodes)[:, None] ** np.arange(5)
-    assert _T.tobytes() == np.concatenate((nodes, weights, powers.ravel())).tobytes()
-    assert _T.flags.c_contiguous and not _T.flags.writeable
+    table = kernels._LAGUERRE_TABLE
+    assert table.tobytes() == np.concatenate((nodes, weights, powers.ravel())).tobytes()
+    assert table.flags.c_contiguous and not table.flags.writeable
 
 
 def test_legendre_rule_is_numpy_s_bits():
@@ -739,56 +639,11 @@ def test_legendre_rule_is_numpy_s_bits():
 def test_laguerre_rule_integrates_t_k_exactly():
     # the frozen rule without SciPy: the 56-node Gauss-Laguerre rule is exact
     # for polynomials of degree up to 111, so sum(w t^k) = int t^k e^-t dt = k!
-    t, w, _ = _LAGUERRE
+    t, w, _ = LAGUERRE
     assert t.size == 56 and np.all(np.diff(t) > 0) and t[0] > 0 and np.all(w > 0)
     for k in range(33):
         got = math.fsum(wi * ti ** k for ti, wi in zip(t.tolist(), w.tolist()))
         assert abs(got - math.factorial(k)) <= 1e-14 * math.factorial(k), k
-
-
-def _former_offresonant_sites(r, dot, pp, mu):
-    """The off-resonant site kernel as it was written in NumPy alone, before
-    the compiled call: one sici/sin/cos per chunk of 1024 sites, both Phi_k
-    branches on the NumPy backend, the contraction by einsum and one r**6
-    over all sites; and near r = 0, where r^2 (1 + mu) < kernels.RECAST and
-    both y are closed-form, the moments from the f/g parts of Phi_k alone
-    with the 0.5 r^3 that the polynomial parts leave in M_4. The slow
-    oracle of the compiled entry and the front."""
-    r, dot, pp = (np.ravel(v) for v in np.broadcast_arrays(
-        np.asarray(r, dtype=float), np.asarray(dot, dtype=float), np.asarray(pp, dtype=float)))
-    alpha = dot - pp
-    beta = dot - 3.0 * pp
-    ab = 2.0 * alpha * beta
-    b2 = beta * beta
-    coef = np.stack([b2, 2.0 * b2, ab + b2, ab, alpha * alpha], axis=-1)
-    out = np.empty(r.size)
-    for lo in range(0, r.size, 1024):
-        part = slice(lo, lo + 1024)
-        rp = r[part]
-        y = np.concatenate((rp * mu, rp))
-        near = (rp * mu < 2.0) & (rp < 2.0) & (rp * rp * (1.0 + mu) < kernels.RECAST)
-        phi = np.empty((y.size, 5))
-        small = y < 2.0
-        if small.any():
-            ys = y[small]
-            x = 2.0 * ys
-            si, ci = sici(x)
-            si -= 0.5 * np.pi
-            sx, cx = np.sin(x), np.cos(x)
-            f = ci * sx - si * cx
-            g = -ci * cx - si * sx
-            y2 = ys * ys
-            y3 = y2 * ys
-            whole = np.stack([f, ys * g, 0.5 * ys - y2 * f, 0.25 * ys - y3 * g,
-                              0.25 * ys - 0.5 * y3 + y2 * y2 * f], axis=-1)
-            fg = np.stack([f, ys * g, -(y2 * f), -(y3 * g), y2 * y2 * f], axis=-1)
-            phi[small] = np.where(np.concatenate((near, near))[small, None], fg, whole)
-        if not small.all():
-            phi[~small] = _phi_laguerre(np.ascontiguousarray(y[~small]))
-        moments = (phi[:rp.size] / mu - phi[rp.size:]) / (1.0 - mu * mu)
-        moments[near, 4] += 0.5 * rp[near] * rp[near] * rp[near]
-        out[part] = np.einsum("ik,ik->i", coef[part], moments)
-    return out / r ** 6
 
 
 def _offres_radii(rng, size, where, mu):
@@ -824,7 +679,7 @@ def test_offres_sites_backends_equal_numpy_bitwise(size, seed, where, mu, scalar
     r = _offres_radii(rng, size, where, mu)
     dot = float(rng.uniform(-1.0, 1.0))
     pp = float(rng.uniform(-1.0, 1.0)) if scalar_pp else rng.uniform(-1.0, 1.0, size)
-    want = _former_offresonant_sites(r, dot, pp, mu)
+    want = former_offresonant_sites(r, dot, pp, mu)
     got = kernels.offres_sites(r, dot, pp, mu)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -848,7 +703,7 @@ def test_offres_sites_on_ray_shapes_bitwise(backend, shape, pp_shape):
     r = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), shape))
     pp = rng.uniform(-1.0, 1.0, pp_shape)
     for mu in (0.05, 0.6, 1.7, 5.0):
-        want = _former_offresonant_sites(r, 0.3, pp, mu)
+        want = former_offresonant_sites(r, 0.3, pp, mu)
         assert kernels.offres_sites(r, 0.3, pp, mu).tobytes() == want.tobytes()
 
 
@@ -888,8 +743,7 @@ def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
 @pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])
 @pytest.mark.parametrize("a,M,z", [(0.05, 200, 0.3), (0.5, 60, 2.0), (0.01, 300, 0.05)])
 def test_sum_lattice_same_on_numpy_rows(lib, monkeypatch, array_dipole, a, M, z):
-    b = validate(ModelParams(mu=0.5, rho=1e-6, array_dipole=array_dipole),
-                 LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+    b = bundle(a=a, M=M, z=z, array=array_dipole)
     numpy_ranges, numpy_rows = [], _numpy_backend.table_rows
     monkeypatch.setattr(_numpy_backend, "table_rows",
                         lambda *args: numpy_ranges.append(args[7:9]) or numpy_rows(*args))
@@ -1038,7 +892,7 @@ def test_rules_are_read_only():
     # doubling one real-path weight made the next zz off-resonant bulk_term
     # fail its error estimate. The real path's nodes, weights and nested
     # weights follow one another in one table, which panel_sums takes whole
-    rules = (*kernels.LEGENDRE, *kernels.REAL_PATH, kernels.ROTATED_RULE, _T)
+    rules = (*kernels.LEGENDRE, *kernels.REAL_PATH, kernels.ROTATED_RULE, kernels._LAGUERRE_TABLE)
     for rule in rules:
         with pytest.raises(ValueError, match="read-only"):
             rule[(0,) * rule.ndim] *= 2.0
@@ -1115,8 +969,6 @@ def test_sici_on_either_backend_is_scipy_s(backend):
 # ---------------------------------------------------------------------------
 # real-axis site sets: the compiled passes against NumPy's sequences
 
-_S3 = 1.0 / math.sqrt(3.0)
-
 def _site_set_positions(u, v, z, rays):
     """x and y of every site of a site set at the height z, (u, sites)."""
     if not rays:
@@ -1131,7 +983,7 @@ def test_site_sets_equal_numpy_sequences_bitwise(backend, rays):
     # and the off-resonant site integrals from the same projections; rows
     # of more sites than NumPy's pairwise blocks and reduction buffers
     rng = np.random.default_rng(13 + rays)
-    for e0, en in (((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)), ((_S3, _S3, _S3), (0.0, 0.8, 0.6))):
+    for e0, en in (((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)), ((S3, S3, S3), (0.0, 0.8, 0.6))):
         pair = np.array([*e0, *en, np.dot(e0, en)])
         for nu, nv, nz in ((1, 1, 1), (3, 17, 2), (5, 129, 3), (2, 9000, 1), (1, 20001, 1)):
             u = rng.uniform(0.0, 3.0, nu) if rays else rng.uniform(-3.0, 3.0, nu)
@@ -1156,7 +1008,7 @@ def test_site_sets_equal_numpy_sequences_bitwise(backend, rays):
             r = np.concatenate([r.ravel() for r, _ in sites])
             pp = np.concatenate([pp.ravel() for _, pp in sites])
             for mu in (0.05, 0.6, 1.7):
-                want = _former_offresonant_sites(r, pair[6], pp, mu)
+                want = former_offresonant_sites(r, pair[6], pp, mu)
                 assert kernels.offres_points(pair, u, v, z, mu, rays=rays).tobytes() == \
                     want.tobytes()
 
@@ -1165,7 +1017,7 @@ def test_strided_pair_gives_the_contiguous_pair_s_bits(backend):
     # a dipole pair viewed with a stride runs as the contiguous one does: the
     # site sets and the ray integrals make it contiguous, as they do their
     # tables
-    e0, en = (_S3, _S3, _S3), (0.6, 0.0, 0.8)
+    e0, en = (S3, S3, S3), (0.6, 0.0, 0.8)
     pair = np.array([*e0, *en, np.dot(e0, en)])
     strided = np.zeros(14)[::2]
     strided[:] = pair

@@ -1,8 +1,7 @@
-"""Direct-sum module tests. The reference ("naive") summation used here is
-built from the public 3x3 tensor API, site by site over the full grid, with
-no octant folding and no shared code with the accelerated paths."""
+"""Direct-sum module tests, against ``reference``'s naive full-grid sums,
+which share no code with the accelerated paths."""
 import contextlib
-import itertools
+import functools
 import math
 import os
 import resource
@@ -10,64 +9,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference
+from reference import (PAIRS, STRATA_PAIRS, UNIT_VECTORS, S3, naive_offresonant, naive_resonant,
+                       per_row_custom)
 
 from cplattice import cli, euler_maclaurin, greens, kernels, lattice_sum
 from cplattice.asymptotics import all_regimes, asymptotic_shift, full_closed_form
 from cplattice.euler_maclaurin import bulk_term, decompose, edge_term, vertex_term
 from cplattice.kernels import _numpy_backend
-from cplattice.greens import green_dyadic, resonant_sites
 from cplattice.lattice_sum import (QuadratureFailure, SiteBudgetExceeded,
                                    _map_ranges, _split_rows, offresonant_pair_term,
                                    resonant_pair_term, sum_lattice)
-from cplattice.model import (Geometry, LatticeSpec, ModelParams, NonPositiveLength,
-                             ValidationError, validate)
-from scipy.integrate import quad
+from cplattice.model import NonPositiveLength, ValidationError
 
-
-def mk(mu=0.5, rho=1e-6, a=0.5, M=3, z=0.5, test=(0, 0, 1), array=(0, 0, 1)):
-    return validate(ModelParams(mu=mu, rho=rho, test_dipole=test, array_dipole=array),
-                    LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
-
-
-def naive_resonant(bundle):
-    """Full-grid oracle through green_dyadic matrices."""
-    e0 = np.asarray(bundle.params.test_dipole)
-    en = np.asarray(bundle.params.array_dipole)
-    M, a, z = bundle.half_extent, bundle.a_tilde, bundle.z_tilde
-    pref = 1.125 * bundle.rho * bundle.mu / ((1 - bundle.mu) * (1 + bundle.mu))
-    total = 0.0
-    for nx, ny in itertools.product(range(-M, M + 1), repeat=2):
-        v = np.array([nx * a, ny * a, -z])
-        r = np.linalg.norm(v)
-        g = green_dyadic(v / r, r, 1.0)
-        pc = complex(e0 @ g @ en)
-        total += (pc * pc).real
-    return pref * total
-
-
-def naive_offresonant(bundle):
-    e0 = np.asarray(bundle.params.test_dipole)
-    en = np.asarray(bundle.params.array_dipole)
-    M, a, z = bundle.half_extent, bundle.a_tilde, bundle.z_tilde
-    mu2 = bundle.mu ** 2
-    pref = 9 * bundle.rho * bundle.mu / (8 * math.pi)
-    total = 0.0
-    for nx, ny in itertools.product(range(-M, M + 1), repeat=2):
-        v = np.array([nx * a, ny * a, -z])
-        r = np.linalg.norm(v)
-        n = v / r
-
-        def f(xi):
-            g = green_dyadic(n, r, complex(0, xi))
-            pc = complex(e0 @ g @ en)
-            return xi ** 4 * pc.real ** 2 / ((xi * xi + 1) * (xi * xi + mu2))
-
-        val, _ = quad(f, 0, 1, epsrel=1e-11, limit=200)
-        tail, _ = quad(lambda t: f(1 / t) / t ** 2, 1e-14, 1, epsrel=1e-11, limit=200)
-        total += val + tail
-    return pref * total
+mk = functools.partial(reference.bundle, a=0.5, M=3, z=0.5)
+_CUSTOM_PAIRS = {name: PAIRS[name] for name in ("custom_a", "custom_b")}
 
 
 def test_single_site_resonant_reference_value():
@@ -280,7 +239,7 @@ def test_offresonant_octant_over_the_memory_limit_is_rejected_before_any_work(mo
     assert capsys.readouterr() == ("", f"error: {message}\n")
     # the resonant and custom sums keep no octant tables of that size
     lattice_sum.check_octant_memory(mk(M=8), "resonant")
-    sum_lattice(mk(M=8, test=_CUSTOM_PAIRS["custom_a"][0], array=_CUSTOM_PAIRS["custom_a"][1]),
+    sum_lattice(mk(M=8, test=PAIRS["custom_a"][0], array=PAIRS["custom_a"][1]),
                 "off_resonant")
     monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 20)
     lattice_sum.check_octant_memory(mk(M=8), "off_resonant")
@@ -393,11 +352,6 @@ def test_split_rows_keep_the_former_ranges(threads, M):
         assert _split_rows(2 * M + 1, threads, no_cost) == [(0, 2 * M + 1)]
 
 
-_S3 = 1.0 / math.sqrt(3.0)
-_CUSTOM_PAIRS = {"custom_a": ((0.6, 0.0, 0.8), (_S3, _S3, _S3)),
-                 "custom_b": ((_S3, _S3, _S3), (0.0, 0.8, 0.6))}
-
-
 # (pair, M, a, z, resonant sum) as float.hex at mu = 0.6, recorded while the
 # generic direct sum still called the site kernel once per row
 PINNED_CUSTOM_SUMS = [
@@ -417,21 +371,6 @@ def test_custom_sums_bit_exact(monkeypatch, pair, M, a, z, want):
         assert sum_lattice(b, "resonant", threads=threads).resonant.hex() == want
 
 
-def _per_row_custom(bundle):
-    """The generic resonant sum with one site-kernel call per row, each row
-    summed by NumPy and the rows reduced exactly: the oracle of the row-range
-    evaluation."""
-    M, a = bundle.half_extent, bundle.a_tilde
-    y = np.arange(-M, M + 1, dtype=np.float64) * a
-    rows = []
-    for nx in range(-M, M + 1):
-        r, dot, pp = greens.site_projections(bundle.params.test_dipole,
-                                             bundle.params.array_dipole, nx * a, y,
-                                             bundle.z_tilde)
-        rows.append(float(np.sum(resonant_sites(r, dot, pp))))
-    return math.fsum(rows)
-
-
 @pytest.mark.parametrize("cap", [1, 50, 1 << 14])
 def test_custom_row_ranges_equal_per_row_oracle_bitwise(backend, monkeypatch, cap):
     # the NumPy backend's site sets: a cap below a row's 2M+1 sites gives one
@@ -444,7 +383,7 @@ def test_custom_row_ranges_equal_per_row_oracle_bitwise(backend, monkeypatch, ca
     for pair, (test, array) in _CUSTOM_PAIRS.items():
         for M, a, z in ((0, 0.5, 0.3), (12, 0.3, 0.7), (40, 0.05, 0.2)):
             b = mk(mu=0.6, a=a, M=M, z=z, test=test, array=array)
-            want = _per_row_custom(b)
+            want = per_row_custom(b)
             for threads in (1, 3):
                 calls.clear()
                 got, = lattice_sum._resonant_custom(b, np.array([b.z_tilde]), threads)
@@ -486,9 +425,6 @@ def test_sweep_regime_structure():
     assert abs(far / bulk - 1.0) > 0.5
 
 
-_HEIGHT_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)), **_CUSTOM_PAIRS}
-
-
 @pytest.mark.parametrize("backend", ["c", "numpy"], indirect=True)
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 def test_heights_equal_one_call_per_height_bitwise(monkeypatch, backend, kind):
@@ -497,7 +433,7 @@ def test_heights_equal_one_call_per_height_bitwise(monkeypatch, backend, kind):
     # count covers every height
     monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)
     heights = np.geomspace(0.02, 30.0, 5)
-    for pair, (test, array) in _HEIGHT_PAIRS.items():
+    for pair, (test, array) in PAIRS.items():
         for M in (0, 1, 8, 200):
             b = mk(mu=0.6, a=0.05, M=M, z=0.3, test=test, array=array)
             for threads in (1, 3):
@@ -559,8 +495,8 @@ def test_sums_that_are_not_finite_raise_naming_stage_and_height(backend, kind):
     # z = 1e-60 and NaN at 1e-300, and a custom pair at M 2, a 0.5 to NaN at
     # 1e-200, as the vertex did
     zz = dict(mu=0.6, a=0.01, M=2)
-    custom = dict(mu=0.6, a=0.5, M=2, test=_CUSTOM_PAIRS["custom_a"][0],
-                  array=_CUSTOM_PAIRS["custom_a"][1])
+    custom = dict(mu=0.6, a=0.5, M=2, test=PAIRS["custom_a"][0],
+                  array=PAIRS["custom_a"][1])
     for where, label, z in ((zz, "zz", 1e-60), (zz, "zz", 1e-300), (custom, "custom", 1e-200)):
         for stage, call in ((f"direct {kind}", lambda b, **kw: sum_lattice(b, kind, **kw)),
                             (f"vertex {kind}", lambda b, **kw: vertex_term(b, kind, **kw))):
@@ -609,8 +545,7 @@ def _public_calls(b):
 
 # the principal pairs, and a z probe over y-array dipoles, whose coupling
 # vanishes at the origin as the zx pair's does but which runs as a custom pair
-_EXTREME_PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)),
-                  "zy": ((0, 0, 1), (0, 1, 0)), **_CUSTOM_PAIRS}
+_EXTREME_PAIRS = {**PAIRS, "zy": ((0, 0, 1), (0, 1, 0))}
 _EXTREME_HEIGHTS = (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0))
 
 
@@ -672,22 +607,11 @@ def _invariants(e0, en):
                      s[0, 2] ** 2 + s[1, 2] ** 2])
 
 
-_UNIT = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1).map(
-    lambda v: tuple((np.array(v) / np.linalg.norm(v)).tolist()))
 _ROUTES = {"sum_lattice": lambda b, kind: getattr(sum_lattice(b, kind, threads=1), kind),
            "bulk_term": bulk_term, "vertex_term": vertex_term, "edge_term": edge_term}
 
 
-@pytest.mark.usefixtures("backend")
-@pytest.mark.parametrize("route", [
-    "sum_lattice", "bulk_term", "vertex_term",
-    pytest.param("edge_term", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: the edge doubles half-axes, wrong for a pair "
-                            "whose site term is odd along an axis"))])
-# no shrinking: the edge fails on every draw, and shrinking it would repeat that failure
-@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(e0=_UNIT, en=_UNIT, a=st.floats(0.2, 1.0), M=st.integers(0, 8), z=st.floats(0.1, 5.0))
-def test_every_pair_is_the_combination_of_six_basis_pairs(route, e0, en, a, M, z):
+def _assert_combination_of_six_basis_pairs(route, e0, en, a, M, z):
     """A route's value I of a unit dipole pair is linear in the six D4
     invariants v = (T^2, S_zz^2, T S_zz, (S_xx - S_yy)^2, S_xy^2,
     S_xz^2 + S_yz^2), so it is the combination sum_k c_k I_k of the six basis
@@ -716,12 +640,36 @@ def test_every_pair_is_the_combination_of_six_basis_pairs(route, e0, en, a, M, z
         assert abs(math.fsum(c * basis) - value) <= bound, (kind, value, basis.tolist())
 
 
+@pytest.mark.usefixtures("backend")
+@pytest.mark.parametrize("route", ["sum_lattice", "bulk_term", "vertex_term"])
+@settings(max_examples=8, deadline=None)
+@given(e0=UNIT_VECTORS, en=UNIT_VECTORS, a=st.floats(0.2, 1.0), M=st.integers(0, 8),
+       z=st.floats(0.1, 5.0))
+def test_every_pair_is_the_combination_of_six_basis_pairs(route, e0, en, a, M, z):
+    _assert_combination_of_six_basis_pairs(route, e0, en, a, M, z)
+
+
+# ROADMAP item 2's pair and the two custom_orientation strata pairs, whose
+# site terms are odd along an axis
+_ODD_PAIRS = [((S3, S3, S3), (0.6, 0.0, 0.8)), *STRATA_PAIRS]
+
+
+@pytest.mark.usefixtures("backend")
+@pytest.mark.xfail(reason="ROADMAP item 2: the edge doubles half-axes, wrong for a pair "
+                          "whose site term is odd along an axis")
+def test_the_edge_of_fixed_pairs_is_the_combination_of_six_basis_pairs():
+    # fixed pairs, not drawn ones: a Hypothesis test that fails on every
+    # draw makes Hypothesis write a patch of its failing examples each run
+    for e0, en in _ODD_PAIRS:
+        _assert_combination_of_six_basis_pairs("edge_term", e0, en, a=0.6, M=8, z=0.5)
+
+
 def test_custom_offresonant_sum_memory_is_bounded(backend):
     # the grid is evaluated and summed a block of sites at a time: at
     # M = 300 (361,201 sites) the whole grid and its temporaries took a
     # tracemalloc peak of 17.3 MB, ~48 bytes a site
-    b = mk(mu=0.6, a=0.05, M=300, z=0.5, test=_CUSTOM_PAIRS["custom_b"][0],
-           array=_CUSTOM_PAIRS["custom_b"][1])
+    b = mk(mu=0.6, a=0.05, M=300, z=0.5, test=PAIRS["custom_b"][0],
+           array=PAIRS["custom_b"][1])
     sum_lattice(mk(mu=0.6, M=2, test=b.params.test_dipole, array=b.params.array_dipole),
                 "off_resonant")  # first calls outside the measurement
     tracemalloc.start()

@@ -1,20 +1,20 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 
 import numpy as np
 import pytest
 
+import reference
+
 from cplattice.greens import site_projections
 from cplattice.model import (DetuningTooSmall, Geometry, LatticeSpec, LinewidthTooLarge,
                              ModelParams, NonPositiveLength, NonUnitDipole, ValidatedBundle,
                              validate)
 
-
-def bundle(mu=0.5, rho=1e-6, a=0.01, M=50, z=0.1, test=(0, 0, 1), array=(0, 0, 1)):
-    return validate(ModelParams(mu=mu, rho=rho, test_dipole=test, array_dipole=array),
-                    LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
+bundle = functools.partial(reference.bundle, M=50)
 
 
 def test_accepts_reference_parameters():

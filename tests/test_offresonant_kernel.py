@@ -1,96 +1,30 @@
-"""Off-resonant site kernel tests.
-
-The site oracles share no code with the kernel:
-
-* ``site_quad`` is adaptive QUADPACK over xi of the defining integrand, the
-  per-site quadrature the package used before the closed-form kernel, with
-  the xi axis split at min(mu, 1), max(mu, 1) and 1/r so that no scale of
-  the integrand is missed (the unsplit version missed its epsrel by up to
-  3.5e-8 near r = 0.015 without reporting it), except at cut points that
-  QUADPACK cannot take: one within 1e-12 of the one below, or past
-  xi r = 40;
-* mpmath at 30 digits for the regression point of that defect;
-* for the edge panel rule, scipy ``quad`` along the axis of the kernel
-  itself, so that only the outer rule is under test.
+"""Off-resonant site kernel tests, against ``reference``'s site integrals
+by QUADPACK and mpmath and, for the edge panel rule, its ``quad`` along
+each axis of the kernel itself, so that only the outer rule is under test.
 """
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
-from cplattice import kernels, lattice_sum
+from reference import VECTORS, axis_quad, phi_laguerre, site_mpmath, site_quad, unit
+from reference import bundle as mk
+
+from cplattice import kernels
 from cplattice.euler_maclaurin import edge_term, vertex_term
 from cplattice.kernels import _numpy_backend, offres_sites
 from cplattice.lattice_sum import offresonant_pair_term, offresonant_prefactor
-from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
 # every test here reaches kernels.offres_sites: each runs on both backends
 pytestmark = pytest.mark.usefixtures("backend")
 
 
-def mk(mu=0.5, rho=1e-6, a=0.01, M=0, z=0.1, test=(0, 0, 1), array=(0, 0, 1)):
-    return validate(ModelParams(mu=mu, rho=rho, test_dipole=test, array_dipole=array),
-                    LatticeSpec(a_tilde=a, half_extent=M), Geometry(z_tilde=z))
-
-
-def _quad_checked(f, lo, hi, epsrel):
-    out = quad(f, lo, hi, epsabs=0.0, epsrel=epsrel, full_output=True, limit=200)
-    assert len(out) == 3, out[3]
-    return out[0]
-
-
-def site_quad(r, dot, pp, mu, epsrel=1e-12):
-    """int_0^inf dxi xi^4 g(i xi)^2 / ((xi^2+1)(xi^2+mu^2)), with
-    xi^2 g(i xi) = e^{-u}/r^3 [(u^2+u+1) e0.en - (u^2+3u+3)(e0.n)(n.en)]."""
-    mu2 = mu * mu
-    r6 = r ** 6
-
-    def f(xi):
-        u = xi * r
-        h = (u * u + u + 1.0) * dot - (u * u + 3.0 * u + 3.0) * pp
-        return math.exp(-2.0 * u) * h * h / ((xi * xi + 1.0) * (xi * xi + mu2) * r6)
-
-    # Cut points within 1e-12 relative of the one below bound an interval
-    # QUADPACK rejects ("extremely bad integrand behavior"), and past
-    # xi r = 40, where e^{-2 xi r} < e^-80, a piece's values can all be
-    # subnormal, which it reports as divergent; the tail integral from the
-    # last cut kept covers both.
-    cuts = []
-    for cut in sorted({min(mu, 1.0), max(mu, 1.0), 1.0 / r}):
-        if cut * r <= 40.0 and (not cuts or cut > cuts[-1] * (1.0 + 1e-12)):
-            cuts.append(cut)
-    head = sum(_quad_checked(f, lo, hi, epsrel) for lo, hi in zip([0.0] + cuts[:-1], cuts))
-    c = cuts[-1]
-    return head + _quad_checked(lambda t: f(c / t) * c / (t * t), 0.0, 1.0, epsrel)
-
-
-def site_mpmath(r, dot, pp, mu, digits=30):
-    with mpmath.workdps(digits):
-        r, dot, pp, mu = (mpmath.mpf(v) for v in (r, dot, pp, mu))
-
-        def f(xi):
-            u = xi * r
-            h = (u * u + u + 1) * dot - (u * u + 3 * u + 3) * pp
-            return mpmath.exp(-2 * u) * h * h / ((xi * xi + 1) * (xi * xi + mu * mu))
-
-        cuts = sorted({min(mu, 1), max(mu, 1), 1 / r, 10 / r})
-        return float(mpmath.quad(f, [0] + cuts + [mpmath.inf]) / r ** 6)
-
-
 # ---------------------------------------------------------------------------
 # the kernel against the quad oracle
 
-def _unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
-_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
 _mus = st.one_of(
     st.floats(math.log(0.05), math.log(5.0)).map(math.exp).filter(lambda m: abs(1.0 - m) >= 1e-3),
     st.sampled_from([1.0 - 1e-3, 1.0 + 1e-3]))
@@ -98,7 +32,7 @@ _mus = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(log_r=st.floats(math.log(1e-3), math.log(3e3)), mu=_mus,
-       e0=_vectors, en=_vectors, n=_vectors)
+       e0=VECTORS, en=VECTORS, n=VECTORS)
 # inputs on which the quad oracle itself once failed at mu = 0.999: 1/r
 # within 2e-14 of 1, and r = 360, where the piece [0.999, 1] is subnormal
 @example(log_r=-2.170977917227826e-14, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(0, 1, 0), n=(0, 1, 0))
@@ -109,7 +43,7 @@ _mus = st.one_of(
 @example(log_r=-5.0, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(0, 1, 0), n=(1, 1, 1))
 def test_kernel_matches_quad_oracle(log_r, mu, e0, en, n):
     r = math.exp(log_r)
-    e0, en, n = _unit(e0), _unit(en), _unit(n)
+    e0, en, n = unit(e0), unit(en), unit(n)
     dot, pp = float(e0 @ en), float((e0 @ n) * (n @ en))
     want = site_quad(r, dot, pp, mu)
     got = float(offres_sites(r, dot, pp, mu)[0])
@@ -147,10 +81,7 @@ def test_branch_switch_is_continuous():
     y = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
     closed = _numpy_backend.phi_closed(y, *kernels.sici(2.0 * y), np.sin(2.0 * y),
                                        np.cos(2.0 * y), np.ones(y.size, bool))
-    table = kernels._LAGUERRE_TABLE
-    laguerre = np.empty((y.size, 5))
-    kernels._impl.phi_laguerre(y, y.size, table[:56], table[56:112],
-                               table[112:].reshape(56, 5), 56, laguerre)
+    laguerre = phi_laguerre(y, kernels._impl)
     np.testing.assert_allclose(closed, laguerre, rtol=1e-13, atol=0.0)
     # either side of the switch, through the public kernel
     r = kernels.PHI_SWITCH * np.array([1.0 - 1e-12, 1.0 + 1e-12])
@@ -251,24 +182,6 @@ def test_vertex_dense_grid_near_z_0_015(mu):
 
 # ---------------------------------------------------------------------------
 # the edge panel rule
-
-def axis_quad(bundle, axis):
-    """int_0^inf of the site kernel along one positive axis, by adaptive quad."""
-    z, mu = bundle.z_tilde, bundle.mu
-    e0 = np.asarray(bundle.params.test_dipole)
-    en = np.asarray(bundle.params.array_dipole)
-
-    def f(x):
-        v = np.array([x, 0.0, -z] if axis == "x" else [0.0, x, -z])
-        r = float(np.linalg.norm(v))
-        n = v / r
-        return float(offres_sites(r, e0 @ en, (e0 @ n) * (n @ en), mu)[0])
-
-    cuts = sorted({z, 1.0, 1.0 / mu, 10.0 * z, 10.0 / min(mu, 1.0)})
-    head = sum(_quad_checked(f, lo, hi, 1e-12) for lo, hi in zip([0.0] + cuts[:-1], cuts))
-    c = cuts[-1]
-    return head + _quad_checked(lambda t: f(c / t) * c / (t * t), 0.0, 1.0, 1e-12)
-
 
 @pytest.mark.parametrize("z", [1e-3, 0.3, 4.0, 100.0])
 @pytest.mark.parametrize("mu", [0.05, 2.0])
