@@ -1,6 +1,6 @@
-"""The tests' references: every slow oracle, the bundle builder and the
-shared inputs, each defined once. Pytest does not collect this module; the
-tests import it by name, as they import ``ledger``.
+"""The tests' references: the slow oracles of the package's routes, the
+bundle builder and the shared inputs, each defined once. Pytest does not
+collect this module; the tests import it by name, as they import ``ledger``.
 
 The oracles share no arithmetic with the routes they check: site integrals
 by QUADPACK and by mpmath, naive grid sums site by site through the public
@@ -56,7 +56,7 @@ PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)),
 # the two custom_orientation strata of the benchmark plan
 STRATA_PAIRS = [(unit((1, 1, 2)), unit((2, -1, 1))), (unit((-1, 2, 1)), unit((1, 1, -2)))]
 # the azimuths of the generic-orientation oracles' ring means
-AZIMUTHS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+_AZIMUTHS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
 
 def bulk_integral(bundle, kind="resonant"):
@@ -303,9 +303,9 @@ def contour_bulk_resonant(bundle):
 
 def _ring_coupling(e0, en, r, z):
     """e0.g.en at distance r (complex on a contour) from the probe at height
-    z, at every azimuth of AZIMUTHS."""
+    z, at every azimuth of _AZIMUTHS."""
     big_r = np.sqrt(r * r - z * z)
-    x, y = big_r * np.cos(AZIMUTHS), big_r * np.sin(AZIMUTHS)
+    x, y = big_r * np.cos(_AZIMUTHS), big_r * np.sin(_AZIMUTHS)
     t1, t2 = scalar_coefficients(r, 1.0)
     p0 = (e0[0] * x + e0[1] * y - e0[2] * z) / r
     pn = (en[0] * x + en[1] * y - en[2] * z) / r
@@ -504,13 +504,13 @@ def offres_bulk_oracle(bundle):
 
 def offres_bulk_by_ring(bundle):
     """Any pair's off-resonant bulk: adaptive quadrature over R of the mean
-    of the site kernel over AZIMUTHS."""
+    of the site kernel over _AZIMUTHS."""
     e0, en = bundle.params.test_dipole, bundle.params.array_dipole
     z = bundle.z_tilde
 
     def ring(big_r):
-        r, dot, pp = site_projections(e0, en, big_r * np.cos(AZIMUTHS),
-                                      big_r * np.sin(AZIMUTHS), z)
+        r, dot, pp = site_projections(e0, en, big_r * np.cos(_AZIMUTHS),
+                                      big_r * np.sin(_AZIMUTHS), z)
         return big_r * float(np.mean(offres_sites(r, dot, pp, bundle.mu)))
 
     cuts = [0.0, z, 16.0 * z]
