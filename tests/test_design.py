@@ -165,9 +165,9 @@ def test_every_tracer_stand_in_is_a_bare_none():
 
 
 def test_no_module_imports_or_mentions_scipy_integrate():
-    sources = {path.name: source for path, source, _ in MODULES.values()}
-    sources.update((p.name, p.read_text()) for p in sorted((SRC / "cplattice").rglob("*.c")))
-    assert kernels._SOURCE.name in sources
+    files = [path for path, _, _ in MODULES.values()] + sorted((SRC / "cplattice").rglob("*.c"))
+    sources = {path.relative_to(SRC).as_posix(): path.read_text() for path in files}
+    assert len(sources) == len(files) and "cplattice/kernels/_rows.c" in sources
     assert [name for name, source in sources.items() if "scipy.integrate" in source] == []
 
 
