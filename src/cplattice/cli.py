@@ -36,8 +36,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
-from .lattice_sum import (QuadratureFailure, SiteBudgetExceeded, check_octant_memory,
-                          sum_lattice, usable_cpus)
+from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, check_octant_memory, sum_lattice
 from .model import (MAX_LENGTH, ORIENTATIONS, Z_HAT, Geometry, LatticeSpec, ModelParams,
                     ValidationError, validate)
 
@@ -109,8 +108,7 @@ def load_config(path: str | None, overrides: dict) -> Config:
     for key in ("threads", "points_per_decade"):
         if getattr(cfg, key) < 1:
             raise _UsageError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-    # results are identical for any worker count, so clamping is value-safe
-    return replace(cfg, threads=min(cfg.threads, usable_cpus()))
+    return cfg
 
 
 def _apply(cfg: Config, key: str, value, where: str) -> Config:
@@ -310,18 +308,23 @@ def cmd_verify_diagrams(out) -> int:
 def cmd_fit(csv_path: str, column: str, z_min: float, z_max: float, mode: str, out) -> int:
     try:
         with open(csv_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]  # each with its last line
     except OSError as exc:
         raise _UsageError(f"cannot read {csv_path!r}: {exc}")
-    if not rows or column not in rows[0]:
+    if not rows or column not in rows[0][1]:
         raise _UsageError(f"column {column!r} not found in {csv_path!r}")
-    if "z_tilde" not in rows[0]:
+    if "z_tilde" not in rows[0][1]:
         raise _UsageError(f"column 'z_tilde' not found in {csv_path!r}")
-    points = []
-    for row in rows:
-        zs, vs = row.get("z_tilde", ""), row.get(column, "")
-        if zs and vs:
-            points.append((float(zs), float(vs)))
+
+    def number(line, row, name):
+        try:
+            return float(row[name])
+        except ValueError as exc:
+            raise _UsageError(f"{csv_path}:{line}: bad value for {name}: {exc}") from None
+
+    points = [(number(line, row, "z_tilde"), number(line, row, column))
+              for line, row in rows if row.get("z_tilde") and row.get(column)]
     fit_fn = fitting.fit_power_law if mode == "direct" else fitting.envelope_fit
     report = fit_fn(points, (z_min, z_max))
     print(f"slope={_fmt(report.slope)} intercept={_fmt(report.intercept)} "
@@ -414,25 +417,19 @@ def _write_replacing(path: str, write) -> int:
         special = not stat.S_ISREG(os.stat(path).st_mode)
     except OSError:  # no such file yet, or none that can be examined
         special = False
-    if special:
-        try:
-            fh = open(path, "w", newline="")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
-        with fh:
-            return write(fh)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = None if special else f"{path}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "x", newline="")
+        fh = open(tmp or path, "x" if tmp else "w", newline="")
     except OSError as exc:
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
     try:
         with fh:
             rc = write(fh)
-        os.replace(tmp, path)
+        if tmp:
+            os.replace(tmp, path)
         return rc
     finally:
-        if os.path.exists(tmp):
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
 
 

@@ -17,7 +17,8 @@ class InsufficientPoints(ValueError):
 
 
 class ZeroValue(ValueError):
-    """A zero value inside the window; |value| must be positive to take logs."""
+    """A point inside the window whose log z or log |value| is not finite: a
+    zero value, or a z or value that is not positive and finite."""
 
 
 class TooFewPeaks(ValueError):
@@ -34,14 +35,21 @@ class FitReport:
 
 
 def _window_select(points, window):
-    pts = np.asarray(points, dtype=float)
+    """The window's points in order of z, at least 5 (else InsufficientPoints),
+    each with z > 0 and z and value finite (else ZeroValue); and the window."""
+    pts = np.asarray(points if len(points) else np.empty((0, 2)), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be a sequence of (z, value) pairs")
     zmin, zmax = float(window[0]), float(window[1])
-    m = (pts[:, 0] >= zmin) & (pts[:, 0] <= zmax)
-    sel = pts[m]
-    order = np.argsort(sel[:, 0])
-    return sel[order], (zmin, zmax)
+    sel = pts[(pts[:, 0] >= zmin) & (pts[:, 0] <= zmax)]
+    if sel.shape[0] < 5:
+        raise InsufficientPoints(f"{sel.shape[0]} points in window, need >= 5")
+    sel = sel[np.argsort(sel[:, 0])]
+    bad = ~((sel[:, 0] > 0.0) & np.isfinite(sel).all(axis=1))
+    if bad.any():
+        raise ZeroValue(f"log z or log |value| not finite at z={float(sel[bad][0, 0])!r} "
+                        "inside fit window")
+    return sel, (zmin, zmax)
 
 
 def _least_squares_loglog(z, v, window) -> FitReport:
@@ -63,8 +71,6 @@ def _least_squares_loglog(z, v, window) -> FitReport:
 def fit_power_law(points, window) -> FitReport:
     """Least-squares line on (ln z, ln |value|) inside the window."""
     sel, win = _window_select(points, window)
-    if sel.shape[0] < 5:
-        raise InsufficientPoints(f"{sel.shape[0]} points in window, need >= 5")
     if np.any(sel[:, 1] == 0.0):
         raise ZeroValue("zero value inside fit window")
     return _least_squares_loglog(sel[:, 0], sel[:, 1], win)
@@ -78,8 +84,6 @@ def envelope_fit(points, window) -> FitReport:
     oscillation period).
     """
     sel, win = _window_select(points, window)
-    if sel.shape[0] < 5:
-        raise InsufficientPoints(f"{sel.shape[0]} points in window, need >= 5")
     v = np.abs(sel[:, 1])
     # a peak exceeds a neighbour's |value| >= 0, so it is never zero
     inner = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])

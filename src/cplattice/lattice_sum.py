@@ -112,7 +112,7 @@ import numpy as np
 from . import kernels
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .model import MAX_LENGTH, NonPositiveLength, ValidatedBundle, validate
+from .model import ValidatedBundle, check_length, validate
 
 
 quad = None  # nothing calls it: only perfbench/tracer.py's plain getattr reads the name
@@ -139,21 +139,14 @@ class ShiftResult:
     terms_summed: int
 
 
-def resonant_prefactor(bundle: ValidatedBundle) -> float:
-    mu = bundle.mu
-    return 1.125 * bundle.rho * mu / ((1.0 - mu) * (1.0 + mu))
-
-
-def offresonant_prefactor(bundle: ValidatedBundle) -> float:
-    return 9.0 * bundle.rho * bundle.mu / (8.0 * math.pi)
-
-
 def prefactor(bundle: ValidatedBundle, kind: str) -> float:
-    """The prefactor of ``kind``: the one place an unknown kind is rejected."""
+    """The prefactor of ``kind``, pref_R or pref_OR: the one place an unknown
+    kind is rejected."""
+    mu = bundle.mu
     if kind == "resonant":
-        return resonant_prefactor(bundle)
+        return 1.125 * bundle.rho * mu / ((1.0 - mu) * (1.0 + mu))
     if kind == "off_resonant":
-        return offresonant_prefactor(bundle)
+        return 9.0 * bundle.rho * mu / (8.0 * math.pi)
     raise ValueError(f"kind must be 'resonant' or 'off_resonant', got {kind!r}")
 
 
@@ -251,9 +244,8 @@ def heights_array(bundle: ValidatedBundle, heights) -> np.ndarray:
     if heights is None:
         return np.array([bundle.z_tilde])
     z = np.array(heights, dtype=float).reshape(-1)
-    bad = ~((z > 0.0) & (z < MAX_LENGTH))
-    if bad.any():
-        raise NonPositiveLength(f"z_tilde must be > 0 and finite, below 2**512, got {z[bad][0]}")
+    for h in z.tolist():
+        check_length("z_tilde", h)
     return z
 
 

@@ -177,6 +177,13 @@ def _check_mu(mu: float) -> None:
         )
 
 
+def check_length(name: str, value) -> None:
+    """Raise NonPositiveLength, naming the length and its value, unless
+    0 < value < ``MAX_LENGTH`` (so NaN fails too): the one rule of every length."""
+    if not 0.0 < value < MAX_LENGTH:
+        raise NonPositiveLength(f"{name} must be > 0 and finite, below 2**512, got {value}")
+
+
 def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
     _check_mu(params.mu)
     if not 0.0 < params.rho < _RHO_MAX:
@@ -187,14 +194,10 @@ def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
         norm = float(np.linalg.norm(vec))
         if not abs(norm - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
             raise NonUnitDipole(f"{name} norm deviates from 1 by {abs(norm - 1.0):.3g}")
-    if not 0.0 < lattice.a_tilde < MAX_LENGTH:
-        raise NonPositiveLength(f"a_tilde must be > 0 and finite, below 2**512, "
-                                f"got {lattice.a_tilde}")
+    check_length("a_tilde", lattice.a_tilde)
     if lattice.half_extent < 0 or int(lattice.half_extent) != lattice.half_extent:
         raise NonPositiveLength(f"half_extent must be a non-negative integer, got {lattice.half_extent}")
-    if not 0.0 < geom.z_tilde < MAX_LENGTH:
-        raise NonPositiveLength(f"z_tilde must be > 0 and finite, below 2**512, "
-                                f"got {geom.z_tilde}")
+    check_length("z_tilde", geom.z_tilde)
 
 
 def validate(params, lattice: LatticeSpec | None = None, geom: Geometry | None = None) -> ValidatedBundle:

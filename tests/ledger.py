@@ -17,17 +17,20 @@ The inputs:
   * the three terms and ``decompose`` for a block of 16 heights from 1e-3
     to 1e3, and at z = 1e-307, where they fail (all but the vertex of a
     pair whose coupling vanishes at the origin);
-  * for zz, zx and custom at M 2, every public call of
+  * for zz, zx and custom at M 2, every call of ``reference.public_calls``
+    at ``reference.EXTREME_HEIGHTS``, the battery that
     ``test_every_public_function_is_finite_or_fails_cleanly_at_extreme_heights``
-    at its extreme heights: each value, or the ``QuadratureFailure`` or
-    ``ValidationError`` it raises; and at those heights the calls that take
-    the origin of a pair whose coupling vanishes there, the zx (0, 0) pair
-    terms and the vertex and direct sums of a z probe over y-array dipoles;
+    runs: each value, or the ``QuadratureFailure`` or ``ValidationError`` it
+    raises; and at those heights the calls that take the origin of a pair
+    whose coupling vanishes there, the zx (0, 0) pair terms and the vertex
+    and direct sums of a z probe over y-array dipoles (``reference.ZY``);
   * the pair terms, ``green_dyadic`` and ``pair_coupling``;
   * ``asymptotic_shift`` for every regime, ``expected_exponent`` and
     ``full_closed_form``;
   * the README ``sweep``, ``decompose``, ``asymptotic`` and ``fit``
-    commands, a short zz sweep, the sweeps and
+    commands, as ``reference.readme_commands`` reads them from README.md,
+    a fit of the column that the README sweep leaves empty, a short zz
+    sweep, the sweeps and
     asymptotes of ``--orientation custom`` with each principal pair and
     their zz/zx twins, and a sweep that fails in its first block.
 
@@ -55,6 +58,7 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
+from reference import EXTREME_HEIGHTS, ZY, public_calls, readme_commands
 
 import cplattice as cp
 from cplattice import cli, kernels
@@ -68,28 +72,12 @@ PAIRS = {
     "custom": ((_S3, _S3, _S3), (0.6, 0.0, 0.8)),
     "even": ((0.6, 0.0, 0.8), (0.6, 0.0, -0.8)),
 }
-# A z probe over y-array dipoles: like zx, its coupling vanishes at the
-# origin, but it runs as a custom pair
-ZY = ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))
 KINDS = ("resonant", "off_resonant")
 SUM_HEIGHTS = [0.05, 0.3, 1.0, 7.0]
 TERM_HEIGHTS = np.geomspace(1e-3, 1e3, 16)
-EXTREME_HEIGHTS = (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0))
-
-# The README commands, in their order there, with the CSV paths they name
-README_SWEEP = ["sweep", "--a-tilde", "0.01", "--half-extent", "500", "--z-min", "0.01",
-                "--z-max", "100", "-o", "sweep.csv"]
-README_COMMANDS = {
-    "decompose": ["decompose", "--a-tilde", "0.05", "--mu", "0.5", "--z-tilde", "0.3",
-                  "--csv", "parts.csv"],
-    "asymptotic": ["asymptotic", "--a-tilde", "0.01", "--z-tilde", "20", "--kind",
-                   "off_resonant", "--retardation", "retarded", "--density", "dense"],
-}
-README_FITS = {
-    "direct": ["fit", "sweep.csv", "--column", "res_bulk", "--z-min", "0.1", "--z-max", "0.5"],
-    "envelope": ["fit", "sweep.csv", "--column", "res_bulk", "--z-min", "5", "--z-max", "50",
-                 "--mode", "envelope"],
-}
+# A fit of the README sweep's column that its off-resonant budget leaves empty
+EMPTY_FIT = ["fit", "sweep.csv", "--column", "offresonant_direct", "--z-min", "0.1",
+             "--z-max", "0.5"]
 SHORT_SWEEP = ["sweep", "--a-tilde", "0.05", "--half-extent", "8", "--z-min", "0.05",
                "--z-max", "5", "--points-per-decade", "8"]
 # --orientation custom with the default (z, z) pair, or with (z, x), beside
@@ -216,23 +204,7 @@ def _library() -> dict:
 
 def _extreme(pair: str, z: float) -> dict:
     """Every public numeric call of the pair at M 2 and the height z."""
-    b, at = _bundle(pair, M=2, z=z), f"z={z!r}"
-    e = {}
-    for kind in KINDS:
-        e[f"sum_lattice {pair} M=2 {kind} {at}"] = _call(
-            lambda: getattr(cp.sum_lattice(b, kind), kind))
-        for term in (cp.bulk_term, cp.edge_term, cp.vertex_term):
-            e[f"{term.__name__} {pair} {kind} {at}"] = _call(term, b, kind)
-        e[f"decompose {pair} {kind} {at}"] = _call(
-            lambda: list(vars(cp.decompose(b, kind)).values()))
-    e[f"resonant_pair_term {pair} (1, -1) {at}"] = _call(cp.resonant_pair_term, 1, -1, b)
-    e[f"offresonant_pair_term {pair} (1, -1) {at}"] = _call(cp.offresonant_pair_term, 1, -1, b)
-    for regime in cp.all_regimes(pair):
-        e[f"asymptotic_shift {' '.join(vars(regime).values())} {at}"] = _call(
-            cp.asymptotic_shift, regime, b)
-    if pair != "custom":
-        e[f"full_closed_form {pair} {at}"] = _call(cp.full_closed_form, pair, b)
-    return e
+    return {f"{name} z={z!r}": _call(call) for name, call in public_calls(_bundle(pair, M=2, z=z))}
 
 
 def _origin(z: float) -> dict:
@@ -253,11 +225,13 @@ def _commands() -> dict:
     e = {}
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        for name, argv in README_COMMANDS.items():
-            e[f"cli {argv[0]} README{name[len(argv[0]):]}"] = _cli(argv, directory)
-        e["cli sweep README"] = _cli(README_SWEEP, directory)
-        for name in ("direct", "envelope"):
-            e[f"cli fit README {name}"] = _cli(README_FITS[name], directory)
+        for argv in readme_commands():
+            if argv[0] == "fit":
+                mode = argv[argv.index("--mode") + 1] if "--mode" in argv else "direct"
+                e[f"cli fit README {mode}"] = _cli(argv, directory)
+            elif argv[0] != "verify-diagrams":
+                e[f"cli {argv[0]} README"] = _cli(argv, directory)
+        e["cli fit README empty column"] = _cli(EMPTY_FIT, directory)
         e["cli sweep short zz"] = _cli(SHORT_SWEEP, directory)
         for name, flags in ORIENTATION_FLAGS.items():
             e[f"cli sweep {name}"] = _cli(ORIENTATION_SWEEP + flags, directory)

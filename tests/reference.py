@@ -1,6 +1,8 @@
 """The tests' references: the slow oracles of the package's routes, the
-bundle builder and the shared inputs, each defined once. Pytest does not
-collect this module; the tests import it by name, as they import ``ledger``.
+bundle builder, the shared inputs, the extreme-height battery of every
+public numeric call and the README's ``cplattice`` commands, each defined
+once, for the tests and the ledger. Pytest does not collect this module;
+the tests import it by name, as they import ``ledger``.
 
 The oracles share no arithmetic with the routes they check: site integrals
 by QUADPACK and by mpmath, naive grid sums site by site through the public
@@ -12,8 +14,11 @@ the package's own ray-integral route, taken also where ``bulk_term`` and
 ``edge_term`` have a shortcut.
 """
 import cmath
+import functools
 import itertools
 import math
+import shlex
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,11 +28,13 @@ from scipy.integrate import quad
 from scipy.special import expn, sici
 
 from cplattice import kernels
-from cplattice.euler_maclaurin import _AXES, _RING, _ray_integral
+from cplattice.asymptotics import all_regimes, asymptotic_shift, full_closed_form
+from cplattice.euler_maclaurin import (_AXES, _RING, _ray_integral, bulk_term, decompose,
+                                       edge_term, vertex_term)
 from cplattice.greens import green_dyadic, resonant_sites, scalar_coefficients, site_projections
 from cplattice.kernels import _numpy_backend, offres_sites
-from cplattice.lattice_sum import (QuadratureFailure, offresonant_prefactor, prefactor,
-                                   resonant_prefactor)
+from cplattice.lattice_sum import (QuadratureFailure, offresonant_pair_term, prefactor,
+                                   resonant_pair_term, sum_lattice)
 from cplattice.model import Geometry, LatticeSpec, ModelParams, validate
 
 
@@ -55,8 +62,41 @@ PAIRS = {"zz": ((0, 0, 1), (0, 0, 1)), "zx": ((0, 0, 1), (1, 0, 0)),
          "custom_b": ((S3, S3, S3), (0.0, 0.8, 0.6))}
 # the two custom_orientation strata of the benchmark plan
 STRATA_PAIRS = [(unit((1, 1, 2)), unit((2, -1, 1))), (unit((-1, 2, 1)), unit((1, 1, -2)))]
+# A z probe over y-array dipoles: like zx, its coupling vanishes at the
+# origin, but it runs as a custom pair
+ZY = ((0, 0, 1), (0, 1, 0))
+# tiny and huge heights, up to just below the 2**512 bound on lengths
+EXTREME_HEIGHTS = (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0))
 # the azimuths of the generic-orientation oracles' ring means
 _AZIMUTHS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+
+
+def public_calls(b):
+    """(name, call) of every public function that computes numbers, at the
+    bundle b: each call returns a float, or decompose's fields as a list;
+    each name, with b's orientation label, is the stem of the ledger's key."""
+    label = b.orientation_label()
+    for kind in ("resonant", "off_resonant"):
+        yield (f"sum_lattice {label} M={b.half_extent} {kind}",
+               lambda kind=kind: getattr(sum_lattice(b, kind), kind))
+        for term in (bulk_term, edge_term, vertex_term):
+            yield f"{term.__name__} {label} {kind}", functools.partial(term, b, kind)
+        yield (f"decompose {label} {kind}",
+               lambda kind=kind: list(vars(decompose(b, kind)).values()))
+    for term in (resonant_pair_term, offresonant_pair_term):
+        yield f"{term.__name__} {label} (1, -1)", functools.partial(term, 1, -1, b)
+    for regime in all_regimes(label):
+        yield (f"asymptotic_shift {' '.join(vars(regime).values())}",
+               functools.partial(asymptotic_shift, regime, b))
+    if label != "custom":
+        yield f"full_closed_form {label}", functools.partial(full_closed_form, label, b)
+
+
+def readme_commands():
+    """The arguments of every ``cplattice`` line in the README, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cplattice ")]
 
 
 def bulk_integral(bundle, kind="resonant"):
@@ -298,7 +338,7 @@ def contour_bulk_resonant(bundle):
 
     val, _ = quad(g, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
     geom = 2.0 * math.pi if zz else math.pi
-    return resonant_prefactor(bundle) * geom * val / bundle.a_tilde ** 2
+    return prefactor(bundle, "resonant") * geom * val / bundle.a_tilde ** 2
 
 
 def _ring_coupling(e0, en, r, z):
@@ -324,7 +364,7 @@ def bulk_vertical(bundle):
         return (1j * r * np.mean(pc * pc)).real
 
     val, _ = quad(g, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
-    return resonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * val
+    return prefactor(bundle, "resonant") * (2.0 * math.pi / bundle.a_tilde ** 2) * val
 
 
 def bulk_loop(bundle):
@@ -339,7 +379,7 @@ def bulk_loop(bundle):
         pc = _ring_coupling(e0, en, r, z)
         out[idx] = r * np.mean(pc * pc)
     integral = float(np.sum(out * w).real)
-    return resonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
+    return prefactor(bundle, "resonant") * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
 
 
 def edge_axis_loop(bundle, axis):
@@ -498,7 +538,7 @@ def offres_bulk_oracle(bundle):
     head, _ = quad(f, 0.0, 1.0, epsabs=1e-300, epsrel=1e-13, limit=200)
     tail, _ = quad(lambda t: f(1.0 / t) / (t * t), 0.0, 1.0, epsabs=1e-300, epsrel=1e-13,
                    limit=200)
-    return offresonant_prefactor(bundle) * geom * math.pi / (bundle.a_tilde ** 2 * z ** 4) \
+    return prefactor(bundle, "off_resonant") * geom * math.pi / (bundle.a_tilde ** 2 * z ** 4) \
         * (head + tail)
 
 
@@ -518,7 +558,7 @@ def offres_bulk_by_ring(bundle):
                for lo, hi in zip(cuts, cuts[1:]))
     tail, _ = quad(lambda t: ring(16.0 * z / t) * 16.0 * z / (t * t), 0.0, 1.0,
                    epsabs=0.0, epsrel=1e-12, limit=200)
-    return offresonant_prefactor(bundle) * (2.0 * math.pi / bundle.a_tilde ** 2) * (head + tail)
+    return prefactor(bundle, "off_resonant") * (2.0 * math.pi / bundle.a_tilde ** 2) * (head + tail)
 
 
 def axis_quad(bundle, axis):
@@ -557,4 +597,4 @@ def offres_edge_reordered(bundle):
 
     head, _ = quad(inner, 0.0, 1.0, epsrel=1e-9, limit=200)
     tail, _ = quad(lambda t: inner(1.0 / t) / (t * t), 1e-13, 1.0, epsrel=1e-9, limit=200)
-    return offresonant_prefactor(bundle) * (4.0 / bundle.a_tilde) * (head + tail)
+    return prefactor(bundle, "off_resonant") * (4.0 / bundle.a_tilde) * (head + tail)

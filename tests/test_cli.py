@@ -4,20 +4,19 @@ import dataclasses
 import io
 import os
 import resource
-import shlex
 import stat
 import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import readme_commands
 
-from cplattice import asymptotics, cli, diagrams, euler_maclaurin, fitting, kernels
-from cplattice.lattice_sum import sum_lattice, usable_cpus
+from cplattice import asymptotics, cli, diagrams, euler_maclaurin, fitting, kernels, lattice_sum
+from cplattice.lattice_sum import sum_lattice
 
 
 def run_cli(args):
@@ -52,7 +51,7 @@ def test_sweep_csv_structure(tmp_path):
     out = tmp_path / "s.csv"
     proc = run_cli(SWEEP_ARGS + ["-o", str(out)])
     assert proc.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) >= 2
     zs = [float(r["z_tilde"]) for r in rows]
     assert zs == sorted(zs) and len(set(zs)) == len(zs)
@@ -78,7 +77,7 @@ def test_sweep_budget_skips_direct_columns(tmp_path):
                                  "-o", str(out)])
     assert proc.returncode == 0
     assert "exceed" in proc.stderr
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert all(r["resonant_direct"] == "" for r in rows)
     assert all(r["offresonant_direct"] == "" for r in rows)
 
@@ -97,7 +96,7 @@ def test_fit_round_trip_bit_exact(tmp_path):
     assert proc.returncode == 0
     printed = dict(kv.split("=", 1) for kv in proc.stdout.split() if "=" in kv)
     # recompute in process from the same CSV
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     pts = [(float(r["z_tilde"]), float(r["res_bulk"])) for r in rows]
     rep = fitting.fit_power_law(pts, (0.2, 0.6))
     assert float(printed["slope"]) == rep.slope
@@ -122,6 +121,27 @@ def test_fit_without_a_z_tilde_column_exits_usage(tmp_path):
     assert f"column 'z_tilde' not found in {str(data)!r}" in proc.stderr
 
 
+@pytest.mark.parametrize("cells,code,message", [
+    # the column that a sweep leaves empty above its site budget
+    ([""] * 6, cli.EXIT_NUMERICAL, "0 points in window, need >= 5"),
+    (["1", "2", "abc", "4", "5", "6"], cli.EXIT_USAGE,
+     "{path}:4: bad value for offresonant_direct: could not convert string to float: 'abc'"),
+    (["1", "2", "3", "inf", "5", "6"], cli.EXIT_NUMERICAL,
+     "log z or log |value| not finite at z=0.4 inside fit window"),
+    (["1", "nan", "3", "4", "5", "6"], cli.EXIT_NUMERICAL,
+     "log z or log |value| not finite at z=0.2 inside fit window"),
+], ids=["empty", "not_a_number", "inf", "nan"])
+def test_fit_of_a_column_it_cannot_fit_exits_with_one_error_line(tmp_path, cells, code, message):
+    # these ended in a traceback, or printed slope=nan and exited 0
+    data = tmp_path / "s.csv"
+    data.write_text("z_tilde,offresonant_direct\n" + "".join(
+        f"{z},{v}\n" for z, v in zip((0.1, 0.2, 0.3, 0.4, 0.5, 0.6), cells)))
+    proc = run_cli(["fit", str(data), "--column", "offresonant_direct",
+                    "--z-min", "0.1", "--z-max", "0.6"])
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr == f"error: {message.format(path=data)}\n"
+
+
 def test_fit_too_narrow_window_is_numerical_error(tmp_path):
     out = tmp_path / "s.csv"
     assert run_cli(SWEEP_ARGS + ["-o", str(out)]).returncode == 0
@@ -136,7 +156,7 @@ def test_decompose_report_additivity(tmp_path):
                     "--half-extent", "3", "--z-tilde", "0.4", "--csv", str(csv_out)])
     assert proc.returncode == 0
     assert "resonant:" in proc.stdout and "off_resonant:" in proc.stdout
-    rows = list(csv.DictReader(csv_out.open()))
+    rows = list(csv.DictReader(csv_out.read_text().splitlines()))
     assert {r["kind"] for r in rows} == {"resonant", "off_resonant"}
     for r in rows:
         assert float(r["total"]) == float(r["bulk"]) + float(r["edge"]) + float(r["vertex"])
@@ -235,8 +255,8 @@ def test_config_file_and_flag_override(tmp_path):
     out2 = tmp_path / "c2.csv"
     assert run_cli(SWEEP_ARGS[:1] + ["--config", str(cfg), "--half-extent", "4",
                                      "-o", str(out2)]).returncode == 0
-    r1 = list(csv.DictReader(out1.open()))
-    r2 = list(csv.DictReader(out2.open()))
+    r1 = list(csv.DictReader(out1.read_text().splitlines()))
+    r2 = list(csv.DictReader(out2.read_text().splitlines()))
     assert r1[0]["resonant_direct"] != r2[0]["resonant_direct"]
 
 
@@ -272,7 +292,7 @@ _CONFIG_VALUES = {
     "array_dipole": ("0.6 0 0.8", (0.6, 0.0, 0.8)),
     "z_min": ("0.2", 0.2), "z_max": ("0.9", 0.9), "points_per_decade": ("5", 5),
     "site_budget": ("1e6", 1e6), "offres_site_budget": ("50", 50.0),
-    "threads": ("2", min(2, usable_cpus())),
+    "threads": ("2", 2),
 }
 
 
@@ -394,7 +414,7 @@ def test_zx_sweep_m0_direct_columns_zero(tmp_path):
                     "--a-tilde", "0.05", "--z-min", "0.2", "--z-max", "0.5",
                     "--points-per-decade", "8", "-o", str(out)])
     assert proc.returncode == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert all(float(r["resonant_direct"]) == 0.0 for r in rows)
     assert all(float(r["res_vertex"]) == 0.0 for r in rows)
 
@@ -405,7 +425,7 @@ def test_m0_sweep_resonant_equals_vertex(tmp_path):
                     "--z-min", "0.2", "--z-max", "0.5", "--points-per-decade", "8",
                     "-o", str(out)])
     assert proc.returncode == 0
-    for r in csv.DictReader(out.open()):
+    for r in csv.DictReader(out.read_text().splitlines()):
         assert r["resonant_direct"] == r["res_vertex"]
 
 
@@ -421,7 +441,7 @@ def test_sweep_all_defaults_exits_zero(tmp_path):
     # in process, one worker: z from 0.01 to 100 at 64 points per decade
     out = tmp_path / "defaults.csv"
     assert cli.main(["sweep", "--output", str(out)]) == cli.EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 257
     assert float(rows[-1]["z_tilde"]) == pytest.approx(100.0, rel=1e-12)
     assert all(float(r["or_edge"]) > 0.0 for r in rows)
@@ -603,10 +623,6 @@ def test_threads_validated_before_any_work(tmp_path, capsys):
     conf.write_text("threads = -1\n")
     with pytest.raises(cli._UsageError, match="threads must be >= 1"):
         cli.load_config(str(conf), {})
-    # more workers than usable CPUs are clamped: results do not depend on the count
-    conf.write_text("threads = 50001\n")
-    assert cli.load_config(str(conf), {}).threads == usable_cpus()
-    assert cli.load_config(None, {"threads": 16}).threads == min(16, usable_cpus())
     assert cli.load_config(None, {}).threads == 1
 
 
@@ -732,6 +748,7 @@ def test_a_closed_stdout_exits_quietly(argv, lines):
         proc.stdout.close()
         err = proc.stderr.read()
     finally:
+        proc.stderr.close()
         proc.wait(timeout=120)
     assert all(line.startswith("z_tilde,") for line in head)
     assert proc.returncode == cli.EXIT_CLOSED_STDOUT and err == ""  # no traceback
@@ -748,23 +765,28 @@ def test_sweep_rejects_a_grid_over_the_row_cap(monkeypatch, capsys):
     assert cli.MAX_GRID_ROWS == 10 ** 6
 
 
-def test_threads_clamped_to_the_cpus_this_process_may_use(monkeypatch):
+def test_threads_clamped_to_the_cpus_this_process_may_use(tmp_path, monkeypatch):
+    # the configuration keeps the count; the direct sum cuts it to the usable
+    # CPUs: results do not depend on the count
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert cli.load_config(None, {"threads": 16}).threads == 3
-    assert cli.load_config(None, {"threads": 2}).threads == 2
-
-
-def _readme_commands():
-    """Arguments of every ``cplattice`` line in the README, in order."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = text.replace("\\\n", " ").splitlines()
-    return [shlex.split(line)[1:] for line in lines if line.startswith("cplattice ")]
+    ranges, map_ranges = [], lattice_sum._map_ranges
+    monkeypatch.setattr(lattice_sum, "_map_ranges", lambda fn, rs: (
+        ranges.append(len(rs)) or map_ranges(fn, rs)))
+    conf = tmp_path / "c.conf"
+    conf.write_text("threads = 50001\n")
+    assert cli.load_config(str(conf), {}).threads == 50001
+    for flags, want in ((["--threads", "16"], lattice_sum.usable_cpus()),
+                        (["--config", str(conf)], lattice_sum.usable_cpus()),
+                        (["--threads", "2"], 2)):
+        ranges.clear()
+        assert run_cli(SWEEP_ARGS + flags).returncode == cli.EXIT_OK
+        assert ranges == [want], flags  # one block: M 4's 5 octant rows in `want` ranges
 
 
 def test_readme_commands_exit_zero(tmp_path, monkeypatch):
     # in process, in the README's order: the fit lines read the sweep's CSV
     monkeypatch.chdir(tmp_path)
-    commands = _readme_commands()
+    commands = readme_commands()
     assert [args[0] for args in commands] == ["sweep", "decompose", "asymptotic",
                                               "verify-diagrams", "fit", "fit"]
     for args in commands:

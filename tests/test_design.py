@@ -44,7 +44,7 @@ ALLOWED = {
     ("cplattice.kernels", "res_row_zz"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.kernels", "res_row_zx"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.lattice_sum", "quad"): "perfbench's tracer; ROADMAP item 1a deletes",
-    ("cplattice.specfun", "chi_minus_shi"): "perfbench's tracer; ROADMAP item 1a deletes",
+    ("cplattice.specfun", "chi_minus_shi"): "perfbench's tracer and test_acceptance's criterion 10",
 }
 
 # The names that no run calls, kept only for the tracer's getattr

@@ -17,8 +17,7 @@ from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
                                        bulk_term, decompose, edge_term, vertex_term)
 from cplattice.kernels import _numpy_backend
-from cplattice.lattice_sum import (QuadratureFailure, prefactor, resonant_pair_term,
-                                   resonant_prefactor)
+from cplattice.lattice_sum import QuadratureFailure, prefactor, resonant_pair_term
 from cplattice.model import NonPositiveLength
 
 
@@ -58,7 +57,7 @@ def test_zz_bulk_above_switch_height_takes_rotated_path(z):
 def test_zz_bulk_keeps_closed_form_up_to_switch_height():
     for z in (0.01, 1.0, 10.0, euler_maclaurin._ZZ_CLOSED_FORM_MAX_Z):
         b = mk(z=z)
-        want = resonant_prefactor(b) * 2.0 * math.pi * euler_maclaurin.bracket_zz(z) \
+        want = prefactor(b, "resonant") * 2.0 * math.pi * euler_maclaurin.bracket_zz(z) \
             / (8.0 * b.a_tilde ** 2 * z ** 4)
         assert bulk_term(b, "resonant") == want
         assert bulk_integral(b) == pytest.approx(want, rel=1e-13)
@@ -156,11 +155,11 @@ def test_resonant_edge_reference_values():
     for z, want in ((0.2, 4951.645901739858), (0.7, 13.920982229213716),
                     (2.0, -0.12920566527592452)):
         b = mk(z=z)
-        unit = edge_term(b, "resonant") / (resonant_prefactor(b) * 4.0 / b.a_tilde)
+        unit = edge_term(b, "resonant") / (prefactor(b, "resonant") * 4.0 / b.a_tilde)
         assert unit == pytest.approx(want, rel=1e-9)
     for z, want in ((0.2, 1763.5232952994731), (0.7, 4.3978895347405558)):
         bx = mk(z=z, array=(1, 0, 0))
-        unit = edge_term(bx, "resonant") / (resonant_prefactor(bx) * 2.0 / bx.a_tilde)
+        unit = edge_term(bx, "resonant") / (prefactor(bx, "resonant") * 2.0 / bx.a_tilde)
         assert unit == pytest.approx(want, rel=1e-9)
 
 

@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import (PAIRS, STRATA_PAIRS, UNIT_VECTORS, S3, naive_offresonant, naive_resonant,
-                       per_row_custom)
+from reference import (EXTREME_HEIGHTS, PAIRS, STRATA_PAIRS, UNIT_VECTORS, S3, ZY,
+                       naive_offresonant, naive_resonant, per_row_custom, public_calls)
 
 from cplattice import cli, euler_maclaurin, greens, kernels, lattice_sum
-from cplattice.asymptotics import all_regimes, asymptotic_shift, full_closed_form
 from cplattice.euler_maclaurin import bulk_term, decompose, edge_term, vertex_term
 from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import (QuadratureFailure, SiteBudgetExceeded,
@@ -527,28 +526,6 @@ def test_pair_terms_that_are_not_finite_raise_as_the_vertex(backend, kind):
     assert term(0, 0, b) == vertex_term(b, kind)
 
 
-def _public_calls(b):
-    """(name, call) of every public function of a bundle that returns a number."""
-    label = b.orientation_label()
-    for kind in ("resonant", "off_resonant"):
-        yield f"sum_lattice {kind}", lambda kind=kind: getattr(sum_lattice(b, kind), kind)
-        for term in (bulk_term, edge_term, vertex_term):
-            yield f"{term.__name__} {kind}", lambda term=term, kind=kind: term(b, kind)
-        yield f"decompose {kind}", lambda kind=kind: decompose(b, kind).total
-    yield "resonant_pair_term", lambda: resonant_pair_term(1, -1, b)
-    yield "offresonant_pair_term", lambda: offresonant_pair_term(1, -1, b)
-    for regime in all_regimes(label):
-        yield f"asymptotic_shift {regime}", lambda regime=regime: asymptotic_shift(regime, b)
-    if label != "custom":
-        yield "full_closed_form", lambda: full_closed_form(label, b)
-
-
-# the principal pairs, and a z probe over y-array dipoles, whose coupling
-# vanishes at the origin as the zx pair's does but which runs as a custom pair
-_EXTREME_PAIRS = {**PAIRS, "zy": ((0, 0, 1), (0, 1, 0))}
-_EXTREME_HEIGHTS = (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the failure alone, no NumPy warning
 @pytest.mark.parametrize("pair", ["zz", "zx", "zy", "custom_a"])
 def test_every_public_function_is_finite_or_fails_cleanly_at_extreme_heights(backend, pair):
@@ -556,15 +533,15 @@ def test_every_public_function_is_finite_or_fails_cleanly_at_extreme_heights(bac
     # returns a finite value or raises QuadratureFailure or ValidationError:
     # never an OverflowError, ZeroDivisionError, a NumPy warning or a value
     # of inf or NaN
-    test, array = _EXTREME_PAIRS[pair]
-    for z in _EXTREME_HEIGHTS:
+    test, array = ZY if pair == "zy" else PAIRS[pair]
+    for z in EXTREME_HEIGHTS:
         b = mk(mu=0.6, a=0.05, M=2, z=z, test=test, array=array)
-        for name, call in _public_calls(b):
+        for name, call in public_calls(b):
             try:
                 value = call()
             except (QuadratureFailure, ValidationError):
                 continue
-            assert math.isfinite(value), (name, z)
+            assert np.isfinite(value).all(), (name, z)  # every field of decompose
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -576,14 +553,14 @@ def test_a_coupling_that_vanishes_at_the_origin_adds_exactly_zero(backend, pair)
     # terms are 0 at every height, and the z/y grid sums, which hold the
     # origin, equal the zx octant sums, which skip it: the same lattice
     # turned by 90 degrees
-    test, array = _EXTREME_PAIRS[pair]
+    test, array = ZY if pair == "zy" else PAIRS[pair]
     terms = {"resonant": resonant_pair_term, "off_resonant": offresonant_pair_term}
-    for z in _EXTREME_HEIGHTS:
+    for z in EXTREME_HEIGHTS:
         b = mk(mu=0.6, a=0.05, M=2, z=z, test=test, array=array)
         for kind, term in terms.items():
             assert vertex_term(b, kind) == 0.0 == term(0, 0, b), (kind, z)
             if pair == "zy" and z < 1.0:
-                turned = mk(mu=0.6, a=0.05, M=2, z=z, test=test, array=_EXTREME_PAIRS["zx"][1])
+                turned = mk(mu=0.6, a=0.05, M=2, z=z, test=test, array=PAIRS["zx"][1])
                 assert getattr(sum_lattice(b, kind), kind) == pytest.approx(
                     getattr(sum_lattice(turned, kind), kind), rel=1e-13, abs=0.0), (kind, z)
 

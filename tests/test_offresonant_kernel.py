@@ -15,7 +15,7 @@ from reference import bundle as mk
 from cplattice import kernels
 from cplattice.euler_maclaurin import edge_term, vertex_term
 from cplattice.kernels import _numpy_backend, offres_sites
-from cplattice.lattice_sum import offresonant_pair_term, offresonant_prefactor
+from cplattice.lattice_sum import offresonant_pair_term, prefactor
 
 
 # every test here reaches kernels.offres_sites: each runs on both backends
@@ -167,7 +167,7 @@ def test_zx_on_axis_and_origin_terms_exactly_zero():
 
 def test_vertex_regression_near_z_0_015():
     b = mk(mu=1.5874, rho=1e-6, z=0.0146436)
-    want = offresonant_prefactor(b) * site_mpmath(0.0146436, 1.0, 1.0, 1.5874)
+    want = prefactor(b, "off_resonant") * site_mpmath(0.0146436, 1.0, 1.0, 1.5874)
     assert want == pytest.approx(88164.6923293205, rel=1e-12)
     assert vertex_term(b, "off_resonant") == pytest.approx(want, rel=1e-10)
 
@@ -176,7 +176,7 @@ def test_vertex_regression_near_z_0_015():
 def test_vertex_dense_grid_near_z_0_015(mu):
     for z in np.linspace(0.01, 0.02, 81):
         b = mk(mu=mu, z=float(z))
-        want = offresonant_prefactor(b) * site_quad(float(z), 1.0, 1.0, mu)
+        want = prefactor(b, "off_resonant") * site_quad(float(z), 1.0, 1.0, mu)
         assert vertex_term(b, "off_resonant") == pytest.approx(want, rel=1e-10)
 
 
@@ -190,7 +190,7 @@ def test_edge_panel_rule_matches_axis_quadrature(z, mu):
     for test, array in (((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)),
                         ((s, s, s), (0.6, 0.0, 0.8))):
         b = mk(mu=mu, a=0.05, z=z, test=test, array=array)
-        want = offresonant_prefactor(b) * (2.0 / b.a_tilde) * (
+        want = prefactor(b, "off_resonant") * (2.0 / b.a_tilde) * (
             axis_quad(b, "x") + axis_quad(b, "y"))
         assert edge_term(b, "off_resonant") == pytest.approx(want, rel=1e-11)
 

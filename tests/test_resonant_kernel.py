@@ -18,7 +18,7 @@ from reference import bundle as mk
 from cplattice import kernels
 from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
                               scalar_coefficients)
-from cplattice.lattice_sum import resonant_pair_term, resonant_prefactor
+from cplattice.lattice_sum import prefactor, resonant_pair_term
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_pair_term_matches_former_brackets():
         for array, bracket in (((0, 0, 1), bracket_zz(r2, z * z)),
                                ((1, 0, 0), bracket_zx(r2, z * z) * (nx * a) ** 2)):
             b = mk(mu=mu, a=a, z=z, array=array)
-            pref = resonant_prefactor(b)
+            pref = prefactor(b, "resonant")
             scale = abs(pref) * abs(pair_coupling((0, 0, 1), array, (nx * a, ny * a, -z))) ** 2
             assert resonant_pair_term(nx, ny, b) == pytest.approx(
                 pref * float(bracket), rel=1e-12, abs=1e-13 * scale)
