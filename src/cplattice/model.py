@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +196,11 @@ def _check(params: ModelParams, lattice: LatticeSpec, geom: Geometry) -> None:
         if not abs(norm - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
             raise NonUnitDipole(f"{name} norm deviates from 1 by {abs(norm - 1.0):.3g}")
     check_length("a_tilde", lattice.a_tilde)
-    if lattice.half_extent < 0 or int(lattice.half_extent) != lattice.half_extent:
+    try:  # an integer type only: the direct sums take it as a range bound
+        whole = operator.index(lattice.half_extent) >= 0
+    except TypeError:
+        whole = False
+    if not whole:
         raise NonPositiveLength(f"half_extent must be a non-negative integer, got {lattice.half_extent}")
     check_length("z_tilde", geom.z_tilde)
 

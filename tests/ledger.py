@@ -32,10 +32,20 @@ The inputs:
     a fit of the column that the README sweep leaves empty, a short zz
     sweep, the sweeps and
     asymptotes of ``--orientation custom`` with each principal pair and
-    their zz/zx twins, and a sweep that fails in its first block.
+    their zz/zx twins, and a sweep that fails in its first block;
+  * beneath the public outputs, the bits that the tests check on their own:
+    the three terms of every pair of ``reference.PAIRS`` at mu 0.5, a 0.01
+    and ``BATTERY_HEIGHTS``; ``kernels.ray_rotated``'s sums and panel counts
+    for each pair of ``reference.RAY_PAIRS`` and stage, at ``RAY_BLOCKS``
+    heights from 1e-3 to 1e4; the backend's single ``res_row`` of both
+    orientations at ``ROWS``; the resonant direct sums of ``CUSTOM_SUMS``;
+    and ``offres_sites`` at ``reference.MOMENT_RADII`` with the NumPy backend's
+    ``moments`` rows there.
 
-Every entry must be the same on both backends. Each entry of the golden
-file is an object, its ``value``, leaving room for more fields (a
+The ledger is the one record of pinned bits: no test module keeps its own
+(``tests/test_design.py`` checks that none holds a ``float.hex`` literal or
+a hash prefix). Every entry must be the same on both backends. Each entry of
+the golden file is an object, its ``value``, leaving room for more fields (a
 reference value).
 
 Run ``python tests/ledger.py`` (with ``src`` on the path) to record the
@@ -45,10 +55,10 @@ it was made on.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import subprocess
@@ -58,23 +68,39 @@ from importlib import metadata
 from pathlib import Path
 
 import numpy as np
-from reference import EXTREME_HEIGHTS, ZY, public_calls, readme_commands
+import reference
+from reference import (EXTREME_HEIGHTS, LAGUERRE, MOMENT_RADII, RAY_PAIRS, S3, ZY, public_calls,
+                       rays, readme_commands)
 
 import cplattice as cp
 from cplattice import cli, kernels
+from cplattice.kernels import _numpy_backend
 
 LEDGER = Path(__file__).resolve().parent / "ledger.json"
 
-_S3 = 1.0 / math.sqrt(3.0)
+bundle = functools.partial(reference.bundle, mu=0.6, a=0.05, M=8, z=0.3)
 PAIRS = {
-    "zz": ((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
-    "zx": ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
-    "custom": ((_S3, _S3, _S3), (0.6, 0.0, 0.8)),
-    "even": ((0.6, 0.0, 0.8), (0.6, 0.0, -0.8)),
+    "zz": dict(test=(0.0, 0.0, 1.0), array=(0.0, 0.0, 1.0)),
+    "zx": dict(test=(0.0, 0.0, 1.0), array=(1.0, 0.0, 0.0)),
+    "custom": dict(test=(S3, S3, S3), array=(0.6, 0.0, 0.8)),
+    "even": dict(test=(0.6, 0.0, 0.8), array=(0.6, 0.0, -0.8)),
 }
 KINDS = ("resonant", "off_resonant")
 SUM_HEIGHTS = [0.05, 0.3, 1.0, 7.0]
 TERM_HEIGHTS = np.geomspace(1e-3, 1e3, 16)
+# The three terms of reference.PAIRS at mu 0.5 and a 0.01 at these heights;
+# at z = 25 the zz bulk takes its rotated path
+BATTERY_HEIGHTS = (0.01, 0.3, 5.0, 25.0, 1000.0)
+# The blocks of heights from 1e-3 to 1e4 of the rotated-path ray integrals
+RAY_BLOCKS = (1, 16, 31)
+# (a2, z2, nx) of the single rows: nx = 511..513 straddle the 512-site chunk
+# of the row pass, and row 20001 streams without a table
+ROWS = [(0.0001, 0.04, 1), (0.0001, 0.04, 2), (0.0001, 0.04, 511), (0.0001, 0.04, 512),
+        (0.0001, 0.04, 513), (0.25, 1.0, 17), (4.0, 0.0001, 173), (0.01, 9.0, 2048),
+        (90000.0, 1.0, 1000), (0.0025, 0.09, 1024), (0.0001, 0.09, 20001)]
+# (pair of reference.PAIRS, M, a, z) of the custom direct sums
+CUSTOM_SUMS = [("custom_a", 8, 0.6, 1.3), ("custom_a", 200, 0.01, 0.05),
+               ("custom_b", 8, 0.6, 1.3), ("custom_b", 200, 0.01, 0.05)]
 # A fit of the README sweep's column that its off-resonant budget leaves empty
 EMPTY_FIT = ["fit", "sweep.csv", "--column", "offresonant_direct", "--z-min", "0.1",
              "--z-max", "0.5"]
@@ -123,12 +149,6 @@ def _call(fn, *args, **kwargs):
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _bundle(pair, M=8, z=0.3, a=0.05, mu=0.6):
-    e0, en = ZY if pair == "zy" else PAIRS[pair]
-    return cp.validate(cp.ModelParams(mu=mu, rho=1e-6, test_dipole=e0, array_dipole=en),
-                       cp.LatticeSpec(a_tilde=a, half_extent=M), cp.Geometry(z_tilde=z))
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -155,14 +175,14 @@ def _library() -> dict:
     for pair in PAIRS:
         for M in (0, 1, 8, 40, 150) if pair != "even" else (0, 1, 8, 40):
             for kind in KINDS:
-                b = _bundle(pair, M=M)
+                b = bundle(**PAIRS[pair], M=M)
                 name = f"sum_lattice {pair} M={M} {kind}"
                 for threads in (1, 2):
                     e[f"{name} z=0.3 threads={threads}"] = _call(lambda: getattr(
                         cp.sum_lattice(b, kind, threads=threads), kind))
                     e[f"{name} heights threads={threads}"] = _call(lambda: getattr(
                         cp.sum_lattice(b, kind, heights=SUM_HEIGHTS, threads=threads), kind))
-        b = _bundle(pair)
+        b = bundle(**PAIRS[pair])
         for kind in KINDS:
             for term in (cp.bulk_term, cp.edge_term, cp.vertex_term):
                 name = f"{term.__name__} {pair} {kind}"
@@ -177,7 +197,7 @@ def _library() -> dict:
         for site in ((0, 0), (1, 2), (-3, 1)):
             e[f"resonant_pair_term {pair} {site}"] = _call(cp.resonant_pair_term, *site, b)
             e[f"offresonant_pair_term {pair} {site}"] = _call(cp.offresonant_pair_term, *site, b)
-        e0, en = PAIRS[pair]
+        e0, en = PAIRS[pair].values()
         for freq in (1.0, 0.7j):
             e[f"pair_coupling {pair} freq={freq}"] = _call(
                 cp.pair_coupling, e0, en, (0.3, -0.2, 0.4), freq)
@@ -190,7 +210,7 @@ def _library() -> dict:
         e[f"green_dyadic freq={freq}"] = _call(lambda: np.ravel(cp.green_dyadic(
             (0.6, 0.0, 0.8), 0.9, freq)).tolist())
     for pair in ("zz", "zx"):
-        b = _bundle(pair)
+        b = bundle(**PAIRS[pair])
         for regime in cp.all_regimes(pair):
             name = " ".join(vars(regime).values())
             e[f"asymptotic_shift {name} heights 1e-3..1e3"] = _call(
@@ -198,26 +218,67 @@ def _library() -> dict:
             e[f"expected_exponent {name}"] = cp.expected_exponent(regime)
         for z in (0.01, 0.3, 20.0, 300.0):
             e[f"full_closed_form {pair} z={z}"] = _call(
-                cp.full_closed_form, pair, _bundle(pair, z=z))
+                cp.full_closed_form, pair, bundle(**PAIRS[pair], z=z))
     return e
 
 
 def _extreme(pair: str, z: float) -> dict:
     """Every public numeric call of the pair at M 2 and the height z."""
-    return {f"{name} z={z!r}": _call(call) for name, call in public_calls(_bundle(pair, M=2, z=z))}
+    return {f"{name} z={z!r}": _call(call)
+            for name, call in public_calls(bundle(**PAIRS[pair], M=2, z=z))}
 
 
 def _origin(z: float) -> dict:
     """The calls that take the origin of a pair whose coupling vanishes
     there, at M 2 and the height z: the zx (0, 0) pair terms, and the z/y
     vertex and direct sums."""
-    zx, zy, at = _bundle("zx", M=2, z=z), _bundle("zy", M=2, z=z), f"z={z!r}"
+    zx, at = bundle(**PAIRS["zx"], M=2, z=z), f"z={z!r}"
+    zy = bundle(test=ZY[0], array=ZY[1], M=2, z=z)
     e = {f"resonant_pair_term zx (0, 0) {at}": _call(cp.resonant_pair_term, 0, 0, zx),
          f"offresonant_pair_term zx (0, 0) {at}": _call(cp.offresonant_pair_term, 0, 0, zx)}
     for kind in KINDS:
         e[f"sum_lattice zy M=2 {kind} {at}"] = _call(
             lambda: getattr(cp.sum_lattice(zy, kind), kind))
         e[f"vertex_term zy {kind} {at}"] = _call(cp.vertex_term, zy, kind)
+    return e
+
+
+def _pinned() -> dict:
+    """The bits beneath the public outputs that the tests check: the term
+    battery, the rotated-path ray integrals (their sums and panel counts),
+    the single rows of both orientations, the custom direct sums, and the
+    off-resonant site values with the NumPy backend's moments."""
+    e = {}
+    for pair, (test, array) in reference.PAIRS.items():
+        for kind in KINDS:
+            for z in BATTERY_HEIGHTS:
+                b = bundle(test=test, array=array, mu=0.5, a=0.01, M=0, z=z)
+                for term in (cp.bulk_term, cp.edge_term, cp.vertex_term):
+                    e[f"{term.__name__} {pair} {kind} mu=0.5 a=0.01 z={z!r}"] = _call(
+                        term, b, kind)
+    for pair in RAY_PAIRS:
+        for stage in ("bulk", "edge"):
+            for n in RAY_BLOCKS:
+                sums, counts = rays(pair, stage, np.geomspace(1e-3, 1e4, n))
+                e[f"ray_rotated {pair} {stage} heights={n}"] = {
+                    "sums": _hex(sums.ravel()), "counts": counts.tolist()}
+    for a2, z2, nx in ROWS:
+        for zx in (False, True):
+            e[f"res_row {'zx' if zx else 'zz'} a2={a2!r} z2={z2!r} nx={nx}"] = _hex(
+                kernels._impl.res_row(zx, a2, z2, nx))
+    for pair, M, a, z in CUSTOM_SUMS:
+        test, array = reference.PAIRS[pair]
+        b = bundle(test=test, array=array, M=M, a=a, z=z)
+        e[f"sum_lattice {pair} M={M} resonant a={a!r} z={z!r} threads=1"] = _call(
+            lambda: cp.sum_lattice(b, "resonant", threads=1).resonant)
+    for radii in MOMENT_RADII.values():
+        r = np.array(radii, dtype=float)
+        e[f"offres_sites mu=0.6 dot=1.0 pp=0.3 r={radii}"] = _hex(
+            kernels.offres_sites(r, 1.0, 0.3, 0.6))
+        if radii:
+            e[f"moments mu=0.6 r={radii}"] = _hex(_numpy_backend.moments(
+                np.concatenate([r * 0.6, r]), 0.6, kernels.PHI_SWITCH, kernels.RECAST,
+                *LAGUERRE).ravel())
     return e
 
 
@@ -243,7 +304,7 @@ def _commands() -> dict:
 
 def entries() -> dict:
     """The ledger's entries on the selected backend."""
-    return {**_library(), **_commands()}
+    return {**_library(), **_pinned(), **_commands()}
 
 
 def expected(golden: dict) -> dict:

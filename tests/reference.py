@@ -65,8 +65,15 @@ STRATA_PAIRS = [(unit((1, 1, 2)), unit((2, -1, 1))), (unit((-1, 2, 1)), unit((1,
 # A z probe over y-array dipoles: like zx, its coupling vanishes at the
 # origin, but it runs as a custom pair
 ZY = ((0, 0, 1), (0, 1, 0))
+# the pairs of the rotated-path ray integrals: zz, zx, a custom pair, and
+# ZY, whose site term is even in x and y: its x axis vanishes and its y axis
+# is zx's x axis
+RAY_PAIRS = {**{name: PAIRS[name] for name in ("zz", "zx", "custom_a")}, "zy": ZY}
 # tiny and huge heights, up to just below the 2**512 bound on lengths
 EXTREME_HEIGHTS = (1e-320, 1e-60, 1e100, math.nextafter(2.0 ** 512, 0.0))
+# radii of off-resonant sites at mu = 0.6 whose y = r mu and y = r all fall
+# below the kernel's branch switch, all above it, and none
+MOMENT_RADII = {"small": [0.1, 1.2], "large": [4.0, 30.0], "empty": []}
 # the azimuths of the generic-orientation oracles' ring means
 _AZIMUTHS = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
 
@@ -112,6 +119,20 @@ def axis_integral(bundle, kind, axis):
     k = "xy".index(axis)
     return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], np.array([bundle.z_tilde]),
                          axis)[0, 0]
+
+
+def rays(pair, stage, heights):
+    """kernels.ray_rotated for the pair of RAY_PAIRS with the directions of
+    the stage's term, as bulk_term and edge_term take them: the zz bulk's one
+    azimuth (its rotated path runs above z = 20), the ring, the x axis alone
+    for the zz and zx edges, and both axes."""
+    e0, en = RAY_PAIRS[pair]
+    if stage == "bulk":
+        directions = _RING[:1] if pair == "zz" else _RING
+    else:
+        directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
+    return kernels.ray_rotated(stage == "bulk", np.array([*e0, *en, float(np.dot(e0, en))]),
+                               directions, heights)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ nowhere; ``lattice_sum.quiet_nonfinite`` alone sets NumPy's error state,
 and the site kernels run in it, so a value that is not finite is reported
 once, with no NumPy warning first; every top-level name is read in the
 package or exported; only ``kernels.backend`` and ``backend_name`` know
-which backend is in place; and no test module imports another.
+which backend is in place; no test module imports another; and none pins
+bits by hand, which is the ledger's one record.
 """
 import ast
 import inspect
@@ -64,6 +65,10 @@ HELPERS = {"reference", "ledger"}
 
 # kernels' backend state, which only kernels.backend swaps
 _SWAPPED = {"_impl", "_lib", "_tables"}
+
+# A normal number's float.hex (zeros such as 0x0.0p+0 stay, for special
+# values), or a quoted 16-hex-digit hash prefix
+PINNED_BITS = re.compile(r"0x1\.[0-9a-f]{13}p[-+]\d+|[\"'][0-9a-f]{16}[\"']")
 
 
 def _top_level():
@@ -280,4 +285,13 @@ def test_no_test_module_imports_another():
     found = [f"{path.name}:{node.lineno}" for path, tree in TESTS.items()
              for node in ast.walk(tree)
              if any(name.partition(".")[0] in local - HELPERS for name in _imported(node))]
+    assert found == []
+
+
+def test_no_test_module_pins_bits_by_hand():
+    # tests/ledger.json is the one record of pinned bits: a value pinned in
+    # a test module would be a second one, to find and retype when it moves
+    found = [f"{path.name}:{n}" for path in TESTS
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if PINNED_BITS.search(line)]
     assert found == []

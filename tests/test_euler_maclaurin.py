@@ -1,6 +1,5 @@
 """Bulk/edge/vertex decomposition tests, against ``reference``'s oracles,
 which touch neither the package's panel rule nor its closed forms."""
-import hashlib
 import math
 import re
 
@@ -8,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import (PAIRS, axis_integral, bulk_integral, contour_bulk_resonant,
+from reference import (PAIRS, RAY_PAIRS, axis_integral, bulk_integral, contour_bulk_resonant,
                        offres_bulk_by_ring, offres_bulk_oracle, offres_edge_reordered,
-                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad)
+                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays)
 from reference import bundle as mk
 
 from cplattice import euler_maclaurin, kernels, lattice_sum
@@ -321,65 +320,6 @@ def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair)
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
 
 
-# (pair of PAIRS, kind, z, bulk, edge, vertex) as float.hex at
-# mu = 0.5, rho = 1e-6, a = 0.01: zz and zx recorded before the bulk and edge
-# integrands became one ray integral, custom_a and custom_b before the custom
-# edge took both axes from one site-kernel call; z = 25 is the zz bulk on the
-# rotated path. The values rest on NumPy's and SciPy's sin, cos, exp and
-# sici, so another build of those may move the last bits.
-PINNED_TERMS = [
-    ('zz', 'resonant', 0.01, '0x1.af7d5adf96789p+20', '0x1.146b9b98d8003p+22', '0x1.6e3f5fffffa68p+21'),
-    ('zz', 'resonant', 0.3, '0x1.3d10e855b2f40p+1', '0x1.a86980d3c68b4p-3', '0x1.25ecd6fed0e77p-8'),
-    ('zz', 'resonant', 5.0, '-0x1.ab2dac5223be1p-13', '0x1.3d08748b5f3dcp-30', '0x1.83d78562e81edp-29'),
-    ('zz', 'resonant', 25.0, '-0x1.a823cb0c980e3p-21', '-0x1.103e9cb02c627p-27', '-0x1.0a00fda34b18dp-37'),
-    ('zz', 'resonant', 1000.0, '0x1.8181bc088b2b9p-35', '0x1.7e4dbede1a3cep-46', '0x1.4702ec5074e3fp-60'),
-    ('zz', 'off_resonant', 0.01, '0x1.af676e44e960fp+19', '0x1.145ea7f4bb90bp+21', '0x1.6e317989b8cf7p+20'),
-    ('zz', 'off_resonant', 0.3, '0x1.0d4647ef2920bp+0', '0x1.717891e48f466p-4', '0x1.066843eec33c1p-9'),
-    ('zz', 'off_resonant', 5.0, '0x1.4d84524fefc20p-18', '0x1.cfa9ea6161646p-26', '0x1.5012c8940df1ep-35'),
-    ('zz', 'off_resonant', 25.0, '0x1.f670b468e66b8p-30', '0x1.1b8c109704b4cp-39', '0x1.4e9041e505521p-51'),
-    ('zz', 'off_resonant', 1000.0, '0x1.4c0a242e2bf72p-56', '0x1.2c26ffcc3f5b8p-71', '0x1.1bb68558bfbd5p-88'),
-    ('zx', 'resonant', 0.01, '0x1.af75fb06c10e1p+19', '0x1.947d39d35ae5fp+19', '0x0.0p+0'),
-    ('zx', 'resonant', 0.3, '0x1.296d3a95af797p+0', '0x1.25745c916e6a1p-5', '0x0.0p+0'),
-    ('zx', 'resonant', 5.0, '0x1.4186de0e76cb4p-12', '0x1.3f5e826963a47p-20', '0x0.0p+0'),
-    ('zx', 'resonant', 25.0, '-0x1.35c6ad063a1dcp-16', '-0x1.a7bbef2a1a1e9p-27', '0x0.0p+0'),
-    ('zx', 'resonant', 1000.0, '0x1.2a9e3057fe456p-28', '-0x1.d40dd727b84e9p-41', '-0x0.0p+0'),
-    ('zx', 'off_resonant', 0.01, '0x1.af6afb3ed1026p+18', '0x1.9474f8b724105p+18', '0x0.0p+0'),
-    ('zx', 'off_resonant', 0.3, '0x1.113c2836983d7p-1', '0x1.123bc0590110fp-6', '0x0.0p+0'),
-    ('zx', 'off_resonant', 5.0, '0x1.8e5204dbd968dp-19', '0x1.96e103497cec2p-28', '0x0.0p+0'),
-    ('zx', 'off_resonant', 25.0, '0x1.39006c3558049p-30', '0x1.04c1935c9c1cdp-41', '0x0.0p+0'),
-    ('zx', 'off_resonant', 1000.0, '0x1.9f0c72f0b36c5p-57', '0x1.151021b063301p-73', '0x0.0p+0'),
-    ('custom_a', 'resonant', 0.01, '0x1.d7bfa474d9473p+19', '0x1.695ed7a3b1da3p+18', '0x1.e863801d7a181p+17'),
-    ('custom_a', 'resonant', 0.3, '0x1.5186acf83cd44p+0', '0x1.d463a8a427030p-7', '0x1.af65a5398aeb5p-12'),
-    ('custom_a', 'resonant', 5.0, '0x1.60a863b647e08p-12', '0x1.6fe4e0b92100bp-21', '-0x1.34d1913e41068p-28'),
-    ('custom_a', 'resonant', 25.0, '0x1.814428d176a92p-16', '0x1.0c97bd8ab92d5p-22', '0x1.26bb622c1597bp-33'),
-    ('custom_a', 'resonant', 1000.0, '-0x1.60bcdf821c05cp-19', '-0x1.0f316b5673ec3p-30', '-0x1.275e0bf3bddeep-45'),
-    ('custom_a', 'off_resonant', 0.01, '0x1.d7acc862d6528p+18', '0x1.696d2a4625545p+17', '0x1.e83ad79f08a86p+16'),
-    ('custom_a', 'off_resonant', 0.3, '0x1.28894ae986a76p-1', '0x1.f9ebf70d62785p-8', '0x1.54c58ca20e5b9p-13'),
-    ('custom_a', 'off_resonant', 5.0, '0x1.9dcbb71e8aa35p-19', '0x1.1a2ce53f60f8bp-28', '0x1.2f25579cdb059p-39'),
-    ('custom_a', 'off_resonant', 25.0, '0x1.4562a1a578365p-30', '0x1.99e21bfb23f96p-42', '0x1.141da65822716p-55'),
-    ('custom_a', 'off_resonant', 1000.0, '0x1.afa683784b3e4p-57', '0x1.b8381cf3ffdd4p-74', '0x1.d20c162b70fcdp-93'),
-    ('custom_b', 'resonant', 0.01, '0x1.873380c6ecf36p+19', '0x1.76e780f955c16p+18', '0x1.38a800d1a87a0p+15'),
-    ('custom_b', 'resonant', 0.3, '0x1.148850cb3410fp+0', '0x1.b61c543dc12e4p-7', '0x1.53624c06144fdp-14'),
-    ('custom_b', 'resonant', 5.0, '0x1.371abf2f5a2d8p-11', '0x1.426aeb71d6048p-20', '-0x1.ad0e3f5711947p-28'),
-    ('custom_b', 'resonant', 25.0, '0x1.82c3a06f72d0ap-15', '0x1.c523eb31b3b34p-22', '0x1.0cfbc3fccbbebp-32'),
-    ('custom_b', 'resonant', 1000.0, '-0x1.399fdc571a24fp-18', '-0x1.d8be3284a7e55p-30', '-0x1.081ccfb421e0dp-44'),
-    ('custom_b', 'off_resonant', 0.01, '0x1.8725c3e9b351bp+18', '0x1.7704ddfd1431bp+17', '0x1.386cfdf82ed3bp+14'),
-    ('custom_b', 'off_resonant', 0.3, '0x1.edb861dac441ep-2', '0x1.0ca9d8b9b4b10p-7', '0x1.9cd8a2f63c0d7p-16'),
-    ('custom_b', 'off_resonant', 5.0, '0x1.744b6b77e3ffbp-19', '0x1.734dbb2090198p-28', '0x1.dfd23795bef9bp-42'),
-    ('custom_b', 'off_resonant', 25.0, '0x1.2d47aef04b049p-30', '0x1.185f33228fc92p-41', '0x1.7d122f73d8749p-57'),
-    ('custom_b', 'off_resonant', 1000.0, '0x1.90a8d4e4d16bbp-57', '0x1.2dfef6593707bp-73', '0x1.52ee76090ccafp-94'),
-]
-
-
-@pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
-def test_terms_bit_exact(backend, label, kind, z, bulk, edge, vertex):
-    test, array = PAIRS[label]
-    b = mk(z=z, test=test, array=array)
-    assert b.orientation_label() == label.partition("_")[0]
-    assert (bulk_term(b, kind).hex(), edge_term(b, kind).hex(),
-            vertex_term(b, kind).hex()) == (bulk, edge, vertex)
-
-
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", list(PAIRS))
@@ -402,12 +342,13 @@ def _counting_sites(monkeypatch):
     """Record the kind and directions of every site-kernel call of the ray
     integrals: the off-resonant site kernel's, and the compiled resonant ray
     integrals' (kernels.ray_rotated), which evaluate their site term inside."""
-    calls, sites, rays = [], euler_maclaurin._sites, kernels.ray_rotated
+    calls, sites, ray_rotated = [], euler_maclaurin._sites, kernels.ray_rotated
     monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, heights, directions: (
         calls.append(("off_resonant", directions.tolist())) or sites(bundle, heights,
                                                                       directions)))
     monkeypatch.setattr(kernels, "ray_rotated", lambda bulk, pair, directions, heights: (
-        calls.append(("resonant", directions.tolist())) or rays(bulk, pair, directions, heights)))
+        calls.append(("resonant", directions.tolist()))
+        or ray_rotated(bulk, pair, directions, heights)))
     return calls
 
 
@@ -496,10 +437,10 @@ def test_rotated_rules_equal_one_rule_per_height(heights):
 def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
     # the estimates of two heights of the block become their scales
     heights = np.geomspace(0.1, 1.0, 8)
-    rays = kernels.ray_rotated
+    ray_rotated = kernels.ray_rotated
 
     def failing(bulk, pair, directions, zs):
-        sums, counts = rays(bulk, pair, directions, zs)
+        sums, counts = ray_rotated(bulk, pair, directions, zs)
         bad = np.isin(zs, heights[[3, 5]])
         sums[bad, :, 1] = sums[bad, :, 2]
         return sums, counts
@@ -510,63 +451,23 @@ def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
         edge_term(mk(), "resonant", heights)
 
 
-# The rotated-path ray integrals of kernels.ray_rotated at mu-free inputs:
-# (pair, stage, the value, estimate and scale of each output at z = 1e-3 as
-# float.hex, and the sha256 prefix of the float.hex of every sum and the
-# panel counts of the blocks of 16 and 31 heights from 1e-3 to 1e4), with
-# the directions bulk_term and edge_term use (the zz bulk's one azimuth runs
-# its rotated path above z = 20). custom_even is a z probe over y array
-# dipoles, whose site term is even in x and y: its x axis vanishes and its
-# y axis is zx's x axis. Recorded on the NumPy backend; the values rest on
-# glibc's csqrt and cexp.
-RAY_PAIRS = dict(zz=PAIRS["zz"], zx=PAIRS["zx"], custom_a=PAIRS["custom_a"],
-                 custom_even=((0, 0, 1), (0, 1, 0)))
-PINNED_RAYS = [
-    ('zz', 'bulk', ('0x1.5d3f161c998cdp+38', '0x1.575bc226a0a9ap-13', '0x1.fdbaac26726c7p+38'), '5bdd337e6ff11da0', '8610ce02f2c145b7'),
-    ('zz', 'edge', ('0x1.5734e943a19e5p+50', '0x1.fb1b3e8c3992cp+9', '0x1.5eedf6d37cc30p+51'), 'd4f3f7abc9afddde', '96913b812febb419'),
-    ('zx', 'bulk', ('0x1.5d3f06da41000p+37', '0x1.7400cbc88f6d2p-14', '0x1.0ab0be33bf630p+38'), 'b7a856c02ccab1ed', 'c595ffe45facc316'),
-    ('zx', 'edge', ('0x1.f640da56aa8adp+48', '0x1.01e4c2186db1ep+10', '0x1.958e270419e92p+50'), '18f4974138145f62', '95aa394878b79e6c'),
-    ('custom_a', 'bulk', ('0x1.7dd7b84ed5e40p+37', '0x1.4a234e7d747d8p-14', '0x1.078a1fce356e9p+38'), 'dc0869a7a1384dc3', '747d4404f98d9a15'),
-    ('custom_a', 'edge', ('0x1.c9037c0189c19p+46', '0x1.2b7ede8fdac97p+9', '0x1.2856a7c719718p+49', '0x1.b88df50923911p+46', '0x1.bed54058ba39cp+8', '0x1.0e06f836ca556p+49'), 'd807e4e8911d5d39', '23a9621f4a607a1f'),
-    ('custom_even', 'bulk', ('0x1.5d3f06da41002p+37', '0x1.8c8f739ebc994p-14', '0x1.0ab0be33bf631p+38'), '035e3a691c028cb8', 'a3984d1ba056bcea'),
-    ('custom_even', 'edge', ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.f640da56aa8adp+48', '0x1.01e4c2186db1ep+10', '0x1.958e270419e92p+50'), 'fc1b4c7907df83e8', 'bd40889c92619633'),
-]
-
-
-def _rays(pair, stage, heights):
-    """kernels.ray_rotated for the pair of RAY_PAIRS with the directions of
-    the stage's term."""
-    e0, en = RAY_PAIRS[pair]
-    if stage == "bulk":
-        directions = _RING[:1] if pair == "zz" else _RING
-    else:
-        directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
-    return kernels.ray_rotated(stage == "bulk", np.array([*e0, *en, float(np.dot(e0, en))]),
-                               directions, heights)
-
-
-@pytest.mark.parametrize("pair,stage,one,block16,block31", PINNED_RAYS)
-def test_rotated_ray_integrals_bit_exact(backend, pair, stage, one, block16, block31):
+@pytest.mark.parametrize("stage", ["bulk", "edge"])
+@pytest.mark.parametrize("pair", list(RAY_PAIRS))
+def test_rotated_ray_blocks_equal_one_height_calls(backend, pair, stage):
     # every block row equals its one-height call, and the panel counts are
     # those of the reference rule
-    outputs = 1 if stage == "bulk" else len(one) // 3
-    sums, counts = _rays(pair, stage, np.empty(0))
+    outputs = 1 if stage == "bulk" or pair in ("zz", "zx") else 2
+    sums, counts = rays(pair, stage, np.empty(0))
     assert sums.shape == (0, outputs, 3) and counts.shape == (0,)
-    for n, want in ((1, one), (16, block16), (31, block31)):
+    for n in (1, 16, 31):
         heights = np.geomspace(1e-3, 1e4, n)
-        sums, counts = _rays(pair, stage, heights)
+        sums, counts = rays(pair, stage, heights)
         assert sums.shape == (n, outputs, 3)
         want_counts = _numpy_backend.rotated_rules(heights, kernels.ROTATED_RULE)[3]
         assert counts.tolist() == want_counts.tolist()
-        hexes = [v.hex() for v in sums.ravel().tolist()]
-        if n == 1:
-            assert tuple(hexes) == want
-        else:
-            assert hashlib.sha256(" ".join(hexes + [str(c) for c in counts.tolist()]).encode()
-                                  ).hexdigest()[:16] == want
-            for i, z in enumerate(heights.tolist()):
-                alone = _rays(pair, stage, np.array([z]))[0]
-                assert alone.tobytes() == sums[i:i + 1].tobytes()
+        for i, z in enumerate(heights.tolist()):
+            alone = rays(pair, stage, np.array([z]))[0]
+            assert alone.tobytes() == sums[i:i + 1].tobytes()
 
 
 def test_height_without_a_rotated_rule_fails_by_name(backend):
@@ -576,10 +477,10 @@ def test_height_without_a_rotated_rule_fails_by_name(backend):
     # pair raise as a missed tolerance does
     heights = np.array([0.3, 1e-307])
     for stage in ("bulk", "edge"):
-        sums, counts = _rays("custom_a", stage, heights)
+        sums, counts = rays("custom_a", stage, heights)
         assert counts[1] == -1 and np.isnan(sums[1]).all()
-        assert sums[0].tobytes() == _rays("custom_a", stage, heights[:1])[0].tobytes()
-    b = mk(mu=0.6, z=0.3, test=RAY_PAIRS["custom_a"][0], array=RAY_PAIRS["custom_a"][1])
+        assert sums[0].tobytes() == rays("custom_a", stage, heights[:1])[0].tobytes()
+    b = mk(mu=0.6, z=0.3, test=PAIRS["custom_a"][0], array=PAIRS["custom_a"][1])
     for term, where in ((bulk_term, "bulk resonant at z=1e-307, mu=0.6 (custom)"),
                         (edge_term, "edge resonant at z=1e-307, mu=0.6 (custom, x axis)")):
         with pytest.raises(QuadratureFailure,

@@ -351,30 +351,13 @@ def test_split_rows_keep_the_former_ranges(threads, M):
         assert _split_rows(2 * M + 1, threads, no_cost) == [(0, 2 * M + 1)]
 
 
-# (pair, M, a, z, resonant sum) as float.hex at mu = 0.6, recorded while the
-# generic direct sum still called the site kernel once per row
-PINNED_CUSTOM_SUMS = [
-    ("custom_a", 8, 0.6, 1.3, "0x1.4d43eb6a23e3cp-20"),
-    ("custom_a", 200, 0.01, 0.05, "0x1.106b486b81301p+11"),
-    ("custom_b", 8, 0.6, 1.3, "0x1.9969fa7211d44p-21"),
-    ("custom_b", 200, 0.01, 0.05, "0x1.c3ac7fcc667aep+10"),
-]
-
-
-@pytest.mark.parametrize("pair,M,a,z,want", PINNED_CUSTOM_SUMS)
-def test_custom_sums_bit_exact(monkeypatch, pair, M, a, z, want):
-    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)  # keep the 3-way split
-    test, array = _CUSTOM_PAIRS[pair]
-    b = mk(mu=0.6, a=a, M=M, z=z, test=test, array=array)
-    for threads in (1, 3):
-        assert sum_lattice(b, "resonant", threads=threads).resonant.hex() == want
-
-
 @pytest.mark.parametrize("cap", [1, 50, 1 << 14])
 def test_custom_row_ranges_equal_per_row_oracle_bitwise(backend, monkeypatch, cap):
-    # the NumPy backend's site sets: a cap below a row's 2M+1 sites gives one
-    # row per call; 50 sites split every worker's range into blocks of 2 rows
-    # (M = 12) or 1 row (M = 40). The compiled pass calls no NumPy kernel
+    # the same bits on 1 and 3 threads, as sum_lattice splits the rows once
+    # usable_cpus allows 3. The NumPy backend's site sets: a cap below a
+    # row's 2M+1 sites gives one row per call; 50 sites split every worker's
+    # range into blocks of 2 rows (M = 12) or 1 row (M = 40). The compiled
+    # pass calls no NumPy kernel
     monkeypatch.setattr(_numpy_backend, "SITE_SET_BLOCK", cap)
     calls, kernel = [], _numpy_backend.resonant_sites
     monkeypatch.setattr(_numpy_backend, "resonant_sites",

@@ -10,6 +10,7 @@ import pytest
 import reference
 
 from cplattice.greens import site_projections
+from cplattice.lattice_sum import sum_lattice
 from cplattice.model import (DetuningTooSmall, Geometry, LatticeSpec, LinewidthTooLarge,
                              ModelParams, NonPositiveLength, NonUnitDipole, ValidatedBundle,
                              validate)
@@ -52,6 +53,18 @@ def test_nonpositive_lengths_rejected():
     with pytest.raises(NonPositiveLength):
         validate(ModelParams(mu=0.5, rho=1e-6), LatticeSpec(a_tilde=1.0, half_extent=-1),
                  Geometry(z_tilde=1.0))
+
+
+def test_half_extent_takes_an_integer_type_only():
+    # 3.0 passed validation, counted 49.0 atoms and made every direct sum
+    # raise a bare TypeError; NumPy's integers keep the bits of Python's
+    for M in (3.0, 2.5, "3"):
+        with pytest.raises(NonPositiveLength, match=f"^half_extent must be a non-negative "
+                                                    f"integer, got {M}$"):
+            bundle(M=M)
+    for kind in ("resonant", "off_resonant"):
+        want = getattr(sum_lattice(bundle(M=3), kind), kind)
+        assert getattr(sum_lattice(bundle(M=np.int64(3)), kind), kind).hex() == want.hex()
 
 
 def test_non_unit_dipole_rejected():
@@ -139,6 +152,8 @@ def test_orientation_labels():
     assert bundle(array=(1, 0, 0)).orientation_label() == "zx"
     s = 1.0 / math.sqrt(2.0)
     assert bundle(array=(s, 0, s)).orientation_label() == "custom"
+    for name, (test, array) in reference.PAIRS.items():
+        assert bundle(test=test, array=array).orientation_label() == name.partition("_")[0]
 
 
 def test_atom_count_single_atom_limit():
