@@ -11,7 +11,8 @@ and from exponential integrals E_n, the principal orientations' former
 radial brackets, and the per-node loops and NumPy site kernel that the
 package's array calls replaced. ``bulk_integral`` and ``axis_integral`` are
 the package's own ray-integral route, taken also where ``bulk_term`` and
-``edge_term`` have a shortcut.
+``edge_term`` have a shortcut, and ``rays`` its compiled ray integrals with
+the directions those terms take.
 """
 import cmath
 import functools
