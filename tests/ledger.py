@@ -44,7 +44,8 @@ The inputs:
 
 The ledger is the one record of pinned bits: no test module keeps its own
 (``tests/test_design.py`` checks that none holds a ``float.hex`` literal or
-a hash prefix). Every entry must be the same on both backends. Each entry of
+a hash prefix); a test that checks a pinned value case by case reads it
+with ``recorded()``. Every entry must be the same on both backends. Each entry of
 the golden file is an object, its ``value``, leaving room for more fields (a
 reference value).
 
@@ -310,6 +311,11 @@ def entries() -> dict:
 def expected(golden: dict) -> dict:
     """The golden entries' values."""
     return {k: e["value"] for k, e in golden.items()}
+
+
+def recorded() -> dict:
+    """The committed ledger's values, by entry name."""
+    return expected(json.loads(LEDGER.read_text())["entries"])
 
 
 def record() -> dict:

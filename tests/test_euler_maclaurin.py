@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ledger
 from reference import (PAIRS, RAY_PAIRS, axis_integral, bulk_integral, contour_bulk_resonant,
                        offres_bulk_by_ring, offres_bulk_oracle, offres_edge_reordered,
                        radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays)
@@ -19,7 +20,7 @@ from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import QuadratureFailure, prefactor, resonant_pair_term
 from cplattice.model import NonPositiveLength
 
-
+RECORDED = ledger.recorded()
 ZGRID = [0.05, 0.11, 0.3, 0.7, 1.7, 4.0, 11.0, 23.0, 50.0]
 
 
@@ -318,6 +319,23 @@ def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair)
     assert b.orientation_label() == pair
     with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z=0.3, mu=0.6 \\({pair}"):
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
+
+
+# The term battery of tests/ledger.json: (pair of PAIRS, kind, z, bulk, edge,
+# vertex) as float.hex at mu = 0.5, rho = 1e-6 and a = 0.01; z = 25 is the
+# zz bulk on the rotated path
+PINNED_TERMS = [(pair, kind, z, *(RECORDED[f"{term} {pair} {kind} mu=0.5 a=0.01 z={z!r}"]
+                                  for term in ("bulk_term", "edge_term", "vertex_term")))
+                for pair in PAIRS for kind in ledger.KINDS for z in ledger.BATTERY_HEIGHTS]
+
+
+@pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
+def test_terms_bit_exact(backend, label, kind, z, bulk, edge, vertex):
+    test, array = PAIRS[label]
+    b = mk(z=z, test=test, array=array)
+    assert b.orientation_label() == label.partition("_")[0]
+    assert (bulk_term(b, kind).hex(), edge_term(b, kind).hex(),
+            vertex_term(b, kind).hex()) == (bulk, edge, vertex)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
