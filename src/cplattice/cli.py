@@ -309,13 +309,13 @@ def cmd_fit(csv_path: str, column: str, z_min: float, z_max: float, mode: str, o
     try:
         with open(csv_path, newline="") as fh:
             reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()  # None without a header
             rows = [(reader.line_num, row) for row in reader]  # each with its last line
     except OSError as exc:
         raise _UsageError(f"cannot read {csv_path!r}: {exc}")
-    if not rows or column not in rows[0][1]:
-        raise _UsageError(f"column {column!r} not found in {csv_path!r}")
-    if "z_tilde" not in rows[0][1]:
-        raise _UsageError(f"column 'z_tilde' not found in {csv_path!r}")
+    for name in (column, "z_tilde"):
+        if name not in header:
+            raise _UsageError(f"column {name!r} not found in {csv_path!r}")
 
     def number(line, row, name):
         try:

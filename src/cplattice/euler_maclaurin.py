@@ -198,9 +198,10 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     """Re int J <f(R d)>_d along the in-plane radius R, averaged over the
     unit directions d, with the kind's site term f and no prefactor, at each
     of the heights (a float64 array): one site-kernel call for all of them.
-    With ``axes``, a name for each direction, each direction is integrated
-    on its own instead. Returns the checked values, (heights, outputs):
-    one output, or one per direction with ``axes``.
+    The edge integrates each direction on its own instead and gives
+    ``axes``, a name for each direction. Returns the checked values,
+    (heights, outputs): one output for the bulk, one per direction for the
+    edge.
 
     The kind picks the path: resonant takes the rotated rule, with r = z + t
     e^{i pi/4}, R = sqrt(r^2 - z^2) and J = r for the bulk, and R = t e^{i pi/4}
@@ -218,7 +219,7 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
             sums, counts = kernels.ray_rotated(stage == "bulk", bundle.pair, directions, heights)
         else:
             sums, counts = kernels.panel_sums(_shared_sites(bundle, heights, directions),
-                                              heights, stage == "bulk", axes is not None)
+                                              heights, stage == "bulk")
     return _checked(sums, counts, heights, bundle, f"{stage} {kind}", axes)
 
 

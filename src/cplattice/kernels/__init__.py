@@ -101,7 +101,7 @@ distance table that the compiled rows gather from:
   C library's pow in places. GCC's vectorizer fuses complex products
   written out in real arithmetic even under -std=c99, so that section of
   ``_rows.c`` is compiled unvectorized;
-* ``panel_sums(f, heights, bulk, each)``: the off-resonant ray integrals
+* ``panel_sums(f, heights, bulk)``: the off-resonant ray integrals
   on the real path (``REAL_PATH``) from their site values, the same values,
   estimates and scales: the mean over the directions (np.mean's sum and
   division), the Jacobian and the pairwise panel sums.
@@ -621,29 +621,28 @@ def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray,
     return sums, counts
 
 
-def panel_sums(f: np.ndarray, heights: np.ndarray, bulk: bool,
-               each: bool) -> tuple[np.ndarray, np.ndarray]:
+def panel_sums(f: np.ndarray, heights: np.ndarray, bulk: bool) -> tuple[np.ndarray, np.ndarray]:
     """The real path's ray integrals of ``euler_maclaurin._ray_integral`` at
     each of the heights, from f (heights x rows, NODES, directions), the
     site values at the nodes z s of ``REAL_PATH`` for each direction:
     returns (sums, counts), sums (heights, outputs, 3) holding each output's
     value sum J <f> w, error estimate sum |full - nested| and scale sum
-    |full|, and counts each height's panel count, the rows. <f> is the mean
-    over all directions, one output, or with ``each`` each direction alone,
-    and J is z^2 s for the bulk and z for the edge, in NumPy's order of
-    operations (np.mean's sum and division, then the product, then the
-    pairwise panel sums). All arrays are float64. Raises ``ValueError`` for
-    other shapes."""
+    |full|, and counts each height's panel count, the rows. The bulk
+    (``bulk`` true) has one output, <f> the mean over all directions, and
+    J = z^2 s; the edge one output per direction, <f> that direction alone,
+    and J = z; as in NumPy's order of operations (np.mean's sum and
+    division, then the product, then the pairwise panel sums). All arrays
+    are float64. Raises ``ValueError`` for other shapes."""
     _, rows, nodes = _REAL_PATH_TABLE.shape
     nz = np.size(heights)
     if np.ndim(heights) != 1 or np.ndim(f) != 3 or np.shape(f)[:2] != (nz * rows, nodes):
         raise ValueError(f"need f of {nz} x {rows} rows x {nodes} nodes and directions and "
                          f"1-d heights, got {np.shape(f)} and {np.shape(heights)}")
     nd = np.shape(f)[2]
-    out = np.empty((nz, nd if each else 1, 3))
+    out = np.empty((nz, 1 if bulk else nd, 3))
     if out.size:
         f, heights = (np.ascontiguousarray(a, dtype=np.float64) for a in (f, heights))
-        _impl.panel_sums(f, nd, each, bulk, heights, nz, _REAL_PATH_TABLE, rows, out)
+        _impl.panel_sums(f, nd, bulk, heights, nz, _REAL_PATH_TABLE, rows, out)
     return out, np.full(nz, rows)
 
 

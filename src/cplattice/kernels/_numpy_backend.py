@@ -423,20 +423,20 @@ def ray_rotated(bulk, pair, dirs, nd: int, z, nz: int, rule, npowers: int, count
     return 0
 
 
-def panel_sums(f, nd: int, each: bool, bulk: bool, z, nz: int, rule, rows: int, out) -> None:
+def panel_sums(f, nd: int, bulk: bool, z, nz: int, rule, rows: int, out) -> None:
     """out (nz, outputs, 3) = the value sum J <f> w, error estimate sum
     |full - nested| and scale sum |full| of each of the nz heights z, whose
     rows panels of NODES nodes z s are consecutive rows of f (nz rows,
-    NODES, nd directions): <f> the mean over all directions, one output, or
-    with ``each`` over each direction alone, and J = z^2 s for the bulk or z
-    for the edge, with the rows' weights w and nested weights w_low. The
-    table ``rule`` (3, rows, NODES) holds s, w and w_low."""
+    NODES, nd directions): for the bulk <f> the mean over all directions,
+    one output, and J = z^2 s; for the edge <f> over each direction alone,
+    one output each, and J = z; with the rows' weights w and nested weights
+    w_low. The table ``rule`` (3, rows, NODES) holds s, w and w_low."""
     s, w, w_low = rule.reshape(3, rows, NODES)
     zr = np.repeat(z, rows)[:, None]
     jac = zr * zr * np.tile(s, (nz, 1)) if bulk else zr
     sites = f.reshape(nz * rows, NODES, nd)
-    means = [sites[..., k:k + 1].mean(axis=-1) for k in range(nd)] if each else [
-        sites.mean(axis=-1)]
+    means = [sites.mean(axis=-1)] if bulk else [
+        sites[..., k:k + 1].mean(axis=-1) for k in range(nd)]
     sums = out.reshape(nz, len(means), 3)
     for o, mean in enumerate(means):
         # np.multiply(J, mean), never J * mean: NumPy computes an operator on

@@ -924,13 +924,13 @@ long ray_rotated(int bulk, const double *pair, const double *dirs, long nd, cons
    J <f> w, the error estimate sum |full - nested| and the scale sum |full|
    over the height's panels, with the rows' weights w and nested weights
    w_low (rows x NODES): the table rule holds s, w and w_low, one after the
-   other. One output, the mean of all directions, or with each set one per
-   direction. */
-void panel_sums(const double *f, long nd, int each, int bulk, const double *z, long nz,
+   other. The bulk has one output, the mean of all directions, and the edge
+   one per direction. */
+void panel_sums(const double *f, long nd, int bulk, const double *z, long nz,
                 const double *rule, long rows, double *out)
 {
     const double *s = rule, *w = rule + rows * NODES, *w_low = rule + 2 * rows * NODES;
-    long nout = each ? nd : 1;
+    long nout = bulk ? 1 : nd;
     double full[rows], err[rows], mag[rows];
     for (long hz = 0; hz < nz; hz++)
         for (long o = 0; o < nout; o++) {
@@ -938,7 +938,7 @@ void panel_sums(const double *f, long nd, int each, int bulk, const double *z, l
                 double a[NODES], b[NODES];
                 for (int j = 0; j < NODES; j++) {
                     const double *site = f + ((hz * rows + k) * NODES + j) * nd;
-                    double mean = each ? 0.0 + site[o] : (0.0 + pairwise(site, nd)) / (double)nd;
+                    double mean = bulk ? (0.0 + pairwise(site, nd)) / (double)nd : 0.0 + site[o];
                     double jac = bulk ? z[hz] * z[hz] * s[k * NODES + j] : z[hz];
                     a[j] = jac * mean * w[k * NODES + j];
                     b[j] = jac * mean * w_low[k * NODES + j];

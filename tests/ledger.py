@@ -42,12 +42,12 @@ The inputs:
     and ``offres_sites`` at ``reference.MOMENT_RADII`` with the NumPy backend's
     ``moments`` rows there.
 
-The ledger is the one record of pinned bits: no test module keeps its own
-(``tests/test_design.py`` checks that none holds a ``float.hex`` literal or
-a hash prefix); a test that checks a pinned value case by case reads it
-with ``recorded()``. Every entry must be the same on both backends. Each entry of
-the golden file is an object, its ``value``, leaving room for more fields (a
-reference value).
+The ledger is the one record of pinned bits, and ``tests/test_ledger.py``
+its one check, one test per route group and backend: no other test module
+imports this one or holds a ``float.hex`` literal or a hash prefix
+(``tests/test_design.py``). Every entry must be the same on both backends.
+Each entry of the golden file is an object, its ``value``, leaving room for
+more fields (a reference value).
 
 Run ``python tests/ledger.py`` (with ``src`` on the path) to record the
 ledger into ``tests/ledger.json`` from both backends, with the toolchain
@@ -95,7 +95,9 @@ BATTERY_HEIGHTS = (0.01, 0.3, 5.0, 25.0, 1000.0)
 # The blocks of heights from 1e-3 to 1e4 of the rotated-path ray integrals
 RAY_BLOCKS = (1, 16, 31)
 # (a2, z2, nx) of the single rows: nx = 511..513 straddle the 512-site chunk
-# of the row pass, and row 20001 streams without a table
+# of the row pass, and row 20001 streams without a table. The row pass is
+# strict IEEE arithmetic, so a change to a site formula or to the summation
+# order shows
 ROWS = [(0.0001, 0.04, 1), (0.0001, 0.04, 2), (0.0001, 0.04, 511), (0.0001, 0.04, 512),
         (0.0001, 0.04, 513), (0.25, 1.0, 17), (4.0, 0.0001, 173), (0.01, 9.0, 2048),
         (90000.0, 1.0, 1000), (0.0025, 0.09, 1024), (0.0001, 0.09, 20001)]
@@ -306,16 +308,6 @@ def _commands() -> dict:
 def entries() -> dict:
     """The ledger's entries on the selected backend."""
     return {**_library(), **_pinned(), **_commands()}
-
-
-def expected(golden: dict) -> dict:
-    """The golden entries' values."""
-    return {k: e["value"] for k, e in golden.items()}
-
-
-def recorded() -> dict:
-    """The committed ledger's values, by entry name."""
-    return expected(json.loads(LEDGER.read_text())["entries"])
 
 
 def record() -> dict:

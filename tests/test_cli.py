@@ -104,12 +104,13 @@ def test_fit_round_trip_bit_exact(tmp_path):
     assert float(printed["r_squared"]) == rep.r_squared
 
 
-def test_fit_missing_column_and_file():
+def test_fit_missing_column_and_file(tmp_path):
     assert run_cli(["fit", "/nonexistent.csv", "--column", "x",
                     "--z-min", "0.1", "--z-max", "1"]).returncode == cli.EXIT_USAGE
-    proc = run_cli(["fit", __file__, "--column", "nope",
-                    "--z-min", "0.1", "--z-max", "1"])
-    assert proc.returncode == cli.EXIT_USAGE
+    (tmp_path / "empty.csv").write_text("")  # no header
+    for path in (__file__, str(tmp_path / "empty.csv")):
+        proc = run_cli(["fit", path, "--column", "nope", "--z-min", "0.1", "--z-max", "1"])
+        assert proc.returncode == cli.EXIT_USAGE and "column 'nope' not found" in proc.stderr
 
 
 def test_fit_without_a_z_tilde_column_exits_usage(tmp_path):
@@ -124,15 +125,18 @@ def test_fit_without_a_z_tilde_column_exits_usage(tmp_path):
 @pytest.mark.parametrize("cells,code,message", [
     # the column that a sweep leaves empty above its site budget
     ([""] * 6, cli.EXIT_NUMERICAL, "0 points in window, need >= 5"),
+    # the header alone, whose column is there
+    ([], cli.EXIT_NUMERICAL, "0 points in window, need >= 5"),
     (["1", "2", "abc", "4", "5", "6"], cli.EXIT_USAGE,
      "{path}:4: bad value for offresonant_direct: could not convert string to float: 'abc'"),
     (["1", "2", "3", "inf", "5", "6"], cli.EXIT_NUMERICAL,
      "log z or log |value| not finite at z=0.4 inside fit window"),
     (["1", "nan", "3", "4", "5", "6"], cli.EXIT_NUMERICAL,
      "log z or log |value| not finite at z=0.2 inside fit window"),
-], ids=["empty", "not_a_number", "inf", "nan"])
+], ids=["empty", "no_rows", "not_a_number", "inf", "nan"])
 def test_fit_of_a_column_it_cannot_fit_exits_with_one_error_line(tmp_path, cells, code, message):
-    # these ended in a traceback, or printed slope=nan and exited 0
+    # these ended in a traceback, printed slope=nan and exited 0, or (no
+    # rows) reported the column missing
     data = tmp_path / "s.csv"
     data.write_text("z_tilde,offresonant_direct\n" + "".join(
         f"{z},{v}\n" for z, v in zip((0.1, 0.2, 0.3, 0.4, 0.5, 0.6), cells)))

@@ -9,7 +9,8 @@ and the site kernels run in it, so a value that is not finite is reported
 once, with no NumPy warning first; every top-level name is read in the
 package or exported; only ``kernels.backend`` and ``backend_name`` know
 which backend is in place; no test module imports another; and none pins
-bits by hand, which is the ledger's one record.
+bits by hand, which is the ledger's one record, or reads the ledger but
+``test_ledger.py``, its one check.
 """
 import ast
 import inspect
@@ -285,6 +286,15 @@ def test_no_test_module_imports_another():
     found = [f"{path.name}:{node.lineno}" for path, tree in TESTS.items()
              for node in ast.walk(tree)
              if any(name.partition(".")[0] in local - HELPERS for name in _imported(node))]
+    assert found == []
+
+
+def test_only_the_ledger_test_imports_the_ledger():
+    # test_ledger.py checks each pinned bit once, in its route group: a test
+    # module that read the ledger could check its values case by case again
+    found = [f"{path.name}:{node.lineno}" for path, tree in TESTS.items()
+             if path.name != "test_ledger.py" for node in ast.walk(tree)
+             if "ledger" in (name.partition(".")[0] for name in _imported(node))]
     assert found == []
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import ledger
 from reference import (PAIRS, RAY_PAIRS, axis_integral, bulk_integral, contour_bulk_resonant,
                        offres_bulk_by_ring, offres_bulk_oracle, offres_edge_reordered,
                        radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays)
@@ -20,7 +19,6 @@ from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import QuadratureFailure, prefactor, resonant_pair_term
 from cplattice.model import NonPositiveLength
 
-RECORDED = ledger.recorded()
 ZGRID = [0.05, 0.11, 0.3, 0.7, 1.7, 4.0, 11.0, 23.0, 50.0]
 
 
@@ -321,23 +319,6 @@ def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair)
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
 
 
-# The term battery of tests/ledger.json: (pair of PAIRS, kind, z, bulk, edge,
-# vertex) as float.hex at mu = 0.5, rho = 1e-6 and a = 0.01; z = 25 is the
-# zz bulk on the rotated path
-PINNED_TERMS = [(pair, kind, z, *(RECORDED[f"{term} {pair} {kind} mu=0.5 a=0.01 z={z!r}"]
-                                  for term in ("bulk_term", "edge_term", "vertex_term")))
-                for pair in PAIRS for kind in ledger.KINDS for z in ledger.BATTERY_HEIGHTS]
-
-
-@pytest.mark.parametrize("label,kind,z,bulk,edge,vertex", PINNED_TERMS)
-def test_terms_bit_exact(backend, label, kind, z, bulk, edge, vertex):
-    test, array = PAIRS[label]
-    b = mk(z=z, test=test, array=array)
-    assert b.orientation_label() == label.partition("_")[0]
-    assert (bulk_term(b, kind).hex(), edge_term(b, kind).hex(),
-            vertex_term(b, kind).hex()) == (bulk, edge, vertex)
-
-
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 65])
 @pytest.mark.parametrize("kind", ["resonant", "off_resonant"])
 @pytest.mark.parametrize("pair", list(PAIRS))
@@ -510,30 +491,30 @@ def test_height_without_a_rotated_rule_fails_by_name(backend):
 def test_real_panel_sums_equal_numpy_sums_per_height(backend, nz):
     # the oracle: the mean over the directions and the Jacobian as NumPy
     # takes them, the rule tiled over the heights, NumPy's row sums, and each
-    # height summed over its own panels; one direction (zz), the five of the
-    # ring, and two axes each on its own
+    # height summed over its own panels; the cases the library makes: the
+    # bulk's mean of one direction (zz) or of the five of the ring, and the
+    # edge's one axis or two, each on its own
     S, S_W, S_W_LOW = kernels.REAL_PATH
     rows = len(S)
     rng = np.random.default_rng(nz)
     heights = np.exp(rng.uniform(-5.0, 5.0, nz))
     z = np.repeat(heights, rows)[:, None]
     w, w_low = (np.tile(rule, (nz, 1)) for rule in (S_W, S_W_LOW))
-    for nd, each in ((1, False), (5, False), (2, True)):
+    for nd, bulk in ((1, True), (5, True), (1, False), (2, False)):
         f = rng.normal(size=(nz * rows, 25, nd)) * np.exp(
             rng.uniform(-30.0, 30.0, size=(nz * rows, 1, 1)))
-        means = [f[..., k:k + 1].mean(axis=-1) for k in range(nd)] if each else [f.mean(axis=-1)]
-        for bulk in (True, False):
-            jac = z * z * np.tile(S, (nz, 1)) if bulk else z
-            want = []
-            for k in range(0, nz * rows, rows):
-                for mean in means:
-                    g = np.multiply(jac, mean)
-                    full = np.sum(g * w, axis=1)[k:k + rows]
-                    err = np.abs(full - np.sum(g * w_low, axis=1)[k:k + rows])
-                    want.append([full.sum(), err.sum(), np.abs(full).sum()])
-            got, counts = kernels.panel_sums(f, heights, bulk, each)
-            assert got.shape == (nz, len(means), 3) and counts.tolist() == [rows] * nz
-            assert got.tobytes() == np.array(want).reshape(got.shape).tobytes(), (nd, bulk)
+        means = [f.mean(axis=-1)] if bulk else [f[..., k:k + 1].mean(axis=-1) for k in range(nd)]
+        jac = z * z * np.tile(S, (nz, 1)) if bulk else z
+        want = []
+        for k in range(0, nz * rows, rows):
+            for mean in means:
+                g = np.multiply(jac, mean)
+                full = np.sum(g * w, axis=1)[k:k + rows]
+                err = np.abs(full - np.sum(g * w_low, axis=1)[k:k + rows])
+                want.append([full.sum(), err.sum(), np.abs(full).sum()])
+        got, counts = kernels.panel_sums(f, heights, bulk)
+        assert got.shape == (nz, len(means), 3) and counts.tolist() == [rows] * nz
+        assert got.tobytes() == np.array(want).reshape(got.shape).tobytes(), (nd, bulk)
 
 
 def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
@@ -547,7 +528,7 @@ def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
         with pytest.raises(ValueError, match=message):
             kernels.ray_rotated(*args)
     with pytest.raises(ValueError, match="need f of 2 x 7 rows x 25"):
-        kernels.panel_sums(np.ones((7, 25, 1)), np.ones(2), True, False)
+        kernels.panel_sums(np.ones((7, 25, 1)), np.ones(2), True)
 
 
 def _term_or_failure(term, b):

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import roots_laguerre, sici
 
-import ledger
 from reference import LAGUERRE, S3, bundle, former_offresonant_sites, phi_laguerre
 
 from cplattice import greens, kernels, lattice_sum
@@ -206,23 +205,6 @@ def test_compiled_rows_match_the_weighted_site_sums(lib, log_a2, log_z2, nx):
     for zx, magnitude in ((False, mzz), (True, mzx)):
         assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
             _dot_row(zx, a2, z2, nx), rel=5e-12, abs=1e-13 * magnitude)
-
-
-# (a2, z2, nx, res_row(0, ...), res_row(1, ...)), the rows of tests/ledger.json
-# as float.hex. The row pass is strict IEEE arithmetic (no FMA contraction,
-# correctly rounded sqrt, the reduced sin/cos: every largest phase here is
-# below 1e6), so any change to a site formula or to the summation order
-# shows; only the two endpoint terms call libm
-RECORDED = ledger.recorded()
-PINNED_ROWS = [(a2, z2, nx, *(RECORDED[f"res_row {o} a2={a2!r} z2={z2!r} nx={nx}"]
-                              for o in ("zz", "zx")))
-               for a2, z2, nx in ledger.ROWS]
-
-
-@pytest.mark.parametrize("a2,z2,nx,zz,zx", PINNED_ROWS)
-def test_compiled_rows_bit_exact(lib, a2, z2, nx, zz, zx):
-    assert lib.res_row(0, a2, z2, nx).hex() == zz
-    assert lib.res_row(1, a2, z2, nx).hex() == zx
 
 
 def _row_paths():

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ledger
 import reference
 from reference import (EXTREME_HEIGHTS, PAIRS, STRATA_PAIRS, UNIT_VECTORS, S3, ZY,
                        naive_offresonant, naive_resonant, per_row_custom, public_calls)
@@ -350,23 +349,6 @@ def test_split_rows_keep_the_former_ranges(threads, M):
             raise AssertionError("one thread built the cost of its rows")
 
         assert _split_rows(2 * M + 1, threads, no_cost) == [(0, 2 * M + 1)]
-
-
-# (pair, M, a, z, resonant sum) as float.hex at mu = 0.6, the custom direct
-# sums of tests/ledger.json
-RECORDED = ledger.recorded()
-PINNED_CUSTOM_SUMS = [
-    (pair, M, a, z, RECORDED[f"sum_lattice {pair} M={M} resonant a={a!r} z={z!r} threads=1"])
-    for pair, M, a, z in ledger.CUSTOM_SUMS]
-
-
-@pytest.mark.parametrize("pair,M,a,z,want", PINNED_CUSTOM_SUMS)
-def test_custom_sums_bit_exact(monkeypatch, pair, M, a, z, want):
-    monkeypatch.setattr(lattice_sum, "usable_cpus", lambda: 3)  # keep the 3-way split
-    test, array = _CUSTOM_PAIRS[pair]
-    b = mk(mu=0.6, a=a, M=M, z=z, test=test, array=array)
-    for threads in (1, 3):
-        assert sum_lattice(b, "resonant", threads=threads).resonant.hex() == want
 
 
 @pytest.mark.parametrize("cap", [1, 50, 1 << 14])
