@@ -27,7 +27,7 @@ import numpy as np
 
 from .euler_maclaurin import bulk_term
 from .lattice_sum import finite, heights_array, per_height
-from .model import ValidatedBundle, validate
+from .model import ORIENTATIONS, ValidatedBundle, validate
 
 Kind = Literal["resonant", "off_resonant"]
 Orientation = Literal["zz", "zx"]
@@ -116,7 +116,7 @@ def full_closed_form(orientation: Orientation, bundle: ValidatedBundle) -> float
     """Exact resonant bulk of a zz or zx bundle, valid across both
     retardation regimes: ``bulk_term(bundle, "resonant")``."""
     bundle = validate(bundle)
-    if orientation not in ("zz", "zx") or orientation != bundle.orientation_label():
+    if orientation not in ORIENTATIONS or orientation != bundle.orientation_label():
         raise ValueError(f"orientation {orientation!r} does not match the bundle's "
                          f"{bundle.orientation_label()!r}")
     return bulk_term(bundle, "resonant")

@@ -19,7 +19,10 @@ the blocks before the failing one (none when the first block fails). With
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure
 (quadrature, site budget, or out of memory), 3 verification failure, 141
 stdout closed before the output was written (as a shell reports a program
-that SIGPIPE ends; nothing is printed).
+that SIGPIPE ends; nothing is printed). Exits 1 and 2 write one ``error:``
+line on stderr, after a sweep's ``note:`` lines if any. Usage errors include
+a count below 1, a NaN site budget (``inf`` is no limit) and a fit window
+without z_min < z_max, each found before any output.
 """
 from __future__ import annotations
 
@@ -108,6 +111,9 @@ def load_config(path: str | None, overrides: dict) -> Config:
     for key in ("threads", "points_per_decade"):
         if getattr(cfg, key) < 1:
             raise _UsageError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    for key in ("site_budget", "offres_site_budget"):  # inf means no limit
+        if math.isnan(getattr(cfg, key)):
+            raise _UsageError(f"{key} must be a number or inf, got nan")
     return cfg
 
 
@@ -306,6 +312,8 @@ def cmd_verify_diagrams(out) -> int:
 # fit
 
 def cmd_fit(csv_path: str, column: str, z_min: float, z_max: float, mode: str, out) -> int:
+    if not z_min < z_max:  # NaN included
+        raise _UsageError(f"need z_min < z_max, got {z_min!r} and {z_max!r}")
     try:
         with open(csv_path, newline="") as fh:
             reader = csv.DictReader(fh)

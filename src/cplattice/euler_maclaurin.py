@@ -96,7 +96,7 @@ from . import kernels, specfun
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .lattice_sum import failure, heights_array, per_height, prefactor, quiet_nonfinite, site_term
-from .model import ValidatedBundle, validate
+from .model import ORIENTATIONS, ValidatedBundle, validate
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     label = bundle.orientation_label()
     z = heights_array(bundle, heights)
     values = np.empty(z.size)
-    if kind == "resonant" and label in ("zz", "zx"):
+    if kind == "resonant" and label in ORIENTATIONS:
         closed = z <= _ZZ_CLOSED_FORM_MAX_Z if label == "zz" else np.ones(z.size, dtype=bool)
         values[closed] = [_closed_form(bundle, pref, label, h) for h in z[closed].tolist()]
     else:
@@ -295,7 +295,7 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
     pref = prefactor(bundle, kind)
     label = bundle.orientation_label()
     z = heights_array(bundle, heights)
-    axes = "x" if label in ("zz", "zx") else "xy"
+    axes = "x" if label in ORIENTATIONS else "xy"
     integrals = _ray_integral(bundle, kind, "edge", _AXES[:len(axes)], z, axes)
     ax = integrals[:, 0]
     ay = ax if label == "zz" else 0.0 if label == "zx" else integrals[:, 1]

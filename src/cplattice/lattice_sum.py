@@ -112,7 +112,7 @@ import numpy as np
 from . import kernels
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
-from .model import ValidatedBundle, check_length, validate
+from .model import ORIENTATIONS, ValidatedBundle, check_length, validate
 
 
 quad = None  # nothing calls it: only perfbench/tracer.py's plain getattr reads the name
@@ -314,7 +314,7 @@ def check_octant_memory(bundle: ValidatedBundle, kind: str) -> None:
     not fit in :func:`memory_limit`, before any of them is allocated: the
     distance table takes 8 + 4 bytes a site (a distance, at most one a site,
     and the site's index into them) and the orbit weights 8."""
-    if kind != "off_resonant" or bundle.orientation_label() not in ("zz", "zx"):
+    if kind != "off_resonant" or bundle.orientation_label() not in ORIENTATIONS:
         return
     M = bundle.half_extent
     sites = kernels.range_sites(0, M + 1)
@@ -449,7 +449,7 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads=Non
     pref = prefactor(bundle, kind)
     check_octant_memory(bundle, kind)
     z = heights_array(bundle, heights)
-    octant = bundle.orientation_label() in ("zz", "zx")
+    octant = bundle.orientation_label() in ORIENTATIONS
     with quiet_nonfinite():
         if kind == "resonant":
             if threads is None:

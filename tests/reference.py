@@ -29,7 +29,7 @@ from scipy.integrate import quad
 from scipy.special import expn, sici
 
 from cplattice import kernels
-from cplattice.asymptotics import all_regimes, asymptotic_shift, full_closed_form
+from cplattice.asymptotics import Regime, all_regimes, asymptotic_shift, full_closed_form
 from cplattice.euler_maclaurin import (_AXES, _RING, _ray_integral, bulk_term, decompose,
                                        edge_term, vertex_term)
 from cplattice.greens import green_dyadic, resonant_sites, scalar_coefficients, site_projections
@@ -98,6 +98,18 @@ def public_calls(b):
                functools.partial(asymptotic_shift, regime, b))
     if label != "custom":
         yield f"full_closed_form {label}", functools.partial(full_closed_form, label, b)
+
+
+# Every public route that takes ``heights=``, as a call of (bundle, kind,
+# heights): the direct sum's field of that kind, and the asymptote of the
+# bundle's dense non-retarded regime of that kind
+HEIGHT_ROUTES = {
+    "sum_lattice": lambda b, kind, heights: getattr(sum_lattice(b, kind, heights=heights), kind),
+    "bulk_term": bulk_term, "edge_term": edge_term, "vertex_term": vertex_term,
+    "decompose": decompose,
+    "asymptotic_shift": lambda b, kind, heights: asymptotic_shift(
+        Regime(kind, b.orientation_label(), "non_retarded", "dense"), b, heights),
+}
 
 
 def readme_commands():

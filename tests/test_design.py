@@ -10,12 +10,16 @@ once, with no NumPy warning first; every top-level name is read in the
 package or exported; only ``kernels.backend`` and ``backend_name`` know
 which backend is in place; no test module imports another; and none pins
 bits by hand, which is the ledger's one record, or reads the ledger but
-``test_ledger.py``, its one check.
+``test_ledger.py``, its one check; and every public route that takes
+``heights=`` is in ``reference.HEIGHT_ROUTES``, the table of the battery of
+that contract.
 """
 import ast
 import inspect
 import re
 from pathlib import Path
+
+from reference import HEIGHT_ROUTES
 
 import cplattice
 from cplattice import kernels
@@ -305,3 +309,11 @@ def test_no_test_module_pins_bits_by_hand():
              for n, line in enumerate(path.read_text().splitlines(), 1)
              if PINNED_BITS.search(line)]
     assert found == []
+
+
+def test_every_public_route_with_heights_is_in_the_heights_battery():
+    # test_euler_maclaurin's battery checks the heights= contract of each
+    # route of HEIGHT_ROUTES: a new route that takes heights must join it
+    takes = {name for name in cplattice.__all__ if inspect.isfunction(getattr(cplattice, name))
+             and "heights" in inspect.signature(getattr(cplattice, name)).parameters}
+    assert takes == set(HEIGHT_ROUTES)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import (PAIRS, RAY_PAIRS, axis_integral, bulk_integral, contour_bulk_resonant,
-                       offres_bulk_by_ring, offres_bulk_oracle, offres_edge_reordered,
-                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays)
+from reference import (HEIGHT_ROUTES, PAIRS, RAY_PAIRS, axis_integral, bulk_integral,
+                       contour_bulk_resonant, offres_bulk_by_ring, offres_bulk_oracle,
+                       offres_edge_reordered, radial_kernel_zx, radial_kernel_zz,
+                       radial_kernels_by_quad, rays)
 from reference import bundle as mk
 
 from cplattice import euler_maclaurin, kernels, lattice_sum
@@ -573,28 +574,27 @@ def test_closed_form_bulk_fails_where_it_is_not_finite(backend, array, z):
         bulk_term(b, "resonant", [0.3, z, 1e-300])
 
 
-@pytest.mark.parametrize("pair", ["zz", "zx", "custom_a"])
-def test_no_heights_give_empty_terms(backend, pair):
-    # every term of either kind returns an empty array for an empty array of
-    # heights, as the direct sum does, and decompose an empty list
+@pytest.mark.parametrize("route,pair", [(route, pair) for route in HEIGHT_ROUTES
+                                         for pair in ("zz", "zx", "custom_a")
+                                         if (route, pair) != ("asymptotic_shift", "custom_a")])
+def test_every_route_keeps_the_heights_contract(backend, route, pair):
+    # no heights give an empty array (decompose an empty list), a bad height
+    # is rejected as the bundle's height is, and so is a kind other than
+    # the two; a custom pair has no asymptote
+    call = HEIGHT_ROUTES[route]
     test, array = PAIRS[pair]
     b = mk(mu=0.6, a=0.05, M=3, z=0.3, test=test, array=array)
     for kind in ("resonant", "off_resonant"):
-        for term in (bulk_term, edge_term, vertex_term):
-            got = term(b, kind, heights=[])
-            assert got.dtype == np.float64 and got.shape == (0,), (term.__name__, kind)
-        assert decompose(b, kind, heights=[]) == []
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-def test_heights_checked_like_the_bundle_height(bad):
-    with pytest.raises(NonPositiveLength, match="z_tilde must be > 0 and finite"):
-        edge_term(mk(), "off_resonant", [0.1, bad])
-
-
-@pytest.mark.parametrize("fn", [lattice_sum.sum_lattice, bulk_term, edge_term, vertex_term,
-                                decompose])
-def test_unknown_kind_rejected_with_one_message(fn):
-    with pytest.raises(ValueError) as exc:
-        fn(mk(), "both")
-    assert str(exc.value) == "kind must be 'resonant' or 'off_resonant', got 'both'"
+        got = call(b, kind, [])
+        if route == "decompose":
+            assert got == []
+        else:
+            assert got.dtype == np.float64 and got.shape == (0,), kind
+        # 2**512 and above: the square of a height overflows
+        for bad in (0.0, -1.0, math.inf, math.nan, 2.0 ** 512, 1e200):
+            with pytest.raises(NonPositiveLength, match="z_tilde must be > 0 and finite"):
+                call(b, kind, [0.1, bad])
+    if route != "asymptotic_shift":  # whose kind is its Regime's, checked there
+        with pytest.raises(ValueError) as exc:
+            call(b, "both", None)
+        assert str(exc.value) == "kind must be 'resonant' or 'off_resonant', got 'both'"
