@@ -416,7 +416,9 @@ def _command_of(argv) -> str | None:
 
 def _write_replacing(path: str, write) -> int:
     """Run ``write(fh)`` on a temporary file beside ``path`` and move it onto
-    ``path`` only when it returns, so a failure leaves ``path`` untouched.
+    ``path`` only when it returns, so a failure leaves ``path`` untouched. A
+    path that cannot be opened, or a write, close or move that fails (a
+    full disk, /dev/full), is a usage error that names it.
 
     A path that exists and is not a regular file (a FIFO, a character device
     such as /dev/null) is written directly and gets no atomic replace: a
@@ -427,15 +429,13 @@ def _write_replacing(path: str, write) -> int:
         special = False
     tmp = None if special else f"{path}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp or path, "x" if tmp else "w", newline="")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
-    try:
-        with fh:
+        with open(tmp or path, "x" if tmp else "w", newline="") as fh:
             rc = write(fh)
         if tmp:
             os.replace(tmp, path)
         return rc
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc
     finally:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)

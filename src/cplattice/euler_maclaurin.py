@@ -109,8 +109,10 @@ class ShiftBreakdown:
     total: float
 
 
-def bracket_zz(z: float) -> float:
-    ci = specfun.cosine_integral(2.0 * z)
+def bracket_zz(z: float, ci: float | None = None) -> float:
+    """Bzz(z), with ci = Ci(2z) where the caller has it."""
+    if ci is None:
+        ci = specfun.cosine_integral(2.0 * z)
     return (-8.0 * ci * z ** 4 + math.cos(2.0 * z) * (3.0 - 2.0 * z * z)
             + 2.0 * z * (3.0 + 2.0 * z * z) * math.sin(2.0 * z))
 
@@ -230,16 +232,17 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
 _ZZ_CLOSED_FORM_MAX_Z = 20.0
 
 
-def _closed_form(bundle: ValidatedBundle, pref: float, label: str, z: float) -> float:
+def _closed_form(bundle: ValidatedBundle, pref: float, label: str, z: float,
+                 ci: float | None) -> float:
     """The closed-form resonant bulk of a zz or zx pair at the height z, with
-    the prefactor pref. Raises QuadratureFailure, naming the stage, kind,
-    height and mu as a ray integral does, where the value is not finite: at
-    a = 0.01 it overflows below z ~ 1e-78 (z^4 nears the subnormals), and
-    z^4 itself overflows above ~1e77."""
+    the prefactor pref and, for zz, ci = Ci(2z). Raises QuadratureFailure,
+    naming the stage, kind, height and mu as a ray integral does, where the
+    value is not finite: at a = 0.01 it overflows below z ~ 1e-78 (z^4 nears
+    the subnormals), and z^4 itself overflows above ~1e77."""
     a2 = bundle.a_tilde ** 2
     try:
         if label == "zz":
-            v = pref * 2.0 * math.pi * bracket_zz(z) / (8.0 * a2 * z ** 4)
+            v = pref * 2.0 * math.pi * bracket_zz(z, ci) / (8.0 * a2 * z ** 4)
         else:
             v = pref * math.pi * bracket_zx(z) / (8.0 * a2 * z ** 4)
     except (ZeroDivisionError, OverflowError):
@@ -264,7 +267,10 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     values = np.empty(z.size)
     if kind == "resonant" and label in ORIENTATIONS:
         closed = z <= _ZZ_CLOSED_FORM_MAX_Z if label == "zz" else np.ones(z.size, dtype=bool)
-        values[closed] = [_closed_form(bundle, pref, label, h) for h in z[closed].tolist()]
+        # one kernels.sici call for every zz height: Ci is elementwise
+        ci = kernels.sici(2.0 * z[closed])[1].tolist() if label == "zz" else [None] * z.size
+        values[closed] = [_closed_form(bundle, pref, label, h, c)
+                          for h, c in zip(z[closed].tolist(), ci)]
     else:
         closed = np.zeros(z.size, dtype=bool)
     if not closed.all():

@@ -20,8 +20,8 @@ module (at import or by ``backend("numpy")``) imports it: no compiled run does.
 
 Arrays cross into C one way. Each export is declared from its prototype in
 ``_rows.c`` (:func:`load_library`), and every array parameter as one of
-three checked ctypes types, ``F64``, ``I32`` and ``I64``, which take a
-C-contiguous ndarray of their dtype and pass the address of its first
+four checked ctypes types, ``F64``, ``I32``, ``I64`` and ``U16``, which take
+a C-contiguous ndarray of their dtype and pass the address of its first
 element, and reject anything else with ``ctypes.ArgumentError`` before the
 C code runs. The NumPy backend takes each export's arguments, with the
 arrays where C takes pointers, and runs its algorithm, so each wrapper
@@ -41,21 +41,20 @@ distance table that the compiled rows gather from:
   lock. For ranges of more than ``TABLE_SITE_CAP`` sites, or of fewer
   than the 64-bit words of the compiled table builder's bitmap (a thin
   range far out, such as one row past 64), the backend's ``res_rows(zx,
-  a2, z2, nz, lo, hi, out)`` streams, evaluating every site. Otherwise the
-  backend's ``table_rows`` reads the range's
-  :func:`distance_table` and, height by height into one values buffer,
-  evaluates the site term once per distinct distance and gathers each row
-  from those values in the streaming row's order (in C eight rows side by
-  side), so the rows are the same bits. A height whose rows' largest phase
-  reaches the fast sin/cos bound streams inside that call. The NumPy
-  backend ports both passes, so either backend gives the same bits;
+  a2, z2, nz, lo, hi, out)`` streams, evaluating every site. Otherwise its
+  ``table_rows`` reads the range's :func:`distance_table` and, height by
+  height into one values buffer, evaluates the site term once per distinct
+  distance and gathers each row from those values in the streaming row's
+  order (in C eight rows side by side), so the rows are the same bits. A
+  height whose rows' largest phase reaches the fast sin/cos bound streams
+  inside that call. The NumPy backend ports both passes;
 * ``distance_table(lo, hi)``: the distinct nx^2 + j^2 of the octant sites
-  of those rows and each site's index into them, shared by the resonant
-  rows above and the direct off-resonant octant sum. The compiled builder
-  marks the distances in a bitmap and ranks them by word counts; the NumPy
-  one calls ``np.unique``. Tables of up to ``TABLE_SITE_CAP`` sites in all
-  are kept for the process (4 bytes a site and 8 a distance: 1.1 MB at
-  M = 500);
+  of those rows and each site's rank step, from which :func:`table_ranks`
+  gives its index into them, shared by the resonant rows above and the
+  direct off-resonant octant sum. The compiled builder marks the distances
+  in a bitmap and ranks them by word counts; the NumPy one calls
+  ``np.unique``. Tables of up to ``TABLE_SITE_CAP`` sites in all are kept
+  for the process (2 bytes a site and 4 a distance: 0.57 MB at M = 500);
 * ``sici(x)``: Si(x) and Ci(x), the bits of ``scipy.special.sici`` on
   either backend: the compiled one ports SciPy's algorithm (cephes sici),
   and the NumPy one calls SciPy, importing ``scipy.special`` on its first
@@ -63,14 +62,13 @@ distance table that the compiled rows gather from:
 * ``offres_sites(r, dot, pp, mu)``: the off-resonant site integrals, one
   backend call per buffer of ``SITE_CHUNK`` sites (:func:`_offres_chunks`).
   NumPy computes r^6 (``np.power``, whose bits the C library's pow does not
-  share). The backend does everything else: Si and Ci of 2y below
-  ``PHI_SWITCH`` (its ``sici``), sin and cos of 2y (the C library's in C;
-  np.sin and np.cos, which call them on float64, in NumPy) and, with IEEE
-  +, -, * and /, the closed-form Phi_k, the Gauss-Laguerre branch
-  (``phi_laguerre``, eight radii side by side in C, each in the NumPy one's
-  order of operations), the partial-fraction moments, the h(u)^2 coefficients, the
-  5-term contraction (in the one order both backends spell out) and the
-  division by r^6, so both give the same bits;
+  share). The backend does everything else, with the same bits: Si and Ci
+  of 2y below ``PHI_SWITCH`` (its ``sici``), sin and cos of 2y (the C
+  library's, which np.sin and np.cos call on float64) and, with IEEE +, -,
+  * and /, the closed-form Phi_k, the Gauss-Laguerre branch
+  (``phi_laguerre``, eight radii side by side in C), the partial-fraction
+  moments, the h(u)^2 coefficients, the 5-term contraction and the
+  division by r^6, each in the NumPy backend's order of operations;
 * ``res_points(pair, u, v, heights, sums)`` and ``offres_points(pair, u, v,
   heights, mu)``: the resonant and off-resonant site terms of a dipole pair
   (``bundle.pair``: e0, en and e0.en) over a real-axis site set, the sites
@@ -81,7 +79,7 @@ distance table that the compiled rows gather from:
   passes take each site from its position on in ``greens.site_projections``'
   and the site kernels' order of operations, with the C library's sin and
   cos of 2r; the NumPy backend calls those functions. The off-resonant pass
-  fills the buffers of ``offres_sites`` and shares the rest of its path;
+  fills the buffers of ``offres_sites``;
 * ``exact_sum(parts)``: math.fsum of every value of a sequence of arrays,
   in order, on either backend, and NaN where math.fsum raises: the exact
   reduction that makes each direct sum the same bits for any worker count;
@@ -90,17 +88,10 @@ distance table that the compiled rows gather from:
   rotated paths, whole, for every height in one call: each height's rule
   from ``ROTATED_RULE``, the site term, the azimuth mean, the Jacobian and
   each height's value, error estimate and scale. The NumPy backend takes
-  these steps as NumPy array operations, and the compiled one takes each of
-  them in C with the same bits: csqrt and cexp
-  are glibc's, which np.sqrt and np.exp call on complex128; a product of
-  complex arrays is NumPy's SIMD fmaddsub, so the C product writes out its
-  two fmas; r^6 is NumPy's binary powering with the plain product; a
-  quotient is NumPy's Smith division, and np.abs its modulus larger *
-  sqrt(fma(ratio, ratio, 1)); the sums are NumPy's pairwise summation; and
-  the powers of 1.4 come in as a NumPy table, whose entries differ from the
-  C library's pow in places. GCC's vectorizer fuses complex products
-  written out in real arithmetic even under -std=c99, so that section of
-  ``_rows.c`` is compiled unvectorized;
+  these steps as NumPy array operations, and the compiled one each of them
+  in C with the same bits (glibc's csqrt and cexp, NumPy's complex product,
+  powering, division, modulus and pairwise sums, and the powers of 1.4 as
+  a NumPy table; see that section of ``_rows.c``, compiled unvectorized);
 * ``panel_sums(f, heights, bulk)``: the off-resonant ray integrals
   on the real path (``REAL_PATH``) from their site values, the same values,
   estimates and scales: the mean over the directions (np.mean's sum and
@@ -175,13 +166,13 @@ def _array(dtype):
 
 
 # The array parameters of the compiled exports
-F64, I32, I64 = _array(np.float64), _array(np.int32), _array(np.int64)
+F64, I32, I64, U16 = _array(np.float64), _array(np.int32), _array(np.int64), _array(np.uint16)
 
 # An export's prototype in _rows.c, on its own lines: the return type, the
 # name and the parameters; and the ctypes type of each C type in one
 _PROTOTYPE = re.compile(r"^(\w+) (\w+)\(([^)]*)\)$", re.M)
 _CTYPES = {"double": ctypes.c_double, "int": ctypes.c_int, "long": ctypes.c_long, "void": None,
-           "double *": F64, "int32_t *": I32, "long *": I64}
+           "double *": F64, "int32_t *": I32, "long *": I64, "uint16_t *": U16}
 
 
 def _ctype(export: str, c_type: str):
@@ -200,15 +191,12 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
 
     Each export is declared from its prototype in ``_rows.c``, the one
     statement of its signature: a line ``type name(parameters)`` at the start
-    of a line, the parameters possibly running over several. ``double``,
-    ``int`` and ``long`` become ``c_double``, ``c_int`` and ``c_long``, a
-    ``void`` return None, and the arrays ``double *``, ``int32_t *`` and
-    ``long *``, const or not, ``F64``, ``I32`` and ``I64`` (C-contiguous, of
-    that dtype, checked at each call). Any other C type raises
-    ``TypeError``, naming the export. The build
-    writes a temporary file and moves it into place, so concurrent first
-    imports are safe; a successful build then removes the libraries of other
-    keys (``_rows-*.so``) from ``directory``.
+    of a line, the parameters possibly running over several. Each C type,
+    const or not, takes its ctypes type in ``_CTYPES`` (a ``void`` return
+    None, each array its checked type); any other raises ``TypeError``,
+    naming the export. The build writes a temporary file and moves it into
+    place, so concurrent first imports are safe; a successful build then
+    removes the libraries of other keys (``_rows-*.so``) from ``directory``.
     """
     try:
         source = _SOURCE.read_bytes()
@@ -249,8 +237,9 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
 
 
 # The most octant sites whose distance tables a process keeps, all tables
-# together; a range of rows holding more sites streams (res_rows).
-TABLE_SITE_CAP = 1 << 21
+# together (a range of more streams: res_rows), and the rows nx < TABLE_ROWS
+# a table holds: its distances, to 2 nx^2, fit int32, its steps uint16.
+TABLE_SITE_CAP, TABLE_ROWS = 1 << 21, 1 << 15
 
 
 def range_sites(lo: int, hi: int) -> int:
@@ -259,36 +248,51 @@ def range_sites(lo: int, hi: int) -> int:
 
 
 def build_table(fill, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distance table of the rows lo <= nx < hi through a backend's
-    ``distance_table(lo, hi, d2, idx)``, which fills d2 with the distinct
-    nx^2 + j^2 of the rows' sites in ascending order, idx with each site's
-    index into d2, and returns the count. Returns (d2, idx) as read-only
-    float64 and int32 arrays; raises ``ValueError`` for a bad range or more
-    sites than an int32 index holds, and ``MemoryError`` when the builder
-    fails."""
+    """:func:`distance_table` of the rows lo <= nx < hi, read-only, through a
+    backend's ``distance_table(lo, hi, d2, step)``, which fills both and
+    returns the count of distances. ``ValueError`` for a bad range or hi >
+    ``TABLE_ROWS``, before allocating; ``MemoryError`` if the builder fails."""
     if not 0 <= lo <= hi:
         raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    if hi > TABLE_ROWS:
+        raise ValueError(f"a distance table holds rows nx < {TABLE_ROWS}, got hi={hi}")
     sites = range_sites(lo, hi)
-    if sites > np.iinfo(np.int32).max:
-        raise ValueError(f"{sites} octant sites exceed an int32 table index")
-    d2, idx = np.empty(sites), np.empty(sites, dtype=np.int32)
-    count = fill(lo, hi, d2, idx)
+    d2, step = np.empty(sites, dtype=np.int32), np.empty(sites, dtype=np.uint16)
+    count = fill(lo, hi, d2, step)
     if count < 0:
         raise MemoryError(f"no memory for the distance table of rows {lo}..{hi - 1}")
     d2.resize(count, refcheck=False)  # shrinks in place: no copy to page in
-    d2.flags.writeable = idx.flags.writeable = False  # cached tables are shared
-    return d2, idx
+    d2.flags.writeable = step.flags.writeable = False  # cached tables are shared
+    return d2, step
 
 
-_tables: dict = {}  # (lo, hi) -> (d2, idx), least recently used first
+def table_ranks(step, lo: int, hi: int, rows: int):
+    """Yields (b, e, ranks) for each block b <= nx < e of ``rows`` rows, in
+    order, of the distance table of rows lo <= nx < hi with the rank steps
+    ``step``: ranks (int64) the index into its d2 of each of their sites,
+    the running sum of the steps from the row before's first (0 at row lo)."""
+    head = 0
+    for b in range(lo, hi, rows):
+        e = min(b + rows, hi)
+        mask = np.arange(e) <= np.arange(b, e)[:, None]
+        grid = np.zeros(mask.shape, dtype=np.int64)
+        grid[mask] = step[range_sites(lo, b):range_sites(lo, e)]
+        grid[:, 0] = head + np.cumsum(grid[:, 0])
+        head = grid[-1, 0]
+        yield b, e, np.cumsum(grid, axis=1)[mask]
+
+
+_tables: dict = {}  # (lo, hi) -> (d2, step), least recently used first
 _tables_lock = threading.Lock()
 
 
 def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d2, idx): the distinct d2 = nx^2 + j^2 over the octant sites
-    0 <= j <= nx of the rows lo <= nx < hi in ascending order (float64), and
-    for each of those sites in ``np.tril_indices`` order the index (int32) of
-    its d2, so that ``d2[idx]`` is every site's nx^2 + j^2. Tables of up to
+    """(d2, step): the distinct d2 = nx^2 + j^2 over the octant sites
+    0 <= j <= nx of the rows lo <= nx < hi in ascending order (int32), and
+    for each of those sites in ``np.tril_indices`` order its rank step
+    (uint16): its rank less that of the site before it in its row, or at
+    j = 0 less that of the row before's first site (:func:`table_ranks`
+    decodes them). ``hi <= TABLE_ROWS``. Tables of up to
     ``TABLE_SITE_CAP`` sites are kept, least recently used dropped first,
     while all kept tables hold at most that many sites together; larger
     ones are built on every call."""
@@ -297,7 +301,7 @@ def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     with _tables_lock:
         table = _tables.pop((lo, hi), None) or build_table(_impl.distance_table, lo, hi)
         _tables[(lo, hi)] = table
-        while sum(idx.size for _, idx in _tables.values()) > TABLE_SITE_CAP:
+        while sum(step.size for _, step in _tables.values()) > TABLE_SITE_CAP:
             del _tables[next(iter(_tables))]
     return table
 
@@ -315,8 +319,8 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     # the compiled builder's bitmap spans lo^2..2(hi-1)^2: a thin range far
     # out, with fewer sites than its 64-bit words, would page in O(hi^2) scratch
     if (2 * (hi - 1) ** 2 - lo * lo) // 64 + 1 <= range_sites(lo, hi) <= TABLE_SITE_CAP:
-        d2, idx = distance_table(lo, hi)
-        _impl.table_rows(zx, a2, heights, heights.size, d2, d2.size, idx, lo, hi,
+        d2, step = distance_table(lo, hi)
+        _impl.table_rows(zx, a2, heights, heights.size, d2, d2.size, step, lo, hi,
                          np.empty(d2.size), out)
     else:
         _impl.res_rows(zx, a2, heights, heights.size, lo, hi, out)
@@ -459,11 +463,9 @@ def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
     (heights, u).
 
     The compiled pass takes every site in one call, without the interpreter
-    lock, in ``greens.site_projections``' and ``resonant_sites``' order of
-    operations, with the C library's sin and cos, and sums each row by
-    NumPy's pairwise summation; the NumPy backend takes those functions in
-    blocks of rows. Raises ``MemoryError`` when the compiled pass cannot
-    allocate its row."""
+    lock, and sums each row by NumPy's pairwise summation; the NumPy backend
+    takes blocks of rows. Raises ``MemoryError`` when the compiled pass
+    cannot allocate its row."""
     pair, u, v, z, nv = _site_set(pair, u, v, heights, False)
     out = np.empty((z.size, u.size) if sums else (z.size, u.size, nv))
     if out.size and _impl.res_points(pair, u, u.size, v, nv, z, z.size, sums, out) < 0:
@@ -477,9 +479,7 @@ def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False
     each height z, the sites (x, y) = (u_i, v_j) of :func:`res_points`, or
     with ``rays`` the sites R (v_2j, v_2j+1) with R = z u_i, the unit
     directions v along the radii z u. The backend's ``offres_points`` fills
-    the buffers of :func:`_offres_chunks` (the compiled one in
-    ``greens.site_projections``' order of operations, the NumPy one through
-    that function)."""
+    the buffers of :func:`_offres_chunks`."""
     pair, u, v, z, nv = _site_set(pair, u, v, heights, rays)
     return _offres_chunks(z.size * u.size * nv, mu, lambda k0, n, buf: _impl.offres_points(
         pair, u, u.size, v, nv, rays, z, k0, n, mu, buf))

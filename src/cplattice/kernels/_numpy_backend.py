@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from ..greens import resonant_sites, resonant_sites_complex, site_projections
-from . import NODES, RULE_HEAD, offres_fill
+from . import NODES, RULE_HEAD, offres_fill, table_ranks
 
 
 # _rows.c's sin_branchless, a Cody-Waite reduced fdlibm-style sin/cos for
@@ -173,35 +173,41 @@ def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
     return float(out[0])
 
 
-def table_rows(zx: bool, a2: float, z2, nz: int, d2, n: int, idx, lo: int, hi: int, values,
+def table_rows(zx: bool, a2: float, z2, nz: int, d2, n: int, step, lo: int, hi: int, values,
                out: np.ndarray) -> None:
     """The rows of :func:`res_rows`, bitwise, from their distance table, the n
-    distances d2 and each site's index idx of :func:`distance_table`:
+    distances d2 and the rank steps of :func:`distance_table`:
     _rows.c's table_height height by height, the site term with the
     reduced sin/cos once per distance into values (room for n; n is implied
-    by d2 here), and each row gathered through idx. A height whose last
-    row's largest phase reaches PHASE_LIMIT streams, as in C."""
+    by d2 here), and each row gathered through the ranks of
+    ``kernels.table_ranks``. A height whose last row's largest phase
+    reaches PHASE_LIMIT streams, as in C."""
     rows, passes = out.reshape(nz, hi - lo), np.empty(hi - lo)
-    below, step = lo * (lo + 1) // 2, max(1, ROW_SITES // (hi + 1))  # the sites of rows < lo
     for h, z2h in enumerate(z2.tolist()):
         if hi > lo and not fast_rows(a2, z2h, hi - 1):
             res_rows(zx, a2, z2[h:h + 1], 1, lo, hi, rows[h])
             continue
         _fill_terms(zx, d2, a2, z2h, True, values)
-        for b in range(max(lo, 1), hi, step):  # the origin row takes no pass
-            e = min(b + step, hi)
-            sites = idx[b * (b + 1) // 2 - below:e * (e + 1) // 2 - below]
-            passes[b - lo:e - lo] = _sums(b, e, values[sites])
+        for b, e, ranks in table_ranks(step, lo, hi, max(1, ROW_SITES // (hi + 1))):
+            if b == 0:  # the origin row takes no pass
+                b, ranks = 1, ranks[1:]
+            passes[b - lo:e - lo] = _sums(b, e, values[ranks])
         _totals(zx, a2, z2h, lo, hi, passes, rows[h])
 
 
-def distance_table(lo: int, hi: int, d2: np.ndarray, idx: np.ndarray) -> int:
+def distance_table(lo: int, hi: int, d2: np.ndarray, step: np.ndarray) -> int:
     """Write the distinct nx^2 + j^2 over the octant sites of the rows
-    lo <= nx < hi in ascending order into d2, and each site's index into d2
-    into idx (``np.tril_indices`` order); return the count.
-    ``kernels.build_table`` checks the range and allocates d2 and idx."""
+    lo <= nx < hi in ascending order into d2, and each site's rank step
+    (``np.tril_indices`` order) into step: its rank less that of the site
+    before it in its row, or at j = 0 less that of the row before's first
+    site (0 for row lo); return the count. ``kernels.build_table`` checks
+    the range and allocates d2 and step."""
     nx, j = _sites(lo, hi)
-    distinct, idx[:] = np.unique(nx * nx + j * j, return_inverse=True)
+    distinct, rank = np.unique(nx * nx + j * j, return_inverse=True)
+    before = np.concatenate(([0], rank[:-1]))
+    heads = j == 0
+    before[heads] = np.concatenate(([0], rank[heads]))[:-1]
+    step[:] = rank - before
     d2[:distinct.size] = distinct
     return distinct.size
 

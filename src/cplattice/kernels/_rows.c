@@ -26,11 +26,12 @@
 
    The site term depends on (nx, j) only through d2 = nx^2 + j^2, and many
    d2 occur more than once (0.63 of the octant sites at M = 500 are
-   distinct). distance_table lists the distinct d2 of a row range and each
-   site's index into them; table_rows evaluates the term once per distinct
-   d2 and height and gathers every row from those values in the same order,
-   with the same compensation and endpoint terms, so it writes the same bits
-   as res_rows. One values buffer serves all heights of a call in turn.
+   distinct). distance_table lists the distinct d2 of a row range as int32
+   and each site's rank among them as a uint16 step from the rank before;
+   table_rows evaluates the term once per distinct d2 and height and
+   gathers every row from those values in the same order, with the same
+   compensation and endpoint terms, so it writes the same bits as res_rows.
+   One values buffer serves all heights of a call in turn.
 
    sin/cos use a Cody-Waite reduced fdlibm-style kernel (1 ulp), valid for
    phases below ~1e6. Rows whose largest phase reaches that bound, and the
@@ -216,14 +217,18 @@ void res_rows(int zx, double a2, const double *z2, long nz, long lo, long hi, do
         stream_rows(zx, a2, z2[h], lo, hi, out + h * (hi - lo));
 }
 
-/* The distance table of the rows lo <= nx < hi: the distinct d2 = nx^2 + j^2
-   over their sites 0 <= j <= nx in ascending order into d2, returning their
-   count, and the index of each site's d2 into idx, the sites row by row in
-   j order (np.tril_indices order). d2 needs room for one value per site.
-   A bitmap over lo^2 <= d2 <= 2(hi-1)^2 marks the distances that occur; the
-   count of marks before each 64-bit word ranks them. Returns -1, writing
-   nothing, when the bitmap cannot be allocated. */
-long distance_table(long lo, long hi, double *d2, int32_t *idx)
+/* The distance table of the rows lo <= nx < hi, hi <= 2^15: the distinct
+   d2 = nx^2 + j^2 over their sites 0 <= j <= nx in ascending order into d2,
+   returning their count, and a rank step for each site into step, the
+   sites row by row in j order (np.tril_indices order): the rank of its d2
+   less that of the site before it in its row, or at j = 0 less that of the
+   first site of the row before (none for row lo, whose d2 = lo^2 ranks 0).
+   So d2 <= 2(hi-1)^2 < 2^31, and a step is at most 2j - 1, or 2nx - 1 at
+   j = 0, below 2^16. d2 needs room for one value per site. A bitmap over
+   lo^2 <= d2 <= 2(hi-1)^2 marks the distances that occur; the count of
+   marks before each 64-bit word ranks them. Returns -1, writing nothing,
+   when the bitmap cannot be allocated. */
+long distance_table(long lo, long hi, int32_t *d2, uint16_t *step)
 {
     if (hi <= lo)
         return 0;
@@ -244,13 +249,17 @@ long distance_table(long lo, long hi, double *d2, int32_t *idx)
     for (long w = 0; w < words; w++) {
         rank[w] = count;
         for (uint64_t b = bits[w]; b; b &= b - 1)
-            d2[count++] = (double)(base + 64 * w + __builtin_ctzll(b));
+            d2[count++] = (int32_t)(base + 64 * w + __builtin_ctzll(b));
     }
-    for (long nx = lo; nx < hi; nx++)
-        for (long j = 0; j <= nx; j++) {
+    for (long nx = lo, head = 0; nx < hi; nx++)
+        for (long j = 0, before = head; j <= nx; j++) {
             long s = nx * nx + j * j - base;
             uint64_t below = bits[s >> 6] & (((uint64_t)1 << (s & 63)) - 1);
-            *idx++ = (int32_t)(rank[s >> 6] + __builtin_popcountll(below));
+            long r = rank[s >> 6] + __builtin_popcountll(below);
+            *step++ = (uint16_t)(r - before);
+            before = r;
+            if (j == 0)
+                head = r;
         }
     free(bits);
     free(rank);
@@ -262,76 +271,99 @@ long distance_table(long lo, long hi, double *d2, int32_t *idx)
 typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
 
 /* Rows lo <= nx < hi from values[k], the fast site term at the k-th distance
-   of the rows' table, and idx, the rows' table indices. LANES consecutive
-   rows are summed side by side, one row per lane, each lane in its row's j
-   order, so every row is the Neumaier sum of row_sum. */
+   of the rows' table, and step, the rows' rank steps: a site's rank is its
+   row's running sum of them, from the rank of the row before's first site.
+   LANES consecutive rows are summed side by side, one row per lane, each
+   lane in its row's j order with its own running rank, so every row is the
+   Neumaier sum of row_sum. */
 static void gather_rows(int zx, double a2, double z2, const double *values,
-                        const int32_t *idx, long lo, long hi, double *out)
+                        const uint16_t *step, long lo, long hi, double *out)
 {
+    long head = 0; /* the rank of the first site of the row before nx */
     long nx = lo;
     for (; nx + LANES <= hi; nx += LANES) {
-        const int32_t *row[LANES];
+        const uint16_t *row[LANES];
+        long rank[LANES];
         for (int k = 0; k < LANES; k++) {
-            row[k] = idx;
-            idx += nx + k + 1;
+            row[k] = step;
+            rank[k] = head;
+            head += step[0];
+            step += nx + k + 1;
         }
         lanes acc = {0.0}, comp = {0.0};
         for (long j = 0; j <= nx; j++) {
             lanes v;
-            for (int k = 0; k < LANES; k++)
-                v[k] = values[row[k][j]];
+            for (int k = 0; k < LANES; k++) {
+                rank[k] += row[k][j];
+                v[k] = values[rank[k]];
+            }
             lanes t = acc + v, bb = t - acc;
             comp += (acc - (t - bb)) + (v - bb);
             acc = t;
         }
         for (int k = 0; k < LANES; k++) {
             double a = acc[k], c = comp[k];
-            for (long j = nx + 1; j <= nx + k; j++)
-                neumaier(&a, &c, values[row[k][j]]);
+            for (long j = nx + 1; j <= nx + k; j++) {
+                rank[k] += row[k][j];
+                neumaier(&a, &c, values[rank[k]]);
+            }
             out[nx + k - lo] = row_total(zx, a + c, a2, z2, nx + k);
         }
     }
     for (; nx < hi; nx++) {
         double acc = 0.0, comp = 0.0;
-        for (long j = 0; j <= nx; j++)
-            neumaier(&acc, &comp, values[idx[j]]);
-        idx += nx + 1;
+        long rank = head;
+        head += step[0];
+        for (long j = 0; j <= nx; j++) {
+            rank += step[j];
+            neumaier(&acc, &comp, values[rank]);
+        }
+        step += nx + 1;
         out[nx - lo] = row_total(zx, acc + comp, a2, z2, nx);
     }
 }
 
 /* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, one height,
-   bitwise, from the rows' distance table (the n distances d2 and the indices
-   idx of distance_table(lo, hi, ...)): the site term is evaluated once per
-   distance into values (room for n) and each row gathers its terms. When
+   bitwise, from the rows' distance table (the n distances d2 and the rank
+   steps of distance_table(lo, hi, ...)): the site term is evaluated once
+   per distance, converted to double exactly, into values (room for n) and
+   each row gathers its terms. When
    the last row's largest phase reaches PHASE_LIMIT the rows stream as in
    res_rows, since rows past the limit take libm and one distance could
    then carry two values. The height is a value here, not a pointer, so the
    value loops can be vectorized without an alias check against values. */
-static void table_height(int zx, double a2, double z2, const double *d2, long n,
-                         const int32_t *idx, long lo, long hi, double *values, double *out)
+static void table_height(int zx, double a2, double z2, const int32_t *d2, long n,
+                         const uint16_t *step, long lo, long hi, double *values, double *out)
 {
     if (hi > lo && !fast_row(a2, z2, hi - 1)) {
         stream_rows(zx, a2, z2, lo, hi, out);
         return;
     }
-    if (zx)
-        for (long k = 0; k < n; k++)
-            values[k] = term_zx(d2[k], a2, z2, 1);
-    else
-        for (long k = 0; k < n; k++)
-            values[k] = term_zz(d2[k], a2, z2, 1);
-    gather_rows(zx, a2, z2, values, idx, lo, hi, out);
+    /* the distances are converted a chunk at a time: on int32 input GCC
+       runs the term loop 16 wide and spills its constants */
+    for (long k0 = 0; k0 < n; k0 += CHUNK) {
+        long m = n - k0 < CHUNK ? n - k0 : CHUNK;
+        double buf[CHUNK], *v = values + k0;
+        for (long k = 0; k < m; k++)
+            buf[k] = (double)d2[k0 + k];
+        if (zx)
+            for (long k = 0; k < m; k++)
+                v[k] = term_zx(buf[k], a2, z2, 1);
+        else
+            for (long k = 0; k < m; k++)
+                v[k] = term_zz(buf[k], a2, z2, 1);
+    }
+    gather_rows(zx, a2, z2, values, step, lo, hi, out);
 }
 
 /* out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights
    h and lo <= nx < hi, bitwise, as table_height height by height, every
    height reusing the one values buffer. */
-void table_rows(int zx, double a2, const double *z2, long nz, const double *d2, long n,
-                const int32_t *idx, long lo, long hi, double *values, double *out)
+void table_rows(int zx, double a2, const double *z2, long nz, const int32_t *d2, long n,
+                const uint16_t *step, long lo, long hi, double *values, double *out)
 {
     for (long h = 0; h < nz; h++)
-        table_height(zx, a2, z2[h], d2, n, idx, lo, hi, values, out + h * (hi - lo));
+        table_height(zx, a2, z2[h], d2, n, step, lo, hi, values, out + h * (hi - lo));
 }
 
 /* Phi_0..4(y[i]) by m-node Gauss-Laguerre quadrature in tau = 2yt, into

@@ -25,11 +25,13 @@ rounded sum, NaN where fsum raises), once per height, so results are
 bit-identical for any worker count and any set of heights. The octant site
 terms depend on the site only through s = n_x^2 + n_y^2, so both octant
 sums evaluate them once per distinct s, from one table of those distances
-and each site's index into them (``kernels.distance_table``): the resonant
-rows gather from it, and the off-resonant sum evaluates its site
-kernel on it at each height and folds the octant, from its first site of
-nonzero weight, with the orbit weights, built once for all heights, into
-one exact sum per height, ``OFFRES_BLOCK_SITES`` products at a time.
+and each site's rank step (``kernels.distance_table``): the resonant rows
+gather from it, and the off-resonant sum evaluates its site kernel on it at
+each height and folds the octant, from its first site of nonzero weight,
+with the orbit weights, built once for all heights, into one exact sum per
+height, a block of whole rows of at most ``OFFRES_BLOCK_SITES`` products
+(or one row) at a time, whose indices into the distances
+``kernels.table_ranks`` gives.
 General orientations lack the reflection parity needed for folding and run
 over the full grid of rows n_x = -M..M as a site set of the kernels, which
 take the dipoles as ``bundle.pair`` (the pair terms, for any pair, are
@@ -309,16 +311,20 @@ def memory_limit() -> float:
 
 
 def check_octant_memory(bundle: ValidatedBundle, kind: str) -> None:
-    """Raise SiteBudgetExceeded, naming M, the octant's sites and their
-    bytes, when an off-resonant zz or zx direct sum's octant tables would
-    not fit in :func:`memory_limit`, before any of them is allocated: the
-    distance table takes 8 + 4 bytes a site (a distance, at most one a site,
-    and the site's index into them) and the orbit weights 8."""
+    """Raise SiteBudgetExceeded before any octant table of an off-resonant zz
+    or zx direct sum is allocated: naming M and the bound when its rows pass
+    ``kernels.TABLE_ROWS``, or M, the octant's sites and their bytes when
+    its tables would not fit in :func:`memory_limit`. The distance table
+    takes 4 + 2 bytes a site (a distance, at most one a site, and the site's
+    rank step) and the orbit weights 8."""
     if kind != "off_resonant" or bundle.orientation_label() not in ORIENTATIONS:
         return
     M = bundle.half_extent
+    if M >= kernels.TABLE_ROWS:
+        raise SiteBudgetExceeded(f"the off-resonant octant of M={M} exceeds the distance "
+                                 f"table's rows: M must be below {kernels.TABLE_ROWS}")
     sites = kernels.range_sites(0, M + 1)
-    need, limit = (8 + 4 + 8) * sites, memory_limit()
+    need, limit = (4 + 2 + 8) * sites, memory_limit()
     if need > limit:
         raise SiteBudgetExceeded(f"the off-resonant octant of M={M} holds {sites} sites, whose "
                                  f"tables take {need} bytes, more than the {limit} bytes this "
@@ -359,19 +365,21 @@ def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:
     # distance and height, and fold it with each site's orbit weight, built
     # once for all heights from blocks of whole rows, (nx, j) grids masked
     # to j <= nx, so that no index array the size of the octant is built
-    d2, site = kernels.distance_table(0, M + 1)
-    weights, rows = np.empty(site.size), max(1, OFFRES_BLOCK_SITES // (M + 1))
+    d2, step = kernels.distance_table(0, M + 1)
+    weights, rows = np.empty(step.size), max(1, OFFRES_BLOCK_SITES // (M + 1))
     for lo in range(0, M + 1, rows):
         hi = min(lo + rows, M + 1)
         nx, j = np.arange(lo, hi)[:, None], np.arange(hi)
         weights[kernels.range_sites(0, lo):kernels.range_sites(0, hi)] = \
             octant_weights(nx, j, a2, zx)[j <= nx]
 
-    def folded(h, step=OFFRES_BLOCK_SITES):
-        # the zx origin's weight is 0: its term, inf once r^6 underflows, is skipped
+    def folded(h):
         radial = kernels.offres_sites(*radial_sites(d2, a2, h ** 2, zx), bundle.mu)
-        return (weights[k:k + step] * radial[site[k:k + step]]
-                for k in range(int(zx), site.size, step))
+        for lo, hi, ranks in kernels.table_ranks(step, 0, M + 1, rows):
+            # the zx origin's weight is 0: its term, inf once r^6 underflows, is skipped
+            skip = int(zx and lo == 0)
+            yield weights[kernels.range_sites(0, lo) + skip:kernels.range_sites(0, hi)] * \
+                radial[ranks[skip:]]
 
     return [kernels.exact_sum(folded(h)) for h in z.tolist()]
 

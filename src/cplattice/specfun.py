@@ -1,7 +1,8 @@
 """Cosine integral and the hyperbolic-integral combination Chi - Shi.
 
-Ci appears in the closed-form zz resonant bulk (``bracket_zz``); E1 and
-Chi - Shi are read only by perfbench's tracer and the tests. All reject
+Ci appears in ``bracket_zz``, the closed-form zz resonant bulk, called
+alone (``bulk_term`` takes a block's Ci from one ``kernels.sici`` call); E1
+and Chi - Shi are read only by perfbench's tracer and the tests. All reject
 x <= 0. Ci comes from ``kernels.sici``, the bits of ``scipy.special.sici``
 (compiled, or SciPy itself on the NumPy backend), and E1 from
 ``scipy.special.exp1``, imported on the first call. Against 40-digit mpmath

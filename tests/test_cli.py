@@ -520,6 +520,9 @@ _REJECTED = {
     "decompose-unwritable-csv": ("decompose --half-extent 2 --z-tilde 0.4 --csv {tmp}/no/d.csv",
                                  None, _USAGE,
                                  "cannot write '{tmp}/no/d.csv': No such file or directory"),
+    # a write that fails once the file is open ended in an OSError traceback
+    "decompose-csv-full": ("decompose --z-tilde 0.3 --csv /dev/full", None, _USAGE,
+                           "cannot write '/dev/full': No space left on device"),
     "asymptotic-zz-test-dipole": ("asymptotic --test-dipole 0,0.6,0.8 --z-tilde 0.3", None,
                                   _USAGE, "orientation zz " + _PAIR),
     "asymptotic-custom": ("asymptotic --orientation custom --test-dipole 0,0,1 "
@@ -566,6 +569,8 @@ _REJECTED = {
                              "81 sites exceed budget (resonant 10, off-resonant 10000)"),
     "sweep-unwritable-output": ("sweep -o {tmp}/no/f.csv", None, _USAGE,
                                 "cannot write '{tmp}/no/f.csv': No such file or directory"),
+    "sweep-output-full": ("sweep -o /dev/full --z-min 0.2 --z-max 0.3 --points-per-decade 1",
+                          None, _USAGE, "cannot write '/dev/full': No space left on device"),
     # a path that is not a regular file is opened in place: a directory cannot be
     "sweep-output-to-a-directory": ("sweep -o {tmp}", None, _USAGE,
                                     "cannot write '{tmp}': Is a directory"),
@@ -619,13 +624,18 @@ _BAD_INPUTS = [
     # the header is written with the first block's rows: none of them here
     (["sweep", "--z-min", "1e-320", "--z-max", "1e-300", "--points-per-decade", "1"],
      cli.EXIT_NUMERICAL, "bulk resonant at z=1e-320, mu=0.5 (zz): closed form is not finite"),
-    # the off-resonant octant's tables would take 25 GB: rejected before
+    # the off-resonant octant's tables would take 2.8 GB: rejected before
     # any of them is allocated, against the 2 GiB address-space limit below,
     # and before the first stage, whose bulk would fail at this height
+    (["sweep", "--half-extent", "20000", "--site-budget", "0", "--offres-site-budget", "1e11",
+      "--z-min", "1e-320", "--z-max", "1e-319", "--points-per-decade", "1"], cli.EXIT_NUMERICAL,
+     "the off-resonant octant of M=20000 holds 200030001 sites, whose tables take "
+     "2800420014 bytes, more than the 2147483648 bytes this process can hold"),
+    # one of 25 GB is past the distance table's rows, on a host of any size
     (["sweep", "--half-extent", "50000", "--site-budget", "0", "--offres-site-budget", "1e11",
       "--z-min", "1e-320", "--z-max", "1e-319", "--points-per-decade", "1"], cli.EXIT_NUMERICAL,
-     "the off-resonant octant of M=50000 holds 1250075001 sites, whose tables take "
-     "25001500020 bytes, more than the 2147483648 bytes this process can hold"),
+     "the off-resonant octant of M=50000 exceeds the distance table's rows: M must be below "
+     "32768"),
 ]
 
 

@@ -8,11 +8,12 @@ nowhere; ``lattice_sum.quiet_nonfinite`` alone sets NumPy's error state,
 and the site kernels run in it, so a value that is not finite is reported
 once, with no NumPy warning first; every top-level name is read in the
 package or exported; only ``kernels.backend`` and ``backend_name`` know
-which backend is in place; no test module imports another; and none pins
-bits by hand, which is the ledger's one record, or reads the ledger but
-``test_ledger.py``, its one check; and every public route that takes
-``heights=`` is in ``reference.HEIGHT_ROUTES``, the table of the battery of
-that contract.
+which backend is in place; only ``kernels.table_ranks`` turns a distance
+table's rank steps into ranks outside kernels; no test module imports
+another; and none pins bits by hand, which is the ledger's one record, or
+reads the ledger but ``test_ledger.py``, its one check; and every public
+route that takes ``heights=`` is in ``reference.HEIGHT_ROUTES``, the table
+of the battery of that contract.
 """
 import ast
 import inspect
@@ -267,6 +268,36 @@ def test_only_the_switch_and_the_name_test_the_backend():
              for c in ast.walk(node) if tests_impl(c)]
     assert {name for name, _ in found} == {"backend", "backend_name"}
     assert all(ast.unparse(c) == "isinstance(_impl, ctypes.CDLL)" for _, c in found)
+
+
+def test_only_kernels_turn_the_table_steps_into_ranks():
+    # a distance table's rank steps are kernels' format, which its two
+    # backends share: outside kernels each distance_table call is unpacked
+    # into (d2, step), and a step array is only counted (.size) or passed
+    # to kernels.table_ranks, the one function that decodes it
+    found, decoded = [], []
+    for module, (_, _, tree) in MODULES.items():
+        if module.startswith("cplattice.kernels"):
+            continue
+        unpacked = {id(node.value): node.targets[0].elts[1].id for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Tuple) and len(node.targets[0].elts) == 2
+                    and all(isinstance(t, ast.Name) for t in node.targets[0].elts)}
+        steps, passed = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "distance_table" in _names(node.func):
+                if id(node) not in unpacked:
+                    found.append(f"{module}:{node.lineno}")
+                steps.add(unpacked.get(id(node)))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "kernels.table_ranks":
+                passed |= {id(a) for a in node.args}
+                decoded.append(module)
+            elif isinstance(node, ast.Attribute) and node.attr == "size":
+                passed.add(id(node.value))
+        found += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in steps and id(node) not in passed
+                  and isinstance(node.ctx, ast.Load)]
+    assert found == [] and decoded == ["cplattice.lattice_sum"]
 
 
 def test_only_the_fallback_selection_imports_the_numpy_backend():

@@ -53,13 +53,21 @@ def test_zz_bulk_above_switch_height_takes_rotated_path(z):
     assert bulk_term(b, "resonant") == pytest.approx(contour_bulk_resonant(b), rel=1e-12)
 
 
-def test_zz_bulk_keeps_closed_form_up_to_switch_height():
-    for z in (0.01, 1.0, 10.0, euler_maclaurin._ZZ_CLOSED_FORM_MAX_Z):
+def test_zz_bulk_keeps_closed_form_up_to_switch_height(monkeypatch):
+    heights, values = (0.01, 1.0, 10.0, euler_maclaurin._ZZ_CLOSED_FORM_MAX_Z), []
+    for z in heights:
         b = mk(z=z)
         want = prefactor(b, "resonant") * 2.0 * math.pi * euler_maclaurin.bracket_zz(z) \
             / (8.0 * b.a_tilde ** 2 * z ** 4)
-        assert bulk_term(b, "resonant") == want
+        values.append(bulk_term(b, "resonant"))
+        assert values[-1] == want
         assert bulk_integral(b) == pytest.approx(want, rel=1e-13)
+    # a block takes Ci(2z) of all its closed-form heights from one
+    # kernels.sici call, elementwise, so each keeps its bits
+    calls, sici = [], kernels.sici
+    monkeypatch.setattr(kernels, "sici", lambda x: calls.append(np.shape(x)) or sici(x))
+    block = bulk_term(mk(), "resonant", heights=[*heights, 30.0])
+    assert calls == [(4,)] and block[:4].tolist() == values
 
 
 def test_offres_radial_kernels_vs_brute_quadrature():

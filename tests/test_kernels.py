@@ -12,6 +12,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -307,7 +308,8 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
     # take the ctypes type of their C type in the prototype, in place
     loaded = kernels.load_library(directory=tmp_path)
     c_type = {"double": ctypes.c_double, "int": ctypes.c_int, "long": ctypes.c_long, "void": None,
-              "double *": kernels.F64, "int32_t *": kernels.I32, "long *": kernels.I64}
+              "double *": kernels.F64, "int32_t *": kernels.I32, "long *": kernels.I64,
+              "uint16_t *": kernels.U16}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
         "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
@@ -334,55 +336,85 @@ def test_loader_rejects_a_c_type_without_a_ctypes_type(lib, tmp_path, monkeypatc
 
 def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     # one export of each array type: sincos_probe's phases (float64),
-    # distance_table's index (int32) and ray_rotated's counts (int64). Each
-    # wrong argument raises before the C code runs, so the outputs keep
-    # their fill
+    # distance_table's distances (int32) and rank steps (uint16) and
+    # ray_rotated's counts (int64). Each wrong argument raises before the C
+    # code runs, so the outputs keep their fill
     pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), kernels.ROTATED_RULE
     powers = rule.size - kernels.RULE_HEAD
 
     def rays(z, counts, out):
         return lib.ray_rotated(1, pair, axis, 1, z, z.size, rule, powers, counts, out)
 
-    sc, d2, sums = np.full(2, -1.0), np.full(3, -1.0), np.full(3, -1.0)
+    sc, sums = np.full(2, -1.0), np.full(3, -1.0)
+    d2, step = np.full(3, -1, dtype=np.int32), np.full(3, 7, dtype=np.uint16)
     for dtype, call in ((np.float64, lambda a: lib.sincos_probe(a, 2, sc, sc)),
-                        (np.int32, lambda a: lib.distance_table(1, 2, d2, a)),
+                        (np.int32, lambda a: lib.distance_table(1, 2, a, step)),
+                        (np.uint16, lambda a: lib.distance_table(1, 2, d2, a)),
                         (np.int64, lambda a: rays(np.array([0.5]), a, sums))):
         for bad in (np.zeros(4, dtype=np.float32 if dtype is np.float64 else np.float64),
                     np.zeros(8, dtype=dtype)[::2], [0, 0], 12345):
             with pytest.raises(ctypes.ArgumentError, match=f"C-contiguous {np.dtype(dtype)}"):
                 call(bad)
-    assert (sc == -1.0).all() and (d2 == -1.0).all() and (sums == -1.0).all()
+    assert (sc == -1.0).all() and (sums == -1.0).all() and (d2 == -1).all() and (step == 7).all()
     # empty arrays and read-only ones (a rule, a cached distance table) pass
     assert lib.sincos_probe(np.empty(0), 0, np.empty(0), np.empty(0)) is None
-    assert lib.distance_table(0, 0, np.empty(0), np.empty(0, dtype=np.int32)) == 0
+    assert lib.distance_table(0, 0, np.empty(0, dtype=np.int32), np.empty(0, dtype=np.uint16)) == 0
     assert rays(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)) == 0
     t = kernels.LEGENDRE[1]  # the weights: phases in [0, 1)
     assert not t.flags.writeable
     assert _sincos(lib, t) == _sincos(lib, t.copy())
-    d2, idx = kernels.distance_table(0, 3)
-    assert not (d2.flags.writeable or idx.flags.writeable)
+    d2, step = kernels.distance_table(0, 3)
+    assert not (d2.flags.writeable or step.flags.writeable)
     z2, rows, want = np.array([0.04]), np.empty(3), np.empty(3)
-    lib.table_rows(0, 1e-4, z2, 1, d2, d2.size, idx, 0, 3, np.empty(d2.size), rows)
+    lib.table_rows(0, 1e-4, z2, 1, d2, d2.size, step, 0, 3, np.empty(d2.size), rows)
     lib.res_rows(0, 1e-4, z2, 1, 0, 3, want)
     assert rows.tolist() == want.tolist()
 
 
 def _unique_table(lo, hi):
-    """The distance table of rows lo..hi-1 by np.unique, the reference."""
+    """The distance table of rows lo..hi-1 by np.unique and np.searchsorted,
+    the reference: the distances, each site's rank among them and its rank
+    step, from the site before it in its row, or at j = 0 from the row
+    before's first site, nx sites back (none for row lo: its rank, 0)."""
     nx, j = np.tril_indices(hi)
     start = lo * (lo + 1) // 2
-    return np.unique(nx[start:] ** 2 + j[start:] ** 2, return_inverse=True)
+    nx, j = nx[start:], j[start:]
+    d2 = np.unique(nx ** 2 + j ** 2)
+    ranks = np.searchsorted(d2, nx ** 2 + j ** 2)
+    before = np.where(j > 0, -1, -nx) + np.arange(ranks.size)
+    return d2, ranks, ranks - np.where(before >= 0, ranks[np.maximum(before, 0)], 0)
+
+
+def _decoded(table, lo, hi, rows=7):
+    """The distances and each site's rank of a distance table (d2, step),
+    the ranks through kernels.table_ranks in blocks of ``rows`` rows."""
+    d2, step = table
+    blocks = [(b, e, ranks) for b, e, ranks in kernels.table_ranks(step, lo, hi, rows)]
+    assert [b for b, _, _ in blocks] == list(range(lo, hi, rows))
+    assert all(ranks.size == kernels.range_sites(b, e) for b, e, ranks in blocks)
+    return d2, np.concatenate([np.empty(0, dtype=np.int64)] + [r for _, _, r in blocks])
 
 
 @pytest.mark.parametrize("builder", ["c", "numpy"])
 def test_distance_table_equals_np_unique(lib, builder):
+    # the distances as int32 and each site's rank step as uint16, whose
+    # ranks kernels.table_ranks decodes in blocks of any number of rows:
+    # ranges from 0, from lo > 0, and the far single row 64, the thinnest
+    # that res_rows still tables (row 65 has fewer sites than bitmap words)
     fill = lib.distance_table if builder == "c" else _numpy_backend.distance_table
-    ranges = [(0, M + 1) for M in [*range(41), 500]] + [(3, 4), (7, 7), (17, 40), (250, 501)]
+    ranges = [(0, M + 1) for M in [*range(41), 500]] + [(3, 4), (7, 7), (17, 40), (250, 501),
+                                                        (64, 65)]
     for lo, hi in ranges:
-        d2, idx = kernels.build_table(fill, lo, hi)
-        want_d2, want_idx = _unique_table(lo, hi)
-        assert d2.dtype == np.float64 and idx.dtype == np.int32
-        assert np.array_equal(d2, want_d2) and np.array_equal(idx, want_idx), (lo, hi)
+        table = kernels.build_table(fill, lo, hi)
+        want_d2, want_ranks, want_steps = _unique_table(lo, hi)
+        assert table[0].dtype == np.int32 and table[1].dtype == np.uint16
+        assert np.array_equal(table[0], want_d2) and np.array_equal(table[1], want_steps)
+        for rows in (1, 7, max(hi, 1)):
+            d2, ranks = _decoded(table, lo, hi, rows)
+            assert np.array_equal(ranks, want_ranks), (lo, hi, rows)
+    d2, step = kernels.build_table(fill, 0, 501)
+    assert (d2.size, step.size) == (79134, 125751)
+    assert d2.nbytes + step.nbytes == 4 * 79134 + 2 * 125751
 
 
 def test_distance_table_rejects_bad_ranges(lib):
@@ -390,15 +422,36 @@ def test_distance_table_rejects_bad_ranges(lib):
         for lo, hi in ((-1, 3), (5, 4)):
             with pytest.raises(ValueError, match="0 <= lo <= hi"):
                 kernels.build_table(fill, lo, hi)
-        with pytest.raises(ValueError, match="int32"):
-            kernels.build_table(fill, 0, 70000)  # 2.45e9 sites: rejected before allocating
+
+
+def test_distance_table_rows_stop_below_the_int32_and_uint16_bounds():
+    # from row 2^15 on a distance 2 nx^2 would pass int32 and a rank step
+    # 2 nx - 1 uint16: such a range is rejected before the builder runs or
+    # anything is allocated (rows 0..32768 would take 3.2 GB)
+    def fill(lo, hi, d2, step):
+        called.append((lo, hi, d2.dtype, step.dtype, d2.size))
+        return 0
+
+    called = []
+    tracemalloc.start()
+    try:
+        for lo in (0, 32768):
+            with pytest.raises(ValueError, match="^a distance table holds rows nx < 32768, "
+                                                 "got hi=32769$"):
+                kernels.build_table(fill, lo, 32769)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert called == [] and peak < 1 << 20
+    kernels.build_table(fill, 32767, 32768)
+    assert called == [(32767, 32768, np.int32, np.uint16, 32768)]
 
 
 def test_allocation_failures_raise_memory_error(backend, monkeypatch):
     # a builder or export that cannot allocate returns -1; stand-ins that do
     # so reach each wrapper's MemoryError
     with pytest.raises(MemoryError, match=r"^no memory for the distance table of rows 2\.\.4$"):
-        kernels.build_table(lambda lo, hi, d2, idx: -1, 2, 5)
+        kernels.build_table(lambda lo, hi, d2, step: -1, 2, 5)
     pair = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
     monkeypatch.setattr(backend, "res_points", lambda *args: -1)
     for sums in (True, False):
@@ -412,9 +465,9 @@ def test_allocation_failures_raise_memory_error(backend, monkeypatch):
 
 def _table_rows(lib, zx, a2, z2, lo, hi):
     """lib.table_rows on the rows' table, without the entry point's cap."""
-    d2, idx = kernels.build_table(lib.distance_table, lo, hi)
+    d2, step = kernels.build_table(lib.distance_table, lo, hi)
     out = np.empty(hi - lo)
-    lib.table_rows(zx, a2, np.array([z2]), 1, d2, d2.size, idx, lo, hi, np.empty(d2.size), out)
+    lib.table_rows(zx, a2, np.array([z2]), 1, d2, d2.size, step, lo, hi, np.empty(d2.size), out)
     return out
 
 
@@ -477,7 +530,7 @@ def test_rows_above_the_table_cap_stream(lib, monkeypatch):
             for zx in (False, True):
                 want = _stream(lib, zx, a2, z2, lo, hi)
                 assert kernels.res_rows(zx, a2, z2, lo, hi).tobytes() == want.tobytes()
-            kept = {key: idx.size for key, (_, idx) in kernels._tables.items()}
+            kept = {key: step.size for key, (_, step) in kernels._tables.items()}
             assert ((lo, hi) in kept) == (kernels.range_sites(lo, hi) <= 100)
             assert sum(kept.values()) <= 100
         assert list(kernels._tables) == [(5, 13)]  # the older tables made room for it
@@ -492,8 +545,12 @@ def test_a_far_row_streams_without_a_table(backend):
         assert row.shape == (1, 1)
         assert row[0, 0].hex() == backend.res_row(zx, 1e-4, 0.09, 20001).hex()
     assert kernels._tables == {}
+    # the far single rows: 64 has as many sites as words and takes its
+    # table, 65 one site fewer and streams
+    for lo in (65, 64):
+        kernels.res_rows(False, 1e-4, 0.09, lo, lo + 1)
     kernels.res_rows(False, 1e-4, 0.09, 0, 501)
-    assert list(kernels._tables) == [(0, 501)]
+    assert list(kernels._tables) == [(64, 65), (0, 501)]
 
 
 def test_a_far_row_pages_in_no_table():
@@ -522,25 +579,26 @@ def test_table_cache_under_concurrent_callers(backend, monkeypatch):
             tables = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for (lo, hi), (d2, idx) in zip(ranges, tables):
-        want_d2, want_idx = _unique_table(lo, hi)
-        assert np.array_equal(d2, want_d2) and np.array_equal(idx, want_idx)
-        assert not (d2.flags.writeable or idx.flags.writeable)
-    assert sum(idx.size for _, idx in kernels._tables.values()) <= 400
+    for (lo, hi), table in zip(ranges, tables):
+        want_d2, want_ranks, _ = _unique_table(lo, hi)
+        d2, ranks = _decoded(table, lo, hi)
+        assert np.array_equal(d2, want_d2) and np.array_equal(ranks, want_ranks)
+        assert not (table[0].flags.writeable or table[1].flags.writeable)
+    assert sum(step.size for _, step in kernels._tables.values()) <= 400
 
 
 def test_distance_table_above_the_cap_is_built_on_each_call(backend, monkeypatch):
     # a table of more sites than the cap is neither kept nor allowed to
     # evict the tables that are
-    want_d2, want_idx = kernels.distance_table(0, 10)  # 55 sites, kept
+    want_d2, want_step = kernels.distance_table(0, 10)  # 55 sites, kept
     kernels._tables.clear()
     small = kernels.distance_table(0, 2)
     monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 54)
     first, second = kernels.distance_table(0, 10), kernels.distance_table(0, 10)
     assert list(kernels._tables) == [(0, 2)] and kernels._tables[(0, 2)] is small
     assert first[0] is not second[0]
-    for d2, idx in (first, second):
-        assert np.array_equal(d2, want_d2) and np.array_equal(idx, want_idx)
+    for d2, step in (first, second):
+        assert np.array_equal(d2, want_d2) and np.array_equal(step, want_step)
 
 
 def test_site_sets_reject_a_pair_that_is_not_float64_7(backend):

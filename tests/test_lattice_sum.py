@@ -219,17 +219,17 @@ def test_offresonant_shell_tail_decays_faster_than_m4():
 
 def test_offresonant_octant_over_the_memory_limit_is_rejected_before_any_work(monkeypatch,
                                                                              capsys):
-    # the octant of M = 8 holds 45 sites, 20 bytes each in its tables: with
+    # the octant of M = 8 holds 45 sites, 14 bytes each in its tables: with
     # a byte less memory the zz and zx off-resonant sums, and a sweep that
     # takes one, fail before the distance table or the first block
     def forbidden(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 20 - 1)
+    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 14 - 1)
     monkeypatch.setattr(kernels, "distance_table", forbidden)
     monkeypatch.setattr(euler_maclaurin, "decompose", forbidden)
-    message = ("the off-resonant octant of M=8 holds 45 sites, whose tables take 900 bytes, "
-               "more than the 899 bytes this process can hold")
+    message = ("the off-resonant octant of M=8 holds 45 sites, whose tables take 630 bytes, "
+               "more than the 629 bytes this process can hold")
     for array in ((0, 0, 1), (1, 0, 0)):
         with pytest.raises(SiteBudgetExceeded, match=message):
             sum_lattice(mk(M=8, array=array), "off_resonant")
@@ -240,8 +240,20 @@ def test_offresonant_octant_over_the_memory_limit_is_rejected_before_any_work(mo
     lattice_sum.check_octant_memory(mk(M=8), "resonant")
     sum_lattice(mk(M=8, test=PAIRS["custom_a"][0], array=PAIRS["custom_a"][1]),
                 "off_resonant")
-    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 20)
+    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 14)
     lattice_sum.check_octant_memory(mk(M=8), "off_resonant")
+
+
+def test_offresonant_octant_past_the_table_rows_is_rejected_with_any_memory(monkeypatch):
+    # a distance table holds rows nx < 2^15: an off-resonant zz or zx octant
+    # of M = 32768 is rejected however much memory there is, M = 32767 not
+    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: math.inf)
+    for array in ((0, 0, 1), (1, 0, 0)):
+        lattice_sum.check_octant_memory(mk(M=32767, array=array), "off_resonant")
+        with pytest.raises(SiteBudgetExceeded, match="^the off-resonant octant of M=32768 "
+                           "exceeds the distance table's rows: M must be below 32768$"):
+            lattice_sum.check_octant_memory(mk(M=32768, array=array), "off_resonant")
+        lattice_sum.check_octant_memory(mk(M=32768, array=array), "resonant")
 
 
 def test_memory_limit_is_physical_memory_or_a_lower_address_space_limit(monkeypatch):
