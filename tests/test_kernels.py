@@ -389,7 +389,7 @@ def _decoded(table, lo, hi, rows=7):
     """The distances and each site's rank of a distance table (d2, step),
     the ranks through kernels.table_ranks in blocks of ``rows`` rows."""
     d2, step = table
-    blocks = [(b, e, ranks) for b, e, ranks in kernels.table_ranks(step, lo, hi, rows)]
+    blocks = list(kernels.table_ranks(step, lo, hi, rows))
     assert [b for b, _, _ in blocks] == list(range(lo, hi, rows))
     assert all(ranks.size == kernels.range_sites(b, e) for b, e, ranks in blocks)
     return d2, np.concatenate([np.empty(0, dtype=np.int64)] + [r for _, _, r in blocks])
@@ -410,7 +410,7 @@ def test_distance_table_equals_np_unique(lib, builder):
         assert table[0].dtype == np.int32 and table[1].dtype == np.uint16
         assert np.array_equal(table[0], want_d2) and np.array_equal(table[1], want_steps)
         for rows in (1, 7, max(hi, 1)):
-            d2, ranks = _decoded(table, lo, hi, rows)
+            _, ranks = _decoded(table, lo, hi, rows)
             assert np.array_equal(ranks, want_ranks), (lo, hi, rows)
     d2, step = kernels.build_table(fill, 0, 501)
     assert (d2.size, step.size) == (79134, 125751)
@@ -546,7 +546,7 @@ def test_a_far_row_streams_without_a_table(backend):
         assert row[0, 0].hex() == backend.res_row(zx, 1e-4, 0.09, 20001).hex()
     assert kernels._tables == {}
     # the far single rows: 64 has as many sites as words and takes its
-    # table, 65 one site fewer and streams
+    # table, 65 has fewer and streams
     for lo in (65, 64):
         kernels.res_rows(False, 1e-4, 0.09, lo, lo + 1)
     kernels.res_rows(False, 1e-4, 0.09, 0, 501)
