@@ -420,19 +420,26 @@ def _write_replacing(path: str, write) -> int:
     path that cannot be opened, or a write, close or move that fails (a
     full disk, /dev/full), is a usage error that names it.
 
+    A symbolic link is followed: the temporary file goes beside its target,
+    which it replaces, and the link stays. An existing file keeps its
+    permission bits; a new one gets the mode that open gives it.
+
     A path that exists and is not a regular file (a FIFO, a character device
     such as /dev/null) is written directly and gets no atomic replace: a
     failure can leave part of the output in it."""
     try:
-        special = not stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except OSError:  # no such file yet, or none that can be examined
-        special = False
-    tmp = None if special else f"{path}.{os.getpid()}.tmp"
+        mode = None
+    target = os.path.realpath(path)
+    tmp = None if mode is not None and not stat.S_ISREG(mode) else f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp or path, "x" if tmp else "w", newline="") as fh:
+            if tmp and mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             rc = write(fh)
         if tmp:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         return rc
     except OSError as exc:
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from exc

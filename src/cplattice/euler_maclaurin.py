@@ -92,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, specfun
+from . import kernels
 # Unused here, but bound on purpose: perfbench/tracer.py wraps these names.
 from .greens import pair_coupling, scalar_coefficients  # noqa: F401
 from .lattice_sum import failure, heights_array, per_height, prefactor, quiet_nonfinite, site_term
@@ -109,10 +109,8 @@ class ShiftBreakdown:
     total: float
 
 
-def bracket_zz(z: float, ci: float | None = None) -> float:
-    """Bzz(z), with ci = Ci(2z) where the caller has it."""
-    if ci is None:
-        ci = specfun.cosine_integral(2.0 * z)
+def bracket_zz(z: float, ci: float) -> float:
+    """Bzz(z), with ci = Ci(2z)."""
     return (-8.0 * ci * z ** 4 + math.cos(2.0 * z) * (3.0 - 2.0 * z * z)
             + 2.0 * z * (3.0 + 2.0 * z * z) * math.sin(2.0 * z))
 

@@ -34,20 +34,17 @@ distance table that the compiled rows gather from:
 * ``res_rows(zx, a2, z2, lo, hi)``: the octant rows lo <= nx < hi
   (0 <= lo <= hi) of the z-probe resonant sum, for z-oriented (zx false)
   or x-oriented (zx true) array dipoles, at one height z2 or at each of an
-  array of heights, as a new float64 array of shape z2.shape + (hi - lo,)
-  whose element [..., nx - lo] is bitwise equal to the backend's single row
-  ``res_row(zx, a2, z2, nx)`` at that height. One call fills a whole range
-  for every height, and the compiled call runs without the interpreter
-  lock. For ranges of more than ``TABLE_SITE_CAP`` sites, or of fewer
-  than the 64-bit words of the compiled table builder's bitmap (a thin
-  range far out, such as one row past 64), the backend's ``res_rows(zx,
-  a2, z2, nz, lo, hi, out)`` streams, evaluating every site. Otherwise its
-  ``table_rows`` reads the range's :func:`distance_table` and, height by
-  height into one values buffer, evaluates the site term once per distinct
-  distance and gathers each row from those values in the streaming row's
-  order (in C eight rows side by side), so the rows are the same bits. A
-  height whose rows' largest phase reaches the fast sin/cos bound streams
-  inside that call. The NumPy backend ports both passes;
+  array of heights, as a new float64 array of shape z2.shape + (hi - lo,),
+  from one call of the backend's one row export, ``res_rows(zx, a2, z2,
+  nz, d2, n, step, lo, hi, values, out)``, which the compiled library runs
+  without the interpreter lock. It takes the range's :func:`distance_table`
+  (n distances d2 and the rank steps) or the empty one (n = 0; see
+  :func:`res_rows`). At each height it reads the table when there is one
+  and the last row's largest phase is below the fast sin/cos bound: it
+  evaluates the site term once per distinct distance into values and
+  gathers each row from them (in C eight rows side by side). Otherwise it
+  streams, evaluating every site. A row is summed in one order either way,
+  so it is the same bits, on either backend;
 * ``distance_table(lo, hi)``: the distinct nx^2 + j^2 of the octant sites
   of those rows and each site's rank step, from which :func:`table_ranks`
   gives its index into them, shared by the resonant rows above and the
@@ -283,6 +280,8 @@ def table_ranks(step, lo: int, hi: int, rows: int):
 
 
 _tables: dict = {}  # (lo, hi) -> (d2, step), least recently used first
+# The empty table (read-only, as frombuffer of bytes), with which res_rows streams
+_NO_TABLE = tuple(np.frombuffer(b"", dtype=dtype) for dtype in (np.int32, np.uint16))
 _tables_lock = threading.Lock()
 
 
@@ -309,21 +308,21 @@ def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     """The octant rows lo <= nx < hi of the zz (zx false) or zx (zx true)
     resonant sum at the height z2, a float or an array of them, as an array
-    of shape z2.shape + (hi - lo,); raises ``ValueError`` unless
-    0 <= lo <= hi."""
+    of shape z2.shape + (hi - lo,), from one backend call; raises
+    ``ValueError`` unless 0 <= lo <= hi. The call takes the range's
+    distance table, or the empty one, with which its rows stream, for a
+    range of more than ``TABLE_SITE_CAP`` sites or of fewer sites than the
+    compiled builder's bitmap has 64-bit words: that bitmap spans
+    lo^2..2(hi-1)^2, so a thin range far out would page in O(hi^2) scratch."""
     if not 0 <= lo <= hi:
         raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
     z2 = np.asarray(z2, dtype=np.float64)
     out = np.empty(z2.shape + (hi - lo,))
     heights = np.ascontiguousarray(z2.reshape(-1))
-    # the compiled builder's bitmap spans lo^2..2(hi-1)^2: a thin range far
-    # out, with fewer sites than its 64-bit words, would page in O(hi^2) scratch
-    if (2 * (hi - 1) ** 2 - lo * lo) // 64 + 1 <= range_sites(lo, hi) <= TABLE_SITE_CAP:
-        d2, step = distance_table(lo, hi)
-        _impl.table_rows(zx, a2, heights, heights.size, d2, d2.size, step, lo, hi,
-                         np.empty(d2.size), out)
-    else:
-        _impl.res_rows(zx, a2, heights, heights.size, lo, hi, out)
+    tabled = (2 * (hi - 1) ** 2 - lo * lo) // 64 + 1 <= range_sites(lo, hi) <= TABLE_SITE_CAP
+    d2, step = distance_table(lo, hi) if tabled else _NO_TABLE
+    _impl.res_rows(zx, a2, heights, heights.size, d2, d2.size, step, lo, hi, np.empty(d2.size),
+                   out)
     return out
 
 

@@ -1,13 +1,14 @@
 """NumPy fallback for the hot lattice-sum row kernels.
 
 Same contract as the compiled library, and the same bits: ``res_rows(zx,
-a2, z2, nz, lo, hi, out)`` writes the octant rows lo <= n_x < hi, n_y =
-0..n_x, of the zz (zx false) or zx (zx true) orientation with the
-dihedral-orbit weights folded in, at each of the nz heights z2, into
-``out``, and ``table_rows`` the same rows from their :func:`distance_table`
-(``kernels.res_rows`` checks the range, allocates ``out`` and chooses
-between them); ``res_row`` is one row. Both port ``_rows.c``'s passes in
-its order of operations (:func:`site_terms`, :func:`sin_cos`, :func:`_sums`).
+a2, z2, nz, d2, n, step, lo, hi, values, out)`` writes the octant rows
+lo <= n_x < hi, n_y = 0..n_x, of the zz (zx false) or zx (zx true)
+orientation with the dihedral-orbit weights folded in, at each of the nz
+heights z2, into ``out``, from their :func:`distance_table` or, with an
+empty one, streamed (``kernels.res_rows`` checks the range, allocates
+``out`` and chooses the table), by ``_rows.c``'s rule for each height and
+in its order of operations (:func:`site_terms`, :func:`sin_cos`,
+:func:`_sums`).
 :func:`phi_laguerre` is the Gauss-Laguerre branch of the off-resonant site
 kernel, and :func:`offres_sites` the arithmetic of that kernel on the
 buffer of ``kernels._offres_chunks`` once NumPy has put r^6 into it, with
@@ -142,56 +143,43 @@ def _totals(zx: bool, a2: float, z2: float, lo: int, hi: int, passes, out) -> No
               else 8.0 * passes - 4.0 * ends[0] - 4.0 * ends[1])
 
 
-def res_rows(zx: bool, a2: float, z2, nz: int, lo: int, hi: int, out: np.ndarray) -> None:
-    """out[h, nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights z2 and
-    lo <= nx < hi, with out viewed as (nz, hi - lo): _rows.c's stream_rows
-    height by height, every site's term evaluated, those of the rows whose
-    largest phase is below PHASE_LIMIT (:func:`fast_rows`) with the reduced
-    sin/cos."""
+def _stream(zx: bool, a2: float, z2: float, lo: int, hi: int, rows: int, passes) -> None:
+    """passes[nx - lo] = the pass of each row 0 < nx of lo <= nx < hi at the
+    height z2, as _rows.c's stream_rows gives it, ``rows`` rows at a time:
+    every site's term evaluated, those of the rows whose largest phase is
+    below PHASE_LIMIT (:func:`fast_rows`) with the reduced sin/cos."""
+    start = max(lo, 1)  # the origin row takes no pass
+    split = lo + int(np.count_nonzero(fast_rows(a2, z2, np.arange(lo, hi))))
+    for fast, first, last in ((True, start, split), (False, max(split, start), hi)):
+        for b in range(first, last, rows):
+            e = min(b + rows, last)
+            nx, j = _sites(b, e)
+            d2 = (nx * nx + j * j).astype(np.float64)
+            passes[b - lo:e - lo] = _sums(b, e, _fill_terms(zx, d2, a2, z2, fast,
+                                                            np.empty(d2.size)))
+
+
+def res_rows(zx: bool, a2: float, z2, nz: int, d2, n: int, step, lo: int, hi: int, values,
+             out: np.ndarray) -> None:
+    """out[h, nx - lo] = octant row nx at the height z2[h] for the nz heights
+    and lo <= nx < hi, with out viewed as (nz, hi - lo): _rows.c's
+    table_height height by height. With the rows' distance table, the n
+    distances d2 and the rank steps of :func:`distance_table`, and the last
+    row's largest phase below PHASE_LIMIT, the site term with the reduced
+    sin/cos once per distance into values (room for n) and each row
+    gathered through the ranks of ``kernels.table_ranks``; without a table
+    (n = 0), or past the limit, the rows stream (:func:`_stream`)."""
     rows, passes = out.reshape(nz, hi - lo), np.empty(hi - lo)
-    start, step = max(lo, 1), max(1, ROW_SITES // (hi + 1))  # the origin row takes no pass
+    block = max(1, ROW_SITES // (hi + 1))
     for h, z2h in enumerate(z2.tolist()):
-        split = lo + int(np.count_nonzero(fast_rows(a2, z2h, np.arange(lo, hi))))
-        for fast, first, last in ((True, start, split), (False, max(split, start), hi)):
-            for b in range(first, last, step):
-                e = min(b + step, last)
-                nx, j = _sites(b, e)
-                d2 = (nx * nx + j * j).astype(np.float64)
-                passes[b - lo:e - lo] = _sums(b, e, _fill_terms(zx, d2, a2, z2h, fast,
-                                                                np.empty(d2.size)))
-        _totals(zx, a2, z2h, lo, hi, passes, rows[h])
-
-
-def res_row(zx: bool, a2: float, z2: float, nx: int) -> float:
-    """Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole
-    pairs (zx false), or for z-probe / x-array dipoles with x^2-folded
-    weights (zx true): :func:`res_rows` of one row. The zx origin row is
-    0.0: its weight 2 nx^2 a^2 is 0, and its term, infinite as z -> 0, is
-    not formed."""
-    out = np.empty(1)
-    res_rows(zx, a2, np.array([z2]), 1, nx, nx + 1, out)
-    return float(out[0])
-
-
-def table_rows(zx: bool, a2: float, z2, nz: int, d2, n: int, step, lo: int, hi: int, values,
-               out: np.ndarray) -> None:
-    """The rows of :func:`res_rows`, bitwise, from their distance table, the n
-    distances d2 and the rank steps of :func:`distance_table`:
-    _rows.c's table_height height by height, the site term with the
-    reduced sin/cos once per distance into values (room for n; n is implied
-    by d2 here), and each row gathered through the ranks of
-    ``kernels.table_ranks``. A height whose last row's largest phase
-    reaches PHASE_LIMIT streams, as in C."""
-    rows, passes = out.reshape(nz, hi - lo), np.empty(hi - lo)
-    for h, z2h in enumerate(z2.tolist()):
-        if hi > lo and not fast_rows(a2, z2h, hi - 1):
-            res_rows(zx, a2, z2[h:h + 1], 1, lo, hi, rows[h])
-            continue
-        _fill_terms(zx, d2, a2, z2h, True, values)
-        for b, e, ranks in table_ranks(step, lo, hi, max(1, ROW_SITES // (hi + 1))):
-            if b == 0:  # the origin row takes no pass
-                b, ranks = 1, ranks[1:]
-            passes[b - lo:e - lo] = _sums(b, e, values[ranks])
+        if n and fast_rows(a2, z2h, hi - 1):
+            _fill_terms(zx, d2, a2, z2h, True, values)
+            for b, e, ranks in table_ranks(step, lo, hi, block):
+                if b == 0:  # the origin row takes no pass
+                    b, ranks = 1, ranks[1:]
+                passes[b - lo:e - lo] = _sums(b, e, values[ranks])
+        else:
+            _stream(zx, a2, z2h, lo, hi, block, passes)
         _totals(zx, a2, z2h, lo, hi, passes, rows[h])
 
 

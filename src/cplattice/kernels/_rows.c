@@ -2,18 +2,17 @@
    C99 with two GCC/Clang extensions (bit builtins and a vector type) and
    one GCC pragma, loaded through ctypes.
 
-   Contract matches the NumPy fallback (_numpy_backend.py): res_row(zx, a2,
-   z2, nx) returns one octant row n_x = nx, n_y = 0..nx with the orbit
-   weights folded in, for z-oriented array dipoles (zx = 0) or x-oriented
-   ones (zx = 1), and res_rows(zx, a2, z2, nz, lo, hi, out) writes
-   out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz
-   heights z2[h] and lo <= nx < hi, so the octants of a block of heights
-   cost one call; phi_laguerre is the Gauss-Laguerre branch of the
-   off-resonant site kernel, and offres_sites the rest of that kernel's
-   arithmetic once NumPy has computed r^6: its bits come from NumPy's
-   power, not from libm, so it stays there; Si and Ci of 2y are sici's, a
-   port of SciPy's algorithm (cephes sici) with SciPy's bits; sin and cos of
-   2y are libm's, which np.sin and np.cos call on float64, and the rest is
+   Contract matches the NumPy fallback (_numpy_backend.py): res_rows(zx, a2,
+   z2, nz, d2, n, step, lo, hi, values, out) writes into
+   out[h (hi - lo) + nx - lo] the octant row n_x = nx, n_y = 0..nx with the
+   orbit weights folded in, for z-oriented array dipoles (zx = 0) or
+   x-oriented ones (zx = 1), at each of the nz heights z2[h] and for
+   lo <= nx < hi, so the octants of a block of heights cost one call;
+   phi_laguerre is the Gauss-Laguerre branch of the off-resonant site
+   kernel, and offres_sites the rest of that kernel's arithmetic once
+   NumPy has computed r^6: its bits come from NumPy's power, not from libm,
+   so it stays there; Si and Ci of 2y are sici's, a port of SciPy's
+   algorithm (cephes sici) with SciPy's bits; sin and cos of 2y are libm's, which np.sin and np.cos call on float64, and the rest is
    IEEE +, -, * and / in the NumPy fallback's order of operations. Each
    orientation's site term is written once (term_zz, term_zx) and serves the
    row pass, its endpoint corrections and the origin. The exports test zx
@@ -27,11 +26,14 @@
    The site term depends on (nx, j) only through d2 = nx^2 + j^2, and many
    d2 occur more than once (0.63 of the octant sites at M = 500 are
    distinct). distance_table lists the distinct d2 of a row range as int32
-   and each site's rank among them as a uint16 step from the rank before;
-   table_rows evaluates the term once per distinct d2 and height and
-   gathers every row from those values in the same order, with the same
-   compensation and endpoint terms, so it writes the same bits as res_rows.
-   One values buffer serves all heights of a call in turn.
+   and each site's rank among them as a uint16 step from the rank before.
+   res_rows takes the range's table (its n distances) or none (n = 0) and
+   applies one rule at each height: with a table, and the last row's largest
+   phase below PHASE_LIMIT, it evaluates the term once per distinct d2 and
+   gathers every row from those values; otherwise it streams, evaluating
+   every site's term. Both sum a row in the same order, with the same
+   compensation and endpoint terms, so either gives the same bits. One
+   values buffer serves all heights of a call in turn.
 
    sin/cos use a Cody-Waite reduced fdlibm-style kernel (1 ulp), valid for
    phases below ~1e6. Rows whose largest phase reaches that bound, and the
@@ -191,14 +193,11 @@ static inline double stream_row(int zx, double a2, double z2, long nx)
     return row_total(zx, nx == 0 ? 0.0 : row_sum(zx, nx2, a2, z2, nx), a2, z2, nx);
 }
 
-/* Octant row n_x = nx of Re[e^{2ir} Bzz^2]/r^6 for z-oriented dipole pairs
-   (zx = 0), or for z-probe / x-array dipoles with x^2-folded weights (zx = 1). */
-double res_row(int zx, double a2, double z2, long nx)
-{
-    return zx ? stream_row(1, a2, z2, nx) : stream_row(0, a2, z2, nx);
-}
-
-/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, one height. */
+/* out[nx - lo] = octant row nx for lo <= nx < hi, one height, streamed.
+   Kept out of line: inlined into table_height, its one caller, it changed
+   GCC's register allocation of the gather loop there, and the zx table
+   pass at M = 500 ran 2-3% slower. */
+__attribute__((noinline))
 static void stream_rows(int zx, double a2, double z2, long lo, long hi, double *out)
 {
     if (zx)
@@ -207,14 +206,6 @@ static void stream_rows(int zx, double a2, double z2, long lo, long hi, double *
     else
         for (long nx = lo; nx < hi; nx++)
             out[nx - lo] = stream_row(0, a2, z2, nx);
-}
-
-/* out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights
-   h and lo <= nx < hi. */
-void res_rows(int zx, double a2, const double *z2, long nz, long lo, long hi, double *out)
-{
-    for (long h = 0; h < nz; h++)
-        stream_rows(zx, a2, z2[h], lo, hi, out + h * (hi - lo));
 }
 
 /* The distance table of the rows lo <= nx < hi, hi <= 2^15: the distinct
@@ -323,19 +314,19 @@ static void gather_rows(int zx, double a2, double z2, const double *values,
     }
 }
 
-/* out[nx - lo] = res_row(zx, a2, z2, nx) for lo <= nx < hi, one height,
-   bitwise, from the rows' distance table (the n distances d2 and the rank
-   steps of distance_table(lo, hi, ...)): the site term is evaluated once
-   per distance, converted to double exactly, into values (room for n) and
-   each row gathers its terms. When
-   the last row's largest phase reaches PHASE_LIMIT the rows stream as in
-   res_rows, since rows past the limit take libm and one distance could
-   then carry two values. The height is a value here, not a pointer, so the
-   value loops can be vectorized without an alias check against values. */
+/* out[nx - lo] = octant row nx for lo <= nx < hi, one height: from the
+   rows' distance table (the n distances d2 and the rank steps of
+   distance_table(lo, hi, ...)), the site term evaluated once per distance,
+   converted to double exactly, into values (room for n) and each row
+   gathering its terms. Without a table (n = 0), or when the last row's
+   largest phase reaches PHASE_LIMIT, the rows stream: rows past the limit
+   take libm, and one distance could then carry two values. The height is a
+   value here, not a pointer, so the value loops can be vectorized without
+   an alias check against values. */
 static void table_height(int zx, double a2, double z2, const int32_t *d2, long n,
                          const uint16_t *step, long lo, long hi, double *values, double *out)
 {
-    if (hi > lo && !fast_row(a2, z2, hi - 1)) {
+    if (n == 0 || !fast_row(a2, z2, hi - 1)) {
         stream_rows(zx, a2, z2, lo, hi, out);
         return;
     }
@@ -356,11 +347,12 @@ static void table_height(int zx, double a2, double z2, const int32_t *d2, long n
     gather_rows(zx, a2, z2, values, step, lo, hi, out);
 }
 
-/* out[h (hi - lo) + nx - lo] = res_row(zx, a2, z2[h], nx) for the nz heights
-   h and lo <= nx < hi, bitwise, as table_height height by height, every
-   height reusing the one values buffer. */
-void table_rows(int zx, double a2, const double *z2, long nz, const int32_t *d2, long n,
-                const uint16_t *step, long lo, long hi, double *values, double *out)
+/* out[h (hi - lo) + nx - lo] = octant row nx at the height z2[h], for the nz
+   heights h and lo <= nx < hi: table_height height by height, from the
+   rows' distance table (n > 0) or streamed (n = 0), every height reusing
+   the one values buffer. */
+void res_rows(int zx, double a2, const double *z2, long nz, const int32_t *d2, long n,
+              const uint16_t *step, long lo, long hi, double *values, double *out)
 {
     for (long h = 0; h < nz; h++)
         table_height(zx, a2, z2[h], d2, n, step, lo, hi, values, out + h * (hi - lo));

@@ -212,16 +212,15 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_rows(rows: int, threads, cost=np.ones) -> list[tuple[int, int]]:
-    """Contiguous, non-empty index ranges (lo, hi) covering range(rows) in
-    order, at most one per thread, each holding about an equal share of the
-    total of ``cost(rows)``, the cost of each row (equal by default), which
-    is called only for more than one thread."""
+def _split_rows(cost, threads) -> list[tuple[int, int]]:
+    """Contiguous, non-empty index ranges (lo, hi) covering the rows of
+    ``cost``, the cost of each row, in order, at most one per thread, each
+    holding about an equal share of its total."""
     if threads is None or threads <= 1:
-        return [(0, rows)]
-    cum = np.cumsum(cost(rows))
+        return [(0, cost.size)]
+    cum = np.cumsum(cost)
     cuts = np.searchsorted(cum, cum[-1] * np.arange(1, threads) / threads)
-    bounds = [0, *cuts.tolist(), rows]
+    bounds = [0, *cuts.tolist(), cost.size]
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
@@ -263,7 +262,7 @@ def _resonant_octant(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     M = bundle.half_extent
     # octant row nx holds the nx + 1 sites j = 0..nx; each range is one call
     # for every height
-    ranges = _split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
+    ranges = _split_rows(np.arange(1, M + 2), threads)
     parts = _map_ranges(lambda lo, hi: kernels.res_rows(zx, a2, z2, lo, hi), ranges)
     return [kernels.exact_sum((rows,)) for rows in np.concatenate(parts, axis=1)]
 
@@ -275,7 +274,7 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     # for every height, in one call
     pair = bundle.pair  # built here, so that the workers share one array
     parts = _map_ranges(lambda lo, hi: kernels.res_points(pair, y[lo:hi], y, z, sums=True),
-                        _split_rows(y.size, threads))
+                        _split_rows(np.ones(y.size), threads))
     sums = np.concatenate(parts, axis=1)
     if vanishes_at_origin(bundle) and not np.isfinite(sums[:, M]).all():
         row = kernels.res_points(pair, y[M:M + 1], y, z, sums=False)[:, 0]  # the origin's

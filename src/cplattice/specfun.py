@@ -1,9 +1,9 @@
 """Cosine integral and the hyperbolic-integral combination Chi - Shi.
 
-Ci appears in ``bracket_zz``, the closed-form zz resonant bulk, called
-alone (``bulk_term`` takes a block's Ci from one ``kernels.sici`` call); E1
-and Chi - Shi are read only by perfbench's tracer and the tests. All reject
-x <= 0. Ci comes from ``kernels.sici``, the bits of ``scipy.special.sici``
+The package calls none of them: ``bulk_term`` takes the Ci(2z) of the
+closed-form zz bulk (``bracket_zz``) for a block of heights from one
+``kernels.sici`` call. They are read only by perfbench's tracer and the
+tests. All reject x <= 0. Ci comes from ``kernels.sici``, the bits of ``scipy.special.sici``
 (compiled, or SciPy itself on the NumPy backend), and E1 from
 ``scipy.special.exp1``, imported on the first call. Against 40-digit mpmath
 on (1e-6, 1e3] they are within ~2e-15 absolute for Ci and ~2e-15 relative

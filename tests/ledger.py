@@ -37,8 +37,8 @@ The inputs:
     the three terms of every pair of ``reference.PAIRS`` at mu 0.5, a 0.01
     and ``BATTERY_HEIGHTS``; ``kernels.ray_rotated``'s sums and panel counts
     for each pair of ``reference.RAY_PAIRS`` and stage, at ``RAY_BLOCKS``
-    heights from 1e-3 to 1e4; the backend's single ``res_row`` of both
-    orientations at ``ROWS``; the resonant direct sums of ``CUSTOM_SUMS``;
+    heights from 1e-3 to 1e4; the backend's single streamed rows
+    (``reference.stream_rows``) of both orientations at ``ROWS``; the resonant direct sums of ``CUSTOM_SUMS``;
     and ``offres_sites`` at ``reference.MOMENT_RADII`` with the NumPy backend's
     ``moments`` rows there.
 
@@ -268,7 +268,7 @@ def _pinned() -> dict:
     for a2, z2, nx in ROWS:
         for zx in (False, True):
             e[f"res_row {'zx' if zx else 'zz'} a2={a2!r} z2={z2!r} nx={nx}"] = _hex(
-                kernels._impl.res_row(zx, a2, z2, nx))
+                reference.stream_rows(kernels._impl, zx, a2, z2, nx, nx + 1)[0])
     for pair, M, a, z in CUSTOM_SUMS:
         test, array = reference.PAIRS[pair]
         b = bundle(test=test, array=array, M=M, a=a, z=z)

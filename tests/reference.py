@@ -12,7 +12,9 @@ radial brackets, and the per-node loops and NumPy site kernel that the
 package's array calls replaced. ``bulk_integral`` and ``axis_integral`` are
 the package's own ray-integral route, taken also where ``bulk_term`` and
 ``edge_term`` have a shortcut, and ``rays`` its compiled ray integrals with
-the directions those terms take.
+the directions those terms take. ``stream_rows`` is a backend's octant rows
+with every site's term evaluated, the oracle of the rows that a distance
+table serves.
 """
 import cmath
 import functools
@@ -209,6 +211,17 @@ def phi_laguerre(y, impl=_numpy_backend):
     the oracle."""
     out = np.empty((y.size, 5))
     impl.phi_laguerre(y, y.size, *LAGUERRE, LAGUERRE[0].size, out)
+    return out
+
+
+def stream_rows(impl, zx, a2, z2, lo, hi):
+    """The octant rows lo <= nx < hi at the height z2 of a backend (the
+    compiled library or the NumPy module), streamed: its one row export,
+    ``res_rows``, with the empty distance table, so every site's term is
+    evaluated."""
+    out = np.empty(hi - lo)
+    impl.res_rows(zx, a2, np.array([z2]), 1, np.empty(0, dtype=np.int32), 0,
+                  np.empty(0, dtype=np.uint16), lo, hi, np.empty(0), out)
     return out
 
 

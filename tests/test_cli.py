@@ -447,6 +447,44 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.csv", "regular.csv"]
 
 
+# The commands that write a file, each with its argv and the file's flag
+_WRITERS = {"sweep": (SWEEP_ARGS, "-o"),
+            "decompose": (["decompose", "--mu", "0.5", "--a-tilde", "0.05", "--half-extent", "3",
+                           "--z-tilde", "0.3"], "--csv")}
+
+
+@pytest.mark.parametrize("argv,flag", _WRITERS.values(), ids=_WRITERS)
+def test_output_through_a_symlink_replaces_its_target(tmp_path, argv, flag):
+    # the file goes beside the link's target and replaces it: the link
+    # stays a link, to the same relative path, and no temporary is left
+    want = tmp_path / "want.csv"
+    assert run_cli(argv + [flag, str(want)]).returncode == cli.EXIT_OK
+    (tmp_path / "data").mkdir()
+    real, link = tmp_path / "data" / "real.csv", tmp_path / "link.csv"
+    real.write_bytes(b"z_tilde,previous\n")
+    link.symlink_to("data/real.csv")
+    assert run_cli(argv + [flag, str(link)]).returncode == cli.EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == "data/real.csv"
+    assert real.read_bytes() == want.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.csv", "want.csv"]
+    assert [p.name for p in real.parent.iterdir()] == ["real.csv"]
+
+
+@pytest.mark.parametrize("argv,flag", _WRITERS.values(), ids=_WRITERS)
+def test_output_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path, argv, flag):
+    # a private file stays private; a new file gets the mode that creating
+    # any file gets under this process's umask
+    private, new, created = tmp_path / "p.csv", tmp_path / "new.csv", tmp_path / "created"
+    private.write_bytes(b"z_tilde,previous\n")
+    private.chmod(0o600)
+    created.touch()
+    for path in (private, new):
+        assert run_cli(argv + [flag, str(path)]).returncode == cli.EXIT_OK
+    assert private.read_bytes() == new.read_bytes()
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    assert new.stat().st_mode == created.stat().st_mode != private.stat().st_mode
+
+
 def _assert_rejected(proc, code, message):
     """``code``, no output, and on stderr the notes of a sweep's skipped
     direct sums, if any, then the one line ``error: message``."""

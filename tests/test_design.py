@@ -8,7 +8,8 @@ nowhere; ``lattice_sum.quiet_nonfinite`` alone sets NumPy's error state,
 and the site kernels run in it, so a value that is not finite is reported
 once, with no NumPy warning first; every top-level name is read in the
 package or exported; only ``kernels.backend`` and ``backend_name`` know
-which backend is in place; only ``kernels.table_ranks`` turns a distance
+which backend is in place; every export of ``_rows.c`` is called through
+``kernels._impl`` or is one of the tests' named probes; only ``kernels.table_ranks`` turns a distance
 table's rank steps into ranks outside kernels; no test module imports
 another; and none pins bits by hand, which is the ledger's one record, or
 reads the ledger but ``test_ledger.py``, its one check; and every public
@@ -47,16 +48,21 @@ C_SOURCE = kernels._SOURCE.read_text()
 ALLOWED = {
     ("cplattice.kernels", "backend"): "the tests and the benchmark switch the row backend",
     ("cplattice.kernels", "backend_name"): "the tests and the benchmark name the row backend",
-    ("cplattice.kernels._numpy_backend", "res_row"): "the tests' single-row oracle, as in C",
     ("cplattice.kernels", "res_row_zz"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.kernels", "res_row_zx"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.lattice_sum", "quad"): "perfbench's tracer; ROADMAP item 1a deletes",
     ("cplattice.specfun", "chi_minus_shi"): "perfbench's tracer and test_acceptance's criterion 10",
+    ("cplattice.specfun", "cosine_integral"): "perfbench's tracer and the tests",
 }
 
 # The names that no run calls, kept only for the tracer's getattr
 STAND_INS = {("cplattice.kernels", "res_row_zz"), ("cplattice.kernels", "res_row_zx"),
              ("cplattice.lattice_sum", "quad")}
+
+# The exports of _rows.c that only the tests call, each to probe a piece of
+# the compiled arithmetic: the reduced sin/cos, libm's, and the
+# Gauss-Laguerre branch of the off-resonant site kernel
+PROBES = {"sincos_probe", "libm_sincos", "phi_laguerre"}
 
 # The functions that import SciPy
 SCIPY_IMPORTS = {("cplattice.kernels._numpy_backend", "sici"),
@@ -242,15 +248,27 @@ def test_every_static_function_of_the_library_is_called():
 def test_numpy_backend_takes_the_compiled_signatures():
     # a wrapper makes one call through _impl that runs on either backend, so
     # each export it calls so has a NumPy twin of the same name and parameter
-    # count; so has the single row, the tests' range oracle
+    # count
     called = set(re.findall(r"\b_impl\.(\w+)", MODULES["cplattice.kernels"][1]))
-    assert called == {"res_rows", "table_rows", "distance_table", "offres_sites",
-                      "offres_points", "res_points", "ray_rotated", "panel_sums", "sici"}
+    assert called == {"res_rows", "distance_table", "offres_sites", "offres_points",
+                      "res_points", "ray_rotated", "panel_sums", "sici"}
     exported = {name: params.split(",") for _, name, params in
                 re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", C_SOURCE, re.M)}
-    for name in called | {"res_row"}:
+    for name in called:
         twin = inspect.signature(getattr(_numpy_backend, name)).parameters
         assert len(twin) == len(exported[name]), name
+
+
+def test_every_export_is_called_through_the_backend_or_is_a_probe():
+    # an export that no wrapper reaches through _impl is a test-only entry
+    # point: unless it is a named probe, it is a second path beside the
+    # wrappers' one, which the tests would check in its place. The rows
+    # take one call, with a distance table or the empty one
+    source = MODULES["cplattice.kernels"][1]
+    exported = set(re.findall(r"^\w+ (\w+)\([^)]*\)$", C_SOURCE, re.M))
+    called = set(re.findall(r"\b_impl\.(\w+)", source))
+    assert called <= exported and exported - called == PROBES
+    assert len(re.findall(r"\b_impl\.res_rows\(", source)) == 1
 
 
 def test_only_the_switch_and_the_name_test_the_backend():

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import roots_laguerre, sici
 
-from reference import LAGUERRE, S3, bundle, former_offresonant_sites, phi_laguerre
+from reference import (LAGUERRE, S3, bundle, former_offresonant_sites, phi_laguerre,
+                       stream_rows)
 
 from cplattice import greens, kernels, lattice_sum
 from cplattice.greens import resonant_sites
@@ -75,7 +76,8 @@ def test_backend_switch_swaps_and_restores(lib, monkeypatch):
         assert numpy_impl is _numpy_backend and kernels.backend_name() == "numpy"
         assert kernels._tables == {} and kernels._tables is not before[1]
         with kernels.backend("c") as c_impl:
-            assert c_impl.res_row(0, 1e-4, 0.04, 9) == lib.res_row(0, 1e-4, 0.04, 9)
+            row = 0, 1e-4, 0.04, 9, 10
+            assert stream_rows(c_impl, *row) == stream_rows(lib, *row)
         assert kernels.backend_name() == "numpy"
         monkeypatch.setattr(kernels, "load_library", lambda: None)
         with pytest.raises(RuntimeError, match="cannot be built or loaded"), kernels.backend("c"):
@@ -131,7 +133,8 @@ def test_cached_library_loads_without_a_process(lib, tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", no_process)
     cached = kernels.load_library(directory=tmp_path)
-    assert cached.res_row(0, 1e-4, 0.04, 100) == lib.res_row(0, 1e-4, 0.04, 100)
+    row = 0, 1e-4, 0.04, 100, 101
+    assert stream_rows(cached, *row) == stream_rows(lib, *row)
     assert sorted(p.name for p in tmp_path.iterdir()) == built
 
 
@@ -181,7 +184,7 @@ def test_numpy_sincos_is_the_compiled_one_bitwise(lib):
 @pytest.mark.parametrize("a2,z2", [(1e-4, 0.04), (0.25, 1.0), (4.0, 1e-4), (1e-2, 9.0)])
 def test_rows_match_the_weighted_site_sum(lib, nx, a2, z2):
     for zx in (False, True):
-        assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
+        assert stream_rows(lib, zx, a2, z2, nx, nx + 1)[0] == pytest.approx(
             _dot_row(zx, a2, z2, nx), rel=5e-12, abs=1e-300)
 
 
@@ -204,26 +207,23 @@ def test_compiled_rows_match_the_weighted_site_sums(lib, log_a2, log_z2, nx):
     a2, z2 = math.exp(log_a2), math.exp(log_z2)
     mzz, mzx = _weighted_magnitude(a2, z2, nx)
     for zx, magnitude in ((False, mzz), (True, mzx)):
-        assert lib.res_row(zx, a2, z2, nx) == pytest.approx(
+        assert stream_rows(lib, zx, a2, z2, nx, nx + 1)[0] == pytest.approx(
             _dot_row(zx, a2, z2, nx), rel=5e-12, abs=1e-13 * magnitude)
 
 
 def _row_paths():
-    """Yields the single-row kernel of the backend in place once for each
-    of its row paths: the backend reads its distance tables, then streams
-    every range (a table cap of 0)."""
-    row = kernels._impl.res_row
+    """Yields the single streamed row of the backend in place, row(zx, a2,
+    z2, nx), once for each of its row paths: the backend reads its distance
+    tables, then streams every range (a table cap of 0)."""
+    impl = kernels._impl
+
+    def row(zx, a2, z2, nx):
+        return stream_rows(impl, zx, a2, z2, nx, nx + 1)[0]
+
     yield row
     with pytest.MonkeyPatch.context() as m:
         m.setattr(kernels, "TABLE_SITE_CAP", 0)
         yield row
-
-
-def _stream(lib, zx, a2, z2, lo, hi):
-    """The compiled streaming rows lo <= nx < hi, without the table path."""
-    out = np.empty(hi - lo)
-    lib.res_rows(zx, a2, np.array([z2]), 1, lo, hi, out)
-    return out
 
 
 @pytest.mark.usefixtures("backend")
@@ -312,9 +312,8 @@ def test_loader_declares_every_exported_symbol(lib, tmp_path):
               "uint16_t *": kernels.U16}
     exported = re.findall(r"^(\w+) (\w+)\(([^)]*)\)$", kernels._SOURCE.read_text(), re.M)
     assert {name for _, name, _ in exported} == {
-        "res_row", "res_rows", "table_rows", "distance_table", "phi_laguerre", "offres_sites",
-        "sincos_probe", "ray_rotated", "panel_sums", "res_points", "offres_points",
-        "libm_sincos", "sici"}
+        "res_rows", "distance_table", "phi_laguerre", "offres_sites", "sincos_probe",
+        "ray_rotated", "panel_sums", "res_points", "offres_points", "libm_sincos", "sici"}
     for ret, name, params in exported:
         fn = getattr(loaded, name)
         want = [c_type[re.fullmatch(r"(?:const )?(\w+(?: \*)?) ?\w+", p.strip()).group(1)]
@@ -365,10 +364,9 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     assert _sincos(lib, t) == _sincos(lib, t.copy())
     d2, step = kernels.distance_table(0, 3)
     assert not (d2.flags.writeable or step.flags.writeable)
-    z2, rows, want = np.array([0.04]), np.empty(3), np.empty(3)
-    lib.table_rows(0, 1e-4, z2, 1, d2, d2.size, step, 0, 3, np.empty(d2.size), rows)
-    lib.res_rows(0, 1e-4, z2, 1, 0, 3, want)
-    assert rows.tolist() == want.tolist()
+    rows = np.empty(3)
+    lib.res_rows(0, 1e-4, np.array([0.04]), 1, d2, d2.size, step, 0, 3, np.empty(d2.size), rows)
+    assert rows.tolist() == stream_rows(lib, 0, 1e-4, 0.04, 0, 3).tolist()
 
 
 def _unique_table(lo, hi):
@@ -463,18 +461,20 @@ def test_allocation_failures_raise_memory_error(backend, monkeypatch):
             kernels.ray_rotated(bulk, pair, np.array(directions), np.array([0.3, 0.5]))
 
 
-def _table_rows(lib, zx, a2, z2, lo, hi):
-    """lib.table_rows on the rows' table, without the entry point's cap."""
-    d2, step = kernels.build_table(lib.distance_table, lo, hi)
+def _table_rows(impl, zx, a2, z2, lo, hi):
+    """A backend's rows lo <= nx < hi at the height z2 from their table: its
+    one row export with the table, without the entry point's cap."""
+    d2, step = kernels.build_table(impl.distance_table, lo, hi)
     out = np.empty(hi - lo)
-    lib.table_rows(zx, a2, np.array([z2]), 1, d2, d2.size, step, lo, hi, np.empty(d2.size), out)
+    impl.res_rows(zx, a2, np.array([z2]), 1, d2, d2.size, step, lo, hi, np.empty(d2.size), out)
     return out
 
 
 @pytest.mark.parametrize("M", [0, 1, 2, 7, 8, 9, 63, 64, 65, 500])
-def test_table_rows_equal_streaming_rows_bitwise(lib, M):
-    # every row from the table equals the streaming row: the same site terms,
-    # summed in the same order with the same compensation and endpoints
+def test_table_rows_equal_streaming_rows_bitwise(backend, M):
+    # every row from the table equals the row that the empty table streams:
+    # the same site terms, summed in the same order with the same
+    # compensation and endpoints
     ranges = {(0, M + 1), (M // 3, M + 1), (0, (M + 1) // 2), (M // 4, 3 * M // 4 + 1),
               (M, M + 1), (M // 2, M // 2)}
     for a in (0.01, 0.05, 0.5, 3.0):
@@ -482,10 +482,24 @@ def test_table_rows_equal_streaming_rows_bitwise(lib, M):
             a2, z2 = a * a, float(z) ** 2
             for lo, hi in sorted(ranges):
                 for zx in (False, True):
-                    want = _stream(lib, zx, a2, z2, lo, hi)
-                    got = _table_rows(lib, zx, a2, z2, lo, hi)
+                    want = stream_rows(backend, zx, a2, z2, lo, hi)
+                    got = _table_rows(backend, zx, a2, z2, lo, hi)
                     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], (
                         M, a, float(z), lo, hi, zx)
+
+
+def test_an_empty_row_range_writes_nothing(backend):
+    # hi == lo, with the empty table or the range's own (also empty), at
+    # three heights: out and values are empty views of sentinel buffers,
+    # which the compiled call would reach through their first address
+    for lo in (0, 7):
+        d2, step = kernels.build_table(backend.distance_table, lo, lo)
+        assert d2.size == step.size == 0
+        for zx in (False, True):
+            out, values = np.full(4, -1.0), np.full(4, -2.0)
+            backend.res_rows(zx, 1e-4, np.array([0.04, 1.0, 1e11]), 3, d2, 0, step, lo, lo,
+                             values[:0], out[:0])
+            assert (out == -1.0).all() and (values == -2.0).all()
 
 
 @pytest.mark.parametrize("array_dipole", [Z_HAT, X_HAT], ids=["zz", "zx"])
@@ -497,7 +511,7 @@ def test_sums_from_tables_equal_streaming_sums(backend, monkeypatch, array_dipol
     for M, a, z in ((9, 0.5, 0.3), (65, 0.05, 2.0), (500, 0.01, 0.3)):
         b = bundle(a=a, M=M, z=z, array=array_dipole)
         table = sum_lattice(b, "resonant", threads=threads).resonant
-        ranges = lattice_sum._split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
+        ranges = lattice_sum._split_rows(np.arange(1, M + 2), threads)
         assert set(ranges) <= set(kernels._tables)  # the tables served the sum
         with monkeypatch.context() as m:
             m.setattr(kernels, "TABLE_SITE_CAP", 0)
@@ -505,7 +519,7 @@ def test_sums_from_tables_equal_streaming_sums(backend, monkeypatch, array_dipol
         assert table.hex() == stream.hex()
 
 
-def test_table_rows_past_the_phase_limit_stream(lib):
+def test_table_rows_past_the_phase_limit_stream(backend):
     # a = 1e5, M = 5: rows 0..3 have their largest phase below 1e6 and rows
     # 4 and 5 reach it, so those take libm, where one distance can carry a
     # different value than the table's fast one
@@ -514,10 +528,26 @@ def test_table_rows_past_the_phase_limit_stream(lib):
     assert fast == [True] * 4 + [False] * 2
     for zx in (False, True):
         for lo, hi in ((0, M + 1), (3, M + 1), (0, 4), (5, 6)):
-            want = _stream(lib, zx, a2, z2, lo, hi)
-            got = _table_rows(lib, zx, a2, z2, lo, hi)
+            want = stream_rows(backend, zx, a2, z2, lo, hi)
+            got = _table_rows(backend, zx, a2, z2, lo, hi)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
     assert re.search(r"PHASE_LIMIT = 1\.0e6;", kernels._SOURCE.read_text())
+
+
+def test_a_height_past_the_phase_limit_streams_inside_a_tabled_call(backend):
+    # rows 0..40 at a = 100 from their table at three heights: at z2 = 1e14
+    # every phase passes 1e6 and the rows stream with libm, between two
+    # heights that read the table. The reduced sin/cos is off there, so a
+    # table read at that height would change the bits
+    a2, z2 = 1e4, np.array([0.09, 1e14, 0.09])
+    assert [2.0 * math.sqrt(3200.0 * a2 + h) < 1e6 for h in z2.tolist()] == [True, False, True]
+    assert 2.0 * math.sqrt(z2[1]) > 1e6
+    d2, step = kernels.build_table(backend.distance_table, 0, 41)
+    for zx in (False, True):
+        out = np.empty((3, 41))
+        backend.res_rows(zx, a2, z2, 3, d2, d2.size, step, 0, 41, np.empty(d2.size), out)
+        for h, z2h in enumerate(z2.tolist()):
+            assert out[h].tobytes() == stream_rows(backend, zx, a2, z2h, 0, 41).tobytes()
 
 
 def test_rows_above_the_table_cap_stream(lib, monkeypatch):
@@ -528,7 +558,7 @@ def test_rows_above_the_table_cap_stream(lib, monkeypatch):
     with kernels.backend("c"):
         for lo, hi in ((0, 501), (0, 14), (0, 13), (10, 14), (5, 13)):
             for zx in (False, True):
-                want = _stream(lib, zx, a2, z2, lo, hi)
+                want = stream_rows(lib, zx, a2, z2, lo, hi)
                 assert kernels.res_rows(zx, a2, z2, lo, hi).tobytes() == want.tobytes()
             kept = {key: step.size for key, (_, step) in kernels._tables.items()}
             assert ((lo, hi) in kept) == (kernels.range_sites(lo, hi) <= 100)
@@ -543,7 +573,7 @@ def test_a_far_row_streams_without_a_table(backend):
     for zx in (False, True):
         row = kernels.res_rows(zx, 1e-4, [0.09], 20001, 20002)
         assert row.shape == (1, 1)
-        assert row[0, 0].hex() == backend.res_row(zx, 1e-4, 0.09, 20001).hex()
+        assert row.tobytes() == stream_rows(backend, zx, 1e-4, 0.09, 20001, 20002).tobytes()
     assert kernels._tables == {}
     # the far single rows: 64 has as many sites as words and takes its
     # table, 65 has fewer and streams
@@ -777,8 +807,8 @@ def test_offres_sites_backends_write_the_same_buffer(lib, n, where):
 @pytest.mark.parametrize("a,M,z", [(0.05, 200, 0.3), (0.5, 60, 2.0), (0.01, 300, 0.05)])
 def test_sum_lattice_same_on_numpy_rows(lib, monkeypatch, array_dipole, a, M, z):
     b = bundle(a=a, M=M, z=z, array=array_dipole)
-    numpy_ranges, numpy_rows = [], _numpy_backend.table_rows
-    monkeypatch.setattr(_numpy_backend, "table_rows",
+    numpy_ranges, numpy_rows = [], _numpy_backend.res_rows
+    monkeypatch.setattr(_numpy_backend, "res_rows",
                         lambda *args: numpy_ranges.append(args[7:9]) or numpy_rows(*args))
     values = []
     for name in ("c", "numpy"):
@@ -816,11 +846,11 @@ def test_build_flags_keep_ieee_arithmetic():
 def test_large_phase_fallback_row(lib):
     # rows whose phase exceeds the Cody-Waite range route through libm
     a2, z2 = 9e4, 1.0  # r up to ~sqrt(2)*3e5, phase ~ 8.5e5 < 1e6 stays fast
-    v1 = lib.res_row(0, a2, z2, 2000)
+    v1 = stream_rows(lib, 0, a2, z2, 2000, 2001)[0]
     w1 = _dot_row(False, a2, z2, 2000)
     assert v1 == pytest.approx(w1, rel=1e-11)
     a2 = 4e6  # phase ~ 5.6e6 > 1e6 forces the libm fill
-    v2 = lib.res_row(0, a2, z2, 2000)
+    v2 = stream_rows(lib, 0, a2, z2, 2000, 2001)[0]
     w2 = _dot_row(False, a2, z2, 2000)
     assert v2 == pytest.approx(w2, rel=1e-11)
 
@@ -851,13 +881,13 @@ def test_row_throughput_contract(lib):
     # between 0.62 and 1.08 ms within seconds while the row held 1.24-1.45e8
     # terms/s, so a full rescale failed 4 of 22 runs of unchanged code.
     nx, reps = 30000, 10
-    lib.res_row(0, 1e-4, 0.04, nx)  # warm up
+    stream_rows(lib, 0, 1e-4, 0.04, nx, nx + 1)  # warm up
     rates = []
     for _ in range(21):
         piece_s = _reference_piece()
         t0 = time.perf_counter()
         for _ in range(reps):
-            lib.res_row(0, 1e-4, 0.04, nx)
+            stream_rows(lib, 0, 1e-4, 0.04, nx, nx + 1)
         rate = reps * (nx + 1) / (time.perf_counter() - t0)
         rates.append(rate * max(piece_s / REFERENCE_PIECE_S, 1.0))
     rate = statistics.median(rates)

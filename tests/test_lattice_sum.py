@@ -65,7 +65,7 @@ def test_zx_sums_at_a_tiny_height_are_finite(backend, kind, M, want):
     # kinds are the same bits on both backends
     got = getattr(sum_lattice(mk(mu=0.6, a=0.01, M=M, z=1e-60, array=(1, 0, 0)), kind), kind)
     assert got.hex() == want.hex()
-    assert _numpy_backend.res_row(True, 1e-4, 1e-120, 0) == 0.0
+    assert reference.stream_rows(_numpy_backend, True, 1e-4, 1e-120, 0, 1).tolist() == [0.0]
 
 
 def test_offresonant_retarded_origin_site():
@@ -326,7 +326,7 @@ def test_thread_count_does_not_change_bits(backend, monkeypatch):
     # thread, each within one row of an equal share of the work
     for work in (np.ones(15), np.arange(1, 9), np.arange(1, 62), np.arange(1, 502)):
         for t in (None, 1, 2, 3, 4, 16, 600):
-            ranges = _split_rows(work.size, t, lambda rows: work)
+            ranges = _split_rows(work, t)
             assert ranges[0][0] == 0 and ranges[-1][1] == len(work)
             assert all(lo < hi for lo, hi in ranges)
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
@@ -335,32 +335,6 @@ def test_thread_count_does_not_change_bits(backend, monkeypatch):
             assert all(work[lo:hi].sum() <= share + work.max() for lo, hi in ranges)
             assert _map_ranges(lambda lo, hi: list(range(lo, hi)), ranges) == [
                 list(range(lo, hi)) for lo, hi in ranges]
-
-
-def _former_split_rows(work, threads):
-    """The row splitter as it was when it took the cost array of every row,
-    built for any thread count: the reference of the ranges."""
-    if threads is None or threads <= 1:
-        return [(0, len(work))]
-    cum = np.cumsum(work)
-    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, threads) / threads)
-    bounds = [0, *cuts.tolist(), len(work)]
-    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3, 4])
-@pytest.mark.parametrize("M", [0, 1, 8, 40, 500])
-def test_split_rows_keep_the_former_ranges(threads, M):
-    # the octant's M + 1 rows (row nx holds nx + 1 sites) and the custom
-    # grid's 2M + 1 rows of equal cost, as the resonant sums split them
-    octant = _split_rows(M + 1, threads, lambda rows: np.arange(1, rows + 1))
-    assert octant == _former_split_rows(np.arange(1, M + 2), threads)
-    assert _split_rows(2 * M + 1, threads) == _former_split_rows(np.ones(2 * M + 1), threads)
-    if threads == 1:
-        def no_cost(rows):
-            raise AssertionError("one thread built the cost of its rows")
-
-        assert _split_rows(2 * M + 1, threads, no_cost) == [(0, 2 * M + 1)]
 
 
 @pytest.mark.parametrize("cap", [1, 50, 1 << 14])
@@ -450,7 +424,7 @@ def test_octant_heights_take_one_row_call_per_range(monkeypatch, threads):
         (np.shape(z2), lo, hi)) or rows(zx, a2, z2, lo, hi))
     sum_lattice(mk(a=0.05, M=40), "resonant", heights=np.geomspace(0.1, 3.0, 7),
                 threads=threads)
-    ranges = _split_rows(41, threads, lambda rows: np.arange(1, rows + 1))
+    ranges = _split_rows(np.arange(1, 42), threads)
     assert sorted(calls) == sorted(((7,), lo, hi) for lo, hi in ranges)
 
 
