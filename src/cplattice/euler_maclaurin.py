@@ -6,18 +6,25 @@ The lattice sum over an unbounded array is split into
     edge   = (2/a) [ int_0^inf dx f(x, 0) + int_0^inf dy f(0, y) ]
     vertex = f(0, 0)                                         (single site)
 
-with f the per-site shift term. For the two principal orientations the
-resonant bulk has closed antiderivatives in terms of the cosine integral,
+with f the per-site shift term. The resonant bulk of every dipole pair is
+one closed form. In the plane-wave (Weyl) form of the Green tensor, as
+Wylie and Sipe write excited-atom surface potentials (Phys. Rev. A 30, 1185
+(1984)), the areal integral of the site term is 2 pi Re int <P>(k)/k e^{2ikz}
+dk along k = 1 + it, t >= 0. Its weight <P> = c0 + c2 k^2 + c4 k^4 is the
+azimuthal mean of the two plane-wave couplings
+(:func:`plane_wave_coefficients`), so
 
-    bulk_zz = (9 pi/32) K Bzz(z)/(a^2 z^4),
-    Bzz = -8 Ci(2z) z^4 + cos(2z)(3 - 2z^2) + 2z (3 + 2z^2) sin(2z),
-    bulk_zx = (9 pi/64) K Bzx(z)/(a^2 z^4),
-    Bzx = (3 - 4z^2) cos(2z) + 6z sin(2z),      K = rho mu/((1-mu)(1+mu)).
+    bulk = pref 2 pi B(z)/(8 a^2 z^4),
+    B = -8 c0 Ci(2z) z^4 + (3c4 - 2(c2 + 3c4) z^2) cos(2z)
+        + 2z (3c4 - 2(c2 + c4) z^2) sin(2z)
 
-Both prefactors are pinned by high-precision quadrature of the radial
-integral (the module's tests re-derive them; the numerical path below must
-agree with them). Bzz cancels as z grows, so above z = 20 the zz bulk is
-integrated numerically like any other orientation.
+(:func:`plane_wave_bracket`), with pref = (9/8) rho mu/((1-mu)(1+mu)). zz has
+(c0, c2, c4) = (1, -2, 1) and zx (0, -1/2, 1/2). The tests check B against an
+mpmath quadrature of the k-integral. Where c0 != 0 the Ci term cancels the
+others as z grows, so above z = 20 such a bulk is a ray integral; where
+c0 = 0 (zx, a z probe over any in-plane dipole) nothing cancels, and the
+closed form serves every height. Which route a height takes is data: the
+pair's c0 and the height.
 
 Every other bulk and edge integral is one ray integral,
 :func:`_ray_integral`: the site term integrated along in-plane rays from
@@ -36,11 +43,10 @@ keeps only the tolerance those estimates are checked against,
 
 * real path (off-resonant edge and bulk): fixed panels in s = R/z, with the
   s = 16/t tail (``kernels.REAL_PATH``);
-* rotated path (resonant edge; resonant bulk of generic orientations, and
-  of zz above z = 20): the e^{2ir}
-  phase would oscillate along the real axis, so the path turns into the
-  upper half-plane, x = t e^{i pi/4} for the edge and r = z + t e^{i pi/4}
-  for the bulk, where it decays (numerical steepest descent: Huybrechs and
+* rotated path (resonant edge; resonant bulk above z = 20 where c0 != 0):
+  the e^{2ir} phase would oscillate along the real axis, so the path turns
+  into the upper half-plane, x = t e^{i pi/4} for the edge and
+  r = z + t e^{i pi/4} for the bulk, where it decays (numerical steepest descent: Huybrechs and
   Vandewalle, SIAM J. Numer. Anal. 44 (2006) 1026). The integrand is the
   analytic continuation ``greens.resonant_sites_complex``; no branch point
   is crossed, since r depends on x only through x^2 and <f>_phi on R only
@@ -48,10 +54,10 @@ keeps only the tolerance those estimates are checked against,
   sqrt(z) (the width of e^{i x^2/z} at large z) and 1/sin(pi/4), each
   height's from the table ``kernels.ROTATED_RULE``.
 
-The orientation label only selects symmetries: the closed-form zz/zx bulk,
-the single zz azimuth, and which axis integrals are equal or vanish. Where a
-closed form is not finite (z^4 underflows or overflows) the bulk raises
-QuadratureFailure, as a ray integral that misses its tolerance does.
+The orientation label only selects symmetries: the single zz azimuth, and
+which axis integrals are equal or vanish. Where the closed form is not
+finite (z^4 underflows or overflows) the bulk raises QuadratureFailure, as a
+ray integral that misses its tolerance does.
 
 Every term takes an optional array of heights and then returns one value
 per height, bitwise equal to one call per height; a call without heights
@@ -109,14 +115,40 @@ class ShiftBreakdown:
     total: float
 
 
-def bracket_zz(z: float, ci: float) -> float:
-    """Bzz(z), with ci = Ci(2z)."""
-    return (-8.0 * ci * z ** 4 + math.cos(2.0 * z) * (3.0 - 2.0 * z * z)
-            + 2.0 * z * (3.0 + 2.0 * z * z) * math.sin(2.0 * z))
+def plane_wave_coefficients(e0, en) -> tuple[float, float, float]:
+    """(c0, c2, c4) of the dipole pair (e0, en): the azimuthal mean of the
+    plane-wave couplings [e0.(I - KK).en][e0.(I - K'K').en], K = (q, -k) and
+    K' = (-q, -k) with |q|^2 = 1 - k^2, is c0 + c2 k^2 + c4 k^4.
+
+    They are quadratic in each dipole, through u = e0_par.en_par,
+    p = e0_z en_z, t = |e0_par|^2 |en_par|^2 and
+    v = (|e0_par|^2 en_z^2 + e0_z^2 |en_par|^2)/2 (par: the in-plane part),
+    each formed so that swapping or flipping the dipoles, or applying an
+    element of the square's group D4 to both, keeps the bits. zz gives
+    (1, -2, 1) and zx (0, -1/2, 1/2), exactly. c0 is the mean of a square
+    (k = 0: every wave in the plane), so it is 0 only where all those
+    couplings vanish (zx, a z probe over any in-plane dipole); and
+    c0 + c2 + c4 = u^2.
+    """
+    u = e0[0] * en[0] + e0[1] * en[1]
+    p = e0[2] * en[2]
+    e0_par, en_par = e0[0] * e0[0] + e0[1] * e0[1], en[0] * en[0] + en[1] * en[1]
+    t = e0_par * en_par
+    v = (e0_par * (en[2] * en[2]) + (e0[2] * e0[2]) * en_par) / 2.0
+    return ((2.0 * u * u + t) / 8.0 + p * (u + p),
+            (2.0 * u * u - t) / 4.0 - v - p * u - 2.0 * p * p,
+            (2.0 * u * u + t) / 8.0 + v + p * p)
 
 
-def bracket_zx(z: float) -> float:
-    return (3.0 - 4.0 * z * z) * math.cos(2.0 * z) + 6.0 * z * math.sin(2.0 * z)
+def plane_wave_bracket(z: float, ci: float, c0: float, c2: float, c4: float) -> float:
+    """B(z) of the pair with the coefficients (c0, c2, c4), with ci = Ci(2z)
+    (not read where c0 = 0, which has no Ci term): the resonant bulk is
+    pref 2 pi B/(8 a^2 z^4). The Ci term comes first, then the cos and the
+    sin terms: in this order zz and zx keep the bits of their own former
+    brackets. -0.0 adds nothing to any value."""
+    head = -8.0 * c0 * ci * z ** 4 if c0 else -0.0
+    return (head + math.cos(2.0 * z) * (3.0 * c4 - 2.0 * (c2 + 3.0 * c4) * z * z)
+            + 2.0 * z * (3.0 * c4 - 2.0 * (c2 + c4) * z * z) * math.sin(2.0 * z))
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +255,26 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     return _checked(sums, counts, heights, bundle, f"{stage} {kind}", axes)
 
 
-# Above this height the zz bulk takes the rotated path: bracket_zz loses digits
-# to cancellation between its z^4 Ci(2z) and z^3 sin(2z) terms. Against
-# 50-digit mpmath it is off by 2e-14 relative at z = 20, 7e-13 at 100 and
-# 1.4e-8 at 1e4; the rotated path stays within ~2e-13 up to 1e4.
-_ZZ_CLOSED_FORM_MAX_Z = 20.0
+# Above this height the bulk of a pair with c0 != 0 takes the rotated path:
+# its bracket loses digits to cancellation between the z^4 Ci(2z) and z^3
+# sin(2z) terms. For zz, against 50-digit mpmath, it is off by 2e-14
+# relative at z = 20, 7e-13 at 100 and 1.4e-8 at 1e4; the rotated path stays
+# within ~2e-13 up to 1e4. Without the Ci term nothing cancels, and the
+# closed form serves every height.
+_CI_CLOSED_FORM_MAX_Z = 20.0
 
 
-def _closed_form(bundle: ValidatedBundle, pref: float, label: str, z: float,
-                 ci: float | None) -> float:
-    """The closed-form resonant bulk of a zz or zx pair at the height z, with
-    the prefactor pref and, for zz, ci = Ci(2z). Raises QuadratureFailure,
-    naming the stage, kind, height and mu as a ray integral does, where the
-    value is not finite: at a = 0.01 it overflows below z ~ 1e-78 (z^4 nears
-    the subnormals), and z^4 itself overflows above ~1e77."""
-    a2 = bundle.a_tilde ** 2
+def _closed_form(bundle: ValidatedBundle, pref: float, coefficients, z: float,
+                 ci: float) -> float:
+    """The closed-form resonant bulk at the height z, with the prefactor pref,
+    the pair's plane-wave coefficients and ci = Ci(2z). Raises
+    QuadratureFailure, naming the stage, kind, height and mu as a ray
+    integral does, where the value is not finite: at a = 0.01 it overflows
+    below z ~ 1e-78 (z^4 nears the subnormals), and z^4 itself overflows
+    above ~1e77."""
     try:
-        if label == "zz":
-            v = pref * 2.0 * math.pi * bracket_zz(z, ci) / (8.0 * a2 * z ** 4)
-        else:
-            v = pref * math.pi * bracket_zx(z) / (8.0 * a2 * z ** 4)
+        v = pref * 2.0 * math.pi * plane_wave_bracket(z, ci, *coefficients) / (
+            8.0 * bundle.a_tilde ** 2 * z ** 4)
     except (ZeroDivisionError, OverflowError):
         v = math.nan
     if not math.isfinite(v):
@@ -253,6 +285,12 @@ def _closed_form(bundle: ValidatedBundle, pref: float, label: str, z: float,
 def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     """The (4/a^2) double-integral term for the unbounded lattice.
 
+    Resonant, it is the plane-wave closed form of every dipole pair,
+    pref 2 pi B(z)/(8 a^2 z^4) with :func:`plane_wave_bracket`, up to
+    z = 20 where the pair's c0 is not 0, and the rotated ray integral above;
+    where c0 = 0 the closed form serves every height. Off-resonant, it is
+    the real-path ray integral.
+
     With ``heights``, the term at each of those heights (the bundle's other
     parameters kept) as a float64 array, bitwise equal to one call per
     height; without, the float at the bundle's height. So do
@@ -260,19 +298,23 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     """
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)
-    label = bundle.orientation_label()
     z = heights_array(bundle, heights)
     values = np.empty(z.size)
-    if kind == "resonant" and label in ORIENTATIONS:
-        closed = z <= _ZZ_CLOSED_FORM_MAX_Z if label == "zz" else np.ones(z.size, dtype=bool)
-        # one kernels.sici call for every zz height: Ci is elementwise
-        ci = kernels.sici(2.0 * z[closed])[1].tolist() if label == "zz" else [None] * z.size
-        values[closed] = [_closed_form(bundle, pref, label, h, c)
+    if kind == "resonant":
+        coefficients = plane_wave_coefficients(bundle.params.test_dipole,
+                                               bundle.params.array_dipole)
+        if coefficients[0]:
+            closed = z <= _CI_CLOSED_FORM_MAX_Z
+            # one kernels.sici call for every closed-form height: Ci is elementwise
+            ci = kernels.sici(2.0 * z[closed])[1].tolist()
+        else:
+            closed, ci = np.ones(z.size, dtype=bool), [0.0] * z.size
+        values[closed] = [_closed_form(bundle, pref, coefficients, h, c)
                           for h, c in zip(z[closed].tolist(), ci)]
     else:
         closed = np.zeros(z.size, dtype=bool)
     if not closed.all():
-        ring = _RING[:1] if label == "zz" else _RING
+        ring = _RING[:1] if bundle.orientation_label() == "zz" else _RING
         values[~closed] = pref * (2.0 * math.pi / bundle.a_tilde ** 2) * _ray_integral(
             bundle, kind, "bulk", ring, z[~closed])[:, 0]
     return per_height(heights, values)

@@ -1,8 +1,8 @@
 """Cosine integral and the hyperbolic-integral combination Chi - Shi.
 
 The package calls none of them: ``bulk_term`` takes the Ci(2z) of the
-closed-form zz bulk (``bracket_zz``) for a block of heights from one
-``kernels.sici`` call. They are read only by perfbench's tracer and the
+closed-form resonant bulk (``euler_maclaurin.plane_wave_bracket``) for a
+block of heights from one ``kernels.sici`` call. They are read only by perfbench's tracer and the
 tests. All reject x <= 0. Ci comes from ``kernels.sici``, the bits of ``scipy.special.sici``
 (compiled, or SciPy itself on the NumPy backend), and E1 from
 ``scipy.special.exp1``, imported on the first call. Against 40-digit mpmath

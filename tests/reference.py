@@ -414,6 +414,56 @@ def bulk_vertical(bundle):
     return prefactor(bundle, "resonant") * (2.0 * math.pi / bundle.a_tilde ** 2) * val
 
 
+@functools.cache
+def _plane_wave_polynomial():
+    """(c0, c2, c4) as one function of the six dipole components, derived by
+    sympy: the azimuthal mean over phi of [e0.(I - KK).en][e0.(I - K'K').en],
+    K = (q cos phi, q sin phi, -k), K' = (-q cos phi, -q sin phi, -k), with
+    q^2 = 1 - k^2, is a polynomial in k with only the powers 0, 2 and 4."""
+    import sympy as sp
+
+    e0, en = (sp.Matrix(sp.symbols(f"{name}0:3", real=True)) for name in ("e", "n"))
+    q, k, phi = sp.symbols("q k phi", real=True)
+
+    def coupling(wave):
+        return e0.dot(en) - e0.dot(wave) * wave.dot(en)
+
+    waves = (sp.Matrix([s * q * sp.cos(phi), s * q * sp.sin(phi), -k]) for s in (1, -1))
+    mean = sp.integrate(sp.expand(math.prod(map(coupling, waves))), (phi, 0, 2 * sp.pi))
+    poly = sp.Poly(sp.expand(mean.subs(q, sp.sqrt(1 - k * k)) / (2 * sp.pi)), k)
+    assert poly.degree() == 4 and poly.coeff_monomial(k) == poly.coeff_monomial(k ** 3) == 0
+    return sp.lambdify([*e0, *en], [poly.coeff_monomial(k ** j) for j in (0, 2, 4)], "mpmath")
+
+
+def plane_wave_coefficients(e0, en):
+    """(c0, c2, c4) of the dipole pair as mpmath numbers at the working
+    precision, from the sympy derivation (not the package's formula)."""
+    return tuple(mpmath.mpf(c) for c in _plane_wave_polynomial()(
+        *map(mpmath.mpf, [*e0, *en])))
+
+
+def plane_wave_bulk(bundle, digits=30):
+    """The resonant bulk of any dipole pair to ``digits`` digits, an mpmath
+    number: in the plane-wave (Weyl) form of the site term, the areal
+    integral is pref (2 pi/a^2) Re int <P>(k)/k e^{2ikz} dk along k = 1 + it,
+    t >= 0, with <P> = c0 + c2 k^2 + c4 k^4. mpmath's quad takes it in
+    s = 2zt, where the phase is e^{2iz} e^{-s}. The prefactor is taken from
+    the bundle's inputs at the working precision."""
+    with mpmath.workdps(digits + 10):
+        c0, c2, c4 = plane_wave_coefficients(bundle.params.test_dipole, bundle.params.array_dipole)
+        z, a, mu, rho = map(mpmath.mpf, (bundle.z_tilde, bundle.a_tilde, bundle.mu, bundle.rho))
+
+        def integrand(s):
+            k = mpmath.mpc(1, s / (2 * z))
+            return (c0 + c2 * k ** 2 + c4 * k ** 4) / k * mpmath.exp(-s)
+
+        integral = mpmath.mpc(0, 1) / (2 * z) * mpmath.expj(2 * z) * mpmath.quad(
+            integrand, [0, mpmath.inf])
+        pref = mpmath.mpf(9) / 8 * rho * mu / ((1 - mu) * (1 + mu))
+        value = pref * 2 * mpmath.pi / (a * a) * integral.real
+    return +value
+
+
 def bulk_loop(bundle):
     """Per-node loop over r = z + t e^{i pi/4}, on the package's own nodes."""
     z = bundle.z_tilde

@@ -10,7 +10,7 @@ from reference import contour_bulk_resonant
 from cplattice import kernels
 from cplattice.asymptotics import (Regime, all_regimes, asymptotic_shift,
                                    expected_exponent, full_closed_form)
-from cplattice.euler_maclaurin import bracket_zz, bulk_term
+from cplattice.euler_maclaurin import bulk_term, plane_wave_bracket
 from cplattice.fitting import fit_power_law
 from cplattice.lattice_sum import resonant_pair_term, sum_lattice
 
@@ -133,10 +133,11 @@ def test_criterion_3_numbers_are_the_closed_form_bulk_s():
     1 + 4z^2/3 + O(z^4 ln z) times the non-retarded dense law.
 
     With Ci(x) = gamma + ln x + O(x^2) and the Taylor series of the
-    trigonometric terms, bracket_zz(z) = 3 + 4z^2 - 8 z^4 ln z + (6 - 8
-    (gamma + ln 2)) z^4 + O(z^6), and bulk/law = bracket_zz(z)/3. So
-    (bracket_zz(z)/3 - 1 - 4z^2/3)/(z^4 ln z) = -8/3 + (2 - (8/3)(gamma +
-    ln 2))/ln z + O(z^2): bounded, and it tends to -8/3. The 4z^2/3 term and
+    trigonometric terms, the plane-wave bracket with zz's coefficients (c0,
+    c2, c4) = (1, -2, 1) is Bzz(z) = 3 + 4z^2 - 8 z^4 ln z + (6 - 8 (gamma +
+    ln 2)) z^4 + O(z^6), and bulk/law = Bzz(z)/3. So (Bzz(z)/3 - 1 -
+    4z^2/3)/(z^4 ln z) = -8/3 + (2 - (8/3)(gamma + ln 2))/ln z + O(z^2):
+    bounded, and it tends to -8/3. The 4z^2/3 term and
     those above it grow across criterion 3's window: they flatten the fitted
     slope to -3.82 and raise the z = 0.2 value 5.8% above the law, the
     criterion's two failing numbers.
@@ -149,10 +150,10 @@ def test_criterion_3_numbers_are_the_closed_form_bulk_s():
     assert bulk_term(b, "resonant") / law == pytest.approx(1.0580, abs=1e-3)
     c = 2.0 - 8.0 / 3.0 * (np.euler_gamma + math.log(2.0))
     for z in np.geomspace(1e-3, 0.1, 9).tolist():
-        bzz = bracket_zz(z, float(kernels.sici(2.0 * z)[1]))
+        bzz = plane_wave_bracket(z, float(kernels.sici(2.0 * z)[1]), 1.0, -2.0, 1.0)
         ratio = (bzz / 3.0 - 1.0 - 4.0 * z * z / 3.0) / (z ** 4 * math.log(z))
         assert -8.0 / 3.0 < ratio < -2.0, z
-        # the next term is O(z^2); 1e-4 covers the rounding of bracket_zz
+        # the next term is O(z^2); 1e-4 covers the rounding of Bzz
         assert ratio == pytest.approx(-8.0 / 3.0 + c / math.log(z), abs=0.5 * z * z + 1e-4), z
 
 

@@ -1,21 +1,27 @@
 """Bulk/edge/vertex decomposition tests, against ``reference``'s oracles,
 which touch neither the package's panel rule nor its closed forms."""
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import sici
 
-from reference import (HEIGHT_ROUTES, PAIRS, RAY_PAIRS, axis_integral, bulk_integral,
-                       contour_bulk_resonant, offres_bulk_by_ring, offres_bulk_oracle,
-                       offres_edge_reordered, radial_kernel_zx, radial_kernel_zz,
-                       radial_kernels_by_quad, rays)
+import reference
+from reference import (HEIGHT_ROUTES, PAIRS, RAY_PAIRS, UNIT_VECTORS, ZY, axis_integral,
+                       bulk_integral, contour_bulk_resonant, offres_bulk_by_ring,
+                       offres_bulk_oracle, offres_edge_reordered, plane_wave_bulk,
+                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays)
 from reference import bundle as mk
 
 from cplattice import euler_maclaurin, kernels, lattice_sum
 from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
-                                       bulk_term, decompose, edge_term, vertex_term)
+                                       bulk_term, decompose, edge_term, plane_wave_bracket,
+                                       plane_wave_coefficients, vertex_term)
 from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import QuadratureFailure, prefactor, resonant_pair_term
 from cplattice.model import NonPositiveLength
@@ -47,19 +53,19 @@ def test_generic_resonant_bulk_path_agrees_with_closed_forms():
 
 @pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
 def test_zz_bulk_above_switch_height_takes_rotated_path(z):
-    # bracket_zz cancels at these heights (1.4e-8 relative at z = 1e4)
+    # the closed form cancels at these heights (1.4e-8 relative at z = 1e4)
     b = mk(z=z)
     assert bulk_term(b, "resonant") == bulk_integral(b)
     assert bulk_term(b, "resonant") == pytest.approx(contour_bulk_resonant(b), rel=1e-12)
 
 
 def test_zz_bulk_keeps_closed_form_up_to_switch_height(monkeypatch):
-    heights, values = (0.01, 1.0, 10.0, euler_maclaurin._ZZ_CLOSED_FORM_MAX_Z), []
+    heights, values = (0.01, 1.0, 10.0, euler_maclaurin._CI_CLOSED_FORM_MAX_Z), []
     for z in heights:
         b = mk(z=z)
         ci = float(kernels.sici(2.0 * z)[1])
-        want = prefactor(b, "resonant") * 2.0 * math.pi * euler_maclaurin.bracket_zz(z, ci) \
-            / (8.0 * b.a_tilde ** 2 * z ** 4)
+        want = prefactor(b, "resonant") * 2.0 * math.pi * plane_wave_bracket(
+            z, ci, 1.0, -2.0, 1.0) / (8.0 * b.a_tilde ** 2 * z ** 4)
         values.append(bulk_term(b, "resonant"))
         assert values[-1] == want
         assert bulk_integral(b) == pytest.approx(want, rel=1e-13)
@@ -69,6 +75,106 @@ def test_zz_bulk_keeps_closed_form_up_to_switch_height(monkeypatch):
     monkeypatch.setattr(kernels, "sici", lambda x: calls.append(np.shape(x)) or sici(x))
     block = bulk_term(mk(), "resonant", heights=[*heights, 30.0])
     assert calls == [(4,)] and block[:4].tolist() == values
+
+
+# ---------------------------------------------------------------------------
+# the plane-wave closed form of the resonant bulk
+
+# the square's point group D4 on the in-plane components of a dipole
+_D4 = [lambda x, y: (x, y), lambda x, y: (-y, x), lambda x, y: (-x, -y), lambda x, y: (y, -x),
+       lambda x, y: (x, -y), lambda x, y: (-x, y), lambda x, y: (y, x), lambda x, y: (-y, -x)]
+
+
+def test_principal_pairs_have_exact_plane_wave_coefficients():
+    assert plane_wave_coefficients((0.0, 0.0, 1.0), (0.0, 0.0, 1.0)) == (1.0, -2.0, 1.0)
+    assert plane_wave_coefficients((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) == (0.0, -0.5, 0.5)
+    # a z probe over any in-plane dipole, and the -z probes, are zx and zz
+    assert plane_wave_coefficients(*ZY) == (0.0, -0.5, 0.5)
+    assert plane_wave_coefficients((0.0, 0.0, -1.0), (0.6, -0.8, 0.0)) == (0.0, -0.5, 0.5)
+    assert plane_wave_coefficients((0.0, 0.0, -1.0), (0.0, 0.0, 1.0)) == (1.0, -2.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(e0=UNIT_VECTORS, en=UNIT_VECTORS)
+def test_plane_wave_coefficients_are_the_derived_mean_and_keep_the_symmetries(e0, en):
+    c = plane_wave_coefficients(e0, en)
+    assert c == pytest.approx([float(v) for v in reference.plane_wave_coefficients(e0, en)],
+                              rel=0.0, abs=4e-16)
+    # at k = 1 every wave lies in the plane: the overlap of the in-plane parts
+    assert math.fsum(c) == pytest.approx((e0[0] * en[0] + e0[1] * en[1]) ** 2, rel=0.0,
+                                         abs=4e-16)
+    assert c[0] >= 0.0  # the mean of a square
+    for g in _D4:
+        assert plane_wave_coefficients((*g(*e0[:2]), e0[2]), (*g(*en[:2]), en[2])) == c, g
+    assert plane_wave_coefficients(en, e0) == c
+    flipped = [tuple(-x for x in v) for v in (e0, en)]
+    assert plane_wave_coefficients(flipped[0], en) == plane_wave_coefficients(
+        e0, flipped[1]) == c
+
+
+def _bracket_scale(b):
+    """pref 2 pi/(8 a^2 z^4) times the sum of the magnitudes of the three terms
+    of B: the Ci term, the cos term and the sin term."""
+    c0, c2, c4 = (float(c) for c in reference.plane_wave_coefficients(
+        b.params.test_dipole, b.params.array_dipole))
+    z = b.z_tilde
+    terms = (8.0 * c0 * float(sici(2.0 * z)[1]) * z ** 4,
+             (3.0 * c4 - 2.0 * (c2 + 3.0 * c4) * z * z) * math.cos(2.0 * z),
+             2.0 * z * (3.0 * c4 - 2.0 * (c2 + c4) * z * z) * math.sin(2.0 * z))
+    return abs(prefactor(b, "resonant")) * 2.0 * math.pi * math.fsum(map(abs, terms)) / (
+        8.0 * b.a_tilde ** 2 * z ** 4)
+
+
+@pytest.mark.usefixtures("backend")
+@settings(max_examples=12, deadline=None)
+@given(e0=UNIT_VECTORS, en=UNIT_VECTORS,
+       z=st.floats(math.log(1e-3), math.log(20.0)).map(math.exp))
+@example(e0=PAIRS["custom_a"][0], en=PAIRS["custom_a"][1], z=1.58)
+@example(e0=ZY[0], en=ZY[1], z=0.7)
+@example(e0=(0.6, 0.0, 0.8), en=(0.6, 0.0, -0.8), z=20.0)
+def test_resonant_bulk_of_every_pair_is_the_plane_wave_integral(e0, en, z):
+    # the closed form against the mpmath k-integral, within 4e-15 of the
+    # sum of the bracket's term magnitudes (it cancels where the bulk nears a
+    # zero); the rotated ray integral, the route of heights above 20, within
+    # 1e-12
+    b = mk(mu=0.6, a=0.05, z=z, test=e0, array=en)
+    want, scale = plane_wave_bulk(b), _bracket_scale(b)
+    assert abs(bulk_term(b, "resonant") - want) <= 4e-15 * scale
+    assert abs(bulk_integral(b) - want) <= 1e-12 * scale
+
+
+def test_custom_resonant_bulk_takes_no_ray_integral_up_to_the_switch_height(backend,
+                                                                            monkeypatch):
+    calls, ray_rotated = [], kernels.ray_rotated
+    monkeypatch.setattr(kernels, "ray_rotated", lambda *args: calls.append(args[3].tolist())
+                        or ray_rotated(*args))
+    heights = [1e-3, 0.3, 5.0, euler_maclaurin._CI_CLOSED_FORM_MAX_Z, 25.0, 1e3]
+    for pair in ("custom_a", "custom_b"):
+        test, array = PAIRS[pair]
+        b = mk(mu=0.6, a=0.05, test=test, array=array)
+        assert plane_wave_coefficients(test, array)[0] != 0.0
+        block = bulk_term(b, "resonant", heights)
+        assert calls == [heights[4:]]
+        calls.clear()
+        one = [bulk_term(mk(mu=0.6, a=0.05, z=z, test=test, array=array), "resonant")
+               for z in heights]
+        assert calls == [[z] for z in heights[4:]]
+        calls.clear()
+        assert [v.hex() for v in block.tolist()] == [v.hex() for v in one]
+    # without a Ci term the closed form serves every height
+    assert bulk_term(mk(test=ZY[0], array=ZY[1]), "resonant", heights).tolist() == \
+        bulk_term(mk(array=(1, 0, 0)), "resonant", heights).tolist()
+    assert calls == []
+
+
+@pytest.mark.parametrize("z", [1e-307, 1e-320])
+def test_custom_closed_form_bulk_fails_where_it_is_not_finite(backend, z):
+    # z^4 underflows to 0; before, the rotated rule failed at these heights
+    test, array = PAIRS["custom_a"]
+    b = mk(mu=0.6, z=0.3, test=test, array=array)
+    with pytest.raises(QuadratureFailure, match="^" + re.escape(
+            f"bulk resonant at z={z!r}, mu=0.6 (custom): closed form is not finite") + "$"):
+        bulk_term(b, "resonant", [0.3, z])
 
 
 def test_offres_radial_kernels_vs_brute_quadrature():
@@ -320,12 +426,14 @@ _CUSTOM = dict(test=(0.0, 0.6, 0.8), array=(0.48, 0.6, 0.64))
     ("edge", "resonant", "custom"), ("edge", "off_resonant", "zz"),
     ("edge", "off_resonant", "custom")])
 def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair):
-    # the zz resonant bulk is a closed form and cannot fail
+    # the resonant bulk is a closed form up to z = 20 and cannot fail there:
+    # the custom one takes the rotated rule above, at z = 30
     monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
     dipoles = _CUSTOM if pair == "custom" else dict(test=(0, 0, 1), array=(0, 0, 1))
-    b = mk(mu=0.6, a=0.05, z=0.3, **dipoles)
+    z = 30.0 if (term, kind) == ("bulk", "resonant") else 0.3
+    b = mk(mu=0.6, a=0.05, z=z, **dipoles)
     assert b.orientation_label() == pair
-    with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z=0.3, mu=0.6 \\({pair}"):
+    with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z={z!r}, mu=0.6 \\({pair}"):
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
 
 
@@ -482,19 +590,22 @@ def test_rotated_ray_blocks_equal_one_height_calls(backend, pair, stage):
 def test_height_without_a_rotated_rule_fails_by_name(backend):
     # below z ~ 1.7e-306 a height's panels would need more powers of 1.4
     # than ROTATED_RULE holds: it takes the count -1 and NaN sums, the other
-    # heights of the call keep their own values, and the terms of a custom
-    # pair raise as a missed tolerance does
+    # heights of the call keep their own values, and the ray integrals of a
+    # custom pair raise as a missed tolerance does: the resonant edge, and
+    # the rotated-path bulk (bulk_term's route above z = 20; its closed form
+    # fails by name at this height)
     heights = np.array([0.3, 1e-307])
     for stage in ("bulk", "edge"):
         sums, counts = rays("custom_a", stage, heights)
         assert counts[1] == -1 and np.isnan(sums[1]).all()
         assert sums[0].tobytes() == rays("custom_a", stage, heights[:1])[0].tobytes()
     b = mk(mu=0.6, z=0.3, test=PAIRS["custom_a"][0], array=PAIRS["custom_a"][1])
-    for term, where in ((bulk_term, "bulk resonant at z=1e-307, mu=0.6 (custom)"),
+    rotated_bulk = functools.partial(_ray_integral, stage="bulk", directions=_RING)
+    for term, where in ((rotated_bulk, "bulk resonant at z=1e-307, mu=0.6 (custom)"),
                         (edge_term, "edge resonant at z=1e-307, mu=0.6 (custom, x axis)")):
         with pytest.raises(QuadratureFailure,
                            match=f"^{re.escape(where)}: error estimate nan exceeds 1e-09 of nan$"):
-            term(b, "resonant", heights)
+            term(b, "resonant", heights=heights)
 
 
 @pytest.mark.parametrize("nz", [0, 1, 16, 31])
@@ -552,22 +663,31 @@ def _term_or_failure(term, b):
 @pytest.mark.parametrize("z", [1e-60, 1e150])
 def test_ray_failures_are_the_same_on_both_backends(z):
     # where the rotated path's site term underflows or overflows, each ray
-    # integral fails with the same message on both backends; at 1e-60 the zz
-    # and zx bulks are finite closed forms, at 1e150 (lengths stay below
-    # 2**512) the zx one fails too
+    # integral fails with the same message on both backends: every pair's
+    # rotated-path bulk (bulk_integral, bulk_term's route above z = 20 where
+    # c0 != 0) and edge. bulk_term is a finite closed form at 1e-60 for every
+    # pair, the value of the plane-wave integral; at 1e150 (lengths stay below
+    # 2**512) the zz and custom_a bulks take the rotated path and fail, and
+    # the zx and zy closed forms fail too
     got = {}
     for name in ("c", "numpy"):
         try:
             with kernels.backend(name):
                 got[name] = [_term_or_failure(term, mk(z=z, test=RAY_PAIRS[pair][0],
                                                        array=RAY_PAIRS[pair][1]))
-                             for pair in RAY_PAIRS for term in (bulk_term, edge_term)]
+                             for pair in RAY_PAIRS
+                             for term in (bulk_term, bulk_integral, edge_term)]
         except RuntimeError as exc:
             pytest.skip(str(exc))
     assert got["c"] == got["numpy"]
     failures = [v for v in got["c"] if v.startswith("QuadratureFailure")]
-    assert len(failures) == (6 if z == 1e-60 else 8)
+    assert len(failures) == (8 if z == 1e-60 else 12)
     assert all(f" at z={z!r}, mu=0.5 (" in v for v in failures)
+    if z == 1e-60:
+        for pair, value in zip(RAY_PAIRS, got["c"][::3]):
+            b = mk(z=z, test=RAY_PAIRS[pair][0], array=RAY_PAIRS[pair][1])
+            assert float.fromhex(value) == pytest.approx(float(plane_wave_bulk(b)),
+                                                         rel=1e-14), pair
 
 
 @pytest.mark.parametrize("array,z", [((0, 0, 1), 1e-300), ((0, 0, 1), 1e-79), ((0, 0, 1), 1e-81),

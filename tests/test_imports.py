@@ -7,7 +7,8 @@ would come with ``scipy.special.roots_laguerre``; ``kernels`` holds the 56
 nodes and weights it returns as literals instead. A fresh interpreter imports
 ``cplattice``, runs the direct sums and the decomposition for every
 orientation route and the CLI, and must still not have loaded any of the
-three modules.
+three modules, nor sympy or mpmath, which only the tests' oracles use (the
+plane-wave coefficients of the resonant bulk are sympy's, kept as formulas).
 
 Nor does a run load what only a rare branch needs. The key of the cached
 compiled library is CPython's own SHA-256, not ``hashlib``'s OpenSSL;
@@ -54,8 +55,8 @@ SCRIPT = textwrap.dedent("""
         assert cli.main(["sweep", "--a-tilde", "0.05", "--half-extent", "4",
                          "--z-min", "0.2", "--z-max", "0.4",
                          "--points-per-decade", "4"]) == 0
-    print(" ".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg")
-                   if m in sys.modules))
+    print(" ".join(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg", "sympy",
+                               "mpmath") if m in sys.modules))
 """)
 
 

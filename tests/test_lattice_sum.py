@@ -526,9 +526,6 @@ _R2 = math.sqrt(0.5)
 _BASIS_PAIRS = [((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)), ((1, 0, 0), (1, 0, 0)),
                 ((1, 0, 0), (0, 1, 0)), ((_R2, _R2, 0), (_R2, _R2, 0)),
                 ((_R2, 0, _R2), (_R2, 0, -_R2))]
-# the same invariants, with -z probes in place of zz and zx: pairs whose
-# resonant bulk is the ray integral, not the zz and zx closed forms
-_RAY_BASIS_PAIRS = [((0, 0, -1), (0, 0, 1)), ((0, 0, -1), (1, 0, 0)), *_BASIS_PAIRS[2:]]
 
 
 def _invariants(e0, en):
@@ -558,17 +555,16 @@ def _combination_misses(route, e0, en, a, M, z):
     rounding, and its response to the rounding of e0.en and of c, are ulps
     of the terms that cancel. Drawn pairs reached 72 eps of sum_k |c_k I_k|
     (a resonant sum near z = pi) and at most 10 eps of this scale, over
-    2,000 draws. The bulk takes zz and zx from -z probes, whose bulk is the
-    ray integral of every other pair: the zz closed form differs from it by
-    up to ~100 eps of its value at z <= 5 (the cancellation in bracket_zz).
+    2,000 draws. Every pair's resonant bulk is one closed form, linear in
+    the plane-wave coefficients, which are linear in the invariants.
     Within the bound each route is also invariant under the square's point
     group D4 (ROADMAP items 15 and 16a). Yields each kind outside the bound."""
-    pairs = _RAY_BASIS_PAIRS if route == "bulk_term" else _BASIS_PAIRS
-    c = np.linalg.solve(np.array([_invariants(*p) for p in pairs]).T, _invariants(e0, en))
+    c = np.linalg.solve(np.array([_invariants(*p) for p in _BASIS_PAIRS]).T,
+                        _invariants(e0, en))
     for kind in ("resonant", "off_resonant"):
         value = _ROUTES[route](mk(mu=0.6, a=a, M=M, z=z, test=e0, array=en), kind)
         basis = np.array([_ROUTES[route](mk(mu=0.6, a=a, M=M, z=z, test=p[0], array=p[1]), kind)
-                          for p in pairs])
+                          for p in _BASIS_PAIRS])
         bound = 32 * np.finfo(float).eps * np.abs(c).sum() * np.abs(basis).max()
         if not abs(math.fsum(c * basis) - value) <= bound:
             yield kind, value, basis.tolist(), bound
