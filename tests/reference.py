@@ -7,7 +7,9 @@ the tests import it by name, as they import ``ledger``.
 The oracles share no arithmetic with the routes they check: site integrals
 by QUADPACK and by mpmath, naive grid sums site by site through the public
 3x3 tensor, the bulk and edge integrals along r = z + is, on the real axis
-and from exponential integrals E_n, the principal orientations' former
+and from exponential integrals E_n, the resonant bulk as an mpmath integral
+of its plane-wave form with coefficients sympy derives, the principal
+orientations' former
 radial brackets, and the per-node loops and NumPy site kernel that the
 package's array calls replaced. ``bulk_integral`` and ``axis_integral`` are
 the package's own ray-integral route, taken also where ``bulk_term`` and
@@ -450,7 +452,8 @@ def plane_wave_bulk(bundle, digits=30):
     s = 2zt, where the phase is e^{2iz} e^{-s}. The prefactor is taken from
     the bundle's inputs at the working precision."""
     with mpmath.workdps(digits + 10):
-        c0, c2, c4 = plane_wave_coefficients(bundle.params.test_dipole, bundle.params.array_dipole)
+        c0, c2, c4 = plane_wave_coefficients(bundle.params.test_dipole,
+                                             bundle.params.array_dipole)
         z, a, mu, rho = map(mpmath.mpf, (bundle.z_tilde, bundle.a_tilde, bundle.mu, bundle.rho))
 
         def integrand(s):

@@ -98,11 +98,12 @@ def test_principal_pairs_have_exact_plane_wave_coefficients():
 @given(e0=UNIT_VECTORS, en=UNIT_VECTORS)
 def test_plane_wave_coefficients_are_the_derived_mean_and_keep_the_symmetries(e0, en):
     c = plane_wave_coefficients(e0, en)
+    # |c2| reaches 2, whose ulp is 4.4e-16
     assert c == pytest.approx([float(v) for v in reference.plane_wave_coefficients(e0, en)],
-                              rel=0.0, abs=4e-16)
+                              rel=0.0, abs=2e-15)
     # at k = 1 every wave lies in the plane: the overlap of the in-plane parts
     assert math.fsum(c) == pytest.approx((e0[0] * en[0] + e0[1] * en[1]) ** 2, rel=0.0,
-                                         abs=4e-16)
+                                         abs=4e-15)
     assert c[0] >= 0.0  # the mean of a square
     for g in _D4:
         assert plane_wave_coefficients((*g(*e0[:2]), e0[2]), (*g(*en[:2]), en[2])) == c, g
