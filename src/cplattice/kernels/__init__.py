@@ -454,12 +454,22 @@ def _site_set(pair, u, v, heights, rays: bool):
     return np.ascontiguousarray(pair), u, v, z, v.size // 2 if rays else v.size
 
 
+def vanishing_origin(pair, u, v, values) -> None:
+    """At a grid's origin (u_i = v_j = 0), for a pair with e0.en = e0_z en_z =
+    0, each value of ``values`` (..., u, v) that is not finite (0/0) becomes
+    0.0, and finite values keep their bits; ``_rows.c`` states it in C."""
+    if pair[6] == 0.0 and pair[2] * pair[5] == 0.0:
+        i, j = np.flatnonzero(u == 0.0)[:, None], np.flatnonzero(v == 0.0)
+        origin = values[..., i, j]
+        values[..., i, j] = np.where(np.isfinite(origin), origin, 0.0)
+
+
 def res_points(pair: np.ndarray, u, v, heights, sums: bool) -> np.ndarray:
     """The resonant site term ``greens.resonant_sites`` of the dipole pair
     (``bundle.pair``) over a grid site set: at each height, the sites
     (x, y) = (u_i, v_j). Returns the values, (heights, u, v), or with
     ``sums`` each row's sum as ``np.sum(values, axis=1)`` takes it,
-    (heights, u).
+    (heights, u), with :func:`vanishing_origin` before a row is summed.
 
     The compiled pass takes every site in one call, without the interpreter
     lock, and sums each row by NumPy's pairwise summation; the NumPy backend
@@ -478,10 +488,14 @@ def offres_points(pair: np.ndarray, u, v, heights, mu: float, rays: bool = False
     each height z, the sites (x, y) = (u_i, v_j) of :func:`res_points`, or
     with ``rays`` the sites R (v_2j, v_2j+1) with R = z u_i, the unit
     directions v along the radii z u. The backend's ``offres_points`` fills
-    the buffers of :func:`_offres_chunks`."""
+    the buffers of :func:`_offres_chunks`; a grid's values then take
+    :func:`vanishing_origin`."""
     pair, u, v, z, nv = _site_set(pair, u, v, heights, rays)
-    return _offres_chunks(z.size * u.size * nv, mu, lambda k0, n, buf: _impl.offres_points(
+    values = _offres_chunks(z.size * u.size * nv, mu, lambda k0, n, buf: _impl.offres_points(
         pair, u, u.size, v, nv, rays, z, k0, n, mu, buf))
+    if not rays:
+        vanishing_origin(pair, u, v, values.reshape(z.size, u.size, nv))
+    return values
 
 
 def exact_sum(parts) -> float:

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from ..greens import resonant_sites, resonant_sites_complex, site_projections
-from . import NODES, RULE_HEAD, offres_fill, table_ranks
+from . import NODES, RULE_HEAD, offres_fill, table_ranks, vanishing_origin
 
 
 # _rows.c's sin_branchless, a Cody-Waite reduced fdlibm-style sin/cos for
@@ -314,13 +314,14 @@ def res_points(pair, u, nu: int, v, nv: int, z, nz: int, sums: bool, out: np.nda
     ``kernels.res_points``), (nz, nu, nv), or with ``sums`` each row's
     np.sum, (nz, nu): ``site_projections`` and ``resonant_sites`` over blocks
     of at most ``SITE_SET_BLOCK`` sites, whole rows or one longer row, a
-    height at a time. Returns 0, as the compiled pass does when it can
-    allocate its row."""
+    height at a time, with ``vanishing_origin`` before a row is summed.
+    Returns 0, as the compiled pass does when it can allocate its row."""
     step = max(1, SITE_SET_BLOCK // nv)
     for h, zh in enumerate(z.tolist()):
         for start in range(0, nu, step):
             rows = slice(start, min(start + step, nu))
             values = resonant_sites(*site_projections(pair[:3], pair[3:6], u[rows, None], v, zh))
+            vanishing_origin(pair, u[rows], v, values)
             out[h, rows] = np.sum(values, axis=1) if sums else values
     return 0
 

@@ -985,6 +985,8 @@ void panel_sums(const double *f, long nd, int bulk, const double *z, long nz,
    row): site (h, i, j) sits at (x, y) = (u[i], v[j]) at the height z[h], or,
    with rays set, at R (v[2j], v[2j+1]), R = z[h] u[i]: the unit directions
    v along the real rule's radii z s. Sites run in h, then i, then j.
+   At a grid's origin (u[i] = v[j] = 0) a pair with e0.en = e0_z en_z = 0
+   takes a term that is not finite (0/0) as 0.0 (kernels.vanishing_origin).
    Every step is the NumPy backend's (greens.site_projections, then
    greens.resonant_sites or the off-resonant buffer of offres_sites)
    in its order of operations: IEEE +, -, *, / and sqrt, and sin and cos of
@@ -1039,11 +1041,12 @@ static inline double res_site(double dot, double r, double pp)
 /* The resonant site values of a grid site set: with sums unset out[(h nu +
    i) nv + j] = the value of site (h, i, j); with sums set out[h nu + i] = the
    sum of row (h, i), 0.0 plus NumPy's pairwise sum, as np.sum(values,
-   axis=1) takes it. Returns 0, or -1 when the row buffer cannot be
-   allocated. */
+   axis=1) takes it, once the origin's is set. Returns 0, or -1 when the
+   row buffer cannot be allocated. */
 long res_points(const double *pair, const double *u, long nu, const double *v, long nv,
                 const double *z, long nz, int sums, double *out)
 {
+    int vanishes = pair[6] == 0.0 && pair[2] * pair[5] == 0.0;
     double *row = sums ? malloc((size_t)(nv > 0 ? nv : 1) * sizeof *row) : NULL;
     if (sums && row == NULL)
         return -1;
@@ -1056,6 +1059,8 @@ long res_points(const double *pair, const double *u, long nu, const double *v, l
                 double r = project(pair, x, y, z[h], &pp);
                 site[j] = res_site(pair[6], r, pp);
             }
+            for (long j = 0; vanishes && u[i] == 0.0 && j < nv; j++)
+                site[j] = v[j] == 0.0 && !isfinite(site[j]) ? 0.0 : site[j];
             if (sums)
                 out[h * nu + i] = 0.0 + pairwise(row, nv);
         }

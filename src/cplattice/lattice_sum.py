@@ -46,9 +46,9 @@ the site positions on: ``greens.site_projections`` and the site kernels'
 arithmetic in their order, with the C library's sin and cos (whose bits
 np.sin and np.cos share on float64), NumPy's r^6 and a port of SciPy's Si
 and Ci; the NumPy backend calls those functions, and the two give the same
-bits. A sum that is not finite (at tiny heights the origin site's r^6
-underflows) raises :class:`QuadratureFailure` naming the stage and height,
-without a NumPy warning, but an origin that :func:`vanishes_at_origin` adds 0.
+bits. At a grid's origin the kernels take a term that is not finite as 0.0
+for a pair with e0.en = e0_z en_z = 0 (``kernels.vanishing_origin``); a sum
+still not finite raises :class:`QuadratureFailure` naming stage and height.
 
 The off-resonant site integral is evaluated in closed form. With u = xi r,
 
@@ -155,12 +155,6 @@ def prefactor(bundle: ValidatedBundle, kind: str) -> float:
 # ---------------------------------------------------------------------------
 # single-site terms
 
-def vanishes_at_origin(bundle: ValidatedBundle) -> bool:
-    """Whether e0.en = e0_z en_z = 0, read from the pair itself: then the
-    origin's term is 0, where its kernel value is 0/0 once r^6 underflows."""
-    return bundle.pair[6] == 0.0 and bundle.pair[2] * bundle.pair[5] == 0.0
-
-
 def site_term(bundle: ValidatedBundle, kind: str, x: float, y: float, z: np.ndarray,
               stage: str) -> np.ndarray:
     """The kind's term of the site at (x, y), in gamma0 units, at each height
@@ -173,8 +167,6 @@ def site_term(bundle: ValidatedBundle, kind: str, x: float, y: float, z: np.ndar
             values = kernels.res_points(bundle.pair, u, v, z, sums=False).reshape(-1)
         else:
             values = kernels.offres_points(bundle.pair, u, v, z, bundle.mu)
-    if x == y == 0.0 and vanishes_at_origin(bundle):
-        values[~np.isfinite(values)] = 0.0
     return finite(pref * values, z, bundle, stage)
 
 
@@ -275,12 +267,7 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
     pair = bundle.pair  # built here, so that the workers share one array
     parts = _map_ranges(lambda lo, hi: kernels.res_points(pair, y[lo:hi], y, z, sums=True),
                         _split_rows(np.ones(y.size), threads))
-    sums = np.concatenate(parts, axis=1)
-    if vanishes_at_origin(bundle) and not np.isfinite(sums[:, M]).all():
-        row = kernels.res_points(pair, y[M:M + 1], y, z, sums=False)[:, 0]  # the origin's
-        row[:, M] = 0.0  # summed as res_points sums a row
-        sums[:, M] = np.where(np.isfinite(sums[:, M]), sums[:, M], row.sum(axis=1))
-    return [kernels.exact_sum((rows,)) for rows in sums]
+    return [kernels.exact_sum((rows,)) for rows in np.concatenate(parts, axis=1)]
 
 
 # An off-resonant direct sum takes this many folded octant sites at a time,
@@ -384,19 +371,11 @@ def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:
 
 
 def _offres_custom(bundle: ValidatedBundle, z: float) -> float:
-    M = bundle.half_extent
-    n = np.arange(-M, M + 1) * bundle.a_tilde
+    n = np.arange(-bundle.half_extent, bundle.half_extent + 1) * bundle.a_tilde
     rows = max(1, OFFRES_BLOCK_SITES // n.size)
-    origin = M * n.size + M if vanishes_at_origin(bundle) else -1  # (0, 0) in grid order
-
-    def block(i):  # the grid (nx, ny) row by row, one block of rows at a time
-        values = kernels.offres_points(bundle.pair, n[i:i + rows], n, [z], bundle.mu)
-        k = origin - i * n.size
-        if 0 <= k < values.size and not math.isfinite(values[k]):
-            values[k] = 0.0
-        return values
-
-    return kernels.exact_sum(block(i) for i in range(0, n.size, rows))
+    # the grid (nx, ny) row by row, one block of rows at a time
+    return kernels.exact_sum(kernels.offres_points(bundle.pair, n[i:i + rows], n, [z], bundle.mu)
+                             for i in range(0, n.size, rows))
 
 
 def quiet_nonfinite():

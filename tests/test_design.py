@@ -11,7 +11,9 @@ package or exported; only ``kernels.backend`` and ``backend_name`` know
 which backend is in place; every export of ``_rows.c`` is called through
 ``kernels._impl`` or is one of the tests' named probes; only
 ``kernels.table_ranks`` turns a distance table's rank steps into ranks
-outside kernels; no test module imports another; and none pins bits by
+outside kernels; only the kernels and the model subscript a dipole pair,
+so the rule of the vanishing origin stays in the kernels; no test module
+imports another; and none pins bits by
 hand, which is the ledger's one record, or reads the ledger but
 ``test_ledger.py``, its one check; and every public route that takes
 ``heights=`` is in ``reference.HEIGHT_ROUTES``, the table of the battery of
@@ -327,6 +329,22 @@ def test_only_the_fallback_selection_imports_the_numpy_backend():
                  and any("_numpy_backend" in imported.split(".") for imported in
                          [*_imported(node), *(a.name for a in node.names)])]
     assert importing == [("cplattice.kernels", "_fallback")]
+
+
+# ---------------------------------------------------------------------------
+# the vanishing origin
+
+def test_only_the_kernels_and_the_model_read_the_dipole_pair():
+    # the kernels state the one rule of the origin of a pair whose term
+    # vanishes there (e0.en = e0_z en_z = 0): no other module subscripts the
+    # pair (bundle.pair, which the model builds) to state it again
+    found = [f"{module}:{node.lineno}" for module, (_, _, tree) in MODULES.items()
+             if not module.startswith("cplattice.kernels") and module != "cplattice.model"
+             for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+             and ast.unparse(node.value).split(".")[-1] == "pair"]
+    assert found == []
+    sources = [source for _, source, _ in MODULES.values()] + [C_SOURCE]
+    assert [s for s in sources if "vanishes_at_origin" in s] == []
 
 
 # ---------------------------------------------------------------------------
