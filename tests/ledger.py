@@ -71,8 +71,8 @@ from pathlib import Path
 
 import numpy as np
 import reference
-from reference import (EXTREME_HEIGHTS, LAGUERRE, MOMENT_RADII, RAY_PAIRS, S3, ZY, public_calls,
-                       rays, readme_commands)
+from reference import (EVEN, EXTREME_HEIGHTS, LAGUERRE, MOMENT_RADII, ODD, RAY_PAIRS, ZY,
+                       public_calls, rays, readme_commands)
 
 import cplattice as cp
 from cplattice import cli, kernels
@@ -84,8 +84,8 @@ bundle = functools.partial(reference.bundle, mu=0.6, a=0.05, M=8, z=0.3)
 PAIRS = {
     "zz": dict(test=(0.0, 0.0, 1.0), array=(0.0, 0.0, 1.0)),
     "zx": dict(test=(0.0, 0.0, 1.0), array=(1.0, 0.0, 0.0)),
-    "custom": dict(test=(S3, S3, S3), array=(0.6, 0.0, 0.8)),
-    "even": dict(test=(0.6, 0.0, 0.8), array=(0.6, 0.0, -0.8)),
+    "custom": dict(test=ODD[0], array=ODD[1]),
+    "even": dict(test=EVEN[0], array=EVEN[1]),
 }
 KINDS = ("resonant", "off_resonant")
 SUM_HEIGHTS = [0.05, 0.3, 1.0, 7.0]

@@ -70,6 +70,11 @@ STRATA_PAIRS = [(unit((1, 1, 2)), unit((2, -1, 1))), (unit((-1, 2, 1)), unit((1,
 # A z probe over y-array dipoles: like zx, its coupling vanishes at the
 # origin, but it runs as a custom pair
 ZY = ((0, 0, 1), (0, 1, 0))
+# the ledger's custom pairs: e0 = (1,1,1)/sqrt(3) over en = (0.6, 0, 0.8),
+# whose site term is odd along both axes, and one whose site term is even
+# along both
+ODD = ((S3, S3, S3), (0.6, 0.0, 0.8))
+EVEN = ((0.6, 0.0, 0.8), (0.6, 0.0, -0.8))
 # the pairs of the rotated-path ray integrals: zz, zx, a custom pair, and
 # ZY, whose site term is even in x and y: its x axis vanishes and its y axis
 # is zx's x axis
@@ -165,9 +170,16 @@ def site_quad(r, dot, pp, mu, epsrel=1e-12):
     """int_0^inf dxi xi^4 g(i xi)^2 / ((xi^2+1)(xi^2+mu^2)), with
     xi^2 g(i xi) = e^{-u}/r^3 [(u^2+u+1) e0.en - (u^2+3u+3)(e0.n)(n.en)],
     split at min(mu, 1), max(mu, 1) and 1/r: unsplit, it missed its epsrel
-    by up to 3.5e-8 near r = 0.015 without reporting it."""
+    by up to 3.5e-8 near r = 0.015 without reporting it. h is linear in dot
+    and pp, so the integrand is taken with both over s = max(|dot|, |pp|)
+    and the integral times s^2: at pp = 4.2e-161, dot = 0 the values were
+    subnormal, and QUADPACK reported a roundoff error."""
     mu2 = mu * mu
     r6 = r ** 6
+    s = max(abs(dot), abs(pp))
+    if s == 0.0:
+        return 0.0
+    dot, pp = dot / s, pp / s
 
     def f(xi):
         u = xi * r
@@ -185,7 +197,8 @@ def site_quad(r, dot, pp, mu, epsrel=1e-12):
             cuts.append(cut)
     head = sum(_quad_checked(f, lo, hi, epsrel) for lo, hi in zip([0.0] + cuts[:-1], cuts))
     c = cuts[-1]
-    return head + _quad_checked(lambda t: f(c / t) * c / (t * t), 0.0, 1.0, epsrel)
+    # times s twice: s^2 itself can be subnormal
+    return (head + _quad_checked(lambda t: f(c / t) * c / (t * t), 0.0, 1.0, epsrel)) * s * s
 
 
 def site_mpmath(r, dot, pp, mu, digits=30):
@@ -661,22 +674,35 @@ def offres_bulk_by_ring(bundle):
     return prefactor(bundle, "off_resonant") * (2.0 * math.pi / bundle.a_tilde ** 2) * (head + tail)
 
 
-def axis_quad(bundle, axis):
-    """int_0^inf of the site kernel along one positive axis, by adaptive quad."""
+def _ray_quad(bundle, d):
+    """int_0^inf f(t d) dt of the off-resonant site kernel f along the
+    in-plane unit direction d, by adaptive quad: f is ``kernels.offres_sites``
+    at ``greens.site_projections``, so no node of ``kernels.REAL_PATH`` enters."""
     z, mu = bundle.z_tilde, bundle.mu
     e0 = np.asarray(bundle.params.test_dipole)
     en = np.asarray(bundle.params.array_dipole)
 
-    def f(x):
-        v = np.array([x, 0.0, -z] if axis == "x" else [0.0, x, -z])
-        r = float(np.linalg.norm(v))
-        n = v / r
-        return float(offres_sites(r, e0 @ en, (e0 @ n) * (n @ en), mu)[0])
+    def f(t):
+        return float(offres_sites(*site_projections(e0, en, t * d[0], t * d[1], z), mu)[0])
 
     cuts = sorted({z, 1.0, 1.0 / mu, 10.0 * z, 10.0 / min(mu, 1.0)})
     head = sum(_quad_checked(f, lo, hi, 1e-12) for lo, hi in zip([0.0] + cuts[:-1], cuts))
     c = cuts[-1]
     return head + _quad_checked(lambda t: f(c / t) * c / (t * t), 0.0, 1.0, 1e-12)
+
+
+def axis_quad(bundle, axis):
+    """int_0^inf of the off-resonant site kernel along one positive axis."""
+    return _ray_quad(bundle, (1.0, 0.0) if axis == "x" else (0.0, 1.0))
+
+
+def whole_axis_edge(bundle):
+    """The off-resonant edge over whole axes, pref (1/a) [int f(x, 0) dx +
+    int f(0, y) dy] over the real line: its four half-axes by
+    :func:`_ray_quad`. It equals ``edge_term``, which doubles the positive
+    half-axes, only for a site term even along both axes."""
+    halves = [_ray_quad(bundle, d) for d in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))]
+    return prefactor(bundle, "off_resonant") / bundle.a_tilde * math.fsum(halves)
 
 
 def offres_edge_reordered(bundle):

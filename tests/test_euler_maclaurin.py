@@ -12,10 +12,11 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 import reference
-from reference import (HEIGHT_ROUTES, PAIRS, RAY_PAIRS, UNIT_VECTORS, ZY, axis_integral,
-                       bulk_integral, contour_bulk_resonant, offres_bulk_by_ring,
+from reference import (EVEN, HEIGHT_ROUTES, ODD, PAIRS, RAY_PAIRS, UNIT_VECTORS, ZY,
+                       axis_integral, bulk_integral, contour_bulk_resonant, offres_bulk_by_ring,
                        offres_bulk_oracle, offres_edge_reordered, plane_wave_bulk,
-                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays)
+                       radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays,
+                       whole_axis_edge)
 from reference import bundle as mk
 
 from cplattice import euler_maclaurin, kernels, lattice_sum
@@ -233,6 +234,37 @@ def test_offres_edge_against_reordered_quadrature(backend):
     # oracle: swap the integration order (xi outermost, axis innermost)
     b = mk(mu=0.7, a=0.05, z=0.4)
     assert edge_term(b, "off_resonant") == pytest.approx(offres_edge_reordered(b), rel=1e-7)
+
+
+# pairs whose site term is even along both axes, where doubling the positive
+# half-axes is exact
+_EVEN_EDGE_PAIRS = {"zz": PAIRS["zz"], "zx": PAIRS["zx"], "zy": ZY, "even": EVEN}
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_axis_edge(pair, z):
+    """reference.whole_axis_edge at a 0.6, M 8 and mu 0.6, once for both
+    backends: each of its quad calls evaluates the site kernel one node at a
+    time."""
+    return whole_axis_edge(mk(mu=0.6, a=0.6, M=8, z=z, test=pair[0], array=pair[1]))
+
+
+@pytest.mark.parametrize("pair", list(_EVEN_EDGE_PAIRS))
+def test_offres_edge_of_an_even_pair_is_the_whole_axis_integral(backend, pair):
+    test, array = _EVEN_EDGE_PAIRS[pair]
+    for z in (0.05, 0.5, 5.0):
+        b = mk(mu=0.6, a=0.6, M=8, z=z, test=test, array=array)
+        assert edge_term(b, "off_resonant") == pytest.approx(
+            _whole_axis_edge((test, array), z), rel=1e-10), z
+
+
+@pytest.mark.usefixtures("backend")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 2: the edge doubles "
+                   "half-axes, wrong for a pair whose site term is odd along an axis")
+def test_offres_edge_of_an_odd_pair_is_the_whole_axis_integral():
+    # the package's 9.4713e-6 is 0.37 of the whole-axis 2.5832e-5
+    b = mk(mu=0.6, a=0.6, M=8, z=0.5, test=ODD[0], array=ODD[1])
+    assert edge_term(b, "off_resonant") == pytest.approx(_whole_axis_edge(ODD, 0.5), rel=1e-10)
 
 
 def test_custom_orientation_decompose_matches_principal_pair(backend):

@@ -42,6 +42,9 @@ _mus = st.one_of(
 # on alpha^2 M_4 and the partial fractions once lost 5e-10 to the rounding of
 # Phi_4's polynomial part
 @example(log_r=-5.0, mu=1.0 - 1e-3, e0=(0, 1, 0), en=(0, 1, 0), n=(1, 1, 1))
+# pp = 4.2e-161 and dot = 0: the value, 3.96e-316, is subnormal, and the
+# oracle's QUADPACK once reported a roundoff error on it
+@example(log_r=-2.0, mu=math.e, e0=(0, 0, 1), en=(1, 0, 0), n=(4.2e-161, 0, 1))
 def test_kernel_matches_quad_oracle(log_r, mu, e0, en, n):
     r = math.exp(log_r)
     e0, en, n = unit(e0), unit(en), unit(n)
