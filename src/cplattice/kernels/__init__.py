@@ -98,10 +98,10 @@ Both return the sums and each height's panel count. This module builds every
 rule once, read-only, the Gauss-Laguerre table, ``LEGENDRE``, ``REAL_PATH``
 (views of one table, which ``panel_sums`` passes whole) and ``ROTATED_RULE``
 (:func:`_rules`), and passes them to each backend call itself, so no caller
-takes or checks one; the NumPy backend imports ``NODES``, ``RULE_HEAD`` and
-``offres_fill`` from here. Their Gauss-Legendre nodes and weights are
-literals, the bits of ``numpy.polynomial.legendre``, as the Gauss-Laguerre
-ones are SciPy's: no run imports either to build a rule.
+takes or checks one; the NumPy backend imports its constants and helpers
+from here. Their Gauss-Legendre nodes and weights are literals, the bits of
+``numpy.polynomial.legendre``, as the Gauss-Laguerre ones are SciPy's: no
+run imports either to build a rule.
 """
 from __future__ import annotations
 
