@@ -75,6 +75,9 @@ ZY = ((0, 0, 1), (0, 1, 0))
 # along both
 ODD = ((S3, S3, S3), (0.6, 0.0, 0.8))
 EVEN = ((0.6, 0.0, 0.8), (0.6, 0.0, -0.8))
+# pairs whose site term is even along both axes, so that the edge, which
+# doubles the positive half-axes, is exact
+EVEN_PAIRS = {"zz": PAIRS["zz"], "zx": PAIRS["zx"], "zy": ZY, "even": EVEN}
 # the pairs of the rotated-path ray integrals: zz, zx, a custom pair, and
 # ZY, whose site term is even in x and y: its x axis vanishes and its y axis
 # is zx's x axis

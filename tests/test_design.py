@@ -13,11 +13,10 @@ which backend is in place; every export of ``_rows.c`` is called through
 ``kernels.table_ranks`` turns a distance table's rank steps into ranks
 outside kernels; only the kernels and the model subscript a dipole pair,
 so the rule of the vanishing origin stays in the kernels; no test module
-imports another; and none pins bits by
-hand, which is the ledger's one record, or reads the ledger but
-``test_ledger.py``, its one check; and every public route that takes
-``heights=`` is in ``reference.HEIGHT_ROUTES``, the table of the battery of
-that contract.
+imports another; and none pins bits by hand, which is the ledger's one
+record, or reads the ledger but ``test_ledger.py``, its one check; and
+every public route that takes ``heights=`` is in ``reference.HEIGHT_ROUTES``,
+the table of the battery of that contract.
 """
 import ast
 import inspect

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 import reference
-from reference import (EVEN, HEIGHT_ROUTES, ODD, PAIRS, RAY_PAIRS, UNIT_VECTORS, ZY,
+from reference import (EVEN_PAIRS, HEIGHT_ROUTES, ODD, PAIRS, RAY_PAIRS, UNIT_VECTORS, ZY,
                        axis_integral, bulk_integral, contour_bulk_resonant, offres_bulk_by_ring,
                        offres_bulk_oracle, offres_edge_reordered, plane_wave_bulk,
                        radial_kernel_zx, radial_kernel_zz, radial_kernels_by_quad, rays,
@@ -236,11 +236,6 @@ def test_offres_edge_against_reordered_quadrature(backend):
     assert edge_term(b, "off_resonant") == pytest.approx(offres_edge_reordered(b), rel=1e-7)
 
 
-# pairs whose site term is even along both axes, where doubling the positive
-# half-axes is exact
-_EVEN_EDGE_PAIRS = {"zz": PAIRS["zz"], "zx": PAIRS["zx"], "zy": ZY, "even": EVEN}
-
-
 @functools.lru_cache(maxsize=None)
 def _whole_axis_edge(pair, z):
     """reference.whole_axis_edge at a 0.6, M 8 and mu 0.6, once for both
@@ -249,9 +244,9 @@ def _whole_axis_edge(pair, z):
     return whole_axis_edge(mk(mu=0.6, a=0.6, M=8, z=z, test=pair[0], array=pair[1]))
 
 
-@pytest.mark.parametrize("pair", list(_EVEN_EDGE_PAIRS))
+@pytest.mark.parametrize("pair", list(EVEN_PAIRS))
 def test_offres_edge_of_an_even_pair_is_the_whole_axis_integral(backend, pair):
-    test, array = _EVEN_EDGE_PAIRS[pair]
+    test, array = EVEN_PAIRS[pair]
     for z in (0.05, 0.5, 5.0):
         b = mk(mu=0.6, a=0.6, M=8, z=z, test=test, array=array)
         assert edge_term(b, "off_resonant") == pytest.approx(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from reference import (EVEN, EXTREME_HEIGHTS, ODD, PAIRS, STRATA_PAIRS, UNIT_VECTORS, ZY,
+from reference import (EVEN_PAIRS, EXTREME_HEIGHTS, ODD, PAIRS, STRATA_PAIRS, UNIT_VECTORS, ZY,
                        naive_offresonant, naive_resonant, per_row_custom, public_calls)
 
 from cplattice import cli, euler_maclaurin, greens, kernels, lattice_sum
@@ -598,9 +598,7 @@ def test_the_edge_of_fixed_pairs_is_the_combination_of_six_basis_pairs():
 # The square's point group D4 on the in-plane axes: the eight signed
 # permutations (x, y) -> (sx v[p0], sy v[p1]), the identity first
 _D4 = [(p, sx, sy) for p in ((0, 1), (1, 0)) for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
-# pairs whose site term is even along both axes, so that the edge, which
-# doubles the positive half-axes, is exact: zz, zx, zy and the ledger's even pair
-_EVEN_PAIRS = [PAIRS["zz"], PAIRS["zx"], ZY, EVEN]
+_EVEN_PAIRS = list(EVEN_PAIRS.values())
 
 
 def _turned(v, g):
