@@ -21,8 +21,9 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure
 stdout closed before the output was written (as a shell reports a program
 that SIGPIPE ends; nothing is printed). Exits 1 and 2 write one ``error:``
 line on stderr, after a sweep's ``note:`` lines if any. Usage errors include
-a count below 1, a NaN site budget (``inf`` is no limit) and a fit window
-without z_min < z_max, each found before any output.
+a count below 1, a NaN site budget (``inf`` is no limit), a fit window
+without z_min < z_max and a config or fit file that cannot be read,
+decoded or parsed, each found before any output.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import asymptotics, diagrams, euler_maclaurin, fitting
-from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, check_octant_memory, sum_lattice
+from .lattice_sum import QuadratureFailure, SiteBudgetExceeded, sum_lattice
 from .model import (MAX_LENGTH, ORIENTATIONS, Z_HAT, Geometry, LatticeSpec, ModelParams,
                     ValidationError, validate)
 
@@ -95,7 +96,7 @@ def load_config(path: str | None, overrides: dict) -> Config:
         try:
             with open(path) as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read config {path!r}: {exc}")
         for ln, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
@@ -202,8 +203,6 @@ def cmd_sweep(cfg: Config, out, require_direct: bool = False) -> int:
             f"off-resonant {cfg.offres_site_budget:g})")
     grid = z_grid(cfg.z_min, cfg.z_max, cfg.points_per_decade)
     first = bundle_from_config(cfg, float(grid[0]))  # fail on bad physics before any output
-    if do_or:  # and on an off-resonant octant that cannot fit in memory
-        check_octant_memory(first, "off_resonant")
     if not do_res:
         print(f"note: {count} sites exceed site_budget; resonant_direct left empty",
               file=sys.stderr)
@@ -319,7 +318,7 @@ def cmd_fit(csv_path: str, column: str, z_min: float, z_max: float, mode: str, o
             reader = csv.DictReader(fh)
             header = reader.fieldnames or ()  # None without a header
             rows = [(reader.line_num, row) for row in reader]  # each with its last line
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise _UsageError(f"cannot read {csv_path!r}: {exc}")
     for name in (column, "z_tilde"):
         if name not in header:

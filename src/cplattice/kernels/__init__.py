@@ -51,7 +51,8 @@ distance table that the compiled rows gather from:
   direct off-resonant octant sum. The compiled builder marks the distances
   in a bitmap and ranks them by word counts; the NumPy one calls
   ``np.unique``. Tables of up to ``TABLE_SITE_CAP`` sites in all are kept
-  for the process (2 bytes a site and 4 a distance: 0.57 MB at M = 500);
+  for the process (2 bytes a site and 4 a distance: 0.57 MB at M = 500),
+  and a larger range has the empty one: both octant sums then stream;
 * ``sici(x)``: Si(x) and Ci(x), the bits of ``scipy.special.sici`` on
   either backend: the compiled one ports SciPy's algorithm (cephes sici),
   and the NumPy one calls SciPy, importing ``scipy.special`` on its first
@@ -233,9 +234,9 @@ def load_library(cc: str = "cc", directory: Path = _HERE):
     return lib
 
 
-# The most octant sites whose distance tables a process keeps, all tables
-# together (a range of more streams: res_rows), and the rows nx < TABLE_ROWS
-# a table holds: its distances, to 2 nx^2, fit int32, its steps uint16.
+# The most octant sites of a distance table, and of all tables a process
+# keeps together (a range of more streams), and the rows nx < TABLE_ROWS a
+# table holds: its distances, to 2 nx^2, fit int32, its steps uint16.
 TABLE_SITE_CAP, TABLE_ROWS = 1 << 21, 1 << 15
 
 
@@ -280,7 +281,7 @@ def table_ranks(step, lo: int, hi: int, rows: int):
 
 
 _tables: dict = {}  # (lo, hi) -> (d2, step), least recently used first
-# The empty table (read-only, as frombuffer of bytes), with which res_rows streams
+# The empty table (read-only, as frombuffer of bytes), with which a caller streams
 _NO_TABLE = tuple(np.frombuffer(b"", dtype=dtype) for dtype in (np.int32, np.uint16))
 _tables_lock = threading.Lock()
 
@@ -291,12 +292,12 @@ def distance_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     for each of those sites in ``np.tril_indices`` order its rank step
     (uint16): its rank less that of the site before it in its row, or at
     j = 0 less that of the row before's first site (:func:`table_ranks`
-    decodes them). ``hi <= TABLE_ROWS``. Tables of up to
-    ``TABLE_SITE_CAP`` sites are kept, least recently used dropped first,
-    while all kept tables hold at most that many sites together; larger
-    ones are built on every call."""
+    decodes them). ``hi <= TABLE_ROWS``. A range of more than
+    ``TABLE_SITE_CAP`` sites has the empty table, and its caller streams;
+    others are kept, least recently used dropped first, while all kept
+    tables hold at most that many sites together."""
     if range_sites(lo, hi) > TABLE_SITE_CAP:
-        return build_table(_impl.distance_table, lo, hi)
+        return _NO_TABLE
     with _tables_lock:
         table = _tables.pop((lo, hi), None) or build_table(_impl.distance_table, lo, hi)
         _tables[(lo, hi)] = table
@@ -310,17 +311,17 @@ def res_rows(zx: bool, a2: float, z2, lo: int, hi: int) -> np.ndarray:
     resonant sum at the height z2, a float or an array of them, as an array
     of shape z2.shape + (hi - lo,), from one backend call; raises
     ``ValueError`` unless 0 <= lo <= hi. The call takes the range's
-    distance table, or the empty one, with which its rows stream, for a
-    range of more than ``TABLE_SITE_CAP`` sites or of fewer sites than the
-    compiled builder's bitmap has 64-bit words: that bitmap spans
+    :func:`distance_table`, which is empty past ``TABLE_SITE_CAP`` sites, or
+    the empty one, with which its rows stream, for a range of fewer sites
+    than the compiled builder's bitmap has 64-bit words: that bitmap spans
     lo^2..2(hi-1)^2, so a thin range far out would page in O(hi^2) scratch."""
     if not 0 <= lo <= hi:
         raise ValueError(f"row range needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
     z2 = np.asarray(z2, dtype=np.float64)
     out = np.empty(z2.shape + (hi - lo,))
     heights = np.ascontiguousarray(z2.reshape(-1))
-    tabled = (2 * (hi - 1) ** 2 - lo * lo) // 64 + 1 <= range_sites(lo, hi) <= TABLE_SITE_CAP
-    d2, step = distance_table(lo, hi) if tabled else _NO_TABLE
+    thin = (2 * (hi - 1) ** 2 - lo * lo) // 64 + 1 > range_sites(lo, hi)
+    d2, step = _NO_TABLE if thin else distance_table(lo, hi)
     _impl.res_rows(zx, a2, heights, heights.size, d2, d2.size, step, lo, hi, np.empty(d2.size),
                    out)
     return out

@@ -31,7 +31,10 @@ each height and folds the octant, from its first site of nonzero weight,
 with the orbit weights, built once for all heights, into one exact sum per
 height, a block of whole rows of at most ``OFFRES_BLOCK_SITES`` products
 (or one row) at a time, whose indices into the distances
-``kernels.table_ranks`` gives.
+``kernels.table_ranks`` gives. Past the tables' cap an octant has the
+empty table, and both sums stream in the same bits: the resonant rows
+evaluate every site, and the off-resonant sum each block's orbit weights
+and site terms at each height, so that it holds one block, on any host.
 General orientations lack the reflection parity needed for folding and run
 over the full grid of rows n_x = -M..M as a site set of the kernels, which
 take the dipoles as ``bundle.pair`` (the pair terms, for any pair, are
@@ -125,8 +128,7 @@ class QuadratureFailure(RuntimeError):
 
 
 class SiteBudgetExceeded(RuntimeError):
-    """(2M+1)^2 exceeds the configured direct-summation budget, or an
-    off-resonant octant's tables exceed the memory the process can hold."""
+    """(2M+1)^2 exceeds the configured direct-summation budget."""
 
 
 @dataclass(frozen=True)
@@ -276,47 +278,6 @@ def _resonant_custom(bundle: ValidatedBundle, z: np.ndarray, threads) -> list:
 OFFRES_BLOCK_SITES = 1 << 14
 
 
-def memory_limit() -> float:
-    """The most bytes this process can hold: the host's physical memory, or
-    the process's address-space limit where that is lower; inf where
-    neither is known."""
-    limits = [math.inf]
-    try:
-        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):  # no such sysconf names here
-        pass
-    try:
-        import resource
-    except ImportError:  # not a Unix
-        pass
-    else:
-        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if soft != resource.RLIM_INFINITY:
-            limits.append(soft)
-    return min(limits)
-
-
-def check_octant_memory(bundle: ValidatedBundle, kind: str) -> None:
-    """Raise SiteBudgetExceeded before any octant table of an off-resonant zz
-    or zx direct sum is allocated: naming M and the bound when its rows pass
-    ``kernels.TABLE_ROWS``, or M, the octant's sites and their bytes when
-    its tables would not fit in :func:`memory_limit`. The distance table
-    takes 4 + 2 bytes a site (a distance, at most one a site, and the site's
-    rank step) and the orbit weights 8."""
-    if kind != "off_resonant" or bundle.orientation_label() not in ORIENTATIONS:
-        return
-    M = bundle.half_extent
-    if M >= kernels.TABLE_ROWS:
-        raise SiteBudgetExceeded(f"the off-resonant octant of M={M} exceeds the distance "
-                                 f"table's rows: M must be below {kernels.TABLE_ROWS}")
-    sites = kernels.range_sites(0, M + 1)
-    need, limit = (4 + 2 + 8) * sites, memory_limit()
-    if need > limit:
-        raise SiteBudgetExceeded(f"the off-resonant octant of M={M} holds {sites} sites, whose "
-                                 f"tables take {need} bytes, more than the {limit} bytes this "
-                                 f"process can hold")
-
-
 def radial_sites(s, a2: float, z2: float, zx: bool):
     """(r, dot, pp) of the octant sites at s = nx^2 + j^2, on which they
     alone depend: the orbit of site (nx, j) under the square's symmetries
@@ -347,25 +308,40 @@ def octant_weights(nx, j, a2: float, zx: bool):
 def _offres_octant(bundle: ValidatedBundle, z: np.ndarray) -> list:
     M = bundle.half_extent
     a2, zx = bundle.a_tilde ** 2, bundle.orientation_label() == "zx"
-    # the site term is a function of nx^2 + j^2: evaluate it once per
-    # distance and height, and fold it with each site's orbit weight, built
-    # once for all heights from blocks of whole rows, (nx, j) grids masked
-    # to j <= nx, so that no index array the size of the octant is built
+    rows = max(1, OFFRES_BLOCK_SITES // (M + 1))
+
+    def grid():
+        # blocks of whole rows, (nx, j) grids masked to j <= nx, so that no
+        # index array the size of the octant is built
+        for lo in range(0, M + 1, rows):
+            hi = min(lo + rows, M + 1)
+            nx, j = np.arange(lo, hi)[:, None], np.arange(hi)
+            yield nx, j, j <= nx
+
     d2, step = kernels.distance_table(0, M + 1)
-    weights, rows = np.empty(step.size), max(1, OFFRES_BLOCK_SITES // (M + 1))
-    for lo in range(0, M + 1, rows):
-        hi = min(lo + rows, M + 1)
-        nx, j = np.arange(lo, hi)[:, None], np.arange(hi)
-        weights[kernels.range_sites(0, lo):kernels.range_sites(0, hi)] = \
-            octant_weights(nx, j, a2, zx)[j <= nx]
+    if step.size:
+        # the site term is a function of nx^2 + j^2: evaluate it once per
+        # distance and height, and fold it with each site's orbit weight,
+        # built once for all heights
+        weights = [octant_weights(nx, j, a2, zx)[sites] for nx, j, sites in grid()]
+
+        def blocks(h):
+            radial = kernels.offres_sites(*radial_sites(d2, a2, h ** 2, zx), bundle.mu)
+            return zip(weights, (radial[ranks] for *_, ranks in
+                                 kernels.table_ranks(step, 0, M + 1, rows)))
+    else:
+        # no table: each block's weights and site terms at each height
+        def blocks(h):
+            for nx, j, sites in grid():
+                s = (nx * nx + j * j)[sites]
+                yield (octant_weights(nx, j, a2, zx)[sites],
+                       kernels.offres_sites(*radial_sites(s, a2, h ** 2, zx), bundle.mu))
 
     def folded(h):
-        radial = kernels.offres_sites(*radial_sites(d2, a2, h ** 2, zx), bundle.mu)
-        for lo, hi, ranks in kernels.table_ranks(step, 0, M + 1, rows):
+        for k, (w, terms) in enumerate(blocks(h)):
             # the zx origin's weight is 0: its term, inf once r^6 underflows, is skipped
-            skip = int(zx and lo == 0)
-            yield weights[kernels.range_sites(0, lo) + skip:kernels.range_sites(0, hi)] * \
-                radial[ranks[skip:]]
+            skip = int(zx and k == 0)
+            yield w[skip:] * terms[skip:]
 
     return [kernels.exact_sum(folded(h)) for h in z.tolist()]
 
@@ -409,17 +385,18 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads=Non
     bitwise equal to one call per height, and ``terms_summed`` counts the
     sites of all heights; without, it is the float at the bundle's height.
     A resonant octant (zz, zx) takes all heights in one row-range call per
-    worker, and an off-resonant octant builds its orbit weights once for
-    all heights; other sums loop over the heights here.
+    worker, and an off-resonant octant with a distance table builds its
+    orbit weights once for all heights; other sums loop over the heights
+    here. No M is rejected for memory: a larger octant streams.
 
     Results are deterministic for any thread count: row values are
     independent and the cross-row reduction is exact (math.fsum) in fixed
     row order, once per height. Off-resonant sums take a height at a time,
-    the octant's site terms once per distinct distance in
-    ``kernels.SITE_CHUNK`` chunks and its products, or other grids' blocks
-    of rows, ``OFFRES_BLOCK_SITES`` sites at a time, and reduce exactly, so
-    threads do not affect them. ``threads=None`` runs a resonant sum whose
-    octant (zz, zx) or grid (other pairs) holds at least
+    the octant's site terms once per distinct distance (or site, streamed)
+    in ``kernels.SITE_CHUNK`` chunks and its products, or other grids'
+    blocks of rows, ``OFFRES_BLOCK_SITES`` sites at a time, and reduce
+    exactly, so threads do not affect them. ``threads=None`` runs a
+    resonant sum whose octant (zz, zx) or grid (other pairs) holds at least
     ``AUTO_THREADS_SITES`` sites on :func:`usable_cpus` workers, and a
     smaller one on one; a larger count than :func:`usable_cpus` is cut to
     it, one that is not an integer raises ``TypeError`` and one below 1
@@ -433,7 +410,6 @@ def sum_lattice(bundle: ValidatedBundle, kind: str, *, heights=None, threads=Non
     bundle = validate(bundle)
     count = bundle.lattice.atom_count
     pref = prefactor(bundle, kind)
-    check_octant_memory(bundle, kind)
     z = heights_array(bundle, heights)
     octant = bundle.orientation_label() in ORIENTATIONS
     with quiet_nonfinite():

@@ -433,9 +433,10 @@ def bulk_vertical(bundle):
 
 
 @functools.cache
-def _plane_wave_polynomial():
-    """(c0, c2, c4) as one function of the six dipole components, derived by
-    sympy: the azimuthal mean over phi of [e0.(I - KK).en][e0.(I - K'K').en],
+def plane_wave_polynomial():
+    """(components, (c0, c2, c4)): the six dipole components as sympy symbols,
+    e0 then en, and the coefficients as exact sympy expressions in them: the
+    azimuthal mean over phi of [e0.(I - KK).en][e0.(I - K'K').en],
     K = (q cos phi, q sin phi, -k), K' = (-q cos phi, -q sin phi, -k), with
     q^2 = 1 - k^2, is a polynomial in k with only the powers 0, 2 and 4."""
     import sympy as sp
@@ -450,7 +451,14 @@ def _plane_wave_polynomial():
     mean = sp.integrate(sp.expand(math.prod(map(coupling, waves))), (phi, 0, 2 * sp.pi))
     poly = sp.Poly(sp.expand(mean.subs(q, sp.sqrt(1 - k * k)) / (2 * sp.pi)), k)
     assert poly.degree() == 4 and poly.coeff_monomial(k) == poly.coeff_monomial(k ** 3) == 0
-    return sp.lambdify([*e0, *en], [poly.coeff_monomial(k ** j) for j in (0, 2, 4)], "mpmath")
+    return (*e0, *en), tuple(poly.coeff_monomial(k ** j) for j in (0, 2, 4))
+
+
+@functools.cache
+def _plane_wave_polynomial():
+    """(c0, c2, c4) as one mpmath function of the six dipole components."""
+    import sympy as sp
+    return sp.lambdify(*plane_wave_polynomial(), "mpmath")
 
 
 def plane_wave_coefficients(e0, en):
@@ -481,6 +489,46 @@ def plane_wave_bulk(bundle, digits=30):
         pref = mpmath.mpf(9) / 8 * rho * mu / ((1 - mu) * (1 + mu))
         value = pref * 2 * mpmath.pi / (a * a) * integral.real
     return +value
+
+
+def _series_tail(x, lead):
+    """sum_{k>=2} (-1)^k (2k + lead)!/x^{2k} in float64: the asymptotic series
+    of x f(x) (lead 0) or x^2 g(x) (lead 1), the auxiliary functions of Ci
+    (DLMF 6.12), past its first two terms, summed up to its smallest term."""
+    k, term, total = 2, math.factorial(4 + lead) / x ** 4, 0.0
+    while True:
+        total += term
+        following = -term * (2 * k + 1 + lead) * (2 * k + 2 + lead) / (x * x)
+        if abs(following) >= abs(term):
+            return total
+        k, term = k + 1, following
+
+
+def far_bulk(bundle):
+    """The resonant bulk of any dipole pair in float64 at heights above
+    z = 20, and the sum of its terms' magnitudes: (bulk, scale). With
+    x = 2z, Ci(x) = f sin x - g cos x (DLMF 6.5), and x f and x^2 g
+    asymptotic series with the tails F2 and G2 of :func:`_series_tail`,
+    the plane-wave bracket over z^4 is
+
+        B/z^4 = sin x [-4 u2/z + 2 (c0 + 3 c4)/z^3 - 4 c0 F2/z]
+              + cos x [2 w/z^2 + 3 (c4 - c0)/z^4 + 2 c0 G2/z^2],
+
+    where the z^3 terms that cancel in B cancel in the algebra:
+    u2 = c0 + c2 + c4 = (e0_par.en_par)^2 and w = c0 - c2 - 3 c4 =
+    2pu - u^2 - 2v, formed at 30 digits from the sympy coefficients of
+    :func:`plane_wave_coefficients`. bulk = pref 2 pi/(8 a^2) B/z^4."""
+    with mpmath.workdps(30):
+        c0, c2, c4 = plane_wave_coefficients(bundle.params.test_dipole,
+                                             bundle.params.array_dipole)
+        u2, w, c0, c4 = (float(v) for v in (c0 + c2 + c4, c0 - c2 - 3 * c4, c0, c4))
+    z = bundle.z_tilde
+    sin, cos = math.sin(2.0 * z), math.cos(2.0 * z)
+    terms = (-4.0 * u2 / z * sin, 2.0 * (c0 + 3.0 * c4) / z ** 3 * sin,
+             -4.0 * c0 * _series_tail(2.0 * z, 0) / z * sin, 2.0 * w / z ** 2 * cos,
+             3.0 * (c4 - c0) / z ** 4 * cos, 2.0 * c0 * _series_tail(2.0 * z, 1) / z ** 2 * cos)
+    factor = prefactor(bundle, "resonant") * 2.0 * math.pi / (8.0 * bundle.a_tilde ** 2)
+    return factor * math.fsum(terms), abs(factor) * math.fsum(map(abs, terms))
 
 
 def bulk_loop(bundle):

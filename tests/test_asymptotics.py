@@ -7,7 +7,7 @@ import pytest
 import reference
 from reference import contour_bulk_resonant
 
-from cplattice import kernels
+from cplattice import asymptotics, kernels
 from cplattice.asymptotics import (Regime, all_regimes, asymptotic_shift,
                                    expected_exponent, full_closed_form)
 from cplattice.euler_maclaurin import bulk_term, plane_wave_bracket
@@ -20,6 +20,77 @@ mk = functools.partial(reference.bundle, z=0.01)
 def reg(kind, orientation, retardation, density):
     return Regime(kind=kind, orientation=orientation, retardation=retardation,
                   density=density)
+
+
+def _leading_law(q, z, scale, retarded):
+    """(coefficient, trig, n) of scale Re[e^{2iz} q(z)] ~ coefficient
+    trig(2z)/z^n, for q a Laurent polynomial in z with complex coefficients:
+    its leading term as z -> inf (retarded) or z -> 0, where e^{2iz} -> 1;
+    None where q = 0."""
+    import sympy as sp
+
+    if sp.expand(q) == 0:
+        return None
+    (power,), lead = (max if retarded else min)(sp.Poly(sp.expand(q * z ** 8), z).terms())
+    re, im = lead.as_real_imag()
+    if not retarded:
+        assert im == 0
+        return scale * re, None, 8 - power
+    assert (re == 0) != (im == 0), lead  # one oscillation: cos or sin
+    return (scale * re, math.cos, 8 - power) if re != 0 else (-scale * im, math.sin, 8 - power)
+
+
+def _derived_resonant_laws():
+    """The resonant rows of ``_LAWS``, each (coefficient, trig, n) or None,
+    derived in exact arithmetic with pref_R = (9/8) K.
+
+    Dense: the bulk is pref_R (2 pi/a^2) Re int <P>(k)/k e^{2ikz} dk along
+    k = 1 + it, <P> = c0 + c2 k^2 + c4 k^4 with sympy's coefficients. The
+    c2 and c4 parts integrate exactly, to e^{2iz} times a Laurent
+    polynomial in z; the c0 part is E1(-2iz), O(log z) as z -> 0 and, by
+    integration by parts, -e^{2iz} sum_{n<4} n!/(2iz)^{n+1} + O(z^-5) as
+    z -> inf. Sparse: the vertex, pref_R Re[(e0.g.en)^2] at the foot
+    n = (0, 0, -1), r = z, with e0.g.en = e^{iz} B/z^3 from the tensor of
+    ``greens``: zz has B = 2 - 2iz, zx B = 0."""
+    import sympy as sp
+
+    z, k = sp.symbols("z k", positive=True)
+    symbols, coefficients = reference.plane_wave_polynomial()
+    laws = {}
+    for orientation, en in (("zz", (0, 0, 1)), ("zx", (1, 0, 0))):
+        e0 = (0, 0, 1)
+        c0, c2, c4 = (c.subs(dict(zip(symbols, e0 + en))) for c in coefficients)
+        part = sp.integrate((c2 * k + c4 * k ** 3) * sp.exp(2 * sp.I * k * z), k)
+        near = sp.expand(sp.simplify(-part.subs(k, 1) * sp.exp(-2 * sp.I * z)))
+        far = near - c0 * sum(sp.factorial(n) / (2 * sp.I * z) ** (n + 1) for n in range(4))
+        n = sp.Matrix([0, 0, -1])
+        tensor = sp.exp(sp.I * z) / z * ((1 + (sp.I * z - 1) / z ** 2) * sp.eye(3)
+                                         + (-1 + (3 - 3 * sp.I * z) / z ** 2) * n * n.T)
+        b = sp.expand(sp.simplify((sp.Matrix(e0).T * tensor * sp.Matrix(en))[0]
+                                  * z ** 3 * sp.exp(-sp.I * z)))
+        for retarded, label in ((False, "non_retarded"), (True, "retarded")):
+            laws[orientation, label, "dense"] = _leading_law(
+                far if retarded else near, z, sp.Rational(9, 8) * 2 * sp.pi, retarded)
+            laws[orientation, label, "sparse"] = _leading_law(
+                sp.expand(b * b) / z ** 6, z, sp.Rational(9, 8), retarded)
+    return laws
+
+
+def test_resonant_laws_are_their_derivations():
+    # each resonant coefficient within 2 ulps of its exact derivation, with
+    # its oscillation and z power; the zx sparse rows vanish. The
+    # off-resonant rows stay open: their limits were never derived
+    derived = _derived_resonant_laws()
+    assert len(derived) == 8
+    for (orientation, retardation, density), want in derived.items():
+        law = asymptotics._LAWS["resonant", orientation, retardation, density]
+        if want is None:
+            assert law is None, (orientation, retardation, density)
+            continue
+        coefficient, trig, n = want
+        exact = float(coefficient.evalf(30))
+        assert law[1:] == ("K", trig, n), (orientation, retardation, density)
+        assert abs(law[0] - exact) <= 2 * math.ulp(exact), (orientation, retardation, density)
 
 
 def test_sparse_nonretarded_resonant_value():

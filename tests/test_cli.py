@@ -513,7 +513,9 @@ _NO_FILE = "{}'{{tmp}}/in': [Errno 2] No such file or directory: '{{tmp}}/in'"
 _PPD = "points_per_decade must be >= 1, got {}"
 
 # Each rejected input: its argv ({tmp} is the test's directory), the text
-# of {tmp}/in where it reads that file, its exit code and its error message
+# (or bytes) of {tmp}/in where it reads that file, its exit code and its
+# error message
+_UTF8 = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
 _REJECTED = {
     "fit-no-file": (_FIT, None, _USAGE, _NO_FILE.format("cannot read ")),
     "fit-not-a-csv": (_FIT, "import os\n", _USAGE,
@@ -521,6 +523,14 @@ _REJECTED = {
     "fit-no-header": (_FIT, "", _USAGE, "column 'offresonant_direct' not found in '{tmp}/in'"),
     "fit-no-z-tilde": (_FIT, "z,offresonant_direct\n0.1,1\n", _USAGE,
                        "column 'z_tilde' not found in '{tmp}/in'"),
+    # these three ended in a UnicodeDecodeError or csv.Error traceback
+    "fit-not-utf-8": (_FIT, b"z_tilde,offresonant_direct\n0.1,\xff\n", _USAGE,
+                      "cannot read '{tmp}/in': " + _UTF8.format(31)),
+    "fit-field-too-large": (_FIT, _column(["1" * 200_000]), _USAGE,
+                            "cannot read '{tmp}/in': field larger than field limit (131072)"),
+    "decompose-config-not-utf-8": ("decompose --config {tmp}/in --z-tilde 0.3",
+                                   b"mu = 0.5\n\xff\n", _USAGE,
+                                   "cannot read config '{tmp}/in': " + _UTF8.format(9)),
     # the column that a sweep leaves empty above its site budget
     "fit-empty-column": (_FIT, _column([""] * 6), _NUMERICAL, "0 points in window, need >= 5"),
     "fit-no-rows": (_FIT, _column([]), _NUMERICAL, "0 points in window, need >= 5"),
@@ -620,7 +630,9 @@ def test_rejected_input_exits_with_one_error_line_and_no_output(tmp_path, argv, 
                                                                message):
     # a sweep or decompose runs again with an output file, unless its
     # failure is about the output path: that file must never appear
-    if text is not None:
+    if isinstance(text, bytes):
+        (tmp_path / "in").write_bytes(text)
+    elif text is not None:
         (tmp_path / "in").write_text(text)
     argv = [arg.format(tmp=tmp_path) for arg in shlex.split(argv)]
     output = {"sweep": "-o", "decompose": "--csv"}.get(argv[0])
@@ -662,18 +674,6 @@ _BAD_INPUTS = [
     # the header is written with the first block's rows: none of them here
     (["sweep", "--z-min", "1e-320", "--z-max", "1e-300", "--points-per-decade", "1"],
      cli.EXIT_NUMERICAL, "bulk resonant at z=1e-320, mu=0.5 (zz): closed form is not finite"),
-    # the off-resonant octant's tables would take 2.8 GB: rejected before
-    # any of them is allocated, against the 2 GiB address-space limit below,
-    # and before the first stage, whose bulk would fail at this height
-    (["sweep", "--half-extent", "20000", "--site-budget", "0", "--offres-site-budget", "1e11",
-      "--z-min", "1e-320", "--z-max", "1e-319", "--points-per-decade", "1"], cli.EXIT_NUMERICAL,
-     "the off-resonant octant of M=20000 holds 200030001 sites, whose tables take "
-     "2800420014 bytes, more than the 2147483648 bytes this process can hold"),
-    # one of 25 GB is past the distance table's rows, on a host of any size
-    (["sweep", "--half-extent", "50000", "--site-budget", "0", "--offres-site-budget", "1e11",
-      "--z-min", "1e-320", "--z-max", "1e-319", "--points-per-decade", "1"], cli.EXIT_NUMERICAL,
-     "the off-resonant octant of M=50000 exceeds the distance table's rows: M must be below "
-     "32768"),
 ]
 
 

@@ -11,7 +11,9 @@ package or exported; only ``kernels.backend`` and ``backend_name`` know
 which backend is in place; every export of ``_rows.c`` is called through
 ``kernels._impl`` or is one of the tests' named probes; only
 ``kernels.table_ranks`` turns a distance table's rank steps into ranks
-outside kernels; only the kernels and the model subscript a dipole pair,
+outside kernels, and only kernels reads the table's bounds
+(``TABLE_SITE_CAP``, ``TABLE_ROWS``); only the kernels and the model
+subscript a dipole pair,
 so the rule of the vanishing origin stays in the kernels; no test module
 imports another; and none pins bits by hand, which is the ledger's one
 record, or reads the ledger but ``test_ledger.py``, its one check; and
@@ -77,8 +79,14 @@ ENTER = {("cplattice.lattice_sum", "site_term"), ("cplattice.lattice_sum", "sum_
 # The modules under tests/ that a test module may import
 HELPERS = {"reference", "ledger"}
 
-# kernels' backend state, which only kernels.backend swaps
-_SWAPPED = {"_impl", "_lib", "_tables"}
+# kernels' backend state, which only kernels.backend swaps: the names of its
+# global statement
+_SWAPPED = {name for node in MODULES["cplattice.kernels"][2].body
+            if isinstance(node, ast.FunctionDef) and node.name == "backend"
+            for g in ast.walk(node) if isinstance(g, ast.Global) for name in g.names}
+
+# The table layout's bounds, which only kernels reads
+TABLE_BOUNDS = {"TABLE_SITE_CAP", "TABLE_ROWS"}
 
 # A normal number's float.hex (zeros such as 0x0.0p+0 stay, for special
 # values), or a quoted 16-hex-digit hash prefix
@@ -235,7 +243,7 @@ def test_no_test_swaps_the_backend_but_the_switch():
     # kernels.backend stays the one place that swaps the backend state
     found = [f"{path.name}:{node.lineno}" for path, tree in TESTS.items()
              for node in ast.walk(tree) if _swaps(node)]
-    assert found == []
+    assert _SWAPPED == {"_impl", "_tables"} and found == []
 
 
 def test_every_static_function_of_the_library_is_called():
@@ -318,6 +326,17 @@ def test_only_kernels_turn_the_table_steps_into_ranks():
                   if isinstance(node, ast.Name) and node.id in steps and id(node) not in passed
                   and isinstance(node.ctx, ast.Load)]
     assert found == [] and decoded == ["cplattice.lattice_sum"]
+
+
+def test_only_kernels_read_the_table_bounds():
+    # kernels states which ranges have a distance table (the empty one past
+    # TABLE_SITE_CAP sites) and the rows it holds: no other module restates
+    # its layout from them
+    found = [f"{module}:{node.lineno}" for module, (_, _, tree) in MODULES.items()
+             if not module.startswith("cplattice.kernels") for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+             and {getattr(node, key, None) for key in ("id", "attr", "name")} & TABLE_BOUNDS]
+    assert found == []
 
 
 def test_only_the_fallback_selection_imports_the_numpy_backend():

@@ -617,18 +617,23 @@ def test_table_cache_under_concurrent_callers(backend, monkeypatch):
     assert sum(step.size for _, step in kernels._tables.values()) <= 400
 
 
-def test_distance_table_above_the_cap_is_built_on_each_call(backend, monkeypatch):
-    # a table of more sites than the cap is neither kept nor allowed to
-    # evict the tables that are
-    want_d2, want_step = kernels.distance_table(0, 10)  # 55 sites, kept
-    kernels._tables.clear()
+def test_distance_table_above_the_cap_is_the_empty_table(backend, monkeypatch):
+    # a range of more sites than the cap has the empty table, with which its
+    # caller streams: none is built, and the kept tables stay
+    def forbidden(*args):
+        raise AssertionError("a table was built")
+
     small = kernels.distance_table(0, 2)
     monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 54)
-    first, second = kernels.distance_table(0, 10), kernels.distance_table(0, 10)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "build_table", forbidden)
+        d2, step = kernels.distance_table(0, 10)  # 55 sites
+    assert (d2.dtype, step.dtype, d2.size, step.size) == (np.int32, np.uint16, 0, 0)
+    assert not (d2.flags.writeable or step.flags.writeable)
     assert list(kernels._tables) == [(0, 2)] and kernels._tables[(0, 2)] is small
-    assert first[0] is not second[0]
-    for d2, step in (first, second):
-        assert np.array_equal(d2, want_d2) and np.array_equal(step, want_step)
+    # a range at the cap has its table, for which the older ones make room
+    assert kernels.distance_table(1, 10)[1].size == 54
+    assert list(kernels._tables) == [(1, 10)]
 
 
 def test_site_sets_reject_a_pair_that_is_not_float64_7(backend):

@@ -3,8 +3,6 @@ which share no code with the accelerated paths."""
 import contextlib
 import functools
 import math
-import os
-import resource
 import tracemalloc
 
 import numpy as np
@@ -16,12 +14,11 @@ import reference
 from reference import (EVEN_PAIRS, EXTREME_HEIGHTS, ODD, PAIRS, STRATA_PAIRS, UNIT_VECTORS, ZY,
                        naive_offresonant, naive_resonant, per_row_custom, public_calls)
 
-from cplattice import cli, euler_maclaurin, greens, kernels, lattice_sum
+from cplattice import euler_maclaurin, greens, kernels, lattice_sum
 from cplattice.euler_maclaurin import bulk_term, decompose, edge_term, vertex_term
 from cplattice.kernels import _numpy_backend
-from cplattice.lattice_sum import (QuadratureFailure, SiteBudgetExceeded,
-                                   _map_ranges, _split_rows, offresonant_pair_term,
-                                   resonant_pair_term, sum_lattice)
+from cplattice.lattice_sum import (QuadratureFailure, _map_ranges, _split_rows,
+                                   offresonant_pair_term, resonant_pair_term, sum_lattice)
 from cplattice.model import ValidationError
 
 mk = functools.partial(reference.bundle, a=0.5, M=3, z=0.5)
@@ -217,50 +214,48 @@ def test_offresonant_shell_tail_decays_faster_than_m4():
     assert slope < -4.0
 
 
-def test_offresonant_octant_over_the_memory_limit_is_rejected_before_any_work(monkeypatch,
-                                                                             capsys):
-    # the octant of M = 8 holds 45 sites, 14 bytes each in its tables: with
-    # a byte less memory the zz and zx off-resonant sums, and a sweep that
-    # takes one, fail before the distance table or the first block
-    def forbidden(*args, **kwargs):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 14 - 1)
-    monkeypatch.setattr(kernels, "distance_table", forbidden)
-    monkeypatch.setattr(euler_maclaurin, "decompose", forbidden)
-    message = ("the off-resonant octant of M=8 holds 45 sites, whose tables take 630 bytes, "
-               "more than the 629 bytes this process can hold")
-    for array in ((0, 0, 1), (1, 0, 0)):
-        with pytest.raises(SiteBudgetExceeded, match=message):
-            sum_lattice(mk(M=8, array=array), "off_resonant")
-    assert cli.main(["sweep", "--half-extent", "8", "--offres-site-budget", "289"]) == \
-        cli.EXIT_NUMERICAL
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    # the resonant and custom sums keep no octant tables of that size
-    lattice_sum.check_octant_memory(mk(M=8), "resonant")
-    sum_lattice(mk(M=8, test=PAIRS["custom_a"][0], array=PAIRS["custom_a"][1]),
-                "off_resonant")
-    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: 45 * 14)
-    lattice_sum.check_octant_memory(mk(M=8), "off_resonant")
-
-
-def test_offresonant_octant_past_the_table_rows_is_rejected_with_any_memory(monkeypatch):
-    # a distance table holds rows nx < 2^15: an off-resonant zz or zx octant
-    # of M = 32768 is rejected however much memory there is, M = 32767 not
-    monkeypatch.setattr(lattice_sum, "memory_limit", lambda: math.inf)
-    for array in ((0, 0, 1), (1, 0, 0)):
-        lattice_sum.check_octant_memory(mk(M=32767, array=array), "off_resonant")
-        with pytest.raises(SiteBudgetExceeded, match="^the off-resonant octant of M=32768 "
-                           "exceeds the distance table's rows: M must be below 32768$"):
-            lattice_sum.check_octant_memory(mk(M=32768, array=array), "off_resonant")
-        lattice_sum.check_octant_memory(mk(M=32768, array=array), "resonant")
+@pytest.mark.parametrize("array", [(0, 0, 1), (1, 0, 0)], ids=["zz", "zx"])
+def test_offresonant_octant_past_the_table_cap_streams_the_same_bits(backend, monkeypatch,
+                                                                     array):
+    # an octant of more sites than kernels.TABLE_SITE_CAP has no distance
+    # table: it evaluates every site's term, a block of rows at a time, and
+    # keeps the table path's bits. At z = 1e-60 the zx origin's term is not
+    # finite (r^6 underflows): both paths skip it
+    zx = array == (1, 0, 0)
+    heights = (1e-60, 0.05, 0.3, 2.0) if zx else (0.05, 0.3, 2.0)
+    with lattice_sum.quiet_nonfinite():
+        origin = kernels.offres_sites(*lattice_sum.radial_sites(np.zeros(1), 0.0025, 1e-120, True),
+                                      0.6)
+    assert not math.isfinite(origin[0])
+    for M in (0, 1, 7, 300):
+        b = mk(mu=0.6, a=0.05, M=M, array=array)
+        kernels._tables.clear()
+        table = sum_lattice(b, "off_resonant", heights=heights).off_resonant
+        assert list(kernels._tables) == [(0, M + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "TABLE_SITE_CAP", 0)
+            kernels._tables.clear()
+            streamed = sum_lattice(b, "off_resonant", heights=heights).off_resonant
+            assert kernels._tables == {}
+        assert np.isfinite(table).all() and streamed.tobytes() == table.tobytes(), M
 
 
-def test_memory_limit_is_physical_memory_or_a_lower_address_space_limit(monkeypatch):
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for soft in (resource.RLIM_INFINITY, 1 << 30, 1 << 62):
-        monkeypatch.setattr(resource, "getrlimit", lambda which: (soft, resource.RLIM_INFINITY))
-        assert lattice_sum.memory_limit() == min(physical, math.inf if soft < 0 else soft)
+def test_streamed_offresonant_octant_memory_is_bounded(backend, monkeypatch):
+    # past the cap an off-resonant octant holds one block of rows at a time
+    # (1.1 MB on C, 2.4 MB on NumPy): at M = 1,000 (501,501 octant sites)
+    # its whole-octant distance table and orbit weights took a tracemalloc
+    # peak of 13.5 MB on C and 42 MB on NumPy
+    monkeypatch.setattr(kernels, "TABLE_SITE_CAP", 1000)
+    sum_lattice(mk(mu=0.6, M=2), "off_resonant")  # first calls outside the measurement
+    b = mk(mu=0.6, a=0.05, M=1000, z=0.5)
+    tracemalloc.start()
+    try:
+        value = sum_lattice(b, "off_resonant").off_resonant
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value) and list(kernels._tables) == [(0, 3)]  # M = 2's table alone
+    assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_default_threads_follow_the_site_count(monkeypatch):
