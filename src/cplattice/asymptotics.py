@@ -12,8 +12,9 @@ one). The tabulated exponent is -n. For orientation zx (probe z, array x)
 every sparse form vanishes identically; its rows hold None.
 
 The dense resonant prefactors are the small-z / large-z limits of the exact
-resonant bulk (:func:`full_closed_form`); they are pinned against direct
-quadrature of the radial bulk integral by the test suite. No automatic
+resonant bulk (:func:`full_closed_form`); tests/test_asymptotics.py derives
+them in sympy from the plane-wave k-integral and checks them against the
+bulk in their windows. No automatic
 regime selection happens here: each call evaluates exactly the requested
 formula, and sweeps emit every applicable asymptote side by side.
 """

@@ -326,9 +326,12 @@ def cmd_fit(csv_path: str, column: str, z_min: float, z_max: float, mode: str, o
 
     def number(line, row, name):
         try:
-            return float(row[name])
+            value = float(row[name])
+            if name == "z_tilde" and math.isnan(value):  # no window holds it: it would drop out
+                raise ValueError(f"{row[name]!r} is not a height")
         except ValueError as exc:
             raise _UsageError(f"{csv_path}:{line}: bad value for {name}: {exc}") from None
+        return value
 
     points = [(number(line, row, "z_tilde"), number(line, row, column))
               for line, row in rows if row.get("z_tilde") and row.get(column)]

@@ -81,15 +81,15 @@ distance table that the compiled rows gather from:
 * ``exact_sum(parts)``: math.fsum of every value of a sequence of arrays,
   in order, on either backend, and NaN where math.fsum raises: the exact
   reduction that makes each direct sum the same bits for any worker count;
-* ``ray_rotated(bulk, pair, directions, heights)``: the resonant ray
-  integrals of the bulk/edge decomposition (``euler_maclaurin``) on their
-  rotated paths, whole, for every height in one call: each height's rule
-  from ``ROTATED_RULE``, the site term, the azimuth mean, the Jacobian and
-  each height's value, error estimate and scale. The NumPy backend takes
-  these steps as NumPy array operations, and the compiled one each of them
-  in C with the same bits (glibc's csqrt and cexp, NumPy's complex product,
-  powering, division, modulus and pairwise sums, and the powers of 1.4 as
-  a NumPy table; see that section of ``_rows.c``, compiled unvectorized);
+* ``ray_rotated(pair, directions, heights)``: the resonant edge's axis
+  integrals (``euler_maclaurin``) on their rotated paths, whole, for every
+  height in one call: each height's rule from ``ROTATED_RULE``, the site
+  term on each axis and each height's value, error estimate and scale.
+  The NumPy backend takes these steps as NumPy array operations, and the
+  compiled one each of them in C with the same bits (glibc's csqrt and
+  cexp, NumPy's complex product, powering, division, modulus and pairwise
+  sums, and the powers of 1.4 as a NumPy table; see that section of
+  ``_rows.c``, compiled unvectorized);
 * ``panel_sums(f, heights, bulk)``: the off-resonant ray integrals
   on the real path (``REAL_PATH``) from their site values, the same values,
   estimates and scales: the mean over the directions (np.mean's sum and
@@ -514,8 +514,8 @@ def exact_sum(parts) -> float:
 # ---------------------------------------------------------------------------
 # the ray integrals of the bulk/edge decomposition (euler_maclaurin)
 
-# The most directions of one ray_rotated call: DIRECTIONS of _rows.c.
-RAY_DIRECTIONS = 8
+# The most axes of one ray_rotated call: DIRECTIONS of _rows.c.
+RAY_DIRECTIONS = 2
 
 
 # The 25-point Gauss-Legendre rule on [-1, 1] and its nested weights, the
@@ -601,35 +601,32 @@ LEGENDRE, _REAL_PATH_TABLE, ROTATED_RULE = _rules()
 REAL_PATH = tuple(_REAL_PATH_TABLE)
 
 
-def ray_rotated(bulk: bool, pair: np.ndarray, directions: np.ndarray,
+def ray_rotated(pair: np.ndarray, directions: np.ndarray,
                 heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The resonant ray integrals of ``euler_maclaurin._ray_integral`` on the
-    rotated path at each of the heights, in one call: returns (sums,
-    counts), sums (heights, outputs, 3) holding each output's value, error
-    estimate and scale, and counts each height's panel count (-1, with NaN
-    sums, where the height has no rule).
-
-    The bulk (``bulk`` true) has one output, the mean of the site term over
-    the directions, rows (cos, sin); the edge one output per direction, each
-    an axis, (1, 0) or (0, 1). ``pair`` holds e0, en and e0.en; all arrays
-    are float64. The rule is ``ROTATED_RULE``. Raises ``ValueError`` for
-    other shapes, no directions or more than ``RAY_DIRECTIONS``, or an edge
-    direction that is not an axis, and ``MemoryError`` when the compiled
-    call cannot allocate its work buffer."""
+    """The resonant edge's axis integrals of ``euler_maclaurin._ray_integral``
+    on the rotated path at each of the heights, in one call: returns (sums,
+    counts), sums (heights, directions, 3) holding each direction's value,
+    error estimate and scale, and counts each height's panel count (-1, with
+    NaN sums, where the height has no rule). Each direction is an axis,
+    (1, 0) or (0, 1); ``pair`` holds e0, en and e0.en; all arrays are
+    float64. The rule is ``ROTATED_RULE``. Raises ``ValueError`` for other
+    shapes, no directions or more than ``RAY_DIRECTIONS``, or a direction
+    that is not an axis, and ``MemoryError`` when the compiled call cannot
+    allocate its work buffer."""
     nd = len(directions)
     if not 0 < nd <= RAY_DIRECTIONS:
         raise ValueError(f"need 1 to {RAY_DIRECTIONS} directions, got {nd}")
     if np.shape(pair) != (7,) or np.shape(directions) != (nd, 2) or np.ndim(heights) != 1:
         raise ValueError(f"need pair (7,), directions (n, 2) and 1-d heights, got "
                          f"{np.shape(pair)}, {np.shape(directions)} and {np.shape(heights)}")
-    if not bulk and not all(d in ([1.0, 0.0], [0.0, 1.0]) for d in np.asarray(directions).tolist()):
+    if not all(d in ([1.0, 0.0], [0.0, 1.0]) for d in np.asarray(directions).tolist()):
         raise ValueError("the edge takes only the axis directions (1, 0) and (0, 1)")
     pair, directions, heights = (np.ascontiguousarray(a, dtype=np.float64)
                                  for a in (pair, directions, heights))
     nz = heights.size
     counts = np.empty(nz, dtype=np.int64)
-    sums = np.empty((nz, 1 if bulk else nd, 3))
-    if nz and _impl.ray_rotated(bool(bulk), pair, directions, nd, heights, nz, ROTATED_RULE,
+    sums = np.empty((nz, nd, 3))
+    if nz and _impl.ray_rotated(pair, directions, nd, heights, nz, ROTATED_RULE,
                                 ROTATED_RULE.size - RULE_HEAD, counts, sums) < 0:
         raise MemoryError("no memory for the ray integrals' panel sums")
     return sums, counts

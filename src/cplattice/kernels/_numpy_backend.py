@@ -21,9 +21,9 @@ direct sums of generic dipole pairs, the vertex and the off-resonant real
 path (see ``kernels.res_points``), through ``greens.site_projections`` and
 the site kernels. They are the fallback and the oracle that the compiled
 library equals bit for bit.
-:func:`ray_rotated` and :func:`panel_sums` are the ray integrals of
-the bulk/edge decomposition (see ``kernels.ray_rotated``), with
-:func:`rotated_rules` the reference of the compiled rule.
+:func:`ray_rotated` (the resonant edge) and :func:`panel_sums` are the
+ray integrals of the bulk/edge decomposition (see ``kernels.ray_rotated``),
+with :func:`rotated_rules` the reference of the compiled rule.
 """
 from __future__ import annotations
 
@@ -377,35 +377,25 @@ def rotated_rules(heights, rule):
     return turn * (lo + half * (1.0 + x)), turn * (half * w), turn * (half * w_low), counts
 
 
-def ray_rotated(bulk, pair, dirs, nd: int, z, nz: int, rule, npowers: int, counts,
-                out) -> int:
-    """The resonant ray integrals of the rotated path at the nz heights z:
-    out (nz, outputs, 3) = each output's value Re sum f w, error estimate
-    sum |full - nested| and scale sum |full| over its height's panels, and
-    counts = each height's panel count (-1, with NaNs, where it has no
-    rule). bulk: r = z + t e^{i pi/4}, J = r, R = sqrt(r^2 - z^2) and one
-    output, the mean over the nd directions, the rows (cos, sin) of dirs
-    (nd, 2); the edge: R = t e^{i pi/4}, J = 1 and one output per direction.
-    pair = e0, en and e0.en; rule as in :func:`rotated_rules`; npowers is
-    implied by it here. Returns 0."""
+def ray_rotated(pair, dirs, nd: int, z, nz: int, rule, npowers: int, counts, out) -> int:
+    """The resonant edge's axis integrals on the rotated path at the nz
+    heights z: out (nz, nd, 3) = each axis's value Re sum f w, error
+    estimate sum |full - nested| and scale sum |full| over its height's
+    panels, and counts = each height's panel count (-1, with NaNs, where it
+    has no rule), along x = t e^{i pi/4} times each of the nd axes, the rows
+    (cos, sin) of dirs (nd, 2). pair = e0, en and e0.en; rule as in
+    :func:`rotated_rules`; npowers is implied by it here. Returns 0."""
     t, w, w_low, counts[:] = rotated_rules(z, rule)
     zr = np.repeat(z, np.maximum(counts, 0))[:, None]
-    if bulk:
-        jac = zr + t
-        big_r = np.sqrt(jac * jac - zr * zr)
-    else:
-        jac, big_r = 1.0, t
-    r, _, pp = site_projections(pair[:3], pair[3:6], big_r[..., None] * dirs[:, 0],
-                                big_r[..., None] * dirs[:, 1], zr[..., None])
+    r, _, pp = site_projections(pair[:3], pair[3:6], t[..., None] * dirs[:, 0],
+                                t[..., None] * dirs[:, 1], zr[..., None])
     f = resonant_sites_complex(r, pair[6], pp)
-    # the integrand is np.multiply(J, mean), never J * mean: NumPy computes
-    # an operator on a temporary of more than 256 KiB in the temporary's
-    # buffer, swapping the operands of a product, and its complex product is
-    # not bitwise commutative
-    means = [f.mean(axis=-1)] if bulk else [f[..., k:k + 1].mean(axis=-1) for k in range(nd)]
-    sums = out.reshape(nz, len(means), 3)
-    for o, mean in enumerate(means):
-        g = np.multiply(jac, mean)
+    sums = out.reshape(nz, nd, 3)
+    for o in range(nd):
+        # np.multiply(1.0, mean) with np.mean over the axis alone: the
+        # complex division and product that _rows.c's ray_panel spells out,
+        # which keep the bits where f is not finite
+        g = np.multiply(1.0, f[..., o:o + 1].mean(axis=-1))
         full = np.sum(g * w, axis=1)
         err = np.abs(full - np.sum(g * w_low, axis=1))
         mag = np.abs(full)

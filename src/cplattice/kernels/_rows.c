@@ -40,8 +40,8 @@
    endpoint and origin terms, use libm; the choice is a constant at each
    fill call site, so every loop instance is branch-free.
 
-   ray_rotated evaluates the resonant ray integrals of the bulk/edge
-   decomposition on their rotated paths, whole, and panel_sums the
+   ray_rotated evaluates the resonant edge's axis integrals of the
+   bulk/edge decomposition on their rotated paths, whole, and panel_sums the
    off-resonant ones on the real path from their site values; res_points and offres_points take the
    real-axis site sets (the direct sums of generic dipole pairs, the vertex
    and the off-resonant real path) from site positions on; see their
@@ -593,8 +593,8 @@ void offres_sites(long n, double mu, double sw, double recast, const double *tab
 
 /* ---------------------------------------------------------------------------
    The decomposition's ray integrals (euler_maclaurin._ray_integral): the
-   resonant ones on the rotated path, whole, and the panel sums of the real
-   path. Every step is the NumPy backend's (_numpy_backend.ray_rotated and
+   resonant edge's on the rotated path, whole, and the panel sums of the
+   real path. Every step is the NumPy backend's (_numpy_backend.ray_rotated and
    panel_sums) in its order of operations, so the values are bitwise equal:
    csqrt and cexp are glibc's, as np.sqrt and np.exp call them on complex128;
    a product of complex arrays is NumPy's SIMD loop, fmaddsub, with the fma
@@ -613,7 +613,7 @@ void offres_sites(long n, double mu, double sw, double recast, const double *tab
 #endif
 
 #define NODES 25
-#define DIRECTIONS 8
+#define DIRECTIONS 2
 
 typedef struct {
     double re, im;
@@ -813,33 +813,27 @@ static inline void put(nodes *v, int j, cplx c)
 }
 
 /* One panel of the rotated path at the height z, the nodes lo + half (1 +
-   x_j) of the rule: each output's full and nested sums of f w, into
-   full[o] and low[o] (see ray_rotated). The arithmetic runs in loops over
-   the panel's nodes between the loops of csqrt and cexp calls. */
-static void ray_panel(int bulk, const double *pair, const double *dirs, long nd, double z,
-                      double lo, double half, const double *rule, cplx *full, cplx *low)
+   x_j) of the rule: each axis's full and nested sums of f w, into full[o]
+   and low[o] (see ray_rotated). The arithmetic runs in loops over the
+   panel's nodes between the loops of csqrt and cexp calls. */
+static void ray_panel(const double *pair, const double *dirs, long nd, double z, double lo,
+                      double half, const double *rule, cplx *full, cplx *low)
 {
     const double *gx = rule, *gw = rule + NODES, *gw_low = rule + 2 * NODES;
     cplx turn = cpx(rule[3 * NODES], rule[3 * NODES + 1]);
-    nodes w, w_low, jac, big_r, x, y, r, phase, f[DIRECTIONS];
+    nodes w, w_low, t, x, y, r, phase, f[DIRECTIONS];
     for (int j = 0; j < NODES; j++) {
-        cplx t = cmul(turn, cpx(lo + half * (1.0 + gx[j]), 0.0));
+        put(&t, j, cmul(turn, cpx(lo + half * (1.0 + gx[j]), 0.0)));
         put(&w, j, cmul(turn, cpx(half * gw[j], 0.0)));
         put(&w_low, j, cmul(turn, cpx(half * gw_low[j], 0.0)));
-        cplx jj = bulk ? cadd(cpx(z, 0.0), t) : cpx(1.0, 0.0);
-        put(&jac, j, jj);
-        put(&big_r, j, bulk ? csub(cmul(jj, jj), cpx(z * z, 0.0)) : t);
     }
-    if (bulk)
-        for (int j = 0; j < NODES; j++)
-            put(&big_r, j, c_sqrt(at(&big_r, j)));
     for (long d = 0; d < nd; d++) {
         cplx dx = cpx(dirs[2 * d], 0.0), dy = cpx(dirs[2 * d + 1], 0.0);
         for (int j = 0; j < NODES; j++) {
-            put(&x, j, cmul(at(&big_r, j), dx));
-            put(&y, j, cmul(at(&big_r, j), dy));
+            put(&x, j, cmul(at(&t, j), dx));
+            put(&y, j, cmul(at(&t, j), dy));
         }
-        if (bulk || d == 0) {
+        if (d == 0) {
             for (int j = 0; j < NODES; j++) {
                 cplx xj = at(&x, j), yj = at(&y, j);
                 put(&r, j, cadd(cadd(cmul(xj, xj), cmul(yj, yj)), cpx(z * z, 0.0)));
@@ -852,25 +846,13 @@ static void ray_panel(int bulk, const double *pair, const double *dirs, long nd,
         for (int j = 0; j < NODES; j++)
             put(&f[d], j, site_complex(pair, at(&x, j), at(&y, j), z, at(&r, j), at(&phase, j)));
     }
-    /* the mean over the output's directions, all of them for the bulk and
-       the one direction o for the edge, times J and the weights */
-    long nout = bulk ? 1 : nd;
-    for (long o = 0; o < nout; o++) {
+    /* np.multiply(1.0, np.mean over the axis alone) times the weights: the
+       division and product by (1, 0) keep the bits where f is not finite */
+    for (long o = 0; o < nd; o++) {
         nodes a, b;
         for (int j = 0; j < NODES; j++) {
-            cplx sum;
-            if (!bulk)
-                sum = cpx(-0.0 + f[o].re[j], -0.0 + f[o].im[j]);
-            else {
-                double fre[DIRECTIONS], fim[DIRECTIONS];
-                for (long k = 0; k < nd; k++) {
-                    fre[k] = f[k].re[j];
-                    fim[k] = f[k].im[j];
-                }
-                sum = cpx(pairwise_part(fre, nd), pairwise_part(fim, nd));
-            }
-            cplx mean = cdiv(cpx(0.0 + sum.re, 0.0 + sum.im), cpx(bulk ? (double)nd : 1.0, 0.0));
-            cplx g = cmul(at(&jac, j), mean);
+            cplx mean = cdiv(cpx(0.0 + f[o].re[j], 0.0 + f[o].im[j]), cpx(1.0, 0.0));
+            cplx g = cmul(cpx(1.0, 0.0), mean);
             put(&a, j, cmul(g, at(&w, j)));
             put(&b, j, cmul(g, at(&w_low, j)));
         }
@@ -879,40 +861,37 @@ static void ray_panel(int bulk, const double *pair, const double *dirs, long nd,
     }
 }
 
-/* The resonant ray integrals of euler_maclaurin._ray_integral on the
-   rotated path, for the nz heights z: out[(h nout + o) 3 + 0..2] = the
-   value Re sum f w of output o at height z[h], its error estimate (the sum
+/* The resonant edge's axis integrals of euler_maclaurin._ray_integral on
+   the rotated path, for the nz heights z: out[(h nd + o) 3 + 0..2] = the
+   value Re sum f w of axis o at height z[h], its error estimate (the sum
    of the panels' |full - nested|) and its scale (the sum of the panels'
    |full|), and counts[h] = the height's panel count, or -1 and NaNs where
    rotated_panels finds no rule.
 
-   bulk: the nodes r = z + t e^{i pi/4}, J = r and R = sqrt(r^2 - z^2), and
-   one output, the mean of the site term over the nd directions dirs
-   (cos, sin). Otherwise the edge: R = t e^{i pi/4}, J = 1, and one output
-   per direction, which must each be an axis, (1, 0) or (0, 1): both take
-   the same r = sqrt(x^2 + y^2 + z^2) = sqrt(y^2 + x^2 + z^2) and e^{2ir},
-   so these are evaluated once per node.
+   The nodes x = t e^{i pi/4} along each of the nd directions dirs (cos,
+   sin), which must each be an axis, (1, 0) or (0, 1): both take the same
+   r = sqrt(x^2 + y^2 + z^2) = sqrt(y^2 + x^2 + z^2) and e^{2ir}, so these
+   are evaluated once per node.
 
    pair holds e0, en and dot = e0.en; rule the 25 Gauss-Legendre nodes x,
    weights w and nested weights w_low on [-1, 1], e^{i pi/4} (re, im),
    log(1.4) and the npowers powers 1.4^k of NumPy's 1.4 ** arange. Returns
    0, or -1 when the work buffer cannot be allocated. At most DIRECTIONS
    directions. */
-long ray_rotated(int bulk, const double *pair, const double *dirs, long nd, const double *z,
-                 long nz, const double *rule, long npowers, long *counts, double *out)
+long ray_rotated(const double *pair, const double *dirs, long nd, const double *z, long nz,
+                 const double *rule, long npowers, long *counts, double *out)
 {
     const double *powers = rule + 3 * NODES + 3;
-    long nout = bulk ? 1 : nd;
-    /* per output and panel: Re full, |full - nested| and |full| */
-    double *panel = malloc((size_t)(3 * nout * npowers) * sizeof *panel);
+    /* per axis and panel: Re full, |full - nested| and |full| */
+    double *panel = malloc((size_t)(3 * nd * npowers) * sizeof *panel);
     if (panel == NULL)
         return -1;
     for (long hz = 0; hz < nz; hz++) {
-        double zh = z[hz], *res = out + 3 * nout * hz;
+        double zh = z[hz], *res = out + 3 * nd * hz;
         long count = rotated_panels(zh, rule[3 * NODES + 2], npowers);
         counts[hz] = count;
         if (count < 0) {
-            for (long o = 0; o < 3 * nout; o++)
+            for (long o = 0; o < 3 * nd; o++)
                 res[o] = NAN;
             continue;
         }
@@ -920,15 +899,15 @@ long ray_rotated(int bulk, const double *pair, const double *dirs, long nd, cons
         for (long k = 0; k < count; k++) {
             double hi = h * powers[k], lo = k ? h * powers[k - 1] : 0.0;
             cplx full[DIRECTIONS], low[DIRECTIONS];
-            ray_panel(bulk, pair, dirs, nd, zh, lo, 0.5 * (hi - lo), rule, full, low);
-            for (long o = 0; o < nout; o++) {
+            ray_panel(pair, dirs, nd, zh, lo, 0.5 * (hi - lo), rule, full, low);
+            for (long o = 0; o < nd; o++) {
                 double *p = panel + 3 * npowers * o;
                 p[k] = full[o].re;
                 p[npowers + k] = cabs_np(csub(full[o], low[o]));
                 p[2 * npowers + k] = cabs_np(full[o]);
             }
         }
-        for (long o = 0; o < nout; o++) {
+        for (long o = 0; o < nd; o++) {
             double *p = panel + 3 * npowers * o;
             res[3 * o] = 0.0 + pairwise_part(p, count);
             res[3 * o + 1] = 0.0 + pairwise(p + npowers, count);

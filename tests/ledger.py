@@ -36,8 +36,8 @@ The inputs:
   * beneath the public outputs, the bits that the tests check on their own:
     the three terms of every pair of ``reference.PAIRS`` at mu 0.5, a 0.01
     and ``BATTERY_HEIGHTS``; ``kernels.ray_rotated``'s sums and panel counts
-    for each pair of ``reference.RAY_PAIRS`` and stage, at ``RAY_BLOCKS``
-    heights from 1e-3 to 1e4; the backend's single streamed rows
+    (the resonant edge) for each pair of ``reference.RAY_PAIRS``, at
+    ``RAY_BLOCKS`` heights from 1e-3 to 1e4; the backend's single streamed rows
     (``reference.stream_rows``) of both orientations at ``ROWS``; the
     resonant direct sums of ``CUSTOM_SUMS``; and ``offres_sites`` at
     ``reference.MOMENT_RADII`` with the NumPy backend's ``moments`` rows
@@ -52,7 +52,9 @@ more fields (a reference value).
 
 Run ``python tests/ledger.py`` (with ``src`` on the path) to record the
 ledger into ``tests/ledger.json`` from both backends, with the toolchain
-it was made on.
+it was made on. It prints each entry whose value differs from the golden
+file it replaces, as its name and old -> new, and the names of the entries
+it adds and drops.
 """
 from __future__ import annotations
 
@@ -91,9 +93,9 @@ KINDS = ("resonant", "off_resonant")
 SUM_HEIGHTS = [0.05, 0.3, 1.0, 7.0]
 TERM_HEIGHTS = np.geomspace(1e-3, 1e3, 16)
 # The three terms of reference.PAIRS at mu 0.5 and a 0.01 at these heights;
-# at z = 25 the zz bulk takes its rotated path
+# at z = 25 the bulk of every pair but zx takes its far-field form
 BATTERY_HEIGHTS = (0.01, 0.3, 5.0, 25.0, 1000.0)
-# The blocks of heights from 1e-3 to 1e4 of the rotated-path ray integrals
+# The blocks of heights from 1e-3 to 1e4 of the resonant edge's ray integrals
 RAY_BLOCKS = (1, 16, 31)
 # (a2, z2, nx) of the single rows: nx = 511..513 straddle the 512-site chunk
 # of the row pass, and row 20001 streams without a table. The row pass is
@@ -249,7 +251,7 @@ def _origin(z: float) -> dict:
 
 def _pinned() -> dict:
     """The bits beneath the public outputs that the tests check: the term
-    battery, the rotated-path ray integrals (their sums and panel counts),
+    battery, the resonant edge's ray integrals (their sums and panel counts),
     the single rows of both orientations, the custom direct sums, and the
     off-resonant site values with the NumPy backend's moments."""
     e = {}
@@ -261,11 +263,10 @@ def _pinned() -> dict:
                     e[f"{term.__name__} {pair} {kind} mu=0.5 a=0.01 z={z!r}"] = _call(
                         term, b, kind)
     for pair in RAY_PAIRS:
-        for stage in ("bulk", "edge"):
-            for n in RAY_BLOCKS:
-                sums, counts = rays(pair, stage, np.geomspace(1e-3, 1e4, n))
-                e[f"ray_rotated {pair} {stage} heights={n}"] = {
-                    "sums": _hex(sums.ravel()), "counts": counts.tolist()}
+        for n in RAY_BLOCKS:
+            sums, counts = rays(pair, np.geomspace(1e-3, 1e4, n))
+            e[f"ray_rotated {pair} edge heights={n}"] = {
+                "sums": _hex(sums.ravel()), "counts": counts.tolist()}
     for a2, z2, nx in ROWS:
         for zx in (False, True):
             e[f"res_row {'zx' if zx else 'zz'} a2={a2!r} z2={z2!r} nx={nx}"] = _hex(
@@ -333,6 +334,19 @@ def write(golden: dict) -> None:
                       + ",\n".join(lines) + "\n}}\n")
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """The lines that tell the golden entries ``new`` from ``old`` (name ->
+    entry): each entry whose value differs, as its name and old -> new, then
+    each added and each dropped name."""
+    moved = [f"{k}: {json.dumps(old[k]['value'])} -> {json.dumps(new[k]['value'])}"
+             for k in sorted(old.keys() & new.keys()) if old[k] != new[k]]
+    return (moved + [f"added {k}" for k in sorted(new.keys() - old.keys())]
+            + [f"dropped {k}" for k in sorted(old.keys() - new.keys())])
+
+
 if __name__ == "__main__":
-    write(record())
+    replaced = json.loads(LEDGER.read_text())["entries"] if LEDGER.exists() else {}
+    golden = record()
+    write(golden)
+    print("\n".join(changes(replaced, golden)))
     print(f"wrote {LEDGER}", file=sys.stderr)

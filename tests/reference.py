@@ -9,14 +9,15 @@ by QUADPACK and by mpmath, naive grid sums site by site through the public
 3x3 tensor, the bulk and edge integrals along r = z + is, on the real axis
 and from exponential integrals E_n, the resonant bulk as an mpmath integral
 of its plane-wave form with coefficients sympy derives, the principal
-orientations' former
-radial brackets, and the per-node loops and NumPy site kernel that the
-package's array calls replaced. ``bulk_integral`` and ``axis_integral`` are
-the package's own ray-integral route, taken also where ``bulk_term`` and
-``edge_term`` have a shortcut, and ``rays`` its compiled ray integrals with
-the directions those terms take. ``stream_rows`` is a backend's octant rows
-with every site's term evaluated, the oracle of the rows that a distance
-table serves.
+orientations' former radial brackets, and the per-node loops and NumPy site
+kernel that the package's array calls replaced. ``far_bulk`` is the
+exception: it is the algebra of ``bulk_term``'s far-field form, with
+coefficients sympy derives, and ``plane_wave_bulk`` is its independent
+oracle. ``axis_integral`` is the package's own ray-integral route, taken
+also where ``edge_term`` has a shortcut, and ``rays`` its compiled resonant
+edge integrals with the axes that term takes. ``stream_rows`` is a backend's
+octant rows with every site's term evaluated, the oracle of the rows that a
+distance table serves.
 """
 import cmath
 import functools
@@ -34,8 +35,7 @@ from scipy.special import expn, sici
 
 from cplattice import kernels
 from cplattice.asymptotics import Regime, all_regimes, asymptotic_shift, full_closed_form
-from cplattice.euler_maclaurin import (_AXES, _RING, _ray_integral, bulk_term, decompose,
-                                       edge_term, vertex_term)
+from cplattice.euler_maclaurin import _AXES, _ray_integral, bulk_term, decompose, edge_term, vertex_term
 from cplattice.greens import green_dyadic, resonant_sites, scalar_coefficients, site_projections
 from cplattice.kernels import _numpy_backend, offres_sites
 from cplattice.lattice_sum import (QuadratureFailure, offresonant_pair_term, prefactor,
@@ -131,14 +131,6 @@ def readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("cplattice ")]
 
 
-def bulk_integral(bundle, kind="resonant"):
-    """bulk_term's ray-integral route, taken also where bulk_term has a
-    closed form: one azimuth for zz, five otherwise."""
-    ring = _RING[:1] if bundle.orientation_label() == "zz" else _RING
-    return prefactor(bundle, kind) * (2.0 * math.pi / bundle.a_tilde ** 2) \
-        * _ray_integral(bundle, kind, "bulk", ring, np.array([bundle.z_tilde]))[0, 0]
-
-
 def axis_integral(bundle, kind, axis):
     """One positive half-axis integral of edge_term, without its prefactor."""
     k = "xy".index(axis)
@@ -146,18 +138,13 @@ def axis_integral(bundle, kind, axis):
                          axis)[0, 0]
 
 
-def rays(pair, stage, heights):
-    """kernels.ray_rotated for the pair of RAY_PAIRS with the directions of
-    the stage's term, as bulk_term and edge_term take them: the zz bulk's one
-    azimuth (its rotated path runs above z = 20), the ring, the x axis alone
-    for the zz and zx edges, and both axes."""
+def rays(pair, heights):
+    """kernels.ray_rotated for the pair of RAY_PAIRS with the axes that
+    edge_term takes: the x axis alone for the zz and zx edges, both axes
+    otherwise."""
     e0, en = RAY_PAIRS[pair]
-    if stage == "bulk":
-        directions = _RING[:1] if pair == "zz" else _RING
-    else:
-        directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
-    return kernels.ray_rotated(stage == "bulk", np.array([*e0, *en, float(np.dot(e0, en))]),
-                               directions, heights)
+    directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
+    return kernels.ray_rotated(np.array([*e0, *en, float(np.dot(e0, en))]), directions, heights)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +374,26 @@ def row_zx(a2, z2, nx):
 def contour_bulk_resonant(bundle):
     """The zz or zx resonant bulk, Re[i int_0^inf F(z+is) ds] * 2 pi pref / a^2:
     the radial integrand is analytic above the real axis and e^{2ir} decays
-    there, so quad meets a smooth, exponentially damped integral."""
+    there, so quad meets a smooth, exponentially damped integral. Both
+    brackets are written in d = r^2 - z^2 = is(2z + is), which has no
+    cancellation, and quad takes no absolute tolerance: with r^2 - z^2 and
+    an absolute tolerance of 1e-14, above the integral itself at large z,
+    the zz bulk was off by 2.6e-10 of its value at z = 3e3 and 1.8e-7 at
+    1e4 (a 0.01)."""
     z = bundle.z_tilde
     zz = bundle.orientation_label() == "zz"
 
-    def fr(r):
-        if zz:
-            br = (r * r + 1j * r - 1.0) + (-r * r + 3.0 - 3j * r) * z * z / (r * r)
+    def fr(s):
+        r, d = z + 1j * s, 1j * s * (2.0 * z + 1j * s)
+        if zz:  # (r^2 + ir - 1) + (3 - r^2 - 3ir) z^2/r^2
+            br = d + 1j * (d - 2.0 * z * z) / r + (2.0 * z * z - d) / (r * r)
             return cmath.exp(2j * r) * br * br / r ** 5
-        return (r * r - z * z) * cmath.exp(2j * r) * (3.0 - r * r - 3j * r) ** 2 \
-            * z * z / r ** 9
+        return d * cmath.exp(2j * r) * (3.0 - r * r - 3j * r) ** 2 * z * z / r ** 9
 
     def g(s):
-        return (1j * fr(z + 1j * s)).real
+        return (1j * fr(s)).real
 
-    val, _ = quad(g, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400)
+    val, _ = quad(g, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
     geom = 2.0 * math.pi if zz else math.pi
     return prefactor(bundle, "resonant") * geom * val / bundle.a_tilde ** 2
 
@@ -506,7 +498,8 @@ def _series_tail(x, lead):
 
 def far_bulk(bundle):
     """The resonant bulk of any dipole pair in float64 at heights above
-    z = 20, and the sum of its terms' magnitudes: (bulk, scale). With
+    z = 20, and the sum of its terms' magnitudes: (bulk, scale); the algebra
+    of ``euler_maclaurin._far_field``, in its own order of operations. With
     x = 2z, Ci(x) = f sin x - g cos x (DLMF 6.5), and x f and x^2 g
     asymptotic series with the tails F2 and G2 of :func:`_series_tail`,
     the plane-wave bracket over z^4 is
@@ -529,21 +522,6 @@ def far_bulk(bundle):
              3.0 * (c4 - c0) / z ** 4 * cos, 2.0 * c0 * _series_tail(2.0 * z, 1) / z ** 2 * cos)
     factor = prefactor(bundle, "resonant") * 2.0 * math.pi / (8.0 * bundle.a_tilde ** 2)
     return factor * math.fsum(terms), abs(factor) * math.fsum(map(abs, terms))
-
-
-def bulk_loop(bundle):
-    """Per-node loop over r = z + t e^{i pi/4}, on the package's own nodes."""
-    z = bundle.z_tilde
-    e0 = np.asarray(bundle.params.test_dipole)
-    en = np.asarray(bundle.params.array_dipole)
-    t, w, _, _ = _numpy_backend.rotated_rules(np.array([z]), kernels.ROTATED_RULE)
-    rs = z + t
-    out = np.empty_like(rs)
-    for idx, r in np.ndenumerate(rs):
-        pc = _ring_coupling(e0, en, r, z)
-        out[idx] = r * np.mean(pc * pc)
-    integral = float(np.sum(out * w).real)
-    return prefactor(bundle, "resonant") * (2.0 * math.pi / bundle.a_tilde ** 2) * integral
 
 
 def edge_axis_loop(bundle, axis):

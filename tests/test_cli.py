@@ -365,8 +365,8 @@ def _fail_rotated_estimates_at(monkeypatch, z_fail):
     becomes the scale), so the resonant edge fails there and nowhere else."""
     rays = kernels.ray_rotated
 
-    def failing(bulk, pair, directions, heights):
-        sums, counts = rays(bulk, pair, directions, heights)
+    def failing(pair, directions, heights):
+        sums, counts = rays(pair, directions, heights)
         bad = heights == z_fail
         sums[bad, :, 1] = sums[bad, :, 2]
         return sums, counts
@@ -537,6 +537,9 @@ _REJECTED = {
     "fit-not-a-number": (_FIT, _column(["1", "2", "abc", "4", "5", "6"]), _USAGE,
                          "{tmp}/in:4: bad value for offresonant_direct: "
                          "could not convert string to float: 'abc'"),
+    # a NaN height fell outside every window and its row dropped out unseen
+    "fit-nan-height": (_FIT, _column(["1"] * 6).replace("0.3,", "nan,"), _USAGE,
+                       "{tmp}/in:4: bad value for z_tilde: 'nan' is not a height"),
     "fit-inf": (_FIT, _column(["1", "2", "3", "inf", "5", "6"]), _NUMERICAL,
                 "log z or log |value| not finite at z=0.4 inside fit window"),
     "fit-nan": (_FIT, _column(["1", "nan", "3", "4", "5", "6"]), _NUMERICAL,

@@ -342,7 +342,7 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     powers = rule.size - kernels.RULE_HEAD
 
     def rays(z, counts, out):
-        return lib.ray_rotated(1, pair, axis, 1, z, z.size, rule, powers, counts, out)
+        return lib.ray_rotated(pair, axis, 1, z, z.size, rule, powers, counts, out)
 
     sc, sums = np.full(2, -1.0), np.full(3, -1.0)
     d2, step = np.full(3, -1, dtype=np.int32), np.full(3, 7, dtype=np.uint16)
@@ -456,9 +456,9 @@ def test_allocation_failures_raise_memory_error(backend, monkeypatch):
         with pytest.raises(MemoryError, match="^no memory for a resonant row of the site set$"):
             kernels.res_points(pair, [0.1, 0.2], [0.3], [0.5], sums=sums)
     monkeypatch.setattr(backend, "ray_rotated", lambda *args: -1)
-    for bulk, directions in ((True, [[1.0, 0.0], [0.0, 1.0]]), (False, [[1.0, 0.0]])):
+    for directions in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]):
         with pytest.raises(MemoryError, match="^no memory for the ray integrals' panel sums$"):
-            kernels.ray_rotated(bulk, pair, np.array(directions), np.array([0.3, 0.5]))
+            kernels.ray_rotated(pair, np.array(directions), np.array([0.3, 0.5]))
 
 
 def _table_rows(impl, zx, a2, z2, lo, hi):
@@ -946,7 +946,7 @@ def _defined(*names):
 
 
 def test_ray_sizes_are_the_library_s():
-    # ray_panel keeps DIRECTIONS outputs and NODES nodes on its stack: more
+    # ray_panel keeps DIRECTIONS axes and NODES nodes on its stack: more
     # directions than kernels lets through would overrun them, and the rules
     # kernels builds must have the nodes the compiled rows read
     directions, nodes = _defined("DIRECTIONS", "NODES")
@@ -1098,7 +1098,5 @@ def test_strided_pair_gives_the_contiguous_pair_s_bits(backend):
     for s, d, along in ((u, v, False), (np.array([0.5, 2.0]), rays.ravel(), True)):
         assert kernels.offres_points(strided, s, d, z, 0.6, rays=along).tobytes() == \
             kernels.offres_points(pair, s, d, z, 0.6, rays=along).tobytes()
-    for bulk, directions in ((True, rays), (False, np.eye(2))):
-        got = kernels.ray_rotated(bulk, strided, directions, z)
-        want = kernels.ray_rotated(bulk, pair, directions, z)
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    got, want = (kernels.ray_rotated(p, np.eye(2), z) for p in (strided, pair))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

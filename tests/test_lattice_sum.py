@@ -713,7 +713,7 @@ def test_custom_call_group_passes_the_bundle_pair(monkeypatch):
             return kernel(*args, **kwargs)
         return call
 
-    for name, at in (("res_points", 0), ("offres_points", 0), ("ray_rotated", 1)):
+    for name, at in (("res_points", 0), ("offres_points", 0), ("ray_rotated", 0)):
         monkeypatch.setattr(kernels, name, spy(name, at))
     for pair in _CUSTOM_PAIRS.values():
         b = mk(mu=0.6, a=0.6, M=8, z=1.3, test=pair[0], array=pair[1])

@@ -1,7 +1,8 @@
 """Resonant site kernel tests: ``greens.resonant_sites``, the one resonant
 site term, against the complex Green tensor, ``Re[pair_coupling^2]``, and
 against ``reference``'s former radial brackets, per-node loops on the
-rotated path's own nodes, and real-axis and vertical-contour integrals.
+rotated path's own nodes, and real-axis and vertical-contour integrals:
+the resonant edge on the rotated path, and the closed-form resonant bulk.
 """
 import math
 
@@ -11,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (STRATA_PAIRS, VECTORS, axis_integral, bracket_zx, bracket_zz,
-                       bulk_integral, bulk_loop, bulk_vertical, edge_axis_loop, edge_axis_real,
-                       row_zx, row_zz, unit)
+                       bulk_vertical, edge_axis_loop, edge_axis_real, row_zx, row_zz, unit)
 from reference import bundle as mk
 
 from cplattice import kernels
+from cplattice.euler_maclaurin import bulk_term
 from cplattice.greens import (pair_coupling, resonant_sites, resonant_sites_complex,
                               scalar_coefficients)
 from cplattice.lattice_sum import prefactor, resonant_pair_term
@@ -97,7 +98,7 @@ def test_pair_term_matches_former_brackets():
 
 
 # ---------------------------------------------------------------------------
-# generic-orientation bulk and edge against their former per-node loops
+# the generic-orientation edge against its former per-node loops
 
 # the two custom_orientation strata of the benchmark plan, and one random pair
 _PAIRS = [*STRATA_PAIRS, tuple(unit(v) for v in np.random.default_rng(5).normal(size=(2, 3)))]
@@ -108,14 +109,14 @@ _PAIRS = [*STRATA_PAIRS, tuple(unit(v) for v in np.random.default_rng(5).normal(
 def test_generic_paths_match_former_loops(pair, z):
     e0, en = _PAIRS[pair]
     b = mk(mu=0.6, a=0.6, M=8, z=z, test=tuple(e0), array=tuple(en))
-    assert bulk_integral(b) == pytest.approx(bulk_loop(b), rel=1e-12)
     for axis in ("x", "y"):
         assert axis_integral(b, "resonant", axis) == pytest.approx(
             edge_axis_loop(b, axis), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the rotated path against real-axis and vertical-contour integration
+# the rotated edge against real-axis integration, and the resonant bulk
+# against vertical-contour integration
 
 _ORACLE_Z = [1e-3, 1e-2, 0.1, 0.6, 3.0, 30.0, 1e3]
 _ORACLE_PAIRS = [((0, 0, 1), (0, 0, 1)), ((0, 0, 1), (1, 0, 0)), _PAIRS[0],
@@ -133,8 +134,8 @@ def test_rotated_edge_matches_real_axis_integral(pair):
 
 
 @pytest.mark.parametrize("pair", range(len(_ORACLE_PAIRS)))
-def test_rotated_bulk_matches_vertical_contour(pair):
+def test_resonant_bulk_matches_vertical_contour(pair):
     e0, en = _ORACLE_PAIRS[pair]
     for z in _ORACLE_Z:
         b = mk(z=z, test=tuple(e0), array=tuple(en))
-        assert bulk_integral(b) == pytest.approx(bulk_vertical(b), rel=1e-10)
+        assert bulk_term(b, "resonant") == pytest.approx(bulk_vertical(b), rel=1e-10, abs=0.0)
