@@ -227,13 +227,13 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     edge.
 
     The kind picks the path: resonant (the edge only) takes the rotated
-    rule, R = t e^{i pi/4} and J = 1, each direction an axis, all in one
-    ``kernels.ray_rotated`` call; off-resonant takes the real rule, R = z s,
-    with J = z^2 s for the bulk and J = z for the edge: one site set of
-    ``kernels.offres_points`` gives the site values at every node and
-    direction, and one ``kernels.panel_sums`` call forms the mean over the
-    directions, the Jacobian and the panel sums. The panels of all heights
-    are stacked as rows, each row with its own height z.
+    rule, R = t e^{i pi/4} along each axis, in one ``kernels.ray_rotated``
+    call; off-resonant takes the real rule, R = z s, with J = z^2 s for the
+    bulk and J = z for the edge: one site set of ``kernels.offres_points``
+    gives the site values at every node and direction, and one
+    ``kernels.panel_sums`` call forms the mean over the directions, the
+    Jacobian and the panel sums. The panels of all heights are stacked as
+    rows, each row with its own height z.
     """
     with quiet_nonfinite():
         if kind == "resonant":
@@ -333,19 +333,19 @@ def bulk_term(bundle: ValidatedBundle, kind: str, heights=None):
     _, p, _, v = _overlaps(e0, en)
     # u correctly rounded, the exact products' sum: the float u of _overlaps
     # loses digits where e0_par and en_par are near orthogonal
-    (a, b), (c, d), (e, f), (g, h) = (x.as_integer_ratio() for x in (*e0[:2], *en[:2]))
-    u = (a * e * d * h + c * g * b * f) / (b * f * d * h)
+    (a, b), (c, d), (e, f), (g, k) = (x.as_integer_ratio() for x in (*e0[:2], *en[:2]))
+    u = (a * e * d * k + c * g * b * f) / (b * f * d * k)
     far = (u * u, 2.0 * p * u - u * u - 2.0 * v, c0, c4)
     # Python lists, not NumPy masks: the first call in a process forked from
     # a warm one touches fewer pages (0.11 against 0.16 ms, 2 vCPUs)
     listed = z.tolist()
     bracketed = [not c0 or h <= _CI_CLOSED_FORM_MAX_Z for h in listed]
     # one kernels.sici call for every bracketed height: Ci is elementwise
-    hs = [h for h, b in zip(listed, bracketed) if b]
+    hs = [h for h, near in zip(listed, bracketed) if near]
     ci = iter(kernels.sici([2.0 * h for h in hs])[1].tolist() if c0 and hs else [0.0] * len(hs))
     return per_height(heights, np.array([
-        _closed_form(bundle, pref, coefficients, far, h, next(ci) if b else None)
-        for h, b in zip(listed, bracketed)]))
+        _closed_form(bundle, pref, coefficients, far, h, next(ci) if near else None)
+        for h, near in zip(listed, bracketed)]))
 
 
 def edge_term(bundle: ValidatedBundle, kind: str, heights=None):

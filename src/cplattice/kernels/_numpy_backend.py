@@ -392,9 +392,10 @@ def ray_rotated(pair, dirs, nd: int, z, nz: int, rule, npowers: int, counts, out
     f = resonant_sites_complex(r, pair[6], pp)
     sums = out.reshape(nz, nd, 3)
     for o in range(nd):
-        # np.multiply(1.0, mean) with np.mean over the axis alone: the
-        # complex division and product that _rows.c's ray_panel spells out,
-        # which keep the bits where f is not finite
+        # np.mean over the axis alone, then np.multiply(1.0, mean), never
+        # 1.0 * mean (NumPy swaps a product's operands on a temporary over
+        # 256 KiB, and a complex product is not bitwise commutative): the
+        # division and product of ray_panel, which keep non-finite f's bits
         g = np.multiply(1.0, f[..., o:o + 1].mean(axis=-1))
         full = np.sum(g * w, axis=1)
         err = np.abs(full - np.sum(g * w_low, axis=1))
