@@ -42,6 +42,19 @@ def test_closed_form_bulk_zx_vs_radial_quadrature(z):
     assert bulk_term(b, "resonant") == pytest.approx(contour_bulk_resonant(b), rel=1e-8)
 
 
+def test_generic_resonant_bulk_path_agrees_with_closed_forms():
+    # the generic pair route, plane_wave_coefficients and above the switch
+    # height the far-field form, fed the principal dipole pairs directly,
+    # must land on their closed forms: the brackets (1, -2, 1) of zz and
+    # (0, -1/2, 1/2) of zx with SciPy's Ci(2z)
+    for z in (0.2, 1.3, 6.0, 30.0, 300.0):
+        for array, coefficients in (((0, 0, 1), (1.0, -2.0, 1.0)), ((1, 0, 0), (0.0, -0.5, 0.5))):
+            b = mk(z=z, array=array)
+            want = prefactor(b, "resonant") * 2.0 * math.pi * plane_wave_bracket(
+                z, float(sici(2.0 * z)[1]), *coefficients) / (8.0 * b.a_tilde ** 2 * z ** 4)
+            assert bulk_term(b, "resonant") == pytest.approx(want, rel=1e-9, abs=0.0), (array, z)
+
+
 @pytest.mark.parametrize("z", [1e3, 3e3, 1e4])
 def test_zz_bulk_above_switch_height_is_the_contour_integral(z):
     # the far-field form, where the bracket cancels (1.4e-8 relative at
@@ -186,6 +199,28 @@ def test_resonant_bulk_above_20_is_the_plane_wave_integral(e0, en, z):
     _, scale = reference.far_bulk(b)
     bound = 4e-15 if z > _SWITCH else 2e-13
     assert abs(bulk_term(b, "resonant") - plane_wave_bulk(b)) <= bound * scale
+
+
+# zz and xy, whose u^2 = w = 0 leave the far form its smallest terms, zx,
+# whose c0 = 0 keeps the bracket at every height, and the odd and even pairs
+_NAMED_PAIRS = {"zz": PAIRS["zz"], "zx": PAIRS["zx"], "xy": ((1, 0, 0), (0, 1, 0)),
+                "odd": ODD, "even": EVEN}
+
+
+@pytest.mark.parametrize("pair", list(_NAMED_PAIRS))
+def test_named_resonant_bulks_above_20_are_the_plane_wave_integral(backend, pair):
+    # the bounds of the Hypothesis battery above, pair by pair, on heights
+    # from 20.25 to 1e4 that straddle the switch height (the worst, zz and
+    # xy, are 5.2e-14 at 20.25 and 4.4e-16 from just above 22.5 on). At the
+    # zeros of sin 2z near the switch height the zz and xy bulks fall to
+    # their z^-6 terms, and both forms lose digits against those: the far
+    # form 5.9e-14 at 7.5 pi ~ 23.56, the bracket 1.5e-11 there
+    e0, en = _NAMED_PAIRS[pair]
+    for z in (20.25, 21.0, 22.0, _SWITCH, _SWITCH * (1.0 + 1e-4), 30.0, 100.0, 1e3, 1e4):
+        b = mk(mu=0.6, a=0.05, z=z, test=e0, array=en)
+        _, scale = reference.far_bulk(b)
+        bound = 4e-15 if z > _SWITCH else 2e-13
+        assert abs(bulk_term(b, "resonant") - plane_wave_bulk(b)) <= bound * scale, z
 
 
 def test_resonant_bulk_takes_no_ray_integral_at_any_height(backend, monkeypatch):
@@ -487,16 +522,20 @@ _CUSTOM = dict(test=(0.0, 0.6, 0.8), array=(0.48, 0.6, 0.64))
 
 
 @pytest.mark.parametrize("term,kind,pair", [
-    ("bulk", "off_resonant", "zz"), ("bulk", "off_resonant", "custom"),
-    ("edge", "resonant", "zz"), ("edge", "resonant", "custom"),
-    ("edge", "off_resonant", "zz"), ("edge", "off_resonant", "custom")])
+    ("bulk", "resonant", "custom"), ("bulk", "off_resonant", "zz"),
+    ("bulk", "off_resonant", "custom"), ("edge", "resonant", "zz"),
+    ("edge", "resonant", "custom"), ("edge", "off_resonant", "zz"),
+    ("edge", "off_resonant", "custom")])
 def test_rule_failure_names_stage_kind_and_height(monkeypatch, term, kind, pair):
-    # the resonant bulk is a closed form at every height and takes no rule
+    # the resonant bulk is a closed form at every height and takes no rule:
+    # it fails, by the same message, only where that form is not finite, as
+    # at z = 1e-100, where its bracket's z^4 underflows
     monkeypatch.setattr(euler_maclaurin, "_RTOL", 1e-30)
     dipoles = _CUSTOM if pair == "custom" else dict(test=(0, 0, 1), array=(0, 0, 1))
-    b = mk(mu=0.6, a=0.05, z=0.3, **dipoles)
+    z = 1e-100 if (term, kind) == ("bulk", "resonant") else 0.3
+    b = mk(mu=0.6, a=0.05, z=z, **dipoles)
     assert b.orientation_label() == pair
-    with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z=0.3, mu=0.6 \\({pair}"):
+    with pytest.raises(QuadratureFailure, match=f"^{term} {kind} at z={z!r}, mu=0.6 \\({pair}"):
         getattr(euler_maclaurin, f"{term}_term")(b, kind)
 
 
@@ -631,10 +670,10 @@ def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
         edge_term(mk(), "resonant", heights)
 
 
-@pytest.mark.parametrize("pair", list(RAY_PAIRS))
+@pytest.mark.parametrize("pair", list(RAY_PAIRS), ids=lambda pair: f"{pair}-edge")
 def test_rotated_ray_blocks_equal_one_height_calls(backend, pair):
-    # every block row equals its one-height call, and the panel counts are
-    # those of the reference rule
+    # the edge's rays: every block row equals its one-height call, and the
+    # panel counts are those of the reference rule
     outputs = 1 if pair in ("zz", "zx") else 2
     sums, counts = rays(pair, np.empty(0))
     assert sums.shape == (0, outputs, 3) and counts.shape == (0,)

@@ -70,6 +70,15 @@ def test_group_equals_the_ledger(got, moved, group):
                                       f"missing {missing}; toolchain changes: {moved}")
 
 
+def test_changes_name_each_moved_added_and_dropped_entry():
+    # what recording the ledger again prints: each entry whose value moved,
+    # as its name and old -> new, then the added and the dropped names
+    old = {"b x": {"value": 1.5}, "a x": {"value": [1, 2]}, "c x": {"value": "p"}}
+    new = {"b x": {"value": 2.5}, "a x": {"value": [1, 2]}, "d x": {"value": "q"}}
+    assert ledger.changes(old, new) == ["b x: 1.5 -> 2.5", "added d x", "dropped c x"]
+    assert ledger.changes(old, old) == []
+
+
 def test_every_entry_is_recorded_and_every_route_pinned(got, moved):
     if moved:
         warnings.warn(f"the ledger was recorded on another toolchain: {moved}")
