@@ -32,13 +32,15 @@ The other bulk and every edge integral is one ray integral,
 the probe's foot. The off-resonant bulk is (2 pi/a^2) int R <f>_phi dR over
 the in-plane radius R; the site terms are trigonometric polynomials of
 degree 4 in the azimuth, so the mean <f>_phi over the 5 uniform azimuths of
-``_RING`` is exact (zz needs the first). The edge integrates each direction
-of ``_AXES``, the positive x and y half-axes, on its own; a pair that needs
-both takes them from one call. The site term takes the dipole orientation
-as data (``bundle.pair``, through e0.en and (e0.n)(n.en)), and each integral
-is one fixed rule of ``kernels``: composite 25-point Gauss-Legendre panels,
-with an error estimate from the interpolatory rule on every other node
-(``kernels.LEGENDRE``). This module keeps only the tolerance those
+``_RING`` is exact (zz needs the first). The edge integrates the positive x
+half-axis and, where it needs it, the positive y half-axis, each on its
+own; a pair that needs both takes them from one call. Off-resonant, they
+are the directions of ``_AXES``; resonant, ``kernels.ray_rotated`` takes
+their count and evaluates the sites (t, 0) and (0, t) itself. The site
+term takes the dipole orientation as data (``bundle.pair``, through e0.en
+and (e0.n)(n.en)), and each integral is one fixed rule of ``kernels``:
+composite 25-point Gauss-Legendre panels, with an error estimate from the
+interpolatory rule on every other node (``kernels.LEGENDRE``). This module keeps only the tolerance those
 estimates are checked against, :func:`_checked`. The kind selects one of
 two node layouts:
 
@@ -66,8 +68,8 @@ compiled call, ``kernels.ray_rotated``, which builds each height's rotated
 rule (``_numpy_backend.rotated_rules`` is its NumPy reference) and sums its
 panels. On the real path every height has the same panels in s, so the
 nodes z s of every height and direction are one site set of
-``kernels.offres_points``, and ``kernels.panel_sums`` takes the mean over
-the directions, the Jacobian and the panel sums in one more call. Each
+``kernels.offres_points``, and ``kernels.panel_sums`` takes the bulk's mean
+over the directions, the Jacobian and the panel sums in one more call. Each
 NumPy fallback gives the compiled call's bits for blocks of any size (see
 ``kernels``). ``cplattice sweep`` decomposes its grid in blocks of heights.
 
@@ -181,7 +183,7 @@ def _checked(sums, counts, heights, bundle: ValidatedBundle, stage: str,
 
 # In-plane unit directions (cos, sin): the 5 azimuths of the off-resonant
 # bulk's mean (zz needs only the first, which is the x axis) and the positive
-# half-axes x and y of the edge.
+# half-axes x and y of the off-resonant edge.
 _RING = np.stack([trig(np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
                   for trig in (np.cos, np.sin)], axis=-1)
 _AXES = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -221,23 +223,23 @@ def _ray_integral(bundle: ValidatedBundle, kind: str, stage: str, directions, he
     """Re int J <f(R d)>_d along the in-plane radius R, averaged over the
     unit directions d, with the kind's site term f and no prefactor, at each
     of the heights (a float64 array): one site-kernel call for all of them.
-    The edge integrates each direction on its own instead and gives
-    ``axes``, a name for each direction. Returns the checked values,
-    (heights, outputs): one output for the bulk, one per direction for the
-    edge.
+    The edge integrates each direction on its own instead, the first of
+    ``_AXES``, x then y, and gives ``axes``, a name for each. Returns the
+    checked values, (heights, outputs): one output for the bulk, one per
+    direction for the edge.
 
     The kind picks the path: resonant (the edge only) takes the rotated
-    rule, R = t e^{i pi/4} along each axis, in one ``kernels.ray_rotated``
-    call; off-resonant takes the real rule, R = z s, with J = z^2 s for the
-    bulk and J = z for the edge: one site set of ``kernels.offres_points``
-    gives the site values at every node and direction, and one
-    ``kernels.panel_sums`` call forms the mean over the directions, the
-    Jacobian and the panel sums. The panels of all heights are stacked as
-    rows, each row with its own height z.
+    rule, R = t e^{i pi/4} along each of the len(axes) axes, x then y, in
+    one ``kernels.ray_rotated`` call; off-resonant takes the real rule,
+    R = z s, with J = z^2 s for the bulk and J = z for the edge: one site
+    set of ``kernels.offres_points`` gives the site values at every node and
+    direction, and one ``kernels.panel_sums`` call forms the bulk's mean over
+    the directions, the Jacobian and the panel sums. The panels of all
+    heights are stacked as rows, each row with its own height z.
     """
     with quiet_nonfinite():
         if kind == "resonant":
-            sums, counts = kernels.ray_rotated(bundle.pair, directions, heights)
+            sums, counts = kernels.ray_rotated(bundle.pair, len(axes), heights)
         else:
             sums, counts = kernels.panel_sums(_shared_sites(bundle, heights, directions),
                                               heights, stage == "bulk")
@@ -360,10 +362,10 @@ def edge_term(bundle: ValidatedBundle, kind: str, heights=None):
     resonant +x and -x integrals are 3.33 and 40.69), so their edge term is
     wrong. It is kept as it is because the benchmark references
     (perfbench/references) pin the custom edge values at rtol 1e-8; the fix,
-    by one of ROADMAP item 2's three routes (mirrored pairs, a
-    ``kernels.ray_rotated`` that takes the negative half-axes, which it
-    rejects today, or item 16's six basis pairs, whose site terms are even
-    along both axes), has to ship together with newly recorded references.
+    by one of ROADMAP item 2's three routes (mirrored pairs, two more axes
+    of ``kernels.ray_rotated``, the negative half-axes, or item 16's six
+    basis pairs, whose site terms are even along both axes), has to ship
+    together with newly recorded references.
     """
     bundle = validate(bundle)
     pref = prefactor(bundle, kind)

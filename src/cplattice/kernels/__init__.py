@@ -81,10 +81,12 @@ distance table that the compiled rows gather from:
 * ``exact_sum(parts)``: math.fsum of every value of a sequence of arrays,
   in order, on either backend, and NaN where math.fsum raises: the exact
   reduction that makes each direct sum the same bits for any worker count;
-* ``ray_rotated(pair, directions, heights)``: the resonant edge's axis
+* ``ray_rotated(pair, axes, heights)``: the resonant edge's axis
   integrals (``euler_maclaurin``) on their rotated paths, whole, for every
-  height in one call: each height's rule from ``ROTATED_RULE``, the site
-  term on each axis and each height's value, error estimate and scale.
+  height in one call: the positive x axis, and with ``axes`` 2 the
+  positive y axis, each height's rule from ``ROTATED_RULE``, the site term
+  at (t, 0) and (0, t), which share r and e^{2ir}, and each height's value,
+  error estimate and scale.
   The NumPy backend takes these steps as NumPy array operations, and the
   compiled one each of them in C with the same bits (glibc's csqrt and
   cexp, NumPy's complex product, powering, division, modulus and pairwise
@@ -92,8 +94,8 @@ distance table that the compiled rows gather from:
   ``_rows.c``, compiled unvectorized);
 * ``panel_sums(f, heights, bulk)``: the off-resonant ray integrals
   on the real path (``REAL_PATH``) from their site values, the same values,
-  estimates and scales: the mean over the directions (np.mean's sum and
-  division), the Jacobian and the pairwise panel sums.
+  estimates and scales: for the bulk the mean over the directions
+  (np.mean's sum and division), the Jacobian and the pairwise panel sums.
 
 Both return the sums and each height's panel count. This module builds every
 rule once, read-only, the Gauss-Laguerre table, ``LEGENDRE``, ``REAL_PATH``
@@ -514,10 +516,6 @@ def exact_sum(parts) -> float:
 # ---------------------------------------------------------------------------
 # the ray integrals of the bulk/edge decomposition (euler_maclaurin)
 
-# The most axes of one ray_rotated call: DIRECTIONS of _rows.c.
-RAY_DIRECTIONS = 2
-
-
 # The 25-point Gauss-Legendre rule on [-1, 1] and its nested weights, the
 # interpolatory rule on every other node (13 nodes, exact to degree 12):
 # numpy.polynomial.legendre.leggauss(25)'s nodes and weights, and the
@@ -601,32 +599,27 @@ LEGENDRE, _REAL_PATH_TABLE, ROTATED_RULE = _rules()
 REAL_PATH = tuple(_REAL_PATH_TABLE)
 
 
-def ray_rotated(pair: np.ndarray, directions: np.ndarray,
+def ray_rotated(pair: np.ndarray, axes: int,
                 heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The resonant edge's axis integrals of ``euler_maclaurin._ray_integral``
     on the rotated path at each of the heights, in one call: returns (sums,
-    counts), sums (heights, directions, 3) holding each direction's value,
-    error estimate and scale, and counts each height's panel count (-1, with
-    NaN sums, where the height has no rule). Each direction is an axis,
-    (1, 0) or (0, 1); ``pair`` holds e0, en and e0.en; all arrays are
-    float64. The rule is ``ROTATED_RULE``. Raises ``ValueError`` for other
-    shapes, no directions or more than ``RAY_DIRECTIONS``, or a direction
-    that is not an axis, and ``MemoryError`` when the compiled call cannot
-    allocate its work buffer."""
-    nd = len(directions)
-    if not 0 < nd <= RAY_DIRECTIONS:
-        raise ValueError(f"need 1 to {RAY_DIRECTIONS} directions, got {nd}")
-    if np.shape(pair) != (7,) or np.shape(directions) != (nd, 2) or np.ndim(heights) != 1:
-        raise ValueError(f"need pair (7,), directions (n, 2) and 1-d heights, got "
-                         f"{np.shape(pair)}, {np.shape(directions)} and {np.shape(heights)}")
-    if not all(d in ([1.0, 0.0], [0.0, 1.0]) for d in np.asarray(directions).tolist()):
-        raise ValueError("the edge takes only the axis directions (1, 0) and (0, 1)")
-    pair, directions, heights = (np.ascontiguousarray(a, dtype=np.float64)
-                                 for a in (pair, directions, heights))
+    counts), sums (heights, axes, 3) holding each axis's value, error
+    estimate and scale, and counts each height's panel count (-1, with NaN
+    sums, where the height has no rule). ``axes`` is 1, the positive x axis,
+    or 2, the positive x and y axes; ``pair`` holds e0, en and e0.en; the
+    arrays are float64. The rule is ``ROTATED_RULE``. Raises ``ValueError``
+    for another ``axes`` or other shapes, and ``MemoryError`` when the
+    compiled call cannot allocate its work buffer."""
+    if type(axes) is not int or axes not in (1, 2):
+        raise ValueError(f"need 1 or 2 axes, got {axes!r}")
+    if np.shape(pair) != (7,) or np.ndim(heights) != 1:
+        raise ValueError(f"need pair (7,) and 1-d heights, got {np.shape(pair)} and "
+                         f"{np.shape(heights)}")
+    pair, heights = (np.ascontiguousarray(a, dtype=np.float64) for a in (pair, heights))
     nz = heights.size
     counts = np.empty(nz, dtype=np.int64)
-    sums = np.empty((nz, nd, 3))
-    if nz and _impl.ray_rotated(pair, directions, nd, heights, nz, ROTATED_RULE,
+    sums = np.empty((nz, axes, 3))
+    if nz and _impl.ray_rotated(pair, axes, heights, nz, ROTATED_RULE,
                                 ROTATED_RULE.size - RULE_HEAD, counts, sums) < 0:
         raise MemoryError("no memory for the ray integrals' panel sums")
     return sums, counts
@@ -637,11 +630,11 @@ def panel_sums(f: np.ndarray, heights: np.ndarray, bulk: bool) -> tuple[np.ndarr
     each of the heights, from f (heights x rows, NODES, directions), the
     site values at the nodes z s of ``REAL_PATH`` for each direction:
     returns (sums, counts), sums (heights, outputs, 3) holding each output's
-    value sum J <f> w, error estimate sum |full - nested| and scale sum
+    value sum J g w, error estimate sum |full - nested| and scale sum
     |full|, and counts each height's panel count, the rows. The bulk
-    (``bulk`` true) has one output, <f> the mean over all directions, and
-    J = z^2 s; the edge one output per direction, <f> that direction alone,
-    and J = z; as in NumPy's order of operations (np.mean's sum and
+    (``bulk`` true) has one output, g the mean over all directions, and
+    J = z^2 s; the edge one output per direction, g its site value, and
+    J = z; as in NumPy's order of operations (the bulk's np.mean sum and
     division, then the product, then the pairwise panel sums). All arrays
     are float64. Raises ``ValueError`` for other shapes."""
     _, rows, nodes = _REAL_PATH_TABLE.shape

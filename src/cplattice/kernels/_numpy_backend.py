@@ -377,28 +377,26 @@ def rotated_rules(heights, rule):
     return turn * (lo + half * (1.0 + x)), turn * (half * w), turn * (half * w_low), counts
 
 
-def ray_rotated(pair, dirs, nd: int, z, nz: int, rule, npowers: int, counts, out) -> int:
+def ray_rotated(pair, axes: int, z, nz: int, rule, npowers: int, counts, out) -> int:
     """The resonant edge's axis integrals on the rotated path at the nz
-    heights z: out (nz, nd, 3) = each axis's value Re sum f w, error
+    heights z: out (nz, axes, 3) = each axis's value Re sum f w, error
     estimate sum |full - nested| and scale sum |full| over its height's
     panels, and counts = each height's panel count (-1, with NaNs, where it
-    has no rule), along x = t e^{i pi/4} times each of the nd axes, the rows
-    (cos, sin) of dirs (nd, 2). pair = e0, en and e0.en; rule as in
-    :func:`rotated_rules`; npowers is implied by it here. Returns 0."""
+    has no rule), at the sites (t, 0) of the x axis and, with axes 2, (0, t)
+    of the y axis, t = s e^{i pi/4}: one site-projection pass over both.
+    pair = e0, en and e0.en; rule as in :func:`rotated_rules`; npowers is
+    implied by it here. Returns 0."""
     t, w, w_low, counts[:] = rotated_rules(z, rule)
     zr = np.repeat(z, np.maximum(counts, 0))[:, None]
-    r, _, pp = site_projections(pair[:3], pair[3:6], t[..., None] * dirs[:, 0],
-                                t[..., None] * dirs[:, 1], zr[..., None])
+    zero = np.zeros_like(t)
+    # axis first, so that each axis's f is contiguous, as are the weights
+    x, y = np.stack((t, zero))[:axes], np.stack((zero, t))[:axes]
+    r, _, pp = site_projections(pair[:3], pair[3:6], x, y, zr)
     f = resonant_sites_complex(r, pair[6], pp)
-    sums = out.reshape(nz, nd, 3)
-    for o in range(nd):
-        # np.mean over the axis alone, then np.multiply(1.0, mean), never
-        # 1.0 * mean (NumPy swaps a product's operands on a temporary over
-        # 256 KiB, and a complex product is not bitwise commutative): the
-        # division and product of ray_panel, which keep non-finite f's bits
-        g = np.multiply(1.0, f[..., o:o + 1].mean(axis=-1))
-        full = np.sum(g * w, axis=1)
-        err = np.abs(full - np.sum(g * w_low, axis=1))
+    sums = out.reshape(nz, axes, 3)
+    for o in range(axes):
+        full = np.sum(f[o] * w, axis=1)
+        err = np.abs(full - np.sum(f[o] * w_low, axis=1))
         mag = np.abs(full)
         start = 0
         for i, count in enumerate(counts.tolist()):
@@ -410,25 +408,24 @@ def ray_rotated(pair, dirs, nd: int, z, nz: int, rule, npowers: int, counts, out
 
 
 def panel_sums(f, nd: int, bulk: bool, z, nz: int, rule, rows: int, out) -> None:
-    """out (nz, outputs, 3) = the value sum J <f> w, error estimate sum
+    """out (nz, outputs, 3) = the value sum J g w, error estimate sum
     |full - nested| and scale sum |full| of each of the nz heights z, whose
     rows panels of NODES nodes z s are consecutive rows of f (nz rows,
-    NODES, nd directions): for the bulk <f> the mean over all directions,
-    one output, and J = z^2 s; for the edge <f> over each direction alone,
-    one output each, and J = z; with the rows' weights w and nested weights
+    NODES, nd directions): for the bulk g the mean over all directions, one
+    output, and J = z^2 s; for the edge g each direction's site value, one
+    output each, and J = z; with the rows' weights w and nested weights
     w_low. The table ``rule`` (3, rows, NODES) holds s, w and w_low."""
     s, w, w_low = rule.reshape(3, rows, NODES)
     zr = np.repeat(z, rows)[:, None]
     jac = zr * zr * np.tile(s, (nz, 1)) if bulk else zr
     sites = f.reshape(nz * rows, NODES, nd)
-    means = [sites.mean(axis=-1)] if bulk else [
-        sites[..., k:k + 1].mean(axis=-1) for k in range(nd)]
-    sums = out.reshape(nz, len(means), 3)
-    for o, mean in enumerate(means):
-        # np.multiply(J, mean), never J * mean: NumPy computes an operator on
-        # a temporary of more than 256 KiB in the temporary's buffer, and the
+    values = [sites.mean(axis=-1)] if bulk else [sites[..., k] for k in range(nd)]
+    sums = out.reshape(nz, len(values), 3)
+    for o, g in enumerate(values):
+        # np.multiply(J, g), never J * g: NumPy computes an operator on a
+        # temporary of more than 256 KiB in the temporary's buffer, and the
         # order of a block's operations must not depend on its size
-        g = np.multiply(jac, mean).reshape(nz, rows, NODES)
+        g = np.multiply(jac, g).reshape(nz, rows, NODES)
         full = np.sum(g * w, axis=-1)
         err = np.abs(full - np.sum(g * w_low, axis=-1))
         sums[:, o] = np.stack([full.sum(axis=-1), err.sum(axis=-1), np.abs(full).sum(axis=-1)],

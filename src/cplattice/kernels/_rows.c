@@ -40,8 +40,9 @@
    endpoint and origin terms, use libm; the choice is a constant at each
    fill call site, so every loop instance is branch-free.
 
-   ray_rotated evaluates the resonant edge's axis integrals of the
-   bulk/edge decomposition on their rotated paths, whole, and panel_sums the
+   ray_rotated evaluates the resonant edge's integrals of the bulk/edge
+   decomposition along the positive x axis and, where the edge needs it,
+   the positive y axis, on their rotated paths, whole, and panel_sums the
    off-resonant ones on the real path from their site values; res_points and offres_points take the
    real-axis site sets (the direct sums of generic dipole pairs, the vertex
    and the off-resonant real path) from site positions on; see their
@@ -593,8 +594,9 @@ void offres_sites(long n, double mu, double sw, double recast, const double *tab
 
 /* ---------------------------------------------------------------------------
    The decomposition's ray integrals (euler_maclaurin._ray_integral): the
-   resonant edge's on the rotated path, whole, and the panel sums of the
-   real path. Every step is the NumPy backend's (_numpy_backend.ray_rotated and
+   resonant edge's on the rotated path, whole, at the sites (t, 0) of the x
+   axis and (0, t) of the y axis, and the panel sums of the real path.
+   Every step is the NumPy backend's (_numpy_backend.ray_rotated and
    panel_sums) in its order of operations, so the values are bitwise equal:
    csqrt and cexp are glibc's, as np.sqrt and np.exp call them on complex128;
    a product of complex arrays is NumPy's SIMD loop, fmaddsub, with the fma
@@ -613,7 +615,8 @@ void offres_sites(long n, double mu, double sw, double recast, const double *tab
 #endif
 
 #define NODES 25
-#define DIRECTIONS 2
+/* the most axes of one ray_rotated call: x and y */
+#define AXES 2
 
 typedef struct {
     double re, im;
@@ -813,48 +816,33 @@ static inline void put(nodes *v, int j, cplx c)
 }
 
 /* One panel of the rotated path at the height z, the nodes lo + half (1 +
-   x_j) of the rule: each axis's full and nested sums of f w, into full[o]
-   and low[o] (see ray_rotated). The arithmetic runs in loops over the
-   panel's nodes between the loops of csqrt and cexp calls. */
-static void ray_panel(const double *pair, const double *dirs, long nd, double z, double lo,
-                      double half, const double *rule, cplx *full, cplx *low)
+   x_j) of the rule: the full and nested sums of f w along the x axis into
+   full[0] and low[0] and, with axes 2, along the y axis into full[1] and
+   low[1] (see ray_rotated). The arithmetic runs in loops over the panel's
+   nodes between the loops of csqrt and cexp calls. */
+static void ray_panel(const double *pair, long axes, double z, double lo, double half,
+                      const double *rule, cplx *full, cplx *low)
 {
     const double *gx = rule, *gw = rule + NODES, *gw_low = rule + 2 * NODES;
-    cplx turn = cpx(rule[3 * NODES], rule[3 * NODES + 1]);
-    nodes w, w_low, t, x, y, r, phase, f[DIRECTIONS];
+    cplx turn = cpx(rule[3 * NODES], rule[3 * NODES + 1]), zero = cpx(0.0, 0.0);
+    nodes w, w_low, t, r, phase;
     for (int j = 0; j < NODES; j++) {
         put(&t, j, cmul(turn, cpx(lo + half * (1.0 + gx[j]), 0.0)));
         put(&w, j, cmul(turn, cpx(half * gw[j], 0.0)));
         put(&w_low, j, cmul(turn, cpx(half * gw_low[j], 0.0)));
+        put(&r, j, cadd(cmul(at(&t, j), at(&t, j)), cpx(z * z, 0.0)));
     }
-    for (long d = 0; d < nd; d++) {
-        cplx dx = cpx(dirs[2 * d], 0.0), dy = cpx(dirs[2 * d + 1], 0.0);
-        for (int j = 0; j < NODES; j++) {
-            put(&x, j, cmul(at(&t, j), dx));
-            put(&y, j, cmul(at(&t, j), dy));
-        }
-        if (d == 0) {
-            for (int j = 0; j < NODES; j++) {
-                cplx xj = at(&x, j), yj = at(&y, j);
-                put(&r, j, cadd(cadd(cmul(xj, xj), cmul(yj, yj)), cpx(z * z, 0.0)));
-            }
-            for (int j = 0; j < NODES; j++)
-                put(&r, j, c_sqrt(at(&r, j)));
-            for (int j = 0; j < NODES; j++)
-                put(&phase, j, c_exp(cmul(cpx(0.0, 2.0), at(&r, j))));
-        }
-        for (int j = 0; j < NODES; j++)
-            put(&f[d], j, site_complex(pair, at(&x, j), at(&y, j), z, at(&r, j), at(&phase, j)));
-    }
-    /* np.multiply(1.0, np.mean over the axis alone) times the weights: the
-       division and product by (1, 0) keep the bits where f is not finite */
-    for (long o = 0; o < nd; o++) {
+    for (int j = 0; j < NODES; j++)
+        put(&r, j, c_sqrt(at(&r, j)));
+    for (int j = 0; j < NODES; j++)
+        put(&phase, j, c_exp(cmul(cpx(0.0, 2.0), at(&r, j))));
+    for (long o = 0; o < axes; o++) {
         nodes a, b;
         for (int j = 0; j < NODES; j++) {
-            cplx mean = cdiv(cpx(0.0 + f[o].re[j], 0.0 + f[o].im[j]), cpx(1.0, 0.0));
-            cplx g = cmul(cpx(1.0, 0.0), mean);
-            put(&a, j, cmul(g, at(&w, j)));
-            put(&b, j, cmul(g, at(&w_low, j)));
+            cplx tj = at(&t, j);
+            cplx f = site_complex(pair, o ? zero : tj, o ? tj : zero, z, at(&r, j), at(&phase, j));
+            put(&a, j, cmul(f, at(&w, j)));
+            put(&b, j, cmul(f, at(&w_low, j)));
         }
         full[o] = cpx(0.0 + pairwise_part(a.re, NODES), 0.0 + pairwise_part(a.im, NODES));
         low[o] = cpx(0.0 + pairwise_part(b.re, NODES), 0.0 + pairwise_part(b.im, NODES));
@@ -862,52 +850,51 @@ static void ray_panel(const double *pair, const double *dirs, long nd, double z,
 }
 
 /* The resonant edge's axis integrals of euler_maclaurin._ray_integral on
-   the rotated path, for the nz heights z: out[(h nd + o) 3 + 0..2] = the
-   value Re sum f w of axis o at height z[h], its error estimate (the sum
-   of the panels' |full - nested|) and its scale (the sum of the panels'
-   |full|), and counts[h] = the height's panel count, or -1 and NaNs where
-   rotated_panels finds no rule.
+   the rotated path, for the nz heights z: out[(h axes + o) 3 + 0..2] = the
+   value Re sum f w of axis o (x, then y) at height z[h], its error estimate
+   (the sum of the panels' |full - nested|) and its scale (the sum of the
+   panels' |full|), and counts[h] = the height's panel count, or -1 and NaNs
+   where rotated_panels finds no rule. axes is 1 (the x axis) or 2 (x and
+   y), at most AXES.
 
-   The nodes x = t e^{i pi/4} along each of the nd directions dirs (cos,
-   sin), which must each be an axis, (1, 0) or (0, 1): both take the same
-   r = sqrt(x^2 + y^2 + z^2) = sqrt(y^2 + x^2 + z^2) and e^{2ir}, so these
-   are evaluated once per node.
+   The nodes t e^{i pi/4} run along the positive x axis, the sites (t, 0),
+   and the positive y axis, the sites (0, t): both take the same
+   r = sqrt(t^2 + z^2) and e^{2ir}, evaluated once per node.
 
    pair holds e0, en and dot = e0.en; rule the 25 Gauss-Legendre nodes x,
    weights w and nested weights w_low on [-1, 1], e^{i pi/4} (re, im),
    log(1.4) and the npowers powers 1.4^k of NumPy's 1.4 ** arange. Returns
-   0, or -1 when the work buffer cannot be allocated. At most DIRECTIONS
-   directions. */
-long ray_rotated(const double *pair, const double *dirs, long nd, const double *z, long nz,
-                 const double *rule, long npowers, long *counts, double *out)
+   0, or -1 when the work buffer cannot be allocated. */
+long ray_rotated(const double *pair, long axes, const double *z, long nz, const double *rule,
+                 long npowers, long *counts, double *out)
 {
     const double *powers = rule + 3 * NODES + 3;
     /* per axis and panel: Re full, |full - nested| and |full| */
-    double *panel = malloc((size_t)(3 * nd * npowers) * sizeof *panel);
+    double *panel = malloc((size_t)(3 * axes * npowers) * sizeof *panel);
     if (panel == NULL)
         return -1;
     for (long hz = 0; hz < nz; hz++) {
-        double zh = z[hz], *res = out + 3 * nd * hz;
+        double zh = z[hz], *res = out + 3 * axes * hz;
         long count = rotated_panels(zh, rule[3 * NODES + 2], npowers);
         counts[hz] = count;
         if (count < 0) {
-            for (long o = 0; o < 3 * nd; o++)
+            for (long o = 0; o < 3 * axes; o++)
                 res[o] = NAN;
             continue;
         }
         double h = 0.1 * fmin(zh, 1.0);
         for (long k = 0; k < count; k++) {
             double hi = h * powers[k], lo = k ? h * powers[k - 1] : 0.0;
-            cplx full[DIRECTIONS], low[DIRECTIONS];
-            ray_panel(pair, dirs, nd, zh, lo, 0.5 * (hi - lo), rule, full, low);
-            for (long o = 0; o < nd; o++) {
+            cplx full[AXES], low[AXES];
+            ray_panel(pair, axes, zh, lo, 0.5 * (hi - lo), rule, full, low);
+            for (long o = 0; o < axes; o++) {
                 double *p = panel + 3 * npowers * o;
                 p[k] = full[o].re;
                 p[npowers + k] = cabs_np(csub(full[o], low[o]));
                 p[2 * npowers + k] = cabs_np(full[o]);
             }
         }
-        for (long o = 0; o < nd; o++) {
+        for (long o = 0; o < axes; o++) {
             double *p = panel + 3 * npowers * o;
             res[3 * o] = 0.0 + pairwise_part(p, count);
             res[3 * o + 1] = 0.0 + pairwise(p + npowers, count);
@@ -921,14 +908,13 @@ long ray_rotated(const double *pair, const double *dirs, long nd, const double *
 /* The panel sums of the real path, for the nz heights z, each with the
    rows panels of NODES nodes z s (s: rows x NODES), from f, the site values
    at every node and each of nd directions, directions last: per output o,
-   the integrand J <f>, with <f> np.mean's over the output's directions
-   (0.0 plus NumPy's pairwise sum, over their count) and J = z^2 s for the
-   bulk or z for the edge, and out[3 (h nout + o) + 0..2] = the value sum
-   J <f> w, the error estimate sum |full - nested| and the scale sum |full|
-   over the height's panels, with the rows' weights w and nested weights
-   w_low (rows x NODES): the table rule holds s, w and w_low, one after the
-   other. The bulk has one output, the mean of all directions, and the edge
-   one per direction. */
+   the integrand J g and out[3 (h nout + o) + 0..2] = the value sum J g w,
+   the error estimate sum |full - nested| and the scale sum |full| over the
+   height's panels, with the rows' weights w and nested weights w_low (rows
+   x NODES): the table rule holds s, w and w_low, one after the other. The
+   bulk has one output, g np.mean's over all directions (0.0 plus NumPy's
+   pairwise sum, over their count) and J = z^2 s; the edge one per
+   direction, g its site value and J = z. */
 void panel_sums(const double *f, long nd, int bulk, const double *z, long nz,
                 const double *rule, long rows, double *out)
 {
@@ -941,10 +927,10 @@ void panel_sums(const double *f, long nd, int bulk, const double *z, long nz,
                 double a[NODES], b[NODES];
                 for (int j = 0; j < NODES; j++) {
                     const double *site = f + ((hz * rows + k) * NODES + j) * nd;
-                    double mean = bulk ? (0.0 + pairwise(site, nd)) / (double)nd : 0.0 + site[o];
+                    double g = bulk ? (0.0 + pairwise(site, nd)) / (double)nd : site[o];
                     double jac = bulk ? z[hz] * z[hz] * s[k * NODES + j] : z[hz];
-                    a[j] = jac * mean * w[k * NODES + j];
-                    b[j] = jac * mean * w_low[k * NODES + j];
+                    a[j] = jac * g * w[k * NODES + j];
+                    b[j] = jac * g * w_low[k * NODES + j];
                 }
                 full[k] = 0.0 + pairwise(a, NODES);
                 err[k] = fabs(full[k] - (0.0 + pairwise(b, NODES)));

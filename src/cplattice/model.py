@@ -30,8 +30,9 @@ ORIENTATIONS = {"zz": (Z_HAT, Z_HAT), "zx": (Z_HAT, X_HAT)}
 _UNIT_NORM_TOL = 1e-12
 _DETUNING_TOL = 1e-3
 _RHO_MAX = 0.1
-# Every length is below this, so that its square, a Python float ** 2 as
-# the package takes it, does not overflow
+# Every length, and mu, is below this, so that its square, a Python
+# float ** 2 as the package takes it, does not overflow: at mu >= 2**512
+# (1 - mu)(1 + mu) and the moments' 1 - mu^2 did, and every shift read 0
 MAX_LENGTH = 2.0 ** 512
 
 
@@ -40,7 +41,8 @@ class ValidationError(ValueError):
 
 
 class DetuningTooSmall(ValidationError):
-    """|1 - mu| is below the guard: the perturbative scheme needs detuning."""
+    """|1 - mu| is below the guard: the perturbative scheme needs detuning;
+    or mu is not positive, or not below ``MAX_LENGTH``."""
 
 
 class NonPositiveLength(ValidationError):
@@ -171,6 +173,8 @@ class ValidatedBundle:
 def _check_mu(mu: float) -> None:
     if not 0.0 < mu < math.inf:
         raise DetuningTooSmall(f"mu must be positive and finite, got {mu}")
+    if mu >= MAX_LENGTH:
+        raise DetuningTooSmall(f"mu must be below 2**512, got {mu}")
     if abs(1.0 - mu) < _DETUNING_TOL:
         raise DetuningTooSmall(
             f"|1 - mu| = {abs(1.0 - mu):.3g} < {_DETUNING_TOL}: "

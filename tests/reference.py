@@ -132,10 +132,11 @@ def readme_commands():
 
 
 def axis_integral(bundle, kind, axis):
-    """One positive half-axis integral of edge_term, without its prefactor."""
+    """One positive half-axis integral of edge_term, without its prefactor:
+    the x axis alone, or the y column of a call on both axes."""
     k = "xy".index(axis)
-    return _ray_integral(bundle, kind, "edge", _AXES[k:k + 1], np.array([bundle.z_tilde]),
-                         axis)[0, 0]
+    return _ray_integral(bundle, kind, "edge", _AXES[:k + 1], np.array([bundle.z_tilde]),
+                         "xy"[:k + 1])[0, k]
 
 
 def rays(pair, heights):
@@ -143,8 +144,8 @@ def rays(pair, heights):
     edge_term takes: the x axis alone for the zz and zx edges, both axes
     otherwise."""
     e0, en = RAY_PAIRS[pair]
-    directions = _AXES[:1] if pair in ("zz", "zx") else _AXES
-    return kernels.ray_rotated(np.array([*e0, *en, float(np.dot(e0, en))]), directions, heights)
+    axes = 1 if pair in ("zz", "zx") else 2
+    return kernels.ray_rotated(np.array([*e0, *en, float(np.dot(e0, en))]), axes, heights)
 
 
 # ---------------------------------------------------------------------------

@@ -365,8 +365,8 @@ def _fail_rotated_estimates_at(monkeypatch, z_fail):
     becomes the scale), so the resonant edge fails there and nowhere else."""
     rays = kernels.ray_rotated
 
-    def failing(pair, directions, heights):
-        sums, counts = rays(pair, directions, heights)
+    def failing(pair, axes, heights):
+        sums, counts = rays(pair, axes, heights)
         bad = heights == z_fail
         sums[bad, :, 1] = sums[bad, :, 2]
         return sums, counts
@@ -561,6 +561,10 @@ _REJECTED = {
     "decompose-inf-mu": ("decompose --z-tilde 0.3 --mu inf", None, _USAGE,
                          "invalid parameters: mu must be positive and finite, got inf"),
     "decompose-mu-1": ("decompose --mu 1.0 --z-tilde 0.4", None, _USAGE, _DETUNING),
+    # (1 - mu)(1 + mu) overflowed, and every shift column read 0 with exit 0
+    "sweep-mu-2-to-the-512": ("sweep --mu 1.341e154 --half-extent 2 --z-min 0.1 --z-max 20 "
+                              "--points-per-decade 1", None, _USAGE,
+                              "invalid parameters: mu must be below 2**512, got 1.341e+154"),
     # zz and zx fix the dipole pair: any other pair used to be ignored silently
     "decompose-zz-array-dipole": ("decompose --array-dipole 1,0,0 --z-tilde 0.3", None,
                                   _USAGE, "orientation zz " + _PAIR),

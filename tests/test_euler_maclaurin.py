@@ -20,8 +20,8 @@ from reference import (EVEN, EVEN_PAIRS, HEIGHT_ROUTES, ODD, PAIRS, RAY_PAIRS, U
 from reference import bundle as mk
 
 from cplattice import euler_maclaurin, kernels, lattice_sum
-from cplattice.euler_maclaurin import (_AXES, _RING, ShiftBreakdown, _ray_integral,
-                                       bulk_term, decompose, edge_term, plane_wave_bracket,
+from cplattice.euler_maclaurin import (_AXES, ShiftBreakdown, _ray_integral, bulk_term,
+                                       decompose, edge_term, plane_wave_bracket,
                                        plane_wave_coefficients, vertex_term)
 from cplattice.kernels import _numpy_backend
 from cplattice.lattice_sum import QuadratureFailure, prefactor, resonant_pair_term
@@ -387,6 +387,25 @@ def test_edge_axis_symmetry_zz_and_zx():
     assert axis_integral(bx, "off_resonant", "y") == 0.0
 
 
+@pytest.mark.usefixtures("backend")
+@settings(max_examples=12, deadline=None)
+@given(e0=UNIT_VECTORS, en=UNIT_VECTORS, z=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp))
+@example(e0=ODD[0], en=ODD[1], z=1e-3)
+@example(e0=ODD[0], en=ODD[1], z=0.5)
+@example(e0=ODD[0], en=ODD[1], z=1e3)
+def test_y_axis_is_the_x_axis_of_the_pair_turned_by_minus_90_degrees(e0, en, z):
+    # the turn (x, y, z) -> (y, -x, z) takes the site (0, t) to (t, 0), and
+    # keeps e0.n, en.n and e0.en: so the y column of a two-axis edge is the
+    # x axis of the turned pair, also for pairs odd along an axis, whose edge
+    # the D4 battery skips (16 pairs at 13 heights from 1e-3 to 1e3 came
+    # within 1.3e-14 resonant and 7.3e-16 off-resonant, on both backends)
+    b = mk(mu=0.6, a=0.05, z=z, test=e0, array=en)
+    turned = mk(mu=0.6, a=0.05, z=z, test=(e0[1], -e0[0], e0[2]), array=(en[1], -en[0], en[2]))
+    for kind in ("resonant", "off_resonant"):
+        assert axis_integral(b, kind, "y") == pytest.approx(
+            axis_integral(turned, kind, "x"), rel=1e-12, abs=0.0), kind
+
+
 def test_vertex_is_exactly_the_origin_pair_term():
     b = mk(a=3.0, z=0.7)
     assert vertex_term(b, "resonant") == resonant_pair_term(0, 0, b)
@@ -566,8 +585,8 @@ def _counting_sites(monkeypatch):
     monkeypatch.setattr(euler_maclaurin, "_sites", lambda bundle, heights, directions: (
         calls.append(("off_resonant", directions.tolist())) or sites(bundle, heights,
                                                                       directions)))
-    monkeypatch.setattr(kernels, "ray_rotated", lambda pair, directions, heights: (
-        calls.append(("resonant", directions.tolist())) or ray_rotated(pair, directions, heights)))
+    monkeypatch.setattr(kernels, "ray_rotated", lambda pair, axes, heights: (
+        calls.append(("resonant", _AXES[:axes].tolist())) or ray_rotated(pair, axes, heights)))
     return calls
 
 
@@ -602,8 +621,9 @@ def test_custom_edge_is_both_axes_of_one_site_call(backend, monkeypatch, pair, k
     test, array = PAIRS[pair]
     b = mk(mu=0.6, a=0.05, z=0.3, test=test, array=array)
     heights = np.geomspace(3e-3, 60.0, 9)
-    ax, ay = (_ray_integral(b, kind, "edge", _AXES[k:k + 1], heights, axis)[:, 0]
-              for k, axis in enumerate("xy"))
+    # the x axis alone and the y column of a call on both
+    ax, ay = (_ray_integral(b, kind, "edge", _AXES[:k + 1], heights, "xy"[:k + 1])[:, k]
+              for k in range(2))
     want = prefactor(b, kind) * (2.0 / b.a_tilde) * (ax + ay)
     calls = _counting_sites(monkeypatch)
     assert edge_term(b, kind, heights).tobytes() == want.tobytes()
@@ -658,8 +678,8 @@ def test_block_failure_names_its_first_failing_height(backend, monkeypatch):
     heights = np.geomspace(0.1, 1.0, 8)
     ray_rotated = kernels.ray_rotated
 
-    def failing(pair, directions, zs):
-        sums, counts = ray_rotated(pair, directions, zs)
+    def failing(pair, axes, zs):
+        sums, counts = ray_rotated(pair, axes, zs)
         bad = np.isin(zs, heights[[3, 5]])
         sums[bad, :, 1] = sums[bad, :, 2]
         return sums, counts
@@ -734,15 +754,20 @@ def test_real_panel_sums_equal_numpy_sums_per_height(backend, nz):
         assert got.tobytes() == np.array(want).reshape(got.shape).tobytes(), (nd, bulk)
 
 
-def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend):
-    # the compiled calls get raw addresses: shapes are checked before them
+def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend, monkeypatch):
+    # the compiled calls get raw addresses: the axis count and the shapes are
+    # checked before them, so no backend call is made
     pair, h = np.zeros(7), np.ones(2)
-    for args, message in [((pair[:6], _AXES, h), "need pair"),
-                          ((pair, _AXES[:, :1], h), "need pair"),
-                          ((pair, np.ones((3, 2)), h), "need 1 to 2 directions"),
-                          ((pair, np.empty((0, 2)), h), "need 1 to 2 directions"),
-                          ((pair, _AXES, np.ones((2, 1))), "need pair"),
-                          ((pair, _RING[:2], h), "axis directions")]:
+    monkeypatch.setattr(kernels._impl, "ray_rotated", None)
+    for args, message in [((pair[:6], 2, h), "need pair"),
+                          ((pair, 2, np.ones((2, 1))), "need pair"),
+                          ((pair, 0, h), "need 1 or 2 axes, got 0"),
+                          ((pair, 3, h), "need 1 or 2 axes, got 3"),
+                          ((pair, 1.5, h), "need 1 or 2 axes, got 1.5"),
+                          ((pair, 1.0, h), "need 1 or 2 axes, got 1.0"),
+                          ((pair, np.int64(2), h), "need 1 or 2 axes"),
+                          ((pair, True, h), "need 1 or 2 axes, got True"),
+                          ((pair, _AXES, h), "need 1 or 2 axes")]:
         with pytest.raises(ValueError, match=message):
             kernels.ray_rotated(*args)
     with pytest.raises(ValueError, match="need f of 2 x 7 rows x 25"):

@@ -338,11 +338,11 @@ def test_array_parameters_take_only_contiguous_arrays_of_their_dtype(lib):
     # distance_table's distances (int32) and rank steps (uint16) and
     # ray_rotated's counts (int64). Each wrong argument raises before the C
     # code runs, so the outputs keep their fill
-    pair, axis, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([[1.0, 0.0]]), kernels.ROTATED_RULE
+    pair, rule = np.array([*Z_HAT, *Z_HAT, 1.0]), kernels.ROTATED_RULE
     powers = rule.size - kernels.RULE_HEAD
 
     def rays(z, counts, out):
-        return lib.ray_rotated(pair, axis, 1, z, z.size, rule, powers, counts, out)
+        return lib.ray_rotated(pair, 1, z, z.size, rule, powers, counts, out)
 
     sc, sums = np.full(2, -1.0), np.full(3, -1.0)
     d2, step = np.full(3, -1, dtype=np.int32), np.full(3, 7, dtype=np.uint16)
@@ -456,9 +456,9 @@ def test_allocation_failures_raise_memory_error(backend, monkeypatch):
         with pytest.raises(MemoryError, match="^no memory for a resonant row of the site set$"):
             kernels.res_points(pair, [0.1, 0.2], [0.3], [0.5], sums=sums)
     monkeypatch.setattr(backend, "ray_rotated", lambda *args: -1)
-    for directions in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]):
+    for axes in (2, 1):
         with pytest.raises(MemoryError, match="^no memory for the ray integrals' panel sums$"):
-            kernels.ray_rotated(pair, np.array(directions), np.array([0.3, 0.5]))
+            kernels.ray_rotated(pair, axes, np.array([0.3, 0.5]))
 
 
 def _table_rows(impl, zx, a2, z2, lo, hi):
@@ -946,11 +946,15 @@ def _defined(*names):
 
 
 def test_ray_sizes_are_the_library_s():
-    # ray_panel keeps DIRECTIONS axes and NODES nodes on its stack: more
-    # directions than kernels lets through would overrun them, and the rules
-    # kernels builds must have the nodes the compiled rows read
-    directions, nodes = _defined("DIRECTIONS", "NODES")
-    assert kernels.RAY_DIRECTIONS == directions
+    # ray_rotated keeps AXES axes' panel sums and ray_panel NODES nodes on
+    # their stacks: more axes than kernels lets through would overrun them,
+    # and the rules kernels builds must have the nodes the compiled rows read
+    axes, nodes = _defined("AXES", "NODES")
+    pair, h = np.array([*Z_HAT, *Z_HAT, 1.0]), np.array([0.3])
+    assert kernels.ray_rotated(pair, axes, h)[0].shape == (1, axes, 3)
+    for more in (axes + 1, axes + 100):
+        with pytest.raises(ValueError, match="axes"):
+            kernels.ray_rotated(pair, more, h)
     assert kernels.NODES == nodes == kernels.LEGENDRE[0].size
     assert kernels.REAL_PATH[0].shape[1] == nodes
 
@@ -1098,5 +1102,5 @@ def test_strided_pair_gives_the_contiguous_pair_s_bits(backend):
     for s, d, along in ((u, v, False), (np.array([0.5, 2.0]), rays.ravel(), True)):
         assert kernels.offres_points(strided, s, d, z, 0.6, rays=along).tobytes() == \
             kernels.offres_points(pair, s, d, z, 0.6, rays=along).tobytes()
-    got, want = (kernels.ray_rotated(p, np.eye(2), z) for p in (strided, pair))
+    got, want = (kernels.ray_rotated(p, 2, z) for p in (strided, pair))
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

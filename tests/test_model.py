@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def test_degenerate_detuning_rejected():
         bundle(mu=1.0004)
     with pytest.raises(DetuningTooSmall):
         bundle(mu=-0.5)
+
+
+def test_mu_of_2_to_the_512_or_more_is_rejected():
+    # there (1 - mu)(1 + mu) and the moments' 1 - mu^2 overflow, and every
+    # shift read 0 or -0 without an error
+    for mu in (2.0 ** 512, 1.341e154, 1e200, 1e308):
+        with pytest.raises(DetuningTooSmall, match=re.escape(f"mu must be below 2**512, got {mu}")):
+            bundle(mu=mu)
+    assert bundle(mu=math.nextafter(2.0 ** 512, 0.0)).mu < 2.0 ** 512
 
 
 def test_non_finite_inputs_rejected():
