@@ -765,7 +765,6 @@ def test_ray_exports_reject_what_the_compiled_calls_cannot_take(backend, monkeyp
                           ((pair, 3, h), "need 1 or 2 axes, got 3"),
                           ((pair, 1.5, h), "need 1 or 2 axes, got 1.5"),
                           ((pair, 1.0, h), "need 1 or 2 axes, got 1.0"),
-                          ((pair, np.int64(2), h), "need 1 or 2 axes"),
                           ((pair, True, h), "need 1 or 2 axes, got True"),
                           ((pair, _AXES, h), "need 1 or 2 axes")]:
         with pytest.raises(ValueError, match=message):
